@@ -1,15 +1,11 @@
 package scenario
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
 	"xability/internal/action"
-	"xability/internal/core"
-	"xability/internal/event"
 	"xability/internal/shard"
-	"xability/internal/verify"
 	"xability/internal/workload"
 )
 
@@ -35,137 +31,38 @@ func splitArrivals(arrivals []workload.Arrival) ([]time.Duration, []action.Reque
 	return ats, reqs
 }
 
-// executeOpenLoop runs an open-loop scenario on the single-cluster
-// runtime: a seeded arrival schedule of independent single-request
-// sessions driven through one core.Station, instead of the closed loop's
-// one-at-a-time client. Offered load is therefore fixed by the spec, not
-// by service latency — the run measures what the protocol does when work
-// keeps arriving regardless of how fast it finishes (saturation, queueing,
-// batching leverage). Verification runs under the concurrent per-request
-// relaxation: completions interleave, so there is no sequential form to
-// check, but every session must still be exactly-once on its own.
-func executeOpenLoop(sc Scenario, seed int64, scratch *runScratch) Outcome {
-	spec := openLoopSpec(sc)
-	arrivals := workload.GenerateOpenLoop(spec, seed)
-	ats, reqs := splitArrivals(arrivals)
-
-	bank := workload.NewBank(spec.Accounts, sc.Opening)
-	netcfg := netConfig(sc, seed)
-	c := core.NewCluster(core.ClusterConfig{
-		Replicas:  sc.Replicas,
-		Seed:      seed,
-		Net:       netcfg,
-		Network:   scratch.take(netcfg),
-		Consensus: sc.Consensus,
-		Detector:  sc.Detector,
-		Registry:  workload.Registry(),
-		Setup:     bank.Setup(),
-		Batch:     sc.Batch,
-		Costs:     sc.Costs,
-
-		HeartbeatInterval: sc.HeartbeatInterval,
-	})
-	defer c.Stop()
-	for _, f := range sc.Failures {
-		c.Env.SetFailures(f.Action, f.Prob, f.Budget, f.AfterProb)
+// driveOpenLoop runs the arrival schedule to completion and returns how
+// many sessions completed. Offered load is fixed by the spec, not by
+// service latency: the run measures what the protocol does when work keeps
+// arriving regardless of how fast it finishes (saturation, queueing,
+// batching leverage). A single group drives its station inline on the
+// caller's goroutine. Behind the router the schedule is partitioned by
+// ring owner and each group's station gets its own driver goroutine, so
+// sessions flow straight to their key's group without the router's
+// per-request discipline serializing against the arrival pacing. The two
+// forms are not interchangeable: spawning a driver for the single group
+// would renumber every event of the run.
+func (d *deployment) driveOpenLoop(l load) int {
+	if d.router == nil {
+		return d.members[0].station.Drive(l.ats, l.reqs)
 	}
-	st := c.OpenStation()
-
-	clk := c.Clock()
-	clk.Enter()
-	timedOut, disarm := watchdog(sc, clk, c.Net.Close)
-	if sc.Plan != nil {
-		sc.Plan.Apply(c)
+	ats := make([][]time.Duration, len(d.members))
+	reqs := make([][]action.Request, len(d.members))
+	for i, r := range l.reqs {
+		s := d.router.Ring().Owner(shard.InputKey(r))
+		ats[s] = append(ats[s], l.ats[i])
+		reqs[s] = append(reqs[s], r)
 	}
-	start := clk.Now()
-	completed := st.Drive(ats, reqs)
-	disarm()
-	simTime := clk.Now() - start
-	settleRun(sc, clk, c.Env.PendingOutcome)
-	// Snapshots at the settle horizon, while attached — see
-	// executeXAbility for why this pins determinism.
-	msgs := c.Net.TotalSent()
-	h := c.Observer.History()
-	effects := auditEffects(reqs, c.Env.InForceTotal)
-	lat := workload.SummarizeLatencies(st.Latencies())
-	snap := sc.Net.Metrics.Snapshot()
-	c.Stop()
-	clk.Exit()
-	c.Net.Quiesce()
-
-	logged, replies := st.Log()
-	rep := verify.Check(verify.Run{
-		Registry:       workload.Registry(),
-		Requests:       logged,
-		Replies:        replies,
-		History:        h,
-		SubmitAttempts: st.Attempts(),
-		Concurrent:     true,
-	})
-	o := outcomeFrom(sc, seed, reqs, h, completed == len(reqs))
-	o.TimedOut = timedOut()
-	o.XAble = rep.R3Strict || rep.R3Projected
-	o.Report = rep
-	o.Attempts = st.Attempts()
-	o.Messages = msgs
-	o.SimTime = simTime
-	o.EffectsInForce = effects
-	o.Latency = lat
-	o.Obs = snap
-	return o
-}
-
-// executeOpenLoopSharded is the sharded open-loop run: the arrival
-// schedule is partitioned by ring owner up front and each group gets its
-// own station, so sessions flow straight to their key's group without the
-// router's per-request goroutine discipline serializing against the
-// arrival pacing. The verdict is per-shard concurrent verification plus a
-// routing audit over the completion logs (every session completed on its
-// key's ring owner, no session in two groups).
-func executeOpenLoopSharded(sc Scenario, seed int64, scratch *runScratch) Outcome {
-	spec := openLoopSpec(sc)
-	arrivals := workload.GenerateOpenLoop(spec, seed)
-
-	c := shard.New(shardConfig(sc, seed, scratch, spec.Accounts))
-	defer c.Stop()
-	for s := 0; s < c.Shards(); s++ {
-		for _, f := range sc.Failures {
-			c.Group(s).Env.SetFailures(f.Action, f.Prob, f.Budget, f.AfterProb)
-		}
-	}
-
-	shards := c.Shards()
-	ats := make([][]time.Duration, shards)
-	sreqs := make([][]action.Request, shards)
-	all := make([]action.Request, 0, len(arrivals))
-	for _, a := range arrivals {
-		s := c.Ring().Owner(shard.InputKey(a.Req))
-		ats[s] = append(ats[s], a.At)
-		sreqs[s] = append(sreqs[s], a.Req)
-		all = append(all, a.Req)
-	}
-	stations := make([]*core.Station, shards)
-	for s := range stations {
-		stations[s] = c.Group(s).OpenStation()
-	}
-
-	clk := c.Clock()
-	clk.Enter()
-	timedOut, disarm := watchdog(sc, clk, c.CloseNets)
-	if sc.Plan != nil {
-		sc.Plan.Apply(shardedTarget{c})
-	}
-	start := clk.Now()
-	// One driver goroutine per group; join on the shared clock's condition
-	// (the Drive goroutines always hold pending timers, so the untimed
-	// wait cannot starve the virtual clock).
+	// Join on the shared clock's condition (the Drive goroutines always
+	// hold pending timers, so the untimed wait cannot starve the virtual
+	// clock).
 	var mu sync.Mutex
-	cond := clk.NewCond(&mu)
+	cond := d.clk.NewCond(&mu)
 	done, completed := 0, 0
-	for s := range stations {
+	for s := range d.members {
 		s := s
-		clk.Go(func() {
-			n := stations[s].Drive(ats[s], sreqs[s])
+		d.clk.Go(func() {
+			n := d.members[s].station.Drive(ats[s], reqs[s])
 			mu.Lock()
 			done++
 			completed += n
@@ -174,88 +71,28 @@ func executeOpenLoopSharded(sc Scenario, seed int64, scratch *runScratch) Outcom
 		})
 	}
 	mu.Lock()
-	for done < len(stations) {
+	for done < len(d.members) {
 		cond.Wait()
 	}
 	mu.Unlock()
-	disarm()
-	simTime := clk.Now() - start
-	settleRun(sc, clk, func() int {
-		n := 0
-		for s := 0; s < c.Shards(); s++ {
-			n += c.Group(s).Env.PendingOutcome()
-		}
-		return n
-	})
-	// Snapshots at the settle horizon, while attached (see
-	// executeXAbility).
-	msgs := c.TotalSent()
-	hs := c.Histories()
-	effects := auditEffects(all, c.EffectsInForce)
-	var lats []time.Duration
-	for _, st := range stations {
-		lats = append(lats, st.Latencies()...)
-	}
-	snap := sc.Net.Metrics.Snapshot()
-	c.Stop()
-	clk.Exit()
-	c.Quiesce()
-
-	rep := openLoopShardReport(c, stations, hs)
-	var merged event.History
-	for _, h := range hs {
-		merged = append(merged, h...)
-	}
-	o := outcomeFrom(sc, seed, all, merged, completed == len(arrivals))
-	o.TimedOut = timedOut()
-	o.Shards = sc.Shards
-	o.ShardReports = rep.Shards
-	o.RoutingExact = rep.RoutingExact
-	o.XAble = rep.XAble()
-	for _, st := range stations {
-		o.Attempts += st.Attempts()
-	}
-	o.Messages = msgs
-	o.SimTime = simTime
-	o.EffectsInForce = effects
-	o.Latency = workload.SummarizeLatencies(lats)
-	o.Obs = snap
-	return o
+	return completed
 }
 
-// openLoopShardReport is the sharded open-loop verdict: each group's
-// history verified against its station's completion log under the
-// concurrent relaxation, plus the routing audit. The router's Route log
-// is empty for open-loop runs (sessions bypass the router), so the audit
+// stationsOnOwners is the routing audit of a sharded open-loop run. The
+// router's Route log is empty (sessions bypass the router), so the audit
 // re-derives ownership from the ring: every completed session must have
 // run on its key's owner, and no request ID may complete in two groups.
-func openLoopShardReport(c *shard.Cluster, stations []*core.Station, hs []event.History) shard.Report {
-	rep := shard.Report{RoutingExact: true}
-	seen := make(map[string]int)
-	for s, st := range stations {
-		logged, replies := st.Log()
-		rep.Shards = append(rep.Shards, verify.Check(verify.Run{
-			Registry:       workload.Registry(),
-			Requests:       logged,
-			Replies:        replies,
-			History:        hs[s],
-			SubmitAttempts: st.Attempts(),
-			Concurrent:     true,
-		}))
+func (d *deployment) stationsOnOwners() bool {
+	exact := true
+	seen := make(map[string]bool)
+	for s, m := range d.members {
+		logged, _ := m.station.Log()
 		for _, req := range logged {
-			if want := c.Ring().Owner(shard.InputKey(req)); want != s {
-				rep.RoutingExact = false
-				rep.Details = append(rep.Details, fmt.Sprintf(
-					"routing: %s completed on shard %d, ring owner is %d", req.ID, s, want))
+			if d.router.Ring().Owner(shard.InputKey(req)) != s || seen[req.ID] {
+				exact = false
 			}
-			if prev, dup := seen[req.ID]; dup {
-				rep.RoutingExact = false
-				rep.Details = append(rep.Details, fmt.Sprintf(
-					"routing: %s completed in shards %d and %d", req.ID, prev, s))
-			} else {
-				seen[req.ID] = s
-			}
+			seen[req.ID] = true
 		}
 	}
-	return rep
+	return exact
 }

@@ -20,10 +20,10 @@ func TestRecordedReplayByteIdentical(t *testing.T) {
 			t.Fatalf("scenario %q missing", name)
 		}
 		recLog := schedule.NewLog()
-		rec := ExecuteTraced(sc, 17, recLog, nil)
+		rec := Run(sc, 17, RunOptions{Record: recLog})
 
 		repLog := schedule.NewLog()
-		rep := ExecuteTraced(sc, 17, repLog, &schedule.Replay{Log: recLog})
+		rep := Run(sc, 17, RunOptions{Record: repLog, Replay: &schedule.Replay{Log: recLog}})
 
 		if len(rec.History) != len(rep.History) {
 			t.Fatalf("%s: history lengths differ: %d vs %d", name, len(rec.History), len(rep.History))
@@ -56,8 +56,8 @@ func TestRecordedReplayByteIdentical(t *testing.T) {
 func TestRecordedScheduleDeterminism(t *testing.T) {
 	sc, _ := Get("delay-storm")
 	l1, l2 := schedule.NewLog(), schedule.NewLog()
-	ExecuteTraced(sc, 23, l1, nil)
-	ExecuteTraced(sc, 23, l2, nil)
+	Run(sc, 23, RunOptions{Record: l1})
+	Run(sc, 23, RunOptions{Record: l2})
 	e1, e2 := l1.Entries(), l2.Entries()
 	if len(e1) != len(e2) {
 		t.Fatalf("log lengths differ: %d vs %d", len(e1), len(e2))
@@ -75,7 +75,7 @@ func TestRecordedScheduleDeterminism(t *testing.T) {
 func TestDeadlineWatchdog(t *testing.T) {
 	sc, _ := Get("nice")
 	recLog := schedule.NewLog()
-	base := ExecuteTraced(sc, 5, recLog, nil)
+	base := Run(sc, 5, RunOptions{Record: recLog})
 	if !base.Replied || base.TimedOut {
 		t.Fatalf("baseline should reply in time: %+v", base)
 	}
@@ -91,7 +91,7 @@ func TestDeadlineWatchdog(t *testing.T) {
 		t.Fatal("no client-bound deliveries recorded")
 	}
 	sc.Deadline = 50 * time.Millisecond
-	o := ExecuteTraced(sc, 5, nil, &schedule.Replay{Log: recLog, Edit: schedule.SuppressSet(drop)})
+	o := Run(sc, 5, RunOptions{Replay: &schedule.Replay{Log: recLog, Edit: schedule.SuppressSet(drop)}})
 	if !o.TimedOut {
 		t.Errorf("watchdog did not fire: %+v", o)
 	}

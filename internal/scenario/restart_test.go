@@ -130,7 +130,7 @@ func TestRestartOutcomesByteDeterministic(t *testing.T) {
 		scratch := &runScratch{}
 		for seed := int64(1); seed <= 5; seed++ {
 			fresh := Execute(sc, seed)
-			reused := executeTracedWith(sc, seed, nil, nil, scratch)
+			reused := execute(sc, seed, RunOptions{}, scratch)
 			fresh.History, reused.History = nil, nil
 			if !reflect.DeepEqual(fresh, reused) {
 				t.Errorf("%s seed %d: reused-network outcome differs from fresh run:\nfresh:  %+v\nreused: %+v",

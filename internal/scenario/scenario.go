@@ -9,13 +9,17 @@ import (
 	"xability/internal/action"
 	"xability/internal/baseline"
 	"xability/internal/core"
+	"xability/internal/env"
 	"xability/internal/event"
 	"xability/internal/obs"
 	"xability/internal/reduce"
 	"xability/internal/schedule"
+	"xability/internal/shard"
 	"xability/internal/simnet"
+	"xability/internal/trace"
 	"xability/internal/vclock"
 	"xability/internal/verify"
+	"xability/internal/wal"
 	"xability/internal/workload"
 )
 
@@ -295,7 +299,7 @@ type Outcome struct {
 
 	// Obs is the run's metrics snapshot, read at the same pinned settle
 	// instant as the other observations. Nil unless the run was executed
-	// with the observability plane armed (ExecuteObserved, or a sweep with
+	// with the observability plane armed (RunOptions.Obs, or a sweep with
 	// SweepOptions.Metrics).
 	Obs *obs.Snapshot
 
@@ -305,47 +309,45 @@ type Outcome struct {
 	// Report is the R2–R4 verdict; meaningful for the x-ability protocol
 	// only (baselines are judged by XAble and the audit).
 	Report verify.Report
-	// Schedule is the recorded delivery log (ExecuteTraced runs only; nil
-	// otherwise).
+	// Schedule is the recorded delivery log (runs with RunOptions.Record
+	// only; nil otherwise).
 	Schedule *schedule.Log
 	// Counterexample is the rendered minimal failing trace; the shrinker
 	// (internal/shrink) fills it on the outcome of a minimized run.
 	Counterexample string
 }
 
-// Execute runs one scenario on one seed and returns its outcome. Runs are
-// deterministic: equal (scenario, seed) pairs yield equal outcomes, which
-// is what makes sweep distributions replayable.
-func Execute(sc Scenario, seed int64) Outcome {
-	return ExecuteTraced(sc, seed, nil, nil)
+// RunOptions arms the optional planes of one run. The zero value is a
+// plain run.
+type RunOptions struct {
+	// Record, when non-nil, has the network log every delivery decision
+	// into it; the outcome carries it as Schedule.
+	Record *schedule.Log
+	// Replay, when non-nil, re-executes the given log instead of drawing
+	// delays from the seed. Together with Record it is the
+	// record/replay/shrink pipeline's entry point.
+	Replay *schedule.Replay
+	// Obs, when non-nil, has the run's networks stamp counters and latency
+	// observations into Obs.Metrics and request-lifecycle spans into
+	// Obs.Trace (either may be nil); the metrics snapshot — read at the
+	// same pinned settle-horizon instant as the run's other observations —
+	// lands in Outcome.Obs. Observation does not perturb the schedule: an
+	// observed run's verdict fields are byte-equal to its unobserved
+	// twin's.
+	Obs *obs.Run
 }
 
-// ExecuteTraced is Execute with the schedule plane armed: when record is
-// non-nil the network logs every delivery decision into it (and the
-// outcome carries it as Schedule); when replay is non-nil the run
-// re-executes the given log instead of drawing delays from the seed —
-// the record/replay/shrink pipeline's entry point. Either may be nil.
-func ExecuteTraced(sc Scenario, seed int64, record *schedule.Log, replay *schedule.Replay) Outcome {
-	return executeTracedWith(sc, seed, record, replay, nil)
-}
+// Run carries one seed through a scenario and returns its outcome. Runs
+// are deterministic: equal (scenario, seed, options) inputs yield equal
+// outcomes, which is what makes sweep distributions replayable.
+func Run(sc Scenario, seed int64, opts RunOptions) Outcome { return execute(sc, seed, opts, nil) }
 
-// ExecuteObserved is Execute with the observability plane armed: the run's
-// networks stamp counters and latency observations into run.Metrics and
-// request-lifecycle spans into run.Trace (either may be nil), and the
-// metrics snapshot — read at the same pinned settle-horizon instant as the
-// run's other observations — lands in Outcome.Obs. Observation does not
-// perturb the schedule: an observed run's verdict fields are byte-equal to
-// its unobserved twin's.
+// Execute is Run with no plane armed.
+func Execute(sc Scenario, seed int64) Outcome { return Run(sc, seed, RunOptions{}) }
+
+// ExecuteObserved is Run with only the observability plane armed.
 func ExecuteObserved(sc Scenario, seed int64, run *obs.Run) Outcome {
-	return executeObservedWith(sc, seed, nil, nil, nil, run)
-}
-
-// ExecuteReplayObserved is ExecuteTraced under observation: the run
-// re-executes the given schedule log while stamping run's metrics and
-// trace. The shrinker uses it to annotate a minimal counterexample with
-// the request timeline of exactly the minimized schedule.
-func ExecuteReplayObserved(sc Scenario, seed int64, replay *schedule.Replay, run *obs.Run) Outcome {
-	return executeObservedWith(sc, seed, nil, replay, nil, run)
+	return Run(sc, seed, RunOptions{Obs: run})
 }
 
 // runScratch is a sweep worker's reusable substrate: one network — with
@@ -381,69 +383,421 @@ func (s *runScratch) take(cfg simnet.Config) *simnet.Network {
 	return s.net
 }
 
-// executeTracedWith is the common run path: ExecuteTraced with an optional
-// per-worker scratch (sweep runs pass one; single runs pass nil).
-func executeTracedWith(sc Scenario, seed int64, record *schedule.Log, replay *schedule.Replay, scratch *runScratch) Outcome {
-	return executeObservedWith(sc, seed, record, replay, scratch, nil)
+// member is one cluster of a deployment, as the driver sees it: the three
+// parts core.Cluster and baseline.Cluster both expose, plus what only a
+// replica group of the x-ability family has.
+type member struct {
+	net      *simnet.Network
+	env      *env.Env
+	observer *trace.Observer
+
+	group   *core.Cluster // nil for a baseline cluster
+	station *core.Station // open-loop load only
+
+	history event.History // snapshotted by the driver
 }
 
-// executeObservedWith is executeTracedWith with the observability plane:
-// run's metrics and trace are handed to the run's network(s) exactly as
-// record/replay are (the sharded runtime keeps them — its groups share one
-// clock, so one registry folds their deliveries deterministically — even
-// though it drops the schedule hooks).
-func executeObservedWith(sc Scenario, seed int64, record *schedule.Log, replay *schedule.Replay, scratch *runScratch, run *obs.Run) Outcome {
-	sc = sc.withDefaults().Materialize(seed)
-	sc.Net.Record, sc.Net.Replay = record, replay
-	if run != nil {
-		sc.Net.Metrics, sc.Net.Trace = run.Metrics, run.Trace
-	}
-	reqs := sc.Requests
-	if sc.Workload != nil {
-		reqs = workload.Generate(*sc.Workload, seed)
-	}
-	var o Outcome
+// deployment is what one run stands up. There are two kinds. The
+// x-ability family is always a list of replica groups: one, or
+// Scenario.Shards of them behind the keyspace router on a shared clock —
+// x-ability is local, so a sharded deployment is just groups that each
+// verify on their own. The baselines are the second and last kind: one
+// primary-backup or active cluster.
+type deployment struct {
+	clk     vclock.Clock
+	target  Target   // the fault surface the plan drives
+	members []member // one per cluster, in group order
+
+	router *shard.Cluster // non-nil when the groups sit behind the router
+
+	base   *baseline.Cluster
+	logged []action.Request // baseline only: the client's answered requests
+}
+
+// load is what a run submits: the closed-loop request list, one
+// sequential client session per group, or the open-loop arrival schedule
+// (reqs[i] arrives at ats[i]), many concurrent single-request sessions
+// through one Station per group.
+type load struct {
+	reqs []action.Request
+	ats  []time.Duration
+	open bool
+	// accounts sizes each group's bank: the scenario's, or the arrival
+	// spec's when the load is open-loop.
+	accounts int
+}
+
+func loadFor(sc Scenario, seed int64) load {
 	switch {
-	case sc.Protocol == XAbility && sc.Shards > 0:
+	case sc.Protocol == XAbility && sc.OpenLoop != nil:
+		spec := openLoopSpec(sc)
+		ats, reqs := splitArrivals(workload.GenerateOpenLoop(spec, seed))
+		return load{reqs: reqs, ats: ats, open: true, accounts: spec.Accounts}
+	case sc.Workload != nil:
+		return load{reqs: workload.Generate(*sc.Workload, seed), accounts: sc.Accounts}
+	}
+	return load{reqs: sc.Requests, accounts: sc.Accounts}
+}
+
+// deploy builds and starts the scenario's deployment on a fresh world, or
+// on the scratch's recycled network(s).
+func deploy(sc Scenario, seed int64, l load, scratch *runScratch) *deployment {
+	d := &deployment{}
+	netcfg := netConfig(sc, seed)
+	switch {
+	case sc.Protocol != XAbility:
+		scheme := baseline.PrimaryBackup
+		if sc.Protocol == Active {
+			scheme = baseline.Active
+		}
+		d.base = baseline.NewCluster(baseline.ClusterConfig{
+			Scheme:    scheme,
+			Replicas:  sc.Replicas,
+			Seed:      seed,
+			Net:       netcfg,
+			Network:   scratch.take(netcfg),
+			Handler:   DivergingHandler(),
+			SyncDelay: sc.SyncDelay,
+		})
+		d.target = d.base
+		d.members = []member{{net: d.base.Net, env: d.base.Env, observer: d.base.Observer}}
+	case sc.Shards > 0:
+		d.router = shard.New(shardConfig(sc, seed, scratch, l.accounts))
+		d.target = ShardedTarget(d.router)
+		d.members = make([]member, sc.Shards)
+		for s := range d.members {
+			d.members[s].group = d.router.Group(s)
+		}
+	default:
+		c := core.NewCluster(core.ClusterConfig{
+			Replicas:          sc.Replicas,
+			Seed:              seed,
+			Net:               netcfg,
+			Network:           scratch.take(netcfg),
+			Consensus:         sc.Consensus,
+			Detector:          sc.Detector,
+			HeartbeatInterval: sc.HeartbeatInterval,
+			Registry:          workload.Registry(),
+			Setup:             workload.NewBank(l.accounts, sc.Opening).Setup(),
+			Batch:             sc.Batch,
+			Costs:             sc.Costs,
+			Durable:           sc.Durable,
+			WALSync:           sc.WALSync,
+			WALSnapshotSync:   sc.WALSnapshotSync,
+			WALCompact:        sc.WALCompact,
+		})
+		d.target = c
+		d.members = []member{{group: c}}
+	}
+	for i := range d.members {
+		m := &d.members[i]
+		if m.group == nil {
+			continue
+		}
+		m.net, m.env, m.observer = m.group.Net, m.group.Env, m.group.Observer
+		for _, f := range sc.Failures {
+			m.env.SetFailures(f.Action, f.Prob, f.Budget, f.AfterProb)
+		}
+		if l.open {
+			m.station = m.group.OpenStation()
+		}
+	}
+	d.clk = d.members[0].net.Clock()
+	return d
+}
+
+// stop shuts every cluster down. Non-blocking and idempotent, so the
+// driver can stop while still attached and keep a deferred stop as the
+// panic path.
+func (d *deployment) stop() {
+	if d.base != nil {
+		d.base.Stop()
+	}
+	for _, m := range d.members {
+		if m.group != nil {
+			m.group.Stop()
+		}
+	}
+}
+
+// closeNets is the watchdog's action: it closes every cluster's network,
+// unblocking every client await.
+func (d *deployment) closeNets() {
+	for _, m := range d.members {
+		m.net.Close()
+	}
+}
+
+// pending counts undoable transactions still awaiting their decided
+// commit or cancel, over every cluster (see settleRun). The baselines
+// apply raw effects only, so theirs is always zero.
+func (d *deployment) pending() int {
+	n := 0
+	for _, m := range d.members {
+		n += m.env.PendingOutcome()
+	}
+	return n
+}
+
+// drive submits the load and reports whether every request was answered.
+func (d *deployment) drive(l load) bool {
+	switch {
+	case l.open:
+		return d.driveOpenLoop(l) == len(l.reqs)
+	case d.router != nil:
+		// Per-shard streams run concurrently on the shared clock, so
+		// simulated time measures aggregate throughput.
+		_, replied := d.router.Router.CallAll(l.reqs)
+		return replied
+	}
+	var client interface {
+		SubmitUntilSuccess(action.Request) action.Value
+	}
+	if d.base != nil {
+		client = d.base.Client
+	} else {
+		client = d.members[0].group.Client
+	}
+	replied := true
+	for _, r := range l.reqs {
+		if client.SubmitUntilSuccess(r) == "" {
+			replied = false
+		}
+	}
+	return replied
+}
+
+// stabilize is the baselines' extra step between the settle horizon and
+// the history snapshot. Active replication keeps executing after the first
+// reply returns to the client, so the driver detaches and waits for the
+// side-effect audit to stop moving: the outcome then reports the
+// protocol's steady state. This wait is behaviour of the baselines, not a
+// second copy of the settle. It returns re-attached at a pinned instant:
+// the zero-length sleep returns via the pump, which only fires when every
+// other attached goroutine is blocked, so nothing is mid-step while the
+// snapshots that follow are read.
+func (d *deployment) stabilize() {
+	d.clk.Exit()
+	d.base.Net.Quiesce()
+	d.logged, _ = d.base.Client.Log()
+	waitStable(d.clk, 2*time.Second, d.baseAudit)
+	d.clk.Enter()
+	d.clk.Sleep(0)
+}
+
+// baseAudit sums the effects in force over the baseline client's answered
+// requests, each under its own tagged input.
+func (d *deployment) baseAudit() int {
+	total := 0
+	for _, r := range d.logged {
+		total += d.base.Env.InForce(r.Action, r.EffectiveInput())
+	}
+	return total
+}
+
+// audit is the environment audit at the snapshot instant: effects in
+// force over the workload, and the duplicate-replay count. For the
+// x-ability family it spans every group's environment: the owner accounts
+// for the effect, and a mis-routed duplicate applied by a non-owner
+// inflates the count instead of hiding.
+func (d *deployment) audit(l load) (effects, dups int) {
+	if d.base != nil {
+		return d.baseAudit(), 0
+	}
+	inForce := func(a action.Name, iv action.Value) int {
+		total := 0
+		for _, m := range d.members {
+			total += m.env.InForceTotal(a, iv)
+		}
+		return total
+	}
+	effects = auditEffects(l.reqs, inForce)
+	if d.router == nil && !l.open {
+		dups = auditDuplicates(l.reqs, inForce)
+	}
+	return effects, dups
+}
+
+// session is the completion log a group's verdict is checked against: the
+// closed loop's client or the open loop's station.
+type session interface {
+	Log() ([]action.Request, []action.Value)
+	Attempts() int
+}
+
+// verdict fills the outcome's checker fields from the snapshotted
+// histories. The x-ability family verifies every group on its own history
+// (R2–R4; under the concurrent per-request relaxation for an open-loop
+// completion log, which has no sequential form); behind the router the
+// merged verdict adds the global exactly-once-routing audit. The baselines
+// get the most charitable reading: each answered request checked as
+// idempotent against the raw trace.
+func (d *deployment) verdict(o *Outcome, l load) {
+	if d.base != nil {
+		o.XAble = len(d.logged) > 0
+		for _, r := range d.logged {
+			if !rawXAble(o.History, r) {
+				o.XAble = false
+			}
+		}
+		o.Attempts = d.base.Client.Attempts()
+		return
+	}
+	for _, m := range d.members {
+		var s session = m.group.Client
+		if l.open {
+			s = m.station
+		}
+		logged, replies := s.Log()
+		rep := verify.Check(verify.Run{
+			Registry:       workload.Registry(),
+			Requests:       logged,
+			Replies:        replies,
+			History:        m.history,
+			SubmitAttempts: s.Attempts(),
+			Concurrent:     l.open,
+		})
+		o.Attempts += s.Attempts()
+		if d.router == nil {
+			o.Report = rep
+			o.XAble = rep.R3Strict || rep.R3Projected
+			return
+		}
+		o.ShardReports = append(o.ShardReports, rep)
+	}
+	o.Shards = len(d.members)
+	if l.open {
+		o.RoutingExact = d.stationsOnOwners()
+	} else {
+		o.RoutingExact, _ = d.router.AuditRouting()
+	}
+	o.XAble = shard.Report{Shards: o.ShardReports, RoutingExact: o.RoutingExact}.XAble()
+}
+
+// execute is the run driver: every run — either deployment kind, either
+// load, any armed plane — goes through this one sequence: build, hold the
+// clock, arm the watchdog, apply the plan, drive the load, settle,
+// snapshot while attached, stop, exit, quiesce, verdict. scratch is a
+// sweep worker's recycled substrate (nil for single runs).
+func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outcome {
+	sc = sc.withDefaults().Materialize(seed)
+	sc.Net.Record, sc.Net.Replay = opts.Record, opts.Replay
+	if sc.Protocol == XAbility && sc.Shards > 0 {
 		// The sharded runtime is outside the record/replay plane (see
 		// Scenario.Shards): drop the hooks rather than hand one log to
-		// several racing networks. Reuse works per group: the scratch
-		// recycles one network per shard via simnet.ResetShared.
+		// several racing networks. It keeps the observability plane: its
+		// groups share one clock, so one registry folds their deliveries
+		// deterministically.
 		sc.Net.Record, sc.Net.Replay = nil, nil
-		if sc.OpenLoop != nil {
-			o = executeOpenLoopSharded(sc, seed, scratch)
-		} else {
-			o = executeSharded(sc, seed, reqs, scratch)
-		}
-	case sc.Protocol == XAbility && sc.OpenLoop != nil:
-		o = executeOpenLoop(sc, seed, scratch)
-	case sc.Protocol == XAbility:
-		o = executeXAbility(sc, seed, reqs, scratch)
-	default:
-		o = executeBaseline(sc, seed, reqs, scratch)
 	}
-	o.Schedule = record
+	if opts.Obs != nil {
+		sc.Net.Metrics, sc.Net.Trace = opts.Obs.Metrics, opts.Obs.Trace
+	}
+	l := loadFor(sc, seed)
+	d := deploy(sc, seed, l, scratch)
+	defer d.stop()
+
+	clk := d.clk
+	clk.Enter()
+	timedOut, disarm := watchdog(sc, d)
+	if sc.Plan != nil {
+		sc.Plan.Apply(d.target)
+	}
+	start := clk.Now()
+	replied := d.drive(l)
+	disarm()
+	simTime := clk.Now() - start
+	settleRun(sc, clk, d.pending)
+	// Every observation — send counters, histories, side-effect audit,
+	// storage and latency statistics, the metrics registry — is
+	// snapshotted at the settle horizon, a fixed virtual instant, while
+	// this goroutine is still attached: it was just woken by the pump, so
+	// every protocol goroutine of every group is blocked in a clock
+	// primitive and the observed state cannot move. After Exit the clock
+	// free-runs, and periodic activity (heartbeats, cleaner-paced
+	// cancellations) would race the reads in wall time, making outcomes
+	// nondeterministic.
+	msgs := 0
+	for _, m := range d.members {
+		msgs += m.net.TotalSent()
+	}
+	var snap *obs.Snapshot // nil when unobserved (Snapshot is nil-safe)
+	if d.base != nil {
+		snap = sc.Net.Metrics.Snapshot()
+		d.stabilize()
+	}
+	var merged event.History
+	for i := range d.members {
+		m := &d.members[i]
+		if d.router != nil {
+			m.net.Quiesce()
+		}
+		m.history = m.observer.History()
+		if d.router == nil {
+			merged = m.history
+		} else {
+			merged = append(merged, m.history...)
+		}
+	}
+	effects, dups := d.audit(l)
+	var wstats wal.Stats
+	var lats []time.Duration
+	for _, m := range d.members {
+		if m.group != nil {
+			wstats = wstats.Plus(m.group.WALStats())
+		}
+		if m.station != nil {
+			lats = append(lats, m.station.Latencies()...)
+		}
+	}
+	if d.base == nil {
+		snap = sc.Net.Metrics.Snapshot()
+	}
+	// Stop while still attached: once this goroutine Exits, a live
+	// deployment's periodic loops (cleaners, heartbeats) would free-run on
+	// the virtual clock at CPU speed, racing the verdict computation for
+	// the host's cores. Stopping first turns the post-Exit schedule into a
+	// bounded exit cascade.
+	d.stop()
+	clk.Exit()
+	for _, m := range d.members {
+		m.net.Quiesce()
+	}
+
+	o := outcomeFrom(sc, seed, l.reqs, merged, replied)
+	o.TimedOut = timedOut()
+	o.Messages = msgs
+	o.SimTime = simTime
+	o.EffectsInForce = effects
+	o.ReplayDuplicates = dups
+	o.WALAppends = wstats.Appends
+	o.WALSyncTime = wstats.SyncTime
+	o.WALCompactions = wstats.Compactions
+	o.WALLiveRecords = wstats.LiveRecords
+	o.Latency = workload.SummarizeLatencies(lats)
+	o.Obs = snap
+	o.Schedule = opts.Record
+	d.verdict(&o, l)
 	return o
 }
 
-// watchdog arms the scenario's Deadline on a freshly started cluster: at
-// the cap closeNets runs (closing the deployment's network, or every
-// group's network of a sharded deployment), unblocking every client
+// watchdog arms the scenario's Deadline on a freshly started deployment:
+// at the cap every cluster's network closes, unblocking every client
 // await. The cap guards the submit phase only — settling and audit
 // stabilization always terminate on their own — so the caller disarms it
 // once the workload is through. Call with the clock held; fired reports
 // whether the watchdog killed the run.
-func watchdog(sc Scenario, clk vclock.Clock, closeNets func()) (fired func() bool, disarm func()) {
+func watchdog(sc Scenario, d *deployment) (fired func() bool, disarm func()) {
 	if sc.Deadline <= 0 {
 		return func() bool { return false }, func() {}
 	}
 	var hit, done atomic.Bool
-	clk.GoAfter(sc.Deadline, func() {
+	d.clk.GoAfter(sc.Deadline, func() {
 		if done.Load() {
 			return
 		}
 		hit.Store(true)
-		closeNets()
+		d.closeNets()
 	})
 	return hit.Load, func() { done.Store(true) }
 }
@@ -474,174 +828,6 @@ func settleRun(sc Scenario, clk vclock.Clock, pending func() int) {
 	for i := 0; i < 400 && pending() > 0; i++ {
 		clk.Sleep(500 * time.Microsecond)
 	}
-}
-
-func executeXAbility(sc Scenario, seed int64, reqs []action.Request, scratch *runScratch) Outcome {
-	bank := workload.NewBank(sc.Accounts, sc.Opening)
-	netcfg := netConfig(sc, seed)
-	c := core.NewCluster(core.ClusterConfig{
-		Replicas:  sc.Replicas,
-		Seed:      seed,
-		Net:       netcfg,
-		Network:   scratch.take(netcfg),
-		Consensus: sc.Consensus,
-		Detector:  sc.Detector,
-		Registry:  workload.Registry(),
-		Setup:     bank.Setup(),
-		Batch:     sc.Batch,
-		Costs:     sc.Costs,
-		Durable:   sc.Durable,
-		WALSync:   sc.WALSync,
-
-		WALSnapshotSync:   sc.WALSnapshotSync,
-		WALCompact:        sc.WALCompact,
-		HeartbeatInterval: sc.HeartbeatInterval,
-	})
-	defer c.Stop()
-	for _, f := range sc.Failures {
-		c.Env.SetFailures(f.Action, f.Prob, f.Budget, f.AfterProb)
-	}
-
-	clk := c.Clock()
-	clk.Enter()
-	timedOut, disarm := watchdog(sc, clk, c.Net.Close)
-	if sc.Plan != nil {
-		sc.Plan.Apply(c)
-	}
-	start := clk.Now()
-	replied := true
-	for _, r := range reqs {
-		if c.Client.SubmitUntilSuccess(r) == "" {
-			replied = false
-		}
-	}
-	disarm()
-	simTime := clk.Now() - start
-	settleRun(sc, clk, c.Env.PendingOutcome)
-	// Every observation — send counter, history, side-effect audit — is
-	// snapshotted at the settle horizon, a fixed virtual instant, while
-	// this goroutine is still attached: it was just woken by the pump, so
-	// every protocol goroutine is blocked in a clock primitive and the
-	// observed state cannot move. After Exit the clock free-runs, and
-	// periodic activity (heartbeats, cleaner-paced cancellations) would
-	// race the reads in wall time, making outcomes nondeterministic.
-	msgs := c.Net.TotalSent()
-	h := c.Observer.History()
-	effects := auditEffects(reqs, c.Env.InForceTotal)
-	dups := auditDuplicates(reqs, c.Env.InForceTotal)
-	wstats := c.WALStats()
-	snap := sc.Net.Metrics.Snapshot() // nil-safe; nil when unobserved
-	// Stop the cluster while still attached: once this goroutine Exits, a
-	// live cluster's periodic loops (cleaners, heartbeats) would free-run
-	// on the virtual clock at CPU speed, racing the verdict computation
-	// for the host's cores. Stopping first turns the post-Exit schedule
-	// into a bounded exit cascade. (Stop is non-blocking and idempotent;
-	// the deferred Stop becomes a no-op.)
-	c.Stop()
-	clk.Exit()
-	c.Net.Quiesce()
-
-	logged, replies := c.Client.Log()
-	rep := verify.Check(verify.Run{
-		Registry:       workload.Registry(),
-		Requests:       logged,
-		Replies:        replies,
-		History:        h,
-		SubmitAttempts: c.Client.Attempts(),
-	})
-	o := outcomeFrom(sc, seed, reqs, h, replied)
-	o.TimedOut = timedOut()
-	o.XAble = rep.R3Strict || rep.R3Projected
-	o.Report = rep
-	o.Attempts = c.Client.Attempts()
-	o.Messages = msgs
-	o.SimTime = simTime
-	o.EffectsInForce = effects
-	o.ReplayDuplicates = dups
-	o.WALAppends = wstats.Appends
-	o.WALSyncTime = wstats.SyncTime
-	o.WALCompactions = wstats.Compactions
-	o.WALLiveRecords = wstats.LiveRecords
-	o.Obs = snap
-	return o
-}
-
-func executeBaseline(sc Scenario, seed int64, reqs []action.Request, scratch *runScratch) Outcome {
-	scheme := baseline.PrimaryBackup
-	if sc.Protocol == Active {
-		scheme = baseline.Active
-	}
-	netcfg := netConfig(sc, seed)
-	c := baseline.NewCluster(baseline.ClusterConfig{
-		Scheme:    scheme,
-		Replicas:  sc.Replicas,
-		Seed:      seed,
-		Net:       netcfg,
-		Network:   scratch.take(netcfg),
-		Handler:   DivergingHandler(),
-		SyncDelay: sc.SyncDelay,
-	})
-	defer c.Stop()
-
-	clk := c.Clock()
-	clk.Enter()
-	timedOut, disarm := watchdog(sc, clk, c.Net.Close)
-	if sc.Plan != nil {
-		sc.Plan.Apply(c)
-	}
-	start := clk.Now()
-	replied := true
-	for _, r := range reqs {
-		if c.Client.SubmitUntilSuccess(r) == "" {
-			replied = false
-		}
-	}
-	disarm()
-	simTime := clk.Now() - start
-	clk.Sleep(settleFor(sc))
-	msgs := c.Net.TotalSent() // fixed virtual instant; see executeXAbility
-	snap := sc.Net.Metrics.Snapshot()
-	clk.Exit()
-	c.Net.Quiesce()
-
-	// Active replication keeps executing after the first reply returns to
-	// the client; wait for the audit to stabilize so the outcome reports
-	// the protocol's steady state.
-	logged, _ := c.Client.Log()
-	audit := func() int {
-		total := 0
-		for _, r := range logged {
-			total += c.Env.InForce(r.Action, r.EffectiveInput())
-		}
-		return total
-	}
-	waitStable(clk, 2*time.Second, audit)
-
-	// Snapshot history and audit at a pinned virtual instant: the
-	// zero-length sleep returns via the pump, which only fires when every
-	// other attached goroutine is blocked — so nothing is mid-step while
-	// the snapshots are read (see executeXAbility).
-	clk.Enter()
-	clk.Sleep(0)
-	trace := c.Observer.History()
-	effects := audit()
-	c.Stop() // while attached; see executeXAbility
-	clk.Exit()
-	o := outcomeFrom(sc, seed, reqs, trace, replied)
-	o.TimedOut = timedOut()
-	xable := len(logged) > 0
-	for _, r := range logged {
-		if !rawXAble(trace, r) {
-			xable = false
-		}
-	}
-	o.XAble = xable
-	o.Attempts = c.Client.Attempts()
-	o.Messages = msgs
-	o.SimTime = simTime
-	o.EffectsInForce = effects
-	o.Obs = snap
-	return o
 }
 
 // auditEffects sums the environment audit over the workload's distinct

@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"xability/internal/action"
-	"xability/internal/event"
 	"xability/internal/shard"
 	"xability/internal/simnet"
 	"xability/internal/sm"
@@ -14,6 +12,11 @@ import (
 // Target — unqualified ops reach it and fan out per group via eachGroup —
 // and Sharded, which is how shard-qualified ops find single groups.
 type shardedTarget struct{ c *shard.Cluster }
+
+// ShardedTarget is the fault surface of a sharded deployment: what
+// Plan.Apply takes to schedule a plan against one, with the same
+// clock-held calling convention as for a single cluster.
+func ShardedTarget(c *shard.Cluster) Target { return shardedTarget{c} }
 
 func (t shardedTarget) Clock() vclock.Clock { return t.c.Clock() }
 
@@ -43,10 +46,6 @@ func (t shardedTarget) ClientSuspect(target simnet.ProcessID, v bool) {
 
 func (t shardedTarget) NumShards() int           { return t.c.Shards() }
 func (t shardedTarget) ShardTarget(s int) Target { return t.c.Group(s) }
-
-// ApplySharded schedules the plan against a sharded deployment, with the
-// same clock-held calling convention as Plan.Apply.
-func (p *Plan) ApplySharded(c *shard.Cluster) { p.Apply(shardedTarget{c}) }
 
 // takeGroups returns per-group networks ready for a seeded sharded run,
 // plus the fresh shared clock they run on — the sharded extension of
@@ -115,80 +114,4 @@ func shardConfig(sc Scenario, seed int64, scratch *runScratch, accounts int) sha
 		WALSnapshotSync:   sc.WALSnapshotSync,
 		WALCompact:        sc.WALCompact,
 	}
-}
-
-// executeSharded runs a scenario on the sharded runtime: Scenario.Shards
-// replica groups behind the keyspace router, each group its own
-// core.Cluster (own network, environment, bank) on one shared virtual
-// clock. The workload is routed by account key and the per-shard streams
-// run concurrently, so simulated time measures aggregate throughput. The
-// verdict is the merged checker's: per-shard R2–R4 plus the global
-// exactly-once-routing audit.
-func executeSharded(sc Scenario, seed int64, reqs []action.Request, scratch *runScratch) Outcome {
-	c := shard.New(shardConfig(sc, seed, scratch, sc.Accounts))
-	defer c.Stop()
-	for s := 0; s < c.Shards(); s++ {
-		for _, f := range sc.Failures {
-			c.Group(s).Env.SetFailures(f.Action, f.Prob, f.Budget, f.AfterProb)
-		}
-	}
-
-	clk := c.Clock()
-	clk.Enter()
-	timedOut, disarm := watchdog(sc, clk, c.CloseNets)
-	if sc.Plan != nil {
-		sc.Plan.Apply(shardedTarget{c})
-	}
-	start := clk.Now()
-	_, replied := c.Router.CallAll(reqs)
-	disarm()
-	simTime := clk.Now() - start
-	settleRun(sc, clk, func() int {
-		n := 0
-		for s := 0; s < c.Shards(); s++ {
-			n += c.Group(s).Env.PendingOutcome()
-		}
-		return n
-	})
-	// Observations — send counters, histories, the audit — are all read at
-	// the settle horizon while still attached: the pump just woke this
-	// goroutine, so every protocol goroutine in every group is blocked and
-	// the snapshots are taken at one fixed virtual instant (see
-	// executeXAbility).
-	msgs := c.TotalSent()
-	hs := c.Histories()
-	// The audit spans every group's environment: the owner accounts for
-	// the effect, and a mis-routed duplicate applied by a non-owner
-	// inflates the count instead of hiding.
-	effects := auditEffects(reqs, c.EffectsInForce)
-	wstats := c.WALStats()
-	snap := sc.Net.Metrics.Snapshot()
-	// Stop while attached so the groups' periodic loops cannot free-run
-	// against the (expensive) merged verification below — see
-	// executeXAbility.
-	c.Stop()
-	clk.Exit()
-	c.Quiesce()
-
-	rep := c.VerifyHistories(workload.Registry(), hs)
-	var merged event.History
-	for _, h := range hs {
-		merged = append(merged, h...)
-	}
-	o := outcomeFrom(sc, seed, reqs, merged, replied)
-	o.TimedOut = timedOut()
-	o.Shards = sc.Shards
-	o.ShardReports = rep.Shards
-	o.RoutingExact = rep.RoutingExact
-	o.XAble = rep.XAble()
-	o.Attempts = c.Attempts()
-	o.Messages = msgs
-	o.SimTime = simTime
-	o.EffectsInForce = effects
-	o.WALAppends = wstats.Appends
-	o.WALSyncTime = wstats.SyncTime
-	o.WALCompactions = wstats.Compactions
-	o.WALLiveRecords = wstats.LiveRecords
-	o.Obs = snap
-	return o
 }

@@ -253,7 +253,7 @@ func SweepWithOptions(sc Scenario, seeds []int64, opts SweepOptions) VerdictDist
 				if run != nil {
 					run.Metrics.Reset()
 				}
-				o := executeObservedWith(sc, seeds[i], nil, nil, scratch, run)
+				o := execute(sc, seeds[i], RunOptions{Obs: run}, scratch)
 				o.History = nil // bound sweep memory to the verdicts
 				outcomes[i] = o
 				if opts.Progress != nil {

@@ -60,22 +60,33 @@ func (c *Cluster) Verify(reg *action.Registry) Report {
 // (from Histories), letting callers that also need the merged trace
 // snapshot each group once.
 func (c *Cluster) VerifyHistories(reg *action.Registry, hs []event.History) Report {
-	rep := Report{RoutingExact: true}
-
-	// Per-shard R2–R4.
+	var rep Report
 	for s, g := range c.groups {
-		h := hs[s]
 		reqs, replies := g.Client.Log()
 		rep.Shards = append(rep.Shards, verify.Check(verify.Run{
 			Registry:       reg,
 			Requests:       reqs,
 			Replies:        replies,
-			History:        h,
+			History:        hs[s],
 			SubmitAttempts: g.Client.Attempts(),
 		}))
 	}
+	rep.RoutingExact, rep.Details = c.AuditRouting()
+	return rep
+}
 
-	// Global routing audit.
+// AuditRouting is the global half of the merged verdict on its own: each
+// route went to the key's ring owner, each owner's submission log matches
+// its routing log exactly, and no request surfaced in two groups. It reads
+// the router's and the group clients' logs only, so callers that verify
+// the per-shard histories themselves (the scenario driver does, uniformly
+// with its other deployments) can ask for just this.
+func (c *Cluster) AuditRouting() (exact bool, details []string) {
+	exact = true
+	fail := func(format string, args ...any) {
+		exact = false
+		details = append(details, fmt.Sprintf(format, args...))
+	}
 	type sig struct {
 		a  action.Name
 		iv action.Value
@@ -91,9 +102,7 @@ func (c *Cluster) VerifyHistories(reg *action.Registry, hs []event.History) Repo
 		var answered []Route
 		for _, rt := range routes {
 			if want := c.ring.Owner(rt.Key); want != rt.Shard || rt.Shard != s {
-				rep.RoutingExact = false
-				rep.Details = append(rep.Details,
-					fmt.Sprintf("routing: %v keyed %q went to shard %d, ring owner is %d", rt.Req, rt.Key, rt.Shard, want))
+				fail("routing: %v keyed %q went to shard %d, ring owner is %d", rt.Req, rt.Key, rt.Shard, want)
 			}
 			if rt.Replied {
 				answered = append(answered, rt)
@@ -103,15 +112,11 @@ func (c *Cluster) VerifyHistories(reg *action.Registry, hs []event.History) Repo
 		// in order: nothing dropped, nothing injected behind the router's
 		// back, nothing re-routed mid-retry.
 		if len(logged) != len(answered) {
-			rep.RoutingExact = false
-			rep.Details = append(rep.Details,
-				fmt.Sprintf("routing: shard %d logged %d submissions but the router routed %d answered requests there", s, len(logged), len(answered)))
+			fail("routing: shard %d logged %d submissions but the router routed %d answered requests there", s, len(logged), len(answered))
 		}
 		for i := 0; i < len(logged) && i < len(answered); i++ {
 			if logged[i].Action != answered[i].Req.Action || logged[i].Input != answered[i].Req.Input {
-				rep.RoutingExact = false
-				rep.Details = append(rep.Details,
-					fmt.Sprintf("routing: shard %d submission %d is %v, router routed %v", s, i, logged[i], answered[i].Req))
+				fail("routing: shard %d submission %d is %v, router routed %v", s, i, logged[i], answered[i].Req)
 			}
 		}
 		// No request signature may surface in two groups' logs.
@@ -119,13 +124,11 @@ func (c *Cluster) VerifyHistories(reg *action.Registry, hs []event.History) Repo
 			k := sig{a: req.Action, iv: req.Input, n: counts[sig{a: req.Action, iv: req.Input}]}
 			counts[sig{a: req.Action, iv: req.Input}]++
 			if prev, dup := seen[k]; dup {
-				rep.RoutingExact = false
-				rep.Details = append(rep.Details,
-					fmt.Sprintf("routing: request (%s, %s) #%d surfaced in shards %d and %d", req.Action, action.Display(req.Input), k.n, prev, s))
+				fail("routing: request (%s, %s) #%d surfaced in shards %d and %d", req.Action, action.Display(req.Input), k.n, prev, s)
 			} else {
 				seen[k] = s
 			}
 		}
 	}
-	return rep
+	return exact, details
 }

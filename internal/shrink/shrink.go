@@ -179,7 +179,7 @@ func Shrink(sc scenario.Scenario, seed int64, opt Options) (MinTrace, error) {
 		steps++
 		s := sc
 		s.Plan = plan
-		return scenario.ExecuteTraced(s, seed, rec, replay)
+		return scenario.Run(s, seed, scenario.RunOptions{Record: rec, Replay: replay})
 	}
 
 	// Baseline: the uncapped recorded run. It came out of a sweep, so it
@@ -330,7 +330,7 @@ func Shrink(sc scenario.Scenario, seed int64, opt Options) (MinTrace, error) {
 		tr := obs.NewTrace(0)
 		s := sc
 		s.Plan = plan
-		scenario.ExecuteReplayObserved(s, seed, mt.Replay(), &obs.Run{Trace: tr})
+		scenario.Run(s, seed, scenario.RunOptions{Replay: mt.Replay(), Obs: &obs.Run{Trace: tr}})
 		mt.Spans = tr.RenderText()
 	}
 	mt.Outcome.Counterexample = mt.Render()

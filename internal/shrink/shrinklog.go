@@ -153,5 +153,5 @@ func (s *ShrinkLog) Run() (scenario.Outcome, error) {
 	if err != nil {
 		return scenario.Outcome{}, err
 	}
-	return scenario.ExecuteTraced(sc, s.Seed, nil, replay), nil
+	return scenario.Run(sc, s.Seed, scenario.RunOptions{Replay: replay}), nil
 }

@@ -330,7 +330,7 @@ func NewScheduleLog() *ScheduleLog { return schedule.NewLog() }
 // replay is non-nil the run re-executes the given log instead of drawing
 // delays from the seed. Either may be nil.
 func RunScenarioTraced(sc Scenario, seed int64, record *ScheduleLog, replay *Replay) Outcome {
-	return scenario.ExecuteTraced(sc, seed, record, replay)
+	return scenario.Run(sc, seed, scenario.RunOptions{Record: record, Replay: replay})
 }
 
 // Shrink delta-debugs the failing run of a scenario on one seed into a
@@ -405,7 +405,7 @@ func (s *ShardedService) Verify(reg *Registry) ShardedReport { return s.c.Verify
 // strike every group at one virtual instant (correlated faults); the
 // shard-qualified ops (Plan.CrashShardAt, Plan.PartitionShardsAt,
 // Plan.StormShardsAt, Plan.OnShard, …) address single groups.
-func (s *ShardedService) Apply(p *Plan) { p.ApplySharded(s.c) }
+func (s *ShardedService) Apply(p *Plan) { p.Apply(scenario.ShardedTarget(s.c)) }
 
 // Clock returns the deployment's shared clock.
 func (s *ShardedService) Clock() Clock { return s.c.Clock() }
