@@ -721,17 +721,13 @@ func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outc
 	for _, m := range d.members {
 		msgs += m.net.TotalSent()
 	}
-	var snap *obs.Snapshot // nil when unobserved (Snapshot is nil-safe)
+	snap := sc.Net.Metrics.Snapshot() // nil-safe; nil when unobserved
 	if d.base != nil {
-		snap = sc.Net.Metrics.Snapshot()
 		d.stabilize()
 	}
 	var merged event.History
 	for i := range d.members {
 		m := &d.members[i]
-		if d.router != nil {
-			m.net.Quiesce()
-		}
 		m.history = m.observer.History()
 		if d.router == nil {
 			merged = m.history
@@ -749,9 +745,6 @@ func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outc
 		if m.station != nil {
 			lats = append(lats, m.station.Latencies()...)
 		}
-	}
-	if d.base == nil {
-		snap = sc.Net.Metrics.Snapshot()
 	}
 	// Stop while still attached: once this goroutine Exits, a live
 	// deployment's periodic loops (cleaners, heartbeats) would free-run on
