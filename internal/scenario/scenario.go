@@ -257,10 +257,12 @@ type Outcome struct {
 	// cleanup work).
 	Cancels int
 	// ReplayDuplicates counts workload (action, input) pairs whose side
-	// effect is in force more than once at the settle instant — the
-	// duplicate-replay audit. A restarted replica that re-applied an
-	// effect it had already applied before crashing shows up here even
-	// when the client-visible verdicts all pass.
+	// effect is in force, at the settle instant, more often than the
+	// workload submitted the pair — the duplicate-replay audit, filled
+	// for every x-ability deployment (always 0 for the baselines, whose
+	// duplication EffectsInForce reports). A restarted replica that
+	// re-applied an effect it had already applied before crashing shows
+	// up here even when the client-visible verdicts all pass.
 	ReplayDuplicates int
 
 	// WALAppends and WALSyncTime report stable-storage activity for
@@ -611,11 +613,7 @@ func (d *deployment) audit(l load) (effects, dups int) {
 		}
 		return total
 	}
-	effects = auditEffects(l.reqs, inForce)
-	if d.router == nil && !l.open {
-		dups = auditDuplicates(l.reqs, inForce)
-	}
-	return effects, dups
+	return auditEffects(l.reqs, inForce)
 }
 
 // session is the completion log a group's verdict is checked against: the
@@ -823,50 +821,40 @@ func settleRun(sc Scenario, clk vclock.Clock, pending func() int) {
 	}
 }
 
-// auditEffects sums the environment audit over the workload's distinct
-// raw (action, input) pairs: inForce already sums over every round tag of
-// a pair, so a repeated request must be counted once, not per submission —
-// the dedup rule both the single-cluster and sharded audits share.
-func auditEffects(reqs []action.Request, inForce func(action.Name, action.Value) int) int {
+// auditEffects is the environment audit over the workload's distinct raw
+// (action, input) pairs, both halves in one walk. effects sums the
+// applications still in force: inForce already sums over every round tag
+// of a pair, so a repeated request is counted once, not per submission.
+// dups counts the pairs in force more often than the workload submitted
+// them — each one a broken R2: some replica applied the effect again
+// without cancelling the first. This is the restart plane's sharpest
+// probe: a replica that replays its log wrongly (re-executing instead of
+// re-folding) duplicates effects that the client-visible reply path never
+// inspects. The bound is the pair's multiplicity, not 1: a workload that
+// debits one account twice leaves two effects in force by design.
+func auditEffects(reqs []action.Request, inForce func(action.Name, action.Value) int) (effects, dups int) {
 	type pair struct {
 		a  action.Name
 		iv action.Value
 	}
-	counted := make(map[pair]bool, len(reqs))
-	total := 0
+	submitted := make(map[pair]int, len(reqs))
+	for _, r := range reqs {
+		submitted[pair{r.Action, r.Input}]++
+	}
 	for _, r := range reqs {
 		p := pair{r.Action, r.Input}
-		if !counted[p] {
-			counted[p] = true
-			total += inForce(r.Action, r.Input)
+		n := submitted[p]
+		if n == 0 {
+			continue // pair already audited
+		}
+		submitted[p] = 0
+		f := inForce(r.Action, r.Input)
+		effects += f
+		if f > n {
+			dups++
 		}
 	}
-	return total
-}
-
-// auditDuplicates counts the workload's distinct (action, input) pairs
-// whose effect is in force more than once — each such pair is a broken R2:
-// some replica applied the effect a second time without cancelling the
-// first. This is the restart plane's sharpest probe: a replica that
-// replays its log wrongly (re-executing instead of re-folding) duplicates
-// effects that the client-visible reply path never inspects.
-func auditDuplicates(reqs []action.Request, inForce func(action.Name, action.Value) int) int {
-	type pair struct {
-		a  action.Name
-		iv action.Value
-	}
-	counted := make(map[pair]bool, len(reqs))
-	dups := 0
-	for _, r := range reqs {
-		p := pair{r.Action, r.Input}
-		if !counted[p] {
-			counted[p] = true
-			if inForce(r.Action, r.Input) > 1 {
-				dups++
-			}
-		}
-	}
-	return dups
+	return effects, dups
 }
 
 // netConfig clones the scenario's network config for one seeded run.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"xability/internal/action"
 	"xability/internal/simnet"
 )
 
@@ -120,5 +121,34 @@ func TestExecuteDeterministic(t *testing.T) {
 	a.History, b.History = nil, nil
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("outcomes differ:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestAuditEffectsMultiplicity pins the duplicate-replay bound: a pair is
+// a duplicate when it is in force more often than the workload submitted
+// it, so a request submitted twice and applied twice is clean, and the
+// same pair applied a third time is not.
+func TestAuditEffectsMultiplicity(t *testing.T) {
+	debit := func(acct string) action.Request { return action.NewRequest("debit", action.Value(acct)) }
+	reqs := []action.Request{debit("a"), debit("b"), debit("a")}
+	for _, tc := range []struct {
+		inForce       map[action.Value]int
+		effects, dups int
+	}{
+		{map[action.Value]int{"a": 2, "b": 1}, 3, 0},
+		{map[action.Value]int{"a": 3, "b": 1}, 4, 1},
+		{map[action.Value]int{"a": 2, "b": 2}, 4, 1},
+		{map[action.Value]int{"a": 1, "b": 0}, 1, 0},
+	} {
+		effects, dups := auditEffects(reqs, func(_ action.Name, iv action.Value) int { return tc.inForce[iv] })
+		if effects != tc.effects || dups != tc.dups {
+			t.Errorf("in force %v: effects %d dups %d, want %d and %d", tc.inForce, effects, dups, tc.effects, tc.dups)
+		}
+	}
+	// The repeated-pair workload that tripped the old per-pair bound of 1
+	// on most seeds: six requests over two accounts.
+	sc, _ := Get("sequence")
+	if d := Sweep(sc, Seeds(1, 32), 0); d.ReplayDuplicates != 0 || d.Effects[6] != 32 {
+		t.Errorf("sequence: %d duplicate-replay runs, effects %v; want 0 and all mass on 6", d.ReplayDuplicates, d.Effects)
 	}
 }

@@ -40,8 +40,9 @@ type VerdictDistribution struct {
 	Attempts int
 	Messages int
 	// ReplayDuplicates counts runs whose duplicate-replay audit found any
-	// (action, input) pair in force more than once — for a correct
-	// protocol this is zero even under crash→restart schedules.
+	// (action, input) pair in force more often than the workload
+	// submitted it — for a correct protocol this is zero even under
+	// crash→restart schedules.
 	ReplayDuplicates int
 	// WALAppends totals stable-storage appends over the sweep (zero for
 	// non-durable scenarios). WALCompactions totals compaction passes and
