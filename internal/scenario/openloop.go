@@ -9,26 +9,23 @@ import (
 	"xability/internal/workload"
 )
 
-// openLoopSpec resolves the scenario's arrival spec: an unset Accounts
-// inherits the scenario's (already defaulted) account count, so the bank
-// the replicas serve always covers the keys the generator draws.
-func openLoopSpec(sc Scenario) workload.OpenLoopSpec {
+// openLoad draws the scenario's seeded arrival schedule. An unset Accounts
+// in the spec inherits the scenario's (already defaulted) account count,
+// so the bank the replicas serve always covers the keys the generator
+// draws.
+func openLoad(sc Scenario, seed int64) load {
 	spec := *sc.OpenLoop
 	if spec.Accounts <= 0 {
 		spec.Accounts = sc.Accounts
 	}
-	return spec
-}
-
-// splitArrivals turns an arrival schedule into parallel offset/request
-// slices (the Station.Drive calling convention).
-func splitArrivals(arrivals []workload.Arrival) ([]time.Duration, []action.Request) {
-	ats := make([]time.Duration, len(arrivals))
-	reqs := make([]action.Request, len(arrivals))
+	arrivals := workload.GenerateOpenLoop(spec, seed)
+	l := load{open: true, accounts: spec.Accounts}
+	l.ats = make([]time.Duration, len(arrivals))
+	l.reqs = make([]action.Request, len(arrivals))
 	for i, a := range arrivals {
-		ats[i], reqs[i] = a.At, a.Req
+		l.ats[i], l.reqs[i] = a.At, a.Req
 	}
-	return ats, reqs
+	return l
 }
 
 // driveOpenLoop runs the arrival schedule to completion and returns how

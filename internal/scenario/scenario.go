@@ -385,20 +385,6 @@ func (s *runScratch) take(cfg simnet.Config) *simnet.Network {
 	return s.net
 }
 
-// member is one cluster of a deployment, as the driver sees it: the three
-// parts core.Cluster and baseline.Cluster both expose, plus what only a
-// replica group of the x-ability family has.
-type member struct {
-	net      *simnet.Network
-	env      *env.Env
-	observer *trace.Observer
-
-	group   *core.Cluster // nil for a baseline cluster
-	station *core.Station // open-loop load only
-
-	history event.History // snapshotted by the driver
-}
-
 // deployment is what one run stands up. There are two kinds. The
 // x-ability family is always a list of replica groups: one, or
 // Scenario.Shards of them behind the keyspace router on a shared clock —
@@ -407,13 +393,30 @@ type member struct {
 // primary-backup or active cluster.
 type deployment struct {
 	clk     vclock.Clock
-	target  Target   // the fault surface the plan drives
-	members []member // one per cluster, in group order
+	target  Target         // the fault surface the plan drives
+	members []member       // one per cluster, in group order
+	router  *shard.Cluster // non-nil when the groups sit behind the router
+	base    *baseline.Cluster
+}
 
-	router *shard.Cluster // non-nil when the groups sit behind the router
+// member is one cluster of a deployment as the driver reads it: what
+// core.Cluster and baseline.Cluster both expose, plus what only a replica
+// group has.
+type member struct {
+	net      *simnet.Network
+	env      *env.Env
+	observer *trace.Observer
+	session  session       // the completion log the verdict checks
+	group    *core.Cluster // nil for a baseline cluster
+	station  *core.Station // open-loop load only
+	history  event.History // snapshotted by the driver
+}
 
-	base   *baseline.Cluster
-	logged []action.Request // baseline only: the client's answered requests
+// session is a cluster's completion log: the closed loop's client (of
+// either kind) or the open loop's station.
+type session interface {
+	Log() ([]action.Request, []action.Value)
+	Attempts() int
 }
 
 // load is what a run submits: the closed-loop request list, one
@@ -421,24 +424,10 @@ type deployment struct {
 // (reqs[i] arrives at ats[i]), many concurrent single-request sessions
 // through one Station per group.
 type load struct {
-	reqs []action.Request
-	ats  []time.Duration
-	open bool
-	// accounts sizes each group's bank: the scenario's, or the arrival
-	// spec's when the load is open-loop.
-	accounts int
-}
-
-func loadFor(sc Scenario, seed int64) load {
-	switch {
-	case sc.Protocol == XAbility && sc.OpenLoop != nil:
-		spec := openLoopSpec(sc)
-		ats, reqs := splitArrivals(workload.GenerateOpenLoop(spec, seed))
-		return load{reqs: reqs, ats: ats, open: true, accounts: spec.Accounts}
-	case sc.Workload != nil:
-		return load{reqs: workload.Generate(*sc.Workload, seed), accounts: sc.Accounts}
-	}
-	return load{reqs: sc.Requests, accounts: sc.Accounts}
+	reqs     []action.Request
+	ats      []time.Duration
+	open     bool
+	accounts int // sizes each group's bank
 }
 
 // deploy builds and starts the scenario's deployment on a fresh world, or
@@ -452,7 +441,7 @@ func deploy(sc Scenario, seed int64, l load, scratch *runScratch) *deployment {
 		if sc.Protocol == Active {
 			scheme = baseline.Active
 		}
-		d.base = baseline.NewCluster(baseline.ClusterConfig{
+		c := baseline.NewCluster(baseline.ClusterConfig{
 			Scheme:    scheme,
 			Replicas:  sc.Replicas,
 			Seed:      seed,
@@ -461,8 +450,8 @@ func deploy(sc Scenario, seed int64, l load, scratch *runScratch) *deployment {
 			Handler:   DivergingHandler(),
 			SyncDelay: sc.SyncDelay,
 		})
-		d.target = d.base
-		d.members = []member{{net: d.base.Net, env: d.base.Env, observer: d.base.Observer}}
+		d.base, d.target = c, c
+		d.members = []member{{net: c.Net, env: c.Env, observer: c.Observer, session: c.Client}}
 	case sc.Shards > 0:
 		d.router = shard.New(shardConfig(sc, seed, scratch, l.accounts))
 		d.target = ShardedTarget(d.router)
@@ -493,15 +482,15 @@ func deploy(sc Scenario, seed int64, l load, scratch *runScratch) *deployment {
 	}
 	for i := range d.members {
 		m := &d.members[i]
-		if m.group == nil {
-			continue
-		}
-		m.net, m.env, m.observer = m.group.Net, m.group.Env, m.group.Observer
-		for _, f := range sc.Failures {
-			m.env.SetFailures(f.Action, f.Prob, f.Budget, f.AfterProb)
-		}
-		if l.open {
-			m.station = m.group.OpenStation()
+		if g := m.group; g != nil {
+			m.net, m.env, m.observer, m.session = g.Net, g.Env, g.Observer, g.Client
+			for _, f := range sc.Failures {
+				g.Env.SetFailures(f.Action, f.Prob, f.Budget, f.AfterProb)
+			}
+			if l.open {
+				m.station = g.OpenStation()
+				m.session = m.station
+			}
 		}
 	}
 	d.clk = d.members[0].net.Clock()
@@ -520,25 +509,6 @@ func (d *deployment) stop() {
 			m.group.Stop()
 		}
 	}
-}
-
-// closeNets is the watchdog's action: it closes every cluster's network,
-// unblocking every client await.
-func (d *deployment) closeNets() {
-	for _, m := range d.members {
-		m.net.Close()
-	}
-}
-
-// pending counts undoable transactions still awaiting their decided
-// commit or cancel, over every cluster (see settleRun). The baselines
-// apply raw effects only, so theirs is always zero.
-func (d *deployment) pending() int {
-	n := 0
-	for _, m := range d.members {
-		n += m.env.PendingOutcome()
-	}
-	return n
 }
 
 // drive submits the load and reports whether every request was answered.
@@ -569,58 +539,44 @@ func (d *deployment) drive(l load) bool {
 	return replied
 }
 
-// stabilize is the baselines' extra step between the settle horizon and
-// the history snapshot. Active replication keeps executing after the first
-// reply returns to the client, so the driver detaches and waits for the
-// side-effect audit to stop moving: the outcome then reports the
-// protocol's steady state. This wait is behaviour of the baselines, not a
-// second copy of the settle. It returns re-attached at a pinned instant:
-// the zero-length sleep returns via the pump, which only fires when every
-// other attached goroutine is blocked, so nothing is mid-step while the
-// snapshots that follow are read.
-func (d *deployment) stabilize() {
-	d.clk.Exit()
-	d.base.Net.Quiesce()
-	d.logged, _ = d.base.Client.Log()
-	waitStable(d.clk, 2*time.Second, d.baseAudit)
-	d.clk.Enter()
-	d.clk.Sleep(0)
-}
-
-// baseAudit sums the effects in force over the baseline client's answered
-// requests, each under its own tagged input.
-func (d *deployment) baseAudit() int {
-	total := 0
-	for _, r := range d.logged {
-		total += d.base.Env.InForce(r.Action, r.EffectiveInput())
-	}
-	return total
-}
-
-// audit is the environment audit at the snapshot instant: effects in
-// force over the workload, and the duplicate-replay count. For the
-// x-ability family it spans every group's environment: the owner accounts
+// audit is the environment audit: effects in force over the workload, and
+// the duplicate-replay count. For the x-ability family it is read at the
+// settle horizon and spans every group's environment: the owner accounts
 // for the effect, and a mis-routed duplicate applied by a non-owner
 // inflates the count instead of hiding.
+//
+// A baseline's audit moves the snapshot instant first. Active replication
+// keeps executing after the first reply returns to the client, so the
+// driver detaches and waits for the audit to stop moving: the outcome
+// reports the protocol's steady state. That wait is behaviour of the
+// baselines, not a second copy of the settle. It ends re-attached at a
+// pinned instant — the zero-length sleep returns via the pump, which only
+// fires when every other attached goroutine is blocked — so nothing is
+// mid-step while the audit and the history are read.
 func (d *deployment) audit(l load) (effects, dups int) {
-	if d.base != nil {
-		return d.baseAudit(), 0
+	if d.base == nil {
+		return auditEffects(l.reqs, func(a action.Name, iv action.Value) int {
+			total := 0
+			for _, m := range d.members {
+				total += m.env.InForceTotal(a, iv)
+			}
+			return total
+		})
 	}
-	inForce := func(a action.Name, iv action.Value) int {
+	answered, _ := d.base.Client.Log()
+	inForce := func() int {
 		total := 0
-		for _, m := range d.members {
-			total += m.env.InForceTotal(a, iv)
+		for _, r := range answered {
+			total += d.base.Env.InForce(r.Action, r.EffectiveInput())
 		}
 		return total
 	}
-	return auditEffects(l.reqs, inForce)
-}
-
-// session is the completion log a group's verdict is checked against: the
-// closed loop's client or the open loop's station.
-type session interface {
-	Log() ([]action.Request, []action.Value)
-	Attempts() int
+	d.clk.Exit()
+	d.base.Net.Quiesce()
+	waitStable(d.clk, 2*time.Second, inForce)
+	d.clk.Enter()
+	d.clk.Sleep(0)
+	return inForce(), 0
 }
 
 // verdict fills the outcome's checker fields from the snapshotted
@@ -631,31 +587,26 @@ type session interface {
 // get the most charitable reading: each answered request checked as
 // idempotent against the raw trace.
 func (d *deployment) verdict(o *Outcome, l load) {
-	if d.base != nil {
-		o.XAble = len(d.logged) > 0
-		for _, r := range d.logged {
-			if !rawXAble(o.History, r) {
-				o.XAble = false
-			}
-		}
-		o.Attempts = d.base.Client.Attempts()
-		return
-	}
 	for _, m := range d.members {
-		var s session = m.group.Client
-		if l.open {
-			s = m.station
+		logged, replies := m.session.Log()
+		o.Attempts += m.session.Attempts()
+		if d.base != nil {
+			o.XAble = len(logged) > 0
+			for _, r := range logged {
+				if !rawXAble(m.history, r) {
+					o.XAble = false
+				}
+			}
+			return
 		}
-		logged, replies := s.Log()
 		rep := verify.Check(verify.Run{
 			Registry:       workload.Registry(),
 			Requests:       logged,
 			Replies:        replies,
 			History:        m.history,
-			SubmitAttempts: s.Attempts(),
+			SubmitAttempts: m.session.Attempts(),
 			Concurrent:     l.open,
 		})
-		o.Attempts += s.Attempts()
 		if d.router == nil {
 			o.Report = rep
 			o.XAble = rep.R3Strict || rep.R3Projected
@@ -691,7 +642,13 @@ func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outc
 	if opts.Obs != nil {
 		sc.Net.Metrics, sc.Net.Trace = opts.Obs.Metrics, opts.Obs.Trace
 	}
-	l := loadFor(sc, seed)
+	l := load{reqs: sc.Requests, accounts: sc.Accounts}
+	switch {
+	case sc.Protocol == XAbility && sc.OpenLoop != nil:
+		l = openLoad(sc, seed)
+	case sc.Workload != nil:
+		l.reqs = workload.Generate(*sc.Workload, seed)
+	}
 	d := deploy(sc, seed, l, scratch)
 	defer d.stop()
 
@@ -705,38 +662,39 @@ func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outc
 	replied := d.drive(l)
 	disarm()
 	simTime := clk.Now() - start
-	settleRun(sc, clk, d.pending)
-	// Every observation — send counters, histories, side-effect audit,
-	// storage and latency statistics, the metrics registry — is
-	// snapshotted at the settle horizon, a fixed virtual instant, while
-	// this goroutine is still attached: it was just woken by the pump, so
-	// every protocol goroutine of every group is blocked in a clock
-	// primitive and the observed state cannot move. After Exit the clock
-	// free-runs, and periodic activity (heartbeats, cleaner-paced
-	// cancellations) would race the reads in wall time, making outcomes
-	// nondeterministic.
-	msgs := 0
+	settleRun(sc, d)
+	// Every observation — send counters, the metrics registry, side-effect
+	// audit, histories, storage and latency statistics — is snapshotted at
+	// the settle horizon, a fixed virtual instant, while this goroutine is
+	// still attached: it was just woken by the pump, so every protocol
+	// goroutine of every group is blocked in a clock primitive and the
+	// observed state cannot move. After Exit the clock free-runs, and
+	// periodic activity (heartbeats, cleaner-paced cancellations) would
+	// race the reads in wall time, making outcomes nondeterministic. (A
+	// baseline's audit moves the instant before the reads that follow it.)
+	o := Outcome{
+		Scenario: sc.Name,
+		Seed:     seed,
+		Replied:  replied,
+		Requests: len(l.reqs),
+		SimTime:  simTime,
+		Obs:      sc.Net.Metrics.Snapshot(), // nil-safe; nil when unobserved
+		Schedule: opts.Record,
+	}
 	for _, m := range d.members {
-		msgs += m.net.TotalSent()
+		o.Messages += m.net.TotalSent()
 	}
-	snap := sc.Net.Metrics.Snapshot() // nil-safe; nil when unobserved
-	if d.base != nil {
-		d.stabilize()
-	}
-	var merged event.History
+	o.EffectsInForce, o.ReplayDuplicates = d.audit(l)
+	var wstats wal.Stats
+	var lats []time.Duration
 	for i := range d.members {
 		m := &d.members[i]
 		m.history = m.observer.History()
 		if d.router == nil {
-			merged = m.history
+			o.History = m.history
 		} else {
-			merged = append(merged, m.history...)
+			o.History = append(o.History, m.history...)
 		}
-	}
-	effects, dups := d.audit(l)
-	var wstats wal.Stats
-	var lats []time.Duration
-	for _, m := range d.members {
 		if m.group != nil {
 			wstats = wstats.Plus(m.group.WALStats())
 		}
@@ -755,19 +713,22 @@ func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outc
 		m.net.Quiesce()
 	}
 
-	o := outcomeFrom(sc, seed, l.reqs, merged, replied)
 	o.TimedOut = timedOut()
-	o.Messages = msgs
-	o.SimTime = simTime
-	o.EffectsInForce = effects
-	o.ReplayDuplicates = dups
-	o.WALAppends = wstats.Appends
-	o.WALSyncTime = wstats.SyncTime
-	o.WALCompactions = wstats.Compactions
-	o.WALLiveRecords = wstats.LiveRecords
+	o.WALAppends, o.WALSyncTime = wstats.Appends, wstats.SyncTime
+	o.WALCompactions, o.WALLiveRecords = wstats.Compactions, wstats.LiveRecords
 	o.Latency = workload.SummarizeLatencies(lats)
-	o.Obs = snap
-	o.Schedule = opts.Record
+	if len(l.reqs) > 0 {
+		// Executions and cancels of the first request's action.
+		a := l.reqs[0].Action
+		for _, e := range o.History {
+			if e.Type == event.Start && e.Action == a {
+				o.Executions++
+			}
+			if e.Type == event.Complete && e.Action == action.Cancel(a) {
+				o.Cancels++
+			}
+		}
+	}
 	d.verdict(&o, l)
 	return o
 }
@@ -788,36 +749,41 @@ func watchdog(sc Scenario, d *deployment) (fired func() bool, disarm func()) {
 			return
 		}
 		hit.Store(true)
-		d.closeNets()
+		for _, m := range d.members {
+			m.net.Close()
+		}
 	})
 	return hit.Load, func() { done.Store(true) }
 }
 
-// settleFor computes how long past the last reply a run keeps simulating
-// before verdicts are read.
-func settleFor(sc Scenario) time.Duration {
+// settleRun keeps simulating past the last reply before verdicts are
+// read: for the scenario's Settle, or 2ms past the plan's horizon if that
+// is later, then in fixed steps while undoable transactions still await
+// their decided commit or cancel. The protocol answers a client as soon
+// as the outcome decision is fixed; executing that outcome can trail far
+// behind a loaded executor (under open-loop overload, by a whole backlog).
+// Snapshotting mid-drain would miss commit pairs the run will still
+// produce and fail verification on a run that is exactly-once. The
+// extension is deterministic — the pending count at a virtual instant is a
+// function of the schedule — and bounded, so a pathological run still
+// settles. (The baselines apply raw effects only: theirs is always zero.)
+func settleRun(sc Scenario, d *deployment) {
 	settle := sc.Settle
 	if sc.Plan != nil {
 		if h := sc.Plan.Horizon() + 2*time.Millisecond; h > settle {
 			settle = h
 		}
 	}
-	return settle
-}
-
-// settleRun sleeps the settle horizon, then extends it in fixed steps
-// while undoable transactions still await their decided commit or cancel.
-// The protocol answers a client as soon as the outcome decision is fixed;
-// executing that outcome can trail far behind a loaded executor (under
-// open-loop overload, by a whole backlog). Snapshotting mid-drain would
-// miss commit pairs the run will still produce and fail verification on a
-// run that is exactly-once. The extension is deterministic — pending() at
-// a virtual instant is a function of the schedule — and bounded, so a
-// pathological run still settles.
-func settleRun(sc Scenario, clk vclock.Clock, pending func() int) {
-	clk.Sleep(settleFor(sc))
-	for i := 0; i < 400 && pending() > 0; i++ {
-		clk.Sleep(500 * time.Microsecond)
+	d.clk.Sleep(settle)
+	for i := 0; i < 400; i++ {
+		pending := 0
+		for _, m := range d.members {
+			pending += m.env.PendingOutcome()
+		}
+		if pending == 0 {
+			return
+		}
+		d.clk.Sleep(500 * time.Microsecond)
 	}
 }
 
@@ -863,29 +829,6 @@ func netConfig(sc Scenario, seed int64) simnet.Config {
 	cfg.Seed = seed
 	cfg.Clock = nil // every run gets its own virtual clock
 	return cfg
-}
-
-// outcomeFrom fills the history-derived fields shared by both stacks.
-func outcomeFrom(sc Scenario, seed int64, reqs []action.Request, h event.History, replied bool) Outcome {
-	o := Outcome{
-		Scenario: sc.Name,
-		Seed:     seed,
-		Replied:  replied,
-		Requests: len(reqs),
-		History:  h,
-	}
-	if len(reqs) > 0 {
-		a := reqs[0].Action
-		for _, e := range h {
-			if e.Type == event.Start && e.Action == a {
-				o.Executions++
-			}
-			if e.Type == event.Complete && e.Action == action.Cancel(a) {
-				o.Cancels++
-			}
-		}
-	}
-	return o
 }
 
 // waitStable polls probe on the cluster clock until its value has not

@@ -85,12 +85,8 @@ func (s *runScratch) takeGroups(base simnet.Config, seed int64, shards int) ([]*
 
 // shardConfig assembles one seeded sharded deployment config, with the
 // scratch's recycled per-group networks when available. accounts sizes
-// each group's bank (open-loop runs size it from the arrival spec).
+// each group's own bank (open-loop runs size it from the arrival spec).
 func shardConfig(sc Scenario, seed int64, scratch *runScratch, accounts int) shard.Config {
-	banks := make([]*workload.Bank, sc.Shards)
-	for s := range banks {
-		banks[s] = workload.NewBank(accounts, sc.Opening)
-	}
 	netCfg := netConfig(sc, seed)
 	nets, sharedClk := scratch.takeGroups(netCfg, seed, sc.Shards)
 	if sharedClk != nil {
@@ -106,7 +102,7 @@ func shardConfig(sc Scenario, seed int64, scratch *runScratch, accounts int) sha
 		Detector:          sc.Detector,
 		HeartbeatInterval: sc.HeartbeatInterval,
 		Registry:          workload.Registry(),
-		Setup:             func(s int) func(m *sm.Machine) { return banks[s].Setup() },
+		Setup:             func(int) func(*sm.Machine) { return workload.NewBank(accounts, sc.Opening).Setup() },
 		Batch:             sc.Batch,
 		Costs:             sc.Costs,
 		Durable:           sc.Durable,
