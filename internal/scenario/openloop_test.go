@@ -78,3 +78,25 @@ func TestBatchedDeterministicReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenLoopDurableWritesWAL pins that Durable reaches an open-loop
+// deployment and that its storage activity is reported: the single-cluster
+// open-loop run used to be built without stable storage, and neither
+// open-loop run reported WAL counters. One driver assembles one config, so
+// both shapes must now show appends (and stay exactly-once).
+func TestOpenLoopDurableWritesWAL(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		sc, _ := Get("open-loop-nice")
+		sc.Name = "open-loop-durable"
+		sc.Shards = shards
+		sc.Durable = true
+		o := Execute(sc, 1)
+		if !o.XAble || !o.Replied {
+			t.Errorf("shards=%d: xable=%v replied=%v", shards, o.XAble, o.Replied)
+		}
+		if o.WALAppends == 0 || o.WALLiveRecords == 0 {
+			t.Errorf("shards=%d: durable open-loop run reports %d WAL appends, %d live records; want both > 0",
+				shards, o.WALAppends, o.WALLiveRecords)
+		}
+	}
+}
