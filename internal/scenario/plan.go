@@ -219,8 +219,7 @@ func (p *Plan) ClientSuspectAt(at time.Duration, target simnet.ProcessID) *Plan 
 // — at the given virtual time, ending a false-suspicion pulse. It touches
 // detectors only: a crashed process stays crashed (and scripted detectors
 // keep suspecting it via strong completeness). Reviving a crashed replica
-// is RestartAt's job — the two were once conflated under the name
-// "RecoverAt", which read as if it brought processes back.
+// is RestartAt's job.
 func (p *Plan) UnsuspectAt(at time.Duration, target simnet.ProcessID) *Plan {
 	return p.add(at, fmt.Sprintf("unsuspect %s", target), func(t Target) {
 		eachGroup(t, func(g Target) {
@@ -228,15 +227,6 @@ func (p *Plan) UnsuspectAt(at time.Duration, target simnet.ProcessID) *Plan {
 			g.ClientSuspect(target, false)
 		})
 	})
-}
-
-// RecoverAt is the deprecated name of UnsuspectAt, kept for existing
-// plans.
-//
-// Deprecated: use UnsuspectAt, which says what the op does (it clears
-// suspicions; it does not revive a crashed process — see RestartAt).
-func (p *Plan) RecoverAt(at time.Duration, target simnet.ProcessID) *Plan {
-	return p.UnsuspectAt(at, target)
 }
 
 // RestartAt revives crashed replica i at the given virtual time, on targets
