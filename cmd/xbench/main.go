@@ -1,9 +1,8 @@
 // Command xbench regenerates the experiment tables of EXPERIMENTS.md
-// (T1–T4, T3d, T6, T7, T9, T10, T11, T12, T13, T14; T5 is produced by
+// (T1–T4, T3d, T6, T7, T9, T11, T12, T13, T14; T5 is produced by
 // examples/threetier). Each table validates one of the paper's claims —
 // see DESIGN.md §3 for the claim-to-table map. T9 is the shard-scaling
-// table; T10 is the sweep-throughput table that tracks the repo's perf
-// trajectory; T11 is the saturation-curve table of the throughput plane
+// table; T11 is the saturation-curve table of the throughput plane
 // (batching and pipelining under open-loop load); T12 is the
 // crash-recovery table of the durable-state plane (failure density with
 // restarts on/off, plus the sync-latency cost curve); T13 is the
@@ -12,90 +11,32 @@
 // rate vs failure density across minority/majority/total outage regimes
 // with WAL compaction armed, plus the snapshot-tariff cost curve).
 //
-// With -json, the requested tables are additionally written to a JSON
-// file (default BENCH_6.json) with per-table wall time and allocation
-// counts, plus the crash-failover sweep headline against its recorded
-// pre-PR-5 baseline. CI uploads the file as an artifact so the perf
-// trajectory accumulates per build; timing numbers are report-only —
-// regressions gate on the deterministic alloc-budget tests, never on
-// wall clock.
+// The tables report the simulated system. How fast the simulator runs is
+// measured by the repository's benchmark: see bench/README.md.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"xability/internal/exper"
 )
 
-// tableRun is one regenerated table in the JSON report. WallNs and
-// TotalAllocs cover the whole table regeneration (they scale with flags
-// like -sweep; divide by the workload yourself before comparing builds).
-type tableRun struct {
-	WallNs      int64  `json:"wall_ns"`
-	TotalAllocs uint64 `json:"total_allocs"`
-	Rows        any    `json:"rows"`
-}
-
-// headline is the acceptance metric of the perf PR: crash-failover sweep
-// throughput against the recorded pre-PR number.
-type headline struct {
-	Seeds            int     `json:"seeds"`
-	SeedsPerSec      float64 `json:"seeds_per_sec"`
-	PrePRSeedsPerSec float64 `json:"pre_pr_seeds_per_sec"`
-	Speedup          float64 `json:"speedup"`
-}
-
-type report struct {
-	Schema     string              `json:"schema"`
-	PR         int                 `json:"pr"`
-	Go         string              `json:"go"`
-	GOMAXPROCS int                 `json:"gomaxprocs"`
-	Tables     map[string]tableRun `json:"tables"`
-	// T7CrashFailover is the headline sweep (from the T10 measurement):
-	// the ratio the alloc-budget-gated perf work is accountable to.
-	T7CrashFailover *headline `json:"t7_crash_failover,omitempty"`
-}
-
-// timed regenerates one table, recording wall time and heap allocations.
-func timed(rep *report, name string, f func() any) any {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now() //xvet:ok walltime the bench stopwatch measures real regeneration cost for BENCH_N.json; timing is report-only
-	rows := f()
-	wall := time.Since(start) //xvet:ok walltime the bench stopwatch reports real elapsed time by design
-	runtime.ReadMemStats(&after)
-	if rep != nil {
-		rep.Tables[name] = tableRun{
-			WallNs:      wall.Nanoseconds(),
-			TotalAllocs: after.Mallocs - before.Mallocs,
-			Rows:        rows,
-		}
-	}
-	return rows
-}
-
 func main() {
 	var (
 		seed      = flag.Int64("seed", 1, "base seed for all experiments")
-		tables    = flag.String("tables", "1,2,3,3d,4,6,7,9,10,11,12,13,14", "comma-separated table numbers to run")
+		tables    = flag.String("tables", "1,2,3,3d,4,6,7,9,11,12,13,14", "comma-separated table numbers to run")
 		reqs      = flag.Int("requests", 200, "requests per cost measurement (T3)")
 		insts     = flag.Int("instances", 500, "consensus instances (T4)")
 		sweep     = flag.Int("sweep", 2000, "seeds per scenario sweep (T7)")
 		t3seeds   = flag.Int("t3seeds", 100, "seeds per cost-distribution row (T3d)")
-		t10seeds  = flag.Int("t10seeds", 512, "seeds per throughput row (T10; 512 matches the recorded baselines)")
 		t12seeds  = flag.Int("t12seeds", 64, "seeds per failure-density cell (T12; the sync curve uses a quarter)")
 		t13seeds  = flag.Int("t13seeds", 256, "seeds per observability row (T13)")
 		t14seeds  = flag.Int("t14seeds", 64, "seeds per outage-regime cell (T14; the snapshot curve uses a quarter)")
 		workers   = flag.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS)")
 		shardReqs = flag.Int("shard-requests", 0, "requests per shard-scaling row (T9; 0 = default)")
-		jsonOut   = flag.Bool("json", false, "also write the requested tables as JSON")
-		outPath   = flag.String("out", "BENCH_6.json", "JSON output path (with -json)")
 	)
 	flag.Parse()
 
@@ -104,19 +45,8 @@ func main() {
 		want[strings.TrimSpace(t)] = true
 	}
 
-	var rep *report
-	if *jsonOut {
-		rep = &report{
-			Schema:     "xbench/v1",
-			PR:         6,
-			Go:         runtime.Version(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Tables:     make(map[string]tableRun),
-		}
-	}
-
 	if want["1"] {
-		rows := timed(rep, "1", func() any { return exper.TableT1(*seed) }).([]exper.T1Row)
+		rows := exper.TableT1(*seed)
 		fmt.Println("T1 — x-ability verdicts and side-effect audit (claim E7: baselines duplicate, the protocol does not)")
 		fmt.Printf("  %-16s %-16s %-8s %-10s %-8s\n", "protocol", "scenario", "x-able", "in-force", "replied")
 		for _, r := range rows {
@@ -126,7 +56,7 @@ func main() {
 	}
 
 	if want["2"] {
-		rows := timed(rep, "2", func() any { return exper.TableT2(*seed) }).([]exper.T2Row)
+		rows := exper.TableT2(*seed)
 		fmt.Println("T2 — run-time spectrum under false suspicion (claim E5: primary-backup ↔ active drift)")
 		fmt.Printf("  %-10s %-12s %-8s %-8s\n", "pulses", "executions", "cancels", "x-able")
 		for _, r := range rows {
@@ -136,7 +66,7 @@ func main() {
 	}
 
 	if want["3"] {
-		rows := timed(rep, "3", func() any { return exper.TableT3(*seed, *reqs) }).([]exper.T3Row)
+		rows := exper.TableT3(*seed, *reqs)
 		fmt.Println("T3 — protocol cost, nice runs (claim E8)")
 		fmt.Printf("  %-18s %-10s %-14s %-10s\n", "protocol", "replicas", "mean latency", "msgs/req")
 		for _, r := range rows {
@@ -146,7 +76,7 @@ func main() {
 	}
 
 	if want["3d"] {
-		rows := timed(rep, "3d", func() any { return exper.TableT3Dist(*seed, *reqs, *t3seeds, *workers) }).([]exper.T3DistRow)
+		rows := exper.TableT3Dist(*seed, *reqs, *t3seeds, *workers)
 		fmt.Printf("T3d — protocol cost distributions over %d-seed sweeps (claim E8 at population scale)\n", *t3seeds)
 		fmt.Printf("  %-18s %-10s %-12s %-12s %-12s %-12s %-10s %-10s\n",
 			"protocol", "replicas", "lat p50", "lat p90", "lat p99", "lat max", "msgs p50", "msgs max")
@@ -158,7 +88,7 @@ func main() {
 	}
 
 	if want["4"] {
-		rows := timed(rep, "4", func() any { return exper.TableT4(*seed, *insts) }).([]exper.T4Row)
+		rows := exper.TableT4(*seed, *insts)
 		fmt.Println("T4 — consensus substrate (claim E9: assumed object vs real protocol)")
 		fmt.Printf("  %-16s %-10s %-12s\n", "provider", "proposers", "per-decision")
 		for _, r := range rows {
@@ -168,7 +98,7 @@ func main() {
 	}
 
 	if want["6"] {
-		rows := timed(rep, "6", func() any { return exper.TableT6() }).([]exper.T6Row)
+		rows := exper.TableT6()
 		fmt.Println("T6 — checker scalability (claim E10)")
 		fmt.Printf("  %-10s %-6s %-8s %-12s %-8s\n", "requests", "dup", "events", "normalize", "x-able")
 		for _, r := range rows {
@@ -178,7 +108,7 @@ func main() {
 	}
 
 	if want["7"] {
-		rows := timed(rep, "7", func() any { return exper.TableT7(*seed, *sweep, *workers) }).([]exper.T7Row)
+		rows := exper.TableT7(*seed, *sweep, *workers)
 		fmt.Printf("T7 — verdict distributions over %d-seed sweeps (claims E7/E11 at scale)\n", *sweep)
 		for _, r := range rows {
 			d := r.Dist
@@ -193,7 +123,7 @@ func main() {
 	}
 
 	if want["9"] {
-		rows := timed(rep, "9", func() any { return exper.TableT9(*seed, *shardReqs) }).([]exper.T9Row)
+		rows := exper.TableT9(*seed, *shardReqs)
 		fmt.Println("T9 — shard scaling: aggregate throughput vs shard count (composition at scale)")
 		fmt.Printf("  %-8s %-10s %-14s %-14s %-10s %-8s\n", "shards", "requests", "sim time", "ops/vsec", "msgs/req", "x-able")
 		for _, r := range rows {
@@ -206,37 +136,8 @@ func main() {
 		fmt.Println()
 	}
 
-	if want["10"] {
-		rows := timed(rep, "10", func() any { return exper.TableT10(*seed, *t10seeds, *workers) }).([]exper.T10Row)
-		fmt.Printf("T10 — sweep throughput, %d seeds per row (the perf trajectory; wall numbers are report-only)\n", *t10seeds)
-		fmt.Printf("  %-16s %-10s %-14s %-14s %-14s %-12s %-8s\n",
-			"scenario", "seeds", "wall", "seeds/sec", "allocs/seed", "pre-PR s/s", "speedup")
-		for _, r := range rows {
-			pre, speed := "-", "-"
-			if r.PrePRSeedsPerSec > 0 {
-				pre = fmt.Sprintf("%.1f", r.PrePRSeedsPerSec)
-				speed = fmt.Sprintf("%.2fx", r.Speedup)
-			}
-			fmt.Printf("  %-16s %-10d %-14v %-14.1f %-14.0f %-12s %-8s\n",
-				r.Scenario, r.Seeds, r.Wall.Round(time.Millisecond), r.SeedsPerSec, r.AllocsPerSeed, pre, speed)
-		}
-		fmt.Println()
-		if rep != nil {
-			for _, r := range rows {
-				if r.Scenario == "crash-failover" {
-					rep.T7CrashFailover = &headline{
-						Seeds:            r.Seeds,
-						SeedsPerSec:      r.SeedsPerSec,
-						PrePRSeedsPerSec: r.PrePRSeedsPerSec,
-						Speedup:          r.Speedup,
-					}
-				}
-			}
-		}
-	}
-
 	if want["11"] {
-		rows := timed(rep, "11", func() any { return exper.TableT11(*seed) }).([]exper.T11Row)
+		rows := exper.TableT11(*seed)
 		fmt.Println("T11 — saturation curves: ops per virtual second and latency vs offered load (the throughput plane)")
 		fmt.Printf("  %-18s %-8s %-10s %-10s %-12s %-12s %-10s %-10s %-10s %-10s %-8s\n",
 			"config", "mode", "rate", "sessions", "sim time", "ops/vsec", "lat p50", "lat p95", "lat p99", "msgs/req", "x-able")
@@ -258,7 +159,7 @@ func main() {
 	}
 
 	if want["12"] {
-		rows := timed(rep, "12", func() any { return exper.TableT12(*seed, *t12seeds, *workers) }).([]exper.T12Row)
+		rows := exper.TableT12(*seed, *t12seeds, *workers)
 		fmt.Printf("T12 — crash-recovery: x-able rate vs failure density, restarts on/off (%d seeds per cell)\n", *t12seeds)
 		fmt.Printf("  %-6s %-10s %-8s %-8s %-8s %-10s %-10s %-10s\n",
 			"ops", "restarts", "x-able", "replied", "dup-runs", "wal/run", "msgs/run", "seeds")
@@ -270,18 +171,18 @@ func main() {
 		if syncSeeds < 1 {
 			syncSeeds = 1
 		}
-		syncRows := timed(rep, "12sync", func() any { return exper.TableT12Sync(*seed, syncSeeds) }).([]exper.T12SyncRow)
+		syncRows := exper.TableT12Sync(*seed, syncSeeds)
 		fmt.Printf("  durability price — sync tariff vs virtual-time cost (restart-minority, %d seeds per point)\n", syncSeeds)
 		fmt.Printf("  %-10s %-8s %-10s %-14s %-14s\n", "sync", "x-able", "wal/run", "sync-t/run", "sim-t/run")
 		for _, r := range syncRows {
 			fmt.Printf("  %-10v %-8.4f %-10.1f %-14v %-14v\n",
-				r.Sync, r.XAbleRate, r.MeanAppends, r.MeanSyncTime, r.MeanSimTime)
+				r.Tariff, r.XAbleRate, r.MeanAppends, r.MeanSyncTime, r.MeanSimTime)
 		}
 		fmt.Println()
 	}
 
 	if want["13"] {
-		rows := timed(rep, "13", func() any { return exper.TableT13(*seed, *t13seeds, *workers) }).([]exper.T13Row)
+		rows := exper.TableT13(*seed, *t13seeds, *workers)
 		fmt.Printf("T13 — observability: schedule-space coverage and metric rollups (%d seeds per row)\n", *t13seeds)
 		fmt.Printf("  %-18s %-8s %-9s %-11s %-9s %-12s %-12s %-12s %-12s %-12s %-12s\n",
 			"scenario", "seeds", "classes", "singletons", "tail-new", "submits p50", "announce p50", "dropped p50", "suspects p50", "lat p50", "lat max")
@@ -294,7 +195,7 @@ func main() {
 	}
 
 	if want["14"] {
-		rows := timed(rep, "14", func() any { return exper.TableT14(*seed, *t14seeds, *workers) }).([]exper.T14Row)
+		rows := exper.TableT14(*seed, *t14seeds, *workers)
 		fmt.Printf("T14 — total-loss recovery: x-able rate vs failure density across outage regimes, compaction armed (%d seeds per cell)\n", *t14seeds)
 		fmt.Printf("  %-10s %-6s %-8s %-8s %-8s %-10s %-10s %-10s %-10s\n",
 			"regime", "ops", "x-able", "replied", "dup-runs", "wal/run", "compact", "live/run", "seeds")
@@ -307,12 +208,12 @@ func main() {
 		if snapSeeds < 1 {
 			snapSeeds = 1
 		}
-		snapRows := timed(rep, "14snap", func() any { return exper.TableT14Snap(*seed, snapSeeds) }).([]exper.T14SnapRow)
+		snapRows := exper.TableT14Snap(*seed, snapSeeds)
 		fmt.Printf("  bounded-log price — snapshot tariff vs virtual-time cost (power-cycle, compact threshold 8, %d seeds per point)\n", snapSeeds)
 		fmt.Printf("  %-10s %-8s %-10s %-14s %-14s\n", "snap", "x-able", "compact", "sync-t/run", "sim-t/run")
 		for _, r := range snapRows {
 			fmt.Printf("  %-10v %-8.4f %-10.1f %-14v %-14v\n",
-				r.Snap, r.XAbleRate, r.MeanCompactions, r.MeanSyncTime, r.MeanSimTime)
+				r.Tariff, r.XAbleRate, r.MeanCompactions, r.MeanSyncTime, r.MeanSimTime)
 		}
 		fmt.Println()
 	}
@@ -320,19 +221,5 @@ func main() {
 	if len(want) == 0 {
 		fmt.Fprintln(os.Stderr, "no tables selected")
 		os.Exit(2)
-	}
-
-	if rep != nil {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "marshal:", err)
-			os.Exit(1)
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(*outPath, buf, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "write:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *outPath)
 	}
 }

@@ -1,6 +1,7 @@
 // Package exper implements the experiment harness: every table of
-// EXPERIMENTS.md (T1–T4, T6, T7, T9–T12) is regenerated by a function
-// here.
+// EXPERIMENTS.md (T1–T4, T6, T7, T9, T11–T14) is regenerated by a function
+// here. (How fast the simulator itself runs is bench/'s subject, not a
+// table's.)
 // cmd/xbench prints them; the root bench_test.go wraps them as testing.B
 // benchmarks; exper's own tests pin the qualitative shapes the paper's
 // claims predict.
@@ -122,68 +123,75 @@ func TableT3(seed int64, requests int) []T3Row {
 	}
 	var rows []T3Row
 	for _, n := range []int{3, 5, 7} {
-		rows = append(rows,
-			runXAbilityCost("x-ability/local", core.ConsensusLocal, n, requests, seed),
-			runXAbilityCost("x-ability/ct", core.ConsensusCT, n, requests, seed),
-			runBaselineCost("primary-backup", baseline.PrimaryBackup, n, requests, seed),
-			runBaselineCost("active", baseline.Active, n, requests, seed),
-		)
+		for _, st := range t3Stacks {
+			rows = append(rows, runCost(st, n, requests, seed))
+		}
 	}
 	return rows
 }
 
-func runXAbilityCost(name string, mode core.ConsensusMode, replicas, requests int, seed int64) T3Row {
-	bank := workload.NewBank(4, 10*1000)
+// t3Stack is one protocol stack T3 and T3d price: its row label and which
+// cluster to start (an x-ability one on the given consensus substrate, or
+// a baseline of the given scheme).
+type t3Stack struct {
+	name     string
+	baseline bool
+	mode     core.ConsensusMode
+	scheme   baseline.Scheme
+}
+
+// t3Stacks lists the four stacks in row order.
+var t3Stacks = []t3Stack{
+	{name: "x-ability/local", mode: core.ConsensusLocal},
+	{name: "x-ability/ct", mode: core.ConsensusCT},
+	{name: "primary-backup", baseline: true, scheme: baseline.PrimaryBackup},
+	{name: "active", baseline: true, scheme: baseline.Active},
+}
+
+// start builds and starts a cluster of the stack and returns the three
+// things the stopwatch needs from either kind: the network (its clock and
+// send counter), the client's submit, and stop.
+func (st t3Stack) start(replicas int, seed int64) (net *simnet.Network, submit func(action.Request) action.Value, stop func()) {
+	netcfg := simnet.Config{MaxDelay: 100 * time.Microsecond}
+	if st.baseline {
+		c := baseline.NewCluster(baseline.ClusterConfig{
+			Scheme: st.scheme, Replicas: replicas, Seed: seed,
+			Net: netcfg, Handler: scenario.DivergingHandler(),
+		})
+		return c.Net, c.Client.SubmitUntilSuccess, c.Stop
+	}
 	c := core.NewCluster(core.ClusterConfig{
 		Replicas:  replicas,
 		Seed:      seed,
-		Net:       simnet.Config{MaxDelay: 100 * time.Microsecond},
-		Consensus: mode,
+		Net:       netcfg,
+		Consensus: st.mode,
 		Registry:  workload.Registry(),
-		Setup:     bank.Setup(),
+		Setup:     workload.NewBank(4, 10*1000).Setup(),
 	})
-	defer c.Stop()
-	reqs := workload.Generate(workload.Spec{Requests: requests, Mix: workload.DefaultMix, Accounts: 4}, seed)
-	clk := c.Clock()
-	clk.Enter()
-	start := clk.Now()
-	for _, r := range reqs {
-		c.Client.SubmitUntilSuccess(r)
-	}
-	elapsed := clk.Now() - start
-	clk.Exit()
-	c.Net.Quiesce()
-	return T3Row{
-		Protocol:    name,
-		Replicas:    replicas,
-		Requests:    requests,
-		MeanLatency: elapsed / time.Duration(requests),
-		MsgsPerReq:  float64(c.Net.TotalSent()) / float64(requests),
-	}
+	return c.Net, c.Client.SubmitUntilSuccess, c.Stop
 }
 
-func runBaselineCost(name string, scheme baseline.Scheme, replicas, requests int, seed int64) T3Row {
-	c := baseline.NewCluster(baseline.ClusterConfig{
-		Scheme: scheme, Replicas: replicas, Seed: seed,
-		Net: simnet.Config{MaxDelay: 100 * time.Microsecond}, Handler: scenario.DivergingHandler(),
-	})
-	defer c.Stop()
+// runCost is the T3 stopwatch: one seeded nice-run workload through a
+// fresh cluster of the stack, timed on the cluster clock.
+func runCost(st t3Stack, replicas, requests int, seed int64) T3Row {
+	net, submit, stop := st.start(replicas, seed)
+	defer stop()
 	reqs := workload.Generate(workload.Spec{Requests: requests, Mix: workload.DefaultMix, Accounts: 4}, seed)
-	clk := c.Clock()
+	clk := net.Clock()
 	clk.Enter()
 	start := clk.Now()
 	for _, r := range reqs {
-		c.Client.SubmitUntilSuccess(r)
+		submit(r)
 	}
 	elapsed := clk.Now() - start
 	clk.Exit()
-	c.Net.Quiesce()
+	net.Quiesce()
 	return T3Row{
-		Protocol:    name,
+		Protocol:    st.name,
 		Replicas:    replicas,
 		Requests:    requests,
 		MeanLatency: elapsed / time.Duration(requests),
-		MsgsPerReq:  float64(c.Net.TotalSent()) / float64(requests),
+		MsgsPerReq:  float64(net.TotalSent()) / float64(requests),
 	}
 }
 
@@ -262,20 +270,12 @@ func TableT3Dist(seed int64, requests, seeds, workers int) []T3DistRow {
 			MsgP50: msgs[int(0.50*float64(len(msgs)-1))], MsgMax: msgs[len(msgs)-1],
 		}
 	}
-	return []T3DistRow{
-		row("x-ability/local", sweep(func(s int64) T3Row {
-			return runXAbilityCost("x-ability/local", core.ConsensusLocal, 3, requests, s)
-		})),
-		row("x-ability/ct", sweep(func(s int64) T3Row {
-			return runXAbilityCost("x-ability/ct", core.ConsensusCT, 3, requests, s)
-		})),
-		row("primary-backup", sweep(func(s int64) T3Row {
-			return runBaselineCost("primary-backup", baseline.PrimaryBackup, 3, requests, s)
-		})),
-		row("active", sweep(func(s int64) T3Row {
-			return runBaselineCost("active", baseline.Active, 3, requests, s)
-		})),
+	var rows []T3DistRow
+	for _, st := range t3Stacks {
+		st := st
+		rows = append(rows, row(st.name, sweep(func(s int64) T3Row { return runCost(st, 3, requests, s) })))
 	}
+	return rows
 }
 
 // T4Row is one row of Table T4 (claim E9): consensus substrate throughput.
@@ -493,78 +493,6 @@ func TableT9(seed int64, requests int) []T9Row {
 	return rows
 }
 
-// T10Row is one row of Table T10: sweep throughput. Replication-style
-// claims get their statistical weight from run count, so seeds-per-second
-// is the quantity that decides how many scenarios × seeds an experiment
-// budget affords; this table is where the repo's perf trajectory is
-// recorded from PR 5 on (BENCH_*.json artifacts in CI).
-type T10Row struct {
-	Scenario string
-	Seeds    int
-	Workers  int
-	// Wall is the host time the sweep took; SeedsPerSec is Seeds/Wall.
-	// Wall-clock numbers are report-only (host-dependent): regressions
-	// gate on the deterministic alloc budgets, not on these.
-	Wall        time.Duration
-	SeedsPerSec float64
-	// AllocsPerSeed is the heap-object bill per run (runtime.MemStats
-	// delta across the sweep), the deterministic cost signal.
-	AllocsPerSeed float64
-	// PrePRSeedsPerSec is the recorded pre-PR-5 throughput of the same
-	// 512-seed sweep on the reference dev machine (1 vCPU, Xeon 2.10GHz),
-	// measured at commit 99a3acd just before the overhaul; zero means no
-	// recorded baseline. Speedup is SeedsPerSec over it — meaningful on
-	// comparable hardware, indicative elsewhere.
-	PrePRSeedsPerSec float64
-	Speedup          float64
-}
-
-// t10Baseline is the pre-PR-5 measurement record (see T10Row).
-var t10Baseline = map[string]float64{
-	"nice":           210.5,
-	"crash-failover": 998.7,
-	"delay-storm-hb": 77.7,
-}
-
-// TableT10 measures sweep throughput for a representative scenario mix:
-// the fault-free run, the T7 crash-failover centerpiece, and the
-// heartbeat-detector storm (the heaviest single-cluster scenario). Each
-// row sweeps the given seed count (0 selects 512, the baseline-recorded
-// population) after a short warm-up sweep.
-func TableT10(seed int64, seeds, workers int) []T10Row {
-	if seeds <= 0 {
-		seeds = 512
-	}
-	var rows []T10Row
-	for _, name := range []string{"nice", "crash-failover", "delay-storm-hb"} {
-		sc, ok := scenario.Get(name)
-		if !ok {
-			panic(fmt.Sprintf("exper: T10 scenario %q not registered", name))
-		}
-		scenario.Sweep(sc, scenario.Seeds(seed, 32), workers) // warm up
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now() //xvet:ok walltime T10 is the sweep-throughput stopwatch: seeds per real second is the quantity measured
-		scenario.Sweep(sc, scenario.Seeds(seed, seeds), workers)
-		wall := time.Since(start) //xvet:ok walltime T10 reports real elapsed sweep time by design
-		runtime.ReadMemStats(&after)
-		row := T10Row{
-			Scenario:      name,
-			Seeds:         seeds,
-			Workers:       workers,
-			Wall:          wall,
-			SeedsPerSec:   float64(seeds) / wall.Seconds(),
-			AllocsPerSeed: float64(after.Mallocs-before.Mallocs) / float64(seeds),
-		}
-		if base := t10Baseline[name]; base > 0 {
-			row.PrePRSeedsPerSec = base
-			row.Speedup = row.SeedsPerSec / base
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
 // T11Row is one row of Table T11 (the throughput plane): one protocol
 // configuration at one offered load, reported as sustained throughput in
 // ops per *virtual* second plus latency percentiles — all simulated-time
@@ -754,39 +682,50 @@ func TableT12(seed int64, seeds, workers int) []T12Row {
 	return rows
 }
 
-// T12SyncRow is one point of the durability cost curve: the restart-minority
-// schedule at one per-append sync tariff. Durability's price is virtual
-// time — the tariff times the append count — and the curve shows the
-// verdicts don't move while the run slows.
-type T12SyncRow struct {
-	// Sync is the per-append stable-storage tariff.
-	Sync time.Duration
+// TariffRow is one point of a storage-tariff cost curve — T12's durability
+// price (per-append sync tariff over restart-minority) and T14's
+// bounded-log price (per-record snapshot tariff over power-cycle with
+// compaction armed). Stable storage is paid for in virtual time; the curve
+// shows the verdicts don't move while the run slows.
+type TariffRow struct {
+	// Tariff is the per-record stable-storage tariff of this point.
+	Tariff time.Duration
 	// Seeds is the population per point.
 	Seeds int
 	// XAbleRate is the verdict rate (must stay 1.0 across the curve).
 	XAbleRate float64
-	// MeanAppends is WAL appends per run.
-	MeanAppends float64
-	// MeanSyncTime is virtual time paid to the tariff per run.
+	// MeanAppends is WAL appends and MeanCompactions snapshot-install
+	// passes per run.
+	MeanAppends, MeanCompactions float64
+	// MeanSyncTime is virtual time paid to stable storage per run (appends
+	// plus snapshot installs).
 	MeanSyncTime time.Duration
 	// MeanSimTime is the workload's virtual span per run — the end-to-end
-	// price of durability at this tariff.
+	// price at this tariff.
 	MeanSimTime time.Duration
 }
 
 // TableT12Sync traces the sync-latency cost curve over the
 // restart-minority scenario.
-func TableT12Sync(seed int64, seeds int) []T12SyncRow {
-	base, ok := scenario.Get("restart-minority")
-	if !ok {
-		panic("exper: restart-minority not registered")
-	}
-	var rows []T12SyncRow
-	for _, sync := range []time.Duration{0, 50 * time.Microsecond, 200 * time.Microsecond, time.Millisecond} {
-		sc := base
+func TableT12Sync(seed int64, seeds int) []TariffRow {
+	return tariffCurve("restart-minority", seed, seeds, func(sc *scenario.Scenario, sync time.Duration) {
 		sc.Name = fmt.Sprintf("t12-sync/%v", sync)
 		sc.WALSync = sync
-		var x, appends int
+	})
+}
+
+// tariffCurve runs the named scenario on seeds consecutive seeds at each
+// of four tariffs; arm writes the tariff into the scenario.
+func tariffCurve(name string, seed int64, seeds int, arm func(sc *scenario.Scenario, tariff time.Duration)) []TariffRow {
+	base, ok := scenario.Get(name)
+	if !ok {
+		panic("exper: " + name + " not registered")
+	}
+	var rows []TariffRow
+	for _, tariff := range []time.Duration{0, 50 * time.Microsecond, 200 * time.Microsecond, time.Millisecond} {
+		sc := base
+		arm(&sc, tariff)
+		var x, appends, compactions int
 		var syncT, simT time.Duration
 		for i := 0; i < seeds; i++ {
 			o := scenario.Execute(sc, seed+int64(i))
@@ -794,16 +733,18 @@ func TableT12Sync(seed int64, seeds int) []T12SyncRow {
 				x++
 			}
 			appends += o.WALAppends
+			compactions += o.WALCompactions
 			syncT += o.WALSyncTime
 			simT += o.SimTime
 		}
-		rows = append(rows, T12SyncRow{
-			Sync:         sync,
-			Seeds:        seeds,
-			XAbleRate:    float64(x) / float64(seeds),
-			MeanAppends:  float64(appends) / float64(seeds),
-			MeanSyncTime: syncT / time.Duration(seeds),
-			MeanSimTime:  simT / time.Duration(seeds),
+		rows = append(rows, TariffRow{
+			Tariff:          tariff,
+			Seeds:           seeds,
+			XAbleRate:       float64(x) / float64(seeds),
+			MeanAppends:     float64(appends) / float64(seeds),
+			MeanCompactions: float64(compactions) / float64(seeds),
+			MeanSyncTime:    syncT / time.Duration(seeds),
+			MeanSimTime:     simT / time.Duration(seeds),
 		})
 	}
 	return rows
@@ -967,60 +908,12 @@ func TableT14(seed int64, seeds, workers int) []T14Row {
 	return rows
 }
 
-// T14SnapRow is one point of the snapshot cost curve: the power-cycle
-// schedule with compaction armed at one per-record snapshot tariff.
-// Compaction trades a bounded log for synchronous snapshot writes; the
-// curve prices that trade in virtual time and shows the verdicts don't
-// move while the run slows.
-type T14SnapRow struct {
-	// Snap is the per-record snapshot-install tariff.
-	Snap time.Duration
-	// Seeds is the population per point.
-	Seeds int
-	// XAbleRate is the verdict rate (must stay 1.0 across the curve).
-	XAbleRate float64
-	// MeanCompactions is snapshot-install passes per run.
-	MeanCompactions float64
-	// MeanSyncTime is virtual time paid to stable storage per run
-	// (appends plus snapshot installs).
-	MeanSyncTime time.Duration
-	// MeanSimTime is the workload's virtual span per run — the end-to-end
-	// price of a bounded log at this tariff.
-	MeanSimTime time.Duration
-}
-
 // TableT14Snap traces the snapshot-tariff cost curve over the
 // power-cycle scenario with an aggressive compaction threshold.
-func TableT14Snap(seed int64, seeds int) []T14SnapRow {
-	base, ok := scenario.Get("power-cycle")
-	if !ok {
-		panic("exper: power-cycle not registered")
-	}
-	var rows []T14SnapRow
-	for _, snap := range []time.Duration{0, 50 * time.Microsecond, 200 * time.Microsecond, time.Millisecond} {
-		sc := base
+func TableT14Snap(seed int64, seeds int) []TariffRow {
+	return tariffCurve("power-cycle", seed, seeds, func(sc *scenario.Scenario, snap time.Duration) {
 		sc.Name = fmt.Sprintf("t14-snap/%v", snap)
 		sc.WALCompact = 8
 		sc.WALSnapshotSync = snap
-		var x, compactions int
-		var syncT, simT time.Duration
-		for i := 0; i < seeds; i++ {
-			o := scenario.Execute(sc, seed+int64(i))
-			if o.XAble && o.Replied {
-				x++
-			}
-			compactions += o.WALCompactions
-			syncT += o.WALSyncTime
-			simT += o.SimTime
-		}
-		rows = append(rows, T14SnapRow{
-			Snap:            snap,
-			Seeds:           seeds,
-			XAbleRate:       float64(x) / float64(seeds),
-			MeanCompactions: float64(compactions) / float64(seeds),
-			MeanSyncTime:    syncT / time.Duration(seeds),
-			MeanSimTime:     simT / time.Duration(seeds),
-		})
-	}
-	return rows
+	})
 }

@@ -301,7 +301,7 @@ func TestT12RecoveryMatrix(t *testing.T) {
 	}
 	for _, r := range sync {
 		if r.XAbleRate != 1 {
-			t.Errorf("sync %v: x-able %.4f, want 1.0 — the tariff may cost time, never correctness", r.Sync, r.XAbleRate)
+			t.Errorf("sync %v: x-able %.4f, want 1.0 — the tariff may cost time, never correctness", r.Tariff, r.XAbleRate)
 		}
 	}
 	if sync[0].MeanSyncTime != 0 {
@@ -404,10 +404,10 @@ func TestT14TotalLossMatrix(t *testing.T) {
 	}
 	for _, r := range snap {
 		if r.XAbleRate != 1 {
-			t.Errorf("snap %v: x-able %.4f, want 1.0 — the tariff may cost time, never correctness", r.Snap, r.XAbleRate)
+			t.Errorf("snap %v: x-able %.4f, want 1.0 — the tariff may cost time, never correctness", r.Tariff, r.XAbleRate)
 		}
 		if r.MeanCompactions <= 0 {
-			t.Errorf("snap %v: compaction never fired", r.Snap)
+			t.Errorf("snap %v: compaction never fired", r.Tariff)
 		}
 	}
 	if snap[0].MeanSyncTime != 0 {
