@@ -78,18 +78,17 @@ func TestOutcomesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (generate with -update)", err)
 	}
-	got := strings.Split(b.String(), "\n")
-	for i, w := range strings.Split(string(want), "\n") {
-		if i >= len(got) || got[i] != w {
-			g := "(missing)"
-			if i < len(got) {
-				g = got[i]
-			}
-			t.Errorf("line %d differs\n got: %s\nwant: %s", i+1, g, w)
-		}
+	if b.String() == string(want) {
+		return
 	}
-	if len(got) != len(strings.Split(string(want), "\n")) {
+	got, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	if len(got) != len(wantLines) {
 		t.Errorf("golden has %d lines, run produced %d (scenario registered or removed? regenerate with -update)",
-			len(strings.Split(string(want), "\n")), len(got))
+			len(wantLines), len(got))
+	}
+	for i := 0; i < len(got) && i < len(wantLines); i++ {
+		if got[i] != wantLines[i] {
+			t.Errorf("line %d differs\n got: %s\nwant: %s", i+1, got[i], wantLines[i])
+		}
 	}
 }

@@ -589,7 +589,8 @@ func (d *deployment) audit(l load) (effects, dups int) {
 func (d *deployment) verdict(o *Outcome, l load) {
 	for _, m := range d.members {
 		logged, replies := m.session.Log()
-		o.Attempts += m.session.Attempts()
+		attempts := m.session.Attempts()
+		o.Attempts += attempts
 		if d.base != nil {
 			o.XAble = len(logged) > 0
 			for _, r := range logged {
@@ -604,7 +605,7 @@ func (d *deployment) verdict(o *Outcome, l load) {
 			Requests:       logged,
 			Replies:        replies,
 			History:        m.history,
-			SubmitAttempts: m.session.Attempts(),
+			SubmitAttempts: attempts,
 			Concurrent:     l.open,
 		})
 		if d.router == nil {
