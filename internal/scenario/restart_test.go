@@ -1,44 +1,54 @@
 package scenario
 
 import (
+	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 	"time"
 
 	"xability/internal/core"
-	"xability/internal/simnet"
+	"xability/internal/schedule"
 )
 
-// TestCTOrphanedProposerLiveness pins a CT consensus deadlock found by the
-// restart-random sweep (seed 5, shrunk to the fixed schedule below): the
-// round-2 owner executes, broadcasts its phase-1 estimate, and crashes
-// before the commit — orphaning an instance every survivor discovered
-// passively, with ⊥ estimates. The phase-2 coordinator gather requires at
-// least one real estimate, and before the fix retransmissions resent the
-// message snapshotted at round start (still ⊥) while the dedup ignored the
-// late real Propose, so the gather wedged forever. The fix rebuilds
+// TestCTOrphanedProposerLiveness pins a CT consensus deadlock: a crash can
+// orphan an instance every live participant discovered passively, with ⊥
+// estimates. The phase-2 coordinator gather requires at least one real
+// estimate, and before the fix retransmissions resent the message
+// snapshotted at round start (still ⊥) while the dedup ignored the late
+// real Propose, so the gather wedged forever. The fix rebuilds
 // retransmissions from live instance state and lets a later real estimate
 // upgrade a ⊥ one in the gather. A regression shows up as TimedOut here,
 // not as a hang, thanks to the Deadline watchdog.
+//
+// Whether a run reaches that state depends on message timing, so the test
+// replays a recorded schedule instead of drawing delays from a seed: a
+// seed's delays change whenever the generator behind them does, and a
+// timing-dependent pin then passes with or without the fix. The schedule
+// is restart-random-total seed 125 as recorded at PR 12 (math/rand
+// streams, fix present; that seed's plan also drew two delay storms, which
+// the recorded delays already contain). With the fix every send of the run
+// is in the log; with the two ct.go edits reverted the run follows the log
+// to the wedge and times out.
 func TestCTOrphanedProposerLiveness(t *testing.T) {
-	us := func(n int64) time.Duration { return time.Duration(n) * time.Microsecond }
 	sc := Scenario{
 		Name:        "ct-orphaned-proposer",
-		Description: "owner crashes after phase-1 broadcast; survivors must still decide",
+		Description: "a power cycle strands a passively discovered CT instance; the restarted replicas must still decide",
 		Consensus:   core.ConsensusCT,
 		Durable:     true,
 		Failures:    []Failure{{Action: "debit", Prob: 1, Budget: 6}},
 		Plan: NewPlan().
-			PartitionAt(us(701754), []simnet.ProcessID{"replica-0"}, []simnet.ProcessID{"replica-1", "replica-2", "client"}).
-			SuspectAt(us(701754), "replica-0").
-			ClientSuspectAt(us(701754), "replica-0").
-			HealAt(us(2469558)).
-			UnsuspectAt(us(2769558), "replica-0").
-			CrashAt(us(2842150), 1),
-		Settle:   20 * time.Millisecond,
+			CrashAt(1669252*time.Nanosecond, 2).
+			CrashAt(2192934*time.Nanosecond, 0).
+			CrashAt(3332260*time.Nanosecond, 1).
+			RestartAt(3636065*time.Nanosecond, 0).
+			RestartAt(3893042*time.Nanosecond, 2).
+			RestartAt(4771639*time.Nanosecond, 1),
+		Settle:   25 * time.Millisecond,
 		Deadline: 200 * time.Millisecond,
 	}
-	o := Execute(sc, 5)
+	log := loadSchedule(t, "testdata/ct_orphaned_proposer.schedule.jsonl")
+	o := Run(sc, 125, RunOptions{Replay: &schedule.Replay{Log: log}})
 	if o.TimedOut {
 		t.Fatal("run hit the deadline watchdog: the crash-orphaned CT instance deadlocked again")
 	}
@@ -48,6 +58,31 @@ func TestCTOrphanedProposerLiveness(t *testing.T) {
 	if o.EffectsInForce != 1 {
 		t.Fatalf("effects in force = %d, want exactly 1", o.EffectsInForce)
 	}
+	// The pin is only armed while the run stays on the recording: sends
+	// past the log fall back to seeded draws.
+	if o.Messages != log.Len() {
+		t.Fatalf("run sent %d messages, the recorded schedule has %d: the protocol left the recording, re-record it", o.Messages, log.Len())
+	}
+}
+
+// loadSchedule reads a recorded delivery schedule: one JSON-encoded
+// schedule.Entry per line, in send order.
+func loadSchedule(t *testing.T, path string) *schedule.Log {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	log := schedule.NewLog()
+	for dec := json.NewDecoder(f); dec.More(); {
+		var e schedule.Entry
+		if err := dec.Decode(&e); err != nil {
+			t.Fatalf("%s: entry %d: %v", path, log.Len(), err)
+		}
+		log.Append(e)
+	}
+	return log
 }
 
 // TestRestartNeverCrashedIsNoOp pins RestartAt's contract on a live
