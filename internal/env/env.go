@@ -46,6 +46,7 @@ import (
 	"xability/internal/action"
 	"xability/internal/event"
 	"xability/internal/trace"
+	"xability/internal/xrand"
 )
 
 // ErrInjected is the failure returned by injected action failures.
@@ -116,7 +117,7 @@ type Env struct {
 func New(obs *trace.Observer, seed int64) *Env {
 	return &Env{
 		obs:       obs,
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       xrand.New(seed),
 		resolved:  make(map[string]action.Value),
 		txs:       make(map[string]*tx),
 		applied:   make(map[string]int),

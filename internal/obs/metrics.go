@@ -23,6 +23,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"xability/internal/xrand"
 )
 
 // Counter is a dense index into the metrics registry. The enum is the
@@ -254,13 +256,7 @@ func (m *Metrics) Cover(from, to int32, class uint8) {
 	}
 	x := uint64(uint32(from))<<40 | uint64(uint32(to))<<8 | uint64(class)
 	m.covMu.Lock()
-	h := m.cov ^ x
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	m.cov = h
+	m.cov = xrand.Mix64(m.cov ^ x)
 	m.covMu.Unlock()
 }
 

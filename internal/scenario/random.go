@@ -2,10 +2,10 @@ package scenario
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"xability/internal/simnet"
+	"xability/internal/xrand"
 )
 
 // RandomOptions tunes the seeded fault-schedule generator (Plan.Random).
@@ -106,7 +106,7 @@ func (o RandomOptions) crashBudget() int {
 // replica another op still severs.
 func (p *Plan) Random(seed int64, opt RandomOptions) *Plan {
 	opt = opt.withDefaults()
-	rng := rand.New(rand.NewSource(seed))
+	rng := xrand.New(seed)
 	crashed := make(map[int]map[int]bool) // group → crashed replicas
 	maxCrash := opt.crashBudget()
 

@@ -65,3 +65,33 @@ func TestBroadcastAllocBudget(t *testing.T) {
 		t.Fatalf("6-peer broadcast allocates %.2f objects/op in steady state, budget 7.5 (six spawns + slack)", avg)
 	}
 }
+
+// TestResetStreamsAllocFree pins the sweep path's per-seed stream cost:
+// Reset re-seeds the recycled per-sender streams in place (one store
+// each), so what a Reset allocates — the new clock and one cond per
+// endpoint — does not depend on how many sender bases the network has.
+// Four endpoints under one base and four endpoints under four bases must
+// cost the same; a Reset that rebuilt its streams would differ by two
+// objects a base.
+func TestResetStreamsAllocFree(t *testing.T) {
+	resetAllocs := func(ids ...ProcessID) float64 {
+		cfg := Config{Seed: 1, MaxDelay: 10 * time.Microsecond}
+		n := New(cfg)
+		for _, id := range ids {
+			n.Register(id)
+		}
+		n.Close()
+		return testing.AllocsPerRun(100, func() {
+			cfg.Seed++
+			if !n.Reset(cfg) {
+				t.Fatal("Reset refused a closed virtual-clock network")
+			}
+			n.Close()
+		})
+	}
+	one := resetAllocs("a", "a/fd", "a/cons", "a/aux")
+	four := resetAllocs("a", "b", "c", "d")
+	if four != one {
+		t.Fatalf("Reset allocates %.0f objects with four sender bases, %.0f with one: the streams are being rebuilt, not re-seeded", four, one)
+	}
+}

@@ -70,6 +70,7 @@ import (
 	"xability/internal/obs"
 	"xability/internal/schedule"
 	"xability/internal/vclock"
+	"xability/internal/xrand"
 )
 
 // ProcessID names a process on the network.
@@ -240,14 +241,8 @@ func (n *Network) apply(cfg Config) {
 func streamSeed(seed int64, base ProcessID) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(base))
-	x := uint64(seed) ^ h.Sum64()
-	// splitmix64 finalizer: disperse related (seed, name) pairs.
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int64(x)
+	// The finalizer disperses related (seed, name) pairs.
+	return int64(xrand.Mix64(uint64(seed) ^ h.Sum64()))
 }
 
 // baseOf strips the auxiliary-endpoint suffix from a process ID:
@@ -269,7 +264,7 @@ func (n *Network) ensureBaseLocked(base ProcessID) int32 {
 	b := int32(len(n.bases))
 	n.baseIdx[base] = b
 	n.bases = append(n.bases, base)
-	n.streams = append(n.streams, rand.New(rand.NewSource(streamSeed(n.cfg.Seed, base))))
+	n.streams = append(n.streams, xrand.New(streamSeed(n.cfg.Seed, base)))
 	if n.partition != nil {
 		n.partition = append(n.partition, -1)
 	}

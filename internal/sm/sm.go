@@ -22,6 +22,7 @@ import (
 	"xability/internal/action"
 	"xability/internal/env"
 	"xability/internal/event"
+	"xability/internal/xrand"
 )
 
 // Ctx is passed to action bodies.
@@ -70,7 +71,7 @@ func New(replica string, reg *action.Registry, e *env.Env, seed int64) *Machine 
 		replica:  replica,
 		reg:      reg,
 		env:      e,
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      xrand.New(seed),
 		idem:     make(map[action.Name]Body),
 		undo:     make(map[action.Name]undoSpec),
 		possible: make(map[action.Name]func(iv, ov action.Value) bool),

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"xability/internal/action"
+	"xability/internal/xrand"
 )
 
 // ArrivalKind selects the interarrival process of an open-loop workload.
@@ -81,7 +82,7 @@ func (s OpenLoopSpec) withDefaults() OpenLoopSpec {
 // Zipf popularity law, actions from the mix, in nondecreasing time order.
 func GenerateOpenLoop(spec OpenLoopSpec, seed int64) []Arrival {
 	spec = spec.withDefaults()
-	rng := rand.New(rand.NewSource(seed))
+	rng := xrand.New(seed)
 	var zipf *rand.Zipf
 	if spec.ZipfS > 1 {
 		zipf = rand.NewZipf(rng, spec.ZipfS, 1, uint64(spec.Accounts-1))

@@ -8,10 +8,10 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"xability/internal/action"
+	"xability/internal/xrand"
 )
 
 // Mix describes the action mix of a workload as weights; weights need not
@@ -49,7 +49,7 @@ type Request struct {
 
 // Generate produces the request sequence for a spec.
 func Generate(spec Spec, seed int64) []action.Request {
-	rng := rand.New(rand.NewSource(seed))
+	rng := xrand.New(seed)
 	if spec.Requests <= 0 {
 		spec.Requests = 10
 	}
