@@ -268,7 +268,12 @@ func TestT12RecoveryMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recovery sweep skipped in -short mode")
 	}
-	rows := TableT12(1, 16, 0)
+	// 64 seeds a cell: at ops 2 and 4 the restart column's extra appends
+	// are a few percent of the mean, which a 16-seed cell does not resolve
+	// (26.6 vs 26.6 and 28.5 vs 28.7 under the xrand streams; the pass
+	// under math/rand's streams was that sample's luck). At 64 and 256
+	// seeds the order holds under both generators.
+	rows := TableT12(1, 64, 0)
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(rows))
 	}
