@@ -8,6 +8,7 @@ import (
 
 	"xability/internal/vclock"
 	"xability/internal/wal"
+	"xability/internal/xrand"
 )
 
 // ctRecoveredState runs the real recovery path over a log and extracts
@@ -78,7 +79,7 @@ func randomCTStream(rng *rand.Rand, n int) []wal.Record {
 // rebuild exactly the state of recovering from the uncompacted log.
 func TestCTCompactReplayEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
+		rng := xrand.New(seed)
 		stream := randomCTStream(rng, 30+rng.Intn(120))
 		cuts := map[int]bool{}
 		for c := 0; c < 1+rng.Intn(3); c++ {
@@ -115,7 +116,7 @@ func TestCTCompactBoundsLiveLog(t *testing.T) {
 		appends   = 2000
 		threshold = 16
 	)
-	rng := rand.New(rand.NewSource(7))
+	rng := xrand.New(7)
 	store := wal.NewStore(vclock.NewVirtual(), wal.Config{CompactThreshold: threshold})
 	l := store.Log("acceptor")
 	l.SetCompactor(ctCompact)

@@ -10,6 +10,7 @@ import (
 	"xability/internal/consensus"
 	"xability/internal/vclock"
 	"xability/internal/wal"
+	"xability/internal/xrand"
 )
 
 // serverRecoveredState runs the real recovery path over a log and
@@ -94,7 +95,7 @@ func randomServerStream(rng *rand.Rand, n int) []wal.Record {
 // same distinguishable server state as recovery from the full log.
 func TestServerCompactReplayEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
+		rng := xrand.New(seed)
 		stream := randomServerStream(rng, 30+rng.Intn(120))
 		cuts := map[int]bool{}
 		for c := 0; c < 1+rng.Intn(3); c++ {
@@ -130,7 +131,7 @@ func TestServerCompactBoundsLiveLog(t *testing.T) {
 		appends   = 2000
 		threshold = 16
 	)
-	rng := rand.New(rand.NewSource(11))
+	rng := xrand.New(11)
 	store := wal.NewStore(vclock.NewVirtual(), wal.Config{CompactThreshold: threshold})
 	l := store.Log("server")
 	l.SetCompactor(serverCompact)

@@ -1,11 +1,11 @@
 package pattern
 
 import (
-	"math/rand"
 	"testing"
 
 	"xability/internal/action"
 	"xability/internal/event"
+	"xability/internal/xrand"
 )
 
 func TestSimpleMatchesExact(t *testing.T) {
@@ -272,7 +272,7 @@ func TestDecomposeAgreesWithLiteralRules(t *testing.T) {
 	sp1 := Maybe("a", "iv", "ov")
 	sp2 := Exact("a", "iv", "ov")
 	pool := event.History{s1, c1, s2, c2, jx, jy}
-	rng := rand.New(rand.NewSource(42))
+	rng := xrand.New(42)
 	for trial := 0; trial < 2000; trial++ {
 		n := rng.Intn(7)
 		h := make(event.History, 0, n)

@@ -6,6 +6,7 @@ import (
 
 	"xability/internal/action"
 	"xability/internal/event"
+	"xability/internal/xrand"
 )
 
 func TestSearchFindsTargetDirectly(t *testing.T) {
@@ -133,7 +134,7 @@ func shuffleRespectingPairs(rng *rand.Rand, starts, completes event.History) eve
 
 func TestGreedyAgreesWithSearch(t *testing.T) {
 	reg := testRegistry(t)
-	rng := rand.New(rand.NewSource(7))
+	rng := xrand.New(7)
 	agreePositive, agreeNegative := 0, 0
 	for trial := 0; trial < 400; trial++ {
 		hist, specs := randomProtocolishHistory(rng, reg)

@@ -1,12 +1,12 @@
 package reduce
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"xability/internal/action"
 	"xability/internal/event"
+	"xability/internal/xrand"
 )
 
 // TestGreedyStepsAreLegalRuleInstances is the soundness proof-by-testing
@@ -17,7 +17,7 @@ import (
 // formal relation.
 func TestGreedyStepsAreLegalRuleInstances(t *testing.T) {
 	reg := testRegistry(t)
-	rng := rand.New(rand.NewSource(99))
+	rng := xrand.New(99)
 	checked := 0
 	for trial := 0; trial < 300; trial++ {
 		hist, _ := randomProtocolishHistory(rng, reg)
@@ -55,7 +55,7 @@ func TestGreedyStepsAreLegalRuleInstances(t *testing.T) {
 // length on arbitrary protocol-ish inputs.
 func TestNormalizePropertyNeverGrows(t *testing.T) {
 	reg := testRegistry(t)
-	rng := rand.New(rand.NewSource(5))
+	rng := xrand.New(5)
 	f := func(seed int64) bool {
 		_ = seed
 		hist, _ := randomProtocolishHistory(rng, reg)
@@ -71,7 +71,7 @@ func TestNormalizePropertyNeverGrows(t *testing.T) {
 // generated class.
 func TestNormalizePropertyIdempotent(t *testing.T) {
 	reg := testRegistry(t)
-	rng := rand.New(rand.NewSource(6))
+	rng := xrand.New(6)
 	for trial := 0; trial < 200; trial++ {
 		hist, _ := randomProtocolishHistory(rng, reg)
 		n := New(reg)

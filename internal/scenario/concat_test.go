@@ -10,6 +10,7 @@ import (
 
 	"xability/internal/simnet"
 	"xability/internal/vclock"
+	"xability/internal/xrand"
 )
 
 // firing is one observed fault-op execution: what fired, at which virtual
@@ -107,7 +108,7 @@ func buildPlan(specs []opSpec) *Plan {
 // op for op, at every virtual-time instant, same-instant ties included —
 // to the plan built by hand from A's builder calls followed by B's.
 func TestConcatEqualsHandMergedProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
+	rng := xrand.New(99)
 	for trial := 0; trial < 25; trial++ {
 		na, nb := 1+rng.Intn(5), 1+rng.Intn(5)
 		specsA, specsB := genSpecs(rng, na), genSpecs(rng, nb)
