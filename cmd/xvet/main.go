@@ -8,7 +8,7 @@
 //
 //	xvet [-json] [packages]   lint (default ./...); exit 1 on findings
 //	xvet -rules               list rules with one-line docs
-//	xvet -selfcheck           assert each analyzer fires on its fixture
+//	xvet -selfcheck           assert each analyzer fires on every expectation of its fixture
 //
 // Escapes: annotate the flagged line (or the line above) with
 // `//xvet:ok <rule> <reason>` — the reason is mandatory and checked.
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"xability/internal/lint"
 )
@@ -27,7 +28,7 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON (file/line/col/rule/message)")
 	rules := flag.Bool("rules", false, "list rules with one-line docs and exit")
-	selfcheck := flag.Bool("selfcheck", false, "assert each analyzer still fires on its testdata fixture")
+	selfcheck := flag.Bool("selfcheck", false, "assert each analyzer still fires on every expectation of its testdata fixture")
 	flag.Parse()
 
 	if *rules {
@@ -88,9 +89,10 @@ func main() {
 }
 
 // runSelfcheck runs every analyzer against its own fixture package and
-// fails unless each produces at least one diagnostic. A driver or loader
-// regression that silently blinds an analyzer turns the CI gate into a
-// rubber stamp; this step guards the guard.
+// fails unless each produces one diagnostic per expectation the fixture
+// marks (and at least one). A driver or loader regression that silently
+// blinds an analyzer turns the CI gate into a rubber stamp; this step
+// guards the guard.
 func runSelfcheck(root string) int {
 	status := 0
 	for _, a := range lint.Analyzers() {
@@ -115,6 +117,17 @@ func runSelfcheck(root string) int {
 		}
 		if fired == 0 {
 			fmt.Fprintf(os.Stderr, "selfcheck %s: analyzer produced no diagnostics on its fixture\n", a.Name)
+			status = 1
+			continue
+		}
+		// An analyzer with several halves (globalrand: global draws, own
+		// generators) must not pass on one of them alone.
+		wants := 0
+		for _, src := range pkg.Sources {
+			wants += strings.Count(string(src), "// want `")
+		}
+		if fired != wants {
+			fmt.Fprintf(os.Stderr, "selfcheck %s: %d diagnostic(s) on a fixture that marks %d\n", a.Name, fired, wants)
 			status = 1
 			continue
 		}

@@ -3,29 +3,58 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
-// Globalrand flags package-level math/rand functions. The global source is
-// process-wide shared state: two goroutines drawing from it race for
-// position in one stream, so equal seeds stop implying equal draws the
+// Globalrand keeps randomness on the repository's one seeded stream type.
+// It flags two things.
+//
+// Package-level math/rand functions, everywhere: the global source is
+// process-wide shared state, so two goroutines drawing from it race for
+// position in one stream and equal seeds stop implying equal draws the
 // moment scheduling varies. PR 5's byte-determinism work moved every draw
-// onto per-sender seeded *rand.Rand streams for exactly this reason;
-// methods on an explicit *rand.Rand (and the New/NewSource/NewZipf
-// constructors that build one) stay legal.
+// onto per-owner seeded *rand.Rand streams for exactly this reason.
+// Methods on an explicit *rand.Rand or *rand.Zipf stay legal, as do the
+// New and NewZipf constructors that wrap a stream.
+//
+// math/rand's own generators (v1 NewSource, v2 NewPCG and NewChaCha8), in
+// the library — the root package and internal/ — outside internal/xrand:
+// every stream a simulated run draws from is an xrand.New stream, so a run
+// pays one store to seed a stream instead of NewSource's 607-word warm-up,
+// and one generator change re-pins every recorded number once. cmd/,
+// examples/ and the bench module are callers of the library, not part of
+// a run's schedule, and are out of this half's scope.
 var Globalrand = &Analyzer{
 	Name: "globalrand",
-	Doc:  "no package-level math/rand functions; randomness must flow through seeded *rand.Rand streams",
+	Doc:  "no package-level math/rand functions; in the library, no math/rand generator but internal/xrand's",
 	Run:  runGlobalrand,
 }
 
-// randConstructors build explicit seeded streams — the blessed pattern.
-var randConstructors = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
+// streamConstructors wrap an explicit source or stream.
+var streamConstructors = map[string]bool{
+	"New":     true,
+	"NewZipf": true,
+}
+
+// sourceConstructors build one of math/rand's own generators.
+var sourceConstructors = map[string]bool{
+	"NewSource":  true, // v1
+	"NewPCG":     true, // v2
+	"NewChaCha8": true, // v2
+}
+
+// oneGenerator reports whether the package at import path is held to
+// internal/xrand as its only generator. Analyzer fixtures load as
+// fixture/<name>.
+func oneGenerator(path string) bool {
+	if path == "xability/internal/xrand" {
+		return false
+	}
+	return path == "xability" || strings.HasPrefix(path, "xability/internal/") || strings.HasPrefix(path, "fixture/")
 }
 
 func runGlobalrand(pass *Pass) error {
+	library := oneGenerator(pass.Pkg.Path())
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -42,10 +71,15 @@ func runGlobalrand(pass *Pass) error {
 			if fn.Type().(*types.Signature).Recv() != nil {
 				return true // *rand.Rand / *rand.Zipf methods: seeded streams
 			}
-			if randConstructors[fn.Name()] {
-				return true
+			switch {
+			case streamConstructors[fn.Name()]:
+			case sourceConstructors[fn.Name()]:
+				if library {
+					pass.Reportf(sel.Pos(), "rand.%s builds one of math/rand's own generators; the library's streams come from xrand.New", fn.Name())
+				}
+			default:
+				pass.Reportf(sel.Pos(), "rand.%s draws from the shared global source; draw from a seeded *rand.Rand stream instead", fn.Name())
 			}
-			pass.Reportf(sel.Pos(), "rand.%s draws from the shared global source; draw from a seeded *rand.Rand stream instead", fn.Name())
 			return true
 		})
 	}

@@ -31,6 +31,25 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}
 }
 
+// The one-generator half of globalrand is scoped by import path: it holds
+// the library to internal/xrand and leaves the library's callers — and
+// xrand itself, which wraps its own source — alone.
+func TestGlobalrandScope(t *testing.T) {
+	for path, want := range map[string]bool{
+		"xability":                  true,
+		"xability/internal/simnet":  true,
+		"xability/internal/xrand":   false,
+		"xability/cmd/xsim":         false,
+		"xability/examples/banking": false,
+		"xability/bench":            false,
+		"fixture/globalrand":        true,
+	} {
+		if got := oneGenerator(path); got != want {
+			t.Errorf("oneGenerator(%q) = %v, want %v", path, got, want)
+		}
+	}
+}
+
 // The directive fixture runs under the full suite: its chained standalone
 // escapes span two rules, and directive misuse (missing reason, unknown
 // rule, unused) must be reported without suppressing the underlying
