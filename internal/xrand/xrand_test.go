@@ -55,13 +55,6 @@ func TestInt63IsTopBits(t *testing.T) {
 	}
 }
 
-func TestMix64IsTheFinalizer(t *testing.T) {
-	// One step from state 0 is Mix64(gamma): the first known answer.
-	if got := Mix64(gamma); got != 0xe220a8397b1dcdaf {
-		t.Fatalf("Mix64(gamma) = %#x", got)
-	}
-}
-
 var sink *rand.Rand
 
 func TestAllocBudget(t *testing.T) {
@@ -79,11 +72,5 @@ func TestAllocBudget(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, draws); n != 0 {
 		t.Errorf("drawing and re-seeding allocate %.0f objects, want 0", n)
-	}
-}
-
-func BenchmarkNew(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sink = New(int64(i))
 	}
 }
