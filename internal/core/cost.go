@@ -33,39 +33,37 @@ type CostModel struct {
 // enabled reports whether any charge is non-zero.
 func (cm CostModel) enabled() bool { return cm.Consensus > 0 || cm.Exec > 0 }
 
-// vcpu serializes charged work on one replica: a ticket-FIFO queue on the
-// virtual clock. Arrival order under the deterministic scheduler is
-// deterministic, so the service order — and therefore every run metric —
-// is too.
+// vcpu serializes charged work on one replica. A FIFO server with
+// deterministic service times is fully described by the instant it next
+// falls idle, so that instant is all the state there is: a contender
+// starts at max(now, freeAt), moves freeAt past its own work, and sleeps
+// once until its finish. Arrival order under the deterministic scheduler
+// is deterministic, so the service order — and therefore every run
+// metric — is too; a queued contender costs one clock event, whatever the
+// queue's length.
 type vcpu struct {
-	clk  vclock.Clock
-	mu   sync.Mutex
-	cond vclock.Cond
-	next uint64 // next ticket to hand out
-	serv uint64 // ticket currently being served
+	clk    vclock.Clock
+	mu     sync.Mutex
+	freeAt time.Duration // virtual instant the CPU next falls idle
 }
 
-func newVCPU(clk vclock.Clock) *vcpu {
-	c := &vcpu{clk: clk}
-	c.cond = clk.NewCond(&c.mu)
-	return c
-}
+func newVCPU(clk vclock.Clock) *vcpu { return &vcpu{clk: clk} }
 
 // charge occupies the CPU for d of virtual time, FIFO among contenders.
+// The caller must be attached to the clock (every server goroutine is), so
+// virtual time cannot advance between reading now and sleeping.
 func (c *vcpu) charge(d time.Duration) {
 	if c == nil || d <= 0 {
 		return
 	}
+	now := c.clk.Now()
 	c.mu.Lock()
-	t := c.next
-	c.next++
-	for c.serv != t {
-		c.cond.Wait()
+	start := c.freeAt
+	if start < now {
+		start = now
 	}
+	c.freeAt = start + d
+	finish := c.freeAt
 	c.mu.Unlock()
-	c.clk.Sleep(d)
-	c.mu.Lock()
-	c.serv++
-	c.mu.Unlock()
-	c.cond.Broadcast()
+	c.clk.Sleep(finish - now)
 }
