@@ -35,12 +35,14 @@ type Station struct {
 	m        *obs.Metrics // nil-safe run metrics
 	tr       *obs.Trace   // nil-safe span recorder
 
-	mu       sync.Mutex
-	cond     vclock.Cond
-	waiting  map[string]*stationCall
-	open     int // sessions in flight
-	attempts int
-	stopped  bool
+	mu      sync.Mutex
+	cond    vclock.Cond             // Drive's join; sessions wait on their own call's cond
+	waiting map[string]*stationCall // in-flight sessions by request ID
+	// The same sessions in arrival order, so the stop path wakes them in
+	// an order that does not depend on map iteration.
+	first, last *stationCall
+	attempts    int
+	stopped     bool
 
 	// completion log for the verifier, in completion order (deterministic
 	// under the virtual clock)
@@ -49,9 +51,14 @@ type Station struct {
 	latencies []time.Duration
 }
 
+// stationCall is one in-flight session. Its cond (on Station.mu) is
+// broadcast by the pump when this session's reply arrives or the station
+// stops, so a reply wakes one session however many are in flight.
 type stationCall struct {
-	done bool
-	val  action.Value
+	cond       vclock.Cond
+	done       bool
+	val        action.Value
+	prev, next *stationCall // arrival-order list of in-flight sessions
 }
 
 // StationConfig assembles a station.
@@ -95,13 +102,17 @@ func NewStation(cfg StationConfig) *Station {
 }
 
 // pump drains the endpoint, resolving waiters. It exits when the endpoint
-// closes (network shutdown).
+// closes (network shutdown), waking every in-flight session in arrival
+// order and then Drive's join.
 func (st *Station) pump() {
 	for {
 		msg, ok := st.ep.Recv()
 		if !ok {
 			st.mu.Lock()
 			st.stopped = true
+			for c := st.first; c != nil; c = c.next {
+				c.cond.Broadcast()
+			}
 			st.mu.Unlock()
 			st.cond.Broadcast()
 			return
@@ -114,14 +125,47 @@ func (st *Station) pump() {
 			continue
 		}
 		st.mu.Lock()
-		c := st.waiting[p.ReqID]
-		if c != nil && !c.done {
+		if c := st.waiting[p.ReqID]; c != nil && !c.done {
 			c.done = true
 			c.val = p.Value
+			c.cond.Broadcast()
 		}
 		st.mu.Unlock()
-		st.cond.Broadcast()
 	}
+}
+
+// enroll registers a new in-flight session at the tail of the arrival
+// list.
+func (st *Station) enroll(id string) *stationCall {
+	c := &stationCall{cond: st.clk.NewCond(&st.mu)}
+	st.mu.Lock()
+	st.waiting[id] = c
+	c.prev = st.last
+	if st.last != nil {
+		st.last.next = c
+	} else {
+		st.first = c
+	}
+	st.last = c
+	st.mu.Unlock()
+	return c
+}
+
+// retire removes a finished session from the in-flight structures.
+func (st *Station) retire(id string, c *stationCall) {
+	st.mu.Lock()
+	delete(st.waiting, id)
+	if c.prev != nil {
+		c.prev.next = c.next
+	} else {
+		st.first = c.next
+	}
+	if c.next != nil {
+		c.next.prev = c.prev
+	} else {
+		st.last = c.prev
+	}
+	st.mu.Unlock()
 }
 
 // Submit runs one open-loop session to completion: the request must
@@ -131,21 +175,10 @@ func (st *Station) Submit(req action.Request) (action.Value, bool) {
 	start := st.clk.Now()
 	st.m.Inc(obs.ReqSubmitted)
 	span := st.tr.Begin(start, string(st.id), "request", req.ID)
-	c := &stationCall{}
-	st.mu.Lock()
-	st.open++
-	st.waiting[req.ID] = c
+	c := st.enroll(req.ID)
+	defer st.retire(req.ID, c)
+
 	i := 0
-	st.mu.Unlock()
-
-	defer func() {
-		st.mu.Lock()
-		delete(st.waiting, req.ID)
-		st.open--
-		st.mu.Unlock()
-		st.cond.Broadcast()
-	}()
-
 	for {
 		target := st.replicas[i%len(st.replicas)]
 		st.mu.Lock()
@@ -154,7 +187,17 @@ func (st *Station) Submit(req action.Request) (action.Value, bool) {
 		st.ep.Send(target, MsgSubmit, SubmitPayload{Req: req, Client: st.id})
 		deadline := st.clk.Now() + st.resend
 		for {
+			// The detector is the caller's code: ask it without st.mu.
+			suspected := st.det.Suspect(target)
+			due := st.clk.Now() >= deadline
 			st.mu.Lock()
+			if !c.done && !st.stopped && !suspected && !due {
+				// Checked and parked under one hold of st.mu, the lock
+				// the pump sets done under: no wake-up can be missed, so
+				// the poll only bounds the staleness of the two answers
+				// above.
+				c.cond.WaitTimeout(st.poll)
+			}
 			if c.done {
 				val := c.val
 				now := st.clk.Now()
@@ -167,22 +210,19 @@ func (st *Station) Submit(req action.Request) (action.Value, bool) {
 				st.tr.End(now, string(st.id), "request", span)
 				return val, true
 			}
-			if st.stopped {
-				st.mu.Unlock()
+			stopped := st.stopped
+			st.mu.Unlock()
+			if stopped {
 				return "", false
 			}
-			st.mu.Unlock()
-			if st.det.Suspect(target) {
+			if suspected {
 				i++
 				st.m.Inc(obs.ReqFailovers)
 				break // fail over (Figure 5's advance)
 			}
-			if st.clk.Now() >= deadline {
+			if due {
 				break // re-send to the same replica (submit is idempotent)
 			}
-			st.mu.Lock()
-			st.cond.WaitTimeout(st.poll)
-			st.mu.Unlock()
 		}
 	}
 }

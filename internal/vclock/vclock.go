@@ -190,6 +190,16 @@ func (v *Virtual) Now() time.Duration {
 	return v.now
 }
 
+// Events reports how many events were ever scheduled on the clock (timers,
+// spawns and broadcast wakes alike). It is a count of simulator work, not
+// of time: equal seeds give equal counts on any host, so a test can bound
+// the events a request costs where a wall-clock bound would flake.
+func (v *Virtual) Events() uint64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.seq
+}
+
 // --- event heap (hand-rolled: container/heap's interface indirection and
 // boxing showed up in sweep profiles). Ordered by (at, seq). ---
 
