@@ -118,73 +118,18 @@ func (n *Normalizer) XAbleConcurrent(h event.History, reqs []action.Request) (bo
 }
 
 func (n *Normalizer) xableProjected(h event.History, reqs []action.Request, sequenced bool) (bool, []action.Value) {
-	outs := make([]action.Value, 0, len(reqs))
-	prevEnd := -1
-	for _, req := range reqs {
+	specs := make([]TargetSpec, len(reqs))
+	for r, req := range reqs {
 		spec, err := SpecFor(n.reg, req)
 		if err != nil {
 			return false, nil
 		}
-		names := map[action.Name]bool{
-			req.Action:                true,
-			action.Cancel(req.Action): true,
-			action.Commit(req.Action): true,
-		}
-		// Project on the request's actions. A completion's value is the
-		// output, which does not identify the invocation, so attribution
-		// uses the environment's annotation when present (the env stamps
-		// every completion with the tagged input it resolved — exact
-		// attribution even when executors on different replicas
-		// interleave). Unannotated completions — synthetic histories —
-		// fall back to the nearest preceding unmatched start of the same
-		// action, and are kept iff that start is kept.
-		keepValue := func(name action.Name, v action.Value) bool {
-			if !names[name] {
-				return false
-			}
-			base, id, _ := action.SplitTag(v)
-			if id != "" {
-				return id == req.ID
-			}
-			return base == req.Input
-		}
-		kept := make([]bool, len(h))
-		firstKeptCompletion := -1
-		openByAction := make(map[action.Name][]int) // unmatched start indexes
-		for i, e := range h {
-			switch e.Type {
-			case event.Start:
-				kept[i] = keepValue(e.Action, e.Value)
-				openByAction[e.Action] = append(openByAction[e.Action], i)
-			case event.Complete:
-				open := openByAction[e.Action]
-				if e.Annotation != "" {
-					kept[i] = keepValue(e.Action, action.Value(e.Annotation))
-					// Unwind the matching start so heuristic attribution
-					// of any unannotated completions stays coherent.
-					for j := len(open) - 1; j >= 0; j-- {
-						if h[open[j]].Value == action.Value(e.Annotation) {
-							openByAction[e.Action] = append(open[:j], open[j+1:]...)
-							break
-						}
-					}
-				} else if len(open) > 0 {
-					s := open[len(open)-1]
-					openByAction[e.Action] = open[:len(open)-1]
-					kept[i] = kept[s]
-				}
-				if kept[i] && e.Action == req.Action && firstKeptCompletion < 0 {
-					firstKeptCompletion = i
-				}
-			}
-		}
-		var proj event.History
-		for i, e := range h {
-			if kept[i] {
-				proj = append(proj, e)
-			}
-		}
-		ok, o := n.XAbleTo(proj, []TargetSpec{spec})
+		specs[r] = spec
+	}
+	outs := make([]action.Value, 0, len(reqs))
+	prevEnd := -1
+	for r, p := range project(h, reqs) {
+		ok, o := n.XAbleTo(p.events, specs[r:r+1])
 		if !ok {
 			return false, nil
 		}
@@ -193,12 +138,125 @@ func (n *Normalizer) xableProjected(h event.History, reqs []action.Request, sequ
 		// previous request's first completion — the observable residue of
 		// R1's state being the execution context of R2 (§4). Concurrent
 		// sessions (XAbleConcurrent) skip this: they are unordered.
-		if sequenced && firstKeptCompletion >= 0 && firstKeptCompletion < prevEnd {
+		if sequenced && p.firstKeptCompletion >= 0 && p.firstKeptCompletion < prevEnd {
 			return false, nil
 		}
-		if firstKeptCompletion >= 0 {
-			prevEnd = firstKeptCompletion
+		if p.firstKeptCompletion >= 0 {
+			prevEnd = p.firstKeptCompletion
 		}
 	}
 	return true, outs
+}
+
+// projection is one request's share of a history: the events it keeps, in
+// history order, and the index in the history of the first completion of
+// its own action among them (-1: none).
+type projection struct {
+	events              event.History
+	firstKeptCompletion int
+}
+
+// keeperIndex finds the requests that keep an event. A request keeps the
+// events of its action and of that action's cancel and commit names whose
+// value carries its ID or, untagged, equals its input; so requests are
+// filed under their own action name, once by ID and once by input, and an
+// event is looked up under its name and under the name it derives from.
+type keeperIndex map[keeperKey][]int
+
+type keeperKey struct {
+	action action.Name
+	id     string       // of a tagged value, else ""
+	input  action.Value // of an untagged value
+}
+
+// of returns the indexes of the requests that keep an event named name
+// with value v: those whose action is name itself and, for a cancel or
+// commit name, those whose action it derives from. No request is in both.
+func (ix keeperIndex) of(name action.Name, v action.Value) (own, derived []int) {
+	k := keeperKey{action: name}
+	if base, id, _ := action.SplitTag(v); id != "" {
+		k.id = id
+	} else {
+		k.input = base
+	}
+	own = ix[k]
+	if action.IsDerived(name) {
+		k.action, _ = action.Base(name)
+		derived = ix[k]
+	}
+	return own, derived
+}
+
+// project walks h once for all requests. A completion's value is the
+// output, which does not identify the invocation, so attribution uses the
+// environment's annotation when present (the env stamps every completion
+// with the tagged input it resolved — exact attribution even when
+// executors on different replicas interleave). Unannotated completions —
+// synthetic histories — fall back to the nearest preceding unmatched start
+// of the same action, and are kept by whoever keeps that start. Which
+// start a completion matches depends on h alone, never on the request, so
+// the matching is done once and every event is appended to the projections
+// of exactly the requests that keep it: O(|h| + Σ|projection|), where a
+// scan per request costs O(requests × |h|).
+func project(h event.History, reqs []action.Request) []projection {
+	// Nearly every key has one request, so the one-element lists are
+	// carved out of a single array (capacity one: a second request under
+	// the same key appends into storage of its own).
+	ix := make(keeperIndex, 2*len(reqs))
+	ones := make([]int, 0, 2*len(reqs))
+	for r, req := range reqs {
+		keys := []keeperKey{{action: req.Action, input: req.Input}, {action: req.Action, id: req.ID}}
+		if req.ID == "" {
+			keys = keys[:1]
+		}
+		for _, k := range keys {
+			if l, ok := ix[k]; ok {
+				ix[k] = append(l, r)
+				continue
+			}
+			ones = append(ones, r)
+			ix[k] = ones[len(ones)-1 : len(ones) : len(ones)]
+		}
+	}
+
+	projs := make([]projection, len(reqs))
+	for r := range projs {
+		projs[r].firstKeptCompletion = -1
+	}
+	openByAction := make(map[action.Name][]int) // unmatched start indexes
+	for i, e := range h {
+		var own, derived []int
+		switch e.Type {
+		case event.Start:
+			own, derived = ix.of(e.Action, e.Value)
+			openByAction[e.Action] = append(openByAction[e.Action], i)
+		case event.Complete:
+			open := openByAction[e.Action]
+			if e.Annotation != "" {
+				own, derived = ix.of(e.Action, action.Value(e.Annotation))
+				// Unwind the matching start so heuristic attribution
+				// of any unannotated completions stays coherent.
+				for j := len(open) - 1; j >= 0; j-- {
+					if h[open[j]].Value == action.Value(e.Annotation) {
+						openByAction[e.Action] = append(open[:j], open[j+1:]...)
+						break
+					}
+				}
+			} else if len(open) > 0 {
+				s := open[len(open)-1]
+				openByAction[e.Action] = open[:len(open)-1]
+				own, derived = ix.of(e.Action, h[s].Value)
+			}
+		}
+		for _, keepers := range [...][]int{own, derived} {
+			for _, r := range keepers {
+				p := &projs[r]
+				p.events = append(p.events, e)
+				if e.Type == event.Complete && e.Action == reqs[r].Action && p.firstKeptCompletion < 0 {
+					p.firstKeptCompletion = i
+				}
+			}
+		}
+	}
+	return projs
 }
