@@ -41,9 +41,9 @@ func (r *opRecorder) note(call string) {
 	r.mu.Unlock()
 }
 
-func (r *opRecorder) Clock() vclock.Clock       { return r.clk }
-func (r *opRecorder) Network() *simnet.Network  { return r.net }
-func (r *opRecorder) CrashServer(i int)         { r.note(fmt.Sprintf("crash(%d)", i)) }
+func (r *opRecorder) Clock() vclock.Clock      { return r.clk }
+func (r *opRecorder) Network() *simnet.Network { return r.net }
+func (r *opRecorder) CrashServer(i int)        { r.note(fmt.Sprintf("crash(%d)", i)) }
 func (r *opRecorder) SuspectEverywhere(p simnet.ProcessID, v bool) {
 	r.note(fmt.Sprintf("suspect(%s,%v)", p, v))
 }
