@@ -62,8 +62,8 @@ func (c *vcpu) charge(d time.Duration) {
 	if start < now {
 		start = now
 	}
-	c.freeAt = start + d
-	finish := c.freeAt
+	finish := start + d
+	c.freeAt = finish
 	c.mu.Unlock()
 	c.clk.Sleep(finish - now)
 }

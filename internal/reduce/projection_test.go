@@ -236,15 +236,12 @@ func TestProjectionAgreesWithReference(t *testing.T) {
 		cases, decided, xable := 0, 0, 0
 		for ; decided < verdicts; cases++ {
 			pc := randomProjectionCase(rng, 1+rng.Intn(6), sequenced && rng.Intn(4) > 0, rng.Intn(3) == 0)
-			projs := project(pc.h, pc.reqs)
+			if err := ProjectionsAgree(pc.h, pc.reqs); err != nil {
+				t.Fatalf("case %d: %v\nrequests: %v\nhistory:\n%v", cases, err, pc.reqs, pc.h)
+			}
 			cheap := true
-			for r, req := range pc.reqs {
-				want := projectRef(pc.h, req)
-				if !reflect.DeepEqual(projs[r], want) {
-					t.Fatalf("case %d, request %d %v: the walk projects\n%+v, the scan\n%+v\nrequests: %v\nhistory:\n%v",
-						cases, r, req, projs[r], want, pc.reqs, pc.h)
-				}
-				cheap = cheap && !searchWindow(want.events)
+			for _, p := range project(pc.h, pc.reqs) {
+				cheap = cheap && !searchWindow(p.events)
 			}
 			if !cheap {
 				continue

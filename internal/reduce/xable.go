@@ -180,8 +180,8 @@ func (ix keeperIndex) of(name action.Name, v action.Value) (own, derived []int) 
 		k.input = base
 	}
 	own = ix[k]
-	if action.IsDerived(name) {
-		k.action, _ = action.Base(name)
+	if base, _ := action.Base(name); base != name {
+		k.action = base
 		derived = ix[k]
 	}
 	return own, derived
