@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"xability/internal/exper"
 )
@@ -100,10 +101,13 @@ func main() {
 	if want["6"] {
 		rows := exper.TableT6()
 		fmt.Println("T6 — checker scalability (claim E10)")
-		fmt.Printf("  %-10s %-6s %-8s %-12s %-8s\n", "requests", "dup", "events", "normalize", "x-able")
+		fmt.Printf("  %-28s %-10s %-8s %-12s %-10s %-8s\n", "shape", "requests", "events", "normalize", "ns/event", "x-able")
+		var total time.Duration
 		for _, r := range rows {
-			fmt.Printf("  %-10d %-6d %-8d %-12v %-8v\n", r.Requests, r.DupFactor, r.Events, r.Normalize, r.XAble)
+			fmt.Printf("  %-28s %-10d %-8d %-12v %-10d %-8v\n", r.Shape, r.Requests, r.Events, r.Normalize, r.Normalize.Nanoseconds()/int64(r.Events), r.XAble)
+			total += r.Normalize
 		}
+		fmt.Printf("  normalize column sums to %v\n", total)
 		fmt.Println()
 	}
 

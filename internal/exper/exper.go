@@ -356,38 +356,54 @@ func TableT4(seed int64, instances int) []T4Row {
 
 // T6Row is one row of Table T6 (claim E10): checker scalability.
 type T6Row struct {
+	// Shape names the history family: "reads dup=N" (SyntheticHistory) or
+	// "debits cancelled=N[+replay]" (SyntheticUndoableHistory).
+	Shape     string
 	Requests  int
-	DupFactor int
 	Events    int
 	Normalize time.Duration
 	XAble     bool
 }
 
-// TableT6 sweeps history length and duplication factor over synthetic
-// protocol-shaped histories and measures greedy normalization time. The
-// duplicate-free column runs to 3200 requests (runs are cheap now); the
-// dup=3 column stops at 320 — duplicated completions drive the greedy
-// normalizer's search super-linearly (~0.6s at 1920 events, ~33s at 7680),
-// which is exactly the scalability cliff this table exists to record.
+// TableT6 sweeps history length over synthetic protocol-shaped histories
+// and measures the strict check (greedy normalization of the whole history
+// plus the structural match). Two blocks, each to 3200 requests: idempotent
+// reads duplication-free and with every execution tripled (rules 18 and
+// the Λ form), then an undoable vocabulary with and without a cancelled
+// round and a replayed execution per request (rules 19 and 20, the §5.2
+// replay lifting). Time per event should not depend on the length.
 func TableT6() []T6Row {
 	reg := workload.Registry()
+	sizes := []int{5, 20, 80, 320, 800, 3200}
 	var rows []T6Row
-	for _, requests := range []int{5, 20, 80, 320, 800, 3200} {
-		for _, dup := range []int{1, 3} {
-			if dup > 1 && requests > 320 {
-				continue
-			}
+	time6 := func(shape string, requests int, h event.History, specs []reduce.TargetSpec) {
+		n := reduce.New(reg)
+		start := time.Now() //xvet:ok walltime T6 measures the normalizer's real CPU cost; no clock is involved
+		ok, _ := n.XAbleTo(h, specs)
+		rows = append(rows, T6Row{
+			Shape:     shape,
+			Requests:  requests,
+			Events:    len(h),
+			Normalize: time.Since(start), //xvet:ok walltime T6 reports real elapsed normalization time by design
+			XAble:     ok,
+		})
+	}
+	for _, dup := range []int{1, 3} {
+		for _, requests := range sizes {
 			h, specs := SyntheticHistory(reg, requests, dup)
-			n := reduce.New(reg)
-			start := time.Now() //xvet:ok walltime T6 measures the normalizer's real CPU cost; no clock is involved
-			ok, _ := n.XAbleTo(h, specs)
-			rows = append(rows, T6Row{
-				Requests:  requests,
-				DupFactor: dup,
-				Events:    len(h),
-				Normalize: time.Since(start), //xvet:ok walltime T6 reports real elapsed normalization time by design
-				XAble:     ok,
-			})
+			time6(fmt.Sprintf("reads dup=%d", dup), requests, h, specs)
+		}
+	}
+	for _, replay := range []bool{false, true} {
+		for cancelled := 0; cancelled <= 1; cancelled++ {
+			shape := fmt.Sprintf("debits cancelled=%d", cancelled)
+			if replay {
+				shape += "+replay"
+			}
+			for _, requests := range sizes {
+				h, specs := SyntheticUndoableHistory(reg, requests, cancelled, replay)
+				time6(shape, requests, h, specs)
+			}
 		}
 	}
 	return rows
@@ -771,6 +787,44 @@ func SyntheticHistory(reg *action.Registry, requests, dup int) (event.History, [
 		for d := 1; d < dup; d++ {
 			h = append(h, event.C("read", action.Value(fmt.Sprintf("v%d", i)))) // duplicate completions
 		}
+	}
+	return h, specs
+}
+
+// SyntheticUndoableHistory builds a protocol-shaped history of sequential
+// "debit" requests, together with its target specs: each request runs
+// cancelled rounds that execute and are cancelled (the shape rule 19 exists
+// for) before the round that commits, every event tagged with its request
+// and round and every completion stamped with the input it resolved, as the
+// environment does. With replay the committing round's execution appears
+// twice — a recovered replica resuming its round — which the §5.2 lifting
+// of rule 18 absorbs.
+func SyntheticUndoableHistory(reg *action.Registry, requests, cancelled int, replay bool) (event.History, []reduce.TargetSpec) {
+	var h event.History
+	var specs []reduce.TargetSpec
+	pair := func(r action.Request, ov action.Value) {
+		iv := r.EffectiveInput()
+		h = append(h, event.S(r.Action, iv), event.C(r.Action, ov).WithAnnotation(string(iv)))
+	}
+	for i := 0; i < requests; i++ {
+		req := action.NewRequest("debit", action.Value(fmt.Sprintf("a%d", i))).WithID(fmt.Sprintf("q%d", i))
+		spec, err := reduce.SpecFor(reg, req)
+		if err != nil {
+			panic(err)
+		}
+		specs = append(specs, spec)
+		ov := action.Value(fmt.Sprintf("v%d", i))
+		for round := 1; round <= cancelled; round++ {
+			r := req.WithRound(round)
+			pair(r, ov)
+			pair(r.Cancel(), action.Nil)
+		}
+		r := req.WithRound(cancelled + 1)
+		pair(r, ov)
+		if replay {
+			pair(r, ov)
+		}
+		pair(r.Commit(), action.Nil)
 	}
 	return h, specs
 }

@@ -3,7 +3,9 @@ package exper
 import (
 	"reflect"
 	"testing"
+	"time"
 
+	"xability/internal/reduce"
 	"xability/internal/workload"
 )
 
@@ -138,16 +140,58 @@ func TestT7SweepShapes(t *testing.T) {
 
 func TestT6ScalesAndStaysCorrect(t *testing.T) {
 	rows := TableT6()
+	largest := map[string]T6Row{}
+	var total time.Duration
 	for _, r := range rows {
 		if !r.XAble {
 			t.Errorf("synthetic protocol-shaped history must verify: %+v", r)
 		}
+		if r.Events > largest[r.Shape].Events {
+			largest[r.Shape] = r
+		}
+		total += r.Normalize
 	}
-	// Growth sanity: bigger histories take longer (not asserting a
-	// specific complexity, just monotone-ish growth end to end).
-	first, last := rows[0], rows[len(rows)-1]
-	if last.Events <= first.Events {
-		t.Errorf("sweep did not grow: %+v … %+v", first, last)
+	// Every shape is swept to 3200 requests — the tripled reads to 19 200
+	// events, the cancelled and replayed debit rounds to 32 000 — and the
+	// whole table is a fraction of a second of checking (the growth itself
+	// is gated by reduce's TestNormalizeScalesLinearly).
+	for _, shape := range []string{
+		"reads dup=1", "reads dup=3",
+		"debits cancelled=0", "debits cancelled=1",
+		"debits cancelled=0+replay", "debits cancelled=1+replay",
+	} {
+		if r := largest[shape]; r.Requests != 3200 {
+			t.Errorf("%s: largest row has %d requests, want 3200", shape, r.Requests)
+		}
+	}
+	if got := largest["reads dup=3"].Events; got != 19200 {
+		t.Errorf("reads dup=3 at 3200 requests has %d events, want 19200", got)
+	}
+	if got := largest["debits cancelled=1+replay"].Events; got != 32000 {
+		t.Errorf("debits cancelled=1+replay at 3200 requests has %d events, want 32000", got)
+	}
+	if total > 5*time.Second {
+		t.Errorf("the table's checks took %v in all; a 19 200-event row alone took minutes when a pass cost the history per rewrite", total)
+	}
+}
+
+func TestSyntheticUndoableHistoryShape(t *testing.T) {
+	reg := workload.Registry()
+	for _, c := range []struct {
+		cancelled int
+		replay    bool
+		perReq    int
+	}{{0, false, 4}, {1, false, 8}, {0, true, 6}, {1, true, 10}, {2, false, 12}} {
+		h, specs := SyntheticUndoableHistory(reg, 3, c.cancelled, c.replay)
+		if len(specs) != 3 || len(h) != 3*c.perReq {
+			t.Errorf("cancelled=%d replay=%v: %d specs, %d events, want 3 and %d", c.cancelled, c.replay, len(specs), len(h), 3*c.perReq)
+		}
+		if err := h.WellFormed(); err != nil {
+			t.Errorf("cancelled=%d replay=%v: %v", c.cancelled, c.replay, err)
+		}
+		if ok, _ := reduce.New(reg).XAbleTo(h, specs); !ok {
+			t.Errorf("cancelled=%d replay=%v: not x-able:\n%v", c.cancelled, c.replay, h)
+		}
 	}
 }
 

@@ -75,6 +75,64 @@ func BenchmarkXAbleSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkShortHistories measures what the simulator's sweeps ask of the
+// checker: histories of a few requests, each checked through a Normalizer
+// of its own, strict and then projected, as verify.Check does. The three
+// are a fault-free run, a run whose first debit round lost its owner and
+// was cancelled, and a read retried twice.
+func BenchmarkShortHistories(b *testing.B) {
+	reg := testRegistry(b)
+	pair := func(r action.Request, ov action.Value) event.History {
+		iv := r.EffectiveInput()
+		return h(event.S(r.Action, iv), event.C(r.Action, ov).WithAnnotation(string(iv)))
+	}
+	start := func(r action.Request) event.History { return h(event.S(r.Action, r.EffectiveInput())) }
+	read0 := action.NewRequest("read", "k0").WithID("q0")
+	debit1 := action.NewRequest("debit", "a").WithID("q1")
+	read2 := action.NewRequest("read", "k2").WithID("q2")
+	runs := []struct {
+		reqs  []action.Request
+		h     event.History
+		specs []TargetSpec
+	}{
+		{reqs: []action.Request{read0, debit1, read2}, h: event.Lambda.Concat(
+			pair(read0, "v0"),
+			pair(debit1.WithRound(1), "ok"), pair(debit1.WithRound(1).Commit(), action.Nil),
+			pair(read2, "v2"))},
+		{reqs: []action.Request{read0, debit1, read2}, h: event.Lambda.Concat(
+			pair(read0, "v0"),
+			start(debit1.WithRound(1)), // the owner crashed mid-execution
+			pair(debit1.WithRound(1).Cancel(), action.Nil),
+			pair(debit1.WithRound(2), "ok"), pair(debit1.WithRound(2).Commit(), action.Nil),
+			pair(read2, "v2"))},
+		{reqs: []action.Request{read0}, h: event.Lambda.Concat(
+			start(read0), // never completed
+			pair(read0, "v0"), pair(read0, "v0"))},
+	}
+	for i := range runs {
+		for _, req := range runs[i].reqs {
+			spec, err := SpecFor(reg, req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			runs[i].specs = append(runs[i].specs, spec)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, rn := range runs {
+			n := New(reg)
+			if ok, _ := n.XAbleTo(rn.h, rn.specs); !ok {
+				b.Fatal("not x-able")
+			}
+			if ok, _ := n.XAbleProjected(rn.h, rn.reqs); !ok {
+				b.Fatal("no projection x-able")
+			}
+		}
+	}
+}
+
 // BenchmarkSearchSmall measures the exhaustive oracle on an 8-event
 // history, the size class the greedy/exhaustive agreement tests use.
 func BenchmarkSearchSmall(b *testing.B) {

@@ -6,9 +6,12 @@
 // The relation is implemented twice, as two engines that are
 // property-tested against each other:
 //
-//   - Normalize (greedy.go): a deterministic rewriting strategy that applies
-//     the rules of Figure 4 left-to-right until fixpoint. It is fast and is
-//     what the run verifier uses on long protocol traces.
+//   - Normalize (greedy.go, sweep.go): a deterministic rewriting strategy
+//     that applies the rules of Figure 4 left-to-right until fixpoint — the
+//     leftmost legal rewrite first, as if it started again from event zero
+//     after each, computed as one indexed sweep per rule whose cost is the
+//     windows it rewrites (DESIGN.md §2 item 9). It is what the run
+//     verifier uses on long protocol traces.
 //   - Search (exhaustive.go): a complete breadth-first exploration of every
 //     rule application, memoized on history keys. It is exponential in the
 //     worst case and is used on small histories as the ground-truth oracle.
@@ -33,6 +36,11 @@
 //   - Failure-free histories of undoable requests quantify over the
 //     committing round as well as the output value: the request happened
 //     exactly once, in some round r, and was committed in that same round.
+//
+// A Normalizer carries scratch — the indexed copy of the history it is
+// normalizing, and the reduction target while XAbleTo runs — and reuses it
+// from one history to the next. It is not for concurrent use; build one
+// per goroutine (verify.Check builds one per run).
 package reduce
 
 import (

@@ -56,14 +56,12 @@ func decodeProjectionInput(data []byte) (h event.History, reqs []action.Request)
 	return h, reqs
 }
 
-// FuzzProjectionAgrees holds the single-walk projection to the per-request
-// scan on arbitrary histories: same projections, same first kept
-// completions — everything the verdict is computed from. The seed corpus
-// is what the checker meets in production: the histories of open-loop-batch
-// seeds 1–4 (tagged, annotated, interleaved across concurrent sessions)
-// with the requests that produced them, cut into groups of ten sessions so
-// that an input stays small enough for the fuzzer to minimize.
-func FuzzProjectionAgrees(f *testing.F) {
+// addOpenLoopCorpus seeds a fuzz target with what the checker meets in
+// production: the histories of open-loop-batch seeds 1–4 (tagged,
+// annotated, interleaved across concurrent sessions) with the requests that
+// produced them, cut into groups of ten sessions so that an input stays
+// small enough for the fuzzer to minimize.
+func addOpenLoopCorpus(f *testing.F) {
 	sc, ok := scenario.Get("open-loop-batch")
 	if !ok {
 		f.Fatal("open-loop-batch is not registered")
@@ -99,8 +97,31 @@ func FuzzProjectionAgrees(f *testing.F) {
 			f.Add(encodeProjectionInput(sub, group))
 		}
 	}
+}
+
+// FuzzProjectionAgrees holds the single-walk projection to the per-request
+// scan on arbitrary histories: same projections, same first kept
+// completions — everything the verdict is computed from.
+func FuzzProjectionAgrees(f *testing.F) {
+	addOpenLoopCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := reduce.ProjectionsAgree(decodeProjectionInput(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzNormalizeAgrees holds the normalizer's sweeps to the restart-from-zero
+// strategy on arbitrary histories — the whole decoded history and each
+// request's projection: same rewrites in the same order, same normal form —
+// and, on histories small enough for the exhaustive search to be an oracle,
+// the greedy verdict to the search's.
+func FuzzNormalizeAgrees(f *testing.F) {
+	addOpenLoopCorpus(f)
+	reg := workload.Registry()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, reqs := decodeProjectionInput(data)
+		if err := reduce.NormalizeAgreesOn(reg, h, reqs); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -19,7 +19,8 @@ import (
 // search completes within budget.
 func (n *Normalizer) XAbleTo(h event.History, specs []TargetSpec) (bool, []action.Value) {
 	saved := n.expected
-	n.Toward(specs)
+	n.toward = countTargets(n.toward, specs)
+	n.expected = n.toward
 	norm := n.Normalize(h)
 	n.expected = saved
 	if outs, ok := MatchTarget(norm, specs); ok {

@@ -138,7 +138,9 @@ type (
 )
 
 // Checker is the mechanical x-ability checker: the reduction relation of
-// Figure 4 plus the predicates built on it.
+// Figure 4 plus the predicates built on it. A Checker keeps the scratch of
+// the history it is working on from one check to the next, so it is not
+// for concurrent use: give each goroutine its own (NewChecker is cheap).
 type Checker = reduce.Normalizer
 
 // TargetSpec describes the failure-free histories of one request (§3.2).
