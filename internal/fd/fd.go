@@ -80,7 +80,8 @@ func (s *Scripted) Suspect(p simnet.ProcessID) bool {
 
 // Heartbeat is a ◇P-style detector driven by heartbeat messages over
 // simnet. Each process runs one Heartbeat instance; Start launches the
-// sender and monitor goroutines, Stop terminates them.
+// sender goroutine and installs the receive handler, Stop terminates the
+// sender.
 type Heartbeat struct {
 	self     simnet.ProcessID
 	peers    []simnet.ProcessID
@@ -89,13 +90,18 @@ type Heartbeat struct {
 	interval time.Duration
 
 	mu       sync.Mutex
-	lastSeen map[simnet.ProcessID]time.Duration
-	timeout  map[simnet.ProcessID]time.Duration
-	overdue  map[simnet.ProcessID]bool // last Suspect verdict, for transition counting
+	state    map[simnet.ProcessID]*peerState // one entry per peer, fixed at construction
 	stop     chan struct{}
 	stopOnce sync.Once
 
 	m *obs.Metrics
+}
+
+// peerState is what the detector knows about one monitored peer.
+type peerState struct {
+	lastSeen time.Duration
+	timeout  time.Duration
+	overdue  bool // last Suspect verdict, for transition counting
 }
 
 // HeartbeatConfig tunes the detector.
@@ -124,27 +130,30 @@ func NewHeartbeat(self simnet.ProcessID, ep *simnet.Endpoint, peers []simnet.Pro
 		ep:       ep,
 		clk:      ep.Clock(),
 		interval: cfg.Interval,
-		lastSeen: make(map[simnet.ProcessID]time.Duration),
-		timeout:  make(map[simnet.ProcessID]time.Duration),
-		overdue:  make(map[simnet.ProcessID]bool),
+		state:    make(map[simnet.ProcessID]*peerState, len(peers)),
 		stop:     make(chan struct{}),
 		m:        ep.Metrics(),
 	}
 	now := h.clk.Now()
-	for _, p := range peers {
-		h.lastSeen[p] = now
-		h.timeout[p] = 3 * cfg.Interval
+	states := make([]peerState, len(peers))
+	for i, p := range peers {
+		states[i] = peerState{lastSeen: now, timeout: 3 * cfg.Interval}
+		h.state[p] = &states[i]
 	}
 	return h
 }
 
-// Start launches the heartbeat sender and receiver on the network clock.
+// Start launches the heartbeat sender on the network clock and takes over
+// the endpoint's deliveries: receiving a heartbeat is a state update, so it
+// runs as the endpoint's handler, not on a goroutine.
 func (h *Heartbeat) Start() {
 	h.clk.Go(h.sendLoop)
-	h.clk.Go(h.recvLoop)
+	h.ep.Handle(h.onMessage)
 }
 
-// Stop terminates the background goroutines.
+// Stop terminates the sender. The handler stays on the endpoint until the
+// process crashes or the network is recycled; a heartbeat that still
+// arrives only refreshes state nobody reads.
 func (h *Heartbeat) Stop() {
 	h.stopOnce.Do(func() { close(h.stop) })
 }
@@ -173,34 +182,33 @@ func (h *Heartbeat) sendLoop() {
 	}
 }
 
-func (h *Heartbeat) recvLoop() {
-	for {
-		if h.stopped() {
-			return
-		}
-		msg, ok := h.ep.Recv()
-		if !ok {
-			return
-		}
-		if msg.Type != "heartbeat" {
-			continue
-		}
-		from, _ := msg.Payload.(simnet.ProcessID)
-		now := h.clk.Now()
-		h.mu.Lock()
-		// A heartbeat from a previously suspected process proves the
-		// suspicion false: double its timeout (eventual strong accuracy).
-		unsuspected := false
-		if now-h.lastSeen[from] > h.timeout[from] {
-			h.timeout[from] *= 2
-			unsuspected = h.overdue[from]
-		}
-		h.lastSeen[from] = now
-		h.overdue[from] = false
+// onMessage is the endpoint handler (simnet.Endpoint.Handle): it runs on
+// the delivery, so it only updates state under h.mu and never blocks.
+// Heartbeats from processes this detector does not monitor are ignored.
+func (h *Heartbeat) onMessage(msg simnet.Message) {
+	if msg.Type != "heartbeat" {
+		return
+	}
+	from, _ := msg.Payload.(simnet.ProcessID)
+	now := h.clk.Now()
+	h.mu.Lock()
+	ps := h.state[from]
+	if ps == nil {
 		h.mu.Unlock()
-		if unsuspected {
-			h.m.Inc(obs.FDUnsuspicions)
-		}
+		return
+	}
+	// A heartbeat from a previously suspected process proves the
+	// suspicion false: double its timeout (eventual strong accuracy).
+	unsuspected := false
+	if now-ps.lastSeen > ps.timeout {
+		ps.timeout *= 2
+		unsuspected = ps.overdue
+	}
+	ps.lastSeen = now
+	ps.overdue = false
+	h.mu.Unlock()
+	if unsuspected {
+		h.m.Inc(obs.FDUnsuspicions)
 	}
 }
 
@@ -210,15 +218,15 @@ func (h *Heartbeat) recvLoop() {
 func (h *Heartbeat) Suspect(p simnet.ProcessID) bool {
 	now := h.clk.Now()
 	h.mu.Lock()
-	last, ok := h.lastSeen[p]
-	if !ok {
+	ps := h.state[p]
+	if ps == nil {
 		h.mu.Unlock()
 		return false
 	}
-	over := now-last > h.timeout[p]
-	fresh := over && !h.overdue[p]
+	over := now-ps.lastSeen > ps.timeout
+	fresh := over && !ps.overdue
 	if over {
-		h.overdue[p] = true
+		ps.overdue = true
 	}
 	h.mu.Unlock()
 	if fresh {

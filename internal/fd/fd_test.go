@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"xability/internal/simnet"
+	"xability/internal/vclock"
 )
 
 func TestScriptedBasics(t *testing.T) {
@@ -102,15 +103,15 @@ func TestHeartbeatAdaptiveTimeout(t *testing.T) {
 	before := func() time.Duration {
 		hbA.mu.Lock()
 		defer hbA.mu.Unlock()
-		return hbA.timeout["b"]
+		return hbA.state["b"].timeout
 	}()
 	epB.Send(FDEndpoint("a"), "heartbeat", simnet.ProcessID("b"))
 	n.Quiesce()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		hbA.mu.Lock()
-		after := hbA.timeout["b"]
-		last := hbA.lastSeen["b"]
+		after := hbA.state["b"].timeout
+		last := hbA.state["b"].lastSeen
 		hbA.mu.Unlock()
 		if after > before {
 			// The late heartbeat proved the suspicion false: the timeout
@@ -134,5 +135,69 @@ func TestHeartbeatAdaptiveTimeout(t *testing.T) {
 func TestFDEndpointNaming(t *testing.T) {
 	if FDEndpoint("x") != "x/fd" {
 		t.Errorf("FDEndpoint = %q", FDEndpoint("x"))
+	}
+}
+
+// The receive side is the endpoint's handler, not a goroutine: Start
+// spawns the sender only, and a heartbeat has been folded into the
+// detector's state by the time the network reports the delivery settled.
+// The clock is held throughout, so every step lands at a fixed virtual
+// instant. Run under -race -count=5 in CI.
+func TestHeartbeatHandlerRunsOnDelivery(t *testing.T) {
+	n := simnet.New(simnet.Config{Seed: 3, MaxDelay: 200 * time.Microsecond})
+	defer n.Close()
+	virt := n.Clock().(*vclock.Virtual)
+	virt.Enter()
+	defer virt.Exit()
+	epA := n.Register(FDEndpoint("a"))
+	epB := n.Register(FDEndpoint("b"))
+	hb := NewHeartbeat("a", epA, []simnet.ProcessID{"b"}, HeartbeatConfig{Interval: time.Millisecond})
+	hb.Start()
+	defer hb.Stop()
+	if sp := virt.Spawns(); sp != 1 {
+		t.Errorf("Start spawned %d goroutines, want 1 (the sender)", sp)
+	}
+
+	virt.Sleep(6 * time.Millisecond) // b stays silent past the 3ms timeout
+	if !hb.Suspect("b") {
+		t.Fatal("silent peer not suspected")
+	}
+	epB.Send(FDEndpoint("a"), "heartbeat", simnet.ProcessID("b"))
+	n.Quiesce()
+	if hb.Suspect("b") {
+		t.Error("still suspected after its heartbeat was delivered")
+	}
+	hb.mu.Lock()
+	timeout := hb.state["b"].timeout
+	hb.mu.Unlock()
+	if timeout != 6*time.Millisecond {
+		t.Errorf("timeout = %v, want 6ms (doubled by the late heartbeat)", timeout)
+	}
+	if sp := virt.Spawns(); sp != 1 {
+		t.Errorf("%d goroutines spawned after a delivery, want still 1", sp)
+	}
+}
+
+// A beat that lands before its receiver has started waits in the mailbox
+// and is handled at Start.
+func TestHeartbeatStartDrainsEarlyBeats(t *testing.T) {
+	n := simnet.New(simnet.Config{Seed: 4, MaxDelay: 200 * time.Microsecond})
+	defer n.Close()
+	clk := n.Clock()
+	clk.Enter()
+	defer clk.Exit()
+	epA := n.Register(FDEndpoint("a"))
+	epB := n.Register(FDEndpoint("b"))
+	hb := NewHeartbeat("a", epA, []simnet.ProcessID{"b"}, HeartbeatConfig{Interval: time.Millisecond})
+	clk.Sleep(6 * time.Millisecond)
+	epB.Send(FDEndpoint("a"), "heartbeat", simnet.ProcessID("b"))
+	n.Quiesce() // delivered into the mailbox: nobody is receiving yet
+	if !hb.Suspect("b") {
+		t.Fatal("the beat reached the detector before Start")
+	}
+	hb.Start()
+	defer hb.Stop()
+	if hb.Suspect("b") {
+		t.Error("Start did not handle the beat waiting in the mailbox")
 	}
 }

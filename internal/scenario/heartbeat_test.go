@@ -1,6 +1,11 @@
 package scenario
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	"xability/internal/vclock"
+)
 
 // TestDelayStormHeartbeatRecoversXAbility is the end-to-end ◇P test: the
 // delay-storm schedule runs against the *real* heartbeat failure detectors
@@ -101,5 +106,49 @@ func TestDelayStormHeartbeatSweep(t *testing.T) {
 	}
 	if d.Effects[1] != n {
 		t.Errorf("effects histogram %v, want all mass on 1", d.Effects)
+	}
+}
+
+// TestDeliveriesSpawnNoGoroutines gates what a message costs the host, in
+// counts the clock keeps (vclock.Virtual's Spawns and Events), so it holds
+// on any runner: a delay-storm-hb seed is ≈600 messages, most of them
+// heartbeats, and neither a delivery nor a heartbeat's receipt may start a
+// goroutine. What is spawned is the deployment's loops, the plan's and the
+// watchdog's timers and the request — 15 on every seed, however many
+// messages the seed sends (when a delivery was a goroutine and each
+// detector had a receiver, ≈620). Events are pinned exactly: one per
+// message plus the loops' timers and wake-ups (seed 1: 918; 1 490 when
+// each heartbeat also woke a receiver). A change that moves them
+// re-measures here and says why.
+//
+// GOMAXPROCS is pinned to 1 for the reason TestOutcomesGolden gives; the
+// counts are read once the stopped run's clock has fully wound down.
+func TestDeliveriesSpawnNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sc, ok := Get("delay-storm-hb")
+	if !ok {
+		t.Fatal("delay-storm-hb not registered")
+	}
+	const maxSpawns = 20 // 4 processes × their loops, the timers, the request
+	wantEvents := []uint64{918, 858, 908, 937}
+	for i, want := range wantEvents {
+		seed := int64(i + 1)
+		scratch := &runScratch{}
+		o := execute(sc, seed, RunOptions{}, scratch)
+		virt := scratch.net.Clock().(*vclock.Virtual)
+		for !virt.Quiesced() {
+			runtime.Gosched()
+		}
+		spawns, events := virt.Spawns(), virt.Events()
+		t.Logf("seed %d: %d messages, %d goroutines spawned, %d clock events", seed, o.Messages, spawns, events)
+		if o.Messages < 500 {
+			t.Errorf("seed %d: %d messages, want a storm of ≥ 500: the scenario no longer loads the message plane", seed, o.Messages)
+		}
+		if spawns > maxSpawns {
+			t.Errorf("seed %d: %d goroutines spawned for %d messages, want ≤ %d: something spawns per message again", seed, spawns, o.Messages, maxSpawns)
+		}
+		if events != want {
+			t.Errorf("seed %d: %d clock events, want %d", seed, events, want)
+		}
 	}
 }

@@ -8,10 +8,11 @@ import (
 // TestSendRecvAllocBudget pins the network's hot path: one Send plus the
 // matching Recv. With interned process indexes (dense crash/counter/stream
 // slices instead of per-send map hashing), pooled delivery Runners, pooled
-// clock events/waiters, and ring-buffer mailboxes, the steady state costs
-// one allocation — the delivery goroutine spawn. The budget (1.5) fails
-// loudly if a map, closure, or per-message envelope sneaks back in (the
-// pre-PR path cost 11 allocations per round trip).
+// clock events/waiters, ring-buffer mailboxes, and the delivery run on the
+// clock's pump instead of a goroutine of its own, the steady state costs
+// no allocation. The budget (0.5) fails loudly if a spawn, map, closure, or
+// per-message envelope sneaks back in (the path once cost 11 allocations
+// per round trip, and 1 — the delivery goroutine — until PR 22).
 //
 // The payload is pre-boxed: boxing a value into `any` is the caller's
 // allocation, not the network's.
@@ -31,15 +32,14 @@ func TestSendRecvAllocBudget(t *testing.T) {
 		run() // warm pools and ring buffers
 	}
 	avg := testing.AllocsPerRun(1000, run)
-	if avg > 1.5 {
-		t.Fatalf("Send+Recv allocates %.2f objects/op in steady state, budget 1.5 (one goroutine spawn)", avg)
+	if avg > 0.5 {
+		t.Fatalf("Send+Recv allocates %.2f objects/op in steady state, budget 0.5 (nothing per message)", avg)
 	}
 }
 
 // TestBroadcastAllocBudget pins fan-out: a 6-peer broadcast plus receives
-// must stay at one allocation per delivery (the spawns), with no per-peer
-// bookkeeping allocations — the registration-order snapshot is read
-// without copying.
+// allocates nothing either — no spawn per delivery and no per-peer
+// bookkeeping (the registration-order snapshot is read without copying).
 func TestBroadcastAllocBudget(t *testing.T) {
 	n := New(Config{Seed: 1, MaxDelay: 10 * time.Microsecond})
 	defer n.Close()
@@ -61,8 +61,8 @@ func TestBroadcastAllocBudget(t *testing.T) {
 		run()
 	}
 	avg := testing.AllocsPerRun(500, run)
-	if avg > 7.5 {
-		t.Fatalf("6-peer broadcast allocates %.2f objects/op in steady state, budget 7.5 (six spawns + slack)", avg)
+	if avg > 0.5 {
+		t.Fatalf("6-peer broadcast allocates %.2f objects/op in steady state, budget 0.5 (nothing per delivery)", avg)
 	}
 }
 

@@ -73,9 +73,13 @@ func TestRecordInFlightDropResolves(t *testing.T) {
 	a := n.Register("a")
 	n.Register("b")
 
+	// Attached, so the clock cannot advance to the delivery between the
+	// send and the cut.
+	n.Clock().Enter()
 	a.Send("b", "m", 1)
 	n.DropLink("a", "b") // sever while in flight
 	n.Quiesce()
+	n.Clock().Exit()
 
 	es := log.Entries()
 	if len(es) != 1 || es[0].Verdict != schedule.DroppedDeliver {

@@ -49,7 +49,15 @@
 // Register into dense indexes, so the per-send state (crash flags, send
 // counters, partition groups, delay streams) lives in slices rather than
 // hash maps, and delivery events are pooled Runners on the virtual clock —
-// a steady-state Send/Recv round trip performs no heap allocation. Reset
+// a steady-state Send/Recv round trip performs no heap allocation and
+// starts no goroutine. What runs where: Send runs on the sender's
+// goroutine; the delivery (link check, record verdict, coverage fold,
+// mailbox push or handler call) runs on the clock's pump at the delivery
+// instant; Recv returns on the receiver's goroutine once the pump wakes
+// it. An endpoint given a handler (Endpoint.Handle) has no receiver: the
+// delivery calls the handler, under the vclock.Runner contract — it must
+// not block in a clock primitive and may take only locks nobody holds
+// across one. Under the Real clock each delivery is a goroutine. Reset
 // recycles a quiesced network (endpoints, interning tables, pools) for the
 // next seed of a sweep instead of rebuilding the world.
 //
@@ -295,7 +303,8 @@ func (n *Network) Trace() *obs.Trace {
 }
 
 // Endpoint is one process's attachment to the network: an unbounded mailbox
-// with blocking receive. The mailbox is a ring buffer, so steady-state
+// with blocking receive, or — once Handle installs one — a handler the
+// delivery calls directly. The mailbox is a ring buffer, so steady-state
 // receive traffic reuses its storage.
 type Endpoint struct {
 	id   ProcessID
@@ -303,12 +312,13 @@ type Endpoint struct {
 	idx  int32 // dense endpoint index
 	base int32 // dense base-process index
 
-	mu     sync.Mutex
-	cond   vclock.Cond
-	q      []Message // ring buffer
-	head   int
-	count  int
-	closed bool
+	mu      sync.Mutex
+	cond    vclock.Cond
+	q       []Message // ring buffer
+	head    int
+	count   int
+	closed  bool
+	handler func(Message) // set by Handle; deliveries call it instead of queueing
 }
 
 // push appends to the mailbox ring; callers hold e.mu.
@@ -398,6 +408,7 @@ func (n *Network) Crash(id ProcessID) {
 	n.mu.Unlock()
 	ep.mu.Lock()
 	ep.closed = true
+	ep.handler = nil // the handler belongs to the incarnation that just died
 	ep.clearLocked()
 	ep.cond.Broadcast()
 	ep.mu.Unlock()
@@ -686,11 +697,17 @@ func (d *delivery) Run() {
 	n.mu.Unlock()
 	if !dead {
 		dst.mu.Lock()
-		if !dst.closed {
+		h := dst.handler
+		if dst.closed {
+			h = nil
+		} else if h == nil {
 			dst.push(msg)
 			dst.cond.Broadcast()
 		}
 		dst.mu.Unlock()
+		if h != nil {
+			h(msg)
+		}
 	}
 	n.mu.Lock()
 	n.inflight--
@@ -792,7 +809,7 @@ func (e *Endpoint) Send(to ProcessID, typ string, payload any) {
 	n.mu.Unlock()
 
 	if v := n.virt; v != nil {
-		v.GoAfterRunner(delay, d)
+		v.AfterRunner(delay, d)
 	} else {
 		n.clk.GoAfter(delay, d.Run)
 	}
@@ -813,15 +830,41 @@ func (e *Endpoint) Broadcast(typ string, payload any) {
 	}
 }
 
+// Handle makes the endpoint event-driven: from now on every delivery calls
+// fn with the message instead of queueing it for Recv, so a process whose
+// reaction to a message is a state update needs no receiver goroutine.
+// Messages already in the mailbox (a peer's send can land before the
+// process starts) go through fn first, in arrival order. fn runs on the
+// delivery — under the virtual clock that is the clock's pump, so the
+// vclock.Runner contract applies: it must not block in a clock primitive
+// and may take only locks nobody holds across one; sending is fine. The
+// handler lasts for the incarnation: Crash removes it, and the process
+// restarted on the endpoint installs its own.
+func (e *Endpoint) Handle(fn func(Message)) {
+	e.mu.Lock()
+	for e.count > 0 && !e.closed {
+		m := e.pop()
+		e.mu.Unlock()
+		fn(m)
+		e.mu.Lock()
+	}
+	e.handler = fn
+	e.mu.Unlock()
+}
+
 // Recv blocks until a message arrives and returns it. ok is false when the
 // endpoint's process has crashed (or the network shut down), after which no
-// further messages will ever arrive.
+// further messages will ever arrive. Recv on an endpoint with a handler
+// panics: the handler consumes every message.
 func (e *Endpoint) Recv() (Message, bool) {
 	clk := e.net.clk
 	clk.Enter()
 	defer clk.Exit()
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.handler != nil {
+		panic(fmt.Sprintf("simnet: Recv on %q, which has a handler", e.id))
+	}
 	for e.count == 0 && !e.closed {
 		e.cond.Wait()
 	}
@@ -972,6 +1015,7 @@ func (n *Network) resetDrained(cfg Config) bool {
 	for _, ep := range eps {
 		ep.mu.Lock()
 		ep.closed = false
+		ep.handler = nil
 		ep.clearLocked()
 		ep.cond = clk.NewCond(&ep.mu)
 		ep.mu.Unlock()

@@ -167,9 +167,13 @@ func TestPartitionDropsInFlightTraffic(t *testing.T) {
 	defer n.Close()
 	a := n.Register("a")
 	b := n.Register("b")
+	// Attached, so the clock cannot advance to the delivery between the
+	// send and the cut.
+	n.Clock().Enter()
 	a.Send("b", "m", 1)
 	n.Partition([]ProcessID{"a"}, []ProcessID{"b"}) // before delivery fires
 	n.Quiesce()
+	n.Clock().Exit()
 	if _, ok := b.TryRecv(); ok {
 		t.Error("in-flight message survived the partition")
 	}

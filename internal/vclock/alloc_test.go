@@ -55,8 +55,8 @@ func TestCondWaitAllocBudget(t *testing.T) {
 	c := v.NewCond(&mu)
 	wake := func() { c.Broadcast() }
 	run := func() {
+		v.Enter() // attached first: the wake cannot fire before the wait is armed
 		v.GoAfter(0, wake)
-		v.Enter()
 		mu.Lock()
 		c.Wait()
 		mu.Unlock()

@@ -19,8 +19,10 @@
 // participating in the simulation are attached to the clock (Clock.Go,
 // Clock.Enter); whenever every attached goroutine is blocked in a clock
 // primitive, the clock pops the earliest event, advances virtual time to
-// its deadline, and wakes exactly one goroutine. Execution of events is
-// thereby serialized.
+// its deadline, and wakes exactly one goroutine — or, for a Runner (a
+// message delivery), runs it on the spot, on the goroutine whose clock call
+// found the schedule quiescent, and pops the next. Execution of events is
+// thereby serialized; see Runner for what a callback on the pump may do.
 //
 // # How seeds map to schedules
 //

@@ -101,11 +101,18 @@ type Cond interface {
 	Broadcast()
 }
 
-// Runner is a pre-allocated schedulable callback: GoAfterRunner spawns
-// Run on an attached goroutine exactly like GoAfter spawns fn, but the
-// caller supplies a reusable object instead of a fresh closure. Hot paths
+// Runner is a pre-allocated schedulable callback (AfterRunner). Hot paths
 // that schedule one event per message (the network's delivery plane) pool
 // their Runners so the per-event heap footprint is zero.
+//
+// Run executes on the pump: on whichever goroutine's clock call found the
+// schedule quiescent, with no goroutine of its own and counted as the one
+// runnable unit until it returns. So Run must not block in a clock
+// primitive (Sleep, a Cond wait, Drain) — nothing else could run to
+// wake it — and may take only locks that nobody holds across a call into
+// the clock, because the goroutine it borrowed may be inside such a call.
+// Scheduling from Run (Broadcast, GoAfter, AfterRunner, Send) is fine: the
+// events fire after Run returns.
 type Runner interface{ Run() }
 
 // Stagger derives a deterministic phase offset in [0, span) from a name.
@@ -123,7 +130,7 @@ func Stagger(name string, span time.Duration) time.Duration {
 }
 
 // vevent is one pending entry in the virtual schedule: a waiter to wake
-// (w), a callback to spawn (fn), or a pooled Runner to spawn (r). Events
+// (w), a callback to spawn (fn), or a pooled Runner to run inline (r). Events
 // are pooled on the owning clock (evfree): pushLocked recycles them and
 // pumpLocked returns them the moment they are popped, so steady-state
 // scheduling allocates nothing.
@@ -154,9 +161,7 @@ type waiter struct {
 
 // gent is one ledger entry: a goroutine's attachment depth plus the
 // program counter of whatever created the attachment, so Stop can name the
-// origin of a leak. site is zero for pooled-Runner spawns (GoAfterRunner
-// is the per-message hot path; a runtime.Caller there would tax every
-// delivery).
+// origin of a leak.
 type gent struct {
 	depth int
 	site  uintptr
@@ -167,7 +172,8 @@ type Virtual struct {
 	mu     sync.Mutex
 	now    time.Duration
 	seq    uint64
-	busy   int // attached goroutines not blocked in a clock primitive
+	spawns uint64
+	busy   int // attached goroutines not blocked in a clock primitive, plus a running Runner
 	pq     []*vevent
 	ledger map[uint64]*gent // goroutine identity → attachment depth
 
@@ -198,6 +204,15 @@ func (v *Virtual) Events() uint64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.seq
+}
+
+// Spawns reports how many goroutines the clock ever started (Go, and GoAfter
+// callbacks when they fire). Like Events it is a host-independent count of
+// simulator work; Runners are not in it — they run on the pump.
+func (v *Virtual) Spawns() uint64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.spawns
 }
 
 // --- event heap (hand-rolled: container/heap's interface indirection and
@@ -251,7 +266,7 @@ func eventLess(a, b *vevent) bool {
 	return a.seq < b.seq
 }
 
-func (v *Virtual) pushLocked(at time.Duration, w *waiter, fn func(), r Runner, pc uintptr) {
+func (v *Virtual) pushLocked(at time.Duration, w *waiter, fn func(), r Runner, pc uintptr) *vevent {
 	v.seq++
 	var ev *vevent
 	if n := len(v.evfree); n > 0 {
@@ -267,6 +282,7 @@ func (v *Virtual) pushLocked(at time.Duration, w *waiter, fn func(), r Runner, p
 		ev.wgen = w.gen
 	}
 	v.heapPush(ev)
+	return ev
 }
 
 // pushBroadcastLocked schedules a broadcast wake for w at the current
@@ -277,19 +293,7 @@ func (v *Virtual) pushLocked(at time.Duration, w *waiter, fn func(), r Runner, p
 // interleaving varies with worker count). Events come from the same pool
 // as timers, so a broadcast allocates nothing in steady state.
 func (v *Virtual) pushBroadcastLocked(w *waiter) {
-	v.seq++
-	var ev *vevent
-	if n := len(v.evfree); n > 0 {
-		ev = v.evfree[n-1]
-		v.evfree[n-1] = nil
-		v.evfree = v.evfree[:n-1]
-	} else {
-		ev = new(vevent)
-	}
-	ev.at, ev.seq, ev.w, ev.fn, ev.r, ev.pc = v.now, v.seq, w, nil, nil, 0
-	ev.wgen = w.gen
-	ev.bw = true
-	v.heapPush(ev)
+	v.pushLocked(v.now, w, nil, nil, 0).bw = true // bw does not enter the heap order
 }
 
 // newWaiterLocked hands out a pooled waiter, armed (gen fixed) and clean.
@@ -327,6 +331,8 @@ func (v *Virtual) addBusyLocked(d int) {
 // pumpLocked fires the next pending event: it advances now to the event's
 // deadline, marks its owner runnable, and wakes it. Exactly one runnable
 // goroutine results, so event execution is serialized and deterministic.
+// A Runner has no goroutine to wake: the pump runs it here, as the one
+// runnable unit and with v.mu dropped, then keeps pumping.
 // Popped events return to the pool immediately — nothing references a
 // vevent once it leaves the heap — keeping the critical section short and
 // the heap churn-free.
@@ -347,12 +353,16 @@ func (v *Virtual) pumpLocked() {
 		}
 		v.busy++
 		if fn != nil {
+			v.spawns++
 			go v.runAdopted(fn, pc) //xvet:ok baregoroutine the clock's own spawn: the runnability unit was added above and the goroutine adopts into the ledger
 			return
 		}
 		if r != nil {
-			go v.runAdoptedRunner(r) //xvet:ok baregoroutine pooled-Runner spawn, adopted into the ledger like runAdopted
-			return
+			v.mu.Unlock()
+			r.Run()
+			v.mu.Lock()
+			v.busy--
+			continue
 		}
 		if !bw {
 			// Timer expiry: mark and detach from the cond's list. Broadcast
@@ -368,29 +378,6 @@ func (v *Virtual) pumpLocked() {
 	}
 }
 
-// adopt registers the calling (fresh) goroutine in the ledger; the
-// runnability unit was already added by the spawner. site names the
-// spawner's call site for Stop's leak audit (zero when untracked).
-func (v *Virtual) adopt(site uintptr) uint64 {
-	id := gid()
-	v.mu.Lock()
-	v.ledger[id] = v.newGentLocked(1, site)
-	v.mu.Unlock()
-	return id
-}
-
-func (v *Virtual) disown(id uint64) {
-	v.mu.Lock()
-	g := v.ledger[id]
-	g.depth--
-	if g.depth == 0 {
-		delete(v.ledger, id)
-		v.gfree = append(v.gfree, g)
-		v.addBusyLocked(-1)
-	}
-	v.mu.Unlock()
-}
-
 func (v *Virtual) newGentLocked(depth int, site uintptr) *gent {
 	if n := len(v.gfree); n > 0 {
 		g := v.gfree[n-1]
@@ -403,17 +390,15 @@ func (v *Virtual) newGentLocked(depth int, site uintptr) *gent {
 	return &gent{depth: depth, site: site}
 }
 
-// runAdopted runs fn on the calling (fresh) goroutine with a ledger entry.
+// runAdopted runs fn on the calling (fresh) goroutine with a ledger entry;
+// the runnability unit was already added by the spawner. site names the
+// spawner's call site for Stop's leak audit.
 func (v *Virtual) runAdopted(fn func(), site uintptr) {
-	id := v.adopt(site)
-	defer v.disown(id)
+	v.mu.Lock()
+	v.ledger[gid()] = v.newGentLocked(1, site)
+	v.mu.Unlock()
+	defer v.Exit()
 	fn()
-}
-
-func (v *Virtual) runAdoptedRunner(r Runner) {
-	id := v.adopt(0) // pooled hot path: no site capture (see gent)
-	defer v.disown(id)
-	r.Run()
 }
 
 // Enter implements Clock.
@@ -497,6 +482,7 @@ func (v *Virtual) Go(fn func()) {
 	pc := callerPC()
 	v.mu.Lock()
 	v.busy++
+	v.spawns++
 	v.mu.Unlock()
 	go v.runAdopted(fn, pc) //xvet:ok baregoroutine this IS vclock.Go: the spawn is counted busy above and adopted into the ledger
 }
@@ -515,11 +501,12 @@ func (v *Virtual) GoAfter(d time.Duration, fn func()) {
 	v.mu.Unlock()
 }
 
-// GoAfterRunner is GoAfter for a pooled Runner: no closure is allocated and
-// the event object comes from the clock's pool, so scheduling is free of
-// per-call heap traffic. The Runner must not be reused until Run has been
+// AfterRunner schedules r.Run on the pump after d (see Runner for what Run
+// may do there). No closure is allocated, the event object comes from the
+// clock's pool and nothing is spawned, so a scheduled Runner is free of
+// heap traffic end to end. The Runner must not be reused until Run has been
 // entered.
-func (v *Virtual) GoAfterRunner(d time.Duration, r Runner) {
+func (v *Virtual) AfterRunner(d time.Duration, r Runner) {
 	if d < 0 {
 		d = 0
 	}
@@ -573,9 +560,6 @@ func (v *Virtual) Stop() LeakReport {
 // siteLabel renders a creation-site pc as "file:line (func)", keeping the
 // last two path elements of the file for readable test output.
 func siteLabel(pc uintptr) string {
-	if pc == 0 {
-		return "untracked site (pooled runner)"
-	}
 	fn := runtime.FuncForPC(pc)
 	if fn == nil {
 		return "unknown site"
@@ -657,9 +641,15 @@ func (c *vcond) wait(d time.Duration) bool {
 	if d >= 0 {
 		v.pushLocked(v.now+d, w, nil, nil, 0)
 	}
+	v.mu.Unlock()
+	// Registered first (no broadcast can be missed), then l released, and
+	// only then runnability given up: that last step may pump, and a Runner
+	// on the pump may need l — a delivery into the endpoint this goroutine
+	// is about to wait on takes the mailbox lock.
+	c.l.Unlock()
+	v.mu.Lock()
 	v.addBusyLocked(-1)
 	v.mu.Unlock()
-	c.l.Unlock()
 	<-w.ch //xvet:ok detachedwait the clock's own cond wait: runnability was released above; the wake is a broadcast or scheduled timeout
 	// The wake (fired=true) happens before the channel send, so reading
 	// timedOut here is ordered; after the read nothing references w and it
