@@ -75,7 +75,7 @@ type PBServer struct {
 	world    *env.Env
 	handler  Handler
 	net      *simnet.Network
-	clk      vclock.Clock
+	clk      *vclock.Virtual
 	crashGap time.Duration // test hook: delay between execute and processed-notice
 
 	mu        sync.Mutex
@@ -228,7 +228,7 @@ type ActiveServer struct {
 	world     *env.Env
 	handler   Handler
 	net       *simnet.Network
-	clk       vclock.Clock
+	clk       *vclock.Virtual
 	isSeq     bool
 	replyOnly simnet.ProcessID // only the sequencer replies (clients dedup anyway)
 

@@ -113,7 +113,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 // Clock returns the cluster's clock (virtual by default; configure via
 // ClusterConfig.Net.Clock). Scenario drivers schedule fault injection on it
 // so injections land at fixed points of simulated time.
-func (c *Cluster) Clock() vclock.Clock { return c.Net.Clock() }
+func (c *Cluster) Clock() *vclock.Virtual { return c.Net.Clock() }
 
 // Network returns the cluster's simulated network. Scenario drivers reach
 // through it to the link fault plane.
@@ -175,7 +175,7 @@ func (c *Cluster) Stop() {
 type Client struct {
 	id       simnet.ProcessID
 	ep       *simnet.Endpoint
-	clk      vclock.Clock
+	clk      *vclock.Virtual
 	replicas []simnet.ProcessID
 	det      *fd.Scripted
 	poll     time.Duration

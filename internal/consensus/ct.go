@@ -43,7 +43,7 @@ type Node struct {
 	peers []simnet.ProcessID
 	ep    *simnet.Endpoint
 	det   fd.Detector
-	clk   vclock.Clock
+	clk   *vclock.Virtual
 	log   *wal.Log     // nil: in-memory acceptor (no crash-recovery)
 	m     *obs.Metrics // nil-safe run metrics, pulled from the endpoint
 
@@ -250,7 +250,7 @@ type ctMsg struct {
 
 type ctInstance struct {
 	mu   sync.Mutex
-	cond vclock.Cond
+	cond *vclock.Cond
 	key  Key
 	// The acceptor's durable state (xvet:durable): writes must be paired
 	// with a WAL persist — the durablewrite analyzer flags any assignment

@@ -93,7 +93,7 @@ func slotID(n int) string { return "slot#" + strconv.Itoa(n) }
 // slotState is a replica's view of the slot log.
 type slotState struct {
 	mu   sync.Mutex
-	cond vclock.Cond
+	cond *vclock.Cond
 
 	pending  []SubmitPayload // arrival-ordered candidates for the next batch
 	next     int             // next slot index this replica will claim
@@ -102,7 +102,7 @@ type slotState struct {
 	inflight int             // slots claimed here and not yet resolved
 }
 
-func newSlotState(clk vclock.Clock) *slotState {
+func newSlotState(clk *vclock.Virtual) *slotState {
 	ss := &slotState{}
 	ss.cond = clk.NewCond(&ss.mu)
 	return ss

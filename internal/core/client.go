@@ -33,7 +33,7 @@ var ErrClientClosed = errors.New("core: client endpoint closed")
 type Client struct {
 	id       simnet.ProcessID
 	ep       *simnet.Endpoint
-	clk      vclock.Clock
+	clk      *vclock.Virtual
 	replicas []simnet.ProcessID
 	det      fd.Detector
 	poll     time.Duration

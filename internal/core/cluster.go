@@ -251,7 +251,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 // ClusterConfig.Net.Clock). Scenario drivers schedule fault injection on it
 // — Clock().Go with a Clock().Sleep — so injections land at fixed points of
 // simulated time regardless of how fast the host executes the run.
-func (c *Cluster) Clock() vclock.Clock { return c.Net.Clock() }
+func (c *Cluster) Clock() *vclock.Virtual { return c.Net.Clock() }
 
 // Network returns the cluster's simulated network. Scenario drivers reach
 // through it to the link fault plane (Partition, Heal, DropLink,

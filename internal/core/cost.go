@@ -42,12 +42,12 @@ func (cm CostModel) enabled() bool { return cm.Consensus > 0 || cm.Exec > 0 }
 // metric — is too; a queued contender costs one clock event, whatever the
 // queue's length.
 type vcpu struct {
-	clk    vclock.Clock
+	clk    *vclock.Virtual
 	mu     sync.Mutex
 	freeAt time.Duration // virtual instant the CPU next falls idle
 }
 
-func newVCPU(clk vclock.Clock) *vcpu { return &vcpu{clk: clk} }
+func newVCPU(clk *vclock.Virtual) *vcpu { return &vcpu{clk: clk} }
 
 // charge occupies the CPU for d of virtual time, FIFO among contenders.
 // The caller must be attached to the clock (every server goroutine is), so

@@ -134,7 +134,7 @@ type Server struct {
 	det  fd.Detector
 	cons consensus.Provider
 	net  *simnet.Network
-	clk  vclock.Clock
+	clk  *vclock.Virtual
 
 	cleanInterval time.Duration
 	costs         CostModel

@@ -27,7 +27,7 @@ import (
 type Station struct {
 	id       simnet.ProcessID
 	ep       *simnet.Endpoint
-	clk      vclock.Clock
+	clk      *vclock.Virtual
 	replicas []simnet.ProcessID
 	det      fd.Detector
 	poll     time.Duration
@@ -36,7 +36,7 @@ type Station struct {
 	tr       *obs.Trace   // nil-safe span recorder
 
 	mu      sync.Mutex
-	cond    vclock.Cond             // Drive's join; sessions wait on their own call's cond
+	cond    *vclock.Cond            // Drive's join; sessions wait on their own call's cond
 	waiting map[string]*stationCall // in-flight sessions by request ID
 	// The same sessions in arrival order, so the stop path wakes them in
 	// an order that does not depend on map iteration.
@@ -55,7 +55,7 @@ type Station struct {
 // broadcast by the pump when this session's reply arrives or the station
 // stops, so a reply wakes one session however many are in flight.
 type stationCall struct {
-	cond       vclock.Cond
+	cond       *vclock.Cond
 	done       bool
 	val        action.Value
 	prev, next *stationCall // arrival-order list of in-flight sessions

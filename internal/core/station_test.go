@@ -7,7 +7,6 @@ import (
 	"xability/internal/action"
 	"xability/internal/obs"
 	"xability/internal/simnet"
-	"xability/internal/vclock"
 	"xability/internal/verify"
 	"xability/internal/workload"
 )
@@ -143,12 +142,12 @@ func TestOpenLoopEventsPerRequest(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := workload.OpenLoopSpec{Clients: 400, Rate: tc.rate, Duration: 16 * time.Millisecond, Accounts: 8}
 			r := newOpenLoopRun(t, ClusterConfig{Replicas: 3, Batch: tc.batch, Costs: t11Costs}, spec, 1)
-			virt := r.c.Clock().(*vclock.Virtual)
-			before := virt.Events()
+			clk := r.c.Clock()
+			before := clk.Events()
 			if n := r.drive(); n != len(r.reqs) {
 				t.Fatalf("%d of %d sessions completed", n, len(r.reqs))
 			}
-			perReq := (virt.Events() - before) / uint64(len(r.reqs))
+			perReq := (clk.Events() - before) / uint64(len(r.reqs))
 			t.Logf("%d requests, %d clock events per request", len(r.reqs), perReq)
 			if perReq > tc.limit {
 				t.Errorf("%d clock events per request, want ≤ %d: something on the run path does work proportional to the sessions in flight", perReq, tc.limit)

@@ -86,7 +86,7 @@ type Heartbeat struct {
 	self     simnet.ProcessID
 	peers    []simnet.ProcessID
 	ep       *simnet.Endpoint
-	clk      vclock.Clock
+	clk      *vclock.Virtual
 	interval time.Duration
 
 	mu       sync.Mutex

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"xability/internal/simnet"
-	"xability/internal/vclock"
 )
 
 func TestScriptedBasics(t *testing.T) {
@@ -146,19 +145,19 @@ func TestFDEndpointNaming(t *testing.T) {
 func TestHeartbeatHandlerRunsOnDelivery(t *testing.T) {
 	n := simnet.New(simnet.Config{Seed: 3, MaxDelay: 200 * time.Microsecond})
 	defer n.Close()
-	virt := n.Clock().(*vclock.Virtual)
-	virt.Enter()
-	defer virt.Exit()
+	clk := n.Clock()
+	clk.Enter()
+	defer clk.Exit()
 	epA := n.Register(FDEndpoint("a"))
 	epB := n.Register(FDEndpoint("b"))
 	hb := NewHeartbeat("a", epA, []simnet.ProcessID{"b"}, HeartbeatConfig{Interval: time.Millisecond})
 	hb.Start()
 	defer hb.Stop()
-	if sp := virt.Spawns(); sp != 1 {
+	if sp := clk.Spawns(); sp != 1 {
 		t.Errorf("Start spawned %d goroutines, want 1 (the sender)", sp)
 	}
 
-	virt.Sleep(6 * time.Millisecond) // b stays silent past the 3ms timeout
+	clk.Sleep(6 * time.Millisecond) // b stays silent past the 3ms timeout
 	if !hb.Suspect("b") {
 		t.Fatal("silent peer not suspected")
 	}
@@ -173,7 +172,7 @@ func TestHeartbeatHandlerRunsOnDelivery(t *testing.T) {
 	if timeout != 6*time.Millisecond {
 		t.Errorf("timeout = %v, want 6ms (doubled by the late heartbeat)", timeout)
 	}
-	if sp := virt.Spawns(); sp != 1 {
+	if sp := clk.Spawns(); sp != 1 {
 		t.Errorf("%d goroutines spawned after a delivery, want still 1", sp)
 	}
 }

@@ -9,8 +9,8 @@ import (
 // Detachedwait flags blocking waits the virtual clock cannot see:
 // sync.WaitGroup.Wait, sync.Cond.Wait, and bare channel receives. A
 // clock-attached goroutine parked in one of these is still counted
-// runnable (or, if wrapped in Detached, re-attaches at an instant the
-// schedule doesn't order), so the clock either deadlocks or pumps
+// runnable (or, if it gives its attachment up around the wait, re-attaches
+// at an instant the schedule doesn't order), so the clock either deadlocks or pumps
 // background deadlines and burns nondeterministic virtual time — PR 4's
 // router bug, where a detached WaitGroup.Wait let heartbeat deadlines
 // fire during the join, as a lint rule. The sanctioned primitive is a

@@ -6,16 +6,16 @@ import (
 )
 
 // Walltime flags wall-clock reads and sleeps. Virtual-time determinism
-// means *all* time flows through vclock.Clock; a single time.Now or
+// means *all* time flows through the vclock clock; a single time.Now or
 // time.Sleep smuggles the host's scheduler into the run. This is the rule
 // that would have caught PR 5's wall-races (free-running cleaner loops and
 // late events timed against the wall) at review time instead of in a
-// flaky sweep. Legitimate real-time boundaries — vclock's Real
-// implementation, exper's throughput stopwatches — carry //xvet:ok
-// annotations; nothing is exempted by path.
+// flaky sweep. Legitimate real-time boundaries — exper's throughput
+// stopwatches, the CLIs' progress printing — carry //xvet:ok annotations;
+// nothing is exempted by path.
 var Walltime = &Analyzer{
 	Name: "walltime",
-	Doc:  "no time.Now/Sleep/After/Tick/... outside the vclock Real boundary; time must flow through vclock.Clock",
+	Doc:  "no time.Now/Sleep/After/Tick/... on simulation paths; time must flow through the vclock clock",
 	Run:  runWalltime,
 }
 
@@ -51,7 +51,7 @@ func runWalltime(pass *Pass) error {
 			if !wallclockFuncs[fn.Name()] {
 				return true
 			}
-			pass.Reportf(sel.Pos(), "time.%s reads the wall clock and breaks virtual-time determinism; route time through vclock.Clock", fn.Name())
+			pass.Reportf(sel.Pos(), "time.%s reads the wall clock and breaks virtual-time determinism; route time through the vclock clock", fn.Name())
 			return true
 		})
 	}

@@ -23,7 +23,7 @@ type firing struct {
 // opRecorder is a fake fault-plan Target that timestamps every call on its
 // own virtual clock.
 type opRecorder struct {
-	clk vclock.Clock
+	clk *vclock.Virtual
 	net *simnet.Network
 
 	mu    sync.Mutex
@@ -41,7 +41,7 @@ func (r *opRecorder) note(call string) {
 	r.mu.Unlock()
 }
 
-func (r *opRecorder) Clock() vclock.Clock      { return r.clk }
+func (r *opRecorder) Clock() *vclock.Virtual   { return r.clk }
 func (r *opRecorder) Network() *simnet.Network { return r.net }
 func (r *opRecorder) CrashServer(i int)        { r.note(fmt.Sprintf("crash(%d)", i)) }
 func (r *opRecorder) SuspectEverywhere(p simnet.ProcessID, v bool) {

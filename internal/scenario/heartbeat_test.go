@@ -3,8 +3,6 @@ package scenario
 import (
 	"runtime"
 	"testing"
-
-	"xability/internal/vclock"
 )
 
 // TestDelayStormHeartbeatRecoversXAbility is the end-to-end ◇P test: the
@@ -135,11 +133,11 @@ func TestDeliveriesSpawnNoGoroutines(t *testing.T) {
 		seed := int64(i + 1)
 		scratch := &runScratch{}
 		o := execute(sc, seed, RunOptions{}, scratch)
-		virt := scratch.net.Clock().(*vclock.Virtual)
-		for !virt.Quiesced() {
+		clk := scratch.net.Clock()
+		for !clk.Quiesced() {
 			runtime.Gosched()
 		}
-		spawns, events := virt.Spawns(), virt.Events()
+		spawns, events := clk.Spawns(), clk.Events()
 		t.Logf("seed %d: %d messages, %d goroutines spawned, %d clock events", seed, o.Messages, spawns, events)
 		if o.Messages < 500 {
 			t.Errorf("seed %d: %d messages, want a storm of ≥ 500: the scenario no longer loads the message plane", seed, o.Messages)

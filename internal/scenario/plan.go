@@ -30,7 +30,7 @@ import (
 // protocol the repository implements.
 type Target interface {
 	// Clock is the deployment's clock; ops are scheduled on it.
-	Clock() vclock.Clock
+	Clock() *vclock.Virtual
 	// Network exposes the link fault plane.
 	Network() *simnet.Network
 	// CrashServer crashes replica i (crash-stop; permanent unless the

@@ -46,14 +46,14 @@ func TestRandomPlanSeedsDiffer(t *testing.T) {
 // recordingTarget implements Target and counts what a plan does to it;
 // sharded variants hand out one recorder per group.
 type recordingTarget struct {
-	clk      vclock.Clock
+	clk      *vclock.Virtual
 	net      *simnet.Network
 	crashes  map[int]bool
 	suspects map[simnet.ProcessID]bool
 	clientS  map[simnet.ProcessID]bool
 }
 
-func newRecordingTarget(clk vclock.Clock) *recordingTarget {
+func newRecordingTarget(clk *vclock.Virtual) *recordingTarget {
 	return &recordingTarget{
 		clk:      clk,
 		net:      simnet.New(simnet.Config{Clock: clk}),
@@ -63,7 +63,7 @@ func newRecordingTarget(clk vclock.Clock) *recordingTarget {
 	}
 }
 
-func (r *recordingTarget) Clock() vclock.Clock      { return r.clk }
+func (r *recordingTarget) Clock() *vclock.Virtual   { return r.clk }
 func (r *recordingTarget) Network() *simnet.Network { return r.net }
 func (r *recordingTarget) CrashServer(i int)        { r.crashes[i] = true }
 func (r *recordingTarget) SuspectEverywhere(p simnet.ProcessID, v bool) {
@@ -74,11 +74,11 @@ func (r *recordingTarget) ClientSuspect(p simnet.ProcessID, v bool) {
 }
 
 type recordingSharded struct {
-	clk    vclock.Clock
+	clk    *vclock.Virtual
 	groups []*recordingTarget
 }
 
-func (r *recordingSharded) Clock() vclock.Clock      { return r.clk }
+func (r *recordingSharded) Clock() *vclock.Virtual   { return r.clk }
 func (r *recordingSharded) Network() *simnet.Network { return r.groups[0].net }
 func (r *recordingSharded) NumShards() int           { return len(r.groups) }
 func (r *recordingSharded) ShardTarget(s int) Target { return r.groups[s] }

@@ -40,7 +40,7 @@ func TestReusedNetworkBitEqualOutcomes(t *testing.T) {
 
 // TestReusedShardedNetworksBitEqualOutcomes extends the reset-and-rerun
 // contract to the sharded runtime: a sweep worker recycles one network
-// per replica group (simnet.ResetShared onto a fresh shared clock), and a
+// per replica group (simnet.Reset onto a fresh shared clock), and a
 // run on the recycled group set must be bit-equal to a fresh-world
 // Execute. The list crosses the sharded shapes reuse must survive: the
 // failure-free router path, correlated crashes, the storm's link-fault
@@ -64,7 +64,7 @@ func TestReusedShardedNetworksBitEqualOutcomes(t *testing.T) {
 			}
 		}
 		if scratch.groups == nil {
-			t.Errorf("%s: scratch abandoned its group networks (ResetShared failed); reuse never engaged", name)
+			t.Errorf("%s: scratch abandoned its group networks (Reset failed); reuse never engaged", name)
 		}
 	}
 }

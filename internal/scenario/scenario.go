@@ -362,7 +362,7 @@ func ExecuteObserved(sc Scenario, seed int64, run *obs.Run) Outcome {
 type runScratch struct {
 	net *simnet.Network
 	// groups is the sharded analogue: one recycled network per replica
-	// group, re-seeded and re-clocked per run via simnet.ResetShared (see
+	// group, re-seeded and re-clocked per run via simnet.Reset (see
 	// takeGroups in sharded.go).
 	groups []*simnet.Network
 }
@@ -392,7 +392,7 @@ func (s *runScratch) take(cfg simnet.Config) *simnet.Network {
 // verify on their own. The baselines are the second and last kind: one
 // primary-backup or active cluster.
 type deployment struct {
-	clk     vclock.Clock
+	clk     *vclock.Virtual
 	target  Target         // the fault surface the plan drives
 	members []member       // one per cluster, in group order
 	router  *shard.Cluster // non-nil when the groups sit behind the router
@@ -835,7 +835,7 @@ func netConfig(sc Scenario, seed int64) simnet.Config {
 // waitStable polls probe on the cluster clock until its value has not
 // changed for 20ms of simulated time (or the deadline passes). On the
 // virtual clock the whole wait costs only the work it overlaps with.
-func waitStable(clk vclock.Clock, d time.Duration, probe func() int) {
+func waitStable(clk *vclock.Virtual, d time.Duration, probe func() int) {
 	clk.Enter()
 	defer clk.Exit()
 	deadline := clk.Now() + d

@@ -18,7 +18,7 @@ type shardedTarget struct{ c *shard.Cluster }
 // clock-held calling convention as for a single cluster.
 func ShardedTarget(c *shard.Cluster) Target { return shardedTarget{c} }
 
-func (t shardedTarget) Clock() vclock.Clock { return t.c.Clock() }
+func (t shardedTarget) Clock() *vclock.Virtual { return t.c.Clock() }
 
 // Network returns the first group's network. Plan ops never call it on a
 // sharded target (the link ops fan out through eachGroup / shardOf);
@@ -50,13 +50,13 @@ func (t shardedTarget) ShardTarget(s int) Target { return t.c.Group(s) }
 // takeGroups returns per-group networks ready for a seeded sharded run,
 // plus the fresh shared clock they run on — the sharded extension of
 // runScratch.take. On reuse each group's network is recycled in shard
-// order via simnet.ResetShared (the first drain quiesces the old shared
+// order via simnet.Reset (the first drain quiesces the old shared
 // clock; the rest return immediately); the first call, or a shard-count
 // change, builds fresh networks that later seeds then recycle. A nil
 // return means build-from-scratch: the caller lets shard.New deploy its
 // own world (a network whose previous run failed to wind down is
 // abandoned rather than risked, mirroring take).
-func (s *runScratch) takeGroups(base simnet.Config, seed int64, shards int) ([]*simnet.Network, vclock.Clock) {
+func (s *runScratch) takeGroups(base simnet.Config, seed int64, shards int) ([]*simnet.Network, *vclock.Virtual) {
 	if s == nil {
 		return nil, nil
 	}
@@ -69,7 +69,7 @@ func (s *runScratch) takeGroups(base simnet.Config, seed int64, shards int) ([]*
 	}
 	if len(s.groups) == shards {
 		for g, net := range s.groups {
-			if !net.ResetShared(cfgFor(g)) {
+			if !net.Reset(cfgFor(g)) {
 				s.groups = nil
 				return nil, nil
 			}

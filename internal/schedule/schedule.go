@@ -88,8 +88,8 @@ func (e Entry) String() string {
 
 // Log is the ordered schedule of one run. The network appends one entry per
 // send and resolves its verdict at the delivery instant. A Log is safe for
-// concurrent use (the virtual clock serializes sends, but the real clock
-// does not).
+// concurrent use (the clock serializes events, not the goroutines one
+// event makes runnable: two senders can be on real cores at once).
 type Log struct {
 	mu      sync.Mutex
 	entries []Entry

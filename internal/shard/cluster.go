@@ -46,7 +46,7 @@ type Config struct {
 	// Networks, when non-nil (one per shard), deploys each group onto an
 	// existing recycled network instead of building fresh ones — the
 	// sharded analogue of core.ClusterConfig.Network. Each must already
-	// have been ResetShared with the group's config and the deployment's
+	// have been Reset with the group's config and the deployment's
 	// new shared clock (which the caller then also passes as Net.Clock).
 	Networks []*simnet.Network
 	// Batch and Costs configure every group's replicas (see core).
@@ -66,7 +66,7 @@ type Config struct {
 // Cluster is the cluster-of-clusters runtime: the groups, the ring, and
 // the router, on one shared virtual clock.
 type Cluster struct {
-	clk    vclock.Clock
+	clk    *vclock.Virtual
 	ring   *Ring
 	groups []*core.Cluster
 
@@ -133,7 +133,7 @@ func New(cfg Config) *Cluster {
 }
 
 // Clock returns the deployment's shared clock.
-func (c *Cluster) Clock() vclock.Clock { return c.clk }
+func (c *Cluster) Clock() *vclock.Virtual { return c.clk }
 
 // Shards returns the number of replica groups.
 func (c *Cluster) Shards() int { return len(c.groups) }

@@ -48,7 +48,7 @@ type Router struct {
 	ring   *Ring
 	key    KeyFunc
 	groups []*core.Cluster
-	clk    vclock.Clock
+	clk    *vclock.Virtual
 
 	mu sync.Mutex
 	// routed holds each shard's routing log in submission order. Logs are
@@ -57,7 +57,7 @@ type Router struct {
 	routed [][]Route
 }
 
-func newRouter(ring *Ring, key KeyFunc, groups []*core.Cluster, clk vclock.Clock) *Router {
+func newRouter(ring *Ring, key KeyFunc, groups []*core.Cluster, clk *vclock.Virtual) *Router {
 	return &Router{ring: ring, key: key, groups: groups, clk: clk, routed: make([][]Route, len(groups))}
 }
 

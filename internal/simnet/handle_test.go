@@ -4,8 +4,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"xability/internal/vclock"
 )
 
 // The delivery contract: a delivery is a callback on the clock's pump, and
@@ -152,9 +150,9 @@ func TestDeliveryStormLeavesNoLeak(t *testing.T) {
 		ep := ep
 		ep.Handle(func(m Message) { ep.Send("sink", "echo", m.Payload) })
 	}
-	virt := n.Clock().(*vclock.Virtual)
-	virt.Enter()
-	spawns := virt.Spawns()
+	clk := n.Clock()
+	clk.Enter()
+	spawns := clk.Spawns()
 	for i := 0; i < rounds; i++ {
 		sink.Broadcast("m", i)
 	}
@@ -164,14 +162,14 @@ func TestDeliveryStormLeavesNoLeak(t *testing.T) {
 		}
 	}
 	n.Quiesce()
-	virt.Exit()
-	if got := virt.Spawns() - spawns; got != 0 {
+	clk.Exit()
+	if got := clk.Spawns() - spawns; got != 0 {
 		t.Errorf("%d deliveries spawned %d goroutines", 2*peers*rounds, got)
 	}
-	if rep := virt.Stop(); rep.Leaked != 0 {
+	if rep := clk.Stop(); rep.Leaked != 0 {
 		t.Errorf("after the storm: %v", rep)
 	}
-	if !virt.Quiesced() {
+	if !clk.Quiesced() {
 		t.Error("clock not quiesced after the storm")
 	}
 }

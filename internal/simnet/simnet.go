@@ -1,20 +1,20 @@
 // Package simnet is an in-memory asynchronous message-passing network with
 // crash-stop processes, implementing the system model of §5.2:
 //
-//   - Processes fail by crashing and do not recover. A crashed process
-//     silently stops sending and receiving.
+//   - Processes fail by crashing. A crashed process silently stops sending
+//     and receiving until a Restart revives it; §5.2's no-recovery model is
+//     a run that never restarts one.
 //   - Channels are reliable between correct processes: every message sent
 //     from a correct process to a correct process is eventually delivered,
 //     exactly once. Delivery order is *not* FIFO: each message experiences
 //     an independent random delay drawn from a seeded generator, which is
 //     what makes the system asynchronous.
 //
-// Delays are measured on the network's clock (internal/vclock). By default
-// that clock is virtual: deliveries are entries in a discrete-event queue,
-// the simulation advances to the next pending deadline whenever every
-// participating goroutine is blocked, and a run's wall-clock cost is the
-// CPU it burns, not the delays it simulates. Passing vclock.NewReal() in
-// Config.Clock restores wall-clock behavior.
+// Delays are measured on the network's clock (internal/vclock), which is
+// virtual: deliveries are entries in a discrete-event queue, the simulation
+// advances to the next pending deadline whenever every participating
+// goroutine is blocked, and a run's wall-clock cost is the CPU it burns,
+// not the delays it simulates.
 //
 // Delay draws come from per-sender seeded streams: each base process owns
 // its own generator, seeded deterministically from (Config.Seed, base
@@ -57,9 +57,9 @@
 // it. An endpoint given a handler (Endpoint.Handle) has no receiver: the
 // delivery calls the handler, under the vclock.Runner contract — it must
 // not block in a clock primitive and may take only locks nobody holds
-// across one. Under the Real clock each delivery is a goroutine. Reset
-// recycles a quiesced network (endpoints, interning tables, pools) for the
-// next seed of a sweep instead of rebuilding the world.
+// across one. Reset recycles a quiesced network (endpoints, interning
+// tables, pools) for the next seed of a sweep instead of rebuilding the
+// world.
 //
 // The network also keeps per-process send counters so experiments can
 // report message complexity.
@@ -109,10 +109,18 @@ const (
 	// rather than per-message jitter.
 	DelayAsymmetric
 	// DelayPareto draws heavy-tailed delays: most messages arrive near
-	// MinDelay, a few straggle far beyond MaxDelay (bounded by ParetoCap).
+	// MinDelay, a few straggle far beyond MaxDelay (bounded by paretoCap
+	// spans).
 	// It models congestion spikes and stresses reordering far more than
 	// the uniform distribution.
 	DelayPareto
+)
+
+// The DelayPareto shape: the tail index (smaller means a heavier tail) and
+// the bound on a draw above MinDelay, in MinDelay..MaxDelay spans.
+const (
+	paretoAlpha = 1.5
+	paretoCap   = 32
 )
 
 // Config tunes the network.
@@ -127,16 +135,10 @@ type Config struct {
 	// Dist selects the delay distribution over the span (default
 	// DelayUniform).
 	Dist DelayDist
-	// ParetoAlpha is the tail index for DelayPareto: smaller means a
-	// heavier tail. Zero selects 1.5.
-	ParetoAlpha float64
-	// ParetoCap bounds DelayPareto draws above MinDelay. Zero selects
-	// 32× the MinDelay..MaxDelay span.
-	ParetoCap time.Duration
 	// Clock supplies the network's notion of time. Nil selects a fresh
-	// virtual clock (vclock.NewVirtual); pass vclock.NewReal() for
-	// wall-clock delays.
-	Clock vclock.Clock
+	// clock (vclock.NewVirtual); deployments whose networks share one
+	// clock (the sharded runtime) pass it here.
+	Clock *vclock.Virtual
 	// Record, when non-nil, receives one schedule.Entry per send: the
 	// message's link, virtual-time deadline, and drop/delay verdict. The
 	// recorded log plus (scenario, seed) fully determines the run, and can
@@ -163,12 +165,11 @@ type Config struct {
 
 // Network connects endpoints. Create with New, then Register each process.
 type Network struct {
-	cfg  Config
-	clk  vclock.Clock
-	virt *vclock.Virtual // clk when it is virtual, for pooled-Runner scheduling
+	cfg Config
+	clk *vclock.Virtual
 
 	mu           sync.Mutex
-	idle         vclock.Cond // signaled when inflight returns to zero
+	idle         *vclock.Cond // signaled when inflight returns to zero
 	byName       map[ProcessID]*Endpoint
 	eps          []*Endpoint        // dense, by endpoint index (registration order)
 	order        []ProcessID        // registration order, for deterministic iteration
@@ -226,7 +227,6 @@ func (n *Network) apply(cfg Config) {
 	}
 	n.cfg = cfg
 	n.clk = clk
-	n.virt, _ = clk.(*vclock.Virtual)
 	// The idle cond lives on the run's clock (it changes across Reset) so
 	// Quiesce waits inside the virtual schedule: a sync.Cond here would
 	// re-admit the waiter at an instant the schedule doesn't order — the
@@ -280,10 +280,8 @@ func (n *Network) ensureBaseLocked(base ProcessID) int32 {
 }
 
 // Clock returns the network's clock. Components that live on the network
-// (failure detectors, servers, clients) take their time from here, so one
-// Config.Clock choice switches the whole deployment between virtual and
-// real time.
-func (n *Network) Clock() vclock.Clock { return n.clk }
+// (failure detectors, servers, clients) take their time from here.
+func (n *Network) Clock() *vclock.Virtual { return n.clk }
 
 // Metrics returns the run's metrics registry (nil when observability is
 // off — every registry method is nil-safe, so components store the
@@ -313,7 +311,7 @@ type Endpoint struct {
 	base int32 // dense base-process index
 
 	mu      sync.Mutex
-	cond    vclock.Cond
+	cond    *vclock.Cond
 	q       []Message // ring buffer
 	head    int
 	count   int
@@ -554,18 +552,11 @@ func (n *Network) drawDelayLocked(e, dst *Endpoint) time.Duration {
 		}
 	case DelayPareto:
 		if span > 0 {
-			alpha := n.cfg.ParetoAlpha
-			if alpha <= 0 {
-				alpha = 1.5
-			}
-			bound := n.cfg.ParetoCap
-			if bound <= 0 {
-				bound = 32 * span
-			}
+			bound := paretoCap * span
 			// Bounded Pareto over the span: u near 1 is the common case
 			// (delay near MinDelay), u near 0 the straggler tail.
 			u := 1 - n.streams[e.base].Float64() // (0, 1]
-			tail := time.Duration(float64(span) * (math.Pow(u, -1/alpha) - 1))
+			tail := time.Duration(float64(span) * (math.Pow(u, -1/paretoAlpha) - 1))
 			if tail > bound {
 				tail = bound
 			}
@@ -808,11 +799,7 @@ func (e *Endpoint) Send(to ProcessID, typ string, payload any) {
 	d.msg = Message{From: e.id, To: to, Type: typ, Payload: payload}
 	n.mu.Unlock()
 
-	if v := n.virt; v != nil {
-		v.AfterRunner(delay, d)
-	} else {
-		n.clk.GoAfter(delay, d.Run)
-	}
+	n.clk.AfterRunner(delay, d)
 }
 
 // Broadcast sends the message to every registered process except the
@@ -835,8 +822,7 @@ func (e *Endpoint) Broadcast(typ string, payload any) {
 // reaction to a message is a state update needs no receiver goroutine.
 // Messages already in the mailbox (a peer's send can land before the
 // process starts) go through fn first, in arrival order. fn runs on the
-// delivery — under the virtual clock that is the clock's pump, so the
-// vclock.Runner contract applies: it must not block in a clock primitive
+// delivery — the clock's pump, so the vclock.Runner contract applies: it must not block in a clock primitive
 // and may take only locks nobody holds across one; sending is fine. The
 // handler lasts for the incarnation: Crash removes it, and the process
 // restarted on the endpoint installs its own.
@@ -912,7 +898,7 @@ func (e *Endpoint) Closed() bool {
 func (e *Endpoint) ID() ProcessID { return e.id }
 
 // Clock returns the network clock this endpoint lives on.
-func (e *Endpoint) Clock() vclock.Clock { return e.net.clk }
+func (e *Endpoint) Clock() *vclock.Virtual { return e.net.clk }
 
 // Metrics returns the run's metrics registry (nil when off); components
 // constructed around an endpoint pull their instrumentation from here.
@@ -940,7 +926,7 @@ func (n *Network) Close() {
 	}
 }
 
-// drainSpinBudget bounds how many scheduler yields resetDrained grants the
+// drainSpinBudget bounds how many scheduler yields Reset grants the
 // previous run's goroutines to unwind before giving up on reuse. The
 // budget is counted in yields, not wall time: the reset path stays free of
 // wall-clock reads, and a yield only matters when there is still an
@@ -951,10 +937,14 @@ const drainSpinBudget = 5_000_000
 
 // Reset recycles a closed network for a new run: the endpoint structures,
 // interning tables, dense fault/counter state, and event pools are kept;
-// the clock, seeds, and record/replay hooks are replaced per cfg. It
-// reports whether the network is ready for reuse — false means the caller
-// must build a fresh network (reuse requires the virtual clock, and the
-// previous run must wind down within a bounded wait).
+// the clock, seeds, and record/replay hooks are replaced per cfg. A nil
+// cfg.Clock gives the network a fresh clock; a deployment whose networks
+// share one clock (the sharded runtime) passes the *new* shared clock and
+// resets every group in shard order — the first group's drain leaves the
+// old shared clock quiescent, the remaining groups' drains return
+// immediately. Reset reports whether the network is ready for reuse — false
+// means the caller must build a fresh network (the previous run did not
+// wind down within a bounded wait).
 //
 // Reset first drains the old clock to full quiescence: stopped deployments
 // still have goroutines unwinding (a cleaner finishing its last virtual
@@ -965,31 +955,7 @@ const drainSpinBudget = 5_000_000
 // deployment must Register the same process IDs in the same order (the
 // sweep contract: one scenario shape per worker).
 func (n *Network) Reset(cfg Config) bool {
-	if cfg.Clock != nil || n.virt == nil {
-		return false
-	}
-	return n.resetDrained(cfg)
-}
-
-// ResetShared is Reset for deployments whose networks share one virtual
-// clock (the sharded runtime): cfg.Clock must carry the *new* shared
-// virtual clock the recycled network will run on. Each group's network is
-// Reset with the same new clock; draining the *old* shared clock is
-// idempotent across the group set — the first group's drain leaves it
-// quiescent, the remaining groups' drains return immediately — so callers
-// simply ResetShared every group in shard order.
-func (n *Network) ResetShared(cfg Config) bool {
-	if _, ok := cfg.Clock.(*vclock.Virtual); !ok || n.virt == nil {
-		return false
-	}
-	return n.resetDrained(cfg)
-}
-
-// resetDrained drains the previous run's clock to quiescence, then
-// reinstalls configuration and reopens endpoints (the shared tail of Reset
-// and ResetShared).
-func (n *Network) resetDrained(cfg Config) bool {
-	for spin := 0; !n.virt.Quiesced(); spin++ {
+	for spin := 0; !n.clk.Quiesced(); spin++ {
 		if spin > drainSpinBudget {
 			return false
 		}

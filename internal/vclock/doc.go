@@ -1,6 +1,7 @@
-// Package vclock provides the simulation's notion of time: a virtual
-// discrete-event clock (the default everywhere) and a real-time clock with
-// the same interface.
+// Package vclock provides the simulation's notion of time: one virtual
+// discrete-event clock, Virtual. There is no wall-clock implementation —
+// the same (scenario, seed) must yield the same bytes, and no run on real
+// durations can promise that.
 //
 // # Virtual vs real time
 //
@@ -16,8 +17,8 @@
 // The virtual clock is a discrete-event scheduler: pending wake-ups (sleep
 // deadlines, message deliveries, poll timeouts) form a priority queue keyed
 // by virtual deadline, tie-broken by scheduling sequence number. Goroutines
-// participating in the simulation are attached to the clock (Clock.Go,
-// Clock.Enter); whenever every attached goroutine is blocked in a clock
+// participating in the simulation are attached to the clock (Virtual.Go,
+// Virtual.Enter); whenever every attached goroutine is blocked in a clock
 // primitive, the clock pops the earliest event, advances virtual time to
 // its deadline, and wakes exactly one goroutine — or, for a Runner (a
 // message delivery), runs it on the spot, on the goroutine whose clock call
@@ -35,8 +36,4 @@
 // (failure-detector heartbeats, the server cleaner) stagger their first
 // deadline by a hash of their process ID so that symmetric loops do not
 // race on equal deadlines.
-//
-// Real time remains available by passing vclock.NewReal() as the network
-// clock (simnet.Config.Clock); everything then behaves as a conventional
-// concurrent simulation.
 package vclock

@@ -77,10 +77,3 @@ func TestStopExcludesCaller(t *testing.T) {
 		t.Fatalf("report = %+v, want the caller's attachment excluded", rep)
 	}
 }
-
-// The Real clock tracks no attachments; Stop is always clean.
-func TestRealStopReportsZero(t *testing.T) {
-	if rep := NewReal().Stop(); rep.Leaked != 0 {
-		t.Fatalf("report = %+v", rep)
-	}
-}

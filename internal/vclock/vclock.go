@@ -10,66 +10,6 @@ import (
 	"time"
 )
 
-// Clock abstracts time for the simulation. Two implementations exist:
-//
-//   - Virtual (the default): a discrete-event scheduler. Time is a counter
-//     that jumps to the next scheduled deadline whenever every attached
-//     goroutine is blocked in a clock primitive. Sleeping costs no wall
-//     time; a run is limited by CPU, not by the durations it simulates.
-//   - Real: delegates to package time. Durations mean wall-clock time.
-//
-// The virtual clock tracks a set of *attached* goroutines — those whose
-// runnability it may rely on. Attachment is reference-counted per goroutine,
-// so nested Enter/Exit pairs and re-entrant public APIs compose. The clock
-// advances only when the number of attached, runnable goroutines reaches
-// zero; it then fires exactly one pending event (ordered by deadline, then
-// by scheduling sequence), wakes its owner, and waits for quiescence again.
-// Event execution is therefore serialized, which is what makes runs with
-// equal seeds reproduce equal schedules.
-type Clock interface {
-	// Now returns the time elapsed since the clock started.
-	Now() time.Duration
-	// Sleep blocks for d. It attaches the calling goroutine for the
-	// duration of the call, so it is safe from any goroutine.
-	Sleep(d time.Duration)
-	// Go runs fn on a new goroutine attached to the clock. The goroutine
-	// counts as runnable from before Go returns until fn returns, except
-	// while it is blocked in a clock primitive.
-	Go(fn func())
-	// GoAfter schedules fn to run on a new attached goroutine after d.
-	// The event's position in the schedule is fixed at call time.
-	GoAfter(d time.Duration, fn func())
-	// Enter attaches the calling goroutine (reference-counted); Exit
-	// undoes one Enter. Public blocking APIs built on the clock wrap
-	// themselves in Enter/Exit so that any caller composes correctly.
-	Enter()
-	Exit()
-	// Detached runs fn with the calling goroutine's attachment (if any)
-	// released: use it around waits on synchronization that the clock
-	// does not manage, so virtual time can advance meanwhile.
-	Detached(fn func())
-	// Drain blocks until no events remain scheduled at the current
-	// instant: broadcast wakes already pushed have been delivered and
-	// their owners have run to their next blocking point. Settle-style
-	// barriers ("everything that was going to happen now has happened")
-	// call it after their own condition holds. The caller must be
-	// attached; the Real clock, whose wakes are immediate, treats it as
-	// a no-op.
-	Drain()
-	// NewCond returns a condition variable integrated with the clock:
-	// waiting releases the caller's runnability so virtual time can
-	// advance, and timed waits use clock time.
-	NewCond(l sync.Locker) Cond
-	// Stop audits the clock at teardown: it reports goroutines still
-	// attached (count plus creation sites), excluding the caller. A clean
-	// shutdown reports zero — anything else is an attachment leak, the
-	// runtime counterpart of xvet's baregoroutine rule, surfaced as a
-	// loud test failure instead of a hang. Stop is purely diagnostic and
-	// idempotent; the Real clock, which tracks no attachments, always
-	// reports zero.
-	Stop() LeakReport
-}
-
 // LeakReport is Stop's audit result: how many goroutines were still
 // attached to the clock, and where they were created.
 type LeakReport struct {
@@ -86,19 +26,6 @@ func (r LeakReport) String() string {
 	}
 	return fmt.Sprintf("vclock: %d leaked goroutine(s) still attached; created at %s",
 		r.Leaked, strings.Join(r.Sites, "; "))
-}
-
-// Cond is a sync.Cond-shaped condition variable whose waits the clock
-// understands. Wait and WaitTimeout must be called with l held, as with
-// sync.Cond; both are restricted to goroutines attached to the clock.
-type Cond interface {
-	// Wait releases l, blocks until Broadcast, and re-acquires l.
-	Wait()
-	// WaitTimeout is Wait with a deadline d from now. It reports whether
-	// the caller was woken by Broadcast (false: the timeout elapsed).
-	WaitTimeout(d time.Duration) bool
-	// Broadcast wakes all current waiters. The caller may hold l or not.
-	Broadcast()
 }
 
 // Runner is a pre-allocated schedulable callback (AfterRunner). Hot paths
@@ -156,7 +83,7 @@ type waiter struct {
 	gen      uint32
 	fired    bool
 	timedOut bool
-	cond     *vcond // set for cond waiters, for list cleanup on timeout
+	cond     *Cond // set for cond waiters, for list cleanup on timeout
 }
 
 // gent is one ledger entry: a goroutine's attachment depth plus the
@@ -167,7 +94,20 @@ type gent struct {
 	site  uintptr
 }
 
-// Virtual is the discrete-event clock. Create with NewVirtual.
+// Virtual is the simulation's clock: a discrete-event scheduler. Time is a
+// counter that jumps to the next scheduled deadline whenever every attached
+// goroutine is blocked in a clock primitive. Sleeping costs no wall time; a
+// run is limited by CPU, not by the durations it simulates. Create with
+// NewVirtual.
+//
+// The clock tracks a set of *attached* goroutines — those whose
+// runnability it may rely on. Attachment is reference-counted per goroutine,
+// so nested Enter/Exit pairs and re-entrant public APIs compose. The clock
+// advances only when the number of attached, runnable goroutines reaches
+// zero; it then fires exactly one pending event (ordered by deadline, then
+// by scheduling sequence), wakes its owner, and waits for quiescence again.
+// Event execution is therefore serialized, which is what makes runs with
+// equal seeds reproduce equal schedules.
 type Virtual struct {
 	mu     sync.Mutex
 	now    time.Duration
@@ -189,7 +129,7 @@ func NewVirtual() *Virtual {
 	return &Virtual{ledger: make(map[uint64]*gent)}
 }
 
-// Now implements Clock.
+// Now returns the time elapsed since the clock started.
 func (v *Virtual) Now() time.Duration {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -401,7 +341,9 @@ func (v *Virtual) runAdopted(fn func(), site uintptr) {
 	fn()
 }
 
-// Enter implements Clock.
+// Enter attaches the calling goroutine (reference-counted); Exit undoes one
+// Enter. Public blocking APIs built on the clock wrap themselves in
+// Enter/Exit so that any caller composes correctly.
 func (v *Virtual) Enter() {
 	id := gid()
 	v.mu.Lock()
@@ -420,7 +362,7 @@ func (v *Virtual) Enter() {
 	v.mu.Unlock()
 }
 
-// Exit implements Clock.
+// Exit undoes one Enter.
 func (v *Virtual) Exit() {
 	id := gid()
 	v.mu.Lock()
@@ -438,27 +380,8 @@ func (v *Virtual) Exit() {
 	v.mu.Unlock()
 }
 
-// Detached implements Clock.
-func (v *Virtual) Detached(fn func()) {
-	id := gid()
-	v.mu.Lock()
-	g := v.ledger[id]
-	attached := g != nil && g.depth > 0
-	if attached {
-		v.addBusyLocked(-1)
-	}
-	v.mu.Unlock()
-	defer func() {
-		if attached {
-			v.mu.Lock()
-			v.busy++
-			v.mu.Unlock()
-		}
-	}()
-	fn()
-}
-
-// Sleep implements Clock.
+// Sleep blocks for d. It attaches the calling goroutine for the duration of
+// the call, so it is safe from any goroutine.
 func (v *Virtual) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -476,8 +399,10 @@ func (v *Virtual) Sleep(d time.Duration) {
 	v.Exit()
 }
 
-// Go implements Clock. The runnability unit is added before Go returns, so
-// the schedule cannot advance past the spawn.
+// Go runs fn on a new goroutine attached to the clock. The goroutine counts
+// as runnable from before Go returns until fn returns, except while it is
+// blocked in a clock primitive — so the schedule cannot advance past the
+// spawn.
 func (v *Virtual) Go(fn func()) {
 	pc := callerPC()
 	v.mu.Lock()
@@ -487,7 +412,8 @@ func (v *Virtual) Go(fn func()) {
 	go v.runAdopted(fn, pc) //xvet:ok baregoroutine this IS vclock.Go: the spawn is counted busy above and adopted into the ledger
 }
 
-// GoAfter implements Clock.
+// GoAfter schedules fn to run on a new attached goroutine after d. The
+// event's position in the schedule is fixed at call time.
 func (v *Virtual) GoAfter(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
@@ -531,7 +457,11 @@ func callerPC() uintptr {
 	return pcs[0]
 }
 
-// Stop implements Clock: the teardown audit of still-attached goroutines.
+// Stop audits the clock at teardown: it reports goroutines still attached
+// (count plus creation sites), excluding the caller. A clean shutdown
+// reports zero — anything else is an attachment leak, the runtime
+// counterpart of xvet's baregoroutine rule, surfaced as a loud test failure
+// instead of a hang. Stop is purely diagnostic and idempotent.
 func (v *Virtual) Stop() LeakReport {
 	self := gid()
 	v.mu.Lock()
@@ -573,7 +503,13 @@ func siteLabel(pc uintptr) string {
 	return fmt.Sprintf("%s:%d (%s)", file, line, fn.Name())
 }
 
-// Drain implements Clock. Each round sleeps zero duration — the timer
+// Drain blocks until no events remain scheduled at the current instant:
+// broadcast wakes already pushed have been delivered and their owners have
+// run to their next blocking point. Settle-style barriers ("everything that
+// was going to happen now has happened") call it after their own condition
+// holds. The caller must be attached.
+//
+// Each round sleeps zero duration — the timer
 // lands behind every event already scheduled at the current instant, so
 // by the time the caller wakes, those events have fired and their owners
 // have run until they blocked again. Rounds repeat until a scan finds
@@ -609,30 +545,37 @@ func (v *Virtual) Quiesced() bool {
 	return v.busy == 0 && len(v.pq) == 0 && len(v.ledger) == 0
 }
 
-// NewCond implements Clock.
-func (v *Virtual) NewCond(l sync.Locker) Cond {
-	return &vcond{v: v, l: l}
+// NewCond returns a condition variable integrated with the clock: waiting
+// releases the caller's runnability so virtual time can advance, and timed
+// waits use clock time.
+func (v *Virtual) NewCond(l sync.Locker) *Cond {
+	return &Cond{v: v, l: l}
 }
 
-// vcond is the virtual-clock condition variable. The waiter list is guarded
-// by the clock mutex, which is always acquired after the user lock l —
-// never the reverse — so the pair cannot deadlock.
-type vcond struct {
+// Cond is a sync.Cond-shaped condition variable whose waits the clock
+// understands. Wait and WaitTimeout must be called with l held, as with
+// sync.Cond; both are restricted to goroutines attached to the clock. The
+// waiter list is guarded by the clock mutex, which is always acquired after
+// the user lock l — never the reverse — so the pair cannot deadlock.
+type Cond struct {
 	v       *Virtual
 	l       sync.Locker
 	waiters []*waiter
 }
 
-func (c *vcond) Wait() { c.wait(-1) }
+// Wait releases l, blocks until Broadcast, and re-acquires l.
+func (c *Cond) Wait() { c.wait(-1) }
 
-func (c *vcond) WaitTimeout(d time.Duration) bool {
+// WaitTimeout is Wait with a deadline d from now. It reports whether the
+// caller was woken by Broadcast (false: the timeout elapsed).
+func (c *Cond) WaitTimeout(d time.Duration) bool {
 	if d < 0 {
 		d = 0
 	}
 	return c.wait(d)
 }
 
-func (c *vcond) wait(d time.Duration) bool {
+func (c *Cond) wait(d time.Duration) bool {
 	v := c.v
 	v.mu.Lock()
 	w := v.newWaiterLocked()
@@ -669,8 +612,8 @@ func (c *vcond) wait(d time.Duration) bool {
 // invariant: a pending timer for a broadcast waiter is recognized as dead
 // the moment it pops. The wakes drain through the pump, so the waiters run
 // serialized in arm order; a broadcast can never make two goroutines
-// simultaneously runnable.
-func (c *vcond) Broadcast() {
+// simultaneously runnable. The caller may hold l or not.
+func (c *Cond) Broadcast() {
 	v := c.v
 	v.mu.Lock()
 	for _, w := range c.waiters {
@@ -687,106 +630,11 @@ func (c *vcond) Broadcast() {
 }
 
 // removeLocked drops a timed-out waiter from the list; callers hold v.mu.
-func (c *vcond) removeLocked(w *waiter) {
+func (c *Cond) removeLocked(w *waiter) {
 	for i, x := range c.waiters {
 		if x == w {
 			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
 			return
 		}
 	}
-}
-
-// Real is the wall-clock implementation. Create with NewReal.
-type Real struct {
-	epoch time.Time
-}
-
-// NewReal returns a clock backed by package time.
-func NewReal() *Real { return &Real{epoch: time.Now()} } //xvet:ok walltime the Real clock IS the wall-time boundary: durations mean wall time here by contract
-
-// Now implements Clock.
-func (r *Real) Now() time.Duration { return time.Since(r.epoch) } //xvet:ok walltime the Real clock delegates to package time by contract
-
-// Sleep implements Clock.
-func (r *Real) Sleep(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d) //xvet:ok walltime the Real clock delegates to package time by contract
-	}
-}
-
-// Go implements Clock.
-func (r *Real) Go(fn func()) { go fn() } //xvet:ok baregoroutine the Real clock tracks no attachments; its Go is a plain spawn by contract
-
-// GoAfter implements Clock.
-func (r *Real) GoAfter(d time.Duration, fn func()) {
-	go func() { //xvet:ok baregoroutine the Real clock tracks no attachments; its GoAfter is a plain spawn by contract
-		if d > 0 {
-			time.Sleep(d) //xvet:ok walltime the Real clock delegates to package time by contract
-		}
-		fn()
-	}()
-}
-
-// Stop implements Clock. The Real clock tracks no attachments, so there is
-// nothing to leak.
-func (r *Real) Stop() LeakReport { return LeakReport{} }
-
-// Drain implements Clock (no-op: real-time wakes are immediate, there is
-// no pending-event heap to let pass).
-func (r *Real) Drain() {}
-
-// Enter implements Clock (no-op: real time advances on its own).
-func (r *Real) Enter() {}
-
-// Exit implements Clock.
-func (r *Real) Exit() {}
-
-// Detached implements Clock.
-func (r *Real) Detached(fn func()) { fn() }
-
-// NewCond implements Clock.
-func (r *Real) NewCond(l sync.Locker) Cond {
-	return &rcond{l: l, ch: make(chan struct{})}
-}
-
-// rcond implements Cond over real time with the closed-channel broadcast
-// idiom (sync.Cond has no timed wait).
-type rcond struct {
-	l  sync.Locker
-	mu sync.Mutex
-	ch chan struct{}
-}
-
-func (c *rcond) current() chan struct{} {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ch
-}
-
-func (c *rcond) Wait() {
-	ch := c.current()
-	c.l.Unlock()
-	<-ch //xvet:ok detachedwait the Real clock's cond wait: real time advances on its own, nothing to detach from
-	c.l.Lock()
-}
-
-func (c *rcond) WaitTimeout(d time.Duration) bool {
-	ch := c.current()
-	c.l.Unlock()
-	defer c.l.Lock()
-	t := time.NewTimer(d) //xvet:ok walltime the Real clock's timed cond wait delegates to package time by contract
-	defer t.Stop()
-	select {
-	case <-ch:
-		return true
-	case <-t.C:
-		return false
-	}
-}
-
-func (c *rcond) Broadcast() {
-	c.mu.Lock()
-	close(c.ch)
-	c.ch = make(chan struct{})
-	c.mu.Unlock()
 }

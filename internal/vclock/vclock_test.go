@@ -152,64 +152,6 @@ func TestEnterExitNesting(t *testing.T) {
 	}
 }
 
-func TestDetachedAllowsAdvance(t *testing.T) {
-	v := NewVirtual()
-	fired := make(chan struct{})
-	v.GoAfter(time.Millisecond, func() { close(fired) })
-	v.Enter()
-	defer v.Exit()
-	// While attached and runnable, the event must not fire; Detached
-	// releases the unit so the clock can advance.
-	v.Detached(func() {
-		select {
-		case <-fired:
-		case <-time.After(5 * time.Second):
-			t.Error("event did not fire during Detached wait")
-		}
-	})
-}
-
-func TestDetachedUnattachedCaller(t *testing.T) {
-	v := NewVirtual()
-	ran := false
-	v.Detached(func() { ran = true }) // must be a no-op wrapper when unattached
-	if !ran {
-		t.Error("Detached skipped fn")
-	}
-}
-
-func TestRealClockSmoke(t *testing.T) {
-	r := NewReal()
-	r.Enter()
-	r.Exit()
-	r.Sleep(time.Millisecond)
-	if r.Now() < time.Millisecond {
-		t.Errorf("Now = %v", r.Now())
-	}
-	var mu sync.Mutex
-	cond := r.NewCond(&mu)
-	mu.Lock()
-	if woken := cond.WaitTimeout(time.Millisecond); woken {
-		t.Error("real WaitTimeout reported spurious wake")
-	}
-	mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		mu.Lock()
-		cond.Wait()
-		mu.Unlock()
-		close(done)
-	}()
-	time.Sleep(2 * time.Millisecond)
-	cond.Broadcast()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("real cond waiter never woke")
-	}
-}
-
 func TestGoAfterFromIdleClock(t *testing.T) {
 	// GoAfter while nothing is attached must still fire (the push pumps).
 	v := NewVirtual()

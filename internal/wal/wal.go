@@ -182,7 +182,7 @@ func recordsBytes(recs []Record) int {
 // restarted process asks for its log by the same name and finds its
 // pre-crash records.
 type Store struct {
-	clk vclock.Clock
+	clk *vclock.Virtual
 	cfg Config
 
 	mu             sync.Mutex
@@ -198,7 +198,7 @@ type Store struct {
 }
 
 // NewStore builds the deployment's stable storage on the given clock.
-func NewStore(clk vclock.Clock, cfg Config) *Store {
+func NewStore(clk *vclock.Virtual, cfg Config) *Store {
 	return &Store{clk: clk, cfg: cfg, logs: make(map[string]*Log)}
 }
 

@@ -174,20 +174,15 @@ type (
 	ServiceConfig = core.ClusterConfig
 	// Service is a running replicated service with its client stub.
 	Service struct{ cluster *core.Cluster }
-	// Clock is the service's notion of time (internal/vclock): virtual by
-	// default, so simulated delays cost CPU instead of wall time and equal
-	// seeds reproduce equal schedules. Set ServiceConfig.Net.Clock to
-	// RealClock() for wall-clock behavior.
-	Clock = vclock.Clock
+	// Clock is the service's notion of time (internal/vclock): a virtual
+	// discrete-event clock, so simulated delays cost CPU instead of wall
+	// time and equal seeds reproduce equal schedules.
+	Clock = *vclock.Virtual
 )
 
 // VirtualClock returns a fresh discrete-event clock — the default a service
 // creates for itself when ServiceConfig.Net.Clock is nil.
 func VirtualClock() Clock { return vclock.NewVirtual() }
-
-// RealClock returns a wall-clock-backed Clock for runs that should take
-// real time (demos, latency studies against the host timer).
-func RealClock() Clock { return vclock.NewReal() }
 
 // Consensus and detector substrate selectors.
 const (
