@@ -110,17 +110,13 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	return c
 }
 
-// Clock returns the cluster's clock (virtual by default; configure via
-// ClusterConfig.Net.Clock). Scenario drivers schedule fault injection on it
-// so injections land at fixed points of simulated time.
+// Clock returns the cluster's clock. Scenario drivers schedule fault
+// injection on it so injections land at fixed points of simulated time.
 func (c *Cluster) Clock() *vclock.Virtual { return c.Net.Clock() }
 
 // Network returns the cluster's simulated network. Scenario drivers reach
 // through it to the link fault plane.
 func (c *Cluster) Network() *simnet.Network { return c.Net }
-
-// ClientDetector returns the client's scripted failure detector.
-func (c *Cluster) ClientDetector() *fd.Scripted { return c.cdet }
 
 // SuspectEverywhere injects (or clears) a suspicion of target at every
 // replica's scripted detector (not the client's) — the same surface

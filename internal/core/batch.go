@@ -147,7 +147,7 @@ func (s *Server) batcher() {
 		}
 		ss.mu.Lock()
 		for len(ss.pending) == 0 {
-			ss.cond.WaitTimeout(s.cleanInterval)
+			ss.cond.WaitTimeout(cleanInterval)
 			if s.isStopped() {
 				ss.mu.Unlock()
 				return
@@ -160,7 +160,7 @@ func (s *Server) batcher() {
 
 		ss.mu.Lock()
 		for ss.inflight >= s.batch.Pipeline {
-			ss.cond.WaitTimeout(s.cleanInterval)
+			ss.cond.WaitTimeout(cleanInterval)
 			if s.isStopped() {
 				ss.mu.Unlock()
 				return
@@ -348,7 +348,7 @@ func (s *Server) waitExec(n int) bool {
 		if s.isStopped() {
 			return false
 		}
-		ss.cond.WaitTimeout(s.cleanInterval)
+		ss.cond.WaitTimeout(cleanInterval)
 	}
 	return ss.execNext == n // a later apply already passed n: stale round
 }
@@ -465,7 +465,7 @@ func (s *Server) follower() {
 		advanced := s.advanceSlot()
 		if !advanced {
 			ss.mu.Lock()
-			ss.cond.WaitTimeout(s.cleanInterval)
+			ss.cond.WaitTimeout(cleanInterval)
 			ss.mu.Unlock()
 		}
 	}

@@ -24,6 +24,11 @@ var ErrSubmitFailed = errors.New("core: submit failed (replica suspected)")
 // arrive, so retrying is meaningless.
 var ErrClientClosed = errors.New("core: client endpoint closed")
 
+// clientPoll is the await-loop polling period of a client or a station
+// session: it bounds how stale the suspicion check may get, and paces the
+// retry through suspected replicas.
+const clientPoll = 200 * time.Microsecond
+
 // Client is the client-side stub of Figure 5. The paper's model is a
 // single client issuing one request at a time (§4), but concurrent Submits
 // are safe: a composed service (examples/threetier) shares one back-end
@@ -36,7 +41,6 @@ type Client struct {
 	clk      *vclock.Virtual
 	replicas []simnet.ProcessID
 	det      fd.Detector
-	poll     time.Duration
 	m        *obs.Metrics // nil-safe run metrics
 	tr       *obs.Trace   // nil-safe span recorder
 
@@ -64,23 +68,16 @@ type ClientConfig struct {
 	Endpoint *simnet.Endpoint
 	Replicas []simnet.ProcessID
 	Detector fd.Detector
-	// Poll is the await-loop polling period (default 200µs).
-	Poll time.Duration
 }
 
 // NewClient builds a client stub.
 func NewClient(cfg ClientConfig) *Client {
-	poll := cfg.Poll
-	if poll <= 0 {
-		poll = 200 * time.Microsecond
-	}
 	return &Client{
 		id:       cfg.ID,
 		ep:       cfg.Endpoint,
 		clk:      cfg.Endpoint.Clock(),
 		replicas: append([]simnet.ProcessID(nil), cfg.Replicas...),
 		det:      cfg.Detector,
-		poll:     poll,
 		m:        cfg.Endpoint.Metrics(),
 		tr:       cfg.Endpoint.Trace(),
 		awaiting: make(map[string]bool),
@@ -176,7 +173,7 @@ func (c *Client) Submit(req action.Request) (action.Value, error) {
 		}
 		// Event-driven await: a delivery wakes the wait immediately; the
 		// poll period only bounds how stale the suspicion check may get.
-		c.ep.Wait(c.poll)
+		c.ep.Wait(clientPoll)
 	}
 }
 
@@ -217,7 +214,7 @@ func (c *Client) SubmitUntilSuccess(req action.Request) action.Value {
 		// suspected replicas would otherwise never yield, and on the
 		// virtual clock that would stall the very deliveries (a late
 		// reply, a heartbeat) that let it make progress.
-		c.clk.Sleep(c.poll)
+		c.clk.Sleep(clientPoll)
 	}
 }
 

@@ -57,8 +57,6 @@ type ClusterConfig struct {
 	Registry *action.Registry
 	// Setup registers action bodies on each replica's machine.
 	Setup func(m *sm.Machine)
-	// CleanInterval overrides the cleaner period.
-	CleanInterval time.Duration
 	// HeartbeatInterval tunes DetectorHeartbeat.
 	HeartbeatInterval time.Duration
 	// Batch enables the batched/pipelined slot plane on every replica
@@ -163,13 +161,13 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 
 	// Failure detectors.
 	detFor := make(map[simnet.ProcessID]fd.Detector)
+	c.detFor = detFor
 	var clientDet fd.Detector
 	switch cfg.Detector {
 	case DetectorHeartbeat:
-		for _, id := range ids {
-			ep := net.Register(fd.FDEndpoint(id))
-			c.fdEPs = append(c.fdEPs, ep)
-			hb := fd.NewHeartbeat(id, ep, ids, fd.HeartbeatConfig{Interval: cfg.HeartbeatInterval})
+		for i, id := range ids {
+			c.fdEPs = append(c.fdEPs, net.Register(fd.FDEndpoint(id)))
+			hb := c.newHeartbeat(i)
 			hb.Start()
 			c.hbs = append(c.hbs, hb)
 			detFor[id] = hb
@@ -191,49 +189,21 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	}
 
 	// Consensus.
-	c.detFor = detFor
-	var providerFor func(i int) consensus.Provider
 	switch cfg.Consensus {
 	case ConsensusCT:
-		for _, id := range ids {
-			ep := net.Register(consensus.ConsEndpoint(id))
-			c.consEPs = append(c.consEPs, ep)
-			node := consensus.NewNode(id, ep, ids, detFor[id])
-			if c.walStore != nil {
-				node.SetLog(c.walStore.Log(consLogName(id)))
-			}
+		for i, id := range ids {
+			c.consEPs = append(c.consEPs, net.Register(consensus.ConsEndpoint(id)))
+			node := c.newNode(i)
 			node.Start()
 			c.nodes = append(c.nodes, node)
 		}
-		providerFor = func(i int) consensus.Provider { return c.nodes[i] }
 	default:
-		shared := consensus.NewLocalProvider()
-		c.localCons = shared
-		providerFor = func(int) consensus.Provider { return shared }
+		c.localCons = consensus.NewLocalProvider()
 	}
 
 	// Servers.
-	for i, id := range ids {
-		mach := sm.New(string(id), cfg.Registry, world, cfg.Seed+int64(i)*7919+1)
-		if cfg.Setup != nil {
-			cfg.Setup(mach)
-		}
-		var slog *wal.Log
-		if c.walStore != nil {
-			slog = c.walStore.Log(string(id))
-		}
-		srv := NewServer(ServerConfig{
-			ID:            id,
-			Endpoint:      serverEPs[i],
-			Machine:       mach,
-			Detector:      detFor[id],
-			Consensus:     providerFor(i),
-			Network:       net,
-			CleanInterval: cfg.CleanInterval,
-			Batch:         cfg.Batch,
-			Costs:         cfg.Costs,
-			Log:           slog,
-		})
+	for i := range ids {
+		srv := c.newServer(i)
 		srv.Start()
 		c.Servers = append(c.Servers, srv)
 	}
@@ -247,10 +217,60 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	return c
 }
 
-// Clock returns the cluster's clock (virtual by default; configure via
-// ClusterConfig.Net.Clock). Scenario drivers schedule fault injection on it
-// — Clock().Go with a Clock().Sleep — so injections land at fixed points of
-// simulated time regardless of how fast the host executes the run.
+// newHeartbeat, newNode and newServer assemble one layer of replica i from
+// the cluster's endpoints, detectors and stable storage — for a first
+// incarnation and a restarted one alike. None is started: RestartServer
+// recovers a node and a server from the log first. They stay one per layer,
+// not one per replica: NewCluster registers and starts a whole layer before
+// the next, and that order is part of every seed's schedule.
+func (c *Cluster) newHeartbeat(i int) *fd.Heartbeat {
+	return fd.NewHeartbeat(c.ids[i], c.fdEPs[i], c.ids, fd.HeartbeatConfig{Interval: c.cfg.HeartbeatInterval})
+}
+
+func (c *Cluster) newNode(i int) *consensus.Node {
+	id := c.ids[i]
+	node := consensus.NewNode(id, c.consEPs[i], c.ids, c.detFor[id])
+	if c.walStore != nil {
+		node.SetLog(c.walStore.Log(consLogName(id)))
+	}
+	return node
+}
+
+func (c *Cluster) newServer(i int) *Server {
+	id := c.ids[i]
+	// The machine seed depends on the replica only, never the incarnation:
+	// recovery must not re-roll the replica's nondeterminism, or replayed
+	// folds diverge.
+	mach := sm.New(string(id), c.cfg.Registry, c.Env, c.cfg.Seed+int64(i)*7919+1)
+	if c.cfg.Setup != nil {
+		c.cfg.Setup(mach)
+	}
+	prov := c.localCons
+	if c.nodes != nil {
+		prov = c.nodes[i]
+	}
+	var slog *wal.Log
+	if c.walStore != nil {
+		slog = c.walStore.Log(string(id))
+	}
+	return NewServer(ServerConfig{
+		ID:        id,
+		Endpoint:  c.serverEPs[i],
+		Machine:   mach,
+		Detector:  c.detFor[id],
+		Consensus: prov,
+		Network:   c.Net,
+		Batch:     c.cfg.Batch,
+		Costs:     c.cfg.Costs,
+		Log:       slog,
+	})
+}
+
+// Clock returns the cluster's clock (a fresh one, unless
+// ClusterConfig.Net.Clock supplies the deployment's shared clock). Scenario
+// drivers schedule fault injection on it — Clock().Go with a Clock().Sleep
+// — so injections land at fixed points of simulated time regardless of how
+// fast the host executes the run.
 func (c *Cluster) Clock() *vclock.Virtual { return c.Net.Clock() }
 
 // Network returns the cluster's simulated network. Scenario drivers reach
@@ -342,43 +362,19 @@ func (c *Cluster) RestartServer(i int) bool {
 	c.Net.Metrics().Inc(obs.Restarts)
 	c.Net.Trace().Instant(c.Clock().Now(), string(id), "restart", "")
 
-	det := c.detFor[id]
 	if len(c.hbs) > i {
-		hb := fd.NewHeartbeat(id, c.fdEPs[i], c.ids, fd.HeartbeatConfig{Interval: c.cfg.HeartbeatInterval})
+		hb := c.newHeartbeat(i)
 		hb.Start()
 		c.hbs[i] = hb
 		c.detFor[id] = hb
-		det = hb
 	}
-
-	prov := c.localCons
 	if c.nodes != nil {
-		node := consensus.NewNode(id, c.consEPs[i], c.ids, det)
-		node.SetLog(c.walStore.Log(consLogName(id)))
+		node := c.newNode(i)
 		node.Recover()
 		node.Start()
 		c.nodes[i] = node
-		prov = node
 	}
-
-	// Same machine seed as the original incarnation: recovery must not
-	// re-roll the replica's nondeterminism, or replayed folds diverge.
-	mach := sm.New(string(id), c.cfg.Registry, c.Env, c.cfg.Seed+int64(i)*7919+1)
-	if c.cfg.Setup != nil {
-		c.cfg.Setup(mach)
-	}
-	srv := NewServer(ServerConfig{
-		ID:            id,
-		Endpoint:      c.serverEPs[i],
-		Machine:       mach,
-		Detector:      det,
-		Consensus:     prov,
-		Network:       c.Net,
-		CleanInterval: c.cfg.CleanInterval,
-		Batch:         c.cfg.Batch,
-		Costs:         c.cfg.Costs,
-		Log:           c.walStore.Log(string(id)),
-	})
+	srv := c.newServer(i)
 	srv.Recover()
 	srv.Start()
 	c.Servers[i] = srv

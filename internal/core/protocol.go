@@ -126,6 +126,10 @@ func outcomeKey(reqID string, round int) consensus.Key {
 	return consensus.Key{Space: consensus.SpaceOutcome, ID: reqID, Round: int32(round)}
 }
 
+// cleanInterval is the cleaner's polling period, and the timeout on the slot
+// plane's cond waits, which re-check for a stop.
+const cleanInterval = time.Millisecond
+
 // Server is one replica of the replicated service (Figure 6).
 type Server struct {
 	id   simnet.ProcessID
@@ -136,13 +140,12 @@ type Server struct {
 	net  *simnet.Network
 	clk  *vclock.Virtual
 
-	cleanInterval time.Duration
-	costs         CostModel
-	cpu           *vcpu
-	batch         BatchConfig
-	log           *wal.Log     // stable storage; nil runs in-memory (no restart)
-	m             *obs.Metrics // nil-safe run metrics
-	tr            *obs.Trace   // nil-safe span recorder
+	costs CostModel
+	cpu   *vcpu
+	batch BatchConfig
+	log   *wal.Log     // stable storage; nil runs in-memory (no restart)
+	m     *obs.Metrics // nil-safe run metrics
+	tr    *obs.Trace   // nil-safe span recorder
 
 	mu      sync.Mutex
 	stopped bool
@@ -188,8 +191,6 @@ type ServerConfig struct {
 	Detector  fd.Detector
 	Consensus consensus.Provider
 	Network   *simnet.Network
-	// CleanInterval is the cleaner's polling period (default 1ms).
-	CleanInterval time.Duration
 	// Costs charges virtual time per protocol primitive (see CostModel);
 	// the zero value disables charging.
 	Costs CostModel
@@ -203,28 +204,23 @@ type ServerConfig struct {
 
 // NewServer builds a replica.
 func NewServer(cfg ServerConfig) *Server {
-	ci := cfg.CleanInterval
-	if ci <= 0 {
-		ci = time.Millisecond
-	}
 	s := &Server{
-		id:            cfg.ID,
-		ep:            cfg.Endpoint,
-		mach:          cfg.Machine,
-		det:           cfg.Detector,
-		cons:          cfg.Consensus,
-		net:           cfg.Network,
-		clk:           cfg.Network.Clock(),
-		cleanInterval: ci,
-		costs:         cfg.Costs,
-		batch:         cfg.Batch.withDefaults(),
-		log:           cfg.Log,
-		m:             cfg.Network.Metrics(),
-		tr:            cfg.Network.Trace(),
-		active:        make(map[string]*requestState),
-		rounds:        make(map[consensus.Key]bool),
-		inflight:      make(map[consensus.Key]bool),
-		stop:          make(chan struct{}),
+		id:       cfg.ID,
+		ep:       cfg.Endpoint,
+		mach:     cfg.Machine,
+		det:      cfg.Detector,
+		cons:     cfg.Consensus,
+		net:      cfg.Network,
+		clk:      cfg.Network.Clock(),
+		costs:    cfg.Costs,
+		batch:    cfg.Batch.withDefaults(),
+		log:      cfg.Log,
+		m:        cfg.Network.Metrics(),
+		tr:       cfg.Network.Trace(),
+		active:   make(map[string]*requestState),
+		rounds:   make(map[consensus.Key]bool),
+		inflight: make(map[consensus.Key]bool),
+		stop:     make(chan struct{}),
 	}
 	if s.costs.enabled() {
 		s.cpu = newVCPU(s.clk)
@@ -605,7 +601,7 @@ func (s *Server) awaitFixed(req action.Request, client simnet.ProcessID) {
 			s.ep.Send(client, MsgResult, ResultPayload{ReqID: req.ID, Value: v})
 			return
 		}
-		s.clk.Sleep(s.cleanInterval)
+		s.clk.Sleep(cleanInterval)
 	}
 }
 
@@ -642,7 +638,7 @@ func (s *Server) cleaner() {
 	// The first pass is offset by a per-replica phase so symmetric cleaner
 	// loops never share a virtual deadline (the deterministic schedule then
 	// never needs to tie-break between replicas).
-	s.clk.Sleep(s.cleanInterval + vclock.Stagger(string(s.id), s.cleanInterval/4+1))
+	s.clk.Sleep(cleanInterval + vclock.Stagger(string(s.id), cleanInterval/4+1))
 	for {
 		select {
 		case <-s.stop:
@@ -656,7 +652,7 @@ func (s *Server) cleaner() {
 				s.cleanRequest(st)
 			}
 		}
-		s.clk.Sleep(s.cleanInterval)
+		s.clk.Sleep(cleanInterval)
 	}
 }
 

@@ -30,8 +30,6 @@ type Station struct {
 	clk      *vclock.Virtual
 	replicas []simnet.ProcessID
 	det      fd.Detector
-	poll     time.Duration
-	resend   time.Duration
 	m        *obs.Metrics // nil-safe run metrics
 	tr       *obs.Trace   // nil-safe span recorder
 
@@ -67,31 +65,20 @@ type StationConfig struct {
 	Endpoint *simnet.Endpoint
 	Replicas []simnet.ProcessID
 	Detector fd.Detector
-	// Poll bounds the staleness of the suspicion check (default 200µs).
-	Poll time.Duration
-	// Resend is the per-session submit re-send period (default 4ms).
-	Resend time.Duration
 }
+
+// stationResend is the per-session submit re-send period.
+const stationResend = 4 * time.Millisecond
 
 // NewStation builds a station and starts its demultiplexing pump. The
 // endpoint must not be concurrently drained by a Client.
 func NewStation(cfg StationConfig) *Station {
-	poll := cfg.Poll
-	if poll <= 0 {
-		poll = 200 * time.Microsecond
-	}
-	resend := cfg.Resend
-	if resend <= 0 {
-		resend = 4 * time.Millisecond
-	}
 	st := &Station{
 		id:       cfg.ID,
 		ep:       cfg.Endpoint,
 		clk:      cfg.Endpoint.Clock(),
 		replicas: append([]simnet.ProcessID(nil), cfg.Replicas...),
 		det:      cfg.Detector,
-		poll:     poll,
-		resend:   resend,
 		m:        cfg.Endpoint.Metrics(),
 		tr:       cfg.Endpoint.Trace(),
 		waiting:  make(map[string]*stationCall),
@@ -185,7 +172,7 @@ func (st *Station) Submit(req action.Request) (action.Value, bool) {
 		st.attempts++
 		st.mu.Unlock()
 		st.ep.Send(target, MsgSubmit, SubmitPayload{Req: req, Client: st.id})
-		deadline := st.clk.Now() + st.resend
+		deadline := st.clk.Now() + stationResend
 		for {
 			// The detector is the caller's code: ask it without st.mu.
 			suspected := st.det.Suspect(target)
@@ -196,7 +183,7 @@ func (st *Station) Submit(req action.Request) (action.Value, bool) {
 				// the pump sets done under: no wake-up can be missed, so
 				// the poll only bounds the staleness of the two answers
 				// above.
-				c.cond.WaitTimeout(st.poll)
+				c.cond.WaitTimeout(clientPoll)
 			}
 			if c.done {
 				val := c.val
@@ -251,7 +238,7 @@ func (st *Station) Drive(ats []time.Duration, reqs []action.Request) int {
 	}
 	st.mu.Lock()
 	for finished < len(reqs) && !st.stopped {
-		st.cond.WaitTimeout(st.poll)
+		st.cond.WaitTimeout(clientPoll)
 	}
 	n := completed
 	st.mu.Unlock()

@@ -147,16 +147,6 @@ func (h History) Contains(a action.Name, iv action.Value) bool {
 	return false
 }
 
-// ContainsEvent reports whether h contains an event formally equal to e.
-func (h History) ContainsEvent(e Event) bool {
-	for _, x := range h {
-		if x.Equal(e) {
-			return true
-		}
-	}
-	return false
-}
-
 // First implements first() of Figure 3: the first event of h as a
 // single-event history, or Λ when h is empty.
 func (h History) First() History {

@@ -14,6 +14,9 @@ import (
 
 func TestT1Shapes(t *testing.T) {
 	rows := TableT1(101)
+	if len(rows) != 7 {
+		t.Fatalf("rows = %d, want 7 (x-ability × 4 scenarios, primary-backup × 2, active × 1)", len(rows))
+	}
 	byKey := make(map[string]T1Row)
 	for _, r := range rows {
 		byKey[r.Protocol+"/"+r.Scenario] = r

@@ -151,6 +151,19 @@ func TestTreeLintsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
+	diags, err := Check(loadTree(t), Analyzers())
+	if err != nil {
+		t.Fatalf("Check: %v", err)
+	}
+	for _, d := range diags {
+		t.Errorf("%s", d)
+	}
+}
+
+// loadTree loads and type-checks every package of the live module
+// (non-test files).
+func loadTree(t *testing.T) []*Package {
+	t.Helper()
 	root, modpath, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatalf("FindModuleRoot: %v", err)
@@ -159,11 +172,5 @@ func TestTreeLintsClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	diags, err := Check(pkgs, Analyzers())
-	if err != nil {
-		t.Fatalf("Check: %v", err)
-	}
-	for _, d := range diags {
-		t.Errorf("%s", d)
-	}
+	return pkgs
 }

@@ -23,16 +23,15 @@ type Config struct {
 	// from it, so equal (Config, Seed) pairs reproduce equal runs.
 	Seed int64
 	// Net is the per-group network template. Net.Clock, when set, becomes
-	// the deployment's shared clock; nil selects a fresh virtual clock.
+	// the deployment's shared clock; nil selects a fresh clock.
 	// Every group gets its own network (its own delay stream, link fault
 	// plane, and counters) on that one clock.
 	Net simnet.Config
 	// Consensus and Detector select each group's substrates.
 	Consensus core.ConsensusMode
 	Detector  core.DetectorMode
-	// HeartbeatInterval tunes DetectorHeartbeat; CleanInterval the cleaner.
+	// HeartbeatInterval tunes DetectorHeartbeat.
 	HeartbeatInterval time.Duration
-	CleanInterval     time.Duration
 	// Registry is the shared action vocabulary.
 	Registry *action.Registry
 	// Setup returns the machine-setup function for one group, so each
@@ -40,9 +39,6 @@ type Config struct {
 	Setup func(shard int) func(m *sm.Machine)
 	// Key extracts the routing key from a request; nil selects InputKey.
 	Key KeyFunc
-	// VNodes is the ring's virtual-node count per shard (0 selects
-	// DefaultVNodes).
-	VNodes int
 	// Networks, when non-nil (one per shard), deploys each group onto an
 	// existing recycled network instead of building fresh ones — the
 	// sharded analogue of core.ClusterConfig.Network. Each must already
@@ -96,7 +92,7 @@ func New(cfg Config) *Cluster {
 	if key == nil {
 		key = InputKey
 	}
-	c := &Cluster{clk: clk, ring: NewRing(cfg.Shards, cfg.VNodes)}
+	c := &Cluster{clk: clk, ring: NewRing(cfg.Shards, DefaultVNodes)}
 	for s := 0; s < cfg.Shards; s++ {
 		netCfg := cfg.Net
 		netCfg.Clock = clk
@@ -118,7 +114,6 @@ func New(cfg Config) *Cluster {
 			Detector:          cfg.Detector,
 			Registry:          cfg.Registry,
 			Setup:             setup,
-			CleanInterval:     cfg.CleanInterval,
 			HeartbeatInterval: cfg.HeartbeatInterval,
 			Batch:             cfg.Batch,
 			Costs:             cfg.Costs,
@@ -164,31 +159,10 @@ func (c *Cluster) Histories() []event.History {
 	return out
 }
 
-// MergedHistory concatenates the groups' histories in shard order — the
-// deployment-wide event trace for counters and listings. Per-shard
-// verification uses the per-shard histories; the concatenation is not
-// itself a total order across groups (groups share no events, so none is
-// needed).
-func (c *Cluster) MergedHistory() event.History {
-	var h event.History
-	for _, gh := range c.Histories() {
-		h = append(h, gh...)
-	}
-	return h
-}
-
 // Quiesce blocks until every group's in-flight deliveries have settled.
 func (c *Cluster) Quiesce() {
 	for _, g := range c.groups {
 		g.Net.Quiesce()
-	}
-}
-
-// CloseNets closes every group's network — the deployment-wide watchdog
-// action (unblocks all clients; the run is over).
-func (c *Cluster) CloseNets() {
-	for _, g := range c.groups {
-		g.Net.Close()
 	}
 }
 

@@ -480,14 +480,6 @@ func (l *Log) Len() int {
 	return len(l.recs)
 }
 
-// Synced reports the durable record count: the prefix a crash at this
-// instant would preserve.
-func (l *Log) Synced() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.synced
-}
-
 // Installs reports how many snapshots compaction has installed.
 func (l *Log) Installs() int32 {
 	l.mu.Lock()

@@ -36,10 +36,6 @@ type Spec struct {
 	Mix Mix
 	// Accounts is the key space size for inputs.
 	Accounts int
-	// FailProb arms environment failure injection for the base actions.
-	FailProb float64
-	// FailBudget bounds injected failures per action (eventual success).
-	FailBudget int
 }
 
 // Request is one generated request.
