@@ -129,6 +129,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		Observer: observer,
 		Env:      world,
 		scripted: make(map[simnet.ProcessID]*fd.Scripted),
+		detFor:   make(map[simnet.ProcessID]fd.Detector),
 		cfg:      cfg,
 	}
 	if cfg.Durable {
@@ -160,8 +161,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	clientEP := net.Register(clientID)
 
 	// Failure detectors.
-	detFor := make(map[simnet.ProcessID]fd.Detector)
-	c.detFor = detFor
 	var clientDet fd.Detector
 	switch cfg.Detector {
 	case DetectorHeartbeat:
@@ -170,7 +169,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 			hb := c.newHeartbeat(i)
 			hb.Start()
 			c.hbs = append(c.hbs, hb)
-			detFor[id] = hb
+			c.detFor[id] = hb
 		}
 		cep := net.Register(fd.FDEndpoint(clientID))
 		chb := fd.NewHeartbeat(clientID, cep, ids, fd.HeartbeatConfig{Interval: cfg.HeartbeatInterval})
@@ -181,7 +180,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		for _, id := range ids {
 			d := fd.NewScripted(net)
 			c.scripted[id] = d
-			detFor[id] = d
+			c.detFor[id] = d
 		}
 		cd := fd.NewScripted(net)
 		c.clientDet = cd

@@ -83,11 +83,11 @@ func TestNoDeadConfigFields(t *testing.T) {
 					}
 				case *ast.AssignStmt:
 					for i, lhs := range n.Lhs {
-						if dst := field(lhs); dst == nil {
-							continue
-						} else if len(n.Rhs) == len(n.Lhs) {
+						switch dst := field(lhs); {
+						case dst == nil:
+						case len(n.Rhs) == len(n.Lhs):
 							give(dst, n.Rhs[i])
-						} else {
+						default: // a, b.F = f()
 							live[dst] = true
 						}
 					}

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -161,16 +162,20 @@ func TestTreeLintsClean(t *testing.T) {
 }
 
 // loadTree loads and type-checks every package of the live module
-// (non-test files).
+// (non-test files), once for all the tests that read it.
 func loadTree(t *testing.T) []*Package {
 	t.Helper()
-	root, modpath, err := FindModuleRoot(".")
+	pkgs, err := treeOnce()
 	if err != nil {
-		t.Fatalf("FindModuleRoot: %v", err)
-	}
-	pkgs, err := Load(root, modpath, []string{"./..."})
-	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("loading the module: %v", err)
 	}
 	return pkgs
 }
+
+var treeOnce = sync.OnceValues(func() ([]*Package, error) {
+	root, modpath, err := FindModuleRoot(".")
+	if err != nil {
+		return nil, err
+	}
+	return Load(root, modpath, []string{"./..."})
+})
