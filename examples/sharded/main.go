@@ -37,10 +37,8 @@ func main() {
 
 	const shards = 4
 	cfg := xability.ShardedConfig{
-		Shards:   shards,
-		Replicas: 3,
-		Seed:     7,
-		Registry: reg,
+		Shards: shards,
+		Group:  xability.ServiceConfig{Replicas: 3, Seed: 7, Registry: reg},
 		Setup: func(shard int) func(m *xability.Machine) {
 			return func(m *xability.Machine) {
 				check(m.HandleIdempotent("reserve", func(ctx *xability.Ctx) xability.Value {
@@ -51,7 +49,7 @@ func main() {
 	}
 	// Simulated message delays make the virtual-time span meaningful (the
 	// zero default is immediate handoff).
-	cfg.Net.MaxDelay = 200 * time.Microsecond
+	cfg.Group.Net.MaxDelay = 200 * time.Microsecond
 	svc := xability.NewShardedService(cfg)
 	defer svc.Close()
 

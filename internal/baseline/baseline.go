@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"xability/internal/action"
+	"xability/internal/core"
 	"xability/internal/env"
 	"xability/internal/event"
 	"xability/internal/fd"
@@ -34,23 +35,14 @@ import (
 // value. It runs under the environment lock (via env.ExecRaw).
 type Handler func(req action.Request) action.Value
 
-// Message types.
+// Replica-to-replica message types. Clients reach a baseline through
+// Figure 5's stub like any other service (core.Client), so submits and
+// results travel as core.MsgSubmit/SubmitPayload and
+// core.MsgResult/ResultPayload.
 const (
-	msgSubmit    = "pb-submit"
-	msgResult    = "pb-result"
 	msgProcessed = "pb-processed" // primary → backups: request done
 	msgSequenced = "ab-sequenced" // sequencer → replicas: ordered request
 )
-
-type submitPayload struct {
-	Req    action.Request
-	Client simnet.ProcessID
-}
-
-type resultPayload struct {
-	ReqID string
-	Value action.Value
-}
 
 type processedPayload struct {
 	ReqID string
@@ -158,8 +150,8 @@ func (s *PBServer) loop() {
 			return
 		}
 		switch msg.Type {
-		case msgSubmit:
-			p, ok := msg.Payload.(submitPayload)
+		case core.MsgSubmit:
+			p, ok := msg.Payload.(core.SubmitPayload)
 			if !ok {
 				continue
 			}
@@ -174,12 +166,12 @@ func (s *PBServer) loop() {
 	}
 }
 
-func (s *PBServer) handleSubmit(p submitPayload) {
+func (s *PBServer) handleSubmit(p core.SubmitPayload) {
 	s.mu.Lock()
 	v, done := s.processed[p.Req.ID]
 	s.mu.Unlock()
 	if done {
-		s.ep.Send(p.Client, msgResult, resultPayload{ReqID: p.Req.ID, Value: v})
+		s.ep.Send(p.Client, core.MsgResult, core.ResultPayload{ReqID: p.Req.ID, Value: v})
 		return
 	}
 	if !s.primary() {
@@ -213,7 +205,7 @@ func (s *PBServer) handleSubmit(p submitPayload) {
 			s.ep.Send(id, msgProcessed, processedPayload{ReqID: p.Req.ID, Value: res})
 		}
 	}
-	s.ep.Send(p.Client, msgResult, resultPayload{ReqID: p.Req.ID, Value: res})
+	s.ep.Send(p.Client, core.MsgResult, core.ResultPayload{ReqID: p.Req.ID, Value: res})
 }
 
 // ActiveServer is one active-replication replica: a sequencer (the first
@@ -294,8 +286,8 @@ func (s *ActiveServer) loop() {
 			return
 		}
 		switch msg.Type {
-		case msgSubmit:
-			p, ok := msg.Payload.(submitPayload)
+		case core.MsgSubmit:
+			p, ok := msg.Payload.(core.SubmitPayload)
 			if !ok || !s.isSeq {
 				continue // only the sequencer orders requests
 			}
@@ -348,5 +340,5 @@ func (s *ActiveServer) execute(sp sequencedPayload) {
 		return
 	}
 	// Every replica replies; the client takes the first answer.
-	s.ep.Send(sp.Client, msgResult, resultPayload{ReqID: sp.Req.ID, Value: res})
+	s.ep.Send(sp.Client, core.MsgResult, core.ResultPayload{ReqID: sp.Req.ID, Value: res})
 }

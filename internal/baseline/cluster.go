@@ -1,14 +1,12 @@
 package baseline
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
-	"xability/internal/action"
+	"xability/internal/core"
 	"xability/internal/env"
 	"xability/internal/fd"
-	"xability/internal/obs"
 	"xability/internal/simnet"
 	"xability/internal/trace"
 	"xability/internal/vclock"
@@ -39,12 +37,15 @@ type ClusterConfig struct {
 }
 
 // Cluster is an assembled baseline service with the same observable
-// surface as core.Cluster: a client, a shared environment, an observer.
+// surface as core.Cluster: a shared environment, an observer, and the same
+// client — Figure 5's stub, with its retry discipline (submit to replica i,
+// fail over on suspicion) but without any idempotence guarantee from the
+// service behind it, which is the point.
 type Cluster struct {
 	Net      *simnet.Network
 	Observer *trace.Observer
 	Env      *env.Env
-	Client   *Client
+	Client   *core.Client
 
 	pbs  []*PBServer
 	acts []*ActiveServer
@@ -97,16 +98,12 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 
 	c.cdet = fd.NewScripted(net)
 	clientEP := net.Register(clientID)
-	c.Client = &Client{
-		id:       clientID,
-		ep:       clientEP,
-		clk:      clientEP.Clock(),
-		replicas: ids,
-		det:      c.cdet,
-		poll:     200 * time.Microsecond,
-		m:        clientEP.Metrics(),
-		tr:       clientEP.Trace(),
-	}
+	c.Client = core.NewClient(core.ClientConfig{
+		ID:       clientID,
+		Endpoint: clientEP,
+		Replicas: ids,
+		Detector: c.cdet,
+	})
 	return c
 }
 
@@ -163,102 +160,4 @@ func (c *Cluster) Stop() {
 		s.Stop()
 	}
 	c.Net.Close()
-}
-
-// Client is the baseline client stub: same retry discipline as the
-// x-ability client (submit to replica i, fail over on suspicion), but
-// without any idempotence guarantee from the service — which is the point.
-type Client struct {
-	id       simnet.ProcessID
-	ep       *simnet.Endpoint
-	clk      *vclock.Virtual
-	replicas []simnet.ProcessID
-	det      *fd.Scripted
-	poll     time.Duration
-	m        *obs.Metrics // nil-safe run metrics
-	tr       *obs.Trace   // nil-safe span recorder
-
-	i        int
-	seq      int
-	attempts int
-	requests []action.Request
-	replies  []action.Value
-}
-
-// ErrSubmitFailed mirrors core.ErrSubmitFailed for baselines.
-var ErrSubmitFailed = errors.New("baseline: submit failed (replica suspected)")
-
-// ErrClientClosed mirrors core.ErrClientClosed.
-var ErrClientClosed = errors.New("baseline: client endpoint closed")
-
-// Submit sends a tagged request to the current replica and awaits a result
-// or a suspicion.
-func (c *Client) Submit(req action.Request) (action.Value, error) {
-	c.clk.Enter()
-	defer c.clk.Exit()
-	target := c.replicas[c.i]
-	c.attempts++
-	c.m.Inc(obs.ReqSubmitted)
-	c.ep.Send(target, msgSubmit, submitPayload{Req: req, Client: c.id})
-	for {
-		for {
-			msg, ok := c.ep.TryRecv()
-			if !ok {
-				break
-			}
-			if msg.Type != msgResult {
-				continue
-			}
-			if p, ok := msg.Payload.(resultPayload); ok && p.ReqID == req.ID {
-				return p.Value, nil
-			}
-		}
-		if c.ep.Closed() {
-			return "", ErrClientClosed
-		}
-		if c.det.Suspect(target) {
-			c.i = (c.i + 1) % len(c.replicas)
-			c.m.Inc(obs.ReqFailovers)
-			return "", ErrSubmitFailed
-		}
-		// Event-driven await: a delivery wakes the wait immediately; the
-		// poll period only bounds how stale the suspicion check may get.
-		c.ep.Wait(c.poll)
-	}
-}
-
-// SubmitUntilSuccess retries Submit until a reply arrives and logs the
-// request/reply pair.
-func (c *Client) SubmitUntilSuccess(req action.Request) action.Value {
-	c.clk.Enter()
-	defer c.clk.Exit()
-	c.seq++
-	req = req.WithID(fmt.Sprintf("%s-%d", c.id, c.seq))
-	start := c.clk.Now()
-	span := c.tr.Begin(start, string(c.id), "request", req.ID)
-	for {
-		v, err := c.Submit(req)
-		if err == nil {
-			c.requests = append(c.requests, req)
-			c.replies = append(c.replies, v)
-			now := c.clk.Now()
-			c.m.Observe(now - start)
-			c.m.Inc(obs.ReqReplied)
-			c.tr.End(now, string(c.id), "request", span)
-			return v
-		}
-		if errors.Is(err, ErrClientClosed) {
-			return ""
-		}
-		// Pace the retry on the clock (see core.Client.SubmitUntilSuccess).
-		c.clk.Sleep(c.poll)
-	}
-}
-
-// Attempts reports submit attempts made.
-func (c *Client) Attempts() int { return c.attempts }
-
-// Log returns the request/reply log.
-func (c *Client) Log() ([]action.Request, []action.Value) {
-	return append([]action.Request(nil), c.requests...), append([]action.Value(nil), c.replies...)
 }

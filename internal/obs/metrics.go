@@ -295,9 +295,9 @@ func (m *Metrics) Reset() {
 // length+byte compares, never a hash.
 func ClassOf(typ string) (uint8, Counter) {
 	switch typ {
-	case "submit", "pb-submit":
+	case "submit":
 		return 1, MsgSubmit
-	case "result", "pb-result":
+	case "result":
 		return 2, MsgResult
 	case "announce", "pb-processed", "ab-sequenced":
 		return 3, MsgAnnounce

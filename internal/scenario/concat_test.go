@@ -41,7 +41,6 @@ func (r *opRecorder) note(call string) {
 	r.mu.Unlock()
 }
 
-func (r *opRecorder) Clock() *vclock.Virtual   { return r.clk }
 func (r *opRecorder) Network() *simnet.Network { return r.net }
 func (r *opRecorder) CrashServer(i int)        { r.note(fmt.Sprintf("crash(%d)", i)) }
 func (r *opRecorder) SuspectEverywhere(p simnet.ProcessID, v bool) {
@@ -56,7 +55,7 @@ func (r *opRecorder) ClientSuspect(p simnet.ProcessID, v bool) {
 func applyAndCollect(p *Plan) []firing {
 	r := newOpRecorder()
 	r.clk.Enter()
-	p.Apply(r)
+	p.Apply(r.clk, r)
 	r.clk.Sleep(p.Horizon() + time.Millisecond)
 	r.clk.Exit()
 	r.mu.Lock()

@@ -133,7 +133,7 @@ func TestDeliveriesSpawnNoGoroutines(t *testing.T) {
 		seed := int64(i + 1)
 		scratch := &runScratch{}
 		o := execute(sc, seed, RunOptions{}, scratch)
-		clk := scratch.net.Clock()
+		clk := scratch.nets[0].Clock()
 		for !clk.Quiesced() {
 			runtime.Gosched()
 		}

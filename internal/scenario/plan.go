@@ -24,13 +24,22 @@ import (
 	"xability/internal/vclock"
 )
 
-// Target is what a fault plan drives: the cluster surface shared by
-// core.Cluster (the x-ability protocol) and baseline.Cluster (the
-// primary-backup and active baselines). One plan therefore attacks every
-// protocol the repository implements.
+// Target is one cluster's fault surface: what core.Cluster (a replica group
+// of the x-ability protocol) and baseline.Cluster (primary-backup, active)
+// share. A plan drives a deployment — a clock and the list of its clusters:
+// a sharded deployment lists every replica group in shard order, anything
+// else is the 1-list. Plans address the list two ways:
+//
+//   - Unqualified ops (CrashAt, PartitionAt, DelayStormAt, …) range over
+//     it — on several groups a correlated fault striking the whole fleet
+//     at one virtual instant.
+//   - Shard-qualified ops (CrashShardAt, PartitionShardsAt, StormShardsAt,
+//     HealShardsAt, OnShard) index it; an index the deployment does not
+//     have is a plan misconfiguration and panics.
+//
+// A plan using only unqualified ops therefore runs unchanged against one
+// cluster of any protocol and against any shard count.
 type Target interface {
-	// Clock is the deployment's clock; ops are scheduled on it.
-	Clock() *vclock.Virtual
 	// Network exposes the link fault plane.
 	Network() *simnet.Network
 	// CrashServer crashes replica i (crash-stop; permanent unless the
@@ -54,50 +63,25 @@ type Restarter interface {
 	RestartServer(i int) bool
 }
 
-// Sharded is the additional fault surface of a sharded deployment
-// (internal/shard behind the scenario runner): many replica groups, each
-// a full Target of its own, on one clock. Plans address it two ways:
-//
-//   - Unqualified ops (CrashAt, PartitionAt, DelayStormAt, …) fan out to
-//     every group — a correlated fault striking the whole fleet at one
-//     virtual instant.
-//   - Shard-qualified ops (CrashShardAt, PartitionShardsAt, StormShardsAt,
-//     HealShardsAt, OnShard) address single groups or k-of-N subsets.
-//
-// A plan using only unqualified ops therefore runs unchanged against a
-// single cluster and against any shard count.
-type Sharded interface {
-	// NumShards is the number of replica groups.
-	NumShards() int
-	// ShardTarget is group s's own fault surface.
-	ShardTarget(s int) Target
-}
-
-// eachGroup applies f to every replica group of a sharded target, or to
-// the target itself when it is a single cluster — the fan-out primitive
-// behind unqualified ops.
-func eachGroup(t Target, f func(Target)) {
-	if st, ok := t.(Sharded); ok {
-		for s := 0; s < st.NumShards(); s++ {
-			f(st.ShardTarget(s))
+// each applies f to the listed clusters of a deployment, or to every one
+// when none is listed.
+func each(groups []Target, shards []int, f func(Target)) {
+	if len(shards) == 0 {
+		for _, g := range groups {
+			f(g)
 		}
 		return
 	}
-	f(t)
+	for _, s := range shards {
+		f(groups[s])
+	}
 }
 
-// shardOf resolves a shard-qualified op's group. Shard 0 of a non-sharded
-// target is the target itself (a single cluster is the 1-shard
-// deployment); any other index against a non-sharded target is a plan
-// misconfiguration.
-func shardOf(t Target, s int) Target {
-	if st, ok := t.(Sharded); ok {
-		return st.ShardTarget(s)
+// restart revives replica i of g where g has a restart surface.
+func restart(g Target, i int) {
+	if r, ok := g.(Restarter); ok {
+		r.RestartServer(i)
 	}
-	if s == 0 {
-		return t
-	}
-	panic(fmt.Sprintf("scenario: plan op addresses shard %d but the target is not sharded", s))
 }
 
 // Op is one timed fault operation of a plan.
@@ -107,9 +91,9 @@ type Op struct {
 	At time.Duration
 	// Name describes the operation for humans ("crash replica 0").
 	Name string
-	// Do performs the operation. It must not block: each op runs as a
-	// single discrete event of the schedule.
-	Do func(Target)
+	// Do performs the operation on the deployment's clusters. It must not
+	// block: each op runs as a single discrete event of the schedule.
+	Do func(groups []Target)
 	// Kind, Replica, and Shard are the op's structural identity, set by
 	// the builders for crash and restart ops (Kind is OpCrash or
 	// OpRestart; zero for everything else). The shrinker reads them to
@@ -176,14 +160,14 @@ type Plan struct {
 // NewPlan returns an empty fault plan.
 func NewPlan() *Plan { return &Plan{} }
 
-func (p *Plan) add(at time.Duration, name string, do func(Target)) *Plan {
+func (p *Plan) add(at time.Duration, name string, do func([]Target)) *Plan {
 	p.ops = append(p.ops, Op{At: at, Name: name, Do: do, Shard: AllShards})
 	return p
 }
 
 // addIdentified appends an op carrying structural identity (crash and
 // restart builders route through it so the shrinker can pair them).
-func (p *Plan) addIdentified(at time.Duration, name string, kind OpKind, shard, replica int, do func(Target)) *Plan {
+func (p *Plan) addIdentified(at time.Duration, name string, kind OpKind, shard, replica int, do func([]Target)) *Plan {
 	p.ops = append(p.ops, Op{At: at, Name: name, Do: do, Kind: kind, Replica: replica, Shard: shard})
 	return p
 }
@@ -193,8 +177,8 @@ func (p *Plan) addIdentified(at time.Duration, name string, kind OpKind, shard, 
 // companion suspicion op is needed. On a sharded target the crash is
 // correlated: replica i of every group crashes at that instant.
 func (p *Plan) CrashAt(at time.Duration, replica int) *Plan {
-	return p.addIdentified(at, fmt.Sprintf("crash replica %d", replica), OpCrash, AllShards, replica, func(t Target) {
-		eachGroup(t, func(g Target) { g.CrashServer(replica) })
+	return p.addIdentified(at, fmt.Sprintf("crash replica %d", replica), OpCrash, AllShards, replica, func(groups []Target) {
+		each(groups, nil, func(g Target) { g.CrashServer(replica) })
 	})
 }
 
@@ -202,16 +186,16 @@ func (p *Plan) CrashAt(at time.Duration, replica int) *Plan {
 // detector at the given virtual time — the primitive that drags the
 // protocol from its primary-backup flavor toward active replication.
 func (p *Plan) SuspectAt(at time.Duration, target simnet.ProcessID) *Plan {
-	return p.add(at, fmt.Sprintf("suspect %s", target), func(t Target) {
-		eachGroup(t, func(g Target) { g.SuspectEverywhere(target, true) })
+	return p.add(at, fmt.Sprintf("suspect %s", target), func(groups []Target) {
+		each(groups, nil, func(g Target) { g.SuspectEverywhere(target, true) })
 	})
 }
 
 // ClientSuspectAt injects a suspicion of target at the client's detector,
 // making the client fail over to the next replica.
 func (p *Plan) ClientSuspectAt(at time.Duration, target simnet.ProcessID) *Plan {
-	return p.add(at, fmt.Sprintf("client suspects %s", target), func(t Target) {
-		eachGroup(t, func(g Target) { g.ClientSuspect(target, true) })
+	return p.add(at, fmt.Sprintf("client suspects %s", target), func(groups []Target) {
+		each(groups, nil, func(g Target) { g.ClientSuspect(target, true) })
 	})
 }
 
@@ -221,8 +205,8 @@ func (p *Plan) ClientSuspectAt(at time.Duration, target simnet.ProcessID) *Plan 
 // keep suspecting it via strong completeness). Reviving a crashed replica
 // is RestartAt's job.
 func (p *Plan) UnsuspectAt(at time.Duration, target simnet.ProcessID) *Plan {
-	return p.add(at, fmt.Sprintf("unsuspect %s", target), func(t Target) {
-		eachGroup(t, func(g Target) {
+	return p.add(at, fmt.Sprintf("unsuspect %s", target), func(groups []Target) {
+		each(groups, nil, func(g Target) {
 			g.SuspectEverywhere(target, false)
 			g.ClientSuspect(target, false)
 		})
@@ -238,12 +222,8 @@ func (p *Plan) UnsuspectAt(at time.Duration, target simnet.ProcessID) *Plan {
 // On a sharded target the restart, like CrashAt, is correlated: replica i
 // of every group restarts at that instant.
 func (p *Plan) RestartAt(at time.Duration, replica int) *Plan {
-	return p.addIdentified(at, fmt.Sprintf("restart replica %d", replica), OpRestart, AllShards, replica, func(t Target) {
-		eachGroup(t, func(g Target) {
-			if r, ok := g.(Restarter); ok {
-				r.RestartServer(replica)
-			}
-		})
+	return p.addIdentified(at, fmt.Sprintf("restart replica %d", replica), OpRestart, AllShards, replica, func(groups []Target) {
+		each(groups, nil, func(g Target) { restart(g, replica) })
 	})
 }
 
@@ -261,8 +241,8 @@ func (p *Plan) PartitionAt(at time.Duration, groups ...[]simnet.ProcessID) *Plan
 		parts = append(parts, "{"+strings.Join(ids, " ")+"}")
 	}
 	p.topologyBound = true
-	return p.add(at, "partition "+strings.Join(parts, " | "), func(t Target) {
-		eachGroup(t, func(g Target) { g.Network().Partition(groups...) })
+	return p.add(at, "partition "+strings.Join(parts, " | "), func(ts []Target) {
+		each(ts, nil, func(g Target) { g.Network().Partition(groups...) })
 	})
 }
 
@@ -270,8 +250,8 @@ func (p *Plan) PartitionAt(at time.Duration, groups ...[]simnet.ProcessID) *Plan
 // at the given virtual time, until a HealAt.
 func (p *Plan) DropLinkAt(at time.Duration, a, b simnet.ProcessID) *Plan {
 	p.topologyBound = true
-	return p.add(at, fmt.Sprintf("drop link %s—%s", a, b), func(t Target) {
-		eachGroup(t, func(g Target) { g.Network().DropLink(a, b) })
+	return p.add(at, fmt.Sprintf("drop link %s—%s", a, b), func(groups []Target) {
+		each(groups, nil, func(g Target) { g.Network().DropLink(a, b) })
 	})
 }
 
@@ -279,8 +259,8 @@ func (p *Plan) DropLinkAt(at time.Duration, a, b simnet.ProcessID) *Plan {
 // — at the given virtual time. Traffic black-holed while the faults were
 // in force stays lost.
 func (p *Plan) HealAt(at time.Duration) *Plan {
-	return p.add(at, "heal", func(t Target) {
-		eachGroup(t, func(g Target) { g.Network().Heal() })
+	return p.add(at, "heal", func(groups []Target) {
+		each(groups, nil, func(g Target) { g.Network().Heal() })
 	})
 }
 
@@ -288,11 +268,11 @@ func (p *Plan) HealAt(at time.Duration) *Plan {
 // the given duration starting at the given virtual time, then restores
 // calm.
 func (p *Plan) DelayStormAt(at, duration time.Duration, factor float64) *Plan {
-	p.add(at, fmt.Sprintf("delay storm ×%g", factor), func(t Target) {
-		eachGroup(t, func(g Target) { g.Network().SetDelayScale(factor) })
+	p.add(at, fmt.Sprintf("delay storm ×%g", factor), func(groups []Target) {
+		each(groups, nil, func(g Target) { g.Network().SetDelayScale(factor) })
 	})
-	return p.add(at+duration, "delay storm ends", func(t Target) {
-		eachGroup(t, func(g Target) { g.Network().SetDelayScale(1) })
+	return p.add(at+duration, "delay storm ends", func(groups []Target) {
+		each(groups, nil, func(g Target) { g.Network().SetDelayScale(1) })
 	})
 }
 
@@ -376,17 +356,17 @@ func (p *Plan) Horizon() time.Duration {
 	return h
 }
 
-// Apply schedules every operation of the plan on the target's clock,
-// relative to the current virtual time. Call it while the schedule is held
-// (clock Enter'd, before the workload is submitted) so ops land at the
-// declared offsets. Ops added at the same instant fire in the order they
-// were added to the plan; the whole schedule stays deterministic because
-// each op is one discrete event of the virtual clock.
-func (p *Plan) Apply(t Target) {
-	clk := t.Clock()
+// Apply schedules every operation of the plan on the deployment's clock,
+// relative to the current virtual time, against its clusters: every
+// replica group in shard order, or the one cluster. Call it while the
+// schedule is held (clock Enter'd, before the workload is submitted) so ops
+// land at the declared offsets. Ops added at the same instant fire in the
+// order they were added to the plan; the whole schedule stays deterministic
+// because each op is one discrete event of the virtual clock.
+func (p *Plan) Apply(clk *vclock.Virtual, groups ...Target) {
 	for _, op := range p.ops {
 		do := op.Do
-		clk.GoAfter(op.At, func() { do(t) })
+		clk.GoAfter(op.At, func() { do(groups) })
 	}
 }
 

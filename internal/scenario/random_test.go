@@ -43,10 +43,9 @@ func TestRandomPlanSeedsDiffer(t *testing.T) {
 	}
 }
 
-// recordingTarget implements Target and counts what a plan does to it;
-// sharded variants hand out one recorder per group.
+// recordingTarget implements Target and counts what a plan does to it; a
+// sharded deployment is a list of them, one recorder per group.
 type recordingTarget struct {
-	clk      *vclock.Virtual
 	net      *simnet.Network
 	crashes  map[int]bool
 	suspects map[simnet.ProcessID]bool
@@ -55,7 +54,6 @@ type recordingTarget struct {
 
 func newRecordingTarget(clk *vclock.Virtual) *recordingTarget {
 	return &recordingTarget{
-		clk:      clk,
 		net:      simnet.New(simnet.Config{Clock: clk}),
 		crashes:  map[int]bool{},
 		suspects: map[simnet.ProcessID]bool{},
@@ -63,7 +61,6 @@ func newRecordingTarget(clk *vclock.Virtual) *recordingTarget {
 	}
 }
 
-func (r *recordingTarget) Clock() *vclock.Virtual   { return r.clk }
 func (r *recordingTarget) Network() *simnet.Network { return r.net }
 func (r *recordingTarget) CrashServer(i int)        { r.crashes[i] = true }
 func (r *recordingTarget) SuspectEverywhere(p simnet.ProcessID, v bool) {
@@ -71,31 +68,6 @@ func (r *recordingTarget) SuspectEverywhere(p simnet.ProcessID, v bool) {
 }
 func (r *recordingTarget) ClientSuspect(p simnet.ProcessID, v bool) {
 	r.clientS[p] = v
-}
-
-type recordingSharded struct {
-	clk    *vclock.Virtual
-	groups []*recordingTarget
-}
-
-func (r *recordingSharded) Clock() *vclock.Virtual   { return r.clk }
-func (r *recordingSharded) Network() *simnet.Network { return r.groups[0].net }
-func (r *recordingSharded) NumShards() int           { return len(r.groups) }
-func (r *recordingSharded) ShardTarget(s int) Target { return r.groups[s] }
-func (r *recordingSharded) CrashServer(i int) {
-	for _, g := range r.groups {
-		g.CrashServer(i)
-	}
-}
-func (r *recordingSharded) SuspectEverywhere(p simnet.ProcessID, v bool) {
-	for _, g := range r.groups {
-		g.SuspectEverywhere(p, v)
-	}
-}
-func (r *recordingSharded) ClientSuspect(p simnet.ProcessID, v bool) {
-	for _, g := range r.groups {
-		g.ClientSuspect(p, v)
-	}
 }
 
 // TestRandomPlanRespectsLiveness applies many generated schedules to a
@@ -113,16 +85,14 @@ func TestRandomPlanRespectsLiveness(t *testing.T) {
 			shards = 1
 		}
 		groups := make([]*recordingTarget, shards)
+		targets := make([]Target, shards)
 		for s := range groups {
 			groups[s] = newRecordingTarget(clk)
-		}
-		var tgt Target = groups[0]
-		if shards > 1 {
-			tgt = &recordingSharded{clk: clk, groups: groups}
+			targets[s] = groups[s]
 		}
 		p := NewPlan().Random(seed, opt)
 		clk.Enter()
-		p.Apply(tgt)
+		p.Apply(clk, targets...)
 		clk.Sleep(p.Horizon() + time.Millisecond)
 		clk.Exit()
 		return groups

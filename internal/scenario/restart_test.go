@@ -9,6 +9,7 @@ import (
 
 	"xability/internal/core"
 	"xability/internal/schedule"
+	"xability/internal/simnet"
 )
 
 // TestCTOrphanedProposerLiveness pins a CT consensus deadlock: a crash can
@@ -100,9 +101,9 @@ func TestRestartNeverCrashedIsNoOp(t *testing.T) {
 	fired := false
 	restarted := true
 	withOp := base
-	withOp.Plan = NewPlan().add(3*time.Millisecond, "restart live replica 1", func(tg Target) {
+	withOp.Plan = NewPlan().add(3*time.Millisecond, "restart live replica 1", func(groups []Target) {
 		fired = true
-		restarted = tg.(Restarter).RestartServer(1)
+		restarted = groups[0].(Restarter).RestartServer(1)
 	})
 	for seed := int64(1); seed <= 3; seed++ {
 		plain := Execute(base, seed)
@@ -163,16 +164,20 @@ func TestRestartOutcomesByteDeterministic(t *testing.T) {
 			t.Fatalf("scenario %q not registered", name)
 		}
 		scratch := &runScratch{}
+		var first *simnet.Network // what seed 1 built and every later seed must recycle
 		for seed := int64(1); seed <= 5; seed++ {
 			fresh := Execute(sc, seed)
 			reused := execute(sc, seed, RunOptions{}, scratch)
+			if seed == 1 {
+				first = scratch.nets[0]
+			}
 			fresh.History, reused.History = nil, nil
 			if !reflect.DeepEqual(fresh, reused) {
 				t.Errorf("%s seed %d: reused-network outcome differs from fresh run:\nfresh:  %+v\nreused: %+v",
 					name, seed, fresh, reused)
 			}
 		}
-		if scratch.net == nil {
+		if scratch.nets[0] != first {
 			t.Errorf("%s: scratch abandoned its network (Reset failed); reuse never engaged", name)
 		}
 	}

@@ -3,6 +3,8 @@ package scenario
 import (
 	"reflect"
 	"testing"
+
+	"xability/internal/simnet"
 )
 
 // TestReusedNetworkBitEqualOutcomes pins the reset-and-rerun contract: a
@@ -23,16 +25,20 @@ func TestReusedNetworkBitEqualOutcomes(t *testing.T) {
 			t.Fatalf("scenario %q not registered", name)
 		}
 		scratch := &runScratch{}
+		var first *simnet.Network // what seed 1 built and every later seed must recycle
 		for seed := int64(1); seed <= 5; seed++ {
 			fresh := Execute(sc, seed)
 			reused := execute(sc, seed, RunOptions{}, scratch)
+			if seed == 1 {
+				first = scratch.nets[0]
+			}
 			fresh.History, reused.History = nil, nil
 			if !reflect.DeepEqual(fresh, reused) {
 				t.Errorf("%s seed %d: reused-network outcome differs from fresh run:\nfresh:  %+v\nreused: %+v",
 					name, seed, fresh, reused)
 			}
 		}
-		if scratch.net == nil {
+		if scratch.nets[0] != first {
 			t.Errorf("%s: scratch abandoned its network (Reset failed); reuse never engaged", name)
 		}
 	}
@@ -54,16 +60,20 @@ func TestReusedShardedNetworksBitEqualOutcomes(t *testing.T) {
 			t.Fatalf("scenario %q not registered", name)
 		}
 		scratch := &runScratch{}
+		var first *simnet.Network // what seed 1 built and every later seed must recycle
 		for seed := int64(1); seed <= 5; seed++ {
 			fresh := Execute(sc, seed)
 			reused := execute(sc, seed, RunOptions{}, scratch)
+			if seed == 1 {
+				first = scratch.nets[0]
+			}
 			fresh.History, reused.History = nil, nil
 			if !reflect.DeepEqual(fresh, reused) {
 				t.Errorf("%s seed %d: reused-network outcome differs from fresh run:\nfresh:  %+v\nreused: %+v",
 					name, seed, fresh, reused)
 			}
 		}
-		if scratch.groups == nil {
+		if scratch.nets[0] != first {
 			t.Errorf("%s: scratch abandoned its group networks (Reset failed); reuse never engaged", name)
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"xability/internal/schedule"
 	"xability/internal/shard"
 	"xability/internal/simnet"
+	"xability/internal/sm"
 	"xability/internal/trace"
 	"xability/internal/vclock"
 	"xability/internal/verify"
@@ -312,7 +313,7 @@ type Outcome struct {
 	// only (baselines are judged by XAble and the audit).
 	Report verify.Report
 	// Schedule is the recorded delivery log (runs with RunOptions.Record
-	// only; nil otherwise).
+	// only; nil otherwise, and nil on a sharded run, which records nothing).
 	Schedule *schedule.Log
 	// Counterexample is the rendered minimal failing trace; the shrinker
 	// (internal/shrink) fills it on the outcome of a minimized run.
@@ -352,48 +353,50 @@ func ExecuteObserved(sc Scenario, seed int64, run *obs.Run) Outcome {
 	return Run(sc, seed, RunOptions{Obs: run})
 }
 
-// runScratch is a sweep worker's reusable substrate: one network — with
-// its endpoints, interning tables, and event pools — recycled across the
-// worker's seeds via simnet.Reset, instead of allocating a fresh world per
-// run. The protocol actors (servers, clients, machines, environment) are
-// still rebuilt per seed: they are cheap and hold all run state, so reuse
-// stays invisible to outcomes — the sweep determinism tests pin bit-equal
-// results against fresh-world Execute runs.
+// runScratch is a sweep worker's reusable substrate: the deployment's
+// networks — one per cluster, with their endpoints, interning tables, and
+// event pools — recycled across the worker's seeds via simnet.Reset, instead
+// of allocating a fresh world per run. The protocol actors (servers,
+// clients, machines, environment) are still rebuilt per seed: they are cheap
+// and hold all run state, so reuse stays invisible to outcomes — the sweep
+// determinism tests pin bit-equal results against fresh-world Execute runs.
 type runScratch struct {
-	net *simnet.Network
-	// groups is the sharded analogue: one recycled network per replica
-	// group, re-seeded and re-clocked per run via simnet.Reset (see
-	// takeGroups in sharded.go).
-	groups []*simnet.Network
+	nets []*simnet.Network
 }
 
-// take returns a network ready for a seeded run: the recycled one when
-// Reset succeeds, nil (build fresh) otherwise. A network whose previous
-// run failed to wind down is abandoned rather than risked.
-func (s *runScratch) take(cfg simnet.Config) *simnet.Network {
-	if s == nil {
-		return nil
+// take returns n networks ready for a seeded run on base.Clock, network g
+// seeded seedFor(g): the recycled ones, Reset in cluster order (the first
+// drain quiesces the previous run's clock; the rest return immediately), or
+// fresh ones that later seeds then recycle — the first time, when n changed,
+// or when a network's previous run failed to wind down (the set is then
+// abandoned rather than risked).
+func (s *runScratch) take(base simnet.Config, n int, seedFor func(g int) int64) []*simnet.Network {
+	cfgFor := func(g int) simnet.Config {
+		cfg := base
+		cfg.Seed = seedFor(g)
+		return cfg
 	}
-	if s.net != nil {
-		if s.net.Reset(cfg) {
-			return s.net
+	reusable := len(s.nets) == n
+	for g := 0; reusable && g < n; g++ {
+		reusable = s.nets[g].Reset(cfgFor(g))
+	}
+	if !reusable {
+		s.nets = make([]*simnet.Network, n)
+		for g := range s.nets {
+			s.nets[g] = simnet.New(cfgFor(g))
 		}
-		s.net = nil
-		return nil
 	}
-	s.net = simnet.New(cfg)
-	return s.net
+	return s.nets
 }
 
-// deployment is what one run stands up. There are two kinds. The
-// x-ability family is always a list of replica groups: one, or
-// Scenario.Shards of them behind the keyspace router on a shared clock —
+// deployment is what one run stands up: a clock and the clusters on it.
+// There are two kinds. The x-ability family is always a list of replica
+// groups: one, or Scenario.Shards of them behind the keyspace router —
 // x-ability is local, so a sharded deployment is just groups that each
 // verify on their own. The baselines are the second and last kind: one
 // primary-backup or active cluster.
 type deployment struct {
 	clk     *vclock.Virtual
-	target  Target         // the fault surface the plan drives
 	members []member       // one per cluster, in group order
 	router  *shard.Cluster // non-nil when the groups sit behind the router
 	base    *baseline.Cluster
@@ -403,17 +406,19 @@ type deployment struct {
 // core.Cluster and baseline.Cluster both expose, plus what only a replica
 // group has.
 type member struct {
+	target   Target // the cluster's fault surface
 	net      *simnet.Network
 	env      *env.Env
 	observer *trace.Observer
+	client   *core.Client
 	session  session       // the completion log the verdict checks
 	group    *core.Cluster // nil for a baseline cluster
 	station  *core.Station // open-loop load only
 	history  event.History // snapshotted by the driver
 }
 
-// session is a cluster's completion log: the closed loop's client (of
-// either kind) or the open loop's station.
+// session is a cluster's completion log: the closed loop's client or the
+// open loop's station.
 type session interface {
 	Log() ([]action.Request, []action.Value)
 	Attempts() int
@@ -430,11 +435,46 @@ type load struct {
 	accounts int // sizes each group's bank
 }
 
-// deploy builds and starts the scenario's deployment on a fresh world, or
-// on the scratch's recycled network(s).
+// groupConfig is the one place a scenario becomes a replica group's
+// configuration, for the single cluster and for the template the sharded
+// runtime builds every group from alike. Network stays unset: deploy hands
+// each cluster its own.
+func groupConfig(sc Scenario, seed int64, net simnet.Config, accounts int) core.ClusterConfig {
+	return core.ClusterConfig{
+		Replicas:          sc.Replicas,
+		Seed:              seed,
+		Net:               net,
+		Consensus:         sc.Consensus,
+		Detector:          sc.Detector,
+		HeartbeatInterval: sc.HeartbeatInterval,
+		Registry:          workload.Registry(),
+		Setup:             workload.NewBank(accounts, sc.Opening).Setup(),
+		Batch:             sc.Batch,
+		Costs:             sc.Costs,
+		Durable:           sc.Durable,
+		WALSync:           sc.WALSync,
+		WALSnapshotSync:   sc.WALSnapshotSync,
+		WALCompact:        sc.WALCompact,
+	}
+}
+
+// deploy builds and starts the scenario's deployment on a clock it creates
+// here and on networks it takes from the scratch (a single run's scratch is
+// empty, so its world is fresh): every run's world and its clock begin in
+// this function.
 func deploy(sc Scenario, seed int64, l load, scratch *runScratch) *deployment {
-	d := &deployment{}
-	netcfg := netConfig(sc, seed)
+	if scratch == nil {
+		scratch = &runScratch{}
+	}
+	d := &deployment{clk: vclock.NewVirtual()}
+	net := sc.Net
+	net.Seed, net.Clock = seed, d.clk
+	sharded := sc.Protocol == XAbility && sc.Shards > 0
+	n, seedFor := 1, func(int) int64 { return seed }
+	if sharded {
+		n, seedFor = sc.Shards, func(g int) int64 { return shard.GroupSeed(seed, int64(g)) }
+	}
+	nets := scratch.take(net, n, seedFor)
 	switch {
 	case sc.Protocol != XAbility:
 		scheme := baseline.PrimaryBackup
@@ -445,56 +485,58 @@ func deploy(sc Scenario, seed int64, l load, scratch *runScratch) *deployment {
 			Scheme:    scheme,
 			Replicas:  sc.Replicas,
 			Seed:      seed,
-			Net:       netcfg,
-			Network:   scratch.take(netcfg),
+			Net:       net,
+			Network:   nets[0],
 			Handler:   DivergingHandler(),
 			SyncDelay: sc.SyncDelay,
 		})
-		d.base, d.target = c, c
-		d.members = []member{{net: c.Net, env: c.Env, observer: c.Observer, session: c.Client}}
-	case sc.Shards > 0:
-		d.router = shard.New(shardConfig(sc, seed, scratch, l.accounts))
-		d.target = ShardedTarget(d.router)
+		d.base = c
+		d.members = []member{{target: c, net: c.Net, env: c.Env, observer: c.Observer, client: c.Client}}
+	case sharded:
+		// Every group owns its slice of the application state: its own bank.
+		accounts, opening := l.accounts, sc.Opening
+		d.router = shard.New(shard.Config{
+			Shards:   sc.Shards,
+			Group:    groupConfig(sc, seed, net, accounts),
+			Setup:    func(int) func(*sm.Machine) { return workload.NewBank(accounts, opening).Setup() },
+			Networks: nets,
+		})
 		d.members = make([]member, sc.Shards)
 		for s := range d.members {
 			d.members[s].group = d.router.Group(s)
 		}
 	default:
-		c := core.NewCluster(core.ClusterConfig{
-			Replicas:          sc.Replicas,
-			Seed:              seed,
-			Net:               netcfg,
-			Network:           scratch.take(netcfg),
-			Consensus:         sc.Consensus,
-			Detector:          sc.Detector,
-			HeartbeatInterval: sc.HeartbeatInterval,
-			Registry:          workload.Registry(),
-			Setup:             workload.NewBank(l.accounts, sc.Opening).Setup(),
-			Batch:             sc.Batch,
-			Costs:             sc.Costs,
-			Durable:           sc.Durable,
-			WALSync:           sc.WALSync,
-			WALSnapshotSync:   sc.WALSnapshotSync,
-			WALCompact:        sc.WALCompact,
-		})
-		d.target = c
-		d.members = []member{{group: c}}
+		cfg := groupConfig(sc, seed, net, l.accounts)
+		cfg.Network = nets[0]
+		d.members = []member{{group: core.NewCluster(cfg)}}
 	}
 	for i := range d.members {
 		m := &d.members[i]
 		if g := m.group; g != nil {
-			m.net, m.env, m.observer, m.session = g.Net, g.Env, g.Observer, g.Client
+			m.target, m.net, m.env, m.observer, m.client = g, g.Net, g.Env, g.Observer, g.Client
 			for _, f := range sc.Failures {
 				g.Env.SetFailures(f.Action, f.Prob, f.Budget, f.AfterProb)
 			}
 			if l.open {
 				m.station = g.OpenStation()
-				m.session = m.station
 			}
 		}
+		m.session = m.client
+		if m.station != nil {
+			m.session = m.station
+		}
 	}
-	d.clk = d.members[0].net.Clock()
 	return d
+}
+
+// apply schedules the scenario's fault plan against the deployment's
+// clusters. Call with the clock held.
+func (d *deployment) apply(p *Plan) {
+	groups := make([]Target, len(d.members))
+	for i, m := range d.members {
+		groups[i] = m.target
+	}
+	p.Apply(d.clk, groups...)
 }
 
 // stop shuts every cluster down. Non-blocking and idempotent, so the
@@ -522,17 +564,9 @@ func (d *deployment) drive(l load) bool {
 		_, replied := d.router.Router.CallAll(l.reqs)
 		return replied
 	}
-	var client interface {
-		SubmitUntilSuccess(action.Request) action.Value
-	}
-	if d.base != nil {
-		client = d.base.Client
-	} else {
-		client = d.members[0].group.Client
-	}
 	replied := true
 	for _, r := range l.reqs {
-		if client.SubmitUntilSuccess(r) == "" {
+		if d.members[0].client.SubmitUntilSuccess(r) == "" {
 			replied = false
 		}
 	}
@@ -657,7 +691,7 @@ func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outc
 	clk.Enter()
 	timedOut, disarm := watchdog(sc, d)
 	if sc.Plan != nil {
-		sc.Plan.Apply(d.target)
+		d.apply(sc.Plan)
 	}
 	start := clk.Now()
 	replied := d.drive(l)
@@ -680,7 +714,7 @@ func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outc
 		Requests: len(l.reqs),
 		SimTime:  simTime,
 		Obs:      sc.Net.Metrics.Snapshot(), // nil-safe; nil when unobserved
-		Schedule: opts.Record,
+		Schedule: sc.Net.Record,             // nil on a sharded run: nothing was recorded
 	}
 	for _, m := range d.members {
 		o.Messages += m.net.TotalSent()
@@ -822,14 +856,6 @@ func auditEffects(reqs []action.Request, inForce func(action.Name, action.Value)
 		}
 	}
 	return effects, dups
-}
-
-// netConfig clones the scenario's network config for one seeded run.
-func netConfig(sc Scenario, seed int64) simnet.Config {
-	cfg := sc.Net
-	cfg.Seed = seed
-	cfg.Clock = nil // every run gets its own virtual clock
-	return cfg
 }
 
 // waitStable polls probe on the cluster clock until its value has not

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"xability/internal/action"
+	"xability/internal/core"
 	"xability/internal/simnet"
 )
 
@@ -150,5 +151,42 @@ func TestAuditEffectsMultiplicity(t *testing.T) {
 	sc, _ := Get("sequence")
 	if d := Sweep(sc, Seeds(1, 32), 0); d.ReplayDuplicates != 0 || d.Effects[6] != 32 {
 		t.Errorf("sequence: %d duplicate-replay runs, effects %v; want 0 and all mass on 6", d.ReplayDuplicates, d.Effects)
+	}
+}
+
+// TestGroupConfigCarriesEveryField guards the one place a scenario becomes
+// a replica group's configuration: from a scenario with every group-level
+// field set, groupConfig must fill every field of core.ClusterConfig except
+// the ones listed here with who fills them instead. A field added to
+// ClusterConfig and not mapped fails here, instead of being a silent hole
+// in one of the deployments (PR 12 found the sharded copy of this list
+// without Durable and the WAL fields).
+func TestGroupConfigCarriesEveryField(t *testing.T) {
+	filledElsewhere := map[string]string{
+		"Network": "deploy hands each cluster its recycled network",
+	}
+	sc := Scenario{
+		Replicas:          5,
+		Consensus:         core.ConsensusCT,
+		Detector:          core.DetectorHeartbeat,
+		HeartbeatInterval: time.Millisecond,
+		Batch:             core.BatchConfig{Enabled: true},
+		Costs:             core.CostModel{Exec: time.Microsecond},
+		Durable:           true,
+		WALSync:           time.Microsecond,
+		WALSnapshotSync:   time.Microsecond,
+		WALCompact:        8,
+		Opening:           100,
+	}
+	cfg := reflect.ValueOf(groupConfig(sc, 7, simnet.Config{MaxDelay: time.Millisecond}, 4))
+	for i := 0; i < cfg.NumField(); i++ {
+		name := cfg.Type().Field(i).Name
+		_, elsewhere := filledElsewhere[name]
+		switch zero := cfg.Field(i).IsZero(); {
+		case zero && !elsewhere:
+			t.Errorf("groupConfig leaves core.ClusterConfig.%s unset: map it from the scenario, or list it in filledElsewhere with who sets it", name)
+		case !zero && elsewhere:
+			t.Errorf("core.ClusterConfig.%s is listed in filledElsewhere but groupConfig sets it: drop the entry", name)
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"xability/internal/schedule"
 )
 
 // TestShardedSweepDeterministic pins the sharded runtime's replayability:
@@ -33,13 +35,18 @@ func TestShardedSweepDeterministic(t *testing.T) {
 // TestShardedOutcomeDeterministic re-executes single sharded runs —
 // including SimTime, which is where a scheduling leak would show first
 // (the virtual span of concurrent streams) — and requires bit-equal
-// outcomes.
+// outcomes. The second execution asks for a recording: a sharded run sits
+// outside the record/replay plane, so the request changes nothing and the
+// outcome carries no Schedule (not the caller's empty log).
 func TestShardedOutcomeDeterministic(t *testing.T) {
 	for _, name := range []string{"shard-nice", "shard-crash-failover", "shard-storm", "shard-random"} {
 		sc, _ := Get(name)
 		for seed := int64(1); seed <= 4; seed++ {
 			a := Execute(sc, seed)
-			b := Execute(sc, seed)
+			b := Run(sc, seed, RunOptions{Record: schedule.NewLog()})
+			if b.Schedule != nil {
+				t.Errorf("%s seed %d: sharded run returned a Schedule of %d entries, want nil", name, seed, b.Schedule.Len())
+			}
 			a.History, b.History = nil, nil
 			if !reflect.DeepEqual(a, b) {
 				t.Errorf("%s seed %d: two executions differ:\n%+v\nvs\n%+v", name, seed, a, b)

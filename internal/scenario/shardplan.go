@@ -9,7 +9,7 @@ import (
 )
 
 // Shard-qualified plan operations: the group-scoped half of the fault
-// plane (see the Sharded interface). Where the unqualified ops strike
+// plane (see Target). Where the unqualified ops strike
 // every group at once, these address single groups or k-of-N subsets —
 // crash one group's owner, split-brain two groups of four, storm a subset
 // — which is the adversarial vocabulary sharded deployments add.
@@ -20,8 +20,8 @@ import (
 // never notice.
 func (p *Plan) CrashShardAt(at time.Duration, shard, replica int) *Plan {
 	p.shardBound = true
-	return p.addIdentified(at, fmt.Sprintf("shard %d: crash replica %d", shard, replica), OpCrash, shard, replica, func(t Target) {
-		shardOf(t, shard).CrashServer(replica)
+	return p.addIdentified(at, fmt.Sprintf("shard %d: crash replica %d", shard, replica), OpCrash, shard, replica, func(groups []Target) {
+		groups[shard].CrashServer(replica)
 	})
 }
 
@@ -34,10 +34,8 @@ func (p *Plan) CrashShardAt(at time.Duration, shard, replica int) *Plan {
 // staggered RestartShardAts.
 func (p *Plan) RestartShardAt(at time.Duration, shard, replica int) *Plan {
 	p.shardBound = true
-	return p.addIdentified(at, fmt.Sprintf("shard %d: restart replica %d", shard, replica), OpRestart, shard, replica, func(t Target) {
-		if r, ok := shardOf(t, shard).(Restarter); ok {
-			r.RestartServer(replica)
-		}
+	return p.addIdentified(at, fmt.Sprintf("shard %d: restart replica %d", shard, replica), OpRestart, shard, replica, func(groups []Target) {
+		restart(groups[shard], replica)
 	})
 }
 
@@ -58,9 +56,9 @@ func (p *Plan) PartitionShardsAt(at time.Duration, shards []int, sides ...[]simn
 	p.topologyBound = true
 	p.shardBound = true
 	name := fmt.Sprintf("shards %v: partition %s", shards, strings.Join(parts, " | "))
-	return p.add(at, name, func(t Target) {
+	return p.add(at, name, func(groups []Target) {
 		for _, s := range shards {
-			shardOf(t, s).Network().Partition(sides...)
+			groups[s].Network().Partition(sides...)
 		}
 	})
 }
@@ -73,15 +71,9 @@ func (p *Plan) StormShardsAt(at, duration time.Duration, factor float64, shards 
 	if len(shards) > 0 {
 		p.shardBound = true
 	}
-	set := func(f float64) func(Target) {
-		return func(t Target) {
-			if len(shards) == 0 {
-				eachGroup(t, func(g Target) { g.Network().SetDelayScale(f) })
-				return
-			}
-			for _, s := range shards {
-				shardOf(t, s).Network().SetDelayScale(f)
-			}
+	set := func(f float64) func([]Target) {
+		return func(groups []Target) {
+			each(groups, shards, func(g Target) { g.Network().SetDelayScale(f) })
 		}
 	}
 	p.add(at, fmt.Sprintf("shards %v: delay storm ×%g", shards, factor), set(factor))
@@ -94,14 +86,8 @@ func (p *Plan) HealShardsAt(at time.Duration, shards ...int) *Plan {
 	if len(shards) > 0 {
 		p.shardBound = true
 	}
-	return p.add(at, fmt.Sprintf("shards %v: heal", shards), func(t Target) {
-		if len(shards) == 0 {
-			eachGroup(t, func(g Target) { g.Network().Heal() })
-			return
-		}
-		for _, s := range shards {
-			shardOf(t, s).Network().Heal()
-		}
+	return p.add(at, fmt.Sprintf("shards %v: heal", shards), func(groups []Target) {
+		each(groups, shards, func(g Target) { g.Network().Heal() })
 	})
 }
 
@@ -118,7 +104,7 @@ func (p *Plan) OnShard(shard int, sub *Plan) *Plan {
 		op := op
 		requalified := op
 		requalified.Name = fmt.Sprintf("shard %d: %s", shard, op.Name)
-		requalified.Do = func(t Target) { op.Do(shardOf(t, shard)) }
+		requalified.Do = func(groups []Target) { op.Do(groups[shard : shard+1]) }
 		// Re-addressing scopes the op's identity too: a crash that fanned
 		// out to every group now names this one, so the shrinker pairs it
 		// with restarts of the same scope only.

@@ -8,14 +8,11 @@ import (
 	"xability/internal/vclock"
 )
 
-// KeyFunc extracts the routing key from a request. The key, not the whole
-// request, is what the ring partitions: two requests with the same key
-// always land on the same group, which is what lets a group own its slice
-// of the application state outright.
-type KeyFunc func(req action.Request) string
-
-// InputKey is the default key extractor: the request's raw input value
-// (the bank workload's account name).
+// InputKey is the routing key: the request's raw input value (the bank
+// workload's account name). The key, not the whole request, is what the
+// ring partitions: two requests with the same key always land on the same
+// group, which is what lets a group own its slice of the application state
+// outright.
 func InputKey(req action.Request) string { return string(req.Input) }
 
 // Route records one routing decision for the merged checker's global
@@ -34,7 +31,7 @@ type Route struct {
 }
 
 // Router is the deployment's client stub: it maps each request to its
-// owning group via the key extractor and the ring, submits it on that
+// owning group via InputKey and the ring, submits it on that
 // group's client, and records the decision for the routing audit.
 //
 // Failover on crash or suspicion happens *inside* the owner group: the
@@ -46,7 +43,6 @@ type Route struct {
 // checker enforces.
 type Router struct {
 	ring   *Ring
-	key    KeyFunc
 	groups []*core.Cluster
 	clk    *vclock.Virtual
 
@@ -57,12 +53,12 @@ type Router struct {
 	routed [][]Route
 }
 
-func newRouter(ring *Ring, key KeyFunc, groups []*core.Cluster, clk *vclock.Virtual) *Router {
-	return &Router{ring: ring, key: key, groups: groups, clk: clk, routed: make([][]Route, len(groups))}
+func newRouter(ring *Ring, groups []*core.Cluster, clk *vclock.Virtual) *Router {
+	return &Router{ring: ring, groups: groups, clk: clk, routed: make([][]Route, len(groups))}
 }
 
 // Owner returns the shard index owning a request's key.
-func (r *Router) Owner(req action.Request) int { return r.ring.Owner(r.key(req)) }
+func (r *Router) Owner(req action.Request) int { return r.ring.Owner(InputKey(req)) }
 
 // Call routes one request to its owning group and submits it until it
 // succeeds. It returns the group's reply ("" when the run was closed
@@ -74,7 +70,7 @@ func (r *Router) Call(req action.Request) action.Value {
 func (r *Router) callOn(s int, req action.Request) action.Value {
 	v := r.groups[s].Client.SubmitUntilSuccess(req)
 	r.mu.Lock()
-	r.routed[s] = append(r.routed[s], Route{Req: req, Key: r.key(req), Shard: s, Reply: v, Replied: v != ""})
+	r.routed[s] = append(r.routed[s], Route{Req: req, Key: InputKey(req), Shard: s, Reply: v, Replied: v != ""})
 	r.mu.Unlock()
 	return v
 }

@@ -347,17 +347,15 @@ func Shrink(sc Scenario, seed int64, opt ShrinkOptions) (MinTrace, error) {
 // every request to exactly one owning group is x-able end to end — the
 // merged verifier checks both halves of that argument.
 type (
-	// ShardedConfig configures a sharded deployment: shard count, per-group
-	// replication, substrates, per-shard machine setup, and the key
-	// extractor the router partitions on.
+	// ShardedConfig configures a sharded deployment: the shard count, the
+	// ServiceConfig every group is built from (Group), and the per-shard
+	// machine setup. The router partitions on the request's input.
 	ShardedConfig = shard.Config
 	// ShardedReport is the merged verdict: per-shard R2–R4 reports plus
 	// the global exactly-once-routing audit.
 	ShardedReport = shard.Report
 	// Ring is the consistent-hash keyspace partitioner.
 	Ring = shard.Ring
-	// ShardKeyFunc extracts the routing key from a request.
-	ShardKeyFunc = shard.KeyFunc
 )
 
 // NewRing builds a consistent-hash ring over the given shard count;
@@ -402,7 +400,13 @@ func (s *ShardedService) Verify(reg *Registry) ShardedReport { return s.c.Verify
 // strike every group at one virtual instant (correlated faults); the
 // shard-qualified ops (Plan.CrashShardAt, Plan.PartitionShardsAt,
 // Plan.StormShardsAt, Plan.OnShard, …) address single groups.
-func (s *ShardedService) Apply(p *Plan) { p.Apply(scenario.ShardedTarget(s.c)) }
+func (s *ShardedService) Apply(p *Plan) {
+	groups := make([]FaultTarget, s.c.Shards())
+	for i := range groups {
+		groups[i] = s.c.Group(i)
+	}
+	p.Apply(s.c.Clock(), groups...)
+}
 
 // Clock returns the deployment's shared clock.
 func (s *ShardedService) Clock() Clock { return s.c.Clock() }
@@ -424,7 +428,7 @@ func (s *ShardedService) Close() { s.c.Stop() }
 //	svc.Apply(xability.NewPlan().CrashAt(2*time.Millisecond, 0))
 //	reply := svc.Call(req)
 //	clk.Exit()
-func (s *Service) Apply(p *Plan) { p.Apply(s.cluster) }
+func (s *Service) Apply(p *Plan) { p.Apply(s.cluster.Clock(), s.cluster) }
 
 // Clock returns the service's clock. Schedule fault injection on it
 // (Clock().Go with Clock().Sleep) so scenarios land at fixed points of

@@ -199,10 +199,8 @@ func TestFacadeShardedService(t *testing.T) {
 	reg.MustRegister("put", xability.Idempotent)
 
 	svc := xability.NewShardedService(xability.ShardedConfig{
-		Shards:   4,
-		Replicas: 3,
-		Seed:     5,
-		Registry: reg,
+		Shards: 4,
+		Group:  xability.ServiceConfig{Replicas: 3, Seed: 5, Registry: reg},
 		Setup: func(shard int) func(m *xability.Machine) {
 			return func(m *xability.Machine) {
 				if err := m.HandleIdempotent("put", func(ctx *xability.Ctx) xability.Value {
