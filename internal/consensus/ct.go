@@ -687,14 +687,11 @@ func (n *Node) waitCond(inst *ctInstance, round int, ready func() bool, abort fu
 				return true, false
 			}
 		}
-		switch {
-		case abort != nil:
+		// Always a timed wait: even with nothing to resend, a
+		// pending-but-gated catch-up needs the gate re-checked.
+		if abort != nil {
 			inst.cond.WaitTimeout(ctPoll)
-		case resend != nil:
-			inst.cond.WaitTimeout(ctResendAfter)
-		default:
-			// A pending-but-gated catch-up needs a timed wait to re-check
-			// the gate; otherwise an untimed wait is fine.
+		} else {
 			inst.cond.WaitTimeout(ctResendAfter)
 		}
 		if resend != nil {
@@ -743,21 +740,13 @@ func (n *Node) currentEstimate(inst *ctInstance, round int) ctMsg {
 
 func (n *Node) sendCons(to simnet.ProcessID, m ctMsg) {
 	if to == n.self {
-		// Local delivery without the network: enqueue directly.
+		// Local delivery without the network: enqueue directly. (Nobody
+		// self-sends a decide: decide() and the relay both skip self.)
 		inst := n.instance(m.Key)
 		m.From = n.self
 		inst.mu.Lock()
-		if m.Kind == ctDecide {
-			if !inst.decided {
-				// Unreachable today — decide() and the relay both skip self —
-				// but kept for sendCons totality.
-				inst.decided, inst.decision = true, m.Value //xvet:ok durablewrite dead branch: no caller self-sends a decide; the live decide paths persist
-				inst.cond.Broadcast()
-			}
-		} else {
-			inst.inbox = append(inst.inbox, m)
-			inst.cond.Broadcast()
-		}
+		inst.inbox = append(inst.inbox, m)
+		inst.cond.Broadcast()
 		inst.mu.Unlock()
 		return
 	}

@@ -198,9 +198,7 @@ func (s *Server) batcher() {
 		s.m.SetMax(obs.GaugeBatchMax, int64(len(batch)))
 		s.m.SetMax(obs.GaugePipelineDepth, int64(depth))
 
-		s.wg.Add(1)
 		s.clk.Go(func() {
-			defer s.wg.Done()
 			s.runSlot(n, 1, batch)
 			ss.mu.Lock()
 			ss.inflight--
@@ -522,16 +520,7 @@ func (s *Server) cleanSlot() {
 	ss.mu.Unlock()
 
 	id := slotID(n)
-	lastRound := 0
-	var od ownerDecision
-	for r := 1; r <= MaxRound; r++ {
-		v, decided := s.cons.Object(ownerKey(id, r)).Read()
-		if !decided {
-			break
-		}
-		lastRound = r
-		od = v.(ownerDecision)
-	}
+	lastRound, od := s.lastOwner(id)
 	if lastRound == 0 {
 		return // no such slot yet; nothing to clean
 	}

@@ -162,8 +162,6 @@ type Server struct {
 	// cleaner's resume path tells "the owner goroutine died with the crash"
 	// from "the owner goroutine is still working".
 	inflight map[consensus.Key]bool
-	stop     chan struct{}
-	wg       sync.WaitGroup
 
 	// Batched plane (nil/zero unless batch.Enabled; see batch.go).
 	slots *slotState
@@ -220,7 +218,6 @@ func NewServer(cfg ServerConfig) *Server {
 		active:   make(map[string]*requestState),
 		rounds:   make(map[consensus.Key]bool),
 		inflight: make(map[consensus.Key]bool),
-		stop:     make(chan struct{}),
 	}
 	if s.costs.enabled() {
 		s.cpu = newVCPU(s.clk)
@@ -303,25 +300,18 @@ func (s *Server) propose(key consensus.Key, val any) any {
 // the batcher (window-driven slot formation) and the follower (in-order
 // slot application; see batch.go).
 func (s *Server) Start() {
-	s.wg.Add(2)
-	s.clk.Go(func() { defer s.wg.Done(); s.mainLoop() })
-	s.clk.Go(func() { defer s.wg.Done(); s.cleaner() })
+	s.clk.Go(s.mainLoop)
+	s.clk.Go(s.cleaner)
 	if s.batch.Enabled {
-		s.wg.Add(2)
-		s.clk.Go(func() { defer s.wg.Done(); s.batcher() })
-		s.clk.Go(func() { defer s.wg.Done(); s.follower() })
+		s.clk.Go(s.batcher)
+		s.clk.Go(s.follower)
 	}
 }
 
 // Stop terminates the server's goroutines without simulating a crash.
 func (s *Server) Stop() {
 	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		return
-	}
 	s.stopped = true
-	close(s.stop)
 	s.mu.Unlock()
 }
 
@@ -448,9 +438,7 @@ func (s *Server) mainLoop() {
 				continue
 			}
 			// req.round := 1 (Figure 6).
-			s.wg.Add(1)
 			s.clk.Go(func() {
-				defer s.wg.Done()
 				if !s.processRequest(p.Req, 1, p.Client) {
 					// This replica accepted the submission but did not
 					// answer it — it lost the ownership race, or the
@@ -559,8 +547,7 @@ func (s *Server) processRequest(req action.Request, round int, client simnet.Pro
 	}
 	res = s.resultCoordination(req, round, res)
 	if res != EmptyResult && !s.isStopped() {
-		s.finish(req.ID, res)
-		s.ep.Send(client, MsgResult, ResultPayload{ReqID: req.ID, Value: res})
+		s.reply(req.ID, client, res)
 		return true
 	}
 	return false
@@ -592,13 +579,11 @@ func (s *Server) awaitFixed(req action.Request, client simnet.ProcessID) {
 		s.mu.Lock()
 		done, res := st.done, st.result
 		s.mu.Unlock()
-		if done {
-			s.ep.Send(client, MsgResult, ResultPayload{ReqID: req.ID, Value: res})
-			return
+		if !done {
+			res, done = s.resultFixed(req)
 		}
-		if v, ok := s.resultFixed(req); ok {
-			s.finish(req.ID, v)
-			s.ep.Send(client, MsgResult, ResultPayload{ReqID: req.ID, Value: v})
+		if done {
+			s.reply(req.ID, client, res)
 			return
 		}
 		s.clk.Sleep(cleanInterval)
@@ -607,7 +592,10 @@ func (s *Server) awaitFixed(req action.Request, client simnet.ProcessID) {
 
 // resultFixed scans the request's rounds, read-only, for a committed
 // result: the fixed value of an idempotent round, or the committed
-// outcome of an undoable one. Aborted rounds are skipped.
+// outcome of an undoable one. Aborted rounds are skipped. Every path that
+// learns a result without driving a round reads it here — the submit
+// path's watcher, a restarted owner's resume, and the replay of earlier
+// requests into a machine.
 func (s *Server) resultFixed(req action.Request) (action.Value, bool) {
 	for r := 1; r <= MaxRound; r++ {
 		if _, decided := s.cons.Object(ownerKey(req.ID, r)).Read(); !decided {
@@ -640,10 +628,8 @@ func (s *Server) cleaner() {
 	// never needs to tie-break between replicas).
 	s.clk.Sleep(cleanInterval + vclock.Stagger(string(s.id), cleanInterval/4+1))
 	for {
-		select {
-		case <-s.stop:
+		if s.isStopped() {
 			return
-		default:
 		}
 		if s.batch.Enabled {
 			s.cleanSlot()
@@ -670,17 +656,7 @@ func (s *Server) snapshotActive() []*requestState {
 
 func (s *Server) cleanRequest(st *requestState) {
 	reqID := st.req.ID
-	// "let last-round be the largest defined index in owner-agreement".
-	lastRound := 0
-	var od ownerDecision
-	for r := 1; r <= MaxRound; r++ {
-		v, decided := s.cons.Object(ownerKey(reqID, r)).Read()
-		if !decided {
-			break
-		}
-		lastRound = r
-		od = v.(ownerDecision)
-	}
+	lastRound, od := s.lastOwner(reqID)
 	// An attempt record for the round after last-round is an ownership
 	// proposal some incarnation of this replica wrote ahead and then never
 	// learned the decision of — it crashed inside the propose. The quorum
@@ -720,21 +696,41 @@ func (s *Server) cleanRequest(st *requestState) {
 	if !s.det.Suspect(od.Owner) {
 		return
 	}
-	// Cleaning mode: prevent the suspected owner from enforcing a result.
 	s.m.Inc(obs.Takeovers)
 	s.tr.Instant(s.clk.Now(), string(s.id), "takeover", reqID)
-	res := s.resultCoordination(od.Req, lastRound, EmptyResult)
+	s.cleanRound(od, lastRound)
+}
+
+// lastOwner is the cleaner's "let last-round be the largest defined index in
+// owner-agreement": the latest decided round of a request (or slot) ID and
+// its ownership decision; round 0 when nobody owns round 1 yet.
+func (s *Server) lastOwner(id string) (round int, od ownerDecision) {
+	for r := 1; r <= MaxRound; r++ {
+		v, decided := s.cons.Object(ownerKey(id, r)).Read()
+		if !decided {
+			break
+		}
+		round, od = r, v.(ownerDecision)
+	}
+	return round, od
+}
+
+// cleanRound is cleaning mode, for a suspected owner's round and for a
+// round this replica's previous incarnation owned alike: coordinate with
+// EmptyResult, which prevents the round's owner from enforcing a result;
+// then, if none was fixed, drive the successor round as its owner, and
+// otherwise forward the fixed result — the owner may have crashed before
+// replying, and the client must terminate (R2).
+func (s *Server) cleanRound(od ownerDecision, round int) {
+	res := s.resultCoordination(od.Req, round, EmptyResult)
 	if s.isStopped() {
 		return
 	}
 	if res == EmptyResult {
-		s.processRequest(od.Req, lastRound+1, od.Client)
+		s.processRequest(od.Req, round+1, od.Client)
 		return
 	}
-	// A result was already fixed; the suspected owner may have crashed
-	// before replying. Forward the result so the client terminates (R2).
-	s.finish(reqID, res)
-	s.ep.Send(od.Client, MsgResult, ResultPayload{ReqID: reqID, Value: res})
+	s.reply(od.Req.ID, od.Client, res)
 }
 
 // resumeOwnRound settles a round this replica owns but has no live
@@ -765,8 +761,7 @@ func (s *Server) resumeOwnRound(od ownerDecision, round int) {
 	// The crash may have hit between the outcome decision and the reply:
 	// forward a fixed result rather than re-driving the round.
 	if v, ok := s.resultFixed(req); ok {
-		s.finish(req.ID, v)
-		s.ep.Send(od.Client, MsgResult, ResultPayload{ReqID: req.ID, Value: v})
+		s.reply(req.ID, od.Client, v)
 		return
 	}
 	// The crash may have hit anywhere between execution and the reply, and
@@ -781,16 +776,7 @@ func (s *Server) resumeOwnRound(od ownerDecision, round int) {
 	// cleaning mode learns a fixed result if one exists — the reply then
 	// goes out — and otherwise aborts the round like any cleaner would,
 	// letting the successor round re-execute under a fresh tag.
-	res := s.resultCoordination(req, round, EmptyResult)
-	if s.isStopped() {
-		return
-	}
-	if res == EmptyResult {
-		s.processRequest(req, round+1, od.Client)
-		return
-	}
-	s.finish(req.ID, res)
-	s.ep.Send(od.Client, MsgResult, ResultPayload{ReqID: req.ID, Value: res})
+	s.cleanRound(od, round)
 }
 
 // resultCoordination is Figure 7's result-coordination: agreement on the
@@ -899,7 +885,7 @@ func (s *Server) replayEarlier(reqID string) {
 	}
 	s.mu.Unlock()
 	for _, st := range todo {
-		if res, ok := s.decidedResult(st.req); ok {
+		if res, ok := s.resultFixed(st.req); ok {
 			s.mach.Apply(st.req, res)
 			s.mu.Lock()
 			st.applied = true
@@ -908,25 +894,12 @@ func (s *Server) replayEarlier(reqID string) {
 	}
 }
 
-// decidedResult scans a request's rounds for a fixed, non-empty result.
-func (s *Server) decidedResult(req action.Request) (action.Value, bool) {
-	for r := 1; r <= MaxRound; r++ {
-		if _, ok := s.cons.Object(ownerKey(req.ID, r)).Read(); !ok {
-			break
-		}
-		if s.mach.IsIdempotent(req) {
-			if v, ok := s.cons.Object(resultKey(req.ID, r)).Read(); ok {
-				if res, ok2 := v.(action.Value); ok2 && res != EmptyResult {
-					return res, true
-				}
-			}
-		} else if v, ok := s.cons.Object(outcomeKey(req.ID, r)).Read(); ok {
-			if dec, ok2 := v.(outcomeDecision); ok2 && dec.Outcome == "commit" {
-				return dec.Value, true
-			}
-		}
-	}
-	return "", false
+// reply fixes a request's result at this replica and sends it to the
+// client. Replies are idempotent, so every path that learns a fixed result
+// may forward it.
+func (s *Server) reply(reqID string, client simnet.ProcessID, res action.Value) {
+	s.finish(reqID, res)
+	s.ep.Send(client, MsgResult, ResultPayload{ReqID: reqID, Value: res})
 }
 
 // finish marks a request complete, remembering its result for

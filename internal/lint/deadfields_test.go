@@ -138,11 +138,9 @@ func TestNoDeadConfigFields(t *testing.T) {
 // knobs no scenario, CLI, example or benchmark turns, each with what does.
 // The list may only shrink — an entry that stops being true fails the test.
 var unsetOutsideTests = map[string]string{
-	"simnet.Config.Dist":                       "the non-uniform delay distributions: simnet's own tests draw from them, no registered scenario selects one",
-	"simnet.Config.MinDelay":                   "a delay floor: simnet's tests set one, every scenario's span starts at zero",
-	"scenario.SweepOptions.MaxCounterexamples": "the bound on shrunk or traced failing seeds: tests lower it, the CLIs run with the default",
-	"shrink.Options.Failing":                   "the failure predicate: shrink's tests substitute one, every caller keeps the baseline run's failure class",
-	"shard.Config.Key":                         "the facade's custom routing key (xability.ShardKeyFunc): no caller in the tree, tests included",
+	"simnet.Config.Dist":     "the non-uniform delay distributions: simnet's own tests draw from them, no registered scenario selects one",
+	"simnet.Config.MinDelay": "a delay floor: simnet's tests set one, every scenario's span starts at zero",
+	"shrink.Options.Failing": "the failure predicate: shrink's tests substitute one, every caller keeps the baseline run's failure class",
 }
 
 func isKnobStruct(name string) bool {

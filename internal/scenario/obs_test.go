@@ -176,15 +176,12 @@ func TestSweepMetricsRollup(t *testing.T) {
 // failing seeds.
 func TestSweepTraceFailing(t *testing.T) {
 	sc, _ := Get("pb-crash-failover")
-	d := SweepWithOptions(sc, Seeds(1, 6), SweepOptions{
-		TraceFailing:       true,
-		MaxCounterexamples: 2,
-	})
+	d := SweepWithOptions(sc, Seeds(1, 6), SweepOptions{TraceFailing: true})
 	if len(d.Failing) != 6 {
 		t.Fatalf("failing = %v, want all 6", d.Failing)
 	}
-	if len(d.Traces) != 2 {
-		t.Fatalf("traces = %d, want 2 (bounded)", len(d.Traces))
+	if len(d.Traces) != maxCounterexamples {
+		t.Fatalf("traces = %d, want %d (bounded)", len(d.Traces), maxCounterexamples)
 	}
 	for seed, j := range d.Traces {
 		if !bytes.HasPrefix(j, []byte(`{"traceEvents":[`)) {

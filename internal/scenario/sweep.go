@@ -156,12 +156,17 @@ func Seeds(base int64, n int) []int64 {
 	return out
 }
 
+// maxCounterexamples bounds how many failing seeds of a sweep are shrunk or
+// re-run under tracing. Both are sequential and cost many re-executions per
+// seed; a sweep with hundreds of failing seeds wants a bound.
+const maxCounterexamples = 3
+
 // SweepOptions tunes a sweep beyond its seed population.
 type SweepOptions struct {
 	// Workers is the parallel worker count (0 selects GOMAXPROCS).
 	Workers int
 	// ShrinkFailing turns failing seeds into minimal counterexample
-	// traces: after the fold, up to MaxCounterexamples failing seeds are
+	// traces: after the fold, up to maxCounterexamples failing seeds are
 	// delta-debugged (record → ddmin-edited replays) and the rendered
 	// minimal traces land in VerdictDistribution.Counterexamples. The
 	// shrinker lives in internal/shrink and registers itself via
@@ -171,16 +176,12 @@ type SweepOptions struct {
 	// ShrinkBudget caps each shrink's Execute invocations (0 selects the
 	// shrinker default).
 	ShrinkBudget int
-	// MaxCounterexamples bounds how many failing seeds are shrunk
-	// (0 selects 3). Shrinking is sequential and costs many re-executions
-	// per seed; a sweep with hundreds of failing seeds wants a bound.
-	MaxCounterexamples int
 	// Metrics arms the observability plane for every run: each worker
 	// keeps one obs.Metrics registry, reset per seed, and the per-run
 	// snapshots fold (in seed order, so deterministically) into
 	// VerdictDistribution.Rollup.
 	Metrics bool
-	// TraceFailing re-runs up to MaxCounterexamples failing seeds under
+	// TraceFailing re-runs up to maxCounterexamples failing seeds under
 	// request tracing and stores the exported Chrome trace-event JSON in
 	// VerdictDistribution.Traces. The re-run is deterministic — same
 	// (scenario, seed), observation does not perturb the schedule — so the
@@ -304,13 +305,9 @@ func SweepWithOptions(sc Scenario, seeds []int64, opts SweepOptions) VerdictDist
 		d.Rollup = obs.NewRollup(snaps)
 	}
 	if opts.TraceFailing && len(d.Failing) > 0 {
-		max := opts.MaxCounterexamples
-		if max <= 0 {
-			max = 3
-		}
 		d.Traces = make(map[int64][]byte)
 		for _, seed := range d.Failing {
-			if len(d.Traces) >= max {
+			if len(d.Traces) >= maxCounterexamples {
 				break
 			}
 			tr := obs.NewTrace(0)
@@ -322,13 +319,9 @@ func SweepWithOptions(sc Scenario, seeds []int64, opts SweepOptions) VerdictDist
 		}
 	}
 	if opts.ShrinkFailing && shrinkHook != nil && len(d.Failing) > 0 {
-		max := opts.MaxCounterexamples
-		if max <= 0 {
-			max = 3
-		}
 		d.Counterexamples = make(map[int64]string)
 		for _, seed := range d.Failing {
-			if len(d.Counterexamples) >= max {
+			if len(d.Counterexamples) >= maxCounterexamples {
 				break
 			}
 			if cx, ok := shrinkHook(sc, seed, opts.ShrinkBudget); ok {

@@ -133,15 +133,12 @@ func TestShrinkBudget(t *testing.T) {
 // distribution (this package's init registers the shrinker hook).
 func TestSweepShrinkFailing(t *testing.T) {
 	sc, _ := scenario.Get("pb-crash-failover")
-	d := scenario.SweepWithOptions(sc, scenario.Seeds(1, 8), scenario.SweepOptions{
-		ShrinkFailing:      true,
-		MaxCounterexamples: 2,
-	})
+	d := scenario.SweepWithOptions(sc, scenario.Seeds(1, 8), scenario.SweepOptions{ShrinkFailing: true})
 	if len(d.Failing) != 8 {
 		t.Fatalf("failing = %v, want all 8", d.Failing)
 	}
-	if len(d.Counterexamples) != 2 {
-		t.Fatalf("counterexamples = %d, want 2 (bounded)", len(d.Counterexamples))
+	if len(d.Counterexamples) != 3 {
+		t.Fatalf("counterexamples = %d, want 3 (bounded)", len(d.Counterexamples))
 	}
 	for seed, cx := range d.Counterexamples {
 		if cx == "" {
@@ -156,11 +153,7 @@ func TestSweepShrinkFailing(t *testing.T) {
 	// Acceptance criterion (c): the traces are deterministic across worker
 	// counts — shrinking is a sequential post-pass over the seed-ordered
 	// fold, so parallelism must not be observable.
-	serial := scenario.SweepWithOptions(sc, scenario.Seeds(1, 8), scenario.SweepOptions{
-		Workers:            1,
-		ShrinkFailing:      true,
-		MaxCounterexamples: 2,
-	})
+	serial := scenario.SweepWithOptions(sc, scenario.Seeds(1, 8), scenario.SweepOptions{Workers: 1, ShrinkFailing: true})
 	if !reflect.DeepEqual(d.Counterexamples, serial.Counterexamples) {
 		t.Errorf("counterexamples differ across worker counts:\n%v\nvs\n%v",
 			d.Counterexamples, serial.Counterexamples)

@@ -182,12 +182,9 @@ func TestFacadeRecordReplayShrink(t *testing.T) {
 
 	// The sweep knob attaches counterexamples (the root package links the
 	// shrinker).
-	d := xability.SweepWithOptions(sc, xability.SweepSeeds(1, 4), xability.SweepOptions{
-		ShrinkFailing:      true,
-		MaxCounterexamples: 1,
-	})
-	if len(d.Counterexamples) != 1 {
-		t.Errorf("sweep counterexamples = %d, want 1", len(d.Counterexamples))
+	d := xability.SweepWithOptions(sc, xability.SweepSeeds(1, 4), xability.SweepOptions{ShrinkFailing: true})
+	if len(d.Counterexamples) != 3 {
+		t.Errorf("sweep counterexamples = %d, want 3 (the bound) of 4 failing seeds", len(d.Counterexamples))
 	}
 }
 
