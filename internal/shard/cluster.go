@@ -73,6 +73,7 @@ func New(cfg Config) *Cluster {
 		g.Seed = GroupSeed(cfg.Group.Seed, int64(s))
 		g.Net.Seed = g.Seed
 		g.Net.Clock = clk
+		g.Network = nil // never the template's: groups do not share a network
 		if cfg.Networks != nil {
 			g.Network = cfg.Networks[s]
 		}
