@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -30,10 +32,22 @@ func newOpenLoopRun(t *testing.T, cfg ClusterConfig, spec workload.OpenLoopSpec,
 		cfg.Net.MaxDelay = 200 * time.Microsecond
 	}
 	cfg.Seed = seed
+	// The test goroutine attaches before any replica starts, so the clock
+	// cannot run ahead of the test: fault injections and the drive are
+	// scheduled from time zero.
+	cfg.Net.Seed = seed
+	cfg.Network = simnet.New(cfg.Net)
+	clk := cfg.Network.Clock()
+	clk.Enter()
+	t.Cleanup(clk.Exit)
 	c := NewCluster(cfg)
 	t.Cleanup(c.Stop)
 
 	r := &openLoopRun{c: c, st: c.OpenStation()}
+	// Settle: the zero-length sleep fires only once every goroutine the
+	// cluster and the station started has reached its first wait, so their
+	// first timers are scheduled before anything the test counts.
+	clk.Sleep(0)
 	for _, a := range workload.GenerateOpenLoop(spec, seed) {
 		r.ats = append(r.ats, a.At)
 		r.reqs = append(r.reqs, a.Req)
@@ -44,10 +58,36 @@ func newOpenLoopRun(t *testing.T, cfg ClusterConfig, spec workload.OpenLoopSpec,
 // drive runs the schedule to completion from the test goroutine and
 // returns the completed count.
 func (r *openLoopRun) drive() int {
-	clk := r.c.Clock()
-	clk.Enter()
-	defer clk.Exit()
 	return r.st.Drive(r.ats, r.reqs)
+}
+
+// stationPin is what the fault-path tests pin byte for byte: the drive's
+// completed count, the station's completion log (requests, replies and
+// latencies in completion order, as an FNV-64a digest), its submit
+// attempts, the clock events scheduled during the drive and the clock's
+// reading when Drive returned.
+type stationPin struct {
+	completed int
+	log       uint64
+	attempts  int
+	events    uint64
+	now       time.Duration
+}
+
+// drivePinned is drive, read into a stationPin.
+func (r *openLoopRun) drivePinned() stationPin {
+	clk := r.c.Clock()
+	before := clk.Events()
+	p := stationPin{completed: r.drive()}
+	p.events, p.now = clk.Events()-before, clk.Now()
+	p.attempts = r.st.Attempts()
+	reqs, replies := r.st.Log()
+	h := fnv.New64a()
+	for i, lat := range r.st.Latencies() {
+		fmt.Fprintf(h, "%s=%s@%d;", reqs[i].ID, replies[i], lat)
+	}
+	p.log = h.Sum64()
+	return p
 }
 
 // check is the verifier's report under the concurrent relaxation.
@@ -161,36 +201,47 @@ func TestOpenLoopEventsPerRequest(t *testing.T) {
 
 // TestOpenLoopContactedReplicaCrash crashes the replica every session
 // contacts first while sessions are in flight: each must fail over on its
-// own suspicion poll and complete, exactly once.
+// own suspicion poll and complete, exactly once. The run is pinned byte
+// for byte (completion log, attempts, failovers, clock events, final
+// reading): the fault-free golden rows never take the failover path.
 func TestOpenLoopContactedReplicaCrash(t *testing.T) {
 	m := obs.NewMetrics()
 	cfg := ClusterConfig{Replicas: 3, Net: simnet.Config{Metrics: m}}
 	spec := workload.OpenLoopSpec{Clients: 100, Rate: 50_000, Duration: 4 * time.Millisecond, Accounts: 8}
 	r := newOpenLoopRun(t, cfg, spec, 14)
 	r.c.Clock().GoAfter(2*time.Millisecond, func() { r.c.CrashServer(0) })
-	if n := r.drive(); n != len(r.reqs) {
-		t.Fatalf("%d of %d sessions completed across the crash", n, len(r.reqs))
+	got := r.drivePinned()
+	if got.completed != len(r.reqs) {
+		t.Fatalf("%d of %d sessions completed across the crash", got.completed, len(r.reqs))
+	}
+	want := stationPin{completed: 211, log: 0x8a31aea6854a7ff1, attempts: 321, events: 3705, now: 4288394 * time.Nanosecond}
+	if got != want {
+		t.Errorf("station run = %+v, want %+v", got, want)
+	}
+	if fo := m.Snapshot().Counters[obs.ReqFailovers]; fo != 110 {
+		t.Errorf("%d failovers, want 110", fo)
 	}
 	if rep := r.check(); !rep.OK() {
 		t.Errorf("run failed verification: %+v", rep)
-	}
-	if got := m.Snapshot().Counters[obs.ReqFailovers]; got == 0 {
-		t.Error("no session failed over: the crash hit no in-flight session")
 	}
 }
 
 // TestOpenLoopNetworkClosedInFlight closes the network under in-flight
 // sessions: the stop path must wake every one of them (none is left parked
 // on its own cond), Drive must return short, and nothing may stay attached
-// to the clock.
+// to the clock. The run is pinned byte for byte like the crash above.
 func TestOpenLoopNetworkClosedInFlight(t *testing.T) {
 	spec := workload.OpenLoopSpec{Clients: 100, Rate: 50_000, Duration: 4 * time.Millisecond, Accounts: 8}
 	r := newOpenLoopRun(t, ClusterConfig{Replicas: 3, Costs: t11Costs}, spec, 15)
 	clk := r.c.Clock()
 	clk.GoAfter(2*time.Millisecond, r.c.Stop)
-	n := r.drive()
-	if n == 0 || n >= len(r.reqs) {
+	got := r.drivePinned()
+	if n := got.completed; n == 0 || n >= len(r.reqs) {
 		t.Fatalf("%d of %d sessions completed, want some but not all (the close must land mid-flight)", n, len(r.reqs))
+	}
+	want := stationPin{completed: 24, log: 0x8a5ec5f97b6d17ae, attempts: 92, events: 1663, now: 2 * time.Millisecond}
+	if got != want {
+		t.Errorf("station run = %+v, want %+v", got, want)
 	}
 	// Sleepers unwind as their timers fire; give them virtual time.
 	clk.Sleep(50 * time.Millisecond)
