@@ -172,14 +172,20 @@ type requestState struct {
 	client simnet.ProcessID
 	// done and result are durable (xvet:durable): a fixed result must
 	// survive restart so re-submissions stay idempotent (R1).
-	done     bool         //xvet:durable
-	result   action.Value //xvet:durable
-	applied  bool         // replayed into the local machine state
-	watching bool         // an awaitFixed watcher is already running here
-	direct   bool         // this replica received the client's submit itself
-	queued   bool         // enqueued in this replica's pending batch or a known slot
-	doneSlot int          // slot that finished it (batched plane; -1 otherwise)
+	done     bool           //xvet:durable
+	result   action.Value   //xvet:durable
+	applied  bool           // replayed into the local machine state
+	watching bool           // an awaitFixed watcher is already running here
+	direct   bool           // this replica received the client's submit itself
+	queued   bool           // enqueued in this replica's pending batch or a known slot
+	doneSlot int            // slot that finished it (batched plane; -1 otherwise)
+	objs     []roundObjects // agreement objects of the rounds resultFixed has reached
 }
+
+// roundObjects is one round of a request's agreement arrays as resultFixed
+// reads them: the owner-agreement object and, once a scan has found the
+// owner decided, the result- or outcome-agreement object.
+type roundObjects struct{ owner, result consensus.Object }
 
 // ServerConfig assembles a server's dependencies.
 type ServerConfig struct {
@@ -580,7 +586,7 @@ func (s *Server) awaitFixed(req action.Request, client simnet.ProcessID) {
 		done, res := st.done, st.result
 		s.mu.Unlock()
 		if !done {
-			res, done = s.resultFixed(req)
+			res, done = s.resultFixed(st)
 		}
 		if done {
 			s.reply(req.ID, client, res)
@@ -595,20 +601,30 @@ func (s *Server) awaitFixed(req action.Request, client simnet.ProcessID) {
 // outcome of an undoable one. Aborted rounds are skipped. Every path that
 // learns a result without driving a round reads it here — the submit
 // path's watcher, a restarted owner's resume, and the replay of earlier
-// requests into a machine.
-func (s *Server) resultFixed(req action.Request) (action.Value, bool) {
+// requests into a machine. The agreement objects come from st's cache
+// (roundObjectsAt), so a request in flight costs the provider one lookup
+// per object however often it is scanned.
+func (s *Server) resultFixed(st *requestState) (action.Value, bool) {
+	req := st.req
 	for r := 1; r <= MaxRound; r++ {
-		if _, decided := s.cons.Object(ownerKey(req.ID, r)).Read(); !decided {
+		o := s.roundObjectsAt(st, r, nil)
+		if _, decided := o.owner.Read(); !decided {
 			return EmptyResult, false // no further rounds exist yet
 		}
 		if s.mach.IsIdempotent(req) {
-			if v, ok := s.cons.Object(resultKey(req.ID, r)).Read(); ok {
+			if o.result == nil {
+				o = s.roundObjectsAt(st, r, resultKey)
+			}
+			if v, ok := o.result.Read(); ok {
 				if val, good := v.(action.Value); good && val != EmptyResult {
 					return val, true
 				}
 			}
 		} else if s.mach.IsUndoable(req) {
-			if v, ok := s.cons.Object(outcomeKey(req.ID, r)).Read(); ok {
+			if o.result == nil {
+				o = s.roundObjectsAt(st, r, outcomeKey)
+			}
+			if v, ok := o.result.Read(); ok {
 				if dec, good := v.(outcomeDecision); good && dec.Outcome == "commit" {
 					return dec.Value, true
 				}
@@ -616,6 +632,23 @@ func (s *Server) resultFixed(req action.Request) (action.Value, bool) {
 		}
 	}
 	return EmptyResult, false
+}
+
+// roundObjectsAt returns st's round-r agreement objects, looking each up in
+// the provider once per request: the owner object when a scan first reaches
+// the round, the result or outcome object (key) when one first asks for it.
+// Scans go up from round 1, so round r-1 is cached by then.
+func (s *Server) roundObjectsAt(st *requestState, r int, key func(string, int) consensus.Key) roundObjects {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(st.objs) < r {
+		st.objs = append(st.objs, roundObjects{owner: s.cons.Object(ownerKey(st.req.ID, r))})
+	}
+	o := &st.objs[r-1]
+	if key != nil && o.result == nil {
+		o.result = s.cons.Object(key(st.req.ID, r))
+	}
+	return *o
 }
 
 // cleaner is Figure 6's cleaner thread: when the owner of a request's
@@ -690,7 +723,7 @@ func (s *Server) cleanRequest(st *requestState) {
 		// will ever touch it — correct detectors do not suspect a live,
 		// restarted replica. Resume it; a still-live execution is guarded
 		// by the in-flight mark.
-		s.resumeOwnRound(od, lastRound)
+		s.resumeOwnRound(st, od, lastRound)
 		return
 	}
 	if !s.det.Suspect(od.Owner) {
@@ -742,7 +775,7 @@ func (s *Server) cleanRound(od ownerDecision, round int) {
 // result the quorum already fixed, or abort the round and drive a
 // successor — never re-execute the round itself (see the comment at the
 // coordination call below).
-func (s *Server) resumeOwnRound(od ownerDecision, round int) {
+func (s *Server) resumeOwnRound(st *requestState, od ownerDecision, round int) {
 	req := od.Req
 	key := ownerKey(req.ID, round)
 	s.mu.Lock()
@@ -760,7 +793,7 @@ func (s *Server) resumeOwnRound(od ownerDecision, round int) {
 	}()
 	// The crash may have hit between the outcome decision and the reply:
 	// forward a fixed result rather than re-driving the round.
-	if v, ok := s.resultFixed(req); ok {
+	if v, ok := s.resultFixed(st); ok {
 		s.reply(req.ID, od.Client, v)
 		return
 	}
@@ -885,7 +918,7 @@ func (s *Server) replayEarlier(reqID string) {
 	}
 	s.mu.Unlock()
 	for _, st := range todo {
-		if res, ok := s.resultFixed(st.req); ok {
+		if res, ok := s.resultFixed(st); ok {
 			s.mach.Apply(st.req, res)
 			s.mu.Lock()
 			st.applied = true

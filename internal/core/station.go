@@ -13,17 +13,19 @@ import (
 
 // Station is the open-loop client multiplexer: it drives many concurrent
 // single-request sessions over one endpoint, where the closed-loop Client
-// of client.go drives exactly one session at a time. A background pump
+// of client.go drives exactly one session at a time. A background receiver
 // drains the endpoint and demultiplexes MsgResult by request ID to the
-// per-request waiters, so thousands of in-flight submissions share one
-// mailbox (and one delay stream — the Station reuses the cluster's
-// existing "client" endpoint, keeping the network's seeded delay plan
-// identical whether a run is open- or closed-loop).
+// in-flight sessions, so thousands of them share one mailbox (and one
+// delay stream — the Station reuses the cluster's existing "client"
+// endpoint, keeping the network's seeded delay plan identical whether a
+// run is open- or closed-loop).
 //
 // Each session follows Figure 5's submit discipline independently: send to
 // a replica, await a result or a suspicion, fail over on suspicion. A
 // paced re-send covers the open-loop-specific hole that a dropped submit
-// of a session nobody is watching would otherwise never be retried.
+// of a session nobody is watching would otherwise never be retried. A
+// session has no goroutine: it is a state machine whose steps run on the
+// clock's pump (see stationCall.Run), woken by its own vclock.Timer.
 type Station struct {
 	id       simnet.ProcessID
 	ep       *simnet.Endpoint
@@ -34,7 +36,7 @@ type Station struct {
 	tr       *obs.Trace   // nil-safe span recorder
 
 	mu      sync.Mutex
-	cond    *vclock.Cond            // Drive's join; sessions wait on their own call's cond
+	cond    *vclock.Cond            // Drive's join
 	waiting map[string]*stationCall // in-flight sessions by request ID
 	// The same sessions in arrival order, so the stop path wakes them in
 	// an order that does not depend on map iteration.
@@ -49,15 +51,34 @@ type Station struct {
 	latencies []time.Duration
 }
 
-// stationCall is one in-flight session. Its cond (on Station.mu) is
-// broadcast by the pump when this session's reply arrives or the station
-// stops, so a reply wakes one session however many are in flight.
+// stationCall is one session: Figure 5's submit loop cut at its waits. Its
+// timer runs Run at the arrival, at each poll expiry, and at once when the
+// receiver sees this session's reply or the station stop — the receiver
+// re-arms it only while the session is parked in a poll, so a reply wakes
+// one session however many are in flight.
 type stationCall struct {
-	cond       *vclock.Cond
+	st    *Station
+	drive *stationDrive
+	timer *vclock.Timer
+	req   action.Request
+
+	// Session state, touched only by Run (steps are serialized on the pump).
+	live     bool // arrived: enrolled, first submit sent
+	start    time.Duration
+	span     int64
+	i        int // failover index into st.replicas
+	target   simnet.ProcessID
+	deadline time.Duration // re-send due
+
+	// Guarded by Station.mu.
+	parked     bool // a poll is armed and no wake is pending
 	done       bool
 	val        action.Value
 	prev, next *stationCall // arrival-order list of in-flight sessions
 }
+
+// stationDrive is one Drive's join count, guarded by Station.mu.
+type stationDrive struct{ completed, finished int }
 
 // StationConfig assembles a station.
 type StationConfig struct {
@@ -70,7 +91,7 @@ type StationConfig struct {
 // stationResend is the per-session submit re-send period.
 const stationResend = 4 * time.Millisecond
 
-// NewStation builds a station and starts its demultiplexing pump. The
+// NewStation builds a station and starts its demultiplexing receiver. The
 // endpoint must not be concurrently drained by a Client.
 func NewStation(cfg StationConfig) *Station {
 	st := &Station{
@@ -84,21 +105,21 @@ func NewStation(cfg StationConfig) *Station {
 		waiting:  make(map[string]*stationCall),
 	}
 	st.cond = st.clk.NewCond(&st.mu)
-	st.clk.Go(st.pump)
+	st.clk.Go(st.receive)
 	return st
 }
 
-// pump drains the endpoint, resolving waiters. It exits when the endpoint
-// closes (network shutdown), waking every in-flight session in arrival
-// order and then Drive's join.
-func (st *Station) pump() {
+// receive drains the endpoint, waking the session each reply answers. It
+// exits when the endpoint closes (network shutdown), waking every in-flight
+// session in arrival order and then Drive's join.
+func (st *Station) receive() {
 	for {
 		msg, ok := st.ep.Recv()
 		if !ok {
 			st.mu.Lock()
 			st.stopped = true
 			for c := st.first; c != nil; c = c.next {
-				c.cond.Broadcast()
+				c.wake()
 			}
 			st.mu.Unlock()
 			st.cond.Broadcast()
@@ -115,18 +136,26 @@ func (st *Station) pump() {
 		if c := st.waiting[p.ReqID]; c != nil && !c.done {
 			c.done = true
 			c.val = p.Value
-			c.cond.Broadcast()
+			c.wake()
 		}
 		st.mu.Unlock()
 	}
 }
 
+// wake runs a parked session now instead of at its poll; callers hold
+// st.mu.
+func (c *stationCall) wake() {
+	if c.parked {
+		c.parked = false
+		c.timer.Reset(0)
+	}
+}
+
 // enroll registers a new in-flight session at the tail of the arrival
 // list.
-func (st *Station) enroll(id string) *stationCall {
-	c := &stationCall{cond: st.clk.NewCond(&st.mu)}
+func (st *Station) enroll(c *stationCall) {
 	st.mu.Lock()
-	st.waiting[id] = c
+	st.waiting[c.req.ID] = c
 	c.prev = st.last
 	if st.last != nil {
 		st.last.next = c
@@ -135,13 +164,12 @@ func (st *Station) enroll(id string) *stationCall {
 	}
 	st.last = c
 	st.mu.Unlock()
-	return c
 }
 
 // retire removes a finished session from the in-flight structures.
-func (st *Station) retire(id string, c *stationCall) {
+func (st *Station) retire(c *stationCall) {
 	st.mu.Lock()
-	delete(st.waiting, id)
+	delete(st.waiting, c.req.ID)
 	if c.prev != nil {
 		c.prev.next = c.next
 	} else {
@@ -155,92 +183,123 @@ func (st *Station) retire(id string, c *stationCall) {
 	st.mu.Unlock()
 }
 
-// Submit runs one open-loop session to completion: the request must
-// already carry a unique ID. It returns the reply, or ok=false if the
-// network closed first. Safe for arbitrary concurrency.
-func (st *Station) Submit(req action.Request) (action.Value, bool) {
-	start := st.clk.Now()
-	st.m.Inc(obs.ReqSubmitted)
-	span := st.tr.Begin(start, string(st.id), "request", req.ID)
-	c := st.enroll(req.ID)
-	defer st.retire(req.ID, c)
-
-	i := 0
+// Run is one step of the session, on the clock's pump: its arrival, the
+// expiry of its poll, or the receiver's wake. It carries the session to its
+// next wait — the poll, re-armed — or to its end. After a wait the checks
+// run in Figure 5's order: answered, then stopped, then suspicion of the
+// contacted replica (fail over) and re-send due (same replica; submit is
+// idempotent). The detector is the caller's code: it is asked without
+// st.mu.
+func (c *stationCall) Run() {
+	st := c.st
+	if !c.live {
+		c.live = true
+		c.start = st.clk.Now()
+		st.m.Inc(obs.ReqSubmitted)
+		c.span = st.tr.Begin(c.start, string(st.id), "request", c.req.ID)
+		st.enroll(c)
+		c.send()
+	} else if c.settle() {
+		return
+	}
 	for {
-		target := st.replicas[i%len(st.replicas)]
+		suspected := st.det.Suspect(c.target)
+		due := st.clk.Now() >= c.deadline
 		st.mu.Lock()
-		st.attempts++
-		st.mu.Unlock()
-		st.ep.Send(target, MsgSubmit, SubmitPayload{Req: req, Client: st.id})
-		deadline := st.clk.Now() + stationResend
-		for {
-			// The detector is the caller's code: ask it without st.mu.
-			suspected := st.det.Suspect(target)
-			due := st.clk.Now() >= deadline
-			st.mu.Lock()
-			if !c.done && !st.stopped && !suspected && !due {
-				// Checked and parked under one hold of st.mu, the lock
-				// the pump sets done under: no wake-up can be missed, so
-				// the poll only bounds the staleness of the two answers
-				// above.
-				c.cond.WaitTimeout(clientPoll)
-			}
-			if c.done {
-				val := c.val
-				now := st.clk.Now()
-				st.requests = append(st.requests, req)
-				st.replies = append(st.replies, val)
-				st.latencies = append(st.latencies, now-start)
-				st.mu.Unlock()
-				st.m.Observe(now - start)
-				st.m.Inc(obs.ReqReplied)
-				st.tr.End(now, string(st.id), "request", span)
-				return val, true
-			}
-			stopped := st.stopped
+		if !c.done && !st.stopped && !suspected && !due {
+			// Checked and parked under one hold of st.mu, the lock the
+			// receiver sets done under: no reply can be missed, so the poll
+			// only bounds the staleness of the two answers above.
+			c.parked = true
+			c.timer.Reset(clientPoll)
 			st.mu.Unlock()
-			if stopped {
-				return "", false
-			}
-			if suspected {
-				i++
-				st.m.Inc(obs.ReqFailovers)
-				break // fail over (Figure 5's advance)
-			}
-			if due {
-				break // re-send to the same replica (submit is idempotent)
-			}
+			return
 		}
+		st.mu.Unlock()
+		if c.settle() {
+			return
+		}
+		if suspected {
+			c.i++
+			st.m.Inc(obs.ReqFailovers)
+		}
+		c.send()
 	}
 }
 
+// send submits the request to the session's current replica and restarts
+// the re-send deadline.
+func (c *stationCall) send() {
+	st := c.st
+	c.target = st.replicas[c.i%len(st.replicas)]
+	st.mu.Lock()
+	st.attempts++
+	st.mu.Unlock()
+	st.ep.Send(c.target, MsgSubmit, SubmitPayload{Req: c.req, Client: st.id})
+	c.deadline = st.clk.Now() + stationResend
+}
+
+// settle ends the session if it was answered (logging the completion) or
+// the station stopped under it, and reports whether it did.
+func (c *stationCall) settle() bool {
+	st := c.st
+	st.mu.Lock()
+	c.parked = false
+	if c.done {
+		now := st.clk.Now()
+		st.requests = append(st.requests, c.req)
+		st.replies = append(st.replies, c.val)
+		st.latencies = append(st.latencies, now-c.start)
+		st.mu.Unlock()
+		st.m.Observe(now - c.start)
+		st.m.Inc(obs.ReqReplied)
+		st.tr.End(now, string(st.id), "request", c.span)
+		c.finish(true)
+		return true
+	}
+	stopped := st.stopped
+	st.mu.Unlock()
+	if stopped {
+		c.finish(false)
+	}
+	return stopped
+}
+
+// finish retires the session, counts it in its Drive's join and wakes the
+// join.
+func (c *stationCall) finish(completed bool) {
+	st := c.st
+	st.retire(c)
+	st.mu.Lock()
+	c.drive.finished++
+	if completed {
+		c.drive.completed++
+	}
+	st.mu.Unlock()
+	st.cond.Broadcast()
+}
+
 // Drive schedules one session per (ats[i], reqs[i]) pair on the virtual
-// clock and blocks until every session finishes (reply received, or the
-// network closed under it). It reports how many completed with a reply.
-// The caller must be attached to the clock; the session goroutines are
-// attached via GoAfter and the join waits on a virtual-time condition
-// variable (the Router.CallAll discipline), so the whole drive is
-// deterministic.
+// clock — each request must carry a unique ID — and blocks until every
+// session finishes (reply received, or the network closed under it). It
+// reports how many completed with a reply. The caller must be attached to
+// the clock. Sessions run on the clock's pump, each on its own Timer, and
+// the join waits on a virtual-time condition variable (the Router.CallAll
+// discipline), so the whole drive is deterministic.
 func (st *Station) Drive(ats []time.Duration, reqs []action.Request) int {
-	completed, finished := 0, 0
-	for i := range reqs {
-		req := reqs[i]
-		st.clk.GoAfter(ats[i], func() {
-			_, ok := st.Submit(req)
-			st.mu.Lock()
-			finished++
-			if ok {
-				completed++
-			}
-			st.mu.Unlock()
-			st.cond.Broadcast()
-		})
+	d := &stationDrive{}
+	calls := make([]stationCall, len(reqs))
+	for i := range calls {
+		c := &calls[i]
+		c.st, c.drive, c.req = st, d, reqs[i]
+		c.timer = st.clk.NewTimer(c)
+		c.timer.Reset(ats[i])
 	}
 	st.mu.Lock()
-	for finished < len(reqs) && !st.stopped {
+	for d.finished < len(reqs) && !st.stopped {
 		st.cond.WaitTimeout(clientPoll)
 	}
-	n := completed
+	n := d.completed
 	st.mu.Unlock()
 	return n
 }

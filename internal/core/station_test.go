@@ -169,28 +169,39 @@ var t11Costs = CostModel{Consensus: 20 * time.Microsecond, Exec: 5 * time.Micros
 // contender, these two runs cost 5653 and 2131 events per request; with
 // per-session wake-ups and the busy-until CPU they cost 242 and 50 (what
 // remains is each session's own 200µs suspicion poll).
+//
+// The same runs bound the goroutines the clock spawns per request. A
+// session runs on the pump, so what remains is the servers' own: in the
+// unbatched plane one per submit a replica accepts (≈9.2 at this load,
+// re-sends included), in the batched plane almost none. A goroutine per
+// session again adds one to both.
 func TestOpenLoopEventsPerRequest(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		batch BatchConfig
-		rate  float64
-		limit uint64
+		name        string
+		batch       BatchConfig
+		rate        float64
+		limit       uint64
+		spawnsLimit float64
 	}{
-		{"unbatched", BatchConfig{}, 80_000, 400},
-		{"batched+pipelined", BatchConfig{Enabled: true, MaxSize: 16, Window: 100 * time.Microsecond, Pipeline: 8}, 160_000, 100},
+		{"unbatched", BatchConfig{}, 80_000, 400, 9.5},
+		{"batched+pipelined", BatchConfig{Enabled: true, MaxSize: 16, Window: 100 * time.Microsecond, Pipeline: 8}, 160_000, 100, 0.5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := workload.OpenLoopSpec{Clients: 400, Rate: tc.rate, Duration: 16 * time.Millisecond, Accounts: 8}
 			r := newOpenLoopRun(t, ClusterConfig{Replicas: 3, Batch: tc.batch, Costs: t11Costs}, spec, 1)
 			clk := r.c.Clock()
-			before := clk.Events()
+			before, spawnsBefore := clk.Events(), clk.Spawns()
 			if n := r.drive(); n != len(r.reqs) {
 				t.Fatalf("%d of %d sessions completed", n, len(r.reqs))
 			}
 			perReq := (clk.Events() - before) / uint64(len(r.reqs))
-			t.Logf("%d requests, %d clock events per request", len(r.reqs), perReq)
+			spawnsPerReq := float64(clk.Spawns()-spawnsBefore) / float64(len(r.reqs))
+			t.Logf("%d requests, %d clock events and %.3f goroutine spawns per request", len(r.reqs), perReq, spawnsPerReq)
 			if perReq > tc.limit {
 				t.Errorf("%d clock events per request, want ≤ %d: something on the run path does work proportional to the sessions in flight", perReq, tc.limit)
+			}
+			if spawnsPerReq > tc.spawnsLimit {
+				t.Errorf("%.3f goroutine spawns per request, want ≤ %.1f: a session has a goroutine of its own again", spawnsPerReq, tc.spawnsLimit)
 			}
 			if rep := r.check(); !rep.OK() {
 				t.Errorf("run failed verification: %+v", rep)
@@ -228,7 +239,7 @@ func TestOpenLoopContactedReplicaCrash(t *testing.T) {
 
 // TestOpenLoopNetworkClosedInFlight closes the network under in-flight
 // sessions: the stop path must wake every one of them (none is left parked
-// on its own cond), Drive must return short, and nothing may stay attached
+// until its poll), Drive must return short, and nothing may stay attached
 // to the clock. The run is pinned byte for byte like the crash above.
 func TestOpenLoopNetworkClosedInFlight(t *testing.T) {
 	spec := workload.OpenLoopSpec{Clients: 100, Rate: 50_000, Duration: 4 * time.Millisecond, Accounts: 8}

@@ -57,19 +57,20 @@ func Stagger(name string, span time.Duration) time.Duration {
 }
 
 // vevent is one pending entry in the virtual schedule: a waiter to wake
-// (w), a callback to spawn (fn), or a pooled Runner to run inline (r). Events
-// are pooled on the owning clock (evfree): pushLocked recycles them and
-// pumpLocked returns them the moment they are popped, so steady-state
-// scheduling allocates nothing.
+// (w), a callback to spawn (fn), a pooled Runner to run inline (r), or a
+// Timer's expiry (t). Events are pooled on the owning clock (evfree):
+// pushLocked recycles them and pumpLocked returns them the moment they are
+// popped, so steady-state scheduling allocates nothing.
 type vevent struct {
-	at   time.Duration
-	seq  uint64
-	w    *waiter
-	wgen uint32 // waiter generation at arming time (see waiter.gen)
-	bw   bool   // broadcast wake: w was fired by Broadcast, not a timer
-	fn   func()
-	r    Runner
-	pc   uintptr // creation site of fn's spawner, for Stop's leak audit
+	at  time.Duration
+	seq uint64
+	w   *waiter
+	t   *Timer
+	gen uint32 // w's or t's generation at arming time (see waiter.gen, Timer.gen)
+	bw  bool   // broadcast wake: w was fired by Broadcast, not a timer
+	fn  func()
+	r   Runner
+	pc  uintptr // creation site of fn's spawner, for Stop's leak audit
 }
 
 // waiter is one blocked goroutine (or timed cond wait). Waiters are pooled
@@ -148,7 +149,7 @@ func (v *Virtual) Events() uint64 {
 
 // Spawns reports how many goroutines the clock ever started (Go, and GoAfter
 // callbacks when they fire). Like Events it is a host-independent count of
-// simulator work; Runners are not in it — they run on the pump.
+// simulator work; Runners and Timers are not in it — they run on the pump.
 func (v *Virtual) Spawns() uint64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -219,7 +220,7 @@ func (v *Virtual) pushLocked(at time.Duration, w *waiter, fn func(), r Runner, p
 	ev.at, ev.seq, ev.w, ev.fn, ev.r, ev.pc = at, v.seq, w, fn, r, pc
 	ev.bw = false
 	if w != nil {
-		ev.wgen = w.gen
+		ev.gen = w.gen
 	}
 	v.heapPush(ev)
 	return ev
@@ -272,21 +273,29 @@ func (v *Virtual) addBusyLocked(d int) {
 // deadline, marks its owner runnable, and wakes it. Exactly one runnable
 // goroutine results, so event execution is serialized and deterministic.
 // A Runner has no goroutine to wake: the pump runs it here, as the one
-// runnable unit and with v.mu dropped, then keeps pumping.
+// runnable unit and with v.mu dropped, then keeps pumping. A stale event —
+// a waiter's timer after its wake, a Timer expiry after a later Reset or a
+// Stop — is dropped before time moves: it neither runs nor advances now.
 // Popped events return to the pool immediately — nothing references a
 // vevent once it leaves the heap — keeping the critical section short and
 // the heap churn-free.
 func (v *Virtual) pumpLocked() {
 	for v.busy == 0 && len(v.pq) > 0 {
 		ev := v.heapPop()
-		at, w, wgen, bw, fn, r, pc := ev.at, ev.w, ev.wgen, ev.bw, ev.fn, ev.r, ev.pc
-		ev.w, ev.fn, ev.r, ev.pc, ev.bw = nil, nil, nil, 0, false
+		at, w, t, gen, bw, fn, r, pc := ev.at, ev.w, ev.t, ev.gen, ev.bw, ev.fn, ev.r, ev.pc
+		ev.w, ev.t, ev.fn, ev.r, ev.pc, ev.bw = nil, nil, nil, nil, 0, false
 		v.evfree = append(v.evfree, ev)
-		if w != nil && w.gen != wgen {
+		if w != nil && w.gen != gen {
 			continue // the waiter was recycled; the event is stale
 		}
 		if w != nil && !bw && w.fired {
 			continue // timer for a waiter already woken by a broadcast
+		}
+		if t != nil {
+			if t.gen != gen {
+				continue // superseded by a later Reset or a Stop
+			}
+			r = t.r
 		}
 		if at > v.now {
 			v.now = at
@@ -442,6 +451,50 @@ func (v *Virtual) AfterRunner(d time.Duration, r Runner) {
 		v.pumpLocked()
 	}
 	v.mu.Unlock()
+}
+
+// Timer is a re-armable schedule for one Runner: Reset(d) schedules r.Run
+// on the pump at now+d (see Runner for what Run may do there) and
+// supersedes any expiry still pending, Stop supersedes it without a new
+// one. A superseded expiry stays in the heap until its turn and is then
+// dropped the way a broadcast-woken waiter's timer is — it neither runs nor
+// moves the clock — so replacing a goroutine's timed cond wait by a Timer
+// (a wait's timeout by Reset(timeout), its Broadcast by Reset(0)) schedules
+// the same events at the same (deadline, sequence) positions. Like
+// AfterRunner, arming allocates nothing and nothing is spawned.
+type Timer struct {
+	v   *Virtual
+	r   Runner
+	gen uint32 // bumped by every Reset and Stop; an expiry armed under an older gen is stale
+}
+
+// NewTimer returns an unarmed Timer for r on the clock.
+func (v *Virtual) NewTimer(r Runner) *Timer {
+	return &Timer{v: v, r: r}
+}
+
+// Reset schedules r.Run after d, superseding any pending expiry. It may be
+// called from inside Run.
+func (t *Timer) Reset(d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	v := t.v
+	v.mu.Lock()
+	t.gen++
+	ev := v.pushLocked(v.now+d, nil, nil, nil, 0)
+	ev.t, ev.gen = t, t.gen
+	if v.busy == 0 {
+		v.pumpLocked()
+	}
+	v.mu.Unlock()
+}
+
+// Stop supersedes any pending expiry.
+func (t *Timer) Stop() {
+	t.v.mu.Lock()
+	t.gen++
+	t.v.mu.Unlock()
 }
 
 // callerPC returns the program counter two frames up: the caller of the
