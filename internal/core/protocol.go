@@ -180,6 +180,10 @@ type requestState struct {
 	queued   bool           // enqueued in this replica's pending batch or a known slot
 	doneSlot int            // slot that finished it (batched plane; -1 otherwise)
 	objs     []roundObjects // agreement objects of the rounds resultFixed has reached
+	// objs' first backing array: a scan rarely reaches past round 3 (a
+	// takeover, then the undecided round after it), so the cache usually
+	// costs no allocation of its own.
+	objsBuf [3]roundObjects
 }
 
 // roundObjects is one round of a request's agreement arrays as resultFixed
@@ -641,6 +645,9 @@ func (s *Server) resultFixed(st *requestState) (action.Value, bool) {
 func (s *Server) roundObjectsAt(st *requestState, r int, key func(string, int) consensus.Key) roundObjects {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if st.objs == nil {
+		st.objs = st.objsBuf[:0]
+	}
 	if len(st.objs) < r {
 		st.objs = append(st.objs, roundObjects{owner: s.cons.Object(ownerKey(st.req.ID, r))})
 	}

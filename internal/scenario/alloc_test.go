@@ -66,8 +66,8 @@ func TestBatchedRunAllocBudget(t *testing.T) {
 // TestOpenLoopAllocBudget pins the open-loop path's per-request bill — the
 // in-repo gate for the benchmark's allocs_per_op on saturation: an
 // open-loop-batch run, checker included, divided by its request count.
-// Measured at 33.3 objects per request on seed 1 (34.7 under the race
-// detector; the session with its timer, submit, slot membership, reply
+// Measured at 33.3 objects per request on seed 1 (34.7–34.8 under the
+// race detector; the session with its timer, submit, slot membership, reply
 // demux, latency log, and the request's share of the projection check),
 // budget that plus 5%. Per-request cost is the number that must
 // stay flat for 100k-session experiments to be routine.
