@@ -21,9 +21,11 @@
 // Virtual.Enter); whenever every attached goroutine is blocked in a clock
 // primitive, the clock pops the earliest event, advances virtual time to
 // its deadline, and wakes exactly one goroutine — or, for a Runner (a
-// message delivery), runs it on the spot, on the goroutine whose clock call
-// found the schedule quiescent, and pops the next. Execution of events is
-// thereby serialized; see Runner for what a callback on the pump may do.
+// message delivery, a Timer's tick), runs it on the spot, on the goroutine
+// whose clock call found the schedule quiescent, and pops the next.
+// Execution of events is thereby serialized; see Runner for what a
+// callback on the pump may do, and Exit for who pumps once an external
+// goroutine detaches.
 //
 // # How seeds map to schedules
 //
@@ -34,6 +36,6 @@
 // with it the delivery order, the observed event history, and the message
 // counters — reproduces exactly for equal seeds. Periodic activities
 // (failure-detector heartbeats, the server cleaner) stagger their first
-// deadline by a hash of their process ID so that symmetric loops do not
-// race on equal deadlines.
+// deadline by a hash of their process ID so that symmetric timers do not
+// tie on equal deadlines.
 package vclock

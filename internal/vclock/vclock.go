@@ -3,6 +3,7 @@ package vclock
 import (
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -15,8 +16,10 @@ import (
 type LeakReport struct {
 	// Leaked counts attached goroutines other than the caller.
 	Leaked int
-	// Sites are the distinct creation sites ("file:line (func)", with a
-	// ×N multiplicity suffix), sorted for deterministic assertions.
+	// Sites are the distinct origins, sorted for deterministic assertions,
+	// with a ×N multiplicity suffix: for a goroutine the clock spawned, the
+	// function it runs and where that is defined ("file:line (func)"); for
+	// one that attached itself, where it first called Enter.
 	Sites []string
 }
 
@@ -70,7 +73,7 @@ type vevent struct {
 	bw  bool   // broadcast wake: w was fired by Broadcast, not a timer
 	fn  func()
 	r   Runner
-	pc  uintptr // creation site of fn's spawner, for Stop's leak audit
+	pc  uintptr // fn's entry, for Stop's leak audit
 }
 
 // waiter is one blocked goroutine (or timed cond wait). Waiters are pooled
@@ -89,10 +92,13 @@ type waiter struct {
 
 // gent is one ledger entry: a goroutine's attachment depth plus the
 // program counter of whatever created the attachment, so Stop can name the
-// origin of a leak.
+// origin of a leak. clock marks a goroutine the clock spawned (Go,
+// GoAfter): its final Exit pumps inline, where an external goroutine's
+// hands the pump off (see Exit).
 type gent struct {
 	depth int
 	site  uintptr
+	clock bool
 }
 
 // Virtual is the simulation's clock: a discrete-event scheduler. Time is a
@@ -114,6 +120,7 @@ type Virtual struct {
 	now    time.Duration
 	seq    uint64
 	spawns uint64
+	wakes  uint64
 	busy   int // attached goroutines not blocked in a clock primitive, plus a running Runner
 	pq     []*vevent
 	ledger map[uint64]*gent // goroutine identity → attachment depth
@@ -147,13 +154,25 @@ func (v *Virtual) Events() uint64 {
 	return v.seq
 }
 
-// Spawns reports how many goroutines the clock ever started (Go, and GoAfter
-// callbacks when they fire). Like Events it is a host-independent count of
-// simulator work; Runners and Timers are not in it — they run on the pump.
+// Spawns reports how many goroutines the clock ever started (Go, GoAfter
+// callbacks when they fire, and the pump an external goroutine hands off
+// when it detaches — see Exit). Like Events it is a host-independent count
+// of simulator work; Runners and Timers are not in it — they run on the
+// pump.
 func (v *Virtual) Spawns() uint64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.spawns
+}
+
+// Wakes reports how many times the pump woke a goroutine blocked in a clock
+// primitive (a Sleep, a cond wait) — each one a hand-off between host
+// goroutines. Like Events and Spawns it is a host-independent count; an
+// event that runs a Runner or a Timer wakes nobody.
+func (v *Virtual) Wakes() uint64 {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.wakes
 }
 
 // --- event heap (hand-rolled: container/heap's interface indirection and
@@ -282,19 +301,13 @@ func (v *Virtual) addBusyLocked(d int) {
 func (v *Virtual) pumpLocked() {
 	for v.busy == 0 && len(v.pq) > 0 {
 		ev := v.heapPop()
-		at, w, t, gen, bw, fn, r, pc := ev.at, ev.w, ev.t, ev.gen, ev.bw, ev.fn, ev.r, ev.pc
-		ev.w, ev.t, ev.fn, ev.r, ev.pc, ev.bw = nil, nil, nil, nil, 0, false
-		v.evfree = append(v.evfree, ev)
-		if w != nil && w.gen != gen {
-			continue // the waiter was recycled; the event is stale
-		}
-		if w != nil && !bw && w.fired {
-			continue // timer for a waiter already woken by a broadcast
+		stale := ev.stale()
+		at, w, t, bw, fn, r, pc := ev.at, ev.w, ev.t, ev.bw, ev.fn, ev.r, ev.pc
+		v.recycleLocked(ev)
+		if stale {
+			continue
 		}
 		if t != nil {
-			if t.gen != gen {
-				continue // superseded by a later Reset or a Stop
-			}
 			r = t.r
 		}
 		if at > v.now {
@@ -322,32 +335,58 @@ func (v *Virtual) pumpLocked() {
 				w.cond.removeLocked(w)
 			}
 		}
+		v.wakes++
 		w.ch <- struct{}{}
 		return
 	}
 }
 
-func (v *Virtual) newGentLocked(depth int, site uintptr) *gent {
+// stale reports whether a popped event must be dropped without running or
+// moving the clock: a waiter's event after the waiter was recycled, a
+// waiter's timer after a broadcast woke it, a Timer expiry superseded by a
+// later Reset or a Stop.
+func (ev *vevent) stale() bool {
+	if w := ev.w; w != nil {
+		return w.gen != ev.gen || (!ev.bw && w.fired)
+	}
+	return ev.t != nil && ev.t.gen != ev.gen
+}
+
+// recycleLocked returns a popped event to the pool.
+func (v *Virtual) recycleLocked(ev *vevent) {
+	ev.w, ev.t, ev.fn, ev.r, ev.pc, ev.bw = nil, nil, nil, nil, 0, false
+	v.evfree = append(v.evfree, ev)
+}
+
+func (v *Virtual) newGentLocked(depth int, site uintptr, clock bool) *gent {
 	if n := len(v.gfree); n > 0 {
 		g := v.gfree[n-1]
 		v.gfree[n-1] = nil
 		v.gfree = v.gfree[:n-1]
-		g.depth = depth
-		g.site = site
+		g.depth, g.site, g.clock = depth, site, clock
 		return g
 	}
-	return &gent{depth: depth, site: site}
+	return &gent{depth: depth, site: site, clock: clock}
 }
 
 // runAdopted runs fn on the calling (fresh) goroutine with a ledger entry;
-// the runnability unit was already added by the spawner. site names the
-// spawner's call site for Stop's leak audit.
+// the runnability unit was already added by the spawner. site is fn's
+// entry, for Stop's leak audit.
 func (v *Virtual) runAdopted(fn func(), site uintptr) {
 	v.mu.Lock()
-	v.ledger[gid()] = v.newGentLocked(1, site)
+	v.ledger[gid()] = v.newGentLocked(1, site, true)
 	v.mu.Unlock()
 	defer v.Exit()
 	fn()
+}
+
+// pumpDetached runs the schedule for an external goroutine that detached
+// with events pending (see Exit): it gives up the runnability unit Exit
+// handed it, which pumps here.
+func (v *Virtual) pumpDetached() {
+	v.mu.Lock()
+	v.addBusyLocked(-1)
+	v.mu.Unlock()
 }
 
 // Enter attaches the calling goroutine (reference-counted); Exit undoes one
@@ -361,7 +400,7 @@ func (v *Virtual) Enter() {
 		// First attach of an external goroutine: record where. The
 		// capture is creation-only so re-entrant Enters (every Sleep,
 		// every cond wait) stay alloc- and caller-walk-free.
-		g = v.newGentLocked(0, callerPC())
+		g = v.newGentLocked(0, callerPC(), false)
 		v.ledger[id] = g
 	}
 	g.depth++
@@ -371,7 +410,16 @@ func (v *Virtual) Enter() {
 	v.mu.Unlock()
 }
 
-// Exit undoes one Enter.
+// Exit undoes one Enter. The last Exit of a goroutine the clock spawned
+// runs the schedule inline, as every release of runnability does. An
+// external goroutine (a test, a driver, a facade call) instead hands the
+// pump to a fresh clock goroutine when its Exit would leave nothing
+// runnable with live events pending, and returns at once: a Timer that
+// re-arms itself never lets an inline pump return, and the world left
+// behind keeps running on the clock goroutine. Superseded entries at the
+// head of the schedule are dropped here first — they would neither run nor
+// move the clock — so detaching from a schedule that holds nothing else
+// needs no hand-off.
 func (v *Virtual) Exit() {
 	id := gid()
 	v.mu.Lock()
@@ -384,6 +432,17 @@ func (v *Virtual) Exit() {
 	if g.depth == 0 {
 		delete(v.ledger, id)
 		v.gfree = append(v.gfree, g)
+		if !g.clock && v.busy == 1 {
+			for len(v.pq) > 0 && v.pq[0].stale() {
+				v.recycleLocked(v.heapPop())
+			}
+			if len(v.pq) > 0 {
+				v.spawns++
+				go v.pumpDetached() //xvet:ok baregoroutine the clock's own pump: it takes over the runnability unit this Exit does not release
+				v.mu.Unlock()
+				return
+			}
+		}
 		v.addBusyLocked(-1)
 	}
 	v.mu.Unlock()
@@ -413,7 +472,7 @@ func (v *Virtual) Sleep(d time.Duration) {
 // blocked in a clock primitive — so the schedule cannot advance past the
 // spawn.
 func (v *Virtual) Go(fn func()) {
-	pc := callerPC()
+	pc := funcPC(fn)
 	v.mu.Lock()
 	v.busy++
 	v.spawns++
@@ -427,7 +486,7 @@ func (v *Virtual) GoAfter(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	pc := callerPC()
+	pc := funcPC(fn)
 	v.mu.Lock()
 	v.pushLocked(v.now+d, nil, fn, nil, pc)
 	if v.busy == 0 {
@@ -460,8 +519,11 @@ func (v *Virtual) AfterRunner(d time.Duration, r Runner) {
 // dropped the way a broadcast-woken waiter's timer is — it neither runs nor
 // moves the clock — so replacing a goroutine's timed cond wait by a Timer
 // (a wait's timeout by Reset(timeout), its Broadcast by Reset(0)) schedules
-// the same events at the same (deadline, sequence) positions. Like
-// AfterRunner, arming allocates nothing and nothing is spawned.
+// the same events at the same (deadline, sequence) positions. A polling
+// loop rewritten the same way is a Timer whose Run ends in Reset(period):
+// called where the loop's Sleep(period) pushed its wake, the Reset takes
+// that wake's position. Like AfterRunner, arming allocates nothing and
+// nothing is spawned.
 type Timer struct {
 	v   *Virtual
 	r   Runner
@@ -498,10 +560,11 @@ func (t *Timer) Stop() {
 }
 
 // callerPC returns the program counter two frames up: the caller of the
-// exported clock API that invoked it. Stop resolves it to file:line when
-// reporting attachment leaks. runtime.Callers into a stack array (rather
-// than runtime.Caller, which materializes the file string) keeps the
-// capture allocation-free — the alloc budgets on Go/GoAfter gate this.
+// exported clock API that invoked it. Enter records it on a goroutine's
+// first attach, and Stop resolves it to file:line when reporting
+// attachment leaks. runtime.Callers into a stack array (rather than
+// runtime.Caller, which materializes the file string) keeps the capture
+// allocation-free.
 func callerPC() uintptr {
 	var pcs [1]uintptr
 	if runtime.Callers(3, pcs[:]) == 0 {
@@ -509,6 +572,11 @@ func callerPC() uintptr {
 	}
 	return pcs[0]
 }
+
+// funcPC returns fn's entry: what Go and GoAfter record for Stop's leak
+// audit. It reads the func value instead of walking the spawner's stack,
+// which on the spawn path cost more than the spawn.
+func funcPC(fn func()) uintptr { return reflect.ValueOf(fn).Pointer() }
 
 // Stop audits the clock at teardown: it reports goroutines still attached
 // (count plus creation sites), excluding the caller. A clean shutdown
@@ -541,11 +609,16 @@ func (v *Virtual) Stop() LeakReport {
 }
 
 // siteLabel renders a creation-site pc as "file:line (func)", keeping the
-// last two path elements of the file for readable test output.
+// last two path elements of the file for readable test output. A method
+// value (s.loop) is spawned through a compiler-generated wrapper with no
+// source position; it is named by its method instead.
 func siteLabel(pc uintptr) string {
 	fn := runtime.FuncForPC(pc)
 	if fn == nil {
 		return "unknown site"
+	}
+	if name, ok := strings.CutSuffix(fn.Name(), "-fm"); ok {
+		return name + " (method value)"
 	}
 	file, line := fn.FileLine(pc)
 	if i := strings.LastIndex(file, "/"); i >= 0 {
