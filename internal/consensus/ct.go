@@ -41,6 +41,7 @@ import (
 type Node struct {
 	self  simnet.ProcessID
 	peers []simnet.ProcessID
+	dests []simnet.ProcessID // ConsEndpoint of each peer, named once
 	ep    *simnet.Endpoint
 	det   fd.Detector
 	clk   *vclock.Virtual
@@ -61,9 +62,10 @@ func ConsEndpoint(p simnet.ProcessID) simnet.ProcessID { return p + "/cons" }
 // ConsEndpoint(self); peers lists all replicas (including self) in an order
 // common to every node.
 func NewNode(self simnet.ProcessID, ep *simnet.Endpoint, peers []simnet.ProcessID, det fd.Detector) *Node {
-	return &Node{
+	n := &Node{
 		self:      self,
 		peers:     append([]simnet.ProcessID(nil), peers...),
+		dests:     make([]simnet.ProcessID, len(peers)),
 		ep:        ep,
 		det:       det,
 		clk:       ep.Clock(),
@@ -71,6 +73,10 @@ func NewNode(self simnet.ProcessID, ep *simnet.Endpoint, peers []simnet.ProcessI
 		instances: make(map[Key]*ctInstance),
 		stop:      make(chan struct{}),
 	}
+	for i, p := range peers {
+		n.dests[i] = ConsEndpoint(p)
+	}
+	return n
 }
 
 // Start launches the receive loop on the network clock.
@@ -279,26 +285,29 @@ func (n *Node) instance(key Key) *ctInstance {
 }
 
 // Object returns a handle implementing the Object interface for one
-// instance key on this node.
-func (n *Node) Object(key Key) Object { return &ctObject{n: n, key: key} }
+// instance key on this node. The handle holds the instance itself, created
+// here if this node has not heard of it yet, so its reads and proposals
+// skip the node's instance map.
+func (n *Node) Object(key Key) Object { return &ctObject{n: n, inst: n.instance(key)} }
 
 type ctObject struct {
-	n   *Node
-	key Key
+	n    *Node
+	inst *ctInstance
 }
 
-func (o *ctObject) Propose(v any) any { return o.n.Propose(o.key, v) }
-func (o *ctObject) Read() (any, bool) { return o.n.Read(o.key) }
-func (o *ctObject) String() string    { return fmt.Sprintf("ct:%s@%s", o.key, o.n.self) }
+func (o *ctObject) Propose(v any) any { return o.n.propose(o.inst, v) }
+func (o *ctObject) Read() (any, bool) { return o.inst.read() }
+func (o *ctObject) String() string    { return fmt.Sprintf("ct:%s@%s", o.inst.key, o.n.self) }
 
 // Propose submits a value for the instance and blocks until a decision is
 // known locally (or the node stops, returning nil). It attaches the calling
 // goroutine to the network clock for the duration, so it is safe from any
 // goroutine — protocol servers and test drivers alike.
-func (n *Node) Propose(key Key, v any) any {
+func (n *Node) Propose(key Key, v any) any { return n.propose(n.instance(key), v) }
+
+func (n *Node) propose(inst *ctInstance, v any) any {
 	n.clk.Enter()
 	defer n.clk.Exit()
-	inst := n.instance(key)
 	inst.mu.Lock()
 	if inst.decided {
 		d := inst.decision
@@ -327,8 +336,9 @@ func (n *Node) Propose(key Key, v any) any {
 }
 
 // Read returns the locally known decision.
-func (n *Node) Read(key Key) (any, bool) {
-	inst := n.instance(key)
+func (n *Node) Read(key Key) (any, bool) { return n.instance(key).read() }
+
+func (inst *ctInstance) read() (any, bool) {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
 	return inst.decision, inst.decided
@@ -369,9 +379,9 @@ func (n *Node) recvLoop() {
 				// survive this node's crash), then reliable-broadcast: relay
 				// the decision once.
 				n.persistDecision(cm.Key, cm.Value)
-				for _, p := range n.peers {
+				for i, p := range n.peers {
 					if p != n.self {
-						n.ep.Send(ConsEndpoint(p), "cons", ctMsg{Key: cm.Key, Kind: ctDecide, Value: cm.Value})
+						n.ep.Send(n.dests[i], "cons", ctMsg{Key: cm.Key, Kind: ctDecide, Value: cm.Value})
 					}
 				}
 			}
@@ -463,7 +473,8 @@ func (n *Node) roundLoop(inst *ctInstance) {
 			return
 		default:
 		}
-		coord := n.peers[round%len(n.peers)]
+		ci := round % len(n.peers)
+		coord := n.peers[ci]
 		n.m.Inc(obs.ConsRounds)
 
 		// Phase 1: send the estimate to every peer, not only the
@@ -479,8 +490,8 @@ func (n *Node) roundLoop(inst *ctInstance) {
 		}
 		est := ctMsg{Key: inst.key, Round: round, Kind: ctEstimate, Value: inst.estimate, TS: inst.ts, HasValue: inst.hasEst}
 		inst.mu.Unlock()
-		for _, p := range n.peers {
-			n.sendCons(p, est)
+		for i := range n.peers {
+			n.sendCons(i, est)
 		}
 
 		// Phase 2 (coordinator): gather a majority of estimates including
@@ -524,8 +535,8 @@ func (n *Node) roundLoop(inst *ctInstance) {
 				// state, not phase 1's snapshot: a Propose that landed
 				// after the round started must reach peers (and this
 				// node's own gather, via the self-send) as a real value.
-				for _, p := range n.peers {
-					n.sendCons(p, n.currentEstimate(inst, round))
+				for i := range n.peers {
+					n.sendCons(i, n.currentEstimate(inst, round))
 				}
 			})
 			if !ok {
@@ -541,8 +552,8 @@ func (n *Node) roundLoop(inst *ctInstance) {
 				}
 			}
 			prop := ctMsg{Key: inst.key, Round: round, Kind: ctProposal, Value: best.Value}
-			for _, p := range n.peers {
-				n.sendCons(p, prop)
+			for i := range n.peers {
+				n.sendCons(i, prop)
 			}
 		}
 
@@ -564,7 +575,7 @@ func (n *Node) roundLoop(inst *ctInstance) {
 		}, func() {
 			// Rebuild rather than resend phase 1's snapshot: see the
 			// coordinator's resend above for why the live estimate matters.
-			n.sendCons(coord, n.currentEstimate(inst, round))
+			n.sendCons(ci, n.currentEstimate(inst, round))
 		})
 		if !ok {
 			return
@@ -572,7 +583,7 @@ func (n *Node) roundLoop(inst *ctInstance) {
 		if stale {
 			// Give up on this round's proposal like a nack would (the nack
 			// still goes out: the coordinator's reply quorum may need it).
-			n.sendCons(coord, ctMsg{Key: inst.key, Round: round, Kind: ctNack})
+			n.sendCons(ci, ctMsg{Key: inst.key, Round: round, Kind: ctNack})
 			continue
 		}
 		if proposal != nil {
@@ -584,9 +595,9 @@ func (n *Node) roundLoop(inst *ctInstance) {
 			// quorum intersection only holds across a restart if the promise
 			// survives it.
 			n.persistEstimate(inst.key, proposal.Value, round)
-			n.sendCons(coord, ctMsg{Key: inst.key, Round: round, Kind: ctAck})
+			n.sendCons(ci, ctMsg{Key: inst.key, Round: round, Kind: ctAck})
 		} else {
-			n.sendCons(coord, ctMsg{Key: inst.key, Round: round, Kind: ctNack})
+			n.sendCons(ci, ctMsg{Key: inst.key, Round: round, Kind: ctNack})
 		}
 
 		// Phase 4 (coordinator): wait for a majority of replies; decide when
@@ -617,8 +628,8 @@ func (n *Node) roundLoop(inst *ctInstance) {
 				}
 				return acks+nacks >= majority
 			}, nil, func() {
-				for _, p := range n.peers {
-					n.sendCons(p, prop)
+				for i := range n.peers {
+					n.sendCons(i, prop)
 				}
 			})
 			if !ok {
@@ -720,9 +731,9 @@ func (n *Node) decide(inst *ctInstance, v any) {
 		// then forgot could coordinate a later round to a different value.
 		n.persistDecision(inst.key, v)
 	}
-	for _, p := range n.peers {
+	for i, p := range n.peers {
 		if p != n.self {
-			n.sendCons(p, ctMsg{Key: inst.key, Kind: ctDecide, Value: v})
+			n.sendCons(i, ctMsg{Key: inst.key, Kind: ctDecide, Value: v})
 		}
 	}
 }
@@ -738,8 +749,9 @@ func (n *Node) currentEstimate(inst *ctInstance, round int) ctMsg {
 	return ctMsg{Key: inst.key, Round: round, Kind: ctEstimate, Value: inst.estimate, TS: inst.ts, HasValue: inst.hasEst}
 }
 
-func (n *Node) sendCons(to simnet.ProcessID, m ctMsg) {
-	if to == n.self {
+// sendCons sends m to peers[i].
+func (n *Node) sendCons(i int, m ctMsg) {
+	if n.peers[i] == n.self {
 		// Local delivery without the network: enqueue directly. (Nobody
 		// self-sends a decide: decide() and the relay both skip self.)
 		inst := n.instance(m.Key)
@@ -750,5 +762,5 @@ func (n *Node) sendCons(to simnet.ProcessID, m ctMsg) {
 		inst.mu.Unlock()
 		return
 	}
-	n.ep.Send(ConsEndpoint(to), "cons", m)
+	n.ep.Send(n.dests[i], "cons", m)
 }

@@ -509,11 +509,12 @@ func (s *Server) advanceSlot() bool {
 	return false
 }
 
-// cleanSlot is the cleaner's batched-plane pass: watch the first
+// cleanSlot is the cleaner's batched-plane decision: watch the first
 // unapplied slot only — in-order execution means only it gates progress —
-// and when the latest round's owner is suspected, neutralize that round
-// (cleaning-mode abort) and run the next round of the same batch as owner.
-func (s *Server) cleanSlot() {
+// and when the latest round's owner is suspected, return the takeover:
+// neutralize that round (cleaning-mode abort) and run the next round of
+// the same batch as owner. Nil means there is nothing to do.
+func (s *Server) cleanSlot() func() {
 	ss := s.slots
 	ss.mu.Lock()
 	n := ss.execNext
@@ -522,25 +523,27 @@ func (s *Server) cleanSlot() {
 	id := slotID(n)
 	lastRound, od := s.lastOwner(id)
 	if lastRound == 0 {
-		return // no such slot yet; nothing to clean
+		return nil // no such slot yet; nothing to clean
 	}
 	if out, ok := s.cons.Object(outcomeKey(id, lastRound)).Read(); ok {
 		if so, good := out.(slotOutcome); good && so.Outcome == "commit" {
-			return // resolved; the follower applies and re-replies
+			return nil // resolved; the follower applies and re-replies
 		}
 	}
 	if od.Owner == s.id || !s.det.Suspect(od.Owner) {
-		return
+		return nil
 	}
-	// Cleaning mode: prevent the suspected owner from enforcing a commit.
-	s.m.Inc(obs.Takeovers)
-	s.tr.Instant(s.clk.Now(), string(s.id), "takeover", id)
-	out := s.slotCoordination(n, lastRound, od.Batch, nil, slotOutcome{Outcome: "abort"})
-	if s.isStopped() {
-		return
+	return func() {
+		// Cleaning mode: prevent the suspected owner from enforcing a commit.
+		s.m.Inc(obs.Takeovers)
+		s.tr.Instant(s.clk.Now(), string(s.id), "takeover", id)
+		out := s.slotCoordination(n, lastRound, od.Batch, nil, slotOutcome{Outcome: "abort"})
+		if s.isStopped() {
+			return
+		}
+		if out.Outcome == "abort" {
+			s.runSlot(n, lastRound+1, od.Batch)
+		}
+		// On commit the follower path applies the slot and answers clients.
 	}
-	if out.Outcome == "abort" {
-		s.runSlot(n, lastRound+1, od.Batch)
-	}
-	// On commit the follower path applies the slot and answers clients.
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"xability/internal/action"
+	"xability/internal/simnet"
 )
 
 // batchedCfg is the base configuration of the batched-plane tests: slot
@@ -143,15 +144,20 @@ func TestBatchedResubmissionIdempotent(t *testing.T) {
 func TestCostModelChargesVirtualTime(t *testing.T) {
 	mk := func(costs CostModel) time.Duration {
 		cfg := ClusterConfig{Replicas: 3, Seed: 8, Costs: costs}
-		tc := newBankCluster(t, cfg)
-		clk := tc.Clock()
+		// Attached before any replica starts, as newOpenLoopRun is: the
+		// clock cannot run ahead between NewCluster and the first submit,
+		// so both runs measure the submits alone.
+		cfg.Net = simnet.Config{Seed: cfg.Seed, MaxDelay: 200 * time.Microsecond}
+		cfg.Network = simnet.New(cfg.Net)
+		clk := cfg.Network.Clock()
 		clk.Enter()
+		defer clk.Exit()
+		tc := newBankCluster(t, cfg)
+		defer tc.Stop() // while attached: nothing free-runs after the Exit
 		for i := 0; i < 4; i++ {
 			tc.Client.SubmitUntilSuccess(action.NewRequest("debit", "acct"))
 		}
-		d := clk.Now()
-		clk.Exit()
-		return d
+		return clk.Now()
 	}
 	free := mk(CostModel{})
 	charged := mk(CostModel{Consensus: 200 * time.Microsecond, Exec: 100 * time.Microsecond})

@@ -147,6 +147,8 @@ type Server struct {
 	m     *obs.Metrics // nil-safe run metrics
 	tr    *obs.Trace   // nil-safe span recorder
 
+	clean *cleaner // Figure 6's cleaner thread, as a timer on the clock
+
 	mu      sync.Mutex
 	stopped bool
 	active  map[string]*requestState
@@ -229,6 +231,8 @@ func NewServer(cfg ServerConfig) *Server {
 		rounds:   make(map[consensus.Key]bool),
 		inflight: make(map[consensus.Key]bool),
 	}
+	s.clean = &cleaner{s: s}
+	s.clean.timer = s.clk.NewTimer(s.clean)
 	if s.costs.enabled() {
 		s.cpu = newVCPU(s.clk)
 	}
@@ -305,13 +309,13 @@ func (s *Server) propose(key consensus.Key, val any) any {
 	return s.cons.Object(key).Propose(val)
 }
 
-// Start launches the request loop and the cleaner (the cobegin of
+// Start launches the request loop and arms the cleaner (the cobegin of
 // Figure 6) on the network clock. With batching enabled the cobegin gains
 // the batcher (window-driven slot formation) and the follower (in-order
 // slot application; see batch.go).
 func (s *Server) Start() {
 	s.clk.Go(s.mainLoop)
-	s.clk.Go(s.cleaner)
+	s.clk.Go(s.clean.arm)
 	if s.batch.Enabled {
 		s.clk.Go(s.batcher)
 		s.clk.Go(s.follower)
@@ -569,8 +573,9 @@ func (s *Server) processRequest(req action.Request, round int, client simnet.Pro
 // there is a liveness hole: the owning replica's reply can be black-holed
 // by the link plane, and once suspicion of that owner has recovered the
 // cleaner's re-reply path never fires again — the client then awaits an
-// unsuspected replica that will never speak. Polling runs on the clock at
-// the cleaner's period; under the model's assumptions some round
+// unsuspected replica that will never speak. The first look runs here, on
+// the caller's goroutine; later looks are ticks of a timer at the
+// cleaner's period (watcher). Under the model's assumptions some round
 // eventually fixes a result (owners execute until success; aborted rounds
 // are always succeeded by the aborting cleaner), so the watch terminates.
 func (s *Server) awaitFixed(req action.Request, client simnet.ProcessID) {
@@ -582,22 +587,56 @@ func (s *Server) awaitFixed(req action.Request, client simnet.ProcessID) {
 	}
 	st.watching = true
 	s.mu.Unlock()
-	for {
-		if s.isStopped() {
-			return
-		}
-		s.mu.Lock()
-		done, res := st.done, st.result
-		s.mu.Unlock()
-		if !done {
-			res, done = s.resultFixed(st)
-		}
-		if done {
-			s.reply(req.ID, client, res)
-			return
-		}
-		s.clk.Sleep(cleanInterval)
+	w := &watcher{s: s, st: st, client: client}
+	w.timer = s.clk.NewTimer(w)
+	if res, ok := w.look(); ok {
+		s.reply(req.ID, client, res)
 	}
+}
+
+// watcher is awaitFixed's watch over one request after its first look: a
+// vclock.Timer whose ticks, one cleanInterval apart, run on the clock's
+// pump.
+type watcher struct {
+	s      *Server
+	st     *requestState
+	client simnet.ProcessID
+	timer  *vclock.Timer
+}
+
+// look is one look at the request: the result, once some round fixed one;
+// otherwise it arms the next look. A stopped server looks no more.
+func (w *watcher) look() (action.Value, bool) {
+	s, st := w.s, w.st
+	if s.isStopped() {
+		return EmptyResult, false
+	}
+	s.mu.Lock()
+	done, res := st.done, st.result
+	s.mu.Unlock()
+	if !done {
+		res, done = s.resultFixed(st)
+	}
+	if !done {
+		w.timer.Reset(cleanInterval)
+	}
+	return res, done
+}
+
+// Run is a later look (vclock.Runner). A found result is replied inline
+// when the reply cannot block; with a log, finish persists it first and
+// may sleep the sync tariff, so the reply gets a goroutine of its own.
+func (w *watcher) Run() {
+	res, ok := w.look()
+	if !ok {
+		return
+	}
+	s, id, client := w.s, w.st.req.ID, w.client
+	if s.log == nil {
+		s.reply(id, client, res)
+		return
+	}
+	s.clk.Go(func() { s.reply(id, client, res) })
 }
 
 // resultFixed scans the request's rounds, read-only, for a committed
@@ -658,45 +697,101 @@ func (s *Server) roundObjectsAt(st *requestState, r int, key func(string, int) c
 	return *o
 }
 
-// cleaner is Figure 6's cleaner thread: when the owner of a request's
-// latest round is suspected, neutralize that round (cleaning-mode result
-// coordination) and, if no result was fixed, start the next round as its
-// owner.
-func (s *Server) cleaner() {
-	// The first pass is offset by a per-replica phase so symmetric cleaner
-	// loops never share a virtual deadline (the deterministic schedule then
-	// never needs to tie-break between replicas).
-	s.clk.Sleep(cleanInterval + vclock.Stagger(string(s.id), cleanInterval/4+1))
-	for {
-		if s.isStopped() {
-			return
-		}
-		if s.batch.Enabled {
-			s.cleanSlot()
-		} else {
-			for _, st := range s.snapshotActive() {
-				s.cleanRequest(st)
-			}
-		}
-		s.clk.Sleep(cleanInterval)
-	}
+// cleaner is Figure 6's cleaner thread as a vclock.Timer: each tick, one
+// cleanInterval after the last pass ended, is one pass over the requests
+// this replica knows (or, batched, over the first unapplied slot): when
+// the owner of a request's latest round is suspected, neutralize that
+// round (cleaning-mode result coordination) and, if no result was fixed,
+// start the next round as its owner.
+type cleaner struct {
+	s     *Server
+	timer *vclock.Timer
+	snap  []*requestState // the pass's requests, reused across ticks
+	next  int             // index into snap of the next decision
 }
 
-func (s *Server) snapshotActive() []*requestState {
+// arm schedules the first pass, offset by a per-replica phase so
+// symmetric cleaners never share a virtual deadline (the deterministic
+// schedule then never needs to tie-break between replicas). Start spawns
+// it as a goroutine, like fd.Heartbeat's arm and for the same reasons.
+func (c *cleaner) arm() {
+	c.timer.Reset(cleanInterval + vclock.Stagger(string(c.s.id), cleanInterval/4+1))
+}
+
+// Run is one tick, on the clock's pump. The pass's decisions read
+// agreement arrays and ask the detector — nothing that blocks — so they
+// run inline. At the first step that may block (a propose, a resume, a
+// takeover) the tick spawns one goroutine, which takes the step, finishes
+// the pass and re-arms; a pass with nothing to do re-arms here. The pump
+// has one runnable unit throughout either way, so both paths push the
+// same events in the same order.
+func (c *cleaner) Run() {
+	s := c.s
+	if s.isStopped() {
+		return
+	}
+	c.next = 0
+	if !s.batch.Enabled {
+		c.snap = s.snapshotActive(c.snap[:0])
+	}
+	if step := c.nextStep(); step != nil {
+		s.clk.Go(func() { c.finish(step) })
+		return
+	}
+	c.timer.Reset(cleanInterval)
+}
+
+// finish runs on the goroutine a tick spawned: step, the rest of the
+// pass with every step taken in place, then the next tick. The snapshot
+// is not touched by another tick meanwhile: that one is armed only here.
+func (c *cleaner) finish(step func()) {
+	for ; step != nil; step = c.nextStep() {
+		step()
+	}
+	c.timer.Reset(cleanInterval)
+}
+
+// nextStep makes the pass's decisions from where the last one left off
+// and returns the first step to take, or nil at the end of the pass. The
+// batched pass watches one slot: it is a single decision.
+func (c *cleaner) nextStep() func() {
+	s := c.s
+	if s.batch.Enabled {
+		if c.next > 0 {
+			return nil
+		}
+		c.next++
+		return s.cleanSlot()
+	}
+	for c.next < len(c.snap) {
+		st := c.snap[c.next]
+		c.next++
+		if step := s.cleanRequest(st); step != nil {
+			return step
+		}
+	}
+	return nil
+}
+
+// snapshotActive appends the requests not yet done, in arrival order, to
+// buf.
+func (s *Server) snapshotActive(buf []*requestState) []*requestState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*requestState, 0, len(s.order))
 	for _, id := range s.order {
 		if st := s.active[id]; st != nil && !st.done {
-			out = append(out, st)
+			buf = append(buf, st)
 		}
 	}
-	return out
+	return buf
 }
 
-func (s *Server) cleanRequest(st *requestState) {
+// cleanRequest is the cleaner's decision about one request. It reads the
+// request's owner-agreement array and asks the detector, and returns the
+// step to take — which may block — or nil when there is nothing to do.
+func (s *Server) cleanRequest(st *requestState) func() {
 	reqID := st.req.ID
-	lastRound, od := s.lastOwner(reqID)
+	lastRound, od := s.lastRequestOwner(st)
 	// An attempt record for the round after last-round is an ownership
 	// proposal some incarnation of this replica wrote ahead and then never
 	// learned the decision of — it crashed inside the propose. The quorum
@@ -716,12 +811,11 @@ func (s *Server) cleanRequest(st *requestState) {
 		dangling := s.rounds[key] && !s.inflight[key]
 		s.mu.Unlock()
 		if dangling {
-			s.propose(key, ownerDecision{Owner: s.id, Req: st.req, Client: st.client})
-			return
+			return func() { s.propose(key, ownerDecision{Owner: s.id, Req: st.req, Client: st.client}) }
 		}
 	}
 	if lastRound == 0 {
-		return // nobody owns round 1 yet; the client's retry handles it
+		return nil // nobody owns round 1 yet; the client's retry handles it
 	}
 	if od.Owner == s.id {
 		// A round we own but are not driving is a round our previous
@@ -730,20 +824,34 @@ func (s *Server) cleanRequest(st *requestState) {
 		// will ever touch it — correct detectors do not suspect a live,
 		// restarted replica. Resume it; a still-live execution is guarded
 		// by the in-flight mark.
-		s.resumeOwnRound(st, od, lastRound)
-		return
+		return s.resumeOwnRound(st, od, lastRound)
 	}
 	if !s.det.Suspect(od.Owner) {
-		return
+		return nil
 	}
-	s.m.Inc(obs.Takeovers)
-	s.tr.Instant(s.clk.Now(), string(s.id), "takeover", reqID)
-	s.cleanRound(od, lastRound)
+	return func() {
+		s.m.Inc(obs.Takeovers)
+		s.tr.Instant(s.clk.Now(), string(s.id), "takeover", reqID)
+		s.cleanRound(od, lastRound)
+	}
 }
 
-// lastOwner is the cleaner's "let last-round be the largest defined index in
-// owner-agreement": the latest decided round of a request (or slot) ID and
-// its ownership decision; round 0 when nobody owns round 1 yet.
+// lastRequestOwner is the cleaner's "let last-round be the largest defined
+// index in owner-agreement" for a request, read through st's cached round
+// objects (roundObjectsAt): the latest decided round and its ownership
+// decision; round 0 when nobody owns round 1 yet.
+func (s *Server) lastRequestOwner(st *requestState) (round int, od ownerDecision) {
+	for r := 1; r <= MaxRound; r++ {
+		v, decided := s.roundObjectsAt(st, r, nil).owner.Read()
+		if !decided {
+			break
+		}
+		round, od = r, v.(ownerDecision)
+	}
+	return round, od
+}
+
+// lastOwner is lastRequestOwner for a slot ID, looked up in the provider.
 func (s *Server) lastOwner(id string) (round int, od ownerDecision) {
 	for r := 1; r <= MaxRound; r++ {
 		v, decided := s.cons.Object(ownerKey(id, r)).Read()
@@ -781,42 +889,47 @@ func (s *Server) cleanRound(od ownerDecision, round int) {
 // never draws. The resume acts as this round's own cleaner: forward a
 // result the quorum already fixed, or abort the round and drive a
 // successor — never re-execute the round itself (see the comment at the
-// coordination call below).
-func (s *Server) resumeOwnRound(st *requestState, od ownerDecision, round int) {
+// coordination call below). The in-flight check is the cleaner's
+// decision: it returns nil while a live execution drives the round, and
+// otherwise marks the round and returns the resume as the step.
+func (s *Server) resumeOwnRound(st *requestState, od ownerDecision, round int) func() {
 	req := od.Req
 	key := ownerKey(req.ID, round)
 	s.mu.Lock()
 	if s.inflight[key] {
 		s.mu.Unlock()
-		return // a live execution is driving this round
+		return nil // a live execution is driving this round
 	}
 	s.inflight[key] = true
 	s.mu.Unlock()
-	s.tr.Instant(s.clk.Now(), string(s.id), "resume", req.ID)
-	defer func() {
-		s.mu.Lock()
-		delete(s.inflight, key)
-		s.mu.Unlock()
-	}()
-	// The crash may have hit between the outcome decision and the reply:
-	// forward a fixed result rather than re-driving the round.
-	if v, ok := s.resultFixed(st); ok {
-		s.reply(req.ID, od.Client, v)
-		return
+	return func() {
+		s.tr.Instant(s.clk.Now(), string(s.id), "resume", req.ID)
+		defer func() {
+			s.mu.Lock()
+			delete(s.inflight, key)
+			s.mu.Unlock()
+		}()
+		// The crash may have hit between the outcome decision and the
+		// reply: forward a fixed result rather than re-driving the round.
+		if v, ok := s.resultFixed(st); ok {
+			s.reply(req.ID, od.Client, v)
+			return
+		}
+		// The crash may have hit anywhere between execution and the reply,
+		// and the local consensus state cannot tell: the old incarnation
+		// may have executed, proposed commit, and died in the narrow window
+		// before learning the decision — which the quorum then fixed and
+		// applied while this replica was down. Re-executing on local
+		// evidence would put a second completed execution of an
+		// already-committed round into the history, a duplicate the
+		// calculus cannot reduce (found by the restart-random-majority
+		// sweep, seed 114; pinned by the power-cycle sweeps). So resume
+		// cleans its own round instead: coordination in cleaning mode
+		// learns a fixed result if one exists — the reply then goes out —
+		// and otherwise aborts the round like any cleaner would, letting
+		// the successor round re-execute under a fresh tag.
+		s.cleanRound(od, round)
 	}
-	// The crash may have hit anywhere between execution and the reply, and
-	// the local consensus state cannot tell: the old incarnation may have
-	// executed, proposed commit, and died in the narrow window before
-	// learning the decision — which the quorum then fixed and applied
-	// while this replica was down. Re-executing on local evidence would
-	// put a second completed execution of an already-committed round into
-	// the history, a duplicate the calculus cannot reduce (found by the
-	// restart-random-majority sweep, seed 114; pinned by the power-cycle
-	// sweeps). So resume cleans its own round instead: coordination in
-	// cleaning mode learns a fixed result if one exists — the reply then
-	// goes out — and otherwise aborts the round like any cleaner would,
-	// letting the successor round re-execute under a fresh tag.
-	s.cleanRound(od, round)
 }
 
 // resultCoordination is Figure 7's result-coordination: agreement on the

@@ -79,15 +79,18 @@ func (s *Scripted) Suspect(p simnet.ProcessID) bool {
 }
 
 // Heartbeat is a ◇P-style detector driven by heartbeat messages over
-// simnet. Each process runs one Heartbeat instance; Start launches the
-// sender goroutine and installs the receive handler, Stop terminates the
-// sender.
+// simnet. Each process runs one Heartbeat instance; Start arms the sender
+// and installs the receive handler, Stop terminates the sender. Neither
+// side has a goroutine: the sender is a vclock.Timer whose ticks run on
+// the clock's pump (Run), the receiver an endpoint handler.
 type Heartbeat struct {
 	self     simnet.ProcessID
-	peers    []simnet.ProcessID
+	dests    []simnet.ProcessID // FDEndpoint of each peer, named once
+	beat     any                // the heartbeat payload (self), boxed once
 	ep       *simnet.Endpoint
 	clk      *vclock.Virtual
 	interval time.Duration
+	timer    *vclock.Timer
 
 	mu       sync.Mutex
 	state    map[simnet.ProcessID]*peerState // one entry per peer, fixed at construction
@@ -126,7 +129,8 @@ func NewHeartbeat(self simnet.ProcessID, ep *simnet.Endpoint, peers []simnet.Pro
 	}
 	h := &Heartbeat{
 		self:     self,
-		peers:    peers,
+		dests:    make([]simnet.ProcessID, len(peers)),
+		beat:     self,
 		ep:       ep,
 		clk:      ep.Clock(),
 		interval: cfg.Interval,
@@ -134,26 +138,40 @@ func NewHeartbeat(self simnet.ProcessID, ep *simnet.Endpoint, peers []simnet.Pro
 		stop:     make(chan struct{}),
 		m:        ep.Metrics(),
 	}
+	h.timer = h.clk.NewTimer(h)
 	now := h.clk.Now()
 	states := make([]peerState, len(peers))
 	for i, p := range peers {
+		h.dests[i] = FDEndpoint(p)
 		states[i] = peerState{lastSeen: now, timeout: 3 * cfg.Interval}
 		h.state[p] = &states[i]
 	}
 	return h
 }
 
-// Start launches the heartbeat sender on the network clock and takes over
-// the endpoint's deliveries: receiving a heartbeat is a state update, so it
+// Start arms the heartbeat sender on the network clock and takes over the
+// endpoint's deliveries: receiving a heartbeat is a state update, so it
 // runs as the endpoint's handler, not on a goroutine.
 func (h *Heartbeat) Start() {
-	h.clk.Go(h.sendLoop)
+	h.clk.Go(h.arm)
 	h.ep.Handle(h.onMessage)
 }
 
-// Stop terminates the sender. The handler stays on the endpoint until the
-// process crashes or the network is recycled; a heartbeat that still
-// arrives only refreshes state nobody reads.
+// arm schedules the first beat, after interval plus a per-process phase
+// offset; later beats follow every interval (Run). It runs on a clock
+// goroutine of its own, not inside Start: the first expiry is then
+// numbered when that goroutine runs, like the first event of every other
+// goroutine Start's caller spawned, and a caller that starts detectors
+// unattached (NewCluster registers and starts them one process at a
+// time) does not pump it on the spot, before the peers' endpoints exist.
+func (h *Heartbeat) arm() {
+	h.timer.Reset(h.interval + vclock.Stagger(string(h.self), h.interval/4+1))
+}
+
+// Stop terminates the sender: the next tick sends nothing and does not
+// re-arm. The handler stays on the endpoint until the process crashes or
+// the network is recycled; a heartbeat that still arrives only refreshes
+// state nobody reads.
 func (h *Heartbeat) Stop() {
 	h.stopOnce.Do(func() { close(h.stop) })
 }
@@ -167,19 +185,17 @@ func (h *Heartbeat) stopped() bool {
 	}
 }
 
-func (h *Heartbeat) sendLoop() {
-	// The first beat lands after interval plus a per-process phase offset;
-	// later beats follow every interval, like the ticker they replace.
-	h.clk.Sleep(h.interval + vclock.Stagger(string(h.self), h.interval/4+1))
-	for {
-		if h.stopped() {
-			return
-		}
-		for _, p := range h.peers {
-			h.ep.Send(FDEndpoint(p), "heartbeat", h.self)
-		}
-		h.clk.Sleep(h.interval)
+// Run is one tick of the sender (vclock.Runner: it runs on the clock's
+// pump and only sends): a beat to every peer, then the next tick one
+// interval on.
+func (h *Heartbeat) Run() {
+	if h.stopped() {
+		return
 	}
+	for _, to := range h.dests {
+		h.ep.Send(to, "heartbeat", h.beat)
+	}
+	h.timer.Reset(h.interval)
 }
 
 // onMessage is the endpoint handler (simnet.Endpoint.Handle): it runs on

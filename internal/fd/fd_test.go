@@ -39,6 +39,9 @@ func TestScriptedStrongCompleteness(t *testing.T) {
 func TestHeartbeatDetectsCrash(t *testing.T) {
 	n := simnet.New(simnet.Config{Seed: 1})
 	defer n.Close()
+	clk := n.Clock()
+	clk.Enter() // held from before Start: every step below is a virtual instant
+	defer clk.Exit()
 	ids := []simnet.ProcessID{"p1", "p2"}
 	var hbs []*Heartbeat
 	for _, id := range ids {
@@ -54,18 +57,18 @@ func TestHeartbeatDetectsCrash(t *testing.T) {
 	}()
 
 	// Warm up: p1 should trust p2 while heartbeats flow.
-	time.Sleep(10 * time.Millisecond)
+	clk.Sleep(10 * time.Millisecond)
 	if hbs[0].Suspect("p2") {
 		t.Error("p2 suspected while alive")
 	}
 
 	n.Crash(FDEndpoint("p2"))
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
+	crashed := clk.Now()
+	for clk.Now()-crashed < time.Second {
 		if hbs[0].Suspect("p2") {
 			return // strong completeness
 		}
-		time.Sleep(time.Millisecond)
+		clk.Sleep(time.Millisecond)
 	}
 	t.Fatal("crashed peer never suspected")
 }
@@ -87,6 +90,9 @@ func TestHeartbeatAdaptiveTimeout(t *testing.T) {
 	// the same delay no longer triggers suspicion (eventual accuracy).
 	n := simnet.New(simnet.Config{Seed: 2})
 	defer n.Close()
+	clk := n.Clock()
+	clk.Enter() // held from before Start: every step below is a virtual instant
+	defer clk.Exit()
 	ids := []simnet.ProcessID{"a", "b"}
 	epA := n.Register(FDEndpoint("a"))
 	hbA := NewHeartbeat("a", epA, ids, HeartbeatConfig{Interval: time.Millisecond})
@@ -95,40 +101,36 @@ func TestHeartbeatAdaptiveTimeout(t *testing.T) {
 	epB := n.Register(FDEndpoint("b"))
 
 	// Manually send one late heartbeat from b after a has begun suspecting.
-	time.Sleep(6 * time.Millisecond)
+	clk.Sleep(6 * time.Millisecond)
 	if !hbA.Suspect("b") {
 		t.Fatal("expected suspicion after missing heartbeats")
 	}
-	before := func() time.Duration {
+	timeout := func() (time.Duration, time.Duration) {
 		hbA.mu.Lock()
 		defer hbA.mu.Unlock()
-		return hbA.state["b"].timeout
-	}()
+		return hbA.state["b"].timeout, hbA.state["b"].lastSeen
+	}
+	before, _ := timeout()
 	epB.Send(FDEndpoint("a"), "heartbeat", simnet.ProcessID("b"))
 	n.Quiesce()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		hbA.mu.Lock()
-		after := hbA.state["b"].timeout
-		last := hbA.state["b"].lastSeen
-		hbA.mu.Unlock()
-		if after > before {
-			// The late heartbeat proved the suspicion false: the timeout
-			// doubled and b's freshness was re-established. b stays silent
-			// afterwards, so the suspicion legitimately returns once the
-			// doubled timeout elapses — on the virtual clock that can be
-			// almost immediately in wall terms, so instead of asserting
-			// "not suspected" at a racing instant, pin the predicate: a
-			// suspicion may only be reported once the doubled timeout has
-			// actually elapsed past the refreshed lastSeen.
-			if hbA.Suspect("b") && hbA.clk.Now()-last <= after {
-				t.Error("suspected b while its refreshed heartbeat was still within the adapted timeout")
-			}
-			return
-		}
-		time.Sleep(time.Millisecond)
+	after, last := timeout()
+	if after <= before {
+		t.Fatalf("timeout %v did not adapt after false suspicion (was %v)", after, before)
 	}
-	t.Fatal("timeout did not adapt after false suspicion")
+	// The late heartbeat proved the suspicion false: b is trusted again
+	// until the doubled timeout has elapsed past the refreshed lastSeen —
+	// b stays silent afterwards, so then the suspicion legitimately returns.
+	if hbA.Suspect("b") {
+		t.Error("suspected b right after its late heartbeat was delivered")
+	}
+	clk.Sleep(last + after - clk.Now())
+	if hbA.Suspect("b") {
+		t.Error("suspected b while its refreshed heartbeat was still within the adapted timeout")
+	}
+	clk.Sleep(time.Microsecond)
+	if !hbA.Suspect("b") {
+		t.Error("b silent past the adapted timeout, but not suspected")
+	}
 }
 
 func TestFDEndpointNaming(t *testing.T) {

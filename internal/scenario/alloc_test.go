@@ -86,3 +86,24 @@ func TestOpenLoopAllocBudget(t *testing.T) {
 			per, avg, requests)
 	}
 }
+
+// TestHeartbeatRunAllocBudget pins a faulted run's bill on the sweep path:
+// one delay-storm-hb seed on a recycled network, ≈600 messages, most of
+// them heartbeats. A beat's payload is boxed and its destinations named
+// once per detector, not per send, and the senders and cleaners are
+// timers, not goroutines, so the bill is the deployment and the request
+// more than the message count. Measured at 552 objects (554 under the race
+// detector; 1 675 when every beat allocated its destination and payload);
+// the budget is 5% above 552.
+func TestHeartbeatRunAllocBudget(t *testing.T) {
+	sc, ok := Get("delay-storm-hb")
+	if !ok {
+		t.Fatal("delay-storm-hb not registered")
+	}
+	scratch := &runScratch{}
+	execute(sc, 1, RunOptions{}, scratch)
+	avg := testing.AllocsPerRun(20, func() { execute(sc, 2, RunOptions{}, scratch) })
+	if avg > 580 {
+		t.Fatalf("reused-network delay-storm-hb run allocates %.0f objects, budget 580", avg)
+	}
+}

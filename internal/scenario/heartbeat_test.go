@@ -108,16 +108,22 @@ func TestDelayStormHeartbeatSweep(t *testing.T) {
 }
 
 // TestDeliveriesSpawnNoGoroutines gates what a message costs the host, in
-// counts the clock keeps (vclock.Virtual's Spawns and Events), so it holds
-// on any runner: a delay-storm-hb seed is ≈600 messages, most of them
-// heartbeats, and neither a delivery nor a heartbeat's receipt may start a
-// goroutine. What is spawned is the deployment's loops, the plan's and the
-// watchdog's timers and the request — 15 on every seed, however many
-// messages the seed sends (when a delivery was a goroutine and each
-// detector had a receiver, ≈620). Events are pinned exactly: one per
-// message plus the loops' timers and wake-ups (seed 1: 918; 1 490 when
-// each heartbeat also woke a receiver). A change that moves them
-// re-measures here and says why.
+// counts the clock keeps (vclock.Virtual's Spawns, Wakes and Events), so
+// it holds on any runner: a delay-storm-hb seed is ≈600 messages, most of
+// them heartbeats, and neither a delivery nor a heartbeat — its receipt or
+// its send — may start or wake a goroutine. What is spawned is the
+// deployment's loops and timer arms, the plan's and the watchdog's timers,
+// the request, the cleaners' takeovers and the driver's hand-off of the
+// pump at detach — 18–19 a seed, however many messages the seed sends
+// (when a delivery was a goroutine and each detector had a receiver,
+// ≈620; 15 while each beat's sender and each cleaner was a loop). What is
+// woken is what still waits in a clock primitive — the driver, the
+// client, the servers' receive loops, the executions' retry sleeps: 47 on
+// seed 1, against 314 while the senders and cleaners woke for every
+// period (291–321 on seeds 1–4). Events are pinned exactly: one
+// per message plus the timers and wake-ups (seed 1: 918; 1 490 when each
+// heartbeat also woke a receiver). A change that moves them re-measures
+// here and says why.
 //
 // GOMAXPROCS is pinned to 1 for the reason TestOutcomesGolden gives; the
 // counts are read once the stopped run's clock has fully wound down.
@@ -128,6 +134,7 @@ func TestDeliveriesSpawnNoGoroutines(t *testing.T) {
 		t.Fatal("delay-storm-hb not registered")
 	}
 	const maxSpawns = 20 // 4 processes × their loops, the timers, the request
+	const maxWakes = 60  // blocked goroutines only: no sender, no poll
 	wantEvents := []uint64{918, 858, 908, 937}
 	for i, want := range wantEvents {
 		seed := int64(i + 1)
@@ -137,13 +144,16 @@ func TestDeliveriesSpawnNoGoroutines(t *testing.T) {
 		for !clk.Quiesced() {
 			runtime.Gosched()
 		}
-		spawns, events := clk.Spawns(), clk.Events()
-		t.Logf("seed %d: %d messages, %d goroutines spawned, %d clock events", seed, o.Messages, spawns, events)
+		spawns, wakes, events := clk.Spawns(), clk.Wakes(), clk.Events()
+		t.Logf("seed %d: %d messages, %d goroutines spawned, %d woken, %d clock events", seed, o.Messages, spawns, wakes, events)
 		if o.Messages < 500 {
 			t.Errorf("seed %d: %d messages, want a storm of ≥ 500: the scenario no longer loads the message plane", seed, o.Messages)
 		}
 		if spawns > maxSpawns {
 			t.Errorf("seed %d: %d goroutines spawned for %d messages, want ≤ %d: something spawns per message again", seed, spawns, o.Messages, maxSpawns)
+		}
+		if wakes > maxWakes {
+			t.Errorf("seed %d: %d goroutine wake-ups, want ≤ %d: a periodic sender or poll waits in a goroutine again", seed, wakes, maxWakes)
 		}
 		if events != want {
 			t.Errorf("seed %d: %d clock events, want %d", seed, events, want)
