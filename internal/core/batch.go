@@ -7,8 +7,8 @@
 // slots form an RSM-style log. Agreement on later slots proceeds while
 // earlier slots are still executing (pipelining, bounded by
 // BatchConfig.Pipeline); effects commit strictly in slot order, so the
-// replicated machines stay in the same state they would reach executing
-// the batch members one at a time.
+// environment reaches the same state it would executing the batch members
+// one at a time.
 //
 // Fault tolerance reuses the per-request round machinery at slot
 // granularity, so the cleaner story of DESIGN.md §2 carries over verbatim:
@@ -401,9 +401,9 @@ func (s *Server) slotCoordination(n, round int, batch []SubmitPayload, fresh []b
 }
 
 // applySlot folds a committed slot into the local replica in slot order:
-// apply each first-occurrence member not finished by an earlier slot
-// (owners already executed, so they skip the apply), record results for
-// re-submissions, reply, and open the gate for the next slot.
+// record the result of each first-occurrence member not finished by an
+// earlier slot for re-submissions, reply, and open the gate for the next
+// slot.
 //
 // Replies: the committing owner answers every member's client; a
 // non-owner answers only members whose submit it received directly —
@@ -424,14 +424,10 @@ func (s *Server) applySlot(n int, batch []SubmitPayload, vals []action.Value, ow
 		if !dupEarlier {
 			st.done = true      //xvet:ok durablewrite batched plane is an in-memory baseline: restart is unsupported there, nothing to persist
 			st.result = vals[i] //xvet:ok durablewrite batched plane is an in-memory baseline: restart is unsupported there, nothing to persist
-			st.applied = true
 			st.doneSlot = n
 		}
 		direct := st.direct
 		s.mu.Unlock()
-		if !dupEarlier && !owner {
-			s.mach.Apply(m.Req, vals[i])
-		}
 		if owner || direct {
 			s.ep.Send(m.Client, MsgResult, ResultPayload{ReqID: m.Req.ID, Value: vals[i]})
 		}
@@ -451,9 +447,9 @@ func (s *Server) applySlot(n int, batch []SubmitPayload, vals []action.Value, ow
 // follower advances the local slot log through slots decided elsewhere:
 // poll the consensus arrays for the first unapplied slot, and once some
 // round of it commits, apply it in order. Owners apply their own slots
-// directly; the follower is how the other replicas' machines and re-reply
-// state keep up, and how a stalled client's replica learns results it did
-// not compute (the batched plane has no per-request announce gossip).
+// directly; the follower is how the other replicas' re-reply state keeps
+// up, and how a stalled client's replica learns results it did not compute
+// (the batched plane has no per-request announce gossip).
 func (s *Server) follower() {
 	ss := s.slots
 	for {

@@ -24,9 +24,8 @@ type CostModel struct {
 	// (ownership, result, and outcome agreement alike, in both the
 	// per-request and the batched plane).
 	Consensus time.Duration
-	// Exec is charged once per action execution attempt (including
-	// cancel/commit derived actions and replayed applies stay free — they
-	// are local bookkeeping in both planes).
+	// Exec is charged once per action execution attempt, cancel/commit
+	// derived actions included.
 	Exec time.Duration
 }
 

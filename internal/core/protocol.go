@@ -18,8 +18,7 @@
 // figures elide (see DESIGN.md §2):
 //
 //   - Multi-request support: consensus instances are namespaced by request
-//     ID; replicas replay agreed results of earlier requests through the
-//     machine's Apply hook before executing a later one.
+//     ID.
 //   - Request gossip: the figures give every replica access to the shared
 //     owner-agreement array; here servers broadcast an announce message on
 //     first sight of a request so every cleaner knows which instances to
@@ -152,7 +151,7 @@ type Server struct {
 	mu      sync.Mutex
 	stopped bool
 	active  map[string]*requestState
-	order   []string // request IDs in arrival order, for replay
+	order   []string // request IDs in arrival order, for the cleaner's pass
 	// rounds is durable state (xvet:durable): the (request, round) pairs
 	// this replica has processed. Writers must persist the pair first —
 	// the durablewrite analyzer flags any write in a function that never
@@ -176,7 +175,6 @@ type requestState struct {
 	// survive restart so re-submissions stay idempotent (R1).
 	done     bool           //xvet:durable
 	result   action.Value   //xvet:durable
-	applied  bool           // replayed into the local machine state
 	watching bool           // an awaitFixed watcher is already running here
 	direct   bool           // this replica received the client's submit itself
 	queued   bool           // enqueued in this replica's pending batch or a known slot
@@ -372,10 +370,8 @@ func (s *Server) persistFinish(reqID string, res action.Value) {
 // incarnation. Replay is idempotent by construction: requests re-create
 // their entry only on first sight, round records re-arm the
 // (request, round) guard, and finish records overwrite with the same fixed
-// value. Recovered requests come back with applied=false — the machine
-// state died with the process, so the first round this replica owns after
-// restart re-folds earlier results through replayEarlier, which reuses the
-// normal Apply path (a pure state fold: no environment effects re-fire).
+// value. Nothing else needs rebuilding: a replica keeps no state of its
+// own beyond this log, every effect lives in the environment.
 func (s *Server) Recover() {
 	if s.log == nil {
 		return
@@ -548,7 +544,6 @@ func (s *Server) processRequest(req action.Request, round int, client simnet.Pro
 		s.mu.Unlock()
 		s.tr.End(s.clk.Now(), string(s.id), "own-round", span)
 	}()
-	s.replayEarlier(req.ID)
 	exec := s.taggedFor(req, round)
 	eSpan := s.tr.Begin(s.clk.Now(), string(s.id), "execute", req.ID)
 	res, ok := s.executeUntilSuccess(exec)
@@ -643,8 +638,8 @@ func (w *watcher) Run() {
 // result: the fixed value of an idempotent round, or the committed
 // outcome of an undoable one. Aborted rounds are skipped. Every path that
 // learns a result without driving a round reads it here — the submit
-// path's watcher, a restarted owner's resume, and the replay of earlier
-// requests into a machine. The agreement objects come from st's cache
+// path's watcher and a restarted owner's resume. The agreement objects
+// come from st's cache
 // (roundObjectsAt), so a request in flight costs the provider one lookup
 // per object however often it is scanned.
 func (s *Server) resultFixed(st *requestState) (action.Value, bool) {
@@ -1019,34 +1014,6 @@ func (s *Server) executeUntilSuccess(req action.Request) (action.Value, bool) {
 	}
 }
 
-// replayEarlier folds the agreed results of requests that arrived before
-// reqID into the local machine state (the multi-request extension). Results
-// are read from the result/outcome arrays; requests without a decided
-// result yet are skipped — the protocol's sequencing (a client submits
-// Rᵢ₊₁ only after Rᵢ succeeded) makes that benign.
-func (s *Server) replayEarlier(reqID string) {
-	s.mu.Lock()
-	var todo []*requestState
-	for _, id := range s.order {
-		if id == reqID {
-			break
-		}
-		st := s.active[id]
-		if st != nil && !st.applied {
-			todo = append(todo, st)
-		}
-	}
-	s.mu.Unlock()
-	for _, st := range todo {
-		if res, ok := s.resultFixed(st); ok {
-			s.mach.Apply(st.req, res)
-			s.mu.Lock()
-			st.applied = true
-			s.mu.Unlock()
-		}
-	}
-}
-
 // reply fixes a request's result at this replica and sends it to the
 // client. Replies are idempotent, so every path that learns a fixed result
 // may forward it.
@@ -1056,10 +1023,9 @@ func (s *Server) reply(reqID string, client simnet.ProcessID, res action.Value) 
 }
 
 // finish marks a request complete, remembering its result for
-// re-submissions. The executing replica also folds its own result into the
-// applied set so later replays skip it. The result is persisted before the
-// in-memory mark (and so before any reply built on it), keeping R1's
-// fixed-result promise across a crash directly after the reply.
+// re-submissions. The result is persisted before the in-memory mark (and
+// so before any reply built on it), keeping R1's fixed-result promise
+// across a crash directly after the reply.
 func (s *Server) finish(reqID string, res action.Value) {
 	s.mu.Lock()
 	st := s.active[reqID]
@@ -1073,5 +1039,4 @@ func (s *Server) finish(reqID string, res action.Value) {
 	defer s.mu.Unlock()
 	st.done = true
 	st.result = res
-	st.applied = true
 }

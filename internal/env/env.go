@@ -183,22 +183,8 @@ func (e *Env) ExecIdempotent(a action.Name, iv action.Value, eff Effect) (action
 	return v, nil
 }
 
-// BeginUndoable opens (or re-activates) the transaction for a round-tagged
-// input and returns the epoch the invocation runs under. Call it before
-// emitting the start event.
-func (e *Env) BeginUndoable(a action.Name, taggedIV action.Value) Epoch {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t := e.txs[key(a, taggedIV)]
-	if t == nil {
-		t = &tx{}
-		e.txs[key(a, taggedIV)] = t
-	}
-	return t.epoch
-}
-
 // ExecUndoable applies the undoable action's effect under the epoch
-// captured by BeginUndoable. If the transaction was cancelled in the
+// captured by ReactivateUndoable. If the transaction was cancelled in the
 // meantime the invocation fails with ErrCancelled and has no effect. A
 // completed transaction re-executes idempotently (returns its result).
 func (e *Env) ExecUndoable(a action.Name, taggedIV action.Value, ep Epoch, eff Effect) (action.Value, error) {
@@ -207,7 +193,7 @@ func (e *Env) ExecUndoable(a action.Name, taggedIV action.Value, ep Epoch, eff E
 	k := key(a, taggedIV)
 	t := e.txs[k]
 	if t == nil {
-		return "", fmt.Errorf("env: ExecUndoable without BeginUndoable for %s", a)
+		return "", fmt.Errorf("env: ExecUndoable without ReactivateUndoable for %s", a)
 	}
 	if t.fenced {
 		return "", ErrFenced
@@ -224,7 +210,8 @@ func (e *Env) ExecUndoable(a action.Name, taggedIV action.Value, ep Epoch, eff E
 		return t.result, nil
 	case txCancelled:
 		// The epoch check above fails for stale invocations; reaching here
-		// with a current epoch means re-activation happened in Begin.
+		// with a current epoch means the transaction was cancelled after
+		// the invoker's ReactivateUndoable.
 		return "", ErrCancelled
 	}
 	fail, after := e.shouldFail(a)
@@ -276,9 +263,11 @@ func (e *Env) CancelUndoable(a action.Name, taggedIV action.Value, onRollback fu
 	return nil
 }
 
-// ReactivateUndoable transitions a cancelled transaction back to active for
-// a fresh invocation (retry after cancellation) and returns the new epoch.
-// A fenced transaction stays cancelled: the abort decision is final, and
+// ReactivateUndoable opens the transaction for a round-tagged input, or
+// transitions a cancelled one back to active for a fresh invocation (retry
+// after cancellation), and returns the epoch the invocation runs under.
+// Call it before emitting the start event. A fenced transaction stays
+// cancelled: the abort decision is final, and
 // reviving it here is exactly how a late owner retry would re-apply an
 // effect the cleaners already neutralized.
 func (e *Env) ReactivateUndoable(a action.Name, taggedIV action.Value) Epoch {

@@ -53,7 +53,7 @@ func TestIdempotentDistinctInputs(t *testing.T) {
 
 func TestUndoableLifecycle(t *testing.T) {
 	e, obs := newEnv()
-	ep := e.BeginUndoable("debit", "iv")
+	ep := e.ReactivateUndoable("debit", "iv")
 	v, err := e.ExecUndoable("debit", "iv", ep, func() action.Value { return "done" })
 	if err != nil || v != "done" {
 		t.Fatalf("exec = (%q, %v)", v, err)
@@ -77,7 +77,7 @@ func TestUndoableLifecycle(t *testing.T) {
 func TestUndoableCancelRollsBack(t *testing.T) {
 	e, _ := newEnv()
 	rolledBack := false
-	ep := e.BeginUndoable("debit", "iv")
+	ep := e.ReactivateUndoable("debit", "iv")
 	if _, err := e.ExecUndoable("debit", "iv", ep, func() action.Value { return "x" }); err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +102,10 @@ func TestUndoableCancelRollsBack(t *testing.T) {
 
 func TestUndoableEpochGuard(t *testing.T) {
 	e, _ := newEnv()
-	ep := e.BeginUndoable("debit", "iv")
-	// A cancellation lands between Begin and Exec: the stale invocation
-	// must fail without effect, otherwise its completion event would
-	// appear after the cancel pair — irreducible under Figure 4.
+	ep := e.ReactivateUndoable("debit", "iv")
+	// A cancellation lands between ReactivateUndoable and Exec: the stale
+	// invocation must fail without effect, otherwise its completion event
+	// would appear after the cancel pair — irreducible under Figure 4.
 	if err := e.CancelUndoable("debit", "iv", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestUndoableEpochGuard(t *testing.T) {
 
 func TestCancelAfterCommitIsError(t *testing.T) {
 	e, _ := newEnv()
-	ep := e.BeginUndoable("debit", "iv")
+	ep := e.ReactivateUndoable("debit", "iv")
 	_, _ = e.ExecUndoable("debit", "iv", ep, func() action.Value { return "x" })
 	if err := e.CommitUndoable("debit", "iv"); err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestCommitWithoutCompletionIsError(t *testing.T) {
 	if err := e.CommitUndoable("debit", "iv"); err == nil {
 		t.Error("commit of unknown transaction should error")
 	}
-	e.BeginUndoable("debit", "iv2")
+	e.ReactivateUndoable("debit", "iv2")
 	if err := e.CommitUndoable("debit", "iv2"); err == nil {
 		t.Error("commit of active (uncompleted) transaction should error")
 	}
@@ -152,7 +152,7 @@ func TestCommitWithoutCompletionIsError(t *testing.T) {
 func TestExecWithoutBeginIsError(t *testing.T) {
 	e, _ := newEnv()
 	if _, err := e.ExecUndoable("debit", "iv", 0, func() action.Value { return "x" }); err == nil {
-		t.Error("exec without begin should error")
+		t.Error("exec without ReactivateUndoable should error")
 	}
 }
 
@@ -203,10 +203,10 @@ func TestInForceTotalAcrossRounds(t *testing.T) {
 	e, _ := newEnv()
 	r1 := action.NewRequest("debit", "acct").WithID("q").WithRound(1)
 	r2 := action.NewRequest("debit", "acct").WithID("q").WithRound(2)
-	ep1 := e.BeginUndoable("debit", r1.EffectiveInput())
+	ep1 := e.ReactivateUndoable("debit", r1.EffectiveInput())
 	_, _ = e.ExecUndoable("debit", r1.EffectiveInput(), ep1, func() action.Value { return "a" })
 	_ = e.CancelUndoable("debit", r1.EffectiveInput(), nil)
-	ep2 := e.BeginUndoable("debit", r2.EffectiveInput())
+	ep2 := e.ReactivateUndoable("debit", r2.EffectiveInput())
 	_, _ = e.ExecUndoable("debit", r2.EffectiveInput(), ep2, func() action.Value { return "b" })
 	_ = e.CommitUndoable("debit", r2.EffectiveInput())
 	if got := e.InForceTotal("debit", "acct"); got != 1 {
@@ -216,11 +216,11 @@ func TestInForceTotalAcrossRounds(t *testing.T) {
 
 func TestUndoableReexecutionAfterCompletion(t *testing.T) {
 	e, _ := newEnv()
-	ep := e.BeginUndoable("debit", "iv")
+	ep := e.ReactivateUndoable("debit", "iv")
 	v1, _ := e.ExecUndoable("debit", "iv", ep, func() action.Value { return "first" })
 	// Retry of the same round after completion: idempotent, same result,
 	// no duplicate effect.
-	ep2 := e.BeginUndoable("debit", "iv")
+	ep2 := e.ReactivateUndoable("debit", "iv")
 	v2, err := e.ExecUndoable("debit", "iv", ep2, func() action.Value { return "second" })
 	if err != nil || v1 != v2 {
 		t.Errorf("re-exec = (%q, %v), want (%q, nil)", v2, err, v1)

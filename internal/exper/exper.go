@@ -1,10 +1,8 @@
 // Package exper implements the experiment harness: every table of
 // EXPERIMENTS.md (T1–T4, T6, T7, T9, T11–T14) is regenerated by a function
 // here. (How fast the simulator itself runs is bench/'s subject, not a
-// table's.)
-// cmd/xbench prints them; the root bench_test.go wraps them as testing.B
-// benchmarks; exper's own tests pin the qualitative shapes the paper's
-// claims predict.
+// table's.) cmd/xbench prints them; exper's own tests pin the qualitative
+// shapes the paper's claims predict.
 //
 // The adversarial tables (T1, T2, T7) and the shard-scaling table (T9)
 // are driven entirely by the named scenarios of internal/scenario — the
@@ -768,7 +766,8 @@ func tariffCurve(name string, seed int64, seeds int, arm func(sc *scenario.Scena
 
 // SyntheticHistory builds a protocol-shaped history of the given request
 // count where every idempotent execution is duplicated dup times, together
-// with its target specs. Used by T6 and the root benchmarks.
+// with its target specs. Used by T6, reduce's scaling test and the
+// repository benchmark's check workload (bench/).
 func SyntheticHistory(reg *action.Registry, requests, dup int) (event.History, []reduce.TargetSpec) {
 	var h event.History
 	var specs []reduce.TargetSpec

@@ -138,8 +138,6 @@ func TestNoDeadConfigFields(t *testing.T) {
 // knobs no scenario, CLI, example or benchmark turns, each with what does.
 // The list may only shrink — an entry that stops being true fails the test.
 var unsetOutsideTests = map[string]string{
-	"simnet.Config.Dist":     "the non-uniform delay distributions: simnet's own tests draw from them, no registered scenario selects one",
-	"simnet.Config.MinDelay": "a delay floor: simnet's tests set one, every scenario's span starts at zero",
 	"shrink.Options.Failing": "the failure predicate: shrink's tests substitute one, every caller keeps the baseline run's failure class",
 }
 

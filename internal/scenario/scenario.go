@@ -115,9 +115,10 @@ type Scenario struct {
 	// and shifts the whole schedule (T12's cost curve).
 	WALSync time.Duration
 	// WALSnapshotSync is the per-record sync tariff charged while writing
-	// a compaction snapshot (zero: inherit WALSync). Snapshots write many
-	// records back-to-back, so pricing them separately lets T14's cost
-	// curve distinguish steady-state appends from compaction stalls.
+	// a compaction snapshot (zero derives WALSync/4; negative is
+	// explicitly free). Snapshots write many records back-to-back, so
+	// pricing them separately lets T14's cost curve distinguish
+	// steady-state appends from compaction stalls.
 	WALSnapshotSync time.Duration
 	// WALCompact, when positive, compacts each replica's log whenever its
 	// dead-record count reaches the threshold (see wal.Store). Zero never
@@ -193,7 +194,7 @@ func (sc Scenario) withDefaults() Scenario {
 	if sc.Replicas <= 0 {
 		sc.Replicas = 3
 	}
-	if sc.Net.MinDelay == 0 && sc.Net.MaxDelay == 0 {
+	if sc.Net.MaxDelay == 0 {
 		sc.Net.MaxDelay = 200 * time.Microsecond
 	}
 	if sc.Accounts <= 0 {

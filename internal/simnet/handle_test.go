@@ -91,7 +91,7 @@ func TestHandleDrainsBacklogInArrivalOrder(t *testing.T) {
 // incarnation, and the one installed after Restart sees only what lands
 // from then on.
 func TestHandleCrashRestart(t *testing.T) {
-	n := New(Config{Seed: 42, MinDelay: 100 * time.Microsecond, MaxDelay: 200 * time.Microsecond})
+	n := New(Config{Seed: 42, MaxDelay: 200 * time.Microsecond})
 	defer n.Close()
 	a := n.Register("a")
 	b := n.Register("b")

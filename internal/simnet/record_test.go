@@ -68,7 +68,7 @@ func TestRecordLogsEveryDecision(t *testing.T) {
 // message in the pipe when its link is severed resolves to dropped@deliver.
 func TestRecordInFlightDropResolves(t *testing.T) {
 	log := schedule.NewLog()
-	n := New(Config{Seed: 8, MinDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Record: log})
+	n := New(Config{Seed: 8, MaxDelay: 2 * time.Millisecond, Record: log})
 	defer n.Close()
 	a := n.Register("a")
 	n.Register("b")

@@ -27,9 +27,8 @@
 // send order deterministic.)
 //
 // Beyond crash-stop, the network exposes a link-level fault plane for
-// adversarial scenarios: delay distributions other than uniform (fixed
-// per-link asymmetry, heavy-tail Pareto) selected via Config.Dist, a
-// delay-storm multiplier (SetDelayScale), and black-holed links —
+// adversarial scenarios: a delay-storm multiplier on the uniform draw
+// (SetDelayScale), and black-holed links —
 // Partition splits processes into non-communicating groups, DropLink
 // severs one link, Heal repairs everything. Link faults drop messages
 // silently (at send time and at the delivery instant), which is exactly
@@ -68,7 +67,6 @@ package simnet
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -94,47 +92,15 @@ type Message struct {
 	Payload any
 }
 
-// DelayDist selects the per-message delay distribution drawn over
-// [MinDelay, MaxDelay).
-type DelayDist int
-
-const (
-	// DelayUniform draws every message's delay uniformly from the
-	// [MinDelay, MaxDelay) interval (the default).
-	DelayUniform DelayDist = iota
-	// DelayAsymmetric gives each directed link a fixed delay in
-	// [MinDelay, MaxDelay), derived deterministically from the link's
-	// endpoint names: a→b and b→a generally differ, and fast links stay
-	// fast for the whole run. It models persistent topology asymmetry
-	// rather than per-message jitter.
-	DelayAsymmetric
-	// DelayPareto draws heavy-tailed delays: most messages arrive near
-	// MinDelay, a few straggle far beyond MaxDelay (bounded by paretoCap
-	// spans).
-	// It models congestion spikes and stresses reordering far more than
-	// the uniform distribution.
-	DelayPareto
-)
-
-// The DelayPareto shape: the tail index (smaller means a heavier tail) and
-// the bound on a draw above MinDelay, in MinDelay..MaxDelay spans.
-const (
-	paretoAlpha = 1.5
-	paretoCap   = 32
-)
-
 // Config tunes the network.
 type Config struct {
 	// Seed drives the per-sender delay generators; runs with equal seeds
 	// and equal per-sender send sequences see equal delays.
 	Seed int64
-	// MinDelay and MaxDelay bound the per-message delay span. Zero
-	// values mean immediate handoff (still asynchronous: delivery is a
-	// separate scheduled event).
-	MinDelay, MaxDelay time.Duration
-	// Dist selects the delay distribution over the span (default
-	// DelayUniform).
-	Dist DelayDist
+	// MaxDelay bounds the per-message delay, drawn uniformly over
+	// [0, MaxDelay). Zero means immediate handoff (still asynchronous:
+	// delivery is a separate scheduled event).
+	MaxDelay time.Duration
 	// Clock supplies the network's notion of time. Nil selects a fresh
 	// clock (vclock.NewVirtual); deployments whose networks share one
 	// clock (the sharded runtime) pass it here.
@@ -532,40 +498,15 @@ func (n *Network) blockedLocked(from, to int32) bool {
 	return false
 }
 
-// drawDelayLocked draws one message delay from the sender's stream per the
-// configured distribution and applies the current delay scale. Callers
-// hold n.mu. A sender's stream advances only when it actually draws
-// (uniform and Pareto draw once per send; asymmetric never draws), so runs
-// with equal seeds and equal per-sender send sequences see equal delays —
-// regardless of how concurrent senders interleave.
-func (n *Network) drawDelayLocked(e, dst *Endpoint) time.Duration {
-	span := n.cfg.MaxDelay - n.cfg.MinDelay
-	d := n.cfg.MinDelay
-	switch n.cfg.Dist {
-	case DelayAsymmetric:
-		if span > 0 {
-			h := fnv.New64a()
-			h.Write([]byte(e.id))
-			h.Write([]byte{0})
-			h.Write([]byte(dst.id))
-			d += time.Duration(h.Sum64() % uint64(span))
-		}
-	case DelayPareto:
-		if span > 0 {
-			bound := paretoCap * span
-			// Bounded Pareto over the span: u near 1 is the common case
-			// (delay near MinDelay), u near 0 the straggler tail.
-			u := 1 - n.streams[e.base].Float64() // (0, 1]
-			tail := time.Duration(float64(span) * (math.Pow(u, -1/paretoAlpha) - 1))
-			if tail > bound {
-				tail = bound
-			}
-			d += tail
-		}
-	default:
-		if span > 0 {
-			d += time.Duration(n.streams[e.base].Int63n(int64(span)))
-		}
+// drawDelayLocked draws one message delay uniformly over [0, MaxDelay)
+// from the sender's stream and applies the current delay scale. Callers
+// hold n.mu. A sender's stream advances once per send, so runs with equal
+// seeds and equal per-sender send sequences see equal delays — regardless
+// of how concurrent senders interleave.
+func (n *Network) drawDelayLocked(e *Endpoint) time.Duration {
+	var d time.Duration
+	if n.cfg.MaxDelay > 0 {
+		d = time.Duration(n.streams[e.base].Int63n(int64(n.cfg.MaxDelay)))
 	}
 	if n.delayScale > 1 {
 		d = time.Duration(float64(d) * n.delayScale)
@@ -739,7 +680,7 @@ func (e *Endpoint) Send(to ProcessID, typ string, payload any) {
 		class, ctr = obs.ClassOf(typ)
 		n.metrics.Inc(ctr)
 	}
-	delay := n.drawDelayLocked(e, dst)
+	delay := n.drawDelayLocked(e)
 	// Replay plane: a send matched against the recorded log takes the
 	// log's (possibly edited) decision instead of the seeded draw. The
 	// draw above still happened, so unmatched sends of a diverged run see

@@ -11,7 +11,7 @@
 // The machine implements the paper's execute dispatch (§5.4): a request
 // names an action; derived cancellation and commit actions (for undoable
 // actions) are dispatched to the environment's transaction machinery
-// automatically, with optional application hooks.
+// automatically, with an optional rollback hook.
 package sm
 
 import (
@@ -55,12 +55,10 @@ type Machine struct {
 	reg     *action.Registry
 	env     *env.Env
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	idem     map[action.Name]Body
-	undo     map[action.Name]undoSpec
-	possible map[action.Name]func(iv, ov action.Value) bool
-	apply    map[action.Name]func(ctx *Ctx, decided action.Value)
+	mu   sync.Mutex
+	rng  *rand.Rand
+	idem map[action.Name]Body
+	undo map[action.Name]undoSpec
 }
 
 // New builds a machine for a replica over a shared environment. Each
@@ -68,14 +66,12 @@ type Machine struct {
 // non-deterministic.
 func New(replica string, reg *action.Registry, e *env.Env, seed int64) *Machine {
 	return &Machine{
-		replica:  replica,
-		reg:      reg,
-		env:      e,
-		rng:      xrand.New(seed),
-		idem:     make(map[action.Name]Body),
-		undo:     make(map[action.Name]undoSpec),
-		possible: make(map[action.Name]func(iv, ov action.Value) bool),
-		apply:    make(map[action.Name]func(ctx *Ctx, decided action.Value)),
+		replica: replica,
+		reg:     reg,
+		env:     e,
+		rng:     xrand.New(seed),
+		idem:    make(map[action.Name]Body),
+		undo:    make(map[action.Name]undoSpec),
 	}
 }
 
@@ -111,45 +107,6 @@ func (m *Machine) HandleUndoable(a action.Name, body Body, onRollback Hook) erro
 	defer m.mu.Unlock()
 	m.undo[a] = undoSpec{exec: body, onRollback: onRollback}
 	return nil
-}
-
-// SetPossibleReply registers the PossibleReply predicate of §3.4 for an
-// action: which output values are legal replies for a given input. Without
-// a predicate every value is considered possible.
-func (m *Machine) SetPossibleReply(a action.Name, pred func(iv, ov action.Value) bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.possible[a] = pred
-}
-
-// PossibleReply implements the §3.4 check for requirement R4.
-func (m *Machine) PossibleReply(req action.Request, ov action.Value) bool {
-	m.mu.Lock()
-	pred := m.possible[req.Action]
-	m.mu.Unlock()
-	if pred == nil {
-		return true
-	}
-	return pred(req.Input, ov)
-}
-
-// SetApply registers the deterministic replay hook for an action: how a
-// replica that did not execute a request folds the agreed result into its
-// local state (the multi-request state extension, DESIGN.md §2).
-func (m *Machine) SetApply(a action.Name, fn func(ctx *Ctx, decided action.Value)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.apply[a] = fn
-}
-
-// Apply replays an agreed result through the replica's apply hook, if any.
-func (m *Machine) Apply(req action.Request, decided action.Value) {
-	m.mu.Lock()
-	fn := m.apply[req.Action]
-	m.mu.Unlock()
-	if fn != nil {
-		fn(&Ctx{Req: req, Rand: m.rng, Replica: m.replica}, decided)
-	}
 }
 
 // IsIdempotent and IsUndoable expose the registry classification with the

@@ -141,33 +141,6 @@ func TestHandlerRegistrationValidation(t *testing.T) {
 	}
 }
 
-func TestPossibleReply(t *testing.T) {
-	m, _ := machine(t)
-	req := action.NewRequest("read", "k")
-	if !m.PossibleReply(req, "anything") {
-		t.Error("default PossibleReply should accept")
-	}
-	m.SetPossibleReply("read", func(iv, ov action.Value) bool { return ov == "v" })
-	if m.PossibleReply(req, "other") {
-		t.Error("predicate should reject")
-	}
-	if !m.PossibleReply(req, "v") {
-		t.Error("predicate should accept v")
-	}
-}
-
-func TestApplyHook(t *testing.T) {
-	m, _ := machine(t)
-	var applied action.Value
-	m.SetApply("debit", func(ctx *Ctx, decided action.Value) { applied = decided })
-	m.Apply(action.NewRequest("debit", "a"), "decided-value")
-	if applied != "decided-value" {
-		t.Errorf("apply hook saw %q", applied)
-	}
-	// No hook registered: no-op.
-	m.Apply(action.NewRequest("read", "k"), "x")
-}
-
 func TestClassificationHelpers(t *testing.T) {
 	m, _ := machine(t)
 	if !m.IsIdempotent(action.NewRequest("read", "k")) {

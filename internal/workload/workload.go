@@ -1,6 +1,7 @@
-// Package workload generates the request sequences, action mixes, and
-// fault schedules the experiment harness (cmd/xbench, bench_test.go) drives
-// the protocols with.
+// Package workload generates the request sequences, action mixes and
+// open-loop arrival schedules the experiment harness (cmd/xbench) and the
+// scenario registry drive the protocols with, over the shared Bank.
+// Faults are scenario.Plan's business.
 //
 // All generation is seeded: a (Spec, seed) pair always produces the same
 // workload, so experiment rows are reproducible.
@@ -8,7 +9,6 @@ package workload
 
 import (
 	"fmt"
-	"time"
 
 	"xability/internal/action"
 	"xability/internal/xrand"
@@ -38,11 +38,6 @@ type Spec struct {
 	Accounts int
 }
 
-// Request is one generated request.
-type Request struct {
-	Req action.Request
-}
-
 // Generate produces the request sequence for a spec.
 func Generate(spec Spec, seed int64) []action.Request {
 	rng := xrand.New(seed)
@@ -69,42 +64,6 @@ func Generate(spec Spec, seed int64) []action.Request {
 		default:
 			out = append(out, action.NewRequest("debit", acct))
 		}
-	}
-	return out
-}
-
-// FaultEvent is one scheduled fault.
-type FaultEvent struct {
-	// After is the delay from workload start.
-	After time.Duration
-	// Crash names a replica index to crash; -1 means no crash.
-	Crash int
-	// Suspect injects a false suspicion: observer replica index and target
-	// replica index; both -1 means none.
-	SuspectObserver, SuspectTarget int
-	// Clear reverses a previously injected suspicion.
-	Clear bool
-}
-
-// FaultSchedule is an ordered fault script.
-type FaultSchedule []FaultEvent
-
-// CrashSchedule builds a schedule that crashes the given replica once.
-func CrashSchedule(replica int, after time.Duration) FaultSchedule {
-	return FaultSchedule{{After: after, Crash: replica, SuspectObserver: -1, SuspectTarget: -1}}
-}
-
-// FlappingSchedule builds a schedule of transient false suspicions of
-// replica 0 by every other replica, n pulses of the given width.
-func FlappingSchedule(replicas, pulses int, width time.Duration) FaultSchedule {
-	var out FaultSchedule
-	t := width
-	for p := 0; p < pulses; p++ {
-		for obs := 1; obs < replicas; obs++ {
-			out = append(out, FaultEvent{After: t, Crash: -1, SuspectObserver: obs, SuspectTarget: 0})
-			out = append(out, FaultEvent{After: t + width, Crash: -1, SuspectObserver: obs, SuspectTarget: 0, Clear: true})
-		}
-		t += 2 * width
 	}
 	return out
 }

@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestGenerateDeterministic(t *testing.T) {
 	spec := Spec{Requests: 50, Mix: DefaultMix, Accounts: 3}
@@ -56,26 +53,6 @@ func TestGenerateDefaults(t *testing.T) {
 	}
 	if len(kinds) < 2 {
 		t.Errorf("default mix too uniform: %v", kinds)
-	}
-}
-
-func TestSchedules(t *testing.T) {
-	cs := CrashSchedule(2, 5*time.Millisecond)
-	if len(cs) != 1 || cs[0].Crash != 2 || cs[0].After != 5*time.Millisecond {
-		t.Errorf("CrashSchedule = %+v", cs)
-	}
-	fs := FlappingSchedule(3, 2, time.Millisecond)
-	if len(fs) != 8 { // 2 pulses × 2 observers × (set + clear)
-		t.Errorf("FlappingSchedule has %d events, want 8", len(fs))
-	}
-	clears := 0
-	for _, e := range fs {
-		if e.Clear {
-			clears++
-		}
-	}
-	if clears != 4 {
-		t.Errorf("clears = %d, want 4", clears)
 	}
 }
 
