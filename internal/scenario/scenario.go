@@ -462,12 +462,17 @@ func groupConfig(sc Scenario, seed int64, net simnet.Config, accounts int) core.
 // deploy builds and starts the scenario's deployment on a clock it creates
 // here and on networks it takes from the scratch (a single run's scratch is
 // empty, so its world is fresh): every run's world and its clock begin in
-// this function.
+// this function. The caller is attached to the clock from before the first
+// replica starts, and deploy returns with it still attached: the goroutines
+// a cluster starts while the next one is being built cannot run the
+// schedule — a heartbeat, a delivery, time itself — ahead of the build in
+// wall time, so every run begins at the same instant with the same world.
 func deploy(sc Scenario, seed int64, l load, scratch *runScratch) *deployment {
 	if scratch == nil {
 		scratch = &runScratch{}
 	}
 	d := &deployment{clk: vclock.NewVirtual()}
+	d.clk.Enter()
 	net := sc.Net
 	net.Seed, net.Clock = seed, d.clk
 	sharded := sc.Protocol == XAbility && sc.Shards > 0
@@ -660,8 +665,8 @@ func (d *deployment) verdict(o *Outcome, l load) {
 }
 
 // execute is the run driver: every run — either deployment kind, either
-// load, any armed plane — goes through this one sequence: build, hold the
-// clock, arm the watchdog, apply the plan, drive the load, settle,
+// load, any armed plane — goes through this one sequence: hold the clock
+// and build, arm the watchdog, apply the plan, drive the load, settle,
 // snapshot while attached, stop, exit, quiesce, verdict. scratch is a
 // sweep worker's recycled substrate (nil for single runs).
 func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outcome {
@@ -685,11 +690,10 @@ func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outc
 	case sc.Workload != nil:
 		l.reqs = workload.Generate(*sc.Workload, seed)
 	}
-	d := deploy(sc, seed, l, scratch)
+	d := deploy(sc, seed, l, scratch) // returns with the clock held
 	defer d.stop()
 
 	clk := d.clk
-	clk.Enter()
 	timedOut, disarm := watchdog(sc, d)
 	if sc.Plan != nil {
 		d.apply(sc.Plan)
