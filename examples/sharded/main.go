@@ -64,7 +64,7 @@ func main() {
 	// Crash the round-1 owner of sku-0's group mid-batch: its cleaner
 	// takes over; the other groups never notice.
 	victim := svc.ShardOf(batch[0])
-	svc.Apply(xability.NewPlan().CrashShardAt(500*time.Microsecond, victim, 0))
+	svc.Apply(xability.NewPlan().OnShard(victim, xability.NewPlan().CrashAt(500*time.Microsecond, 0)))
 	start := clk.Now()
 	replies, ok := svc.CallAll(batch)
 	elapsed := clk.Now() - start

@@ -53,7 +53,8 @@ type Cluster struct {
 	cdet *fd.Scripted
 }
 
-// NewCluster assembles and starts a baseline service.
+// NewCluster assembles and starts a baseline service, holding the clock
+// while it builds (see core.NewCluster).
 func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 3
@@ -65,6 +66,8 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if net == nil {
 		net = simnet.New(cfg.Net)
 	}
+	net.Clock().Enter()
+	defer net.Clock().Exit()
 	observer := trace.New()
 	world := env.New(observer, cfg.Seed)
 	c := &Cluster{Net: net, Observer: observer, Env: world, dets: make(map[simnet.ProcessID]*fd.Scripted)}

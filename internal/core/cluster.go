@@ -109,7 +109,12 @@ type Cluster struct {
 	crashAt   []time.Duration    // virtual crash instant per replica; -1 when live
 }
 
-// NewCluster assembles and starts a service.
+// NewCluster assembles and starts a service. It holds the clock while it
+// builds: the goroutines a replica starts are spawn events, and none of
+// them runs — nor does time move — until the whole service stands. Under
+// a caller that already holds the clock (a scenario's driver) the hold
+// nests; for one that does not, the service starts running when
+// NewCluster returns.
 func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 3
@@ -121,6 +126,8 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if net == nil {
 		net = simnet.New(cfg.Net)
 	}
+	net.Clock().Enter()
+	defer net.Clock().Exit()
 	observer := trace.New()
 	world := env.New(observer, cfg.Seed)
 
@@ -273,8 +280,7 @@ func (c *Cluster) newServer(i int) *Server {
 func (c *Cluster) Clock() *vclock.Virtual { return c.Net.Clock() }
 
 // Network returns the cluster's simulated network. Scenario drivers reach
-// through it to the link fault plane (Partition, Heal, DropLink,
-// SetDelayScale).
+// through it to the link fault plane (Partition, Heal, SetDelayScale).
 func (c *Cluster) Network() *simnet.Network { return c.Net }
 
 // Suspect injects (or clears) a suspicion at one replica's scripted

@@ -140,10 +140,11 @@ func TestFDEndpointNaming(t *testing.T) {
 }
 
 // The receive side is the endpoint's handler, not a goroutine: Start
-// spawns the sender only, and a heartbeat has been folded into the
+// spawns the sender's arm only, and a heartbeat has been folded into the
 // detector's state by the time the network reports the delivery settled.
 // The clock is held throughout, so every step lands at a fixed virtual
-// instant. Run under -race -count=5 in CI.
+// instant — and the arm, a spawn event at Start's instant, has run once
+// the test first sleeps. Run under -race -count=5 in CI.
 func TestHeartbeatHandlerRunsOnDelivery(t *testing.T) {
 	n := simnet.New(simnet.Config{Seed: 3, MaxDelay: 200 * time.Microsecond})
 	defer n.Close()
@@ -155,11 +156,11 @@ func TestHeartbeatHandlerRunsOnDelivery(t *testing.T) {
 	hb := NewHeartbeat("a", epA, []simnet.ProcessID{"b"}, HeartbeatConfig{Interval: time.Millisecond})
 	hb.Start()
 	defer hb.Stop()
-	if sp := clk.Spawns(); sp != 1 {
-		t.Errorf("Start spawned %d goroutines, want 1 (the sender)", sp)
-	}
 
 	clk.Sleep(6 * time.Millisecond) // b stays silent past the 3ms timeout
+	if sp := clk.Spawns(); sp != 1 {
+		t.Errorf("Start spawned %d goroutines, want 1 (the sender's arm)", sp)
+	}
 	if !hb.Suspect("b") {
 		t.Fatal("silent peer not suspected")
 	}

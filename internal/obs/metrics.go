@@ -139,6 +139,66 @@ func (g Gauge) Name() string { return gaugeNames[g] }
 // [2^(i-1), 2^i) nanoseconds. 64 buckets cover every int64 duration.
 const latBuckets = 64
 
+// histogram is one latency series: power-of-two bucket counts plus the
+// sum, count and maximum of the observations, every slot atomic.
+type histogram struct {
+	bucket [latBuckets]atomic.Int64
+	sum    atomic.Int64
+	count  atomic.Int64
+	max    atomic.Int64
+}
+
+// observe records one duration; negative ones count as zero.
+func (h *histogram) observe(d time.Duration) {
+	ns := max(int64(d), 0)
+	h.bucket[bits.Len64(uint64(ns))&(latBuckets-1)].Add(1)
+	h.sum.Add(ns)
+	h.count.Add(1)
+	for {
+		cur := h.max.Load()
+		if ns <= cur || h.max.CompareAndSwap(cur, ns) {
+			return
+		}
+	}
+}
+
+// reset clears every slot.
+func (h *histogram) reset() {
+	for i := range h.bucket {
+		h.bucket[i].Store(0)
+	}
+	h.sum.Store(0)
+	h.count.Store(0)
+	h.max.Store(0)
+}
+
+// read returns the series' count, sum and maximum, and its 50th and 99th
+// percentiles.
+func (h *histogram) read() (count, sum, maxNS, p50, p99 int64) {
+	count, sum, maxNS = h.count.Load(), h.sum.Load(), h.max.Load()
+	return count, sum, maxNS, h.quantile(50, count, maxNS), h.quantile(99, count, maxNS)
+}
+
+// quantile returns the upper bound of the bucket holding the q-th
+// percentile observation (nearest-rank over the bucketed counts).
+func (h *histogram) quantile(q, count, maxNS int64) int64 {
+	if count == 0 {
+		return 0
+	}
+	rank := max((count*q+99)/100, 1)
+	var seen int64
+	for i := range h.bucket {
+		seen += h.bucket[i].Load()
+		if seen >= rank {
+			if i == 0 {
+				return 0
+			}
+			return 1 << i // upper bound of [2^(i-1), 2^i)
+		}
+	}
+	return maxNS
+}
+
 // Metrics is the per-run registry. All slots are fixed-size arrays
 // updated atomically; the struct allocates once at construction and is
 // reused across runs via Reset (the sweep workers' recycling
@@ -147,18 +207,11 @@ type Metrics struct {
 	counters [NumCounters]atomic.Int64
 	gauges   [NumGauges]atomic.Int64
 
-	// Request end-to-end latency, power-of-two buckets.
-	latBucket [latBuckets]atomic.Int64
-	latSum    atomic.Int64
-	latCount  atomic.Int64
-	latMax    atomic.Int64
-
+	// Request end-to-end latency.
+	lat histogram
 	// Crash→recovered latency (virtual time from CrashServer to the
-	// restarted replica's Start returning), same bucket scheme.
-	recBucket [latBuckets]atomic.Int64
-	recSum    atomic.Int64
-	recCount  atomic.Int64
-	recMax    atomic.Int64
+	// restarted replica's Start returning).
+	rec histogram
 
 	// Schedule-space coverage: a streaming order-dependent hash over the
 	// run's delivery sequence. Deliveries execute one at a time on the
@@ -209,19 +262,7 @@ func (m *Metrics) Observe(d time.Duration) {
 	if m == nil {
 		return
 	}
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
-	}
-	m.latBucket[bits.Len64(uint64(ns))&(latBuckets-1)].Add(1)
-	m.latSum.Add(ns)
-	m.latCount.Add(1)
-	for {
-		cur := m.latMax.Load()
-		if ns <= cur || m.latMax.CompareAndSwap(cur, ns) {
-			break
-		}
-	}
+	m.lat.observe(d)
 }
 
 // ObserveRecovery records one crash→recovered latency. Safe on a nil
@@ -230,19 +271,7 @@ func (m *Metrics) ObserveRecovery(d time.Duration) {
 	if m == nil {
 		return
 	}
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
-	}
-	m.recBucket[bits.Len64(uint64(ns))&(latBuckets-1)].Add(1)
-	m.recSum.Add(ns)
-	m.recCount.Add(1)
-	for {
-		cur := m.recMax.Load()
-		if ns <= cur || m.recMax.CompareAndSwap(cur, ns) {
-			break
-		}
-	}
+	m.rec.observe(d)
 }
 
 // Cover folds one delivery event into the run's interleaving-class
@@ -272,18 +301,8 @@ func (m *Metrics) Reset() {
 	for i := range m.gauges {
 		m.gauges[i].Store(0)
 	}
-	for i := range m.latBucket {
-		m.latBucket[i].Store(0)
-	}
-	m.latSum.Store(0)
-	m.latCount.Store(0)
-	m.latMax.Store(0)
-	for i := range m.recBucket {
-		m.recBucket[i].Store(0)
-	}
-	m.recSum.Store(0)
-	m.recCount.Store(0)
-	m.recMax.Store(0)
+	m.lat.reset()
+	m.rec.reset()
 	m.covMu.Lock()
 	m.cov = 0
 	m.covMu.Unlock()
@@ -347,43 +366,12 @@ func (m *Metrics) Snapshot() *Snapshot {
 	for i := range m.gauges {
 		s.Gauges[i] = m.gauges[i].Load()
 	}
-	s.LatCount = m.latCount.Load()
-	s.LatSumNS = m.latSum.Load()
-	s.LatMaxNS = m.latMax.Load()
-	s.LatP50NS = m.latQuantile(&m.latBucket, m.latMax.Load(), 50, s.LatCount)
-	s.LatP99NS = m.latQuantile(&m.latBucket, m.latMax.Load(), 99, s.LatCount)
-	s.RecCount = m.recCount.Load()
-	s.RecSumNS = m.recSum.Load()
-	s.RecMaxNS = m.recMax.Load()
-	s.RecP50NS = m.latQuantile(&m.recBucket, m.recMax.Load(), 50, s.RecCount)
-	s.RecP99NS = m.latQuantile(&m.recBucket, m.recMax.Load(), 99, s.RecCount)
+	s.LatCount, s.LatSumNS, s.LatMaxNS, s.LatP50NS, s.LatP99NS = m.lat.read()
+	s.RecCount, s.RecSumNS, s.RecMaxNS, s.RecP50NS, s.RecP99NS = m.rec.read()
 	m.covMu.Lock()
 	s.Coverage = m.cov
 	m.covMu.Unlock()
 	return s
-}
-
-// latQuantile returns the upper bound of the bucket holding the q-th
-// percentile observation (nearest-rank over the bucketed counts).
-func (m *Metrics) latQuantile(buckets *[latBuckets]atomic.Int64, max, q, count int64) int64 {
-	if count == 0 {
-		return 0
-	}
-	rank := (count*q + 99) / 100
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i := range buckets {
-		seen += buckets[i].Load()
-		if seen >= rank {
-			if i == 0 {
-				return 0
-			}
-			return 1 << i // upper bound of [2^(i-1), 2^i)
-		}
-	}
-	return max
 }
 
 // Run bundles the optional per-run observability handles threaded

@@ -154,6 +154,8 @@ func init() {
 		SuspectAt(time.Millisecond, r0).
 		ClientSuspectAt(time.Millisecond, r0).
 		UnsuspectAt(9*time.Millisecond, r0)
+	splitCut := NewPlan().PartitionAt(time.Millisecond, sides...)
+	splitHeal := NewPlan().HealAt(8 * time.Millisecond)
 	MustRegister(Scenario{
 		Name:        "shard-split-brain",
 		Description: "owners of 2 of 4 groups partitioned mid-execution; majorities take over, heals reconcile",
@@ -162,10 +164,12 @@ func init() {
 		Workload:    shardWL,
 		Failures:    shardFailures,
 		Plan: NewPlan().
-			PartitionShardsAt(time.Millisecond, []int{0, 2}, sides...).
+			OnShard(0, splitCut).
+			OnShard(2, splitCut).
 			OnShard(0, splitPulse).
 			OnShard(2, splitPulse).
-			HealShardsAt(8*time.Millisecond, 0, 2),
+			OnShard(0, splitHeal).
+			OnShard(2, splitHeal),
 		Settle: 20 * time.Millisecond,
 	})
 
@@ -177,6 +181,7 @@ func init() {
 		UnsuspectAt(1500*time.Microsecond, r0).
 		SuspectAt(3500*time.Microsecond, r0).
 		UnsuspectAt(4*time.Millisecond, r0)
+	storm := NewPlan().DelayStormAt(500*time.Microsecond, 4*time.Millisecond, 24)
 	MustRegister(Scenario{
 		Name:        "shard-storm",
 		Description: "24× delay storm over 2 of 4 groups with suspicion pulses inside the window",
@@ -184,7 +189,8 @@ func init() {
 		Workload:    shardWL,
 		Failures:    shardFailures,
 		Plan: NewPlan().
-			StormShardsAt(500*time.Microsecond, 4*time.Millisecond, 24, 1, 3).
+			OnShard(1, storm).
+			OnShard(3, storm).
 			OnShard(1, stormPulse).
 			OnShard(3, stormPulse),
 		Settle: 20 * time.Millisecond,
@@ -249,20 +255,21 @@ func init() {
 	// back from the logs alone (no live replica bridged the outage), and
 	// the client's retries across the blackout must still land
 	// exactly-once.
+	powerCycle := NewPlan().
+		CrashAt(2*time.Millisecond, 0).
+		CrashAt(2*time.Millisecond, 1).
+		CrashAt(2*time.Millisecond, 2).
+		RestartAt(5*time.Millisecond, 2).
+		RestartAt(6*time.Millisecond, 1).
+		RestartAt(7*time.Millisecond, 0)
 	MustRegister(Scenario{
 		Name:        "power-cycle",
 		Description: "all replicas crash simultaneously and restart staggered from stable storage; no live state bridges the outage",
 		Consensus:   core.ConsensusCT,
 		Durable:     true,
 		Failures:    []Failure{{Action: "debit", Prob: 1, Budget: 6}},
-		Plan: NewPlan().
-			CrashAt(2*time.Millisecond, 0).
-			CrashAt(2*time.Millisecond, 1).
-			CrashAt(2*time.Millisecond, 2).
-			RestartAt(5*time.Millisecond, 2).
-			RestartAt(6*time.Millisecond, 1).
-			RestartAt(7*time.Millisecond, 0),
-		Settle: 25 * time.Millisecond,
+		Plan:        powerCycle,
+		Settle:      25 * time.Millisecond,
 	})
 
 	// restart-random-majority: the generator with the minority guard
@@ -331,9 +338,9 @@ func init() {
 		Durable:     true,
 		Workload:    shardWL,
 		Failures:    shardFailures,
-		Plan: NewPlan().
-			CrashShardAt(2*time.Millisecond, 1, 0).
-			RestartShardAt(6*time.Millisecond, 1, 0),
+		Plan: NewPlan().OnShard(1, NewPlan().
+			CrashAt(2*time.Millisecond, 0).
+			RestartAt(6*time.Millisecond, 0)),
 		Settle: 25 * time.Millisecond,
 	})
 
@@ -351,14 +358,8 @@ func init() {
 		Durable:     true,
 		Workload:    shardWL,
 		Failures:    shardFailures,
-		Plan: NewPlan().
-			CrashShardAt(2*time.Millisecond, 2, 0).
-			CrashShardAt(2*time.Millisecond, 2, 1).
-			CrashShardAt(2*time.Millisecond, 2, 2).
-			RestartShardAt(5*time.Millisecond, 2, 2).
-			RestartShardAt(6*time.Millisecond, 2, 1).
-			RestartShardAt(7*time.Millisecond, 2, 0),
-		Settle: 25 * time.Millisecond,
+		Plan:        NewPlan().OnShard(2, powerCycle),
+		Settle:      25 * time.Millisecond,
 	})
 
 	// shard-restart-random: the generator's group-scoped crash→restart

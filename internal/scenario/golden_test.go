@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -46,16 +45,13 @@ func goldenLine(o Outcome) string {
 // that means to move a number regenerates it (go test -run OutcomesGolden
 // -update) and the file's diff is the evidence of what moved.
 //
-// The test pins GOMAXPROCS to 1 for its duration: that is the only
-// setting at which the simulator's counts are exact until the clock owns
-// goroutine order (ROADMAP direction A); on more Ps the Go scheduler
-// orders the goroutines of one virtual instant differently run to run.
-//
-// No row is left out: at the commit that recorded the file every row —
-// the overloaded open-loop ones included — repeated bit-equal over 50
-// runs at this setting.
+// The test runs at whatever GOMAXPROCS it is given: the clock owns
+// goroutine order — a spawn is an event, builders and the driver hold the
+// clock, and the driver runs its world out before it lets go — so one
+// goroutine runs at a time and every row is a function of (scenario,
+// seed) alone. No row is left out, the overloaded open-loop ones
+// included.
 func TestOutcomesGolden(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var b strings.Builder
 	for _, name := range Names() {
 		sc, _ := Get(name)

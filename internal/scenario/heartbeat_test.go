@@ -1,9 +1,6 @@
 package scenario
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // TestDelayStormHeartbeatRecoversXAbility is the end-to-end ◇P test: the
 // delay-storm schedule runs against the *real* heartbeat failure detectors
@@ -113,36 +110,38 @@ func TestDelayStormHeartbeatSweep(t *testing.T) {
 // them heartbeats, and neither a delivery nor a heartbeat — its receipt or
 // its send — may start or wake a goroutine. What is spawned is the
 // deployment's loops and timer arms, the plan's and the watchdog's timers,
-// the request, the cleaners' takeovers and the driver's hand-off of the
-// pump at detach — 18–19 a seed, however many messages the seed sends
-// (when a delivery was a goroutine and each detector had a receiver,
-// ≈620; 15 while each beat's sender and each cleaner was a loop). What is
-// woken is what still waits in a clock primitive — the driver, the
-// client, the servers' receive loops, the executions' retry sleeps: 47 on
-// seed 1, against 314 while the senders and cleaners woke for every
-// period (291–321 on seeds 1–4). Events are pinned exactly: one
-// per message plus the timers and wake-ups (seed 1: 918; 1 490 when each
+// the request and the cleaners' takeovers — 16–17 a seed, however many
+// messages the seed sends (when a delivery was a goroutine and each
+// detector had a receiver, ≈620; 18–19 while the driver let go of a
+// running world and the clock handed its pump to a goroutine of its own,
+// twice a run). What is woken is what still waits in a clock primitive —
+// the driver, the client, the servers' receive loops, the executions'
+// retry sleeps: 47 on seed 1, against 314 while the senders and cleaners
+// woke for every period (291–321 on seeds 1–4). Events are pinned
+// exactly: one per message plus the timers, spawns and wake-ups (seed 1:
+// 932; 918 while a Go spawn was not an event of its own, 1 490 when each
 // heartbeat also woke a receiver). A change that moves them re-measures
 // here and says why.
 //
-// GOMAXPROCS is pinned to 1 for the reason TestOutcomesGolden gives; the
-// counts are read once the stopped run's clock has fully wound down.
+// The counts are a function of the seed alone, at any GOMAXPROCS: from
+// deploy's Enter to execute's Exit one goroutine runs at a time, and the
+// driver runs its stopped world out before it exits, so the clock is
+// quiesced — every count final — when execute returns.
 func TestDeliveriesSpawnNoGoroutines(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	sc, ok := Get("delay-storm-hb")
 	if !ok {
 		t.Fatal("delay-storm-hb not registered")
 	}
-	const maxSpawns = 20 // 4 processes × their loops, the timers, the request
+	const maxSpawns = 18 // 4 processes × their loops, the timers, the request
 	const maxWakes = 60  // blocked goroutines only: no sender, no poll
-	wantEvents := []uint64{918, 858, 908, 937}
+	wantEvents := []uint64{932, 873, 923, 952}
 	for i, want := range wantEvents {
 		seed := int64(i + 1)
 		scratch := &runScratch{}
 		o := execute(sc, seed, RunOptions{}, scratch)
 		clk := scratch.nets[0].Clock()
-		for !clk.Quiesced() {
-			runtime.Gosched()
+		if !clk.Quiesced() {
+			t.Fatalf("seed %d: the clock is still running when execute returns: %v", seed, clk.Stop())
 		}
 		spawns, wakes, events := clk.Spawns(), clk.Wakes(), clk.Events()
 		t.Logf("seed %d: %d messages, %d goroutines spawned, %d woken, %d clock events", seed, o.Messages, spawns, wakes, events)

@@ -25,7 +25,7 @@ func TestLostReplyResubmissionAnswered(t *testing.T) {
 		// reply lands while the client⇄owner link is down.
 		Failures: []Failure{{Action: "debit", Prob: 1, Budget: 6}},
 		Plan: NewPlan().
-			DropLinkAt(time.Millisecond, "client", r0).
+			PartitionAt(time.Millisecond, []simnet.ProcessID{"client"}, []simnet.ProcessID{r0}).
 			ClientSuspectAt(time.Millisecond, r0).
 			UnsuspectAt(2*time.Millisecond, r0).
 			HealAt(8 * time.Millisecond),

@@ -33,9 +33,8 @@ import (
 //   - Unqualified ops (CrashAt, PartitionAt, DelayStormAt, …) range over
 //     it — on several groups a correlated fault striking the whole fleet
 //     at one virtual instant.
-//   - Shard-qualified ops (CrashShardAt, PartitionShardsAt, StormShardsAt,
-//     HealShardsAt, OnShard) index it; an index the deployment does not
-//     have is a plan misconfiguration and panics.
+//   - OnShard re-addresses a sub-plan's ops to one index of it; an index
+//     the deployment does not have is a plan misconfiguration and panics.
 //
 // A plan using only unqualified ops therefore runs unchanged against one
 // cluster of any protocol and against any shard count.
@@ -63,17 +62,10 @@ type Restarter interface {
 	RestartServer(i int) bool
 }
 
-// each applies f to the listed clusters of a deployment, or to every one
-// when none is listed.
-func each(groups []Target, shards []int, f func(Target)) {
-	if len(shards) == 0 {
-		for _, g := range groups {
-			f(g)
-		}
-		return
-	}
-	for _, s := range shards {
-		f(groups[s])
+// each applies f to every cluster of a deployment.
+func each(groups []Target, f func(Target)) {
+	for _, g := range groups {
+		f(g)
 	}
 }
 
@@ -114,9 +106,9 @@ type OpKind uint8
 const (
 	// OpOther is every op without pairing semantics.
 	OpOther OpKind = iota
-	// OpCrash marks CrashAt / CrashShardAt ops.
+	// OpCrash marks CrashAt ops (OnShard keeps the mark).
 	OpCrash
-	// OpRestart marks RestartAt / RestartShardAt ops.
+	// OpRestart marks RestartAt ops (OnShard keeps the mark).
 	OpRestart
 )
 
@@ -149,8 +141,8 @@ func (o Op) Paired(q Op) bool {
 type Plan struct {
 	ops []Op
 	// topologyBound marks plans whose ops name explicit process groups
-	// (partitions, dropped links): their semantics only hold for the
-	// replica set they were written against.
+	// (partitions): their semantics only hold for the replica set they
+	// were written against.
 	topologyBound bool
 	// shardBound marks plans whose ops name explicit shard indices: their
 	// semantics only hold for the shard count they were written against.
@@ -178,7 +170,7 @@ func (p *Plan) addIdentified(at time.Duration, name string, kind OpKind, shard, 
 // correlated: replica i of every group crashes at that instant.
 func (p *Plan) CrashAt(at time.Duration, replica int) *Plan {
 	return p.addIdentified(at, fmt.Sprintf("crash replica %d", replica), OpCrash, AllShards, replica, func(groups []Target) {
-		each(groups, nil, func(g Target) { g.CrashServer(replica) })
+		each(groups, func(g Target) { g.CrashServer(replica) })
 	})
 }
 
@@ -187,7 +179,7 @@ func (p *Plan) CrashAt(at time.Duration, replica int) *Plan {
 // protocol from its primary-backup flavor toward active replication.
 func (p *Plan) SuspectAt(at time.Duration, target simnet.ProcessID) *Plan {
 	return p.add(at, fmt.Sprintf("suspect %s", target), func(groups []Target) {
-		each(groups, nil, func(g Target) { g.SuspectEverywhere(target, true) })
+		each(groups, func(g Target) { g.SuspectEverywhere(target, true) })
 	})
 }
 
@@ -195,7 +187,7 @@ func (p *Plan) SuspectAt(at time.Duration, target simnet.ProcessID) *Plan {
 // making the client fail over to the next replica.
 func (p *Plan) ClientSuspectAt(at time.Duration, target simnet.ProcessID) *Plan {
 	return p.add(at, fmt.Sprintf("client suspects %s", target), func(groups []Target) {
-		each(groups, nil, func(g Target) { g.ClientSuspect(target, true) })
+		each(groups, func(g Target) { g.ClientSuspect(target, true) })
 	})
 }
 
@@ -206,7 +198,7 @@ func (p *Plan) ClientSuspectAt(at time.Duration, target simnet.ProcessID) *Plan 
 // is RestartAt's job.
 func (p *Plan) UnsuspectAt(at time.Duration, target simnet.ProcessID) *Plan {
 	return p.add(at, fmt.Sprintf("unsuspect %s", target), func(groups []Target) {
-		each(groups, nil, func(g Target) {
+		each(groups, func(g Target) {
 			g.SuspectEverywhere(target, false)
 			g.ClientSuspect(target, false)
 		})
@@ -223,14 +215,15 @@ func (p *Plan) UnsuspectAt(at time.Duration, target simnet.ProcessID) *Plan {
 // of every group restarts at that instant.
 func (p *Plan) RestartAt(at time.Duration, replica int) *Plan {
 	return p.addIdentified(at, fmt.Sprintf("restart replica %d", replica), OpRestart, AllShards, replica, func(groups []Target) {
-		each(groups, nil, func(g Target) { restart(g, replica) })
+		each(groups, func(g Target) { restart(g, replica) })
 	})
 }
 
 // PartitionAt splits the network into the given groups at the given
 // virtual time: messages between groups are black-holed until a HealAt.
-// Processes not listed in any group keep all their links; auxiliary
-// endpoints ("p/fd", "p/cons") follow their base process.
+// Processes not listed in any group keep all their links, so two singleton
+// groups cut exactly one link; auxiliary endpoints ("p/fd", "p/cons")
+// follow their base process.
 func (p *Plan) PartitionAt(at time.Duration, groups ...[]simnet.ProcessID) *Plan {
 	var parts []string
 	for _, g := range groups {
@@ -242,25 +235,16 @@ func (p *Plan) PartitionAt(at time.Duration, groups ...[]simnet.ProcessID) *Plan
 	}
 	p.topologyBound = true
 	return p.add(at, "partition "+strings.Join(parts, " | "), func(ts []Target) {
-		each(ts, nil, func(g Target) { g.Network().Partition(groups...) })
+		each(ts, func(g Target) { g.Network().Partition(groups...) })
 	})
 }
 
-// DropLinkAt black-holes the link between two processes (both directions)
-// at the given virtual time, until a HealAt.
-func (p *Plan) DropLinkAt(at time.Duration, a, b simnet.ProcessID) *Plan {
-	p.topologyBound = true
-	return p.add(at, fmt.Sprintf("drop link %s—%s", a, b), func(groups []Target) {
-		each(groups, nil, func(g Target) { g.Network().DropLink(a, b) })
-	})
-}
-
-// HealAt repairs the link fault plane — active partition and dropped links
-// — at the given virtual time. Traffic black-holed while the faults were
-// in force stays lost.
+// HealAt repairs the link fault plane — the active partition — at the
+// given virtual time. Traffic black-holed while it was in force stays
+// lost.
 func (p *Plan) HealAt(at time.Duration) *Plan {
 	return p.add(at, "heal", func(groups []Target) {
-		each(groups, nil, func(g Target) { g.Network().Heal() })
+		each(groups, func(g Target) { g.Network().Heal() })
 	})
 }
 
@@ -269,10 +253,10 @@ func (p *Plan) HealAt(at time.Duration) *Plan {
 // calm.
 func (p *Plan) DelayStormAt(at, duration time.Duration, factor float64) *Plan {
 	p.add(at, fmt.Sprintf("delay storm ×%g", factor), func(groups []Target) {
-		each(groups, nil, func(g Target) { g.Network().SetDelayScale(factor) })
+		each(groups, func(g Target) { g.Network().SetDelayScale(factor) })
 	})
 	return p.add(at+duration, "delay storm ends", func(groups []Target) {
-		each(groups, nil, func(g Target) { g.Network().SetDelayScale(1) })
+		each(groups, func(g Target) { g.Network().SetDelayScale(1) })
 	})
 }
 
@@ -334,9 +318,9 @@ func (p *Plan) Without(drop map[int]bool) *Plan {
 }
 
 // TopologyBound reports whether the plan names explicit process groups
-// (PartitionAt, DropLinkAt). Such plans only make sense against the
-// replica set they were written for; overriding the replication degree
-// under them silently changes the fault's meaning.
+// (PartitionAt). Such plans only make sense against the replica set they
+// were written for; overriding the replication degree under them silently
+// changes the fault's meaning.
 func (p *Plan) TopologyBound() bool {
 	if p == nil {
 		return false

@@ -104,9 +104,9 @@ type Scenario struct {
 	// revive a crashed replica from its log. Without it a crash is
 	// permanent (the paper's §5.2 no-recovery model) and RestartAt is a
 	// no-op. Sharded runs give every group its own store, recycled with
-	// the group, so shard-scoped restarts (Plan.RestartShardAt) recover
-	// from per-group logs. Baselines ignore it — they have no restart
-	// surface.
+	// the group, so shard-scoped restarts (RestartAt under Plan.OnShard)
+	// recover from per-group logs. Baselines ignore it — they have no
+	// restart surface.
 	Durable bool
 	// WALSync is the virtual-time sync tariff charged per WAL append when
 	// Durable is set. Zero keeps stable storage schedule-invisible, so a
@@ -366,25 +366,27 @@ type runScratch struct {
 }
 
 // take returns n networks ready for a seeded run on base.Clock, network g
-// seeded seedFor(g): the recycled ones, Reset in cluster order (the first
-// drain quiesces the previous run's clock; the rest return immediately), or
-// fresh ones that later seeds then recycle — the first time, when n changed,
-// or when a network's previous run failed to wind down (the set is then
-// abandoned rather than risked).
+// seeded seedFor(g): the recycled ones, Reset in cluster order, or fresh
+// ones that later seeds then recycle — the first time, or when n changed.
+// The previous run's driver wound its world down before it let go of the
+// clock, so a refused Reset is a bug, reported with the old clock's leak
+// audit.
 func (s *runScratch) take(base simnet.Config, n int, seedFor func(g int) int64) []*simnet.Network {
 	cfgFor := func(g int) simnet.Config {
 		cfg := base
 		cfg.Seed = seedFor(g)
 		return cfg
 	}
-	reusable := len(s.nets) == n
-	for g := 0; reusable && g < n; g++ {
-		reusable = s.nets[g].Reset(cfgFor(g))
-	}
-	if !reusable {
+	if len(s.nets) != n {
 		s.nets = make([]*simnet.Network, n)
 		for g := range s.nets {
 			s.nets[g] = simnet.New(cfgFor(g))
+		}
+		return s.nets
+	}
+	for g, net := range s.nets {
+		if !net.Reset(cfgFor(g)) {
+			panic(fmt.Sprintf("scenario: the previous run left its clock running: %v", net.Clock().Stop()))
 		}
 	}
 	return s.nets
@@ -463,10 +465,11 @@ func groupConfig(sc Scenario, seed int64, net simnet.Config, accounts int) core.
 // here and on networks it takes from the scratch (a single run's scratch is
 // empty, so its world is fresh): every run's world and its clock begin in
 // this function. The caller is attached to the clock from before the first
-// replica starts, and deploy returns with it still attached: the goroutines
-// a cluster starts while the next one is being built cannot run the
-// schedule — a heartbeat, a delivery, time itself — ahead of the build in
-// wall time, so every run begins at the same instant with the same world.
+// replica starts, and deploy returns with it still attached (the cluster
+// constructors' own holds nest inside): the goroutines a cluster starts are
+// spawn events that wait for the driver's first blocking call, so nothing
+// — a heartbeat, a delivery, time itself — runs ahead of the build, and
+// every run begins at the same instant with the same world.
 func deploy(sc Scenario, seed int64, l load, scratch *runScratch) *deployment {
 	if scratch == nil {
 		scratch = &runScratch{}
@@ -587,12 +590,11 @@ func (d *deployment) drive(l load) bool {
 //
 // A baseline's audit moves the snapshot instant first. Active replication
 // keeps executing after the first reply returns to the client, so the
-// driver detaches and waits for the audit to stop moving: the outcome
-// reports the protocol's steady state. That wait is behaviour of the
-// baselines, not a second copy of the settle. It ends re-attached at a
-// pinned instant — the zero-length sleep returns via the pump, which only
-// fires when every other attached goroutine is blocked — so nothing is
-// mid-step while the audit and the history are read.
+// driver waits, still holding the clock, for the audit to stop moving: the
+// outcome reports the protocol's steady state. That wait is behaviour of
+// the baselines, not a second copy of the settle. It ends at a pinned
+// instant, woken by the pump, so nothing is mid-step while the audit and
+// the history are read.
 func (d *deployment) audit(l load) (effects, dups int) {
 	if d.base == nil {
 		return auditEffects(l.reqs, func(a action.Name, iv action.Value) int {
@@ -611,11 +613,8 @@ func (d *deployment) audit(l load) (effects, dups int) {
 		}
 		return total
 	}
-	d.clk.Exit()
 	d.base.Net.Quiesce()
 	waitStable(d.clk, 2*time.Second, inForce)
-	d.clk.Enter()
-	d.clk.Sleep(0)
 	return inForce(), 0
 }
 
@@ -667,8 +666,9 @@ func (d *deployment) verdict(o *Outcome, l load) {
 // execute is the run driver: every run — either deployment kind, either
 // load, any armed plane — goes through this one sequence: hold the clock
 // and build, arm the watchdog, apply the plan, drive the load, settle,
-// snapshot while attached, stop, exit, quiesce, verdict. scratch is a
-// sweep worker's recycled substrate (nil for single runs).
+// snapshot while attached, stop, run out, exit, verdict. From deploy's
+// Enter to the Exit exactly one goroutine is runnable at a time. scratch
+// is a sweep worker's recycled substrate (nil for single runs).
 func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outcome {
 	sc = sc.withDefaults().Materialize(seed)
 	sc.Net.Record, sc.Net.Replay = opts.Record, opts.Replay
@@ -708,10 +708,9 @@ func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outc
 	// the settle horizon, a fixed virtual instant, while this goroutine is
 	// still attached: it was just woken by the pump, so every protocol
 	// goroutine of every group is blocked in a clock primitive and the
-	// observed state cannot move. After Exit the clock free-runs, and
-	// periodic activity (heartbeats, cleaner-paced cancellations) would
-	// race the reads in wall time, making outcomes nondeterministic. (A
-	// baseline's audit moves the instant before the reads that follow it.)
+	// observed state cannot move. The wind-down below would move it: the
+	// stop's exit cascade still sends, cancels and logs. (A baseline's audit
+	// moves the instant before the reads that follow it.)
 	o := Outcome{
 		Scenario: sc.Name,
 		Seed:     seed,
@@ -742,16 +741,14 @@ func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outc
 			lats = append(lats, m.station.Latencies()...)
 		}
 	}
-	// Stop while still attached: once this goroutine Exits, a live
-	// deployment's periodic loops (cleaners, heartbeats) would free-run on
-	// the virtual clock at CPU speed, racing the verdict computation for
-	// the host's cores. Stopping first turns the post-Exit schedule into a
-	// bounded exit cascade.
+	// Stop, run the stopped world out and only then let go of the clock: the
+	// exit cascade (goroutines observing the stop, superseded and final
+	// timers, deliveries still in flight) runs here, on this goroutine's
+	// schedule, and Exit leaves the clock quiesced — nothing of the run
+	// outlives it, and the next seed's Reset finds its networks inert.
 	d.stop()
+	clk.RunOut()
 	clk.Exit()
-	for _, m := range d.members {
-		m.net.Quiesce()
-	}
 
 	o.TimedOut = timedOut()
 	o.WALAppends, o.WALSyncTime = wstats.Appends, wstats.SyncTime
@@ -865,10 +862,9 @@ func auditEffects(reqs []action.Request, inForce func(action.Name, action.Value)
 
 // waitStable polls probe on the cluster clock until its value has not
 // changed for 20ms of simulated time (or the deadline passes). On the
-// virtual clock the whole wait costs only the work it overlaps with.
+// virtual clock the whole wait costs only the work it overlaps with. Call
+// with the clock held.
 func waitStable(clk *vclock.Virtual, d time.Duration, probe func() int) {
-	clk.Enter()
-	defer clk.Exit()
 	deadline := clk.Now() + d
 	last, since := probe(), clk.Now()
 	for clk.Now() < deadline {

@@ -133,11 +133,10 @@ func TestShardCrashFailoverRouterExactlyOnce(t *testing.T) {
 }
 
 // TestShardFaultIsolation pins the confinement claim: a crash addressed
-// to one group (CrashShardAt) leaves the other groups' replica sets
-// untouched.
+// to one group (OnShard) leaves the other groups' replica sets untouched.
 func TestShardFaultIsolation(t *testing.T) {
 	sc, _ := Get("shard-nice")
-	sc.Plan = NewPlan().CrashShardAt(500*time.Microsecond, 1, 0)
+	sc.Plan = NewPlan().OnShard(1, NewPlan().CrashAt(500*time.Microsecond, 0))
 	o := Execute(sc, 3)
 	if !o.XAble || !o.Replied {
 		t.Fatalf("confined crash broke the deployment: %+v", o)

@@ -58,7 +58,8 @@ func GroupSeed(seed int64, s int64) int64 {
 
 // New assembles and starts a sharded deployment. A group differs from the
 // template in its seeds, the shared clock, its recycled network and its
-// setup; nothing else.
+// setup; nothing else. Like core.NewCluster it holds the clock while it
+// builds, so no group runs ahead of the ones built after it.
 func New(cfg Config) *Cluster {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -67,6 +68,8 @@ func New(cfg Config) *Cluster {
 	if clk == nil {
 		clk = vclock.NewVirtual()
 	}
+	clk.Enter()
+	defer clk.Exit()
 	c := &Cluster{clk: clk, ring: NewRing(cfg.Shards, DefaultVNodes)}
 	for s := 0; s < cfg.Shards; s++ {
 		g := cfg.Group

@@ -301,12 +301,12 @@ func TestShrinkKeepsCrashRestartPairs(t *testing.T) {
 // of other kinds (or with no partner) shrink alone.
 func TestPairSet(t *testing.T) {
 	p := scenario.NewPlan().
-		CrashAt(1*time.Millisecond, 0).             // 0: pairs with 3
-		CrashShardAt(1*time.Millisecond, 2, 0).     // 1: same replica, shard scope — pairs with 4
-		SuspectAt(2*time.Millisecond, "replica-1"). // 2: alone
-		RestartAt(5*time.Millisecond, 0).           // 3
-		RestartShardAt(6*time.Millisecond, 2, 0).   // 4
-		CrashAt(7*time.Millisecond, 1)              // 5: no restart — alone
+		CrashAt(1*time.Millisecond, 0).                                  // 0: pairs with 3
+		OnShard(2, scenario.NewPlan().CrashAt(1*time.Millisecond, 0)).   // 1: same replica, shard scope — pairs with 4
+		SuspectAt(2*time.Millisecond, "replica-1").                      // 2: alone
+		RestartAt(5*time.Millisecond, 0).                                // 3
+		OnShard(2, scenario.NewPlan().RestartAt(6*time.Millisecond, 0)). // 4
+		CrashAt(7*time.Millisecond, 1)                                   // 5: no restart — alone
 	ops := p.Ops()
 	want := map[int][]int{
 		0: {0, 3}, 1: {1, 4}, 2: {2}, 3: {0, 3}, 4: {1, 4}, 5: {5},

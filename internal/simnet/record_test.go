@@ -36,7 +36,7 @@ func TestRecordLogsEveryDecision(t *testing.T) {
 	a.Send("b", "m", 1)
 	a.Send("c", "m", 2)
 	n.Quiesce() // both deliveries settle before the link goes down
-	n.DropLink("a", "c")
+	n.Partition([]ProcessID{"a"}, []ProcessID{"c"})
 	a.Send("c", "m", 3) // black-holed at send
 	drain(t, b, 1)
 	n.Quiesce()
@@ -77,7 +77,7 @@ func TestRecordInFlightDropResolves(t *testing.T) {
 	// send and the cut.
 	n.Clock().Enter()
 	a.Send("b", "m", 1)
-	n.DropLink("a", "b") // sever while in flight
+	n.Partition([]ProcessID{"a"}, []ProcessID{"b"}) // sever while in flight
 	n.Quiesce()
 	n.Clock().Exit()
 

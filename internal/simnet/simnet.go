@@ -18,19 +18,18 @@
 //
 // Delay draws come from per-sender seeded streams: each base process owns
 // its own generator, seeded deterministically from (Config.Seed, base
-// name). Concurrent sends from *different* processes inside one
-// virtual-clock wake-up bubble therefore cannot race on a shared RNG — the
-// delay a sender's nth message draws depends only on the seed and on that
-// sender's own send order, never on how the host interleaved it with other
-// processes' sends. (Two goroutines of one process racing their sends
-// still share that process's stream; the protocol layers keep per-process
-// send order deterministic.)
+// name), so the delay a sender's nth message draws depends only on the
+// seed and on that sender's own send order. Once a driver holds the clock,
+// it runs one goroutine at a time — a spawn is an event too — so no two
+// sends interleave in wall time, and one shared stream would be just as
+// deterministic; the per-sender streams stay because every recorded
+// schedule and pinned outcome was drawn from them.
 //
 // Beyond crash-stop, the network exposes a link-level fault plane for
 // adversarial scenarios: a delay-storm multiplier on the uniform draw
-// (SetDelayScale), and black-holed links —
-// Partition splits processes into non-communicating groups, DropLink
-// severs one link, Heal repairs everything. Link faults drop messages
+// (SetDelayScale), and black-holed links — Partition splits processes into
+// non-communicating groups (a pair of singleton groups cuts one link), Heal
+// repairs everything. Link faults drop messages
 // silently (at send time and at the delivery instant), which is exactly
 // how the model's asynchrony lets an adversary behave; crashed-process
 // semantics are untouched.
@@ -68,7 +67,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -153,9 +151,8 @@ type Network struct {
 	streams []*rand.Rand // per-sender delay streams, by base index
 
 	// Link fault plane.
-	delayScale float64           // storm multiplier on drawn delays (1 = calm)
-	partition  []int32           // base index → partition group; nil = whole; -1 = ungrouped
-	dropped    map[[2]int32]bool // black-holed links by base index (both directions)
+	delayScale float64 // storm multiplier on drawn delays (1 = calm)
+	partition  []int32 // base index → partition group; nil = whole; -1 = ungrouped
 
 	// Schedule record/replay plane (cfg.Record / cfg.Replay).
 	record *schedule.Log
@@ -177,7 +174,6 @@ func New(cfg Config) *Network {
 		byName:       make(map[ProcessID]*Endpoint),
 		baseIdx:      make(map[ProcessID]int32),
 		crashedNames: make(map[ProcessID]bool),
-		dropped:      make(map[[2]int32]bool),
 	}
 	n.apply(cfg)
 	return n
@@ -418,9 +414,10 @@ func (n *Network) Restart(id ProcessID) bool {
 
 // Partition splits the network: messages between base process IDs in
 // different groups are black-holed until Heal. IDs not listed in any group
-// keep all of their links. Auxiliary endpoints ("p/fd", "p/cons") follow
-// their base process. Calling Partition again replaces the previous
-// grouping.
+// keep all of their links, so Partition([]ProcessID{a}, []ProcessID{b})
+// cuts exactly the link between a and b, in both directions. Auxiliary
+// endpoints ("p/fd", "p/cons") follow their base process. Calling
+// Partition again replaces the previous grouping.
 func (n *Network) Partition(groups ...[]ProcessID) {
 	n.mu.Lock()
 	for _, members := range groups {
@@ -445,24 +442,12 @@ func (n *Network) Partition(groups ...[]ProcessID) {
 	n.mu.Unlock()
 }
 
-// DropLink black-holes the link between two base process IDs in both
-// directions until Heal. Dropping an already dropped link is a no-op.
-func (n *Network) DropLink(a, b ProcessID) {
-	n.mu.Lock()
-	ai := n.ensureBaseLocked(baseOf(a))
-	bi := n.ensureBaseLocked(baseOf(b))
-	n.dropped[[2]int32{ai, bi}] = true
-	n.dropped[[2]int32{bi, ai}] = true
-	n.mu.Unlock()
-}
-
-// Heal repairs the link fault plane: it clears the active partition and
-// every dropped link. Messages black-holed while the faults were in force
-// stay lost; only future traffic flows again.
+// Heal repairs the link fault plane: it clears the active partition.
+// Messages black-holed while it was in force stay lost; only future
+// traffic flows again.
 func (n *Network) Heal() {
 	n.mu.Lock()
 	n.partition = nil
-	clear(n.dropped)
 	n.mu.Unlock()
 }
 
@@ -485,9 +470,6 @@ func (n *Network) SetDelayScale(f float64) {
 func (n *Network) blockedLocked(from, to int32) bool {
 	if from == to {
 		return false // a process always reaches its own endpoints
-	}
-	if len(n.dropped) > 0 && n.dropped[[2]int32{from, to}] {
-		return true
 	}
 	if p := n.partition; p != nil {
 		gf, gt := p[from], p[to]
@@ -599,8 +581,7 @@ type delivery struct {
 
 // Run implements vclock.Runner: it completes one scheduled delivery. A
 // message whose link is down at the delivery instant is black-holed: a
-// partition or dropped link kills the traffic already in the pipe, not only
-// future sends.
+// partition kills the traffic already in the pipe, not only future sends.
 func (d *delivery) Run() {
 	n := d.n
 	dst, msg, fromBase, entry := d.dst, d.msg, d.fromBase, d.entry
@@ -653,11 +634,10 @@ func (d *delivery) Run() {
 // dropped (a crashed process does nothing; messages to a crashed process
 // can never be received). Delivery is scheduled on the network clock after
 // a seeded random delay; the delivery's heap position is fixed at send
-// time. Schedule determinism therefore reduces to per-sender send-order
-// determinism: delays come from the sender's own stream, the virtual clock
-// wakes one event at a time, and the brief windows where two protocol
-// goroutines are runnable at once (a spawn returning to Recv, a broadcast
-// waking several waiters) do not perturb other senders' draws.
+// time. Schedule determinism therefore reduces to send-order determinism:
+// delays come from the sender's own stream, and the virtual clock runs one
+// event — one goroutine, one Runner — at a time, so the order of sends is
+// a function of the seed.
 func (e *Endpoint) Send(to ProcessID, typ string, payload any) {
 	n := e.net
 	n.mu.Lock()
@@ -867,40 +847,24 @@ func (n *Network) Close() {
 	}
 }
 
-// drainSpinBudget bounds how many scheduler yields Reset grants the
-// previous run's goroutines to unwind before giving up on reuse. The
-// budget is counted in yields, not wall time: the reset path stays free of
-// wall-clock reads, and a yield only matters when there is still an
-// unwinding goroutine to hand the processor to. Giving up is the
-// exceptional path (a wedged old world); the caller then builds a fresh
-// network, which is correct either way.
-const drainSpinBudget = 5_000_000
-
 // Reset recycles a closed network for a new run: the endpoint structures,
 // interning tables, dense fault/counter state, and event pools are kept;
 // the clock, seeds, and record/replay hooks are replaced per cfg. A nil
 // cfg.Clock gives the network a fresh clock; a deployment whose networks
 // share one clock (the sharded runtime) passes the *new* shared clock and
-// resets every group in shard order — the first group's drain leaves the
-// old shared clock quiescent, the remaining groups' drains return
-// immediately. Reset reports whether the network is ready for reuse — false
-// means the caller must build a fresh network (the previous run did not
-// wind down within a bounded wait).
+// resets every group in shard order.
 //
-// Reset first drains the old clock to full quiescence: stopped deployments
-// still have goroutines unwinding (a cleaner finishing its last virtual
-// sleep, a consensus round loop observing its stop), and those goroutines
-// hold references to the endpoints being recycled. Only when no attached
-// goroutine and no pending event remains is the old world provably inert,
-// and the endpoints can be reopened for the next seed. The subsequent
+// Reset refuses, and reports false without waiting, unless the old clock
+// is Quiesced: no attached goroutine and no pending event. Until then the
+// old world is not inert — its goroutines and deliveries hold the
+// endpoints being recycled. A run's driver winds its world down before it
+// lets go of the clock (stop, then vclock.Virtual.RunOut, then Exit), so a
+// refusal means a world that was never wound down. The subsequent
 // deployment must Register the same process IDs in the same order (the
 // sweep contract: one scenario shape per worker).
 func (n *Network) Reset(cfg Config) bool {
-	for spin := 0; !n.clk.Quiesced(); spin++ {
-		if spin > drainSpinBudget {
-			return false
-		}
-		runtime.Gosched()
+	if !n.clk.Quiesced() {
+		return false
 	}
 	n.mu.Lock()
 	n.apply(cfg)
@@ -914,7 +878,6 @@ func (n *Network) Reset(cfg Config) bool {
 	}
 	clear(n.crashedNames)
 	n.partition = nil
-	clear(n.dropped)
 	n.reviveLeft = len(n.eps)
 	eps := n.eps
 	clk := n.clk

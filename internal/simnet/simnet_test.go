@@ -179,14 +179,16 @@ func TestPartitionDropsInFlightTraffic(t *testing.T) {
 	}
 }
 
-func TestDropLinkIsBidirectionalAndHealable(t *testing.T) {
+// Two singleton groups cut exactly one link: both of its directions, and
+// no link of a process left out of the partition.
+func TestPartitionPairCutsOneLinkBothWaysAndHeals(t *testing.T) {
 	n := New(Config{Seed: 34})
 	defer n.Close()
 	a := n.Register("a")
 	b := n.Register("b")
 	c := n.Register("c")
 
-	n.DropLink("a", "b")
+	n.Partition([]ProcessID{"a"}, []ProcessID{"b"})
 	a.Send("b", "m", 1)
 	b.Send("a", "m", 2)
 	a.Send("c", "m", 3) // other links unaffected

@@ -22,10 +22,14 @@
 // primitive, the clock pops the earliest event, advances virtual time to
 // its deadline, and wakes exactly one goroutine — or, for a Runner (a
 // message delivery, a Timer's tick), runs it on the spot, on the goroutine
-// whose clock call found the schedule quiescent, and pops the next.
-// Execution of events is thereby serialized; see Runner for what a
-// callback on the pump may do, and Exit for who pumps once an external
-// goroutine detaches.
+// whose clock call found the schedule quiescent, and pops the next. A
+// spawn is an event too (Go is GoAfter(0, fn)), so a new goroutine starts
+// only when its event is popped, never beside its spawner. Execution of
+// events is thereby serialized; see Runner for what a callback on the pump
+// may do, and Exit for who pumps once an external goroutine detaches. A
+// driver that holds the clock from building its world (the cluster
+// constructors hold it too) until RunOut has wound that world down keeps
+// exactly one goroutine runnable at a time throughout.
 //
 // # How seeds map to schedules
 //

@@ -154,11 +154,11 @@ func (v *Virtual) Events() uint64 {
 	return v.seq
 }
 
-// Spawns reports how many goroutines the clock ever started (Go, GoAfter
-// callbacks when they fire, and the pump an external goroutine hands off
-// when it detaches — see Exit). Like Events it is a host-independent count
-// of simulator work; Runners and Timers are not in it — they run on the
-// pump.
+// Spawns reports how many goroutines the clock ever started (Go and GoAfter
+// callbacks when their events fire, and the pump an external goroutine
+// hands off when it detaches — see Exit). Like Events it is a
+// host-independent count of simulator work; Runners and Timers are not in
+// it — they run on the pump.
 func (v *Virtual) Spawns() uint64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -370,8 +370,8 @@ func (v *Virtual) newGentLocked(depth int, site uintptr, clock bool) *gent {
 }
 
 // runAdopted runs fn on the calling (fresh) goroutine with a ledger entry;
-// the runnability unit was already added by the spawner. site is fn's
-// entry, for Stop's leak audit.
+// the runnability unit was already added by the pump that fired the spawn
+// event. site is fn's entry, for Stop's leak audit.
 func (v *Virtual) runAdopted(fn func(), site uintptr) {
 	v.mu.Lock()
 	v.ledger[gid()] = v.newGentLocked(1, site, true)
@@ -412,11 +412,13 @@ func (v *Virtual) Enter() {
 
 // Exit undoes one Enter. The last Exit of a goroutine the clock spawned
 // runs the schedule inline, as every release of runnability does. An
-// external goroutine (a test, a driver, a facade call) instead hands the
-// pump to a fresh clock goroutine when its Exit would leave nothing
-// runnable with live events pending, and returns at once: a Timer that
-// re-arms itself never lets an inline pump return, and the world left
-// behind keeps running on the clock goroutine. Superseded entries at the
+// external goroutine (a test, a facade call, a cluster constructor called
+// unattached) instead hands the pump to a fresh clock goroutine when its
+// Exit would leave nothing runnable with live events pending, and returns
+// at once: a Timer that re-arms itself never lets an inline pump return,
+// and the world left behind keeps running on the clock goroutine. A
+// driver that must leave nothing behind stops its world and calls RunOut
+// before its Exit, which then hands nothing off. Superseded entries at the
 // head of the schedule are dropped here first — they would neither run nor
 // move the clock — so detaching from a schedule that holds nothing else
 // needs no hand-off.
@@ -467,18 +469,12 @@ func (v *Virtual) Sleep(d time.Duration) {
 	v.Exit()
 }
 
-// Go runs fn on a new goroutine attached to the clock. The goroutine counts
-// as runnable from before Go returns until fn returns, except while it is
-// blocked in a clock primitive — so the schedule cannot advance past the
-// spawn.
-func (v *Virtual) Go(fn func()) {
-	pc := funcPC(fn)
-	v.mu.Lock()
-	v.busy++
-	v.spawns++
-	v.mu.Unlock()
-	go v.runAdopted(fn, pc) //xvet:ok baregoroutine this IS vclock.Go: the spawn is counted busy above and adopted into the ledger
-}
+// Go runs fn on a new goroutine attached to the clock: it is GoAfter(0, fn),
+// an event at the current instant. The spawner keeps running, and the
+// goroutine starts when the pump reaches its event — once the spawner and
+// every other attached goroutine are blocked in a clock primitive — so a
+// spawn never runs beside the goroutine that asked for it.
+func (v *Virtual) Go(fn func()) { v.GoAfter(0, fn) }
 
 // GoAfter schedules fn to run on a new attached goroutine after d. The
 // event's position in the schedule is fixed at call time.
@@ -660,11 +656,45 @@ func (v *Virtual) Drain() {
 	}
 }
 
+// RunOut runs the schedule to its end while the caller holds the clock: it
+// sleeps past the latest live event, again while that run scheduled more,
+// and returns once nothing live is scheduled, with the superseded entries
+// left behind (Timer expiries after a Reset or Stop, a broadcast-woken
+// waiter's timer) dropped. A stopped world winds down this way on its
+// driver's goroutine; if the caller is then the last attached goroutine,
+// its Exit leaves the clock Quiesced. A world that never stops scheduling
+// (a periodic timer nobody stopped) never returns. The caller must be
+// attached.
+func (v *Virtual) RunOut() {
+	for {
+		v.mu.Lock()
+		last, live := v.now, false
+		for _, ev := range v.pq {
+			if !ev.stale() {
+				live = true
+				last = max(last, ev.at)
+			}
+		}
+		if !live {
+			for _, ev := range v.pq {
+				v.recycleLocked(ev)
+			}
+			clear(v.pq)
+			v.pq = v.pq[:0]
+			v.mu.Unlock()
+			return
+		}
+		d := last - v.now
+		v.mu.Unlock()
+		v.Sleep(d)
+	}
+}
+
 // Quiesced reports whether the clock has fully wound down: no attached
 // goroutines, none runnable, and no pending events. A deployment that has
-// been stopped reaches this state once its goroutines observe the stop and
-// unwind (pending timers fire and their owners exit); Network.Reset waits
-// on it before recycling a network for the next seed of a sweep.
+// been stopped and run out (RunOut) by its driver is in this state once
+// the driver exits; Network.Reset refuses to recycle a network whose old
+// clock is not.
 func (v *Virtual) Quiesced() bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()

@@ -397,9 +397,8 @@ func (s *ShardedService) History(shardIdx int) History { return s.c.History(shar
 func (s *ShardedService) Verify(reg *Registry) ShardedReport { return s.c.Verify(reg) }
 
 // Apply schedules a fault plan against the deployment: unqualified ops
-// strike every group at one virtual instant (correlated faults); the
-// shard-qualified ops (Plan.CrashShardAt, Plan.PartitionShardsAt,
-// Plan.StormShardsAt, Plan.OnShard, …) address single groups.
+// strike every group at one virtual instant (correlated faults);
+// Plan.OnShard re-addresses a sub-plan to a single group.
 func (s *ShardedService) Apply(p *Plan) {
 	groups := make([]FaultTarget, s.c.Shards())
 	for i := range groups {
