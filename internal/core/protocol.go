@@ -310,10 +310,11 @@ func (s *Server) propose(key consensus.Key, val any) any {
 // Start launches the request loop and arms the cleaner (the cobegin of
 // Figure 6) on the network clock. With batching enabled the cobegin gains
 // the batcher (window-driven slot formation) and the follower (in-order
-// slot application; see batch.go).
+// slot application; see batch.go). Its callers (NewCluster, RestartServer)
+// hold the clock, so arming the periodic cleaner does not pump it here.
 func (s *Server) Start() {
 	s.clk.Go(s.mainLoop)
-	s.clk.Go(s.clean.arm)
+	s.clean.timer.Reset(cleanInterval)
 	if s.batch.Enabled {
 		s.clk.Go(s.batcher)
 		s.clk.Go(s.follower)
@@ -703,14 +704,6 @@ type cleaner struct {
 	timer *vclock.Timer
 	snap  []*requestState // the pass's requests, reused across ticks
 	next  int             // index into snap of the next decision
-}
-
-// arm schedules the first pass, offset by a per-replica phase so
-// symmetric cleaners never share a virtual deadline (the deterministic
-// schedule then never needs to tie-break between replicas). Start spawns
-// it as a goroutine, like fd.Heartbeat's arm and for the same reasons.
-func (c *cleaner) arm() {
-	c.timer.Reset(cleanInterval + vclock.Stagger(string(c.s.id), cleanInterval/4+1))
 }
 
 // Run is one tick, on the clock's pump. The pass's decisions read

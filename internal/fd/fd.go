@@ -84,7 +84,6 @@ func (s *Scripted) Suspect(p simnet.ProcessID) bool {
 // side has a goroutine: the sender is a vclock.Timer whose ticks run on
 // the clock's pump (Run), the receiver an endpoint handler.
 type Heartbeat struct {
-	self     simnet.ProcessID
 	dests    []simnet.ProcessID // FDEndpoint of each peer, named once
 	beat     any                // the heartbeat payload (self), boxed once
 	ep       *simnet.Endpoint
@@ -128,7 +127,6 @@ func NewHeartbeat(self simnet.ProcessID, ep *simnet.Endpoint, peers []simnet.Pro
 		cfg.Interval = 2 * time.Millisecond
 	}
 	h := &Heartbeat{
-		self:     self,
 		dests:    make([]simnet.ProcessID, len(peers)),
 		beat:     self,
 		ep:       ep,
@@ -149,23 +147,17 @@ func NewHeartbeat(self simnet.ProcessID, ep *simnet.Endpoint, peers []simnet.Pro
 	return h
 }
 
-// Start arms the heartbeat sender on the network clock and takes over the
+// Start arms the heartbeat sender on the network clock — the first beat
+// one interval on, later beats every interval (Run) — and takes over the
 // endpoint's deliveries: receiving a heartbeat is a state update, so it
-// runs as the endpoint's handler, not on a goroutine.
+// runs as the endpoint's handler, not on a goroutine. Start attaches for
+// its duration, so an unattached caller does not pump the periodic timer
+// on the spot.
 func (h *Heartbeat) Start() {
-	h.clk.Go(h.arm)
+	h.clk.Enter()
+	defer h.clk.Exit()
+	h.timer.Reset(h.interval)
 	h.ep.Handle(h.onMessage)
-}
-
-// arm schedules the first beat, after interval plus a per-process phase
-// offset; later beats follow every interval (Run). It runs on a clock
-// goroutine of its own, not inside Start: the first expiry is then
-// numbered when that goroutine runs, like the first event of every other
-// goroutine Start's caller spawned, and a caller that starts detectors
-// unattached (NewCluster registers and starts them one process at a
-// time) does not pump it on the spot, before the peers' endpoints exist.
-func (h *Heartbeat) arm() {
-	h.timer.Reset(h.interval + vclock.Stagger(string(h.self), h.interval/4+1))
 }
 
 // Stop terminates the sender: the next tick sends nothing and does not

@@ -139,12 +139,12 @@ func TestFDEndpointNaming(t *testing.T) {
 	}
 }
 
-// The receive side is the endpoint's handler, not a goroutine: Start
-// spawns the sender's arm only, and a heartbeat has been folded into the
+// Neither side of the detector is a goroutine: Start arms the sender's
+// timer in place and installs the receive side as the endpoint's handler,
+// so it spawns nothing, and a heartbeat has been folded into the
 // detector's state by the time the network reports the delivery settled.
 // The clock is held throughout, so every step lands at a fixed virtual
-// instant — and the arm, a spawn event at Start's instant, has run once
-// the test first sleeps. Run under -race -count=5 in CI.
+// instant. Run under -race -count=5 in CI.
 func TestHeartbeatHandlerRunsOnDelivery(t *testing.T) {
 	n := simnet.New(simnet.Config{Seed: 3, MaxDelay: 200 * time.Microsecond})
 	defer n.Close()
@@ -158,8 +158,8 @@ func TestHeartbeatHandlerRunsOnDelivery(t *testing.T) {
 	defer hb.Stop()
 
 	clk.Sleep(6 * time.Millisecond) // b stays silent past the 3ms timeout
-	if sp := clk.Spawns(); sp != 1 {
-		t.Errorf("Start spawned %d goroutines, want 1 (the sender's arm)", sp)
+	if sp := clk.Spawns(); sp != 0 {
+		t.Errorf("Start spawned %d goroutines, want 0", sp)
 	}
 	if !hb.Suspect("b") {
 		t.Fatal("silent peer not suspected")
@@ -175,8 +175,8 @@ func TestHeartbeatHandlerRunsOnDelivery(t *testing.T) {
 	if timeout != 6*time.Millisecond {
 		t.Errorf("timeout = %v, want 6ms (doubled by the late heartbeat)", timeout)
 	}
-	if sp := clk.Spawns(); sp != 1 {
-		t.Errorf("%d goroutines spawned after a delivery, want still 1", sp)
+	if sp := clk.Spawns(); sp != 0 {
+		t.Errorf("%d goroutines spawned after a delivery, want still 0", sp)
 	}
 }
 

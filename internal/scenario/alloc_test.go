@@ -66,11 +66,13 @@ func TestBatchedRunAllocBudget(t *testing.T) {
 // TestOpenLoopAllocBudget pins the open-loop path's per-request bill — the
 // in-repo gate for the benchmark's allocs_per_op on saturation: an
 // open-loop-batch run, checker included, divided by its request count.
-// Measured at 33.3 objects per request on seed 1 (34.7–34.8 under the
-// race detector; the session with its timer, submit, slot membership, reply
+// Measured at 33.9 objects per request on seed 1 (35.4 under the race
+// detector; the session with its timer, submit, slot membership, reply
 // demux, latency log, and the request's share of the projection check),
-// budget that plus 5%. Per-request cost is the number that must
-// stay flat for 100k-session experiments to be routine.
+// budget that plus 5%. It was 33.2 (34.6) until the network drew every
+// delay from one stream: seed 1's schedule moved, and seeds 1–8 together
+// went 32.51 → 32.47. Per-request cost is the number that must stay flat
+// for 100k-session experiments to be routine.
 func TestOpenLoopAllocBudget(t *testing.T) {
 	sc, ok := Get("open-loop-batch")
 	if !ok {
@@ -81,8 +83,8 @@ func TestOpenLoopAllocBudget(t *testing.T) {
 		t.Fatal("open-loop-batch generated no arrivals")
 	}
 	avg := testing.AllocsPerRun(10, func() { Execute(sc, 1) })
-	if per := avg / float64(requests); per > 35.0 {
-		t.Fatalf("open-loop batched run allocates %.1f objects per request (%.0f over %d requests), budget 35.0",
+	if per := avg / float64(requests); per > 35.6 {
+		t.Fatalf("open-loop batched run allocates %.1f objects per request (%.0f over %d requests), budget 35.6",
 			per, avg, requests)
 	}
 }

@@ -109,19 +109,22 @@ func TestDelayStormHeartbeatSweep(t *testing.T) {
 // it holds on any runner: a delay-storm-hb seed is ≈600 messages, most of
 // them heartbeats, and neither a delivery nor a heartbeat — its receipt or
 // its send — may start or wake a goroutine. What is spawned is the
-// deployment's loops and timer arms, the plan's and the watchdog's timers,
-// the request and the cleaners' takeovers — 16–17 a seed, however many
+// servers' receive loops, the plan's and the watchdog's timers, the
+// request and the cleaners' takeovers — 8–10 a seed, however many
 // messages the seed sends (when a delivery was a goroutine and each
 // detector had a receiver, ≈620; 18–19 while the driver let go of a
 // running world and the clock handed its pump to a goroutine of its own,
-// twice a run). What is woken is what still waits in a clock primitive —
-// the driver, the client, the servers' receive loops, the executions'
-// retry sleeps: 47 on seed 1, against 314 while the senders and cleaners
-// woke for every period (291–321 on seeds 1–4). Events are pinned
+// twice a run; 16–17 while each heartbeat sender and cleaner was armed
+// from a goroutine of its own). What is woken is what still waits in a
+// clock primitive — the driver, the client, the servers' receive loops,
+// the executions' retry sleeps: 44–54 on seeds 1–4, against 291–321 while
+// the senders and cleaners woke for every period. Events are pinned
 // exactly: one per message plus the timers, spawns and wake-ups (seed 1:
-// 932; 918 while a Go spawn was not an event of its own, 1 490 when each
-// heartbeat also woke a receiver). A change that moves them re-measures
-// here and says why.
+// 913; 932 while the senders and cleaners were armed from goroutines and
+// the network drew each sender's delays from a stream of its own, 918
+// while a Go spawn was not an event of its own, 1 490 when each heartbeat
+// also woke a receiver). A change that moves them re-measures here and
+// says why.
 //
 // The counts are a function of the seed alone, at any GOMAXPROCS: from
 // deploy's Enter to execute's Exit one goroutine runs at a time, and the
@@ -132,9 +135,9 @@ func TestDeliveriesSpawnNoGoroutines(t *testing.T) {
 	if !ok {
 		t.Fatal("delay-storm-hb not registered")
 	}
-	const maxSpawns = 18 // 4 processes × their loops, the timers, the request
+	const maxSpawns = 11 // the receive loops, the timers, the request, the takeovers
 	const maxWakes = 60  // blocked goroutines only: no sender, no poll
-	wantEvents := []uint64{932, 873, 923, 952}
+	wantEvents := []uint64{913, 943, 970, 943}
 	for i, want := range wantEvents {
 		seed := int64(i + 1)
 		scratch := &runScratch{}

@@ -25,12 +25,15 @@ import (
 // Whether a run reaches that state depends on message timing, so the test
 // replays a recorded schedule instead of drawing delays from a seed: a
 // seed's delays change whenever the generator behind them does, and a
-// timing-dependent pin then passes with or without the fix. The schedule
-// is restart-random-total seed 125 as recorded at PR 12 (math/rand
-// streams, fix present; that seed's plan also drew two delay storms, which
-// the recorded delays already contain). With the fix every send of the run
-// is in the log; with the two ct.go edits reverted the run follows the log
-// to the wedge and times out.
+// timing-dependent pin then passes with or without the fix. The plan is
+// restart-random-total seed 10's, materialized, and the schedule is that
+// run as recorded with the fix present and one delay stream per network
+// (174 messages). With the two ct.go edits reverted (no gather upgrade,
+// retransmissions resend the round's first estimate) the run follows the
+// log to the wedge and times out, at 282 messages. The earlier pin, seed
+// 125, recorded when each sender drew delays from a stream of its own,
+// re-recorded under the one stream no longer reaches the wedge without
+// the fix.
 func TestCTOrphanedProposerLiveness(t *testing.T) {
 	sc := Scenario{
 		Name:        "ct-orphaned-proposer",
@@ -39,17 +42,19 @@ func TestCTOrphanedProposerLiveness(t *testing.T) {
 		Durable:     true,
 		Failures:    []Failure{{Action: "debit", Prob: 1, Budget: 6}},
 		Plan: NewPlan().
-			CrashAt(1669252*time.Nanosecond, 2).
-			CrashAt(2192934*time.Nanosecond, 0).
-			CrashAt(3332260*time.Nanosecond, 1).
-			RestartAt(3636065*time.Nanosecond, 0).
-			RestartAt(3893042*time.Nanosecond, 2).
-			RestartAt(4771639*time.Nanosecond, 1),
+			CrashAt(3885961*time.Nanosecond, 2).
+			RestartAt(5311898*time.Nanosecond, 2).
+			CrashAt(4445857*time.Nanosecond, 1).
+			RestartAt(5465766*time.Nanosecond, 1).
+			DelayStormAt(3167911*time.Nanosecond, 1081971*time.Nanosecond, 6.123330838425003).
+			DelayStormAt(3307016*time.Nanosecond, 719301*time.Nanosecond, 14.922213642102834).
+			CrashAt(720895*time.Nanosecond, 0).
+			RestartAt(3970352*time.Nanosecond, 0),
 		Settle:   25 * time.Millisecond,
 		Deadline: 200 * time.Millisecond,
 	}
 	log := loadSchedule(t, "testdata/ct_orphaned_proposer.schedule.jsonl")
-	o := Run(sc, 125, RunOptions{Replay: &schedule.Replay{Log: log}})
+	o := Run(sc, 10, RunOptions{Replay: &schedule.Replay{Log: log}})
 	if o.TimedOut {
 		t.Fatal("run hit the deadline watchdog: the crash-orphaned CT instance deadlocked again")
 	}
@@ -155,8 +160,8 @@ func TestRestartMinoritySweepExactlyOnce(t *testing.T) {
 // TestRestartOutcomesByteDeterministic extends the reset-and-rerun
 // contract to the durable scenarios: a crash→restart run on a recycled
 // network must be bit-equal to a fresh-world Execute of the same
-// (scenario, seed) — reviving a process may not disturb the per-sender
-// delay streams or the WAL accounting.
+// (scenario, seed) — reviving a process may not disturb the network's
+// delay stream or the WAL accounting.
 func TestRestartOutcomesByteDeterministic(t *testing.T) {
 	for _, name := range []string{"restart-minority", "restart-random"} {
 		sc, ok := Get(name)

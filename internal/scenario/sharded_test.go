@@ -59,10 +59,11 @@ func TestShardedOutcomeDeterministic(t *testing.T) {
 // Messages and SimTime included. This is the 12-request sharded
 // configuration that used to expose the wake-up-bubble RNG race (a CT
 // node's receive loop and round loop sending concurrently inside one
-// virtual-clock bubble, ~1/300 race runs): with per-sender delay streams a
-// sender's draws no longer depend on how the host interleaved other
-// processes' sends, so the whole outcome must now reproduce exactly. CI
-// runs this under -race -count=5.
+// virtual-clock bubble, ~1/300 race runs). The clock now runs one
+// goroutine at a time, so the order of sends — and with it every delay
+// drawn from each network's one stream — is a function of the seed, and
+// the whole outcome must reproduce exactly. CI runs this under -race
+// -count=5.
 func TestShardedCTByteDeterministic(t *testing.T) {
 	sc, _ := Get("shard-split-brain")
 	for seed := int64(1); seed <= 4; seed++ {

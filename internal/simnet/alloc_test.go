@@ -67,12 +67,11 @@ func TestBroadcastAllocBudget(t *testing.T) {
 }
 
 // TestResetStreamsAllocFree pins the sweep path's per-seed stream cost:
-// Reset re-seeds the recycled per-sender streams in place (one store
-// each), so what a Reset allocates — the new clock and one cond per
-// endpoint — does not depend on how many sender bases the network has.
-// Four endpoints under one base and four endpoints under four bases must
-// cost the same; a Reset that rebuilt its streams would differ by two
-// objects a base.
+// Reset re-seeds the network's one delay stream in place (one store), so
+// what a Reset allocates — the new clock and one cond per endpoint — does
+// not depend on how many bases the network has. Four endpoints under one
+// base and four endpoints under four bases must cost the same; per-base
+// state built at Reset would make them differ.
 func TestResetStreamsAllocFree(t *testing.T) {
 	resetAllocs := func(ids ...ProcessID) float64 {
 		cfg := Config{Seed: 1, MaxDelay: 10 * time.Microsecond}
@@ -92,6 +91,6 @@ func TestResetStreamsAllocFree(t *testing.T) {
 	one := resetAllocs("a", "a/fd", "a/cons", "a/aux")
 	four := resetAllocs("a", "b", "c", "d")
 	if four != one {
-		t.Fatalf("Reset allocates %.0f objects with four sender bases, %.0f with one: the streams are being rebuilt, not re-seeded", four, one)
+		t.Fatalf("Reset allocates %.0f objects with four bases, %.0f with one: Reset builds per-base state", four, one)
 	}
 }

@@ -16,14 +16,10 @@
 // goroutine is blocked, and a run's wall-clock cost is the CPU it burns,
 // not the delays it simulates.
 //
-// Delay draws come from per-sender seeded streams: each base process owns
-// its own generator, seeded deterministically from (Config.Seed, base
-// name), so the delay a sender's nth message draws depends only on the
-// seed and on that sender's own send order. Once a driver holds the clock,
-// it runs one goroutine at a time — a spawn is an event too — so no two
-// sends interleave in wall time, and one shared stream would be just as
-// deterministic; the per-sender streams stay because every recorded
-// schedule and pinned outcome was drawn from them.
+// Delay draws come from one seeded stream per network, advanced once per
+// send. A driver that holds the clock runs one goroutine at a time — a
+// spawn is an event too — so the order of sends, and with it the delay
+// each send draws, is a function of the seed.
 //
 // Beyond crash-stop, the network exposes a link-level fault plane for
 // adversarial scenarios: a delay-storm multiplier on the uniform draw
@@ -45,8 +41,8 @@
 //
 // The network is built for seed sweeps: process identities are interned at
 // Register into dense indexes, so the per-send state (crash flags, send
-// counters, partition groups, delay streams) lives in slices rather than
-// hash maps, and delivery events are pooled Runners on the virtual clock —
+// counters, partition groups) lives in slices rather than hash maps, and
+// delivery events are pooled Runners on the virtual clock —
 // a steady-state Send/Recv round trip performs no heap allocation and
 // starts no goroutine. What runs where: Send runs on the sender's
 // goroutine; the delivery (link check, record verdict, coverage fold,
@@ -65,7 +61,6 @@ package simnet
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"strings"
 	"sync"
@@ -92,8 +87,8 @@ type Message struct {
 
 // Config tunes the network.
 type Config struct {
-	// Seed drives the per-sender delay generators; runs with equal seeds
-	// and equal per-sender send sequences see equal delays.
+	// Seed drives the network's delay stream; runs with equal seeds and
+	// equal send sequences see equal delays.
 	Seed int64
 	// MaxDelay bounds the per-message delay, drawn uniformly over
 	// [0, MaxDelay). Zero means immediate handoff (still asynchronous:
@@ -143,12 +138,11 @@ type Network struct {
 	inflight     int
 	closed       bool
 
-	// Interned base processes (the ID up to the first '/'): link faults
-	// and delay streams act on bases, so partitioning "replica-0" also
-	// severs and co-seeds its auxiliary "/fd" and "/cons" endpoints.
-	bases   []ProcessID
+	// Interned base processes (the ID up to the first '/'), by dense
+	// index: link faults act on bases, so partitioning "replica-0" also
+	// severs its auxiliary "/fd" and "/cons" endpoints.
 	baseIdx map[ProcessID]int32
-	streams []*rand.Rand // per-sender delay streams, by base index
+	delays  *rand.Rand // the delay stream, one draw per send
 
 	// Link fault plane.
 	delayScale float64 // storm multiplier on drawn delays (1 = calm)
@@ -174,14 +168,15 @@ func New(cfg Config) *Network {
 		byName:       make(map[ProcessID]*Endpoint),
 		baseIdx:      make(map[ProcessID]int32),
 		crashedNames: make(map[ProcessID]bool),
+		delays:       xrand.New(0),
 	}
 	n.apply(cfg)
 	return n
 }
 
-// apply installs a run configuration: clock, seed-derived stream state, and
-// the record/replay hooks. Shared by New and Reset; callers guarantee no
-// concurrent use.
+// apply installs a run configuration: clock, the delay stream's seed, and
+// the record/replay hooks. Shared by New and Reset (which re-seeds the
+// stream in place); callers guarantee no concurrent use.
 func (n *Network) apply(cfg Config) {
 	clk := cfg.Clock
 	if clk == nil {
@@ -199,20 +194,9 @@ func (n *Network) apply(cfg Config) {
 	n.replay = schedule.NewCursor(cfg.Replay)
 	n.metrics = cfg.Metrics
 	n.trace = cfg.Trace
-	for i, base := range n.bases {
-		n.streams[i].Seed(streamSeed(cfg.Seed, base))
-	}
-}
-
-// streamSeed derives a sender's delay-stream seed from the run seed and the
-// sender's base name. Mixing by name (not by registration index) keeps a
-// sender's delay sequence stable under deployments that register additional,
-// unrelated processes.
-func streamSeed(seed int64, base ProcessID) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(base))
-	// The finalizer disperses related (seed, name) pairs.
-	return int64(xrand.Mix64(uint64(seed) ^ h.Sum64()))
+	// Mixed, not the bare seed: the workload, the environment and the
+	// fault plan draw the run seed's own sequence.
+	n.delays.Seed(int64(xrand.Mix64(uint64(cfg.Seed))))
 }
 
 // baseOf strips the auxiliary-endpoint suffix from a process ID:
@@ -226,15 +210,13 @@ func baseOf(id ProcessID) ProcessID {
 	return id
 }
 
-// ensureBaseLocked interns a base process name, creating its delay stream.
+// ensureBaseLocked interns a base process name.
 func (n *Network) ensureBaseLocked(base ProcessID) int32 {
 	if b, ok := n.baseIdx[base]; ok {
 		return b
 	}
-	b := int32(len(n.bases))
+	b := int32(len(n.baseIdx))
 	n.baseIdx[base] = b
-	n.bases = append(n.bases, base)
-	n.streams = append(n.streams, xrand.New(streamSeed(n.cfg.Seed, base)))
 	if n.partition != nil {
 		n.partition = append(n.partition, -1)
 	}
@@ -379,11 +361,10 @@ func (n *Network) Crash(id ProcessID) {
 // empty — messages dropped while crashed stay lost, as they would on a real
 // host whose kernel buffers died with it — and with a fresh cond, so
 // receivers of the dead incarnation still unwinding from Crash's wake can
-// never steal the new incarnation's messages. Per-sender delay streams are
-// untouched: they advance only on delivered draws, so a crash/restart pair
-// perturbs no other link's schedule. Restarting a process that never
-// crashed (or was never registered) is a no-op returning false, the mirror
-// of Crash's idempotence. Callers must ensure the dead incarnation's
+// never steal the new incarnation's messages. The delay stream is
+// untouched: a crash or a restart draws nothing. Restarting a process
+// that never crashed (or was never registered) is a no-op returning false,
+// the mirror of Crash's idempotence. Callers must ensure the dead incarnation's
 // goroutines have observed the crash (drain the clock) before restarting.
 func (n *Network) Restart(id ProcessID) bool {
 	n.mu.Lock()
@@ -425,11 +406,12 @@ func (n *Network) Partition(groups ...[]ProcessID) {
 			n.ensureBaseLocked(baseOf(id))
 		}
 	}
+	nb := len(n.baseIdx)
 	p := n.partition
-	if cap(p) < len(n.bases) {
-		p = make([]int32, len(n.bases))
+	if cap(p) < nb {
+		p = make([]int32, nb)
 	}
-	p = p[:len(n.bases)]
+	p = p[:nb]
 	for i := range p {
 		p[i] = -1
 	}
@@ -481,14 +463,13 @@ func (n *Network) blockedLocked(from, to int32) bool {
 }
 
 // drawDelayLocked draws one message delay uniformly over [0, MaxDelay)
-// from the sender's stream and applies the current delay scale. Callers
-// hold n.mu. A sender's stream advances once per send, so runs with equal
-// seeds and equal per-sender send sequences see equal delays — regardless
-// of how concurrent senders interleave.
-func (n *Network) drawDelayLocked(e *Endpoint) time.Duration {
+// from the network's stream and applies the current delay scale. Callers
+// hold n.mu. The stream advances once per send, so runs with equal seeds
+// and equal send sequences see equal delays.
+func (n *Network) drawDelayLocked() time.Duration {
 	var d time.Duration
 	if n.cfg.MaxDelay > 0 {
-		d = time.Duration(n.streams[e.base].Int63n(int64(n.cfg.MaxDelay)))
+		d = time.Duration(n.delays.Int63n(int64(n.cfg.MaxDelay)))
 	}
 	if n.delayScale > 1 {
 		d = time.Duration(float64(d) * n.delayScale)
@@ -635,9 +616,9 @@ func (d *delivery) Run() {
 // can never be received). Delivery is scheduled on the network clock after
 // a seeded random delay; the delivery's heap position is fixed at send
 // time. Schedule determinism therefore reduces to send-order determinism:
-// delays come from the sender's own stream, and the virtual clock runs one
-// event — one goroutine, one Runner — at a time, so the order of sends is
-// a function of the seed.
+// each send takes the network stream's next delay, and the virtual clock
+// runs one event — one goroutine, one Runner — at a time, so the order of
+// sends is a function of the seed.
 func (e *Endpoint) Send(to ProcessID, typ string, payload any) {
 	n := e.net
 	n.mu.Lock()
@@ -660,7 +641,7 @@ func (e *Endpoint) Send(to ProcessID, typ string, payload any) {
 		class, ctr = obs.ClassOf(typ)
 		n.metrics.Inc(ctr)
 	}
-	delay := n.drawDelayLocked(e)
+	delay := n.drawDelayLocked()
 	// Replay plane: a send matched against the recorded log takes the
 	// log's (possibly edited) decision instead of the seeded draw. The
 	// draw above still happened, so unmatched sends of a diverged run see

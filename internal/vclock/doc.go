@@ -38,8 +38,7 @@
 // those draws and of the order in which timers are created. Because the
 // clock runs one event at a time, the interleaving of protocol steps — and
 // with it the delivery order, the observed event history, and the message
-// counters — reproduces exactly for equal seeds. Periodic activities
-// (failure-detector heartbeats, the server cleaner) stagger their first
-// deadline by a hash of their process ID so that symmetric timers do not
-// tie on equal deadlines.
+// counters — reproduces exactly for equal seeds. Symmetric periodic
+// activities (failure-detector heartbeats, the server cleaner) share
+// deadlines; the sequence number orders them, in the order they were armed.
 package vclock

@@ -2,7 +2,6 @@ package vclock
 
 import (
 	"fmt"
-	"hash/fnv"
 	"reflect"
 	"runtime"
 	"sort"
@@ -44,20 +43,6 @@ func (r LeakReport) String() string {
 // Scheduling from Run (Broadcast, GoAfter, AfterRunner, Send) is fine: the
 // events fire after Run returns.
 type Runner interface{ Run() }
-
-// Stagger derives a deterministic phase offset in [0, span) from a name.
-// Symmetric periodic loops (heartbeat senders, server cleaners) offset
-// their first deadline by it so equal-period peers never share a virtual
-// deadline — the deterministic schedule then never has to tie-break
-// between them.
-func Stagger(name string, span time.Duration) time.Duration {
-	if span <= 0 {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return time.Duration(h.Sum32()) % span
-}
 
 // vevent is one pending entry in the virtual schedule: a waiter to wake
 // (w), a callback to spawn (fn), a pooled Runner to run inline (r), or a

@@ -1,12 +1,12 @@
 // Package xrand is the repository's one seeded random stream.
 //
-// A run builds about nine streams (one per sender base in simnet, one per
-// replica machine, the environment, the workload, the fault plan) and draws
-// a few dozen numbers from each. math/rand's own source pays a 607-word
-// lagged-Fibonacci warm-up on every Seed — microseconds and 4.9 KB to
-// produce those few dozen numbers — so the state here is one uint64
-// (splitmix64: Steele, Lea, Flood, "Fast splittable pseudorandom number
-// generators", OOPSLA 2014) and seeding it is one store.
+// A run builds about seven streams (one per network for simnet's delays,
+// one per replica machine, the environment, the workload, the fault plan)
+// and draws a few dozen to a few hundred numbers from each. math/rand's own
+// source pays a 607-word lagged-Fibonacci warm-up on every Seed —
+// microseconds and 4.9 KB to produce those few numbers — so the state here
+// is one uint64 (splitmix64: Steele, Lea, Flood, "Fast splittable
+// pseudorandom number generators", OOPSLA 2014) and seeding it is one store.
 //
 // New returns a math/rand (v1) *rand.Rand over that source, not a method
 // set of our own: call sites keep Intn, Float64, ExpFloat64, Perm,
@@ -22,7 +22,7 @@ const gamma = 0x9e3779b97f4a7c15
 
 // Mix64 is the splitmix64 finalizer: a bijection on uint64 that disperses
 // related inputs. Besides finishing each draw it serves as the repository's
-// integer hash step (simnet's per-sender seed derivation, obs's coverage
+// integer hash step (simnet's delay-stream seed, obs's coverage
 // fingerprint).
 func Mix64(x uint64) uint64 {
 	x ^= x >> 30
@@ -47,7 +47,8 @@ func (s *source) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // New returns a stream seeded with seed. Equal seeds yield equal streams,
 // and Seed(s) on a used stream rewinds it to New(s) — what simnet.Reset
-// relies on when it recycles per-sender streams across a sweep's seeds.
+// relies on when it re-seeds a network's delay stream for a sweep's next
+// seed.
 func New(seed int64) *rand.Rand {
 	s := source(seed)
 	return rand.New(&s)
