@@ -38,6 +38,13 @@ import (
 // Processes that never propose still participate: they answer with a ⊥
 // estimate that the coordinator ignores when choosing a value, so a single
 // proposer suffices for a decision.
+//
+// A Node has no goroutine of its own. Its receive side is an endpoint
+// handler that queues each message for a drain (ctDrain), and each
+// instance's round loop is a step machine (ctRound); both run on the
+// clock's pump, waiting as Runners on the instance's condition and
+// persisting through WAL continuations, so a message costs no goroutine
+// wake-up. Propose blocks its caller, as the Object interface requires.
 type Node struct {
 	self  simnet.ProcessID
 	peers []simnet.ProcessID
@@ -52,6 +59,8 @@ type Node struct {
 	instances map[Key]*ctInstance
 	stopped   bool
 	stop      chan struct{}
+
+	drain ctDrain // the receive side, on the pump (see onMessage)
 }
 
 // ConsEndpoint returns the conventional process ID of p's consensus
@@ -76,11 +85,13 @@ func NewNode(self simnet.ProcessID, ep *simnet.Endpoint, peers []simnet.ProcessI
 	for i, p := range peers {
 		n.dests[i] = ConsEndpoint(p)
 	}
+	n.drain.n = n
 	return n
 }
 
-// Start launches the receive loop on the network clock.
-func (n *Node) Start() { n.clk.Go(n.recvLoop) }
+// Start installs the node's receive handler on its endpoint (see
+// onMessage); from then on the node reacts to every delivery.
+func (n *Node) Start() { n.ep.Handle(n.onMessage) }
 
 // WAL record kinds (see DESIGN.md §9): an acceptor's promise is exactly
 // the (estimate, ts) pairs it acked and the decisions it learned.
@@ -158,7 +169,7 @@ func ctCompact(prefix []wal.Record) []wal.Record {
 // is repopulated with each instance's last adopted (estimate, ts) and any
 // learned decision. Call after SetLog and before Start. A recovered node
 // participates passively — it answers estimates and relays decisions —
-// until a Propose or an incoming message restarts its round loops.
+// until a Propose or an incoming message arms its round machines.
 func (n *Node) Recover() {
 	if n.log == nil {
 		return
@@ -187,28 +198,34 @@ func (n *Node) Recover() {
 }
 
 // persistEstimate forces an adopted (estimate, ts) pair to the log before
-// the caller acks it. Callers must not hold inst.mu: the sync wait is a
-// scheduled event, and goroutines blocked on a held mutex count as
-// runnable to the clock.
-func (n *Node) persistEstimate(key Key, v any, ts int) {
+// the caller acks it, then runs then: inline without a log or at zero
+// tariff, otherwise on the pump once the sync completes (wal.AppendThen,
+// with k the caller's continuation). Callers run on the pump and must not
+// hold inst.mu: then may take it.
+func (n *Node) persistEstimate(key Key, v any, ts int, k *wal.Sync, then vclock.Runner) {
 	if n.log == nil {
+		then.Run()
 		return
 	}
-	n.log.Append(wal.Record{Kind: recEstimate, Key: key.ID, Space: uint8(key.Space), Round: key.Round, Aux: int32(ts), Val: v})
+	n.log.AppendThen(wal.Record{Kind: recEstimate, Key: key.ID, Space: uint8(key.Space), Round: key.Round, Aux: int32(ts), Val: v}, k, then)
 }
 
 // persistDecision forces a learned decision to the log before it is
-// relayed or acted on. Same locking rule as persistEstimate.
-func (n *Node) persistDecision(key Key, v any) {
+// relayed or acted on, then runs then. Same rules as persistEstimate.
+func (n *Node) persistDecision(key Key, v any, k *wal.Sync, then vclock.Runner) {
 	if n.log == nil {
+		then.Run()
 		return
 	}
-	n.log.Append(wal.Record{Kind: recDecision, Key: key.ID, Space: uint8(key.Space), Round: key.Round, Val: v})
+	n.log.AppendThen(wal.Record{Kind: recDecision, Key: key.ID, Space: uint8(key.Space), Round: key.Round, Val: v}, k, then)
 }
 
-// Stop terminates the node's goroutines. In-flight Propose calls unblock
-// with the zero value.
+// Stop halts the node: every round machine ends at its next step, and
+// in-flight Propose calls unblock with the zero value. The receive handler
+// keeps answering until the endpoint closes.
 func (n *Node) Stop() {
+	n.clk.Enter()
+	defer n.clk.Exit()
 	n.mu.Lock()
 	if n.stopped {
 		n.mu.Unlock()
@@ -222,15 +239,26 @@ func (n *Node) Stop() {
 	}
 	n.mu.Unlock()
 	// Waits on instance conditions are event-driven; wake them so blocked
-	// Propose calls and round loops observe the stop promptly. Wake in key
-	// order: broadcast order decides which goroutines become runnable
-	// first at teardown, and map order would leak Go's per-run iteration
-	// randomization into the schedule.
+	// Propose calls and round machines observe the stop promptly. Wake in
+	// key order: broadcast order decides which waiters run first at
+	// teardown, and map order would leak Go's per-run iteration
+	// randomization into the schedule. The clock is held throughout, so
+	// no broadcast pumps a waiter that needs the lock held here.
 	sort.Slice(insts, func(i, j int) bool { return insts[i].key.less(insts[j].key) })
 	for _, inst := range insts {
 		inst.mu.Lock()
 		inst.cond.Broadcast()
 		inst.mu.Unlock()
+	}
+}
+
+// stopping reports whether Stop has been called.
+func (n *Node) stopping() bool {
+	select {
+	case <-n.stop:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -251,7 +279,7 @@ type ctMsg struct {
 	Value    any
 	TS       int
 	HasValue bool
-	From     simnet.ProcessID
+	From     int // the sender's peer index, set on receipt
 }
 
 type ctInstance struct {
@@ -267,9 +295,14 @@ type ctInstance struct {
 	decided  bool //xvet:durable
 	decision any  //xvet:durable
 	running  bool
-	// inbox buffers messages per (round, kind); the round loop consumes
+	// inbox buffers messages per (round, kind); the round machine consumes
 	// them as its phases come due.
 	inbox []ctMsg
+	// decideBox is the decision as a boxed decide message, built once (see
+	// decideMsg) for the announcement, the relay and every late answer.
+	decideBox any
+	obj       ctObject // the instance's Object handle
+	round     ctRound  // the round loop, armed by ensureRunning
 }
 
 func (n *Node) instance(key Key) *ctInstance {
@@ -279,16 +312,27 @@ func (n *Node) instance(key Key) *ctInstance {
 	if !ok {
 		inst = &ctInstance{key: key, ts: -1}
 		inst.cond = n.clk.NewCond(&inst.mu)
+		inst.obj = ctObject{n: n, inst: inst}
+		inst.round = ctRound{n: n, inst: inst, round: 1}
 		n.instances[key] = inst
 	}
 	return inst
 }
 
+// decideMsg returns the instance's decision as a decide message, boxed
+// on first use; callers hold inst.mu and have seen inst.decided.
+func (inst *ctInstance) decideMsg() any {
+	if inst.decideBox == nil {
+		inst.decideBox = ctMsg{Key: inst.key, Kind: ctDecide, Value: inst.decision}
+	}
+	return inst.decideBox
+}
+
 // Object returns a handle implementing the Object interface for one
-// instance key on this node. The handle holds the instance itself, created
+// instance key on this node. The handle is part of the instance, created
 // here if this node has not heard of it yet, so its reads and proposals
 // skip the node's instance map.
-func (n *Node) Object(key Key) Object { return &ctObject{n: n, inst: n.instance(key)} }
+func (n *Node) Object(key Key) Object { return &n.instance(key).obj }
 
 type ctObject struct {
 	n    *Node
@@ -322,11 +366,9 @@ func (n *Node) propose(inst *ctInstance, v any) any {
 	}
 	n.ensureRunning(inst)
 	for !inst.decided {
-		select {
-		case <-n.stop:
+		if n.stopping() {
 			inst.mu.Unlock()
 			return nil
-		default:
 		}
 		inst.cond.Wait()
 	}
@@ -344,64 +386,123 @@ func (inst *ctInstance) read() (any, bool) {
 	return inst.decision, inst.decided
 }
 
-// ensureRunning launches the round loop once; callers hold inst.mu.
+// ensureRunning arms the round machine once, at the current instant;
+// callers hold inst.mu.
 func (n *Node) ensureRunning(inst *ctInstance) {
 	if inst.running {
 		return
 	}
 	inst.running = true
-	n.clk.Go(func() { n.roundLoop(inst) })
+	n.clk.AfterRunner(0, &inst.round)
 }
 
-func (n *Node) recvLoop() {
-	for {
-		msg, ok := n.ep.Recv()
-		if !ok {
-			return
+// onMessage is the endpoint handler. It queues a consensus message from a
+// peer and, unless a drain is pending — armed, or suspended in a
+// decision's persist — arms one at the current instant. Every delivery
+// arms it, whatever it carries: the drain's event is the delivery's
+// hand-off, one per wake of the node's receive side.
+func (n *Node) onMessage(msg simnet.Message) {
+	d := &n.drain
+	if cm, ok := msg.Payload.(ctMsg); ok {
+		if cm.From = n.peerIndex(msg.From); cm.From >= 0 {
+			d.q = append(d.q, cm)
 		}
-		cm, ok := msg.Payload.(ctMsg)
-		if !ok {
-			continue
-		}
-		cm.From = msg.From
-		inst := n.instance(cm.Key)
-		inst.mu.Lock()
-		if cm.Kind == ctDecide {
-			first := !inst.decided
-			if first {
-				inst.decided, inst.decision = true, cm.Value
-				inst.cond.Broadcast()
-			}
-			inst.mu.Unlock()
-			if first {
-				n.m.Inc(obs.ConsDecisions)
-				// Persist before relaying (a decision, once forwarded, must
-				// survive this node's crash), then reliable-broadcast: relay
-				// the decision once.
-				n.persistDecision(cm.Key, cm.Value)
-				for i, p := range n.peers {
-					if p != n.self {
-						n.ep.Send(n.dests[i], "cons", ctMsg{Key: cm.Key, Kind: ctDecide, Value: cm.Value})
-					}
-				}
-			}
-			continue
-		}
-		if inst.decided {
-			// Any late message (an estimate resent across a healed
-			// partition, a straggling ack) is answered with the decision,
-			// so a node that missed the decide relay recovers as soon as a
-			// link to any decided node comes back.
-			d := inst.decision
-			inst.mu.Unlock()
-			n.ep.Send(msg.From, "cons", ctMsg{Key: cm.Key, Kind: ctDecide, Value: d})
-			continue
-		}
-		inst.inbox = append(inst.inbox, cm)
-		n.ensureRunning(inst) // participate passively when contacted
-		inst.cond.Broadcast()
-		inst.mu.Unlock()
 	}
+	if !d.pending {
+		d.pending = true
+		n.clk.AfterRunner(0, d)
+	}
+}
+
+// peerIndex returns the index of the peer whose consensus endpoint is ep,
+// or -1.
+func (n *Node) peerIndex(ep simnet.ProcessID) int {
+	for i, d := range n.dests {
+		if d == ep {
+			return i
+		}
+	}
+	return -1
+}
+
+// ctDrain processes the node's received messages in arrival order, on the
+// pump. Across a decision's persist it suspends — later deliveries only
+// queue — and resumes in the WAL continuation, relaying the decision
+// first.
+type ctDrain struct {
+	n       *Node
+	q       []ctMsg
+	next    int         // q[next:] is still to process
+	pending bool        // armed, running, or suspended in a persist
+	relay   *ctInstance // the instance whose decision is being persisted
+	sync    wal.Sync
+}
+
+// Run implements vclock.Runner.
+func (d *ctDrain) Run() {
+	n := d.n
+	if inst := d.relay; inst != nil {
+		// Persisted; now reliable-broadcast: relay the decision once.
+		d.relay = nil
+		inst.mu.Lock()
+		box := inst.decideMsg()
+		inst.mu.Unlock()
+		n.sendOthers(box)
+	}
+	for d.next < len(d.q) {
+		if n.ep.Closed() {
+			// The process crashed or the network shut down: the queue is
+			// lost with the mailbox.
+			break
+		}
+		cm := d.q[d.next]
+		d.q[d.next] = ctMsg{}
+		d.next++
+		if n.receive(cm) {
+			return // suspended; the continuation runs Run again
+		}
+	}
+	clear(d.q[d.next:])
+	d.q, d.next, d.pending = d.q[:0], 0, false
+}
+
+// receive handles one message from a peer. It reports true when it
+// suspended the drain in a decision's persist.
+func (n *Node) receive(cm ctMsg) bool {
+	inst := n.instance(cm.Key)
+	inst.mu.Lock()
+	if cm.Kind == ctDecide {
+		first := !inst.decided
+		if first {
+			inst.decided, inst.decision = true, cm.Value
+			inst.cond.Broadcast()
+		}
+		inst.mu.Unlock()
+		if !first {
+			return false
+		}
+		n.m.Inc(obs.ConsDecisions)
+		// Persist before relaying: a decision, once forwarded, must
+		// survive this node's crash.
+		n.drain.relay = inst
+		n.persistDecision(inst.key, cm.Value, &n.drain.sync, &n.drain)
+		return true
+	}
+	if inst.decided {
+		// Any late message (an estimate resent across a healed partition,
+		// a straggling ack) is answered with the decision, so a node that
+		// missed the decide relay recovers as soon as a link to any
+		// decided node comes back.
+		box := inst.decideMsg()
+		inst.mu.Unlock()
+		n.ep.Send(n.dests[cm.From], "cons", box)
+		return false
+	}
+	inst.inbox = append(inst.inbox, cm)
+	n.ensureRunning(inst) // participate passively when contacted
+	inst.cond.Broadcast()
+	inst.mu.Unlock()
+	return false
 }
 
 // catchUp reports whether the inbox holds a message of a later round —
@@ -420,22 +521,6 @@ func (inst *ctInstance) catchUp(round int) bool {
 		}
 	}
 	return false
-}
-
-// take removes and returns buffered messages matching round and kind;
-// callers hold inst.mu.
-func (inst *ctInstance) take(round int, kind ctKind) []ctMsg {
-	var got []ctMsg
-	rest := inst.inbox[:0]
-	for _, m := range inst.inbox {
-		if m.Round == round && m.Kind == kind {
-			got = append(got, m)
-		} else {
-			rest = append(rest, m)
-		}
-	}
-	inst.inbox = rest
-	return got
 }
 
 // ctPoll bounds how stale a coordinator-suspicion check may get while a
@@ -465,259 +550,334 @@ const ctResendAfter = 4 * time.Millisecond
 // evidence trusted.
 const ctCatchUpAfter = 2 * ctResendAfter
 
-func (n *Node) roundLoop(inst *ctInstance) {
-	majority := len(n.peers)/2 + 1
-	for round := 1; ; round++ {
-		select {
-		case <-n.stop:
-			return
-		default:
-		}
-		ci := round % len(n.peers)
-		coord := n.peers[ci]
-		n.m.Inc(obs.ConsRounds)
+// ctStep is where a round machine stands.
+type ctStep uint8
 
-		// Phase 1: send the estimate to every peer, not only the
-		// coordinator. The coordinator is the only consumer, but the
-		// broadcast doubles as instance discovery: a node that has never
-		// heard of this instance starts participating when the first
-		// estimate reaches it — otherwise a proposer that coordinates the
-		// round alone could never assemble a majority.
-		inst.mu.Lock()
-		if inst.decided {
-			inst.mu.Unlock()
+const (
+	stStart    ctStep = iota // top of a round: send the estimate
+	stGather                 // coordinator: waiting for a majority of estimates
+	stAwait                  // waiting for the proposal or a suspicion
+	stAck                    // the adopted estimate is durable: ack it
+	stReplies                // coordinator: waiting for a majority of replies
+	stAnnounce               // the decision is durable: send it
+	stDone
+)
+
+// ctRound is an instance's round loop as a step machine on the clock's
+// pump. Each phase wait is a Runner cond wait on the instance
+// (vclock.Cond.WaitRunner), with a ctPoll or ctResendAfter timeout, and
+// each persist a WAL continuation that runs the machine again, so a wait
+// or a persist costs one event and no goroutine (DESIGN §6 item 2).
+type ctRound struct {
+	n     *Node
+	inst  *ctInstance
+	step  ctStep
+	round int
+	ci    int // the round's coordinator, as a peer index
+	// The current phase wait's start, for the catch-up gate, and its last
+	// retransmission.
+	start, last time.Duration
+
+	// Phase scratch, reused round after round.
+	buf         []ctMsg // what one check pulled from the inbox
+	got         []ctMsg // phase 2: one estimate per sender
+	seen        []int   // per peer: phase 2, its index in got; phase 4, ≥ 0 once it replied; else -1
+	acks, nacks int
+	value       any // phase 3: the adopted proposal; phase 4: the proposed value
+	sync        wal.Sync
+}
+
+// Run implements vclock.Runner: the arm, a wake from a phase wait, or a
+// persist's continuation.
+func (m *ctRound) Run() {
+	if m.waiting() {
+		m.resendIfStalled() // woken: retransmission first, then the checks
+	}
+	for {
+		var more bool
+		switch m.step {
+		case stStart:
+			more = m.startRound()
+		case stGather, stAwait, stReplies:
+			more = m.check()
+		case stAck:
+			m.n.sendCons(m.inst, m.ci, ctMsg{Key: m.inst.key, Round: m.round, Kind: ctAck})
+			m.replied()
+			more = true
+		case stAnnounce:
+			m.inst.mu.Lock()
+			box := m.inst.decideMsg()
+			m.inst.mu.Unlock()
+			m.n.sendOthers(box)
+			m.step = stDone
+		}
+		if !more {
 			return
 		}
-		est := ctMsg{Key: inst.key, Round: round, Kind: ctEstimate, Value: inst.estimate, TS: inst.ts, HasValue: inst.hasEst}
+	}
+}
+
+func (m *ctRound) waiting() bool {
+	return m.step == stGather || m.step == stAwait || m.step == stReplies
+}
+
+func (m *ctRound) coordinates() bool { return m.n.peers[m.ci] == m.n.self }
+
+func (m *ctRound) majority() int { return len(m.n.peers)/2 + 1 }
+
+// startRound runs phase 1: send the estimate to every peer, not only the
+// coordinator. The coordinator is the only consumer, but the broadcast
+// doubles as instance discovery: a node that has never heard of this
+// instance starts participating when the first estimate reaches it —
+// otherwise a proposer that coordinates the round alone could never
+// assemble a majority.
+func (m *ctRound) startRound() bool {
+	n, inst := m.n, m.inst
+	if n.stopping() {
+		m.step = stDone
+		return false
+	}
+	m.ci = m.round % len(n.peers)
+	n.m.Inc(obs.ConsRounds)
+	inst.mu.Lock()
+	if inst.decided {
 		inst.mu.Unlock()
-		for i := range n.peers {
-			n.sendCons(i, est)
-		}
+		m.step = stDone
+		return false
+	}
+	est := ctMsg{Key: inst.key, Round: m.round, Kind: ctEstimate, Value: inst.estimate, TS: inst.ts, HasValue: inst.hasEst}
+	inst.mu.Unlock()
+	n.sendAll(inst, est)
+	if m.seen == nil {
+		m.seen = make([]int, len(n.peers))
+	}
+	if m.coordinates() {
+		m.got = m.got[:0]
+		m.wait(stGather)
+	} else {
+		m.wait(stAwait)
+	}
+	return true
+}
 
-		// Phase 2 (coordinator): gather a majority of estimates including
-		// at least one real value, then broadcast a proposal. Estimates are
-		// deduplicated by sender — retransmission across a lossy link plane
-		// may deliver the same peer's estimate more than once, and a quorum
-		// must count distinct processes.
-		if coord == n.self {
-			var got []ctMsg
-			seen := make(map[simnet.ProcessID]int)
-			ok, stale := n.waitCond(inst, round, func() bool {
-				for _, m := range inst.take(round, ctEstimate) {
-					if j, dup := seen[m.From]; dup {
-						// A retransmitted estimate can carry newer state
-						// than the first: a proposer crash can orphan an
-						// instance every survivor discovered passively
-						// (all-⊥ estimates), and the survivors' cleaners
-						// then Propose real values mid-round. Upgrading a
-						// sender's entry is what lets that late real
-						// estimate un-wedge the gather; keeping the stale ⊥
-						// would block this phase forever.
-						if (m.HasValue && !got[j].HasValue) || (m.HasValue == got[j].HasValue && m.TS > got[j].TS) {
-							got[j] = m
-						}
-						continue
-					}
-					seen[m.From] = len(got)
-					got = append(got, m)
-				}
-				real := 0
-				for _, m := range got {
-					if m.HasValue {
-						real++
-					}
-				}
-				return len(got) >= majority && real > 0
-			}, nil, func() {
-				// Stalled gathering: re-announce the round so peers cut off
-				// when the original estimates went out rediscover the
-				// instance once links heal. Rebuilt from the live instance
-				// state, not phase 1's snapshot: a Propose that landed
-				// after the round started must reach peers (and this
-				// node's own gather, via the self-send) as a real value.
-				for i := range n.peers {
-					n.sendCons(i, n.currentEstimate(inst, round))
-				}
-			})
-			if !ok {
-				return
-			}
-			if stale {
-				continue // the instance moved past this round; catch up
-			}
-			best := got[0]
-			for _, m := range got {
-				if m.HasValue && (!best.HasValue || m.TS > best.TS) {
-					best = m
-				}
-			}
-			prop := ctMsg{Key: inst.key, Round: round, Kind: ctProposal, Value: best.Value}
-			for i := range n.peers {
-				n.sendCons(i, prop)
-			}
-		}
+// wait enters a phase wait: check runs its first pass at once.
+func (m *ctRound) wait(step ctStep) {
+	m.step = step
+	m.start = m.n.clk.Now()
+	m.last = m.start
+	for i := range m.seen {
+		m.seen[i] = -1
+	}
+}
 
-		// Phase 3: adopt the coordinator's proposal or give up on it. A
-		// participant whose wait stalls re-sends its estimate to the
-		// coordinator: if the estimate was black-holed, the retransmission
-		// is what un-wedges the coordinator's phase 2 after a heal.
-		var proposal *ctMsg
-		suspected := false
-		ok, stale := n.waitCond(inst, round, func() bool {
-			if ms := inst.take(round, ctProposal); len(ms) > 0 {
-				proposal = &ms[0]
-				return true
-			}
-			return false
-		}, func() bool {
-			suspected = n.det.Suspect(coord)
-			return suspected
-		}, func() {
-			// Rebuild rather than resend phase 1's snapshot: see the
-			// coordinator's resend above for why the live estimate matters.
-			n.sendCons(ci, n.currentEstimate(inst, round))
-		})
-		if !ok {
-			return
-		}
-		if stale {
+// check is one pass of a phase wait. The phase ends when its condition
+// holds; the wait ends the machine when the node stops or the instance
+// decided meanwhile; later-round inbox evidence ends the phase as stale
+// (see catchUp) once it has stalled past ctCatchUpAfter — before that, an
+// early next-round message is expected reordering (the network is not
+// FIFO), not proof that this phase can no longer complete. Otherwise the
+// machine waits on the instance's condition, which every arriving message
+// broadcasts and Stop broadcasts at shutdown. The wait is always timed:
+// even with nothing to resend, a pending-but-gated catch-up needs the gate
+// re-checked. check reports whether the machine moved on.
+func (m *ctRound) check() bool {
+	n, inst := m.n, m.inst
+	inst.mu.Lock()
+	if n.stopping() || inst.decided {
+		inst.mu.Unlock()
+		m.step = stDone
+		return false
+	}
+	if m.ready() {
+		inst.mu.Unlock()
+		return m.phaseDone()
+	}
+	if n.clk.Now()-m.start >= ctCatchUpAfter && inst.catchUp(m.round) {
+		n.m.Inc(obs.ConsCatchUps)
+		inst.mu.Unlock()
+		if m.step == stAwait {
 			// Give up on this round's proposal like a nack would (the nack
 			// still goes out: the coordinator's reply quorum may need it).
-			n.sendCons(ci, ctMsg{Key: inst.key, Round: round, Kind: ctNack})
-			continue
+			n.sendCons(inst, m.ci, ctMsg{Key: inst.key, Round: m.round, Kind: ctNack})
 		}
-		if proposal != nil {
-			inst.mu.Lock()
-			inst.estimate, inst.hasEst, inst.ts = proposal.Value, true, round
-			inst.mu.Unlock()
-			// Persist the adoption before acking: the ack is a promise that
-			// this (estimate, ts) constrains every later round's choice, and
-			// quorum intersection only holds across a restart if the promise
-			// survives it.
-			n.persistEstimate(inst.key, proposal.Value, round)
-			n.sendCons(ci, ctMsg{Key: inst.key, Round: round, Kind: ctAck})
-		} else {
-			n.sendCons(ci, ctMsg{Key: inst.key, Round: round, Kind: ctNack})
-		}
-
-		// Phase 4 (coordinator): wait for a majority of replies; decide when
-		// all of them are acks ([CT96]). Waiting for more than a majority
-		// could block forever on crashed participants. Replies are
-		// deduplicated by sender for the same reason estimates are; a stall
-		// re-broadcasts the proposal in case it was black-holed.
-		if coord == n.self {
-			acks, nacks := 0, 0
-			replied := make(map[simnet.ProcessID]bool)
-			var value any
-			inst.mu.Lock()
-			value = inst.estimate
-			prop := ctMsg{Key: inst.key, Round: round, Kind: ctProposal, Value: value}
-			inst.mu.Unlock()
-			ok, stale := n.waitCond(inst, round, func() bool {
-				for _, m := range inst.take(round, ctAck) {
-					if !replied[m.From] {
-						replied[m.From] = true
-						acks++
-					}
-				}
-				for _, m := range inst.take(round, ctNack) {
-					if !replied[m.From] {
-						replied[m.From] = true
-						nacks++
-					}
-				}
-				return acks+nacks >= majority
-			}, nil, func() {
-				for i := range n.peers {
-					n.sendCons(i, prop)
-				}
-			})
-			if !ok {
-				return
-			}
-			if stale {
-				continue // reply quorum unreachable; the instance moved on
-			}
-			if nacks == 0 && acks >= majority {
-				n.decide(inst, value)
-				return
-			}
-		}
-
-		inst.mu.Lock()
-		done := inst.decided
+		m.round++ // the instance moved past this round; catch up
+		m.step = stStart
+		return true
+	}
+	if m.step != stAwait {
+		inst.cond.WaitRunner(ctResendAfter, m)
 		inst.mu.Unlock()
-		if done {
-			return
-		}
+		return false
 	}
-}
-
-// waitCond blocks until ready() (checked under inst.mu) or abort() (checked
-// outside the lock, re-armed every ctPoll of clock time, may be nil)
-// returns true, or until the inbox shows a later-round message, returning
-// with stale set: the phase cannot complete any more (see catchUp) and the
-// round loop must advance. It returns ok=false when the node is stopping
-// or the instance decided while waiting with abort semantics still
-// pending. Waiting is event-driven: the receive loop broadcasts the
-// instance condition whenever messages arrive, and Stop broadcasts it on
-// shutdown. resend (may be nil) runs outside the lock after every
-// ctResendAfter of clock time without progress, retransmitting the
-// phase's driving message across a link plane that may have black-holed
-// it.
-func (n *Node) waitCond(inst *ctInstance, round int, ready func() bool, abort func() bool, resend func()) (ok, stale bool) {
+	inst.mu.Unlock()
+	if n.det.Suspect(n.peers[m.ci]) {
+		n.sendCons(inst, m.ci, ctMsg{Key: inst.key, Round: m.round, Kind: ctNack})
+		m.replied()
+		return true
+	}
 	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	start := n.clk.Now()
-	last := start
-	for {
-		select {
-		case <-n.stop:
-			return false, false
-		default:
+	inst.cond.WaitRunner(ctPoll, m)
+	inst.mu.Unlock()
+	return false
+}
+
+// ready consumes the phase's messages from the inbox and reports whether
+// the phase's condition holds; callers hold inst.mu.
+func (m *ctRound) ready() bool {
+	switch m.step {
+	case stGather:
+		// Phase 2 (coordinator): a majority of estimates including at
+		// least one real value. Estimates are deduplicated by sender —
+		// retransmission across a lossy link plane may deliver the same
+		// peer's estimate more than once, and a quorum must count distinct
+		// processes.
+		for _, x := range m.pull(ctEstimate) {
+			if j := m.seen[x.From]; j >= 0 {
+				// A retransmitted estimate can carry newer state than the
+				// first: a proposer crash can orphan an instance every
+				// survivor discovered passively (all-⊥ estimates), and the
+				// survivors' cleaners then Propose real values mid-round.
+				// Upgrading a sender's entry is what lets that late real
+				// estimate un-wedge the gather; keeping the stale ⊥ would
+				// block this phase forever.
+				if (x.HasValue && !m.got[j].HasValue) || (x.HasValue == m.got[j].HasValue && x.TS > m.got[j].TS) {
+					m.got[j] = x
+				}
+				continue
+			}
+			m.seen[x.From] = len(m.got)
+			m.got = append(m.got, x)
 		}
-		if inst.decided {
-			return false, false
-		}
-		if ready() {
-			return true, false
-		}
-		// Later-round evidence is honored only once the phase has stalled
-		// past ctCatchUpAfter: before that, an early next-round message is
-		// expected reordering (the network is not FIFO), not proof that
-		// this phase can no longer complete.
-		if n.clk.Now()-start >= ctCatchUpAfter && inst.catchUp(round) {
-			n.m.Inc(obs.ConsCatchUps)
-			return true, true
-		}
-		if abort != nil {
-			inst.mu.Unlock()
-			aborted := abort()
-			inst.mu.Lock()
-			if aborted {
-				return true, false
+		real := 0
+		for _, x := range m.got {
+			if x.HasValue {
+				real++
 			}
 		}
-		// Always a timed wait: even with nothing to resend, a
-		// pending-but-gated catch-up needs the gate re-checked.
-		if abort != nil {
-			inst.cond.WaitTimeout(ctPoll)
-		} else {
-			inst.cond.WaitTimeout(ctResendAfter)
+		return len(m.got) >= m.majority() && real > 0
+	case stAwait:
+		// Phase 3: the coordinator's proposal.
+		if ps := m.pull(ctProposal); len(ps) > 0 {
+			m.value = ps[0].Value
+			return true
 		}
-		if resend != nil {
-			if now := n.clk.Now(); now-last >= ctResendAfter {
-				last = now
-				n.m.Inc(obs.ConsRetransmits)
-				inst.mu.Unlock()
-				resend()
-				inst.mu.Lock()
+		return false
+	default:
+		// Phase 4 (coordinator): a majority of replies, deduplicated by
+		// sender for the same reason estimates are.
+		for _, x := range m.pull(ctAck) {
+			if m.seen[x.From] < 0 {
+				m.seen[x.From] = 0
+				m.acks++
 			}
 		}
+		for _, x := range m.pull(ctNack) {
+			if m.seen[x.From] < 0 {
+				m.seen[x.From] = 0
+				m.nacks++
+			}
+		}
+		return m.acks+m.nacks >= m.majority()
 	}
 }
 
-func (n *Node) decide(inst *ctInstance, v any) {
+// pull moves the inbox's messages of this round and the given kind into
+// the machine's scratch, in arrival order; callers hold inst.mu.
+func (m *ctRound) pull(kind ctKind) []ctMsg {
+	inst := m.inst
+	m.buf = m.buf[:0]
+	rest := inst.inbox[:0]
+	for _, x := range inst.inbox {
+		if x.Round == m.round && x.Kind == kind {
+			m.buf = append(m.buf, x)
+		} else {
+			rest = append(rest, x)
+		}
+	}
+	clear(inst.inbox[len(rest):])
+	inst.inbox = rest
+	return m.buf
+}
+
+// phaseDone moves on from a phase whose condition holds, and reports
+// whether the machine runs on (false: suspended in a persist).
+func (m *ctRound) phaseDone() bool {
+	n, inst := m.n, m.inst
+	switch m.step {
+	case stGather:
+		// Adopt a non-⊥ estimate with maximal ts and propose it.
+		best := m.got[0]
+		for _, x := range m.got {
+			if x.HasValue && (!best.HasValue || x.TS > best.TS) {
+				best = x
+			}
+		}
+		n.sendAll(inst, ctMsg{Key: inst.key, Round: m.round, Kind: ctProposal, Value: best.Value})
+		m.wait(stAwait)
+		return true
+	case stAwait:
+		return m.adopt()
+	default:
+		// Decide when every reply of the majority is an ack ([CT96]).
+		// Waiting for more than a majority could block forever on crashed
+		// participants.
+		if m.nacks == 0 && m.acks >= m.majority() {
+			return m.decide()
+		}
+		m.nextRound()
+		return true
+	}
+}
+
+// adopt takes the coordinator's proposal as the estimate (ts := round) and
+// persists the adoption before the ack goes out (stAck): the ack is a
+// promise that this (estimate, ts) constrains every later round's choice,
+// and quorum intersection only holds across a restart if the promise
+// survives it.
+func (m *ctRound) adopt() bool {
+	inst := m.inst
+	inst.mu.Lock()
+	inst.estimate, inst.hasEst, inst.ts = m.value, true, m.round
+	inst.mu.Unlock()
+	m.step = stAck
+	m.n.persistEstimate(inst.key, m.value, m.round, &m.sync, m)
+	return false
+}
+
+// replied ends phase 3 once the ack or nack is out: the coordinator goes
+// on to gather the replies, re-broadcasting its proposal when the wait
+// stalls in case it was black-holed; a participant goes on to the next
+// round.
+func (m *ctRound) replied() {
+	if !m.coordinates() {
+		m.nextRound()
+		return
+	}
+	m.acks, m.nacks = 0, 0
+	m.inst.mu.Lock()
+	m.value = m.inst.estimate
+	m.inst.mu.Unlock()
+	m.wait(stReplies)
+}
+
+// nextRound starts the next round unless the instance decided meanwhile.
+func (m *ctRound) nextRound() {
+	m.inst.mu.Lock()
+	done := m.inst.decided
+	m.inst.mu.Unlock()
+	if done {
+		m.step = stDone
+		return
+	}
+	m.round++
+	m.step = stStart
+}
+
+// decide records the coordinator's decision and persists it before
+// announcing it (stAnnounce): a coordinator that told anyone and then
+// forgot could coordinate a later round to a different value.
+func (m *ctRound) decide() bool {
+	n, inst, v := m.n, m.inst, m.value
 	inst.mu.Lock()
 	first := !inst.decided
 	if first {
@@ -725,42 +885,92 @@ func (n *Node) decide(inst *ctInstance, v any) {
 		inst.cond.Broadcast()
 	}
 	inst.mu.Unlock()
-	if first {
-		n.m.Inc(obs.ConsDecisions)
-		// Persist before announcing: a coordinator that told anyone and
-		// then forgot could coordinate a later round to a different value.
-		n.persistDecision(inst.key, v)
+	m.step = stAnnounce
+	if !first {
+		return true
 	}
-	for i, p := range n.peers {
-		if p != n.self {
-			n.sendCons(i, ctMsg{Key: inst.key, Kind: ctDecide, Value: v})
-		}
+	n.m.Inc(obs.ConsDecisions)
+	n.persistDecision(inst.key, v, &m.sync, m)
+	return false
+}
+
+// resendIfStalled retransmits the phase's driving message after every
+// ctResendAfter of clock time without progress, across a link plane that
+// may have black-holed it. The estimate is rebuilt from the instance's
+// live state, not the one the round started with: a Propose that landed
+// after the round started must reach peers (and a coordinator's own
+// gather, via the self-send) as a real value. A participant re-sends its
+// estimate to the coordinator, which is what un-wedges the coordinator's
+// phase 2 after a heal; the coordinator re-announces the round so peers
+// cut off when the original estimates went out rediscover the instance,
+// or re-broadcasts its proposal.
+func (m *ctRound) resendIfStalled() {
+	n, inst := m.n, m.inst
+	now := n.clk.Now()
+	if now-m.last < ctResendAfter {
+		return
+	}
+	m.last = now
+	n.m.Inc(obs.ConsRetransmits)
+	switch m.step {
+	case stGather:
+		n.sendAll(inst, n.currentEstimate(inst, m.round))
+	case stAwait:
+		n.sendCons(inst, m.ci, n.currentEstimate(inst, m.round))
+	default:
+		n.sendAll(inst, ctMsg{Key: inst.key, Round: m.round, Kind: ctProposal, Value: m.value})
 	}
 }
 
 // currentEstimate builds a round-r estimate message from the instance's
-// live state. Retransmissions must use this, not the message snapshotted
-// when the round began: a Propose can seed a real estimate after a round
-// loop that started passively (⊥) is already mid-round, and only a rebuilt
-// message carries it. Callers must not hold inst.mu.
+// live state. Callers must not hold inst.mu.
 func (n *Node) currentEstimate(inst *ctInstance, round int) ctMsg {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
 	return ctMsg{Key: inst.key, Round: round, Kind: ctEstimate, Value: inst.estimate, TS: inst.ts, HasValue: inst.hasEst}
 }
 
-// sendCons sends m to peers[i].
-func (n *Node) sendCons(i int, m ctMsg) {
+// sendCons sends m, a message of inst, to peers[i].
+func (n *Node) sendCons(inst *ctInstance, i int, m ctMsg) {
 	if n.peers[i] == n.self {
-		// Local delivery without the network: enqueue directly. (Nobody
-		// self-sends a decide: decide() and the relay both skip self.)
-		inst := n.instance(m.Key)
-		m.From = n.self
-		inst.mu.Lock()
-		inst.inbox = append(inst.inbox, m)
-		inst.cond.Broadcast()
-		inst.mu.Unlock()
+		n.deliverLocal(inst, i, m)
 		return
 	}
 	n.ep.Send(n.dests[i], "cons", m)
+}
+
+// sendAll sends m, a message of inst, to every peer in peer order, boxing
+// it once for the network.
+func (n *Node) sendAll(inst *ctInstance, m ctMsg) {
+	var box any
+	for i, p := range n.peers {
+		if p == n.self {
+			n.deliverLocal(inst, i, m)
+			continue
+		}
+		if box == nil {
+			box = m
+		}
+		n.ep.Send(n.dests[i], "cons", box)
+	}
+}
+
+// sendOthers sends a boxed message to every peer but this node. (Nobody
+// self-sends a decide: the announcement and the relay both skip self.)
+func (n *Node) sendOthers(box any) {
+	for i, p := range n.peers {
+		if p != n.self {
+			n.ep.Send(n.dests[i], "cons", box)
+		}
+	}
+}
+
+// deliverLocal enqueues m, from this node as peer i, on its own instance
+// without the network.
+func (n *Node) deliverLocal(inst *ctInstance, i int, m ctMsg) {
+	m.From = i
+	inst.mu.Lock()
+	inst.inbox = append(inst.inbox, m)
+	inst.cond.Broadcast()
+	inst.mu.Unlock()
 }

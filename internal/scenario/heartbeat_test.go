@@ -162,3 +162,58 @@ func TestDeliveriesSpawnNoGoroutines(t *testing.T) {
 		}
 	}
 }
+
+// TestCTHandOffsOnThePump gates what CT consensus costs the host, in the
+// same counts as TestDeliveriesSpawnNoGoroutines, on the two single-group
+// scenarios that run it under real ◇P detectors: partition-hb (a cut and a
+// heal, ≈940 messages a seed) and power-cycle (every replica down at once,
+// then recovered from its write-ahead log). A node's receive side is an
+// endpoint handler and each instance's round loop a step machine on the
+// pump, so neither a CT message nor a phase wait may start or wake a
+// goroutine. What is still spawned and woken is the protocol around it:
+// the servers' receive loops, the request, the plan's timers, and the
+// goroutines that block in Propose or in a WAL sync.
+// Measured on seeds 1–4: partition-hb 17–19 spawns, 71–78 wakes;
+// power-cycle 16–17 spawns, 90–94 wakes. While each node ran a receive
+// goroutine and each instance a round goroutine they were 31–33 spawns and
+// 158–171 wakes, and 32–35 spawns and 204–219 wakes. Events are pinned
+// exactly (partition-hb 1481/1442/1467/1486, power-cycle 487/495/464/492;
+// 1487/1448/1473/1492 and 499/507/476/504 with those goroutines: one
+// spawn event per node Start, and the first arm of a round machine sits
+// where its spawn was); a change that moves them re-measures here and says
+// why.
+func TestCTHandOffsOnThePump(t *testing.T) {
+	for _, c := range []struct {
+		name                string
+		maxSpawns, maxWakes uint64
+		events              []uint64
+	}{
+		{"partition-hb", 20, 85, []uint64{1481, 1442, 1467, 1486}},
+		{"power-cycle", 18, 100, []uint64{487, 495, 464, 492}},
+	} {
+		sc, ok := Get(c.name)
+		if !ok {
+			t.Fatalf("%s not registered", c.name)
+		}
+		for i, want := range c.events {
+			seed := int64(i + 1)
+			scratch := &runScratch{}
+			o := execute(sc, seed, RunOptions{}, scratch)
+			clk := scratch.nets[0].Clock()
+			if !clk.Quiesced() {
+				t.Fatalf("%s seed %d: the clock is still running when execute returns: %v", c.name, seed, clk.Stop())
+			}
+			spawns, wakes, events := clk.Spawns(), clk.Wakes(), clk.Events()
+			t.Logf("%s seed %d: %d messages, %d goroutines spawned, %d woken, %d clock events", c.name, seed, o.Messages, spawns, wakes, events)
+			if spawns > c.maxSpawns {
+				t.Errorf("%s seed %d: %d goroutines spawned, want ≤ %d: a CT node or instance has a goroutine again", c.name, seed, spawns, c.maxSpawns)
+			}
+			if wakes > c.maxWakes {
+				t.Errorf("%s seed %d: %d goroutine wake-ups, want ≤ %d: a CT message or phase wait wakes a goroutine again", c.name, seed, wakes, c.maxWakes)
+			}
+			if events != want {
+				t.Errorf("%s seed %d: %d clock events, want %d", c.name, seed, events, want)
+			}
+		}
+	}
+}

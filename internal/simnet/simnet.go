@@ -724,10 +724,11 @@ func (e *Endpoint) Broadcast(typ string, payload any) {
 // reaction to a message is a state update needs no receiver goroutine.
 // Messages already in the mailbox (a peer's send can land before the
 // process starts) go through fn first, in arrival order. fn runs on the
-// delivery — the clock's pump, so the vclock.Runner contract applies: it must not block in a clock primitive
-// and may take only locks nobody holds across one; sending is fine. The
-// handler lasts for the incarnation: Crash removes it, and the process
-// restarted on the endpoint installs its own.
+// delivery — the clock's pump, so the vclock.Runner contract applies: it
+// must not block in a clock primitive and may take only locks nobody
+// holds across one; sending and scheduling are fine. The handler lasts for
+// the incarnation: Crash removes it, and the process restarted on the
+// endpoint installs its own.
 func (e *Endpoint) Handle(fn func(Message)) {
 	e.mu.Lock()
 	for e.count > 0 && !e.closed {

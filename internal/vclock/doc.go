@@ -21,10 +21,11 @@
 // Virtual.Enter); whenever every attached goroutine is blocked in a clock
 // primitive, the clock pops the earliest event, advances virtual time to
 // its deadline, and wakes exactly one goroutine — or, for a Runner (a
-// message delivery, a Timer's tick), runs it on the spot, on the goroutine
-// whose clock call found the schedule quiescent, and pops the next. A
-// spawn is an event too (Go is GoAfter(0, fn)), so a new goroutine starts
-// only when its event is popped, never beside its spawner. Execution of
+// message delivery, a Timer's tick, a Runner woken from a Cond wait by
+// WaitRunner), runs it on the spot, on the goroutine whose clock call
+// found the schedule quiescent, and pops the next. A spawn is an event
+// too (Go is GoAfter(0, fn)), so a new goroutine starts only when its
+// event is popped, never beside its spawner. Execution of
 // events is thereby serialized; see Runner for what a callback on the pump
 // may do, and Exit for who pumps once an external goroutine detaches. A
 // driver that holds the clock from building its world (the cluster

@@ -41,7 +41,9 @@ func (r LeakReport) String() string {
 // wake it — and may take only locks that nobody holds across a call into
 // the clock, because the goroutine it borrowed may be inside such a call.
 // Scheduling from Run (Broadcast, GoAfter, AfterRunner, Send) is fine: the
-// events fire after Run returns.
+// events fire after Run returns. So is waiting the Runner's way: a Runner
+// that must wait for a condition arms itself on the Cond (WaitRunner) and
+// returns, and the wake runs it again.
 type Runner interface{ Run() }
 
 // vevent is one pending entry in the virtual schedule: a waiter to wake
@@ -72,7 +74,8 @@ type waiter struct {
 	gen      uint32
 	fired    bool
 	timedOut bool
-	cond     *Cond // set for cond waiters, for list cleanup on timeout
+	cond     *Cond  // set for cond waiters, for list cleanup on timeout
+	r        Runner // set for a Runner waiting on a Cond (WaitRunner): the wake runs it
 }
 
 // gent is one ledger entry: a goroutine's attachment depth plus the
@@ -259,6 +262,7 @@ func (v *Virtual) releaseWaiterLocked(w *waiter) {
 	w.fired = false
 	w.timedOut = false
 	w.cond = nil
+	w.r = nil
 	v.wfree = append(v.wfree, w)
 }
 
@@ -277,7 +281,8 @@ func (v *Virtual) addBusyLocked(d int) {
 // deadline, marks its owner runnable, and wakes it. Exactly one runnable
 // goroutine results, so event execution is serialized and deterministic.
 // A Runner has no goroutine to wake: the pump runs it here, as the one
-// runnable unit and with v.mu dropped, then keeps pumping. A stale event —
+// runnable unit and with v.mu dropped, then keeps pumping — a Runner that
+// waited on a Cond too, once its waiter is released. A stale event —
 // a waiter's timer after its wake, a Timer expiry after a later Reset or a
 // Stop — is dropped before time moves: it neither runs nor advances now.
 // Popped events return to the pool immediately — nothing references a
@@ -304,25 +309,30 @@ func (v *Virtual) pumpLocked() {
 			go v.runAdopted(fn, pc) //xvet:ok baregoroutine the clock's own spawn: the runnability unit was added above and the goroutine adopts into the ledger
 			return
 		}
-		if r != nil {
-			v.mu.Unlock()
-			r.Run()
-			v.mu.Lock()
-			v.busy--
-			continue
-		}
-		if !bw {
-			// Timer expiry: mark and detach from the cond's list. Broadcast
-			// wakes (bw) did both at broadcast time; timedOut stays false.
-			w.fired = true
-			w.timedOut = true
-			if w.cond != nil {
-				w.cond.removeLocked(w)
+		if w != nil {
+			if !bw {
+				// Timer expiry: mark and detach from the cond's list. Broadcast
+				// wakes (bw) did both at broadcast time; timedOut stays false.
+				w.fired = true
+				w.timedOut = true
+				if w.cond != nil {
+					w.cond.removeLocked(w)
+				}
 			}
+			if w.r == nil {
+				v.wakes++
+				w.ch <- struct{}{}
+				return
+			}
+			// Released before it runs: a timeout still in the heap turns
+			// stale, and Run may arm the Runner on the Cond again.
+			r = w.r
+			v.releaseWaiterLocked(w)
 		}
-		v.wakes++
-		w.ch <- struct{}{}
-		return
+		v.mu.Unlock()
+		r.Run()
+		v.mu.Lock()
+		v.busy--
 	}
 }
 
@@ -745,6 +755,28 @@ func (c *Cond) wait(d time.Duration) bool {
 	v.mu.Unlock()
 	c.l.Lock()
 	return !timedOut
+}
+
+// WaitRunner is WaitTimeout for a Runner: it arms r as a waiter on c and
+// returns at once, and the next Broadcast or the timeout d from now —
+// whichever comes first — runs r.Run on the pump (see Runner). r takes
+// its place among goroutine waiters in arming order, so a Broadcast runs
+// it exactly where a goroutine's wake would have been; the timeout takes
+// it off the waiter list, so a later Broadcast does not run it again, and
+// a timeout left behind by a Broadcast neither runs nor moves the clock.
+// Call it with l held, as a wait, and while holding the clock (from Run,
+// or attached): it does not pump. r must not be armed twice at once.
+func (c *Cond) WaitRunner(d time.Duration, r Runner) {
+	if d < 0 {
+		d = 0
+	}
+	v := c.v
+	v.mu.Lock()
+	w := v.newWaiterLocked()
+	w.cond, w.r = c, r
+	c.waiters = append(c.waiters, w)
+	v.pushLocked(v.now+d, w, nil, nil, 0)
+	v.mu.Unlock()
 }
 
 // Broadcast wakes all current waiters — as scheduled events at the current

@@ -24,7 +24,10 @@ func TestVirtualSleepOrdering(t *testing.T) {
 	var order []int
 	var wg sync.WaitGroup
 	// Spawn in an order unrelated to the deadlines; wake order must follow
-	// the deadlines.
+	// the deadlines. The spawner holds the clock until every spawn is
+	// scheduled: unattached, the first child could sleep out its 30ms
+	// before the others exist.
+	v.Enter()
 	for i, d := range []time.Duration{30 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond} {
 		wg.Add(1)
 		i, d := i, d
@@ -36,6 +39,7 @@ func TestVirtualSleepOrdering(t *testing.T) {
 			mu.Unlock()
 		})
 	}
+	v.Exit()
 	wg.Wait()
 	want := []int{1, 2, 0}
 	for i := range want {

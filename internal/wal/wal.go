@@ -317,11 +317,85 @@ func (l *Log) SetCompactor(fn Compactor) {
 // clock, which would stall virtual time forever. Append itself takes only
 // the log's internal lock, and releases it before sleeping.
 func (l *Log) Append(r Record) {
+	var k Sync
+	for d := k.begin(l, r); d > 0; d = k.next() {
+		l.store.clk.Sleep(d)
+	}
+}
+
+// AppendThen is Append for code that runs on the clock's pump and may not
+// sleep (a vclock.Runner, an endpoint handler): it appends r, pays each
+// tariff as an AfterRunner of k, and then runs then — the caller's Runner,
+// which reads k.Torn. At zero tariff everything, then included, runs
+// inline before AppendThen returns. k carries one append at a time: a
+// writer embeds one per sequential stream of appends, and must not reuse
+// it before then has been entered.
+func (l *Log) AppendThen(r Record, k *Sync, then vclock.Runner) {
+	k.then = then
+	if d := k.begin(l, r); d > 0 {
+		l.store.clk.AfterRunner(d, k)
+		return
+	}
+	k.finish()
+}
+
+// Sync is one append's work after its record is written: the durable
+// watermark and the torn check once the sync tariff is paid, then
+// compaction with its snapshot tariff and the install. Append runs it on
+// the calling goroutine, sleeping each tariff; AppendThen runs it on the
+// pump, each tariff an AfterRunner of the Sync itself, so one code path
+// serves both. The zero value is ready.
+type Sync struct {
+	l    *Log
+	then vclock.Runner
+	step syncStep
+	gen  uint64 // the log's generation when the record was written, or the snapshot cut
+	torn bool
+
+	// The compaction in flight: the synced prefix it folds and the snapshot
+	// it installs once the snapshot tariff is paid.
+	cut    int
+	prefix []Record
+	snap   []Record
+}
+
+type syncStep uint8
+
+const (
+	syncPaid    syncStep = iota // the sync tariff elapsed: torn check, watermark
+	syncCompact                 // the record is durable: compact if due
+	syncInstall                 // the snapshot tariff elapsed: install
+	syncDone
+)
+
+// Torn reports whether the last append's record was torn off by a crash
+// during its sync: it never became durable.
+func (k *Sync) Torn() bool { return k.torn }
+
+// Run implements vclock.Runner: the tariff AppendThen scheduled has been
+// paid; carry on with the post-sync work.
+func (k *Sync) Run() {
+	if d := k.next(); d > 0 {
+		k.l.store.clk.AfterRunner(d, k)
+		return
+	}
+	k.finish()
+}
+
+func (k *Sync) finish() {
+	then := k.then
+	k.then = nil
+	then.Run()
+}
+
+// begin writes r and returns the sync tariff to pay before next, or — at
+// zero tariff, with the record durable at once — the result of next.
+func (k *Sync) begin(l *Log, r Record) time.Duration {
 	s := l.store
 	d := s.cfg.SyncLatency
 	l.mu.Lock()
 	l.recs = append(l.recs, r)
-	gen := l.gen
+	k.l, k.gen, k.torn = l, l.gen, false
 	if d <= 0 {
 		l.synced++
 	}
@@ -333,87 +407,102 @@ func (l *Log) Append(r Record) {
 	s.cfg.Metrics.Inc(obs.WALAppends)
 	s.cfg.Metrics.Add(obs.WALSyncNS, int64(d))
 	if d > 0 {
-		s.clk.Sleep(d)
+		k.step = syncPaid
+		return d
+	}
+	k.step = syncCompact
+	return k.next()
+}
+
+// next does the post-sync work that is due and returns the tariff to pay
+// before it is called again, or 0 once the append is complete.
+func (k *Sync) next() time.Duration {
+	l := k.l
+	switch k.step {
+	case syncPaid:
 		l.mu.Lock()
-		torn := l.gen != gen
-		if !torn {
+		k.torn = l.gen != k.gen
+		if !k.torn {
 			// Sync waits complete in append order (equal tariffs, FIFO
 			// deadlines), so the durable watermark advances one commit at
 			// a time.
 			l.synced++
 		}
 		l.mu.Unlock()
-		if torn {
+		if k.torn {
 			// The process died mid-sync; the record is gone and so is the
 			// process — nothing further to do on its behalf.
-			return
+			k.step = syncDone
+			return 0
 		}
+		fallthrough
+	case syncCompact:
+		k.step = syncDone
+		if th := l.store.cfg.CompactThreshold; th > 0 && l.claimCompaction(th) {
+			return k.fold()
+		}
+	case syncInstall:
+		k.step = syncDone
+		k.install()
 	}
-	l.maybeCompact()
+	return 0
 }
 
-// maybeCompact folds the synced prefix through the writer's Compactor
-// once it has grown CompactThreshold records past the last attempt.
-func (l *Log) maybeCompact() {
-	th := l.store.cfg.CompactThreshold
-	if th <= 0 {
-		return
-	}
+// claimCompaction marks a compaction in progress when the writer has a
+// Compactor, none is running, and the synced prefix has grown th records
+// past the last attempt (th 0: whatever it has grown).
+func (l *Log) claimCompaction(th int) bool {
 	l.mu.Lock()
-	run := l.compact != nil && !l.compacting && l.synced >= l.compactedAt+th
+	defer l.mu.Unlock()
+	run := l.compact != nil && !l.compacting && (th == 0 || l.synced >= l.compactedAt+th)
 	if run {
 		l.compacting = true
 	}
-	l.mu.Unlock()
-	if run {
-		l.runCompaction()
-	}
+	return run
 }
 
 // Compact folds the synced prefix through the registered Compactor now,
 // regardless of threshold, and reports whether a snapshot was installed.
 // Safe to call from any clock-attached goroutine.
 func (l *Log) Compact() bool {
-	l.mu.Lock()
-	run := l.compact != nil && !l.compacting
-	if run {
-		l.compacting = true
-	}
-	l.mu.Unlock()
-	if !run {
+	if !l.claimCompaction(0) {
 		return false
 	}
 	before := l.Installs()
-	l.runCompaction()
+	k := Sync{l: l}
+	for d := k.fold(); d > 0; d = k.next() {
+		l.store.clk.Sleep(d)
+	}
 	return l.Installs() > before
 }
 
-// runCompaction snapshots the synced prefix, charges the snapshot-size
-// tariff, and atomically swaps the snapshot in — unless a crash landed
-// during the write, in which case the torn snapshot is discarded and the
-// log is left exactly as it was. Caller must have set l.compacting.
-func (l *Log) runCompaction() {
-	s := l.store
+// fold snapshots the synced prefix through the Compactor and returns the
+// snapshot-size tariff to pay before the install, installing at once when
+// the tariff is free. A fold that cannot shrink the prefix writes nothing.
+// The caller has claimed the compaction.
+func (k *Sync) fold() time.Duration {
+	l, s := k.l, k.l.store
 	l.mu.Lock()
-	cut := l.synced
-	gen := l.gen
-	prefix := append([]Record(nil), l.recs[:cut]...)
+	k.cut = l.synced
+	k.gen = l.gen
+	k.prefix = append([]Record(nil), l.recs[:k.cut]...)
 	l.mu.Unlock()
 
-	snap := l.compact(prefix)
-	if len(snap)+1 >= cut {
+	k.snap = l.compact(k.prefix)
+	if len(k.snap)+1 >= k.cut {
 		// The fold cannot shrink this prefix; skip the write and move the
 		// watermark so the next attempt waits for a full threshold of
 		// fresh records.
 		l.mu.Lock()
 		l.compacting = false
-		if l.gen == gen {
+		if l.gen == k.gen {
 			l.compactedAt = l.synced
 		}
 		l.mu.Unlock()
-		return
+		k.prefix, k.snap = nil, nil
+		return 0
 	}
-	if d := s.snapshotSync() * time.Duration(len(snap)+1); d > 0 {
+	if d := s.snapshotSync() * time.Duration(len(k.snap)+1); d > 0 {
 		// The install is a stable-storage write like any other: its
 		// virtual-time price lands in SyncTime so the cost curves see the
 		// whole durability bill, not just the append tariff.
@@ -421,12 +510,23 @@ func (l *Log) runCompaction() {
 		s.synced += d
 		s.mu.Unlock()
 		s.cfg.Metrics.Add(obs.WALSyncNS, int64(d))
-		s.clk.Sleep(d)
+		k.step = syncInstall
+		return d
 	}
+	k.install()
+	return 0
+}
 
+// install atomically swaps the folded snapshot in for the prefix — unless
+// a crash landed during the snapshot write, in which case the torn
+// snapshot is discarded and the log is left exactly as it was.
+func (k *Sync) install() {
+	l, s := k.l, k.l.store
+	cut, prefix, snap := k.cut, k.prefix, k.snap
+	k.prefix, k.snap = nil, nil
 	l.mu.Lock()
 	l.compacting = false
-	if l.gen != gen {
+	if l.gen != k.gen {
 		// Crashed while the snapshot was being written: the side file is
 		// torn, the old log stands.
 		l.mu.Unlock()

@@ -275,3 +275,144 @@ func TestZeroTariffCompactionIsScheduleInvisible(t *testing.T) {
 		t.Fatal("no compaction ran")
 	}
 }
+
+// thenAt is the caller's Runner in the AppendThen tests: it notes when it
+// ran and whether the append's record was torn.
+type thenAt struct {
+	clk  *vclock.Virtual
+	k    *Sync
+	ran  int
+	at   time.Duration
+	torn bool
+}
+
+func (c *thenAt) Run() { c.ran, c.at, c.torn = c.ran+1, c.clk.Now(), c.k.Torn() }
+
+// With a tariff the post-sync work is a scheduled continuation: the caller's
+// Runner runs at now+d, on the pump, with the record durable.
+func TestAppendThenRunsAtSyncCompletion(t *testing.T) {
+	clk := vclock.NewVirtual()
+	defer clk.Stop()
+	s := NewStore(clk, Config{SyncLatency: 50 * time.Microsecond})
+	l := s.Log("replica-0")
+	var k Sync
+	then := &thenAt{clk: clk, k: &k}
+	clk.Enter()
+	clk.Sleep(10 * time.Microsecond)
+	l.AppendThen(Record{Kind: "est", Key: "a"}, &k, then)
+	if then.ran != 0 {
+		t.Fatal("the continuation ran before the sync tariff was paid")
+	}
+	clk.RunOut()
+	clk.Exit()
+	if then.ran != 1 || then.at != 60*time.Microsecond || then.torn {
+		t.Fatalf("continuation ran %d times at %v torn=%v, want once at 60µs, not torn", then.ran, then.at, then.torn)
+	}
+	if n := s.Crash("replica-0"); n != 0 || l.Len() != 1 {
+		t.Fatalf("after the continuation a crash tore %d of %d records, want the record durable", n, l.Len())
+	}
+	if st := s.Stats(); st.Appends != 1 || st.SyncTime != 50*time.Microsecond {
+		t.Fatalf("stats = %+v, want 1 append / 50µs synced", st)
+	}
+}
+
+// A crash during the sync tears the record: the continuation still runs
+// the caller's Runner, which reads Torn, and compaction is skipped.
+func TestAppendThenCrashDuringSyncReportsTorn(t *testing.T) {
+	clk := vclock.NewVirtual()
+	defer clk.Stop()
+	s := NewStore(clk, Config{SyncLatency: 100 * time.Microsecond, CompactThreshold: 1})
+	l := s.Log("replica-0")
+	l.SetCompactor(lastPerKey)
+	var k Sync
+	then := &thenAt{clk: clk, k: &k}
+	clk.Enter()
+	for i := 0; i < 3; i++ {
+		l.Append(Record{Kind: "est", Key: "k", Aux: int32(i)}) // compacts as it goes
+	}
+	installs, start := l.Installs(), clk.Now()
+	l.AppendThen(Record{Kind: "est", Key: "k", Aux: 3}, &k, then)
+	clk.AfterRunner(50*time.Microsecond, runnerFunc(func() { s.Crash("replica-0") }))
+	clk.RunOut()
+	clk.Exit()
+	if then.ran != 1 || then.at != start+100*time.Microsecond || !then.torn {
+		t.Fatalf("continuation ran %d times at %v torn=%v, want once at %v, torn", then.ran, then.at, then.torn, start+100*time.Microsecond)
+	}
+	if got := l.Installs(); got != installs {
+		t.Fatalf("installs went from %d to %d: a torn append compacted", installs, got)
+	}
+	var last int32 = -1
+	l.Replay(func(r Record) {
+		if r.Kind == "est" {
+			last = r.Aux
+		}
+	})
+	if last != 2 {
+		t.Fatalf("replayed latest Aux = %d, want 2: the torn record is gone", last)
+	}
+}
+
+// Compaction's snapshot tariff is chained behind the sync tariff: the
+// caller's Runner runs once the snapshot is installed.
+func TestAppendThenChainsSnapshotTariff(t *testing.T) {
+	clk := vclock.NewVirtual()
+	defer clk.Stop()
+	s := NewStore(clk, Config{
+		SyncLatency:      10 * time.Microsecond,
+		SnapshotSync:     100 * time.Microsecond,
+		CompactThreshold: 4,
+	})
+	l := s.Log("replica-0")
+	l.SetCompactor(lastPerKey)
+	var k Sync
+	then := &thenAt{clk: clk, k: &k}
+	clk.Enter()
+	for i := 0; i < 3; i++ {
+		l.Append(Record{Kind: "est", Key: "k", Aux: int32(i)}) // t = 30µs
+	}
+	// The fourth synced record reaches the threshold: the sync ends at
+	// 40µs, and the 1-record snapshot costs (1+1)×100µs more.
+	l.AppendThen(Record{Kind: "est", Key: "k", Aux: 3}, &k, then)
+	clk.RunOut()
+	clk.Exit()
+	if then.ran != 1 || then.at != 240*time.Microsecond || then.torn {
+		t.Fatalf("continuation ran %d times at %v torn=%v, want once at 240µs, not torn", then.ran, then.at, then.torn)
+	}
+	if l.Installs() != 1 || l.Len() != 2 {
+		t.Fatalf("installs=%d len=%d, want the snapshot installed (marker + 1 record)", l.Installs(), l.Len())
+	}
+	if st := s.Stats(); st.SyncTime != 240*time.Microsecond {
+		t.Fatalf("stats.SyncTime = %v, want 240µs (4 syncs + the snapshot)", st.SyncTime)
+	}
+}
+
+// At zero tariff the continuation runs inline — the caller's Runner before
+// AppendThen returns, no event scheduled — and allocates nothing.
+func TestAppendThenZeroTariffRunsInline(t *testing.T) {
+	clk := vclock.NewVirtual()
+	defer clk.Stop()
+	s := NewStore(clk, Config{})
+	l := s.Log("replica-0")
+	var k Sync
+	then := &thenAt{clk: clk, k: &k}
+	for i := 0; i < 4096; i++ {
+		l.Append(Record{Kind: "warm"}) // pre-grow: the measured runs never resize
+	}
+	rec := Record{Kind: "est", Key: "req-1", Space: 1, Round: 3, Aux: 2, Str: "client-1"}
+	l.AppendThen(rec, &k, then)
+	if then.ran != 1 {
+		t.Fatalf("continuation ran %d times before AppendThen returned, want 1", then.ran)
+	}
+	if ev := clk.Events(); ev != 0 {
+		t.Fatalf("zero-tariff AppendThen scheduled %d events, want 0", ev)
+	}
+	avg := testing.AllocsPerRun(1000, func() { l.AppendThen(rec, &k, then) })
+	if avg > 0 {
+		t.Fatalf("AppendThen allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// runnerFunc adapts a func to vclock.Runner for tests.
+type runnerFunc func()
+
+func (f runnerFunc) Run() { f() }
