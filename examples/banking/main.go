@@ -71,7 +71,6 @@ func main() {
 	// cleaner replica cancels its round and takes over).
 	svc.Environment().SetFailures("transfer", 1.0, 6, 0.5)
 	clk := svc.Clock()
-	clk.Enter() // hold simulated time until the transfer is in flight
 	clk.Go(func() {
 		clk.Sleep(2 * time.Millisecond)
 		svc.Cluster().CrashServer(0)
@@ -79,7 +78,6 @@ func main() {
 	})
 
 	transferred := svc.Call(xability.NewRequest("transfer", "alice->bob"))
-	clk.Exit()
 	fmt.Println("transfer:", transferred)
 	fmt.Println("alice:   ", svc.Call(xability.NewRequest("balance", "alice")))
 	fmt.Println("bob:     ", svc.Call(xability.NewRequest("balance", "bob")))

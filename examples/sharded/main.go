@@ -60,7 +60,6 @@ func main() {
 	}
 
 	clk := svc.Clock()
-	clk.Enter()
 	// Crash the round-1 owner of sku-0's group mid-batch: its cleaner
 	// takes over; the other groups never notice.
 	victim := svc.ShardOf(batch[0])
@@ -68,7 +67,6 @@ func main() {
 	start := clk.Now()
 	replies, ok := svc.CallAll(batch)
 	elapsed := clk.Now() - start
-	clk.Exit()
 	if !ok {
 		log.Fatal("some requests went unanswered")
 	}

@@ -57,8 +57,6 @@ func run(pulses int) (executions, cancels int, xable bool) {
 	})
 	defer svc.Close()
 
-	clk := svc.Clock()
-	clk.Enter() // hold simulated time until the charge is in flight
 	if pulses > 0 {
 		// Slow the owner down so suspicions land mid-execution, then
 		// declare the pulse schedule as a fault plan on the virtual clock.
@@ -75,7 +73,6 @@ func run(pulses int) (executions, cancels int, xable bool) {
 	}
 
 	svc.Call(xability.NewRequest("charge", "card-1"))
-	clk.Exit()
 	h := svc.History()
 	for _, e := range h {
 		if e.Type == event.Start && e.Action == "charge" {

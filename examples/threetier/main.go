@@ -90,14 +90,9 @@ func main() {
 	}
 	orders.Environment().SetFailures("order", 1, 6, 0)
 
-	dbClk, orderClk := db.Clock(), orders.Clock()
-	dbClk.Enter()
 	db.Apply(restart.Plan)
-	dbClk.Exit()
-	orderClk.Enter()
 	orders.Apply(suspect.Plan)
 	reply = orders.Call(xability.NewRequest("order", "sku-43"))
-	orderClk.Exit()
 	fmt.Println("client  ←", reply, " (back end crashed and restarted mid-pipeline)")
 
 	// Verify each tier locally against its own history.

@@ -71,20 +71,16 @@ func TestPrimaryBackupDuplicatesOnFailover(t *testing.T) {
 	})
 	defer c.Stop()
 
-	clk := c.Clock()
-	done := make(chan action.Value, 1)
-	clk.Go(func() { done <- c.Client.SubmitUntilSuccess(action.NewRequest("transfer", "acct")) })
-
 	// Crash the primary inside the duplication window: it has executed but
 	// neither synced to the backups nor replied.
+	clk := c.Clock()
 	clk.Go(func() {
 		clk.Sleep(2 * time.Millisecond)
 		c.CrashServer(0)
 		c.cdet.SetSuspected("replica-0", true)
 	})
 
-	v := <-done
-	if v == "" {
+	if v := c.Client.SubmitUntilSuccess(action.NewRequest("transfer", "acct")); v == "" {
 		t.Fatal("no reply")
 	}
 	c.Net.Quiesce()

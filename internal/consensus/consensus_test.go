@@ -8,6 +8,7 @@ import (
 
 	"xability/internal/fd"
 	"xability/internal/simnet"
+	"xability/internal/vclock"
 )
 
 func TestLocalFirstProposalWins(t *testing.T) {
@@ -99,38 +100,71 @@ func newCTHarness(t *testing.T, n int, seed int64) *ctHarness {
 	return h
 }
 
+// proposal is a Propose running on a clock goroutine of its own, so
+// several can contend while the test goroutine waits on the clock.
+type proposal struct {
+	mu       sync.Mutex
+	returned *vclock.Cond
+	v        any
+	done     bool
+}
+
+// propose starts node i's Propose at the current instant; nothing runs
+// until the test goroutine next waits on the clock.
+func (h *ctHarness) propose(i int, key Key, v any) *proposal {
+	clk := h.net.Clock()
+	p := &proposal{}
+	p.returned = clk.NewCond(&p.mu)
+	clk.Go(func() {
+		d := h.nodes[i].Propose(key, v)
+		p.mu.Lock()
+		p.v, p.done = d, true
+		p.mu.Unlock()
+		p.returned.Broadcast()
+	})
+	return p
+}
+
+// decided reports the decision if the Propose has returned.
+func (p *proposal) decided() (any, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.v, p.done
+}
+
+// wait blocks on the clock until the Propose returns.
+func (p *proposal) wait() any {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for !p.done {
+		p.returned.Wait()
+	}
+	return p.v
+}
+
 func TestCTSingleProposer(t *testing.T) {
 	h := newCTHarness(t, 3, 1)
 	got := h.nodes[0].Propose(At("k"), "v0")
 	if got != "v0" {
 		t.Errorf("decision = %v, want v0", got)
 	}
-	// Other nodes learn the decision.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if v, ok := h.nodes[2].Read(At("k")); ok {
-			if v != "v0" {
-				t.Fatalf("node 2 decided %v", v)
-			}
-			return
-		}
-		time.Sleep(time.Millisecond)
+	// Other nodes learn the decision from the messages still in flight.
+	h.net.Quiesce()
+	if v, ok := h.nodes[2].Read(At("k")); !ok || v != "v0" {
+		t.Fatalf("node 2 state = (%v, %v), want v0", v, ok)
 	}
-	t.Fatal("decision never propagated")
 }
 
 func TestCTConcurrentProposersAgree(t *testing.T) {
 	h := newCTHarness(t, 3, 2)
-	results := make([]any, 3)
-	var wg sync.WaitGroup
+	ps := make([]*proposal, 3)
 	for i := range h.nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = h.nodes[i].Propose(At("k"), fmt.Sprintf("v%d", i))
-		}(i)
+		ps[i] = h.propose(i, At("k"), fmt.Sprintf("v%d", i))
 	}
-	wg.Wait()
+	results := make([]any, 3)
+	for i, p := range ps {
+		results[i] = p.wait()
+	}
 	for i := 1; i < 3; i++ {
 		if results[i] != results[0] {
 			t.Fatalf("agreement violated: %v", results)
@@ -149,19 +183,13 @@ func TestCTConcurrentProposersAgree(t *testing.T) {
 
 func TestCTIndependentInstances(t *testing.T) {
 	h := newCTHarness(t, 3, 3)
-	var wg sync.WaitGroup
-	decisions := make([]any, 4)
-	for k := 0; k < 4; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			decisions[k] = h.nodes[k%3].Propose(At(fmt.Sprintf("key-%d", k)), fmt.Sprintf("val-%d", k))
-		}(k)
+	ps := make([]*proposal, 4)
+	for k := range ps {
+		ps[k] = h.propose(k%3, At(fmt.Sprintf("key-%d", k)), fmt.Sprintf("val-%d", k))
 	}
-	wg.Wait()
-	for k := 0; k < 4; k++ {
-		if decisions[k] != fmt.Sprintf("val-%d", k) {
-			t.Errorf("instance %d decided %v (single proposer must win its own instance)", k, decisions[k])
+	for k, p := range ps {
+		if d := p.wait(); d != fmt.Sprintf("val-%d", k) {
+			t.Errorf("instance %d decided %v (single proposer must win its own instance)", k, d)
 		}
 	}
 }
@@ -171,15 +199,8 @@ func TestCTToleratesMinorityCrash(t *testing.T) {
 	h.net.Crash(ConsEndpoint(h.ids[2]))
 	h.nodes[2].Stop()
 
-	done := make(chan any, 1)
-	go func() { done <- h.nodes[0].Propose(At("k"), "v") }()
-	select {
-	case v := <-done:
-		if v != "v" {
-			t.Errorf("decision = %v", v)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("consensus did not terminate with f=1 crash, n=3")
+	if v := h.nodes[0].Propose(At("k"), "v"); v != "v" {
+		t.Errorf("decision = %v", v)
 	}
 }
 
@@ -195,15 +216,8 @@ func TestCTCrashedCoordinatorRotation(t *testing.T) {
 	h.dets[0].SetSuspected(h.ids[1], true)
 	h.dets[2].SetSuspected(h.ids[1], true)
 
-	done := make(chan any, 1)
-	go func() { done <- h.nodes[0].Propose(At("k"), "v") }()
-	select {
-	case v := <-done:
-		if v != "v" {
-			t.Errorf("decision = %v", v)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("consensus stuck on crashed coordinator")
+	if v := h.nodes[0].Propose(At("k"), "v"); v != "v" {
+		t.Errorf("decision = %v", v)
 	}
 }
 
@@ -214,16 +228,9 @@ func TestCTFalseSuspicionStillAgrees(t *testing.T) {
 	h.dets[2].SetSuspected(h.ids[0], true)
 	h.dets[2].SetSuspected(h.ids[1], true)
 
-	results := make([]any, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = h.nodes[i].Propose(At("k"), fmt.Sprintf("v%d", i))
-		}(i)
-	}
-	wg.Wait()
+	p0 := h.propose(0, At("k"), "v0")
+	p1 := h.propose(1, At("k"), "v1")
+	results := []any{p0.wait(), p1.wait()}
 	if results[0] != results[1] {
 		t.Fatalf("agreement violated under false suspicion: %v", results)
 	}
@@ -238,18 +245,14 @@ func TestCTFalseSuspicionStillAgrees(t *testing.T) {
 func TestCTPartitionStallsAndHealResumes(t *testing.T) {
 	h := newCTHarness(t, 3, 7)
 	clk := h.net.Clock()
-	clk.Enter()
 	h.net.Partition([]simnet.ProcessID{"n0"}, []simnet.ProcessID{"n1", "n2"})
-	done := make(chan any, 1)
-	clk.Go(func() { done <- h.nodes[0].Propose(At("k"), "v0") })
+	p := h.propose(0, At("k"), "v0")
 
 	// 50ms of simulated time: round 1's coordinator (n1) is on the other
 	// side of the cut and never suspected, so the instance must stall.
 	clk.Sleep(50 * time.Millisecond)
-	select {
-	case v := <-done:
+	if v, ok := p.decided(); ok {
 		t.Fatalf("decision %v during partition", v)
-	default:
 	}
 	for i := 1; i < 3; i++ {
 		if _, ok := h.nodes[i].Read(At("k")); ok {
@@ -258,8 +261,7 @@ func TestCTPartitionStallsAndHealResumes(t *testing.T) {
 	}
 
 	h.net.Heal()
-	clk.Exit()
-	if v := <-done; v != "v0" {
+	if v := p.wait(); v != "v0" {
 		t.Fatalf("post-heal decision = %v, want v0", v)
 	}
 	h.net.Quiesce()
@@ -275,8 +277,6 @@ func TestCTPartitionStallsAndHealResumes(t *testing.T) {
 // latecomer's first contact with any decided node returns the decision.
 func TestCTPartitionedMinorityCatchesUpAfterHeal(t *testing.T) {
 	h := newCTHarness(t, 3, 8)
-	clk := h.net.Clock()
-	clk.Enter()
 	h.net.Partition([]simnet.ProcessID{"n0", "n1"}, []simnet.ProcessID{"n2"})
 	if v := h.nodes[0].Propose(At("k"), "v0"); v != "v0" {
 		t.Fatalf("majority-side decision = %v, want v0", v)
@@ -291,7 +291,6 @@ func TestCTPartitionedMinorityCatchesUpAfterHeal(t *testing.T) {
 	if v := h.nodes[2].Propose(At("k"), "v2"); v != "v0" {
 		t.Fatalf("latecomer decision = %v, want v0", v)
 	}
-	clk.Exit()
 }
 
 func TestCTObjectAdapter(t *testing.T) {
@@ -337,35 +336,27 @@ func TestCatchUpAfterPartitionDesync(t *testing.T) {
 	h.net.Crash(ConsEndpoint(h.ids[2]))
 	h.nodes[2].Stop()
 
-	clk.Enter()
 	// Cut n1 off and make n0 suspect it, so n0 leaves round 1 behind while
 	// round 1's traffic is black-holed.
 	h.net.Partition([]simnet.ProcessID{"n1"}, []simnet.ProcessID{"n0", "n2"})
 	h.dets[0].SetSuspected(h.ids[1], true)
 
-	done := make(chan any, 1)
-	clk.Go(func() { done <- h.nodes[0].Propose(At("k"), "v0") })
+	p := h.propose(0, At("k"), "v0")
 
 	// Let n0 rotate through the dead rounds and stall as round 3's
 	// coordinator behind the cut.
 	clk.Sleep(20 * time.Millisecond)
-	select {
-	case v := <-done:
+	if v, ok := p.decided(); ok {
 		t.Fatalf("decision %v during partition (quorum was unreachable)", v)
-	default:
 	}
 
 	h.net.Heal()
 	h.dets[0].SetSuspected(h.ids[1], false)
-	clk.Exit()
-
-	select {
-	case v := <-done:
-		if v != "v0" {
-			t.Fatalf("post-heal decision = %v, want v0", v)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("instance stayed wedged after heal: round catch-up did not fire")
+	// A wedged instance leaves only the retransmission timers running, so
+	// bound the wait in virtual time rather than hang.
+	clk.Sleep(time.Second)
+	if v, ok := p.decided(); !ok || v != "v0" {
+		t.Fatalf("post-heal decision = (%v, %v), want v0: round catch-up did not fire", v, ok)
 	}
 	h.net.Quiesce()
 }

@@ -224,8 +224,6 @@ func (n *Node) persistDecision(key Key, v any, k *wal.Sync, then vclock.Runner) 
 // in-flight Propose calls unblock with the zero value. The receive handler
 // keeps answering until the endpoint closes.
 func (n *Node) Stop() {
-	n.clk.Enter()
-	defer n.clk.Exit()
 	n.mu.Lock()
 	if n.stopped {
 		n.mu.Unlock()
@@ -242,8 +240,8 @@ func (n *Node) Stop() {
 	// Propose calls and round machines observe the stop promptly. Wake in
 	// key order: broadcast order decides which waiters run first at
 	// teardown, and map order would leak Go's per-run iteration
-	// randomization into the schedule. The clock is held throughout, so
-	// no broadcast pumps a waiter that needs the lock held here.
+	// randomization into the schedule. A broadcast only schedules wakes,
+	// so none runs a waiter that needs the lock held here.
 	sort.Slice(insts, func(i, j int) bool { return insts[i].key.less(insts[j].key) })
 	for _, inst := range insts {
 		inst.mu.Lock()
@@ -344,14 +342,12 @@ func (o *ctObject) Read() (any, bool) { return o.inst.read() }
 func (o *ctObject) String() string    { return fmt.Sprintf("ct:%s@%s", o.inst.key, o.n.self) }
 
 // Propose submits a value for the instance and blocks until a decision is
-// known locally (or the node stops, returning nil). It attaches the calling
-// goroutine to the network clock for the duration, so it is safe from any
-// goroutine — protocol servers and test drivers alike.
+// known locally (or the node stops, returning nil). It waits on the
+// network clock, so it is safe from protocol servers and test drivers
+// alike (see vclock.Virtual).
 func (n *Node) Propose(key Key, v any) any { return n.propose(n.instance(key), v) }
 
 func (n *Node) propose(inst *ctInstance, v any) any {
-	n.clk.Enter()
-	defer n.clk.Exit()
 	inst.mu.Lock()
 	if inst.decided {
 		d := inst.decision

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"xability/internal/action"
-	"xability/internal/simnet"
 )
 
 // batchedCfg is the base configuration of the batched-plane tests: slot
@@ -62,18 +61,12 @@ func TestBatchedSequence(t *testing.T) {
 
 func TestBatchedCrashFailover(t *testing.T) {
 	tc := newBankCluster(t, batchedCfg(4))
-	done := make(chan action.Value, 1)
-	clk := tc.Clock()
-	clk.Go(func() {
-		done <- tc.Client.SubmitUntilSuccess(action.NewRequest("debit", "acct"))
-	})
-	clk.GoAfter(30*time.Microsecond, func() {
+	tc.Clock().GoAfter(30*time.Microsecond, func() {
 		tc.CrashServer(0)
 		tc.ClientSuspect("replica-0", true)
 		tc.SuspectEverywhere("replica-0", true)
 	})
-	v := <-done
-	if v != "debited" {
+	if v := tc.Client.SubmitUntilSuccess(action.NewRequest("debit", "acct")); v != "debited" {
 		t.Fatalf("debit = %q", v)
 	}
 	if got := tc.world.get("acct"); got != 90 {
@@ -84,11 +77,7 @@ func TestBatchedCrashFailover(t *testing.T) {
 
 func TestBatchedFalseSuspicion(t *testing.T) {
 	tc := newBankCluster(t, batchedCfg(5))
-	done := make(chan action.Value, 1)
 	clk := tc.Clock()
-	clk.Go(func() {
-		done <- tc.Client.SubmitUntilSuccess(action.NewRequest("debit", "acct"))
-	})
 	// The owner stays alive; every replica (but not the client) falsely
 	// suspects it mid-slot, forcing a cleaning-mode abort and a round-2
 	// takeover of the same batch.
@@ -98,7 +87,7 @@ func TestBatchedFalseSuspicion(t *testing.T) {
 	clk.GoAfter(3*time.Millisecond, func() {
 		tc.SuspectEverywhere("replica-0", false)
 	})
-	if v := <-done; v != "debited" {
+	if v := tc.Client.SubmitUntilSuccess(action.NewRequest("debit", "acct")); v != "debited" {
 		t.Fatalf("debit = %q", v)
 	}
 	if got := tc.world.get("acct"); got != 90 {
@@ -143,17 +132,11 @@ func TestBatchedResubmissionIdempotent(t *testing.T) {
 
 func TestCostModelChargesVirtualTime(t *testing.T) {
 	mk := func(costs CostModel) time.Duration {
-		cfg := ClusterConfig{Replicas: 3, Seed: 8, Costs: costs}
-		// Attached before any replica starts, as newOpenLoopRun is: the
-		// clock cannot run ahead between NewCluster and the first submit,
+		// The clock does not run between NewCluster and the first submit,
 		// so both runs measure the submits alone.
-		cfg.Net = simnet.Config{Seed: cfg.Seed, MaxDelay: 200 * time.Microsecond}
-		cfg.Network = simnet.New(cfg.Net)
-		clk := cfg.Network.Clock()
-		clk.Enter()
-		defer clk.Exit()
-		tc := newBankCluster(t, cfg)
-		defer tc.Stop() // while attached: nothing free-runs after the Exit
+		tc := newBankCluster(t, ClusterConfig{Replicas: 3, Seed: 8, Costs: costs})
+		defer tc.Stop()
+		clk := tc.Clock()
 		for i := 0; i < 4; i++ {
 			tc.Client.SubmitUntilSuccess(action.NewRequest("debit", "acct"))
 		}

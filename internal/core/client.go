@@ -103,8 +103,6 @@ func (c *Client) Submit(req action.Request) (action.Value, error) {
 	if req.ID == "" {
 		return "", errors.New("core: request must be tagged with an ID (use Tag)")
 	}
-	c.clk.Enter()
-	defer c.clk.Exit()
 	c.mu.Lock()
 	target := c.replicas[c.i]
 	c.attempts++
@@ -187,8 +185,6 @@ func (c *Client) Tag(req action.Request) action.Request {
 // R1 and R2 license: submit is idempotent and cannot fail forever) and logs
 // the request and reply for verification.
 func (c *Client) SubmitUntilSuccess(req action.Request) action.Value {
-	c.clk.Enter()
-	defer c.clk.Exit()
 	req = c.Tag(req)
 	start := c.clk.Now()
 	span := c.tr.Begin(start, string(c.id), "request", req.ID)

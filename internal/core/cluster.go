@@ -109,12 +109,11 @@ type Cluster struct {
 	crashAt   []time.Duration    // virtual crash instant per replica; -1 when live
 }
 
-// NewCluster assembles and starts a service. It holds the clock while it
-// builds: the goroutines a replica starts are spawn events, and none of
-// them runs — nor does time move — until the whole service stands. Under
-// a caller that already holds the clock (a scenario's driver) the hold
-// nests; for one that does not, the service starts running when
-// NewCluster returns.
+// NewCluster assembles and starts a service. Building only schedules: the
+// goroutines a replica starts are spawn events and its timers are armed,
+// and none of them runs — nor does time move — until the caller's first
+// wait on the clock (a Submit, a Sleep), by when the whole service stands.
+// Between the caller's waits the service stays frozen at one instant.
 func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 3
@@ -126,8 +125,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if net == nil {
 		net = simnet.New(cfg.Net)
 	}
-	net.Clock().Enter()
-	defer net.Clock().Exit()
 	observer := trace.New()
 	world := env.New(observer, cfg.Seed)
 

@@ -115,15 +115,8 @@ func TestCompositionInnerCrash(t *testing.T) {
 		inner.ClientSuspect("replica-0", true)
 	})
 
-	done := make(chan action.Value, 1)
-	go func() { done <- outer.Client.SubmitUntilSuccess(action.NewRequest("order", "sku-2")) }()
-	select {
-	case v := <-done:
-		if v == "" {
-			t.Fatal("empty reply")
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("composed call did not terminate across inner-tier crash")
+	if v := outer.Client.SubmitUntilSuccess(action.NewRequest("order", "sku-2")); v == "" {
+		t.Fatal("empty reply")
 	}
 	verifyTier(t, "inner", inner, innerRegistry())
 	verifyTier(t, "outer", outer, outerRegistry())

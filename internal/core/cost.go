@@ -49,8 +49,8 @@ type vcpu struct {
 func newVCPU(clk *vclock.Virtual) *vcpu { return &vcpu{clk: clk} }
 
 // charge occupies the CPU for d of virtual time, FIFO among contenders.
-// The caller must be attached to the clock (every server goroutine is), so
-// virtual time cannot advance between reading now and sleeping.
+// Virtual time moves only inside a wait, so it cannot advance between
+// reading now and sleeping.
 func (c *vcpu) charge(d time.Duration) {
 	if c == nil || d <= 0 {
 		return

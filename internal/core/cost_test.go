@@ -18,8 +18,6 @@ func TestVCPUFIFO(t *testing.T) {
 	)
 	clk := vclock.NewVirtual()
 	cpu := newVCPU(clk)
-	clk.Enter()
-	defer clk.Exit()
 
 	// GoAfter events fire one at a time, each once the previous goroutine
 	// has blocked, so arrival order is the loop order and the appends
@@ -58,8 +56,6 @@ func TestVCPUFIFO(t *testing.T) {
 func TestVCPUChargeAllocFree(t *testing.T) {
 	clk := vclock.NewVirtual()
 	cpu := newVCPU(clk)
-	clk.Enter()
-	defer clk.Exit()
 	cpu.charge(time.Microsecond) // warm the clock's event and waiter pools
 	if avg := testing.AllocsPerRun(200, func() { cpu.charge(time.Microsecond) }); avg != 0 {
 		t.Errorf("vcpu.charge allocates %.2f objects per call, want 0", avg)

@@ -25,7 +25,6 @@ func runSeededScenario(t *testing.T, seed int64, crash bool) seededRun {
 	t.Helper()
 	tc := newBankCluster(t, ClusterConfig{Replicas: 3, Seed: seed})
 	clk := tc.Clock()
-	clk.Enter()
 	if crash {
 		tc.Env.SetFailures("debit", 1.0, 6, 0)
 		clk.Go(func() {
@@ -39,7 +38,6 @@ func runSeededScenario(t *testing.T, seed int64, crash bool) seededRun {
 		tc.Client.SubmitUntilSuccess(action.NewRequest("read", "acct"))
 		tc.Client.SubmitUntilSuccess(action.NewRequest("token", "t"))
 	}
-	clk.Exit()
 	tc.Net.Quiesce()
 	_, replies := tc.Client.Log()
 	return seededRun{

@@ -310,8 +310,8 @@ func (s *Server) propose(key consensus.Key, val any) any {
 // Start launches the request loop and arms the cleaner (the cobegin of
 // Figure 6) on the network clock. With batching enabled the cobegin gains
 // the batcher (window-driven slot formation) and the follower (in-order
-// slot application; see batch.go). Its callers (NewCluster, RestartServer)
-// hold the clock, so arming the periodic cleaner does not pump it here.
+// slot application; see batch.go). Spawning and arming only schedule, so
+// nothing of it runs before the caller's next wait.
 func (s *Server) Start() {
 	s.clk.Go(s.mainLoop)
 	s.clean.timer.Reset(cleanInterval)

@@ -177,21 +177,14 @@ func TestCrashDuringExecution(t *testing.T) {
 	tc.Env.SetFailures("debit", 1.0, 8, 0)
 
 	clk := tc.Clock()
-	done := make(chan action.Value, 1)
-	clk.Go(func() { done <- tc.Client.SubmitUntilSuccess(action.NewRequest("debit", "acct")) })
 	clk.Go(func() {
 		clk.Sleep(3 * time.Millisecond) // let replica-0 start and hit failures
 		tc.CrashServer(0)
 		tc.ClientSuspect("replica-0", true)
 	})
 
-	select {
-	case v := <-done:
-		if v != "debited" {
-			t.Errorf("debit = %q", v)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("submit did not terminate after crash (R2 violated)")
+	if v := tc.Client.SubmitUntilSuccess(action.NewRequest("debit", "acct")); v != "debited" {
+		t.Errorf("debit = %q", v)
 	}
 	if got := tc.world.get("acct"); got != 90 {
 		t.Errorf("balance = %d, want 90 (exactly-once across crash+retry)", got)
@@ -208,14 +201,12 @@ func TestFalseSuspicionIdempotent(t *testing.T) {
 	// falsely suspect replica-0: both end up executing (active flavor).
 	tc.Env.SetFailures("token", 1.0, 5, 0)
 	clk := tc.Clock()
-	done := make(chan action.Value, 1)
-	clk.Go(func() { done <- tc.Client.SubmitUntilSuccess(action.NewRequest("token", "t1")) })
 	clk.Go(func() {
 		clk.Sleep(2 * time.Millisecond)
 		tc.Suspect("replica-1", "replica-0", true)
 	})
 
-	v := <-done
+	v := tc.Client.SubmitUntilSuccess(action.NewRequest("token", "t1"))
 	if v == "" || v == EmptyResult {
 		t.Fatalf("token = %q", v)
 	}
@@ -226,20 +217,17 @@ func TestFalseSuspicionUndoable(t *testing.T) {
 	tc := newBankCluster(t, ClusterConfig{Replicas: 3, Seed: 7})
 	tc.Env.SetFailures("debit", 1.0, 5, 0)
 	clk := tc.Clock()
-	done := make(chan action.Value, 1)
-	clk.Go(func() { done <- tc.Client.SubmitUntilSuccess(action.NewRequest("debit", "acct")) })
 	clk.Go(func() {
 		clk.Sleep(2 * time.Millisecond)
 		tc.Suspect("replica-1", "replica-0", true)
 		tc.Suspect("replica-2", "replica-0", true)
 	})
 
-	v := <-done
-	if v != "debited" {
+	if v := tc.Client.SubmitUntilSuccess(action.NewRequest("debit", "acct")); v != "debited" {
 		t.Fatalf("debit = %q", v)
 	}
 	tc.Net.Quiesce()
-	waitFor(t, 5*time.Second, func() bool { return tc.world.get("acct") == 90 })
+	tc.waitFor(t, 5*time.Second, func() bool { return tc.world.get("acct") == 90 })
 	if n := tc.Env.InForceTotal("debit", "acct"); n != 1 {
 		t.Errorf("in-force debit effects = %d, want 1 (cancelled rounds rolled back)", n)
 	}
@@ -255,7 +243,7 @@ func TestActionFailuresRetryToSuccess(t *testing.T) {
 	if v != "debited" {
 		t.Fatalf("debit = %q", v)
 	}
-	waitFor(t, 5*time.Second, func() bool { return tc.world.get("acct") == 90 })
+	tc.waitFor(t, 5*time.Second, func() bool { return tc.world.get("acct") == 90 })
 	tc.checkRun(t)
 }
 
@@ -268,7 +256,7 @@ func TestCommitAndCancelFailuresRetry(t *testing.T) {
 	if v != "debited" {
 		t.Fatalf("debit = %q", v)
 	}
-	waitFor(t, 5*time.Second, func() bool { return tc.world.get("acct") == 90 })
+	tc.waitFor(t, 5*time.Second, func() bool { return tc.world.get("acct") == 90 })
 	tc.checkRun(t)
 }
 
@@ -288,7 +276,7 @@ func TestResubmissionIsIdempotentR1(t *testing.T) {
 	if v1 != v2 {
 		t.Errorf("re-submission reply %q differs from original %q", v2, v1)
 	}
-	waitFor(t, 5*time.Second, func() bool { return tc.world.get("acct") == 90 })
+	tc.waitFor(t, 5*time.Second, func() bool { return tc.world.get("acct") == 90 })
 	if n := tc.Env.InForceTotal("debit", "acct"); n != 1 {
 		t.Errorf("in-force effects after re-submission = %d, want 1", n)
 	}
@@ -300,22 +288,15 @@ func TestCTConsensusNiceRun(t *testing.T) {
 	if v != "debited" {
 		t.Fatalf("debit = %q", v)
 	}
-	waitFor(t, 5*time.Second, func() bool { return tc.world.get("acct") == 90 })
+	tc.waitFor(t, 5*time.Second, func() bool { return tc.world.get("acct") == 90 })
 	tc.checkRun(t)
 }
 
 func TestCTConsensusCrash(t *testing.T) {
 	tc := newBankCluster(t, ClusterConfig{Replicas: 3, Seed: 12, Consensus: ConsensusCT})
 	tc.CrashServer(0)
-	done := make(chan action.Value, 1)
-	go func() { done <- tc.Client.SubmitUntilSuccess(action.NewRequest("read", "acct")) }()
-	select {
-	case v := <-done:
-		if v != "100" {
-			t.Errorf("read = %q, want 100", v)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("submit did not terminate with CT consensus after crash")
+	if v := tc.Client.SubmitUntilSuccess(action.NewRequest("read", "acct")); v != "100" {
+		t.Errorf("read = %q, want 100", v)
 	}
 	tc.checkRun(t)
 }
@@ -328,15 +309,8 @@ func TestHeartbeatDetectorCrash(t *testing.T) {
 		HeartbeatInterval: time.Millisecond,
 	})
 	tc.CrashServer(0)
-	done := make(chan action.Value, 1)
-	go func() { done <- tc.Client.SubmitUntilSuccess(action.NewRequest("read", "acct")) }()
-	select {
-	case v := <-done:
-		if v != "100" {
-			t.Errorf("read = %q", v)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("submit did not terminate with heartbeat detector after crash")
+	if v := tc.Client.SubmitUntilSuccess(action.NewRequest("read", "acct")); v != "100" {
+		t.Errorf("read = %q", v)
 	}
 	tc.checkRun(t)
 }
@@ -372,14 +346,12 @@ func TestSpectrumDuplicationUnderSuspicion(t *testing.T) {
 	busy := newBankCluster(t, ClusterConfig{Replicas: 3, Seed: 16})
 	busy.Env.SetFailures("token", 1.0, 6, 0)
 	clk := busy.Clock()
-	done := make(chan action.Value, 1)
-	clk.Go(func() { done <- busy.Client.SubmitUntilSuccess(action.NewRequest("token", "t")) })
 	clk.Go(func() {
 		clk.Sleep(2 * time.Millisecond)
 		busy.Suspect("replica-1", "replica-0", true)
 		busy.Suspect("replica-2", "replica-0", true)
 	})
-	<-done
+	busy.Client.SubmitUntilSuccess(action.NewRequest("token", "t"))
 	busy.Net.Quiesce()
 	if got := countStarts(busy, "token"); got < 2 {
 		t.Errorf("suspicious run: %d executions of token, want ≥ 2 (active flavor)", got)
@@ -397,14 +369,16 @@ func countStarts(tc *testCluster, a action.Name) int {
 	return n
 }
 
-func waitFor(t *testing.T, d time.Duration, cond func() bool) {
+// waitFor sleeps on the cluster's clock, a millisecond at a time, until
+// cond holds; it fails the test once d of virtual time has passed.
+func (tc *testCluster) waitFor(t *testing.T, d time.Duration, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
+	clk := tc.Clock()
+	deadline := clk.Now() + d
+	for !cond() {
+		if clk.Now() >= deadline {
+			t.Fatal("condition not reached in time")
 		}
-		time.Sleep(time.Millisecond)
+		clk.Sleep(time.Millisecond)
 	}
-	t.Fatal("condition not reached in time")
 }

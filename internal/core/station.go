@@ -282,8 +282,8 @@ func (c *stationCall) finish(completed bool) {
 // Drive schedules one session per (ats[i], reqs[i]) pair on the virtual
 // clock — each request must carry a unique ID — and blocks until every
 // session finishes (reply received, or the network closed under it). It
-// reports how many completed with a reply. The caller must be attached to
-// the clock. Sessions run on the clock's pump, each on its own Timer, and
+// reports how many completed with a reply. Sessions run on the clock's
+// pump, each on its own Timer, and
 // the join waits on a virtual-time condition variable (the Router.CallAll
 // discipline), so the whole drive is deterministic.
 func (st *Station) Drive(ats []time.Duration, reqs []action.Request) int {

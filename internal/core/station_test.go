@@ -32,16 +32,11 @@ func newOpenLoopRun(t *testing.T, cfg ClusterConfig, spec workload.OpenLoopSpec,
 		cfg.Net.MaxDelay = 200 * time.Microsecond
 	}
 	cfg.Seed = seed
-	// The test goroutine attaches before any replica starts, so the clock
-	// cannot run ahead of the test: fault injections and the drive are
-	// scheduled from time zero.
-	cfg.Net.Seed = seed
-	cfg.Network = simnet.New(cfg.Net)
-	clk := cfg.Network.Clock()
-	clk.Enter()
-	t.Cleanup(clk.Exit)
+	// Building runs nothing, so the clock cannot run ahead of the test:
+	// fault injections and the drive are scheduled from time zero.
 	c := NewCluster(cfg)
 	t.Cleanup(c.Stop)
+	clk := c.Clock()
 
 	r := &openLoopRun{c: c, st: c.OpenStation()}
 	// Settle: the zero-length sleep fires only once every goroutine the

@@ -17,8 +17,6 @@ func TestFiveReplicasDoubleCrash(t *testing.T) {
 	tc.Env.SetFailures("debit", 1.0, 10, 0)
 
 	clk := tc.Clock()
-	done := make(chan action.Value, 1)
-	clk.Go(func() { done <- tc.Client.SubmitUntilSuccess(action.NewRequest("debit", "acct")) })
 	clk.Go(func() {
 		clk.Sleep(2 * time.Millisecond)
 		tc.CrashServer(0)
@@ -28,15 +26,10 @@ func TestFiveReplicasDoubleCrash(t *testing.T) {
 		tc.ClientSuspect("replica-1", true)
 	})
 
-	select {
-	case v := <-done:
-		if v != "debited" {
-			t.Fatalf("debit = %q", v)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("submit did not survive a double crash with 5 replicas")
+	if v := tc.Client.SubmitUntilSuccess(action.NewRequest("debit", "acct")); v != "debited" {
+		t.Fatalf("debit = %q", v)
 	}
-	waitFor(t, 5*time.Second, func() bool { return tc.world.get("acct") == 90 })
+	tc.waitFor(t, 5*time.Second, func() bool { return tc.world.get("acct") == 90 })
 	if n := tc.Env.InForceTotal("debit", "acct"); n != 1 {
 		t.Errorf("in-force effects = %d, want 1", n)
 	}
@@ -66,22 +59,15 @@ func TestCTWithFalseSuspicion(t *testing.T) {
 	tc := newBankCluster(t, ClusterConfig{Replicas: 3, Seed: 33, Consensus: ConsensusCT})
 	tc.Env.SetFailures("debit", 1.0, 4, 0)
 	clk := tc.Clock()
-	done := make(chan action.Value, 1)
-	clk.Go(func() { done <- tc.Client.SubmitUntilSuccess(action.NewRequest("debit", "acct")) })
 	clk.Go(func() {
 		clk.Sleep(3 * time.Millisecond)
 		tc.Suspect("replica-1", "replica-0", true)
 		tc.Suspect("replica-2", "replica-0", true)
 	})
-	select {
-	case v := <-done:
-		if v != "debited" {
-			t.Fatalf("debit = %q", v)
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("CT + false suspicion did not terminate")
+	if v := tc.Client.SubmitUntilSuccess(action.NewRequest("debit", "acct")); v != "debited" {
+		t.Fatalf("debit = %q", v)
 	}
-	waitFor(t, 10*time.Second, func() bool { return tc.world.get("acct") == 90 })
+	tc.waitFor(t, 10*time.Second, func() bool { return tc.world.get("acct") == 90 })
 	if n := tc.Env.InForceTotal("debit", "acct"); n != 1 {
 		t.Errorf("in-force effects = %d, want 1", n)
 	}
@@ -119,7 +105,7 @@ func TestSuspicionStormStaysExactlyOnce(t *testing.T) {
 		}
 	}
 	close(stop)
-	waitFor(t, 10*time.Second, func() bool { return tc.world.get("acct") == 70 })
+	tc.waitFor(t, 10*time.Second, func() bool { return tc.world.get("acct") == 70 })
 	if n := tc.Env.InForceTotal("debit", "acct"); n != 3 {
 		t.Errorf("in-force effects = %d, want 3 (one per request)", n)
 	}

@@ -150,12 +150,9 @@ func NewHeartbeat(self simnet.ProcessID, ep *simnet.Endpoint, peers []simnet.Pro
 // Start arms the heartbeat sender on the network clock — the first beat
 // one interval on, later beats every interval (Run) — and takes over the
 // endpoint's deliveries: receiving a heartbeat is a state update, so it
-// runs as the endpoint's handler, not on a goroutine. Start attaches for
-// its duration, so an unattached caller does not pump the periodic timer
-// on the spot.
+// runs as the endpoint's handler, not on a goroutine. Arming runs nothing:
+// the first beat waits for someone's wait on the clock.
 func (h *Heartbeat) Start() {
-	h.clk.Enter()
-	defer h.clk.Exit()
 	h.timer.Reset(h.interval)
 	h.ep.Handle(h.onMessage)
 }

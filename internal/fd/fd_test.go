@@ -40,8 +40,6 @@ func TestHeartbeatDetectsCrash(t *testing.T) {
 	n := simnet.New(simnet.Config{Seed: 1})
 	defer n.Close()
 	clk := n.Clock()
-	clk.Enter() // held from before Start: every step below is a virtual instant
-	defer clk.Exit()
 	ids := []simnet.ProcessID{"p1", "p2"}
 	var hbs []*Heartbeat
 	for _, id := range ids {
@@ -91,8 +89,6 @@ func TestHeartbeatAdaptiveTimeout(t *testing.T) {
 	n := simnet.New(simnet.Config{Seed: 2})
 	defer n.Close()
 	clk := n.Clock()
-	clk.Enter() // held from before Start: every step below is a virtual instant
-	defer clk.Exit()
 	ids := []simnet.ProcessID{"a", "b"}
 	epA := n.Register(FDEndpoint("a"))
 	hbA := NewHeartbeat("a", epA, ids, HeartbeatConfig{Interval: time.Millisecond})
@@ -143,14 +139,12 @@ func TestFDEndpointNaming(t *testing.T) {
 // timer in place and installs the receive side as the endpoint's handler,
 // so it spawns nothing, and a heartbeat has been folded into the
 // detector's state by the time the network reports the delivery settled.
-// The clock is held throughout, so every step lands at a fixed virtual
-// instant. Run under -race -count=5 in CI.
+// The clock moves only inside the test's waits, so every step lands at a
+// fixed virtual instant. Run under -race -count=5 in CI.
 func TestHeartbeatHandlerRunsOnDelivery(t *testing.T) {
 	n := simnet.New(simnet.Config{Seed: 3, MaxDelay: 200 * time.Microsecond})
 	defer n.Close()
 	clk := n.Clock()
-	clk.Enter()
-	defer clk.Exit()
 	epA := n.Register(FDEndpoint("a"))
 	epB := n.Register(FDEndpoint("b"))
 	hb := NewHeartbeat("a", epA, []simnet.ProcessID{"b"}, HeartbeatConfig{Interval: time.Millisecond})
@@ -186,8 +180,6 @@ func TestHeartbeatStartDrainsEarlyBeats(t *testing.T) {
 	n := simnet.New(simnet.Config{Seed: 4, MaxDelay: 200 * time.Microsecond})
 	defer n.Close()
 	clk := n.Clock()
-	clk.Enter()
-	defer clk.Exit()
 	epA := n.Register(FDEndpoint("a"))
 	epB := n.Register(FDEndpoint("b"))
 	hb := NewHeartbeat("a", epA, []simnet.ProcessID{"b"}, HeartbeatConfig{Interval: time.Millisecond})

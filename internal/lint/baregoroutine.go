@@ -3,7 +3,7 @@ package lint
 import "go/ast"
 
 // Baregoroutine flags raw go statements. A goroutine spawned outside
-// vclock.Go/GoAfter is invisible to the attachment ledger: the clock may
+// vclock.Go/GoAfter is not counted as a running unit: the clock may
 // advance while it still has work in flight, which is the
 // untracked-goroutine class behind PR 5's wall-races (a free-running
 // cleaner loop starving verdict computation). Wall-side workers — sweep
@@ -11,7 +11,7 @@ import "go/ast"
 // annotated escapes, not path exemptions.
 var Baregoroutine = &Analyzer{
 	Name: "baregoroutine",
-	Doc:  "no raw go statements in simulation code; goroutines must attach via vclock Go/GoAfter",
+	Doc:  "no raw go statements in simulation code; goroutines must start via vclock Go/GoAfter",
 	Run:  runBaregoroutine,
 }
 

@@ -8,12 +8,11 @@ import (
 
 // Detachedwait flags blocking waits the virtual clock cannot see:
 // sync.WaitGroup.Wait, sync.Cond.Wait, and bare channel receives. A
-// clock-attached goroutine parked in one of these is still counted
-// runnable (or, if it gives its attachment up around the wait, re-attaches
-// at an instant the schedule doesn't order), so the clock either deadlocks or pumps
-// background deadlines and burns nondeterministic virtual time — PR 4's
-// router bug, where a detached WaitGroup.Wait let heartbeat deadlines
-// fire during the join, as a lint rule. The sanctioned primitive is a
+// clock goroutine parked in one of these is still counted running, and a
+// caller outside the clock waiting in one drives nothing (the clock moves
+// only inside a wait on it), so the run stalls or resumes at an instant
+// the schedule does not order — PR 4's router bug, a WaitGroup join, as a
+// lint rule. The sanctioned primitive is a
 // vclock Cond (or vclock.Sleep); the clock's own implementation of those
 // primitives is the annotated escape.
 var Detachedwait = &Analyzer{

@@ -1,0 +1,141 @@
+package lint
+
+import (
+	"bufio"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// removedNames is what earlier changes deleted and must not grow back: a
+// pattern that may match no line of any Go file in the checkout (bench/,
+// a module of its own, included), with the PR that removed it. under
+// narrows an entry to one subtree; except lists subtrees it does not
+// cover. This file is the list, so it is never scanned.
+var removedNames = []struct {
+	pattern string
+	pr      int
+	why     string
+	under   string
+	except  []string
+}{
+	{
+		pattern: `rand\.NewSource`,
+		pr:      13,
+		why:     "one seeded stream type, internal/xrand; bench/ shuffles its trial order, the lint fixture spells the constructor on purpose",
+		except:  []string{"bench/", "internal/xrand/", "internal/lint/testdata/"},
+	},
+	{
+		pattern: `NewReal|RealClock|ResetShared|\.\(\*vclock\.Virtual\)`,
+		pr:      23,
+		why:     "one clock type: *vclock.Virtual, no wall-clock fork and no assertion to reach it",
+	},
+	{
+		pattern: `ShardedTarget|shardedTarget|ShardKeyFunc|"pb-submit"|"pb-result"`,
+		pr:      24,
+		why:     "one fault surface (a plan applies to a list of clusters) and one client (core.Client)",
+	},
+	{
+		pattern: `replayEarlier|SetApply|SetPossibleReply|DelayPareto|DelayAsymmetric|MinDelay|FaultSchedule|BeginUndoable`,
+		pr:      28,
+		why:     "no replica-local state to replay, one delay draw, one fault language, one undoable opener",
+	},
+	{
+		pattern: `drainSpinBudget|DropLink|ShardAt\(|ShardsAt\(`,
+		pr:      29,
+		why:     "Plan.OnShard addresses a group, a singleton-pair Partition cuts a link, simnet.Reset refuses instead of draining",
+	},
+	{
+		pattern: `Stagger\(|streamSeed|per-sender`,
+		pr:      30,
+		why:     "one delay stream per network and no phase offsets: the clock runs one goroutine at a time",
+	},
+	{
+		pattern: `\bgid\(|callerPC|pumpDetached|\bgent\b`,
+		pr:      32,
+		why:     "attachment is per call: no goroutine identity, no ledger entry, no detach hand-off",
+	},
+	{
+		pattern: `\bledger\b`,
+		pr:      32,
+		why:     "the clock keeps no per-goroutine attachment ledger",
+		under:   "internal/vclock/",
+	},
+	{
+		pattern: `\.(Enter|Exit)\(\)`,
+		pr:      32,
+		why:     "no caller holds the clock: Enter and Exit are no-ops kept for bench/'s probes until the next benchmark change",
+		except:  []string{"bench/"},
+	},
+}
+
+// TestRemovedNamesStayGone fails when a removed name reappears in Go
+// source, naming the file, the line and the change that removed it.
+func TestRemovedNamesStayGone(t *testing.T) {
+	root, _, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := make([]*regexp.Regexp, len(removedNames))
+	for i, r := range removedNames {
+		res[i] = regexp.MustCompile(r.pattern)
+	}
+	self := filepath.ToSlash(filepath.Join("internal", "lint", "removed_test.go"))
+	scanned := 0
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if strings.HasPrefix(d.Name(), ".") && rel != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || rel == self {
+			return nil
+		}
+		scanned++
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		sc := bufio.NewScanner(f)
+		sc.Buffer(nil, 1<<20)
+		for n := 1; sc.Scan(); n++ {
+			for i, r := range removedNames {
+				if !covers(rel, r.under, r.except) || !res[i].MatchString(sc.Text()) {
+					continue
+				}
+				t.Errorf("%s:%d: %q matches %s, removed in PR %d (%s)", rel, n, strings.TrimSpace(sc.Text()), r.pattern, r.pr, r.why)
+			}
+		}
+		return sc.Err()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scanned == 0 {
+		t.Fatal("scanned no Go file: the walk is broken")
+	}
+}
+
+// covers reports whether an entry scoped to under (all of the tree when
+// empty), minus the except subtrees, applies to the file at rel.
+func covers(rel, under string, except []string) bool {
+	if !strings.HasPrefix(rel, under) {
+		return false
+	}
+	for _, e := range except {
+		if strings.HasPrefix(rel, e) {
+			return false
+		}
+	}
+	return true
+}

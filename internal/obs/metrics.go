@@ -353,7 +353,7 @@ type Snapshot struct {
 }
 
 // Snapshot copies the registry. Call it at a pinned virtual instant
-// (the settle horizon, while attached to the clock) so concurrent
+// (the settle horizon, between the driver's waits) so concurrent
 // unwinding cannot smear the numbers. A nil receiver returns nil.
 func (m *Metrics) Snapshot() *Snapshot {
 	if m == nil {

@@ -54,10 +54,8 @@ func (r *opRecorder) ClientSuspect(p simnet.ProcessID, v bool) {
 // every op firing with its virtual-time instant.
 func applyAndCollect(p *Plan) []firing {
 	r := newOpRecorder()
-	r.clk.Enter()
 	p.Apply(r.clk, r)
 	r.clk.Sleep(p.Horizon() + time.Millisecond)
-	r.clk.Exit()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]firing(nil), r.fired...)

@@ -342,8 +342,8 @@ func (p *Plan) Horizon() time.Duration {
 
 // Apply schedules every operation of the plan on the deployment's clock,
 // relative to the current virtual time, against its clusters: every
-// replica group in shard order, or the one cluster. Call it while the
-// schedule is held (clock Enter'd, before the workload is submitted) so ops
+// replica group in shard order, or the one cluster. Call it before the
+// workload is submitted: the clock does not move between waits, so ops
 // land at the declared offsets. Ops added at the same instant fire in the
 // order they were added to the plan; the whole schedule stays deterministic
 // because each op is one discrete event of the virtual clock.

@@ -91,10 +91,8 @@ func TestRandomPlanRespectsLiveness(t *testing.T) {
 			targets[s] = groups[s]
 		}
 		p := NewPlan().Random(seed, opt)
-		clk.Enter()
 		p.Apply(clk, targets...)
 		clk.Sleep(p.Horizon() + time.Millisecond)
-		clk.Exit()
 		return groups
 	}
 	for seed := int64(1); seed <= 100; seed++ {

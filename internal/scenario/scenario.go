@@ -464,18 +464,16 @@ func groupConfig(sc Scenario, seed int64, net simnet.Config, accounts int) core.
 // deploy builds and starts the scenario's deployment on a clock it creates
 // here and on networks it takes from the scratch (a single run's scratch is
 // empty, so its world is fresh): every run's world and its clock begin in
-// this function. The caller is attached to the clock from before the first
-// replica starts, and deploy returns with it still attached (the cluster
-// constructors' own holds nest inside): the goroutines a cluster starts are
-// spawn events that wait for the driver's first blocking call, so nothing
-// — a heartbeat, a delivery, time itself — runs ahead of the build, and
-// every run begins at the same instant with the same world.
+// this function. Building only schedules: the goroutines a cluster starts
+// are spawn events and its timers armed entries that wait for the driver's
+// first blocking call, so nothing — a heartbeat, a delivery, time itself —
+// runs ahead of the build, and every run begins at the same instant with
+// the same world.
 func deploy(sc Scenario, seed int64, l load, scratch *runScratch) *deployment {
 	if scratch == nil {
 		scratch = &runScratch{}
 	}
 	d := &deployment{clk: vclock.NewVirtual()}
-	d.clk.Enter()
 	net := sc.Net
 	net.Seed, net.Clock = seed, d.clk
 	sharded := sc.Protocol == XAbility && sc.Shards > 0
@@ -539,7 +537,7 @@ func deploy(sc Scenario, seed int64, l load, scratch *runScratch) *deployment {
 }
 
 // apply schedules the scenario's fault plan against the deployment's
-// clusters. Call with the clock held.
+// clusters, before the load is driven.
 func (d *deployment) apply(p *Plan) {
 	groups := make([]Target, len(d.members))
 	for i, m := range d.members {
@@ -549,7 +547,7 @@ func (d *deployment) apply(p *Plan) {
 }
 
 // stop shuts every cluster down. Non-blocking and idempotent, so the
-// driver can stop while still attached and keep a deferred stop as the
+// driver can stop at a frozen instant and keep a deferred stop as the
 // panic path.
 func (d *deployment) stop() {
 	if d.base != nil {
@@ -590,7 +588,7 @@ func (d *deployment) drive(l load) bool {
 //
 // A baseline's audit moves the snapshot instant first. Active replication
 // keeps executing after the first reply returns to the client, so the
-// driver waits, still holding the clock, for the audit to stop moving: the
+// driver waits on the clock for the audit to stop moving: the
 // outcome reports the protocol's steady state. That wait is behaviour of
 // the baselines, not a second copy of the settle. It ends at a pinned
 // instant, woken by the pump, so nothing is mid-step while the audit and
@@ -664,11 +662,11 @@ func (d *deployment) verdict(o *Outcome, l load) {
 }
 
 // execute is the run driver: every run — either deployment kind, either
-// load, any armed plane — goes through this one sequence: hold the clock
-// and build, arm the watchdog, apply the plan, drive the load, settle,
-// snapshot while attached, stop, run out, exit, verdict. From deploy's
-// Enter to the Exit exactly one goroutine is runnable at a time. scratch
-// is a sweep worker's recycled substrate (nil for single runs).
+// load, any armed plane — goes through this one sequence: build, arm the
+// watchdog, apply the plan, drive the load, settle, snapshot, stop, run
+// out, verdict. The world moves only inside the driver's waits, so exactly
+// one goroutine is runnable at a time throughout. scratch is a sweep
+// worker's recycled substrate (nil for single runs).
 func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outcome {
 	sc = sc.withDefaults().Materialize(seed)
 	sc.Net.Record, sc.Net.Replay = opts.Record, opts.Replay
@@ -690,7 +688,7 @@ func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outc
 	case sc.Workload != nil:
 		l.reqs = workload.Generate(*sc.Workload, seed)
 	}
-	d := deploy(sc, seed, l, scratch) // returns with the clock held
+	d := deploy(sc, seed, l, scratch) // returns with nothing run yet
 	defer d.stop()
 
 	clk := d.clk
@@ -705,12 +703,12 @@ func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outc
 	settleRun(sc, d)
 	// Every observation — send counters, the metrics registry, side-effect
 	// audit, histories, storage and latency statistics — is snapshotted at
-	// the settle horizon, a fixed virtual instant, while this goroutine is
-	// still attached: it was just woken by the pump, so every protocol
-	// goroutine of every group is blocked in a clock primitive and the
-	// observed state cannot move. The wind-down below would move it: the
-	// stop's exit cascade still sends, cancels and logs. (A baseline's audit
-	// moves the instant before the reads that follow it.)
+	// the settle horizon, a fixed virtual instant: this goroutine's last
+	// wait returned there, so every protocol goroutine of every group is
+	// blocked in a clock primitive and the observed state cannot move until
+	// the next wait. The wind-down below would move it: the stop's exit
+	// cascade still sends, cancels and logs. (A baseline's audit moves the
+	// instant before the reads that follow it.)
 	o := Outcome{
 		Scenario: sc.Name,
 		Seed:     seed,
@@ -741,14 +739,13 @@ func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outc
 			lats = append(lats, m.station.Latencies()...)
 		}
 	}
-	// Stop, run the stopped world out and only then let go of the clock: the
-	// exit cascade (goroutines observing the stop, superseded and final
-	// timers, deliveries still in flight) runs here, on this goroutine's
-	// schedule, and Exit leaves the clock quiesced — nothing of the run
-	// outlives it, and the next seed's Reset finds its networks inert.
+	// Stop and run the stopped world out: the exit cascade (goroutines
+	// observing the stop, superseded and final timers, deliveries still in
+	// flight) runs here, inside this goroutine's waits, and leaves the clock
+	// quiesced — nothing of the run outlives it, and the next seed's Reset
+	// finds its networks inert.
 	d.stop()
 	clk.RunOut()
-	clk.Exit()
 
 	o.TimedOut = timedOut()
 	o.WALAppends, o.WALSyncTime = wstats.Appends, wstats.SyncTime
@@ -774,8 +771,8 @@ func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outc
 // at the cap every cluster's network closes, unblocking every client
 // await. The cap guards the submit phase only — settling and audit
 // stabilization always terminate on their own — so the caller disarms it
-// once the workload is through. Call with the clock held; fired reports
-// whether the watchdog killed the run.
+// once the workload is through. Call it before the first wait; fired
+// reports whether the watchdog killed the run.
 func watchdog(sc Scenario, d *deployment) (fired func() bool, disarm func()) {
 	if sc.Deadline <= 0 {
 		return func() bool { return false }, func() {}
@@ -862,8 +859,7 @@ func auditEffects(reqs []action.Request, inForce func(action.Name, action.Value)
 
 // waitStable polls probe on the cluster clock until its value has not
 // changed for 20ms of simulated time (or the deadline passes). On the
-// virtual clock the whole wait costs only the work it overlaps with. Call
-// with the clock held.
+// virtual clock the whole wait costs only the work it overlaps with.
 func waitStable(clk *vclock.Virtual, d time.Duration, probe func() int) {
 	deadline := clk.Now() + d
 	last, since := probe(), clk.Now()

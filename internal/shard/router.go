@@ -92,19 +92,13 @@ func (r *Router) CallAll(reqs []action.Request) (replies []action.Value, ok bool
 		perShard[s] = append(perShard[s], i)
 	}
 	// The streams join on a clock-integrated condition, not a bare
-	// WaitGroup: a vclock Cond re-marks the waiting caller runnable at the
-	// instant of the final Broadcast, so no zero-runnable window opens
-	// between the last stream finishing and the caller resuming. Waiting
-	// detached on plain sync leaves exactly such a window, and in it the
-	// clock pumps whatever background deadlines are pending (cleaner
-	// periods, heartbeats) until the Go runtime happens to reschedule the
-	// caller — burning an unbounded, wall-clock-dependent amount of
-	// virtual time into the run and destroying SimTime determinism.
+	// WaitGroup: the schedule advances only while someone waits on the
+	// clock, so a WaitGroup wait would leave the streams' spawn events
+	// unfired forever. The Cond's wait is what runs them, and its wake is
+	// the final Broadcast's event, a pinned virtual instant.
 	var mu sync.Mutex
 	cond := r.clk.NewCond(&mu)
 	pending := 0
-	r.clk.Enter()
-	defer r.clk.Exit()
 	for s, idxs := range perShard {
 		if len(idxs) == 0 {
 			continue

@@ -56,10 +56,7 @@ func TestRoutedCallsLandOnOwners(t *testing.T) {
 	c, banks := newDeployment(t, 4, 1)
 	reqs := debits(16, 16)
 
-	clk := c.Clock()
-	clk.Enter()
 	replies, ok := c.Router.CallAll(reqs)
-	clk.Exit()
 	quiesce(c)
 
 	if !ok {
@@ -96,13 +93,11 @@ func TestShardStreamsOverlapVirtualTime(t *testing.T) {
 		c, _ := newDeployment(t, shards, 7)
 		reqs := debits(48, 48)
 		clk := c.Clock()
-		clk.Enter()
 		start := clk.Now()
 		if _, ok := c.Router.CallAll(reqs); !ok {
 			t.Fatalf("%d shards: unanswered requests", shards)
 		}
 		d := clk.Now() - start
-		clk.Exit()
 		quiesce(c)
 		return d
 	}
@@ -126,14 +121,12 @@ func TestRouterFailoverExactlyOnce(t *testing.T) {
 		}
 		reqs := debits(8, 8)
 		clk := c.Clock()
-		clk.Enter()
 		// Crash the owner of the group serving acct-0 while its stream is
 		// in flight.
 		victim := c.Ring().Owner("acct-0")
 		clk.GoAfter(2*time.Millisecond, func() { c.Group(victim).CrashServer(0) })
 		replies, ok := c.Router.CallAll(reqs)
 		clk.Sleep(5 * time.Millisecond) // let cleaners settle
-		clk.Exit()
 		quiesce(c)
 
 		if !ok {
@@ -167,11 +160,8 @@ func TestRoutingAuditCatchesBypass(t *testing.T) {
 	owner := c.Ring().Owner("acct-0")
 	rogue := (owner + 1) % 2
 
-	clk := c.Clock()
-	clk.Enter()
 	c.Router.Call(req)                            // the legitimate routed call
 	c.Group(rogue).Client.SubmitUntilSuccess(req) // the bypass
-	clk.Exit()
 	quiesce(c)
 
 	rep := c.Verify(workload.Registry())

@@ -8,8 +8,9 @@ import (
 
 // The delivery contract: a delivery is a callback on the clock's pump, and
 // an endpoint with a handler gets its messages as calls, not wake-ups.
-// Every test holds the clock (Enter) around the steps whose order it pins,
-// so none depends on how the host schedules. Run under -race -count=5 in CI.
+// The clock moves only inside a wait (Quiesce, Recv), so every step a test
+// takes between two waits happens at one instant and none depends on how
+// the host schedules. Run under -race -count=5 in CI.
 
 // inbox collects what a handler saw, in call order.
 type inbox struct {
@@ -46,13 +47,11 @@ func wantInts(t *testing.T, what string, got []int, want ...int) {
 // later deliveries are calls, made by the time Quiesce returns.
 func TestHandleDrainsBacklogInArrivalOrder(t *testing.T) {
 	// backlog sends 20 messages to b, which nobody is receiving on, and
-	// returns with all of them in its mailbox and the clock held.
+	// returns with all of them in its mailbox.
 	backlog := func() (n *Network, a, b *Endpoint) {
 		n = New(Config{Seed: 41, MaxDelay: 300 * time.Microsecond})
 		t.Cleanup(n.Close)
 		a, b = n.Register("a"), n.Register("b")
-		n.Clock().Enter()
-		t.Cleanup(n.Clock().Exit)
 		for i := 0; i < 20; i++ {
 			a.Send("b", "m", i)
 		}
@@ -95,9 +94,6 @@ func TestHandleCrashRestart(t *testing.T) {
 	defer n.Close()
 	a := n.Register("a")
 	b := n.Register("b")
-	clk := n.Clock()
-	clk.Enter()
-	defer clk.Exit()
 	var first, second inbox
 	b.Handle(first.handle)
 	a.Send("b", "m", 1)
@@ -136,7 +132,7 @@ func TestRecvOnHandledEndpointPanics(t *testing.T) {
 
 // A storm of deliveries — into handlers and into mailboxes with blocked
 // receivers, handlers sending replies from the pump — starts no goroutine
-// and leaves nothing attached.
+// and leaves nothing running.
 func TestDeliveryStormLeavesNoLeak(t *testing.T) {
 	n := New(Config{Seed: 44, MaxDelay: 200 * time.Microsecond})
 	defer n.Close()
@@ -151,7 +147,6 @@ func TestDeliveryStormLeavesNoLeak(t *testing.T) {
 		ep.Handle(func(m Message) { ep.Send("sink", "echo", m.Payload) })
 	}
 	clk := n.Clock()
-	clk.Enter()
 	spawns := clk.Spawns()
 	for i := 0; i < rounds; i++ {
 		sink.Broadcast("m", i)
@@ -162,7 +157,6 @@ func TestDeliveryStormLeavesNoLeak(t *testing.T) {
 		}
 	}
 	n.Quiesce()
-	clk.Exit()
 	if got := clk.Spawns() - spawns; got != 0 {
 		t.Errorf("%d deliveries spawned %d goroutines", 2*peers*rounds, got)
 	}

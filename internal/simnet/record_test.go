@@ -73,13 +73,11 @@ func TestRecordInFlightDropResolves(t *testing.T) {
 	a := n.Register("a")
 	n.Register("b")
 
-	// Attached, so the clock cannot advance to the delivery between the
-	// send and the cut.
-	n.Clock().Enter()
+	// The clock moves only inside a wait, so it cannot advance to the
+	// delivery between the send and the cut.
 	a.Send("b", "m", 1)
 	n.Partition([]ProcessID{"a"}, []ProcessID{"b"}) // sever while in flight
 	n.Quiesce()
-	n.Clock().Exit()
 
 	es := log.Entries()
 	if len(es) != 1 || es[0].Verdict != schedule.DroppedDeliver {
@@ -98,11 +96,9 @@ func TestReplayVerbatimReproducesSchedule(t *testing.T) {
 		a := n.Register("a")
 		b := n.Register("b")
 		clk := n.Clock()
-		clk.Enter() // hold the schedule so all sends share one instant
-		for i := 0; i < 20; i++ {
+		for i := 0; i < 20; i++ { // no wait between: all sends share one instant
 			a.Send("b", "m", i)
 		}
-		clk.Exit()
 		var at []time.Duration
 		for i := 0; i < 20; i++ {
 			if _, ok := b.Recv(); !ok {
@@ -146,11 +142,9 @@ func TestReplaySuppressAndRedelay(t *testing.T) {
 	n := New(Config{Seed: 10, MaxDelay: 500 * time.Microsecond, Record: log})
 	a := n.Register("a")
 	b := n.Register("b")
-	n.Clock().Enter() // hold the schedule so all sends share one instant
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 3; i++ { // no wait between: all sends share one instant
 		a.Send("b", "m", i)
 	}
-	n.Clock().Exit()
 	drain(t, b, 3)
 	n.Close()
 
@@ -169,11 +163,9 @@ func TestReplaySuppressAndRedelay(t *testing.T) {
 	defer n2.Close()
 	a2 := n2.Register("a")
 	b2 := n2.Register("b")
-	n2.Clock().Enter()
 	for i := 0; i < 3; i++ {
 		a2.Send("b", "m", i)
 	}
-	n2.Clock().Exit()
 	got := drain(t, b2, 2)
 	if got[0].Payload.(int) != 0 || got[1].Payload.(int) != 2 {
 		t.Errorf("payloads = %v %v, want 0 then 2 (1 suppressed)", got[0].Payload, got[1].Payload)

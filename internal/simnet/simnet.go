@@ -12,14 +12,14 @@
 //
 // Delays are measured on the network's clock (internal/vclock), which is
 // virtual: deliveries are entries in a discrete-event queue, the simulation
-// advances to the next pending deadline whenever every participating
-// goroutine is blocked, and a run's wall-clock cost is the CPU it burns,
+// advances to the next pending deadline while someone waits on the clock
+// and nothing else runs, and a run's wall-clock cost is the CPU it burns,
 // not the delays it simulates.
 //
 // Delay draws come from one seeded stream per network, advanced once per
-// send. A driver that holds the clock runs one goroutine at a time — a
-// spawn is an event too — so the order of sends, and with it the delay
-// each send draws, is a function of the seed.
+// send. The clock runs one goroutine at a time — a spawn is an event too —
+// so the order of sends, and with it the delay each send draws, is a
+// function of the seed.
 //
 // Beyond crash-stop, the network exposes a link-level fault plane for
 // adversarial scenarios: a delay-storm multiplier on the uniform draw
@@ -517,14 +517,11 @@ func (n *Network) TotalSent() int {
 }
 
 // Quiesce blocks until all in-flight deliveries have settled. Useful at the
-// end of a scenario before reading counters. Safe from goroutines attached
-// to the clock and from external (test) goroutines alike: the caller is
-// attached for the duration (Enter/Exit nest), and the wait itself runs on
-// the clock's cond, so the wake is a scheduled event rather than an OS
-// scheduling race.
+// end of a scenario before reading counters. Safe from clock goroutines and
+// from external (test) goroutines alike: the wait runs on the clock's cond
+// (see vclock.Virtual for who may wait), so the wake is a scheduled event
+// rather than an OS scheduling race.
 func (n *Network) Quiesce() {
-	n.clk.Enter()
-	defer n.clk.Exit()
 	for {
 		n.mu.Lock()
 		for n.inflight > 0 {
@@ -746,9 +743,6 @@ func (e *Endpoint) Handle(fn func(Message)) {
 // further messages will ever arrive. Recv on an endpoint with a handler
 // panics: the handler consumes every message.
 func (e *Endpoint) Recv() (Message, bool) {
-	clk := e.net.clk
-	clk.Enter()
-	defer clk.Exit()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.handler != nil {
@@ -778,9 +772,6 @@ func (e *Endpoint) TryRecv() (Message, bool) {
 // it to sleep event-driven between polls: a delivery wakes the waiter
 // immediately instead of costing a full poll period.
 func (e *Endpoint) Wait(d time.Duration) {
-	clk := e.net.clk
-	clk.Enter()
-	defer clk.Exit()
 	e.mu.Lock()
 	if e.count == 0 && !e.closed {
 		e.cond.WaitTimeout(d)
@@ -837,11 +828,11 @@ func (n *Network) Close() {
 // resets every group in shard order.
 //
 // Reset refuses, and reports false without waiting, unless the old clock
-// is Quiesced: no attached goroutine and no pending event. Until then the
+// is Quiesced: no clock goroutine left and no pending event. Until then the
 // old world is not inert — its goroutines and deliveries hold the
 // endpoints being recycled. A run's driver winds its world down before it
-// lets go of the clock (stop, then vclock.Virtual.RunOut, then Exit), so a
-// refusal means a world that was never wound down. The subsequent
+// returns (stop, then vclock.Virtual.RunOut), so a refusal means a world
+// that was never wound down. The subsequent
 // deployment must Register the same process IDs in the same order (the
 // sweep contract: one scenario shape per worker).
 func (n *Network) Reset(cfg Config) bool {

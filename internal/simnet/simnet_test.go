@@ -167,13 +167,11 @@ func TestPartitionDropsInFlightTraffic(t *testing.T) {
 	defer n.Close()
 	a := n.Register("a")
 	b := n.Register("b")
-	// Attached, so the clock cannot advance to the delivery between the
-	// send and the cut.
-	n.Clock().Enter()
+	// The clock moves only inside a wait, so it cannot advance to the
+	// delivery between the send and the cut.
 	a.Send("b", "m", 1)
 	n.Partition([]ProcessID{"a"}, []ProcessID{"b"}) // before delivery fires
 	n.Quiesce()
-	n.Clock().Exit()
 	if _, ok := b.TryRecv(); ok {
 		t.Error("in-flight message survived the partition")
 	}
@@ -281,20 +279,12 @@ func TestCrashUnblocksReceivers(t *testing.T) {
 	n := New(Config{Seed: 4})
 	defer n.Close()
 	b := n.Register("b")
-	done := make(chan bool, 1)
-	go func() {
-		_, ok := b.Recv()
-		done <- ok
-	}()
-	time.Sleep(time.Millisecond)
-	n.Crash("b")
-	select {
-	case ok := <-done:
-		if ok {
-			t.Error("recv on crashed endpoint returned ok")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("recv did not unblock on crash")
+	n.Clock().GoAfter(time.Millisecond, func() { n.Crash("b") })
+	if _, ok := b.Recv(); ok {
+		t.Error("recv on crashed endpoint returned ok")
+	}
+	if now := n.Clock().Now(); now != time.Millisecond {
+		t.Errorf("Recv returned at %v, want at the crash, 1ms", now)
 	}
 }
 
@@ -399,17 +389,9 @@ func TestProcessesListing(t *testing.T) {
 func TestCloseUnblocksAll(t *testing.T) {
 	n := New(Config{})
 	a := n.Register("a")
-	done := make(chan struct{})
-	go func() {
-		a.Recv()
-		close(done)
-	}()
-	time.Sleep(time.Millisecond)
-	n.Close()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Close did not unblock receiver")
+	n.Clock().GoAfter(time.Millisecond, n.Close)
+	if _, ok := a.Recv(); ok {
+		t.Error("recv on a closed network returned ok")
 	}
 	n.Close() // idempotent
 }

@@ -7,15 +7,14 @@ import (
 )
 
 // Alloc-budget guards: the virtual clock's primitives are the innermost
-// loop of every simulated run, and PR 5's pooling (vevents, waiters with
-// reusable wake channels, ledger entries) made their steady state
+// loop of every simulated run, and pooling (vevents, waiters with
+// reusable wake channels) made their steady state
 // allocation-free. These tests fail loudly if that erodes. Budgets are
 // averages over warmed-up pools; they hold under -race too (the race
 // runtime does not add per-op mallocs on these paths).
 
 // TestSleepAllocBudget pins Sleep at zero steady-state allocations: the
-// waiter, its wake channel, the heap event, and the ledger entry are all
-// pooled.
+// waiter, its wake channel and the heap event are all pooled.
 func TestSleepAllocBudget(t *testing.T) {
 	v := NewVirtual()
 	for i := 0; i < 100; i++ {
@@ -29,14 +28,13 @@ func TestSleepAllocBudget(t *testing.T) {
 
 // TestGoAfterAllocBudget pins the scheduled-spawn path: the event comes
 // from the pool, so the only remaining allocation is the goroutine spawn
-// itself.
+// itself. The sleep behind the spawn is what runs it.
 func TestGoAfterAllocBudget(t *testing.T) {
 	v := NewVirtual()
-	done := make(chan struct{}, 1)
-	fn := func() { done <- struct{}{} }
+	fn := func() {}
 	run := func() {
 		v.GoAfter(time.Microsecond, fn)
-		<-done
+		v.Sleep(2 * time.Microsecond)
 	}
 	for i := 0; i < 100; i++ {
 		run()
@@ -55,12 +53,10 @@ func TestCondWaitAllocBudget(t *testing.T) {
 	c := v.NewCond(&mu)
 	wake := func() { c.Broadcast() }
 	run := func() {
-		v.Enter() // attached first: the wake cannot fire before the wait is armed
-		v.GoAfter(0, wake)
+		v.GoAfter(0, wake) // runs nothing: the wake cannot fire before the wait is armed
 		mu.Lock()
 		c.Wait()
 		mu.Unlock()
-		v.Exit()
 	}
 	for i := 0; i < 100; i++ {
 		run()

@@ -16,21 +16,26 @@
 //
 // The virtual clock is a discrete-event scheduler: pending wake-ups (sleep
 // deadlines, message deliveries, poll timeouts) form a priority queue keyed
-// by virtual deadline, tie-broken by scheduling sequence number. Goroutines
-// participating in the simulation are attached to the clock (Virtual.Go,
-// Virtual.Enter); whenever every attached goroutine is blocked in a clock
-// primitive, the clock pops the earliest event, advances virtual time to
-// its deadline, and wakes exactly one goroutine — or, for a Runner (a
-// message delivery, a Timer's tick, a Runner woken from a Cond wait by
-// WaitRunner), runs it on the spot, on the goroutine whose clock call
-// found the schedule quiescent, and pops the next. A spawn is an event
-// too (Go is GoAfter(0, fn)), so a new goroutine starts only when its
-// event is popped, never beside its spawner. Execution of
-// events is thereby serialized; see Runner for what a callback on the pump
-// may do, and Exit for who pumps once an external goroutine detaches. A
-// driver that holds the clock from building its world (the cluster
-// constructors hold it too) until RunOut has wound that world down keeps
-// exactly one goroutine runnable at a time throughout.
+// by virtual deadline, tie-broken by scheduling sequence number. The
+// schedule advances only while some caller waits on it: whenever nothing
+// on the clock is running — no clock goroutine (Virtual.Go) outside a
+// clock primitive, no Runner, no caller just woken from its wait — and
+// someone is blocked in a Sleep or a Cond wait, the clock pops the earliest
+// event, advances virtual time to its deadline, and wakes exactly one
+// goroutine — or, for a Runner (a message delivery, a Timer's tick, a
+// Runner woken from a Cond wait by WaitRunner), runs it on the spot and
+// pops the next. A spawn is an event too (Go is GoAfter(0, fn)), so a new
+// goroutine starts only when its event is popped, never beside its
+// spawner, and scheduling never runs anything. Execution of events is
+// thereby serialized; see Runner for what a callback on the pump may do.
+//
+// A caller outside the clock attaches for one blocking call at a time: it
+// is the running unit while its wait is armed and again once woken, and
+// on return it lets go without pumping, so between its calls the world is
+// frozen at one virtual instant. A driver that builds its world, drives
+// it through waits and winds it down with RunOut therefore keeps exactly
+// one goroutine runnable at a time throughout, and a service left idle
+// between two calls does not move.
 //
 // # How seeds map to schedules
 //

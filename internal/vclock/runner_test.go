@@ -7,7 +7,7 @@ import (
 )
 
 // The Runner contract (see Runner): Run executes on the pump, inside
-// whichever goroutine's clock call found the schedule quiescent. These
+// whichever goroutine's wait (or clock goroutine's end) set it going. These
 // tests pin what that forces on the clock and what it must leave alone.
 // Run under -race -count=5 in CI.
 
@@ -18,34 +18,30 @@ func (f runnerFunc) Run() { f() }
 
 // A Runner may take a lock that the pumping goroutine is about to wait on:
 // a cond wait registers the waiter, releases the user's lock and only then
-// gives up runnability — the step that pumps. Here the waiter is the only
-// attached goroutine, so its own Wait pumps the Runner; with the pump
-// running under the user's lock (the old order) this self-deadlocks.
+// gives up its running unit — the step that pumps. Here the waiter is the
+// only caller, so its own Wait pumps the Runner; with the pump running
+// under the user's lock (the old order) this self-deadlocks, which the
+// wall-clock guard turns into a failure instead of a hung suite.
 func TestRunnerMayLockWhatTheWaiterWaitsOn(t *testing.T) {
 	v := NewVirtual()
 	var l sync.Mutex
 	cond := v.NewCond(&l)
 	ready := false
-	done := make(chan struct{})
-	v.Go(func() {
-		l.Lock()
-		v.AfterRunner(time.Millisecond, runnerFunc(func() {
-			l.Lock()
-			ready = true
-			l.Unlock()
-			cond.Broadcast()
-		}))
-		for !ready {
-			cond.Wait()
-		}
-		l.Unlock()
-		close(done)
+	guard := time.AfterFunc(5*time.Second, func() {
+		panic("the waiter's own pump ran the Runner under the waiter's lock")
 	})
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the waiter's own pump ran the Runner under the waiter's lock")
+	defer guard.Stop()
+	l.Lock()
+	v.AfterRunner(time.Millisecond, runnerFunc(func() {
+		l.Lock()
+		ready = true
+		l.Unlock()
+		cond.Broadcast()
+	}))
+	for !ready {
+		cond.Wait()
 	}
+	l.Unlock()
 	if now := v.Now(); now != time.Millisecond {
 		t.Errorf("Now = %v, want 1ms", now)
 	}
@@ -66,20 +62,14 @@ func TestRunnersRunInSchedulingOrder(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	var wg sync.WaitGroup
-	v.Enter() // hold the schedule so all six share one instant
 	for i := 0; i < 6; i++ {
 		if i == 2 || i == 4 {
-			wg.Add(1)
-			fn := note(i)
-			v.GoAfter(time.Millisecond, func() { defer wg.Done(); fn() })
+			v.GoAfter(time.Millisecond, note(i))
 		} else {
 			v.AfterRunner(time.Millisecond, runnerFunc(note(i)))
 		}
 	}
 	v.Sleep(time.Millisecond) // lands behind all six at the same instant
-	v.Exit()
-	wg.Wait()
 	mu.Lock()
 	defer mu.Unlock()
 	for i := range order {
@@ -99,7 +89,7 @@ func TestRunnersRunInSchedulingOrder(t *testing.T) {
 }
 
 // Run may schedule: the events fire after it returns, the clock does not
-// re-enter the pump underneath it, and nothing stays attached afterwards.
+// re-enter the pump underneath it, and nothing is left running afterwards.
 func TestRunnerMaySchedule(t *testing.T) {
 	v := NewVirtual()
 	var mu sync.Mutex
@@ -117,14 +107,12 @@ func TestRunnerMaySchedule(t *testing.T) {
 		}
 		v.AfterRunner(time.Microsecond, hop)
 	}
-	v.Enter()
 	v.AfterRunner(0, hop)
 	mu.Lock()
 	for hops < 100 {
 		cond.Wait()
 	}
 	mu.Unlock()
-	v.Exit()
 	if now := v.Now(); now != 99*time.Microsecond {
 		t.Errorf("Now = %v, want 99µs", now)
 	}

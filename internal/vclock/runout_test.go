@@ -19,7 +19,6 @@ func TestGoStartsAtItsEvent(t *testing.T) {
 		mu.Unlock()
 	}
 	tm := v.NewTimer(runnerFunc(func() { record("timer") }))
-	v.Enter()
 	tm.Reset(0)
 	v.Go(func() { record("go") })
 	record("spawner")
@@ -27,7 +26,6 @@ func TestGoStartsAtItsEvent(t *testing.T) {
 		t.Errorf("Spawns = %d before the spawner blocked, want 0: Go started its goroutine beside the spawner", sp)
 	}
 	v.Sleep(0) // lands behind the timer and the spawn
-	v.Exit()
 	mu.Lock()
 	defer mu.Unlock()
 	if len(order) != 3 || order[0] != "spawner" || order[1] != "timer" || order[2] != "go" {
@@ -41,17 +39,15 @@ func TestGoStartsAtItsEvent(t *testing.T) {
 	}
 }
 
-// RunOut winds a world down on the attached caller: it sleeps past the
-// latest live event, again for what that round scheduled, and returns once
-// only superseded entries are left — which it drops, so they move the
-// clock no more than the pump would. The caller's Exit then leaves the
-// clock quiesced without handing the pump to anyone.
+// RunOut winds a world down on its caller: it sleeps past the latest live
+// event, again for what that round scheduled, and returns once only
+// superseded entries are left — which it drops, so they move the clock no
+// more than the pump would — with the clock quiesced.
 func TestRunOutWindsDownWhileAttached(t *testing.T) {
 	v := NewVirtual()
 	var mu sync.Mutex
 	var ran []time.Duration
 	stopped := v.NewTimer(runnerFunc(func() { t.Error("a stopped timer ran") }))
-	v.Enter()
 	v.RunOut() // nothing scheduled: returns at once
 	stopped.Reset(50 * time.Millisecond)
 	stopped.Stop()
@@ -68,16 +64,15 @@ func TestRunOutWindsDownWhileAttached(t *testing.T) {
 	if now := v.Now(); now != 5*time.Millisecond {
 		t.Errorf("Now = %v after RunOut, want 5ms: the latest live event, not the stopped 50ms expiry", now)
 	}
-	v.Exit()
 	mu.Lock()
 	defer mu.Unlock()
 	if len(ran) != 1 || ran[0] != 5*time.Millisecond {
 		t.Errorf("the late spawn ran at %v, want once at 5ms", ran)
 	}
 	if !v.Quiesced() {
-		t.Errorf("clock not quiesced after RunOut and Exit: %v", v.Stop())
+		t.Errorf("clock not quiesced after RunOut: %v", v.Stop())
 	}
 	if sp := v.Spawns(); sp != 2 {
-		t.Errorf("Spawns = %d, want 2 (the two spawns; Exit hands nothing off)", sp)
+		t.Errorf("Spawns = %d, want 2 (the two spawns)", sp)
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// A goroutine attached via Go that never unwinds must show up in Stop's
-// audit with the spawn site — the attachment-leak failure mode that
-// otherwise presents as a hung sweep.
+// A goroutine started by Go that never unwinds must show up in Stop's
+// audit with the spawn site — the leak that otherwise presents as a hung
+// sweep — and leave it once it returns.
 func TestStopReportsLeakedGoroutine(t *testing.T) {
 	v := NewVirtual()
 	var mu sync.Mutex
@@ -20,7 +20,7 @@ func TestStopReportsLeakedGoroutine(t *testing.T) {
 		mu.Unlock()
 	})
 	// Virtual time can only advance once the leaked goroutine has parked
-	// in its cond wait, so after this Sleep the ledger state is settled.
+	// in its cond wait, so after this Sleep the audit is settled.
 	v.Sleep(time.Millisecond)
 	rep := v.Stop()
 	if rep.Leaked != 1 {
@@ -32,11 +32,21 @@ func TestStopReportsLeakedGoroutine(t *testing.T) {
 	if s := rep.String(); !strings.Contains(s, "1 leaked goroutine") {
 		t.Fatalf("String() = %q", s)
 	}
-	cond.Broadcast() // unwind the goroutine so the test exits clean
+	if v.Quiesced() {
+		t.Error("Quiesced with a clock goroutine still blocked")
+	}
+	cond.Broadcast() // unwind the goroutine: the wake runs in the next wait
+	v.Sleep(0)
+	if rep := v.Stop(); rep.Leaked != 0 {
+		t.Errorf("after the unwind: %v", rep)
+	}
+	if !v.Quiesced() {
+		t.Error("clock not quiesced after the goroutine returned")
+	}
 }
 
 // GoAfter-scheduled goroutines carry their scheduling site through the
-// event into the ledger.
+// event into the audit.
 func TestStopReportsGoAfterSite(t *testing.T) {
 	v := NewVirtual()
 	var mu sync.Mutex
@@ -52,6 +62,7 @@ func TestStopReportsGoAfterSite(t *testing.T) {
 		t.Fatalf("report = %+v, want 1 leak sited in stop_test.go", rep)
 	}
 	cond.Broadcast()
+	v.Sleep(0)
 }
 
 // A clock whose goroutines all unwound reports a clean shutdown.
@@ -64,16 +75,5 @@ func TestStopCleanReportsZero(t *testing.T) {
 	}
 	if s := (LeakReport{}).String(); !strings.Contains(s, "no leaked") {
 		t.Fatalf("String() = %q", s)
-	}
-}
-
-// The caller's own attachment is teardown business, not a leak: clusters
-// Stop while attached.
-func TestStopExcludesCaller(t *testing.T) {
-	v := NewVirtual()
-	v.Enter()
-	defer v.Exit()
-	if rep := v.Stop(); rep.Leaked != 0 {
-		t.Fatalf("report = %+v, want the caller's attachment excluded", rep)
 	}
 }

@@ -10,15 +10,15 @@ import (
 	"time"
 )
 
-// LeakReport is Stop's audit result: how many goroutines were still
-// attached to the clock, and where they were created.
+// LeakReport is Stop's audit result: how many clock goroutines were still
+// running, and where they were created.
 type LeakReport struct {
-	// Leaked counts attached goroutines other than the caller.
+	// Leaked counts goroutines the clock started (Go, GoAfter) whose
+	// function has not returned.
 	Leaked int
 	// Sites are the distinct origins, sorted for deterministic assertions,
-	// with a ×N multiplicity suffix: for a goroutine the clock spawned, the
-	// function it runs and where that is defined ("file:line (func)"); for
-	// one that attached itself, where it first called Enter.
+	// with a ×N multiplicity suffix: the function each goroutine runs and
+	// where that is defined ("file:line (func)").
 	Sites []string
 }
 
@@ -26,7 +26,7 @@ func (r LeakReport) String() string {
 	if r.Leaked == 0 {
 		return "vclock: no leaked goroutines"
 	}
-	return fmt.Sprintf("vclock: %d leaked goroutine(s) still attached; created at %s",
+	return fmt.Sprintf("vclock: %d leaked goroutine(s) still running; created at %s",
 		r.Leaked, strings.Join(r.Sites, "; "))
 }
 
@@ -34,10 +34,10 @@ func (r LeakReport) String() string {
 // that schedule one event per message (the network's delivery plane) pool
 // their Runners so the per-event heap footprint is zero.
 //
-// Run executes on the pump: on whichever goroutine's clock call found the
-// schedule quiescent, with no goroutine of its own and counted as the one
-// runnable unit until it returns. So Run must not block in a clock
-// primitive (Sleep, a Cond wait, Drain) — nothing else could run to
+// Run executes on the pump: on the goroutine whose wait, or whose clock
+// goroutine's end, set the schedule going, with no goroutine of its own and
+// counted as the one running unit until it returns. So Run must not block in
+// a clock primitive (Sleep, a Cond wait, Drain) — nothing else could run to
 // wake it — and may take only locks that nobody holds across a call into
 // the clock, because the goroutine it borrowed may be inside such a call.
 // Scheduling from Run (Broadcast, GoAfter, AfterRunner, Send) is fine: the
@@ -78,51 +78,54 @@ type waiter struct {
 	r        Runner // set for a Runner waiting on a Cond (WaitRunner): the wake runs it
 }
 
-// gent is one ledger entry: a goroutine's attachment depth plus the
-// program counter of whatever created the attachment, so Stop can name the
-// origin of a leak. clock marks a goroutine the clock spawned (Go,
-// GoAfter): its final Exit pumps inline, where an external goroutine's
-// hands the pump off (see Exit).
-type gent struct {
-	depth int
-	site  uintptr
-	clock bool
-}
-
 // Virtual is the simulation's clock: a discrete-event scheduler. Time is a
-// counter that jumps to the next scheduled deadline whenever every attached
-// goroutine is blocked in a clock primitive. Sleeping costs no wall time; a
-// run is limited by CPU, not by the durations it simulates. Create with
-// NewVirtual.
+// counter that jumps to the next scheduled deadline whenever nothing on the
+// clock is running. Sleeping costs no wall time; a run is limited by CPU,
+// not by the durations it simulates. Create with NewVirtual.
 //
-// The clock tracks a set of *attached* goroutines — those whose
-// runnability it may rely on. Attachment is reference-counted per goroutine,
-// so nested Enter/Exit pairs and re-entrant public APIs compose. The clock
-// advances only when the number of attached, runnable goroutines reaches
-// zero; it then fires exactly one pending event (ordered by deadline, then
-// by scheduling sequence), wakes its owner, and waits for quiescence again.
-// Event execution is therefore serialized, which is what makes runs with
-// equal seeds reproduce equal schedules.
+// The schedule advances only while some caller waits on it. The clock
+// counts running units: a goroutine it started (Go, GoAfter) that is not
+// blocked in a clock primitive, a Runner on the pump, and a caller that a
+// wait of its own has just woken. When the count reaches zero inside a
+// wait, the clock fires exactly one pending event (ordered by deadline,
+// then by scheduling sequence), wakes its owner, and waits for the count to
+// reach zero again. Event execution is therefore serialized, which is what
+// makes runs with equal seeds reproduce equal schedules.
+//
+// Attachment is per call, not per goroutine. A blocking primitive (Sleep,
+// a Cond wait) called while nothing runs counts its caller as the running
+// unit for that one call; on return the caller gives the unit back without
+// pumping, so the world stays frozen at that virtual instant until the
+// next wait. Called from a running unit, it changes nothing. Scheduling
+// (GoAfter, AfterRunner, Timer.Reset, Broadcast) never runs anything: from
+// a frozen world it only adds to the schedule. So a caller outside the
+// clock — a test, the facade, a benchmark — may build a world, schedule
+// into it and wait on it without holding anything, one call at a time;
+// two such callers must not wait on one clock at once, since the first to
+// return freezes the world under the other.
 type Virtual struct {
 	mu     sync.Mutex
 	now    time.Duration
 	seq    uint64
 	spawns uint64
 	wakes  uint64
-	busy   int // attached goroutines not blocked in a clock primitive, plus a running Runner
+	busy   int // running units (see Virtual)
 	pq     []*vevent
-	ledger map[uint64]*gent // goroutine identity → attachment depth
+
+	// running counts the clock goroutines started and not yet returned,
+	// by spawn site, for Stop's audit and Quiesced; a site leaves the map
+	// when its count returns to zero.
+	running map[uintptr]int
 
 	// Free lists. All are guarded by mu; entries are fully reset before
 	// reuse.
 	evfree []*vevent
 	wfree  []*waiter
-	gfree  []*gent
 }
 
 // NewVirtual returns a virtual clock at time zero.
 func NewVirtual() *Virtual {
-	return &Virtual{ledger: make(map[uint64]*gent)}
+	return &Virtual{running: make(map[uintptr]int)}
 }
 
 // Now returns the time elapsed since the clock started.
@@ -142,9 +145,8 @@ func (v *Virtual) Events() uint64 {
 	return v.seq
 }
 
-// Spawns reports how many goroutines the clock ever started (Go and GoAfter
-// callbacks when their events fire, and the pump an external goroutine
-// hands off when it detaches — see Exit). Like Events it is a
+// Spawns reports how many goroutines the clock ever started: Go and GoAfter
+// callbacks, counted when their events fire. Like Events it is a
 // host-independent count of simulator work; Runners and Timers are not in
 // it — they run on the pump.
 func (v *Virtual) Spawns() uint64 {
@@ -266,15 +268,25 @@ func (v *Virtual) releaseWaiterLocked(w *waiter) {
 	v.wfree = append(v.wfree, w)
 }
 
-// addBusyLocked adjusts the runnable count; on quiescence it advances time.
-func (v *Virtual) addBusyLocked(d int) {
-	v.busy += d
-	if v.busy < 0 {
-		panic("vclock: blocking call from a goroutine not attached to the clock (missing Enter or Go)")
+// holdLocked starts a blocking primitive's call. A caller that finds
+// nothing running is the running unit for this call, and holdLocked
+// reports true; called from a running unit it changes nothing. Either way
+// the caller gives up one unit (yieldLocked) once its waiter is armed, and
+// on the wake the pump hands it one back, which an idle caller returns
+// without pumping (v.busy--): the world stays frozen until the next wait.
+func (v *Virtual) holdLocked() bool {
+	if v.busy > 0 {
+		return false
 	}
-	if v.busy == 0 {
-		v.pumpLocked()
-	}
+	v.busy++
+	return true
+}
+
+// yieldLocked gives up the caller's running unit; if that leaves nothing
+// running it advances time.
+func (v *Virtual) yieldLocked() {
+	v.busy--
+	v.pumpLocked()
 }
 
 // pumpLocked fires the next pending event: it advances now to the event's
@@ -306,7 +318,8 @@ func (v *Virtual) pumpLocked() {
 		v.busy++
 		if fn != nil {
 			v.spawns++
-			go v.runAdopted(fn, pc) //xvet:ok baregoroutine the clock's own spawn: the runnability unit was added above and the goroutine adopts into the ledger
+			v.running[pc]++
+			go v.run(fn, pc) //xvet:ok baregoroutine the clock's own spawn: its running unit and its site were counted above
 			return
 		}
 		if w != nil {
@@ -353,126 +366,60 @@ func (v *Virtual) recycleLocked(ev *vevent) {
 	v.evfree = append(v.evfree, ev)
 }
 
-func (v *Virtual) newGentLocked(depth int, site uintptr, clock bool) *gent {
-	if n := len(v.gfree); n > 0 {
-		g := v.gfree[n-1]
-		v.gfree[n-1] = nil
-		v.gfree = v.gfree[:n-1]
-		g.depth, g.site, g.clock = depth, site, clock
-		return g
-	}
-	return &gent{depth: depth, site: site, clock: clock}
-}
-
-// runAdopted runs fn on the calling (fresh) goroutine with a ledger entry;
-// the runnability unit was already added by the pump that fired the spawn
-// event. site is fn's entry, for Stop's leak audit.
-func (v *Virtual) runAdopted(fn func(), site uintptr) {
-	v.mu.Lock()
-	v.ledger[gid()] = v.newGentLocked(1, site, true)
-	v.mu.Unlock()
-	defer v.Exit()
+// run runs fn on the calling (fresh) goroutine, which the pump that fired
+// its spawn event counted as a running unit under site, fn's entry. Its end
+// gives the unit up, pumping inline on this goroutine.
+func (v *Virtual) run(fn func(), site uintptr) {
+	defer func() {
+		v.mu.Lock()
+		if v.running[site]--; v.running[site] == 0 {
+			delete(v.running, site)
+		}
+		v.yieldLocked()
+		v.mu.Unlock()
+	}()
 	fn()
 }
 
-// pumpDetached runs the schedule for an external goroutine that detached
-// with events pending (see Exit): it gives up the runnability unit Exit
-// handed it, which pumps here.
-func (v *Virtual) pumpDetached() {
-	v.mu.Lock()
-	v.addBusyLocked(-1)
-	v.mu.Unlock()
-}
+// Enter and Exit do nothing: attachment is per call (see Virtual), so no
+// caller needs to hold the clock. They remain only for the benchmark
+// module's probes, which still call them.
+func (v *Virtual) Enter() {}
 
-// Enter attaches the calling goroutine (reference-counted); Exit undoes one
-// Enter. Public blocking APIs built on the clock wrap themselves in
-// Enter/Exit so that any caller composes correctly.
-func (v *Virtual) Enter() {
-	id := gid()
-	v.mu.Lock()
-	g := v.ledger[id]
-	if g == nil {
-		// First attach of an external goroutine: record where. The
-		// capture is creation-only so re-entrant Enters (every Sleep,
-		// every cond wait) stay alloc- and caller-walk-free.
-		g = v.newGentLocked(0, callerPC(), false)
-		v.ledger[id] = g
-	}
-	g.depth++
-	if g.depth == 1 {
-		v.busy++
-	}
-	v.mu.Unlock()
-}
+// Exit does nothing; see Enter.
+func (v *Virtual) Exit() {}
 
-// Exit undoes one Enter. The last Exit of a goroutine the clock spawned
-// runs the schedule inline, as every release of runnability does. An
-// external goroutine (a test, a facade call, a cluster constructor called
-// unattached) instead hands the pump to a fresh clock goroutine when its
-// Exit would leave nothing runnable with live events pending, and returns
-// at once: a Timer that re-arms itself never lets an inline pump return,
-// and the world left behind keeps running on the clock goroutine. A
-// driver that must leave nothing behind stops its world and calls RunOut
-// before its Exit, which then hands nothing off. Superseded entries at the
-// head of the schedule are dropped here first — they would neither run nor
-// move the clock — so detaching from a schedule that holds nothing else
-// needs no hand-off.
-func (v *Virtual) Exit() {
-	id := gid()
-	v.mu.Lock()
-	g := v.ledger[id]
-	if g == nil || g.depth == 0 {
-		v.mu.Unlock()
-		panic("vclock: Exit without matching Enter")
-	}
-	g.depth--
-	if g.depth == 0 {
-		delete(v.ledger, id)
-		v.gfree = append(v.gfree, g)
-		if !g.clock && v.busy == 1 {
-			for len(v.pq) > 0 && v.pq[0].stale() {
-				v.recycleLocked(v.heapPop())
-			}
-			if len(v.pq) > 0 {
-				v.spawns++
-				go v.pumpDetached() //xvet:ok baregoroutine the clock's own pump: it takes over the runnability unit this Exit does not release
-				v.mu.Unlock()
-				return
-			}
-		}
-		v.addBusyLocked(-1)
-	}
-	v.mu.Unlock()
-}
-
-// Sleep blocks for d. It attaches the calling goroutine for the duration of
-// the call, so it is safe from any goroutine.
+// Sleep blocks for d. From a caller outside the clock it runs the schedule
+// up to now+d and returns with the world frozen there (see Virtual).
 func (v *Virtual) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	v.Enter()
 	v.mu.Lock()
+	held := v.holdLocked()
 	w := v.newWaiterLocked()
 	v.pushLocked(v.now+d, w, nil, nil, 0)
-	v.addBusyLocked(-1)
+	v.yieldLocked()
 	v.mu.Unlock()
-	<-w.ch //xvet:ok detachedwait the clock's own sleep: runnability was released above and the wake is a scheduled event
+	<-w.ch //xvet:ok detachedwait the clock's own sleep: the running unit was given up above and the wake is a scheduled event
 	v.mu.Lock()
 	v.releaseWaiterLocked(w)
+	if held {
+		v.busy--
+	}
 	v.mu.Unlock()
-	v.Exit()
 }
 
-// Go runs fn on a new goroutine attached to the clock: it is GoAfter(0, fn),
-// an event at the current instant. The spawner keeps running, and the
-// goroutine starts when the pump reaches its event — once the spawner and
-// every other attached goroutine are blocked in a clock primitive — so a
-// spawn never runs beside the goroutine that asked for it.
+// Go runs fn on a new goroutine the clock counts as a running unit: it is
+// GoAfter(0, fn), an event at the current instant. The spawner keeps
+// running, and the goroutine starts when the pump reaches its event — in a
+// wait, once nothing else runs — so a spawn never runs beside the goroutine
+// that asked for it.
 func (v *Virtual) Go(fn func()) { v.GoAfter(0, fn) }
 
-// GoAfter schedules fn to run on a new attached goroutine after d. The
-// event's position in the schedule is fixed at call time.
+// GoAfter schedules fn to run on a new clock goroutine after d. The event's
+// position in the schedule is fixed at call time; like every scheduling
+// call it runs nothing.
 func (v *Virtual) GoAfter(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
@@ -480,9 +427,6 @@ func (v *Virtual) GoAfter(d time.Duration, fn func()) {
 	pc := funcPC(fn)
 	v.mu.Lock()
 	v.pushLocked(v.now+d, nil, fn, nil, pc)
-	if v.busy == 0 {
-		v.pumpLocked()
-	}
 	v.mu.Unlock()
 }
 
@@ -497,9 +441,6 @@ func (v *Virtual) AfterRunner(d time.Duration, r Runner) {
 	}
 	v.mu.Lock()
 	v.pushLocked(v.now+d, nil, nil, r, 0)
-	if v.busy == 0 {
-		v.pumpLocked()
-	}
 	v.mu.Unlock()
 }
 
@@ -537,9 +478,6 @@ func (t *Timer) Reset(d time.Duration) {
 	t.gen++
 	ev := v.pushLocked(v.now+d, nil, nil, nil, 0)
 	ev.t, ev.gen = t, t.gen
-	if v.busy == 0 {
-		v.pumpLocked()
-	}
 	v.mu.Unlock()
 }
 
@@ -550,45 +488,23 @@ func (t *Timer) Stop() {
 	t.v.mu.Unlock()
 }
 
-// callerPC returns the program counter two frames up: the caller of the
-// exported clock API that invoked it. Enter records it on a goroutine's
-// first attach, and Stop resolves it to file:line when reporting
-// attachment leaks. runtime.Callers into a stack array (rather than
-// runtime.Caller, which materializes the file string) keeps the capture
-// allocation-free.
-func callerPC() uintptr {
-	var pcs [1]uintptr
-	if runtime.Callers(3, pcs[:]) == 0 {
-		return 0
-	}
-	return pcs[0]
-}
-
 // funcPC returns fn's entry: what Go and GoAfter record for Stop's leak
 // audit. It reads the func value instead of walking the spawner's stack,
 // which on the spawn path cost more than the spawn.
 func funcPC(fn func()) uintptr { return reflect.ValueOf(fn).Pointer() }
 
-// Stop audits the clock at teardown: it reports goroutines still attached
-// (count plus creation sites), excluding the caller. A clean shutdown
-// reports zero — anything else is an attachment leak, the runtime
+// Stop audits the clock at teardown: it reports the goroutines the clock
+// started whose function has not returned (count plus spawn sites). A
+// clean shutdown reports zero — anything else is a leak, the runtime
 // counterpart of xvet's baregoroutine rule, surfaced as a loud test failure
 // instead of a hang. Stop is purely diagnostic and idempotent.
 func (v *Virtual) Stop() LeakReport {
-	self := gid()
 	v.mu.Lock()
+	defer v.mu.Unlock()
 	leaked := 0
-	counts := make(map[uintptr]int)
-	for id, g := range v.ledger {
-		if id == self {
-			continue // the caller's own attachment is not a leak
-		}
-		leaked++
-		counts[g.site]++
-	}
-	v.mu.Unlock()
-	sites := make([]string, 0, len(counts))
-	for pc, c := range counts {
+	sites := make([]string, 0, len(v.running))
+	for pc, c := range v.running {
+		leaked += c
 		s := siteLabel(pc)
 		if c > 1 {
 			s = fmt.Sprintf("%s ×%d", s, c)
@@ -624,7 +540,7 @@ func siteLabel(pc uintptr) string {
 // broadcast wakes already pushed have been delivered and their owners have
 // run to their next blocking point. Settle-style barriers ("everything that
 // was going to happen now has happened") call it after their own condition
-// holds. The caller must be attached.
+// holds. Like Sleep it is safe from any caller.
 //
 // Each round sleeps zero duration — the timer
 // lands behind every event already scheduled at the current instant, so
@@ -651,15 +567,14 @@ func (v *Virtual) Drain() {
 	}
 }
 
-// RunOut runs the schedule to its end while the caller holds the clock: it
-// sleeps past the latest live event, again while that run scheduled more,
-// and returns once nothing live is scheduled, with the superseded entries
-// left behind (Timer expiries after a Reset or Stop, a broadcast-woken
-// waiter's timer) dropped. A stopped world winds down this way on its
-// driver's goroutine; if the caller is then the last attached goroutine,
-// its Exit leaves the clock Quiesced. A world that never stops scheduling
-// (a periodic timer nobody stopped) never returns. The caller must be
-// attached.
+// RunOut runs the schedule to its end: it sleeps past the latest live
+// event, again while that run scheduled more, and returns once nothing live
+// is scheduled, with the superseded entries left behind (Timer expiries
+// after a Reset or Stop, a broadcast-woken waiter's timer) dropped. A
+// stopped world winds down this way on its driver's goroutine, and leaves
+// the clock Quiesced once its last clock goroutine has returned. A world
+// that never stops scheduling (a periodic timer nobody stopped) never
+// returns. Like Sleep it is safe from any caller.
 func (v *Virtual) RunOut() {
 	for {
 		v.mu.Lock()
@@ -685,27 +600,28 @@ func (v *Virtual) RunOut() {
 	}
 }
 
-// Quiesced reports whether the clock has fully wound down: no attached
-// goroutines, none runnable, and no pending events. A deployment that has
-// been stopped and run out (RunOut) by its driver is in this state once
-// the driver exits; Network.Reset refuses to recycle a network whose old
-// clock is not.
+// Quiesced reports whether the clock has fully wound down: nothing
+// running, no clock goroutine that has not returned, and no pending
+// events — superseded ones included, so a frozen world with live events is
+// not quiesced. A deployment that has been stopped and run out (RunOut) by
+// its driver is in this state; Network.Reset refuses to recycle a network
+// whose old clock is not.
 func (v *Virtual) Quiesced() bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.busy == 0 && len(v.pq) == 0 && len(v.ledger) == 0
+	return v.busy == 0 && len(v.pq) == 0 && len(v.running) == 0
 }
 
 // NewCond returns a condition variable integrated with the clock: waiting
-// releases the caller's runnability so virtual time can advance, and timed
-// waits use clock time.
+// gives up the caller's running unit so virtual time can advance, and
+// timed waits use clock time.
 func (v *Virtual) NewCond(l sync.Locker) *Cond {
 	return &Cond{v: v, l: l}
 }
 
 // Cond is a sync.Cond-shaped condition variable whose waits the clock
 // understands. Wait and WaitTimeout must be called with l held, as with
-// sync.Cond; both are restricted to goroutines attached to the clock. The
+// sync.Cond; like Sleep they are safe from any caller (see Virtual). The
 // waiter list is guarded by the clock mutex, which is always acquired after
 // the user lock l — never the reverse — so the pair cannot deadlock.
 type Cond struct {
@@ -729,6 +645,7 @@ func (c *Cond) WaitTimeout(d time.Duration) bool {
 func (c *Cond) wait(d time.Duration) bool {
 	v := c.v
 	v.mu.Lock()
+	held := v.holdLocked()
 	w := v.newWaiterLocked()
 	w.cond = c
 	c.waiters = append(c.waiters, w)
@@ -737,14 +654,14 @@ func (c *Cond) wait(d time.Duration) bool {
 	}
 	v.mu.Unlock()
 	// Registered first (no broadcast can be missed), then l released, and
-	// only then runnability given up: that last step may pump, and a Runner
-	// on the pump may need l — a delivery into the endpoint this goroutine
-	// is about to wait on takes the mailbox lock.
+	// only then the running unit given up: that last step may pump, and a
+	// Runner on the pump may need l — a delivery into the endpoint this
+	// goroutine is about to wait on takes the mailbox lock.
 	c.l.Unlock()
 	v.mu.Lock()
-	v.addBusyLocked(-1)
+	v.yieldLocked()
 	v.mu.Unlock()
-	<-w.ch //xvet:ok detachedwait the clock's own cond wait: runnability was released above; the wake is a broadcast or scheduled timeout
+	<-w.ch //xvet:ok detachedwait the clock's own cond wait: the running unit was given up above; the wake is a broadcast or scheduled timeout
 	// The wake (fired=true) happens before the channel send, so reading
 	// timedOut here is ordered; after the read nothing references w and it
 	// can be recycled. A timer event for a broadcast-woken w may still sit
@@ -752,6 +669,9 @@ func (c *Cond) wait(d time.Duration) bool {
 	timedOut := w.timedOut
 	v.mu.Lock()
 	v.releaseWaiterLocked(w)
+	if held {
+		v.busy--
+	}
 	v.mu.Unlock()
 	c.l.Lock()
 	return !timedOut
@@ -764,8 +684,8 @@ func (c *Cond) wait(d time.Duration) bool {
 // it exactly where a goroutine's wake would have been; the timeout takes
 // it off the waiter list, so a later Broadcast does not run it again, and
 // a timeout left behind by a Broadcast neither runs nor moves the clock.
-// Call it with l held, as a wait, and while holding the clock (from Run,
-// or attached): it does not pump. r must not be armed twice at once.
+// Call it with l held, as a wait; like every scheduling call it runs
+// nothing. r must not be armed twice at once.
 func (c *Cond) WaitRunner(d time.Duration, r Runner) {
 	if d < 0 {
 		d = 0
@@ -785,7 +705,8 @@ func (c *Cond) WaitRunner(d time.Duration, r Runner) {
 // invariant: a pending timer for a broadcast waiter is recognized as dead
 // the moment it pops. The wakes drain through the pump, so the waiters run
 // serialized in arm order; a broadcast can never make two goroutines
-// simultaneously runnable. The caller may hold l or not.
+// simultaneously runnable, and like every scheduling call it runs nothing
+// itself. The caller may hold l or not.
 func (c *Cond) Broadcast() {
 	v := c.v
 	v.mu.Lock()
@@ -796,9 +717,6 @@ func (c *Cond) Broadcast() {
 		}
 	}
 	c.waiters = c.waiters[:0]
-	if v.busy == 0 {
-		v.pumpLocked()
-	}
 	v.mu.Unlock()
 }
 

@@ -20,28 +20,21 @@ func TestVirtualSleepAdvancesInstantly(t *testing.T) {
 
 func TestVirtualSleepOrdering(t *testing.T) {
 	v := NewVirtual()
-	var mu sync.Mutex
 	var order []int
-	var wg sync.WaitGroup
 	// Spawn in an order unrelated to the deadlines; wake order must follow
-	// the deadlines. The spawner holds the clock until every spawn is
-	// scheduled: unattached, the first child could sleep out its 30ms
-	// before the others exist.
-	v.Enter()
+	// the deadlines. Spawning runs nothing, so every child exists before
+	// the first one sleeps.
 	for i, d := range []time.Duration{30 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond} {
-		wg.Add(1)
-		i, d := i, d
 		v.Go(func() {
-			defer wg.Done()
 			v.Sleep(d)
-			mu.Lock()
 			order = append(order, i)
-			mu.Unlock()
 		})
 	}
-	v.Exit()
-	wg.Wait()
+	v.RunOut()
 	want := []int{1, 2, 0}
+	if len(order) != len(want) {
+		t.Fatalf("wake order = %v, want %v", order, want)
+	}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("wake order = %v, want %v", order, want)
@@ -54,23 +47,16 @@ func TestVirtualSleepOrdering(t *testing.T) {
 
 func TestVirtualEqualDeadlinesFIFO(t *testing.T) {
 	v := NewVirtual()
-	var mu sync.Mutex
 	var order []int
-	done := make(chan struct{})
 	// GoAfter fixes the sequence at call time: equal deadlines fire in
 	// scheduling order.
 	for i := 0; i < 5; i++ {
-		i := i
-		v.GoAfter(time.Millisecond, func() {
-			mu.Lock()
-			order = append(order, i)
-			if len(order) == 5 {
-				close(done)
-			}
-			mu.Unlock()
-		})
+		v.GoAfter(time.Millisecond, func() { order = append(order, i) })
 	}
-	<-done
+	v.RunOut()
+	if len(order) != 5 {
+		t.Fatalf("fire order = %v, want five callbacks", order)
+	}
 	for i := 0; i < 5; i++ {
 		if order[i] != i {
 			t.Fatalf("fire order = %v, want FIFO", order)
@@ -78,20 +64,13 @@ func TestVirtualEqualDeadlinesFIFO(t *testing.T) {
 	}
 }
 
+// The test goroutine waits on the cond itself: its wait is what runs the
+// clock goroutine that broadcasts.
 func TestVirtualCondBroadcast(t *testing.T) {
 	v := NewVirtual()
 	var mu sync.Mutex
 	cond := v.NewCond(&mu)
 	ready := false
-	got := make(chan bool, 1)
-	v.Go(func() {
-		mu.Lock()
-		for !ready {
-			cond.Wait()
-		}
-		mu.Unlock()
-		got <- true
-	})
 	v.Go(func() {
 		v.Sleep(time.Millisecond)
 		mu.Lock()
@@ -99,10 +78,13 @@ func TestVirtualCondBroadcast(t *testing.T) {
 		mu.Unlock()
 		cond.Broadcast()
 	})
-	select {
-	case <-got:
-	case <-time.After(5 * time.Second):
-		t.Fatal("cond waiter never woke")
+	mu.Lock()
+	for !ready {
+		cond.Wait()
+	}
+	mu.Unlock()
+	if now := v.Now(); now != time.Millisecond {
+		t.Errorf("Now = %v, want 1ms", now)
 	}
 }
 
@@ -110,14 +92,10 @@ func TestVirtualCondWaitTimeout(t *testing.T) {
 	v := NewVirtual()
 	var mu sync.Mutex
 	cond := v.NewCond(&mu)
-	res := make(chan bool, 1)
-	v.Go(func() {
-		mu.Lock()
-		woken := cond.WaitTimeout(3 * time.Millisecond)
-		mu.Unlock()
-		res <- woken
-	})
-	if woken := <-res; woken {
+	mu.Lock()
+	woken := cond.WaitTimeout(3 * time.Millisecond)
+	mu.Unlock()
+	if woken {
 		t.Error("WaitTimeout with no broadcast reported a wake-up")
 	}
 	if v.Now() != 3*time.Millisecond {
@@ -125,46 +103,18 @@ func TestVirtualCondWaitTimeout(t *testing.T) {
 	}
 
 	// A broadcast before the deadline wins over the timer.
-	res2 := make(chan bool, 1)
-	v.Go(func() {
-		mu.Lock()
-		woken := cond.WaitTimeout(time.Hour)
-		mu.Unlock()
-		res2 <- woken
-	})
 	v.Go(func() {
 		v.Sleep(time.Millisecond)
 		cond.Broadcast()
 	})
-	if woken := <-res2; !woken {
+	mu.Lock()
+	woken = cond.WaitTimeout(time.Hour)
+	mu.Unlock()
+	if !woken {
 		t.Error("broadcast before deadline reported as timeout")
 	}
 	if v.Now() >= time.Hour {
 		t.Errorf("Now = %v: stale timer advanced the clock", v.Now())
-	}
-}
-
-func TestEnterExitNesting(t *testing.T) {
-	v := NewVirtual()
-	v.Enter()
-	v.Enter() // nested: public APIs wrap themselves, callers may too
-	v.Sleep(time.Millisecond)
-	v.Exit()
-	v.Exit()
-	if v.Now() != time.Millisecond {
-		t.Errorf("Now = %v", v.Now())
-	}
-}
-
-func TestGoAfterFromIdleClock(t *testing.T) {
-	// GoAfter while nothing is attached must still fire (the push pumps).
-	v := NewVirtual()
-	done := make(chan struct{})
-	v.GoAfter(time.Millisecond, func() { close(done) })
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("idle-clock GoAfter never fired")
 	}
 }
 
@@ -182,12 +132,8 @@ func TestBroadcastWakesInArmOrder(t *testing.T) {
 		cond := v.NewCond(&mu)
 		var order []int
 		ready := false
-		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
-			wg.Add(1)
-			i := i
 			v.Go(func() {
-				defer wg.Done()
 				// Distinct arm instants fix the arming order; the
 				// broadcast later wakes everyone at one instant.
 				v.Sleep(time.Duration(i+1) * time.Microsecond)
@@ -206,7 +152,10 @@ func TestBroadcastWakesInArmOrder(t *testing.T) {
 			mu.Unlock()
 			cond.Broadcast()
 		})
-		wg.Wait()
+		v.RunOut()
+		if len(order) != n {
+			t.Fatalf("iter %d: %d of %d waiters woke", iter, len(order), n)
+		}
 		for i := range order {
 			if order[i] != i {
 				t.Fatalf("iter %d: wake order = %v, want arm order 0..%d", iter, order, n-1)
@@ -225,12 +174,8 @@ func TestBroadcastTimedWaitersArmOrder(t *testing.T) {
 	cond := v.NewCond(&mu)
 	var order []int
 	ready := false
-	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		wg.Add(1)
-		i := i
 		v.Go(func() {
-			defer wg.Done()
 			v.Sleep(time.Duration(i+1) * time.Microsecond)
 			mu.Lock()
 			for !ready {
@@ -250,7 +195,10 @@ func TestBroadcastTimedWaitersArmOrder(t *testing.T) {
 		mu.Unlock()
 		cond.Broadcast()
 	})
-	wg.Wait()
+	v.RunOut()
+	if len(order) != n {
+		t.Fatalf("%d of %d waiters woke", len(order), n)
+	}
 	for i := range order {
 		if order[i] != i {
 			t.Fatalf("wake order = %v, want arm order 0..%d", order, n-1)
@@ -271,44 +219,31 @@ func TestDrainDeliversPendingWakes(t *testing.T) {
 	woken := 0
 	ready := false
 	const n = 4
-	var armed sync.WaitGroup
 	for i := 0; i < n; i++ {
-		armed.Add(1)
 		v.Go(func() {
-			v.Enter()
 			mu.Lock()
-			armed.Done()
 			for !ready {
 				cond.Wait()
 			}
 			woken++
 			mu.Unlock()
-			v.Exit()
 		})
 	}
-	armed.Wait()
-	done := make(chan struct{})
-	v.Go(func() {
-		v.Sleep(time.Millisecond)
-		// A future timer must not block Drain.
-		v.GoAfter(time.Hour, func() {})
-		mu.Lock()
-		ready = true
-		mu.Unlock()
-		cond.Broadcast()
-		v.Drain()
-		mu.Lock()
-		got := woken
-		mu.Unlock()
-		if got != n {
-			t.Errorf("after Drain, %d of %d waiters had run", got, n)
-		}
-		// Checked here, before the teardown quiescence fires the hour
-		// timer: Drain itself must not have waited for it.
-		if now := v.Now(); now >= time.Hour {
-			t.Errorf("Now = %v: Drain waited for a future event", now)
-		}
-		close(done)
-	})
-	<-done
+	v.Sleep(time.Millisecond) // every waiter starts and blocks
+	// A future event must not block Drain.
+	v.GoAfter(time.Hour, func() {})
+	mu.Lock()
+	ready = true
+	mu.Unlock()
+	cond.Broadcast()
+	v.Drain()
+	mu.Lock()
+	got := woken
+	mu.Unlock()
+	if got != n {
+		t.Errorf("after Drain, %d of %d waiters had run", got, n)
+	}
+	if now := v.Now(); now >= time.Hour {
+		t.Errorf("Now = %v: Drain waited for a future event", now)
+	}
 }

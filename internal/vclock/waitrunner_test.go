@@ -18,18 +18,14 @@ func TestWaitRunnerWakesInArmingOrder(t *testing.T) {
 	var mu sync.Mutex
 	cond := v.NewCond(&mu)
 	var order []string
-	var wg sync.WaitGroup
 	waiter := func(name string) func() {
 		return func() {
-			defer wg.Done()
 			mu.Lock()
 			cond.Wait()
 			order = append(order, name)
 			mu.Unlock()
 		}
 	}
-	v.Enter()
-	wg.Add(2)
 	v.Go(waiter("g0"))
 	v.Sleep(0) // g0 starts and waits
 	mu.Lock()
@@ -47,8 +43,6 @@ func TestWaitRunnerWakesInArmingOrder(t *testing.T) {
 	mu.Unlock()
 	v.Sleep(time.Millisecond)
 	v.RunOut() // the Runner's timeout is stale: dropped, not run
-	v.Exit()
-	wg.Wait()
 	mu.Lock()
 	defer mu.Unlock()
 	if len(order) != 3 || order[0] != "g0" || order[1] != "r1" || order[2] != "g2" {
@@ -81,7 +75,6 @@ func TestWaitRunnerTimeoutLeavesWaiterList(t *testing.T) {
 		}
 		mu.Unlock()
 	}
-	v.Enter()
 	mu.Lock()
 	cond.WaitRunner(time.Millisecond, r)
 	mu.Unlock()
@@ -91,7 +84,6 @@ func TestWaitRunnerTimeoutLeavesWaiterList(t *testing.T) {
 	mu.Unlock()
 	v.Sleep(time.Millisecond)
 	v.RunOut()
-	v.Exit()
 	mu.Lock()
 	defer mu.Unlock()
 	if len(at) != 2 || at[0] != time.Millisecond || at[1] != 2*time.Millisecond {
@@ -112,13 +104,11 @@ func TestWaitRunnerStaleTimeoutNeitherRunsNorMovesClock(t *testing.T) {
 	var mu sync.Mutex
 	cond := v.NewCond(&mu)
 	runs := 0
-	v.Enter()
 	mu.Lock()
 	cond.WaitRunner(5*time.Millisecond, runnerFunc(func() { runs++ }))
 	cond.Broadcast()
 	mu.Unlock()
 	v.RunOut()
-	v.Exit()
 	if runs != 1 {
 		t.Fatalf("Run ran %d times, want 1", runs)
 	}

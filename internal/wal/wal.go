@@ -311,8 +311,8 @@ func (l *Log) SetCompactor(fn Compactor) {
 // Append forces one record to stable storage, charging the store's sync
 // latency on the clock. The record is durable only once Append returns:
 // a crash during the sync wait tears it (and any later unsynced records)
-// off the log. The caller must not hold any lock that other
-// clock-attached goroutines block on: the sync wait is a scheduled event,
+// off the log. The caller must not hold any lock that clock goroutines
+// block on: the sync wait is a scheduled event,
 // and a goroutine blocked on a caller-held mutex counts as runnable to the
 // clock, which would stall virtual time forever. Append itself takes only
 // the log's internal lock, and releases it before sleeping.
@@ -463,7 +463,7 @@ func (l *Log) claimCompaction(th int) bool {
 
 // Compact folds the synced prefix through the registered Compactor now,
 // regardless of threshold, and reports whether a snapshot was installed.
-// Safe to call from any clock-attached goroutine.
+// Safe from any caller that may wait on the clock (see vclock.Virtual).
 func (l *Log) Compact() bool {
 	if !l.claimCompaction(0) {
 		return false

@@ -36,14 +36,10 @@ func TestSyncTariffChargesClock(t *testing.T) {
 	defer clk.Stop()
 	s := NewStore(clk, Config{SyncLatency: 50 * time.Microsecond})
 	l := s.Log("replica-0")
-	done := make(chan time.Duration, 1)
-	clk.Go(func() {
-		start := clk.Now()
-		l.Append(Record{Kind: "est"})
-		l.Append(Record{Kind: "est"})
-		done <- clk.Now() - start
-	})
-	if d := <-done; d != 100*time.Microsecond {
+	start := clk.Now()
+	l.Append(Record{Kind: "est"})
+	l.Append(Record{Kind: "est"})
+	if d := clk.Now() - start; d != 100*time.Microsecond {
 		t.Fatalf("two appends took %v of virtual time, want 100µs", d)
 	}
 	if st := s.Stats(); st.Appends != 2 || st.SyncTime != 100*time.Microsecond {
@@ -56,15 +52,11 @@ func TestZeroTariffIsScheduleInvisible(t *testing.T) {
 	defer clk.Stop()
 	s := NewStore(clk, Config{})
 	l := s.Log("replica-0")
-	done := make(chan time.Duration, 1)
-	clk.Go(func() {
-		start := clk.Now()
-		for i := 0; i < 100; i++ {
-			l.Append(Record{Kind: "est"})
-		}
-		done <- clk.Now() - start
-	})
-	if d := <-done; d != 0 {
+	start := clk.Now()
+	for i := 0; i < 100; i++ {
+		l.Append(Record{Kind: "est"})
+	}
+	if d := clk.Now() - start; d != 0 {
 		t.Fatalf("zero-tariff appends advanced the clock by %v, want 0", d)
 	}
 }
@@ -96,20 +88,15 @@ func TestCrashMidSyncTearsUnsyncedTail(t *testing.T) {
 	s := NewStore(clk, Config{SyncLatency: 100 * time.Microsecond})
 	l := s.Log("replica-0")
 
-	done := make(chan struct{})
-	clk.Go(func() {
-		defer close(done)
-		l.Append(Record{Kind: "est", Key: "durable"}) // synced at t=100µs
-		l.Append(Record{Kind: "est", Key: "torn"})    // sync in flight at crash
-	})
 	// Crash at t=150µs: the first append's sync has completed, the
 	// second's is mid-flight and must tear.
-	crashed := make(chan int, 1)
+	crashed := -1
 	clk.GoAfter(150*time.Microsecond, func() {
-		crashed <- s.Crash("replica-0")
+		crashed = s.Crash("replica-0")
 	})
-	<-done
-	if n := <-crashed; n != 1 {
+	l.Append(Record{Kind: "est", Key: "durable"}) // synced at t=100µs
+	l.Append(Record{Kind: "est", Key: "torn"})    // sync in flight at crash
+	if n := crashed; n != 1 {
 		t.Fatalf("Crash tore %d records, want 1", n)
 	}
 	var got []Record
@@ -121,12 +108,7 @@ func TestCrashMidSyncTearsUnsyncedTail(t *testing.T) {
 		t.Fatalf("stats.TornRecords = %d, want 1", st.TornRecords)
 	}
 	// The new incarnation's appends land after the torn tail, durably.
-	done2 := make(chan struct{})
-	clk.Go(func() {
-		defer close(done2)
-		l.Append(Record{Kind: "est", Key: "after"})
-	})
-	<-done2
+	l.Append(Record{Kind: "est", Key: "after"})
 	if n := l.Len(); n != 2 {
 		t.Fatalf("log has %d records after restart append, want 2", n)
 	}
@@ -139,12 +121,7 @@ func TestCrashWithNothingInFlightTearsNothing(t *testing.T) {
 	defer clk.Stop()
 	s := NewStore(clk, Config{SyncLatency: 50 * time.Microsecond})
 	l := s.Log("replica-0")
-	done := make(chan struct{})
-	clk.Go(func() {
-		defer close(done)
-		l.Append(Record{Kind: "est", Key: "a"})
-	})
-	<-done
+	l.Append(Record{Kind: "est", Key: "a"})
 	if n := s.Crash("replica-0"); n != 0 {
 		t.Fatalf("Crash tore %d records with nothing in flight, want 0", n)
 	}
@@ -183,16 +160,11 @@ func TestCompactionFoldsPrefixAndKeepsSuffix(t *testing.T) {
 	s := NewStore(clk, Config{CompactThreshold: 8})
 	l := s.Log("replica-0")
 	l.SetCompactor(lastPerKey)
-	done := make(chan struct{})
-	clk.Go(func() {
-		defer close(done)
-		// 20 overwrites of one key: auto-compaction should keep the log
-		// from reaching 20 records.
-		for i := 0; i < 20; i++ {
-			l.Append(Record{Kind: "est", Key: "k", Aux: int32(i)})
-		}
-	})
-	<-done
+	// 20 overwrites of one key: auto-compaction should keep the log from
+	// reaching 20 records.
+	for i := 0; i < 20; i++ {
+		l.Append(Record{Kind: "est", Key: "k", Aux: int32(i)})
+	}
 	if n := l.Len(); n >= 20 {
 		t.Fatalf("log grew to %d records, want compaction to bound it", n)
 	}
@@ -226,21 +198,16 @@ func TestCrashDuringSnapshotDiscardsIt(t *testing.T) {
 	})
 	l := s.Log("replica-0")
 	l.SetCompactor(lastPerKey)
-	done := make(chan struct{})
-	clk.Go(func() {
-		defer close(done)
-		// 6 appends at 10µs each end at t=60µs; Compact then writes a
-		// 1-record snapshot, a (1+1)×100µs = 200µs write.
-		for i := 0; i < 6; i++ {
-			l.Append(Record{Kind: "est", Key: "k", Aux: int32(i)})
-		}
-		l.Compact()
-	})
 	// Crash at t=100µs, inside the snapshot write.
 	clk.GoAfter(100*time.Microsecond, func() {
 		s.Crash("replica-0")
 	})
-	<-done
+	// 6 appends at 10µs each end at t=60µs; Compact then writes a
+	// 1-record snapshot, a (1+1)×100µs = 200µs write.
+	for i := 0; i < 6; i++ {
+		l.Append(Record{Kind: "est", Key: "k", Aux: int32(i)})
+	}
+	l.Compact()
 	if got := l.Installs(); got != 0 {
 		t.Fatalf("snapshot installed despite mid-write crash (installs=%d)", got)
 	}
@@ -260,15 +227,11 @@ func TestZeroTariffCompactionIsScheduleInvisible(t *testing.T) {
 	s := NewStore(clk, Config{CompactThreshold: 4})
 	l := s.Log("replica-0")
 	l.SetCompactor(lastPerKey)
-	done := make(chan time.Duration, 1)
-	clk.Go(func() {
-		start := clk.Now()
-		for i := 0; i < 64; i++ {
-			l.Append(Record{Kind: "est", Key: "k", Aux: int32(i)})
-		}
-		done <- clk.Now() - start
-	})
-	if d := <-done; d != 0 {
+	start := clk.Now()
+	for i := 0; i < 64; i++ {
+		l.Append(Record{Kind: "est", Key: "k", Aux: int32(i)})
+	}
+	if d := clk.Now() - start; d != 0 {
 		t.Fatalf("zero-tariff compaction advanced the clock by %v, want 0", d)
 	}
 	if s.Stats().Compactions == 0 {
@@ -297,14 +260,12 @@ func TestAppendThenRunsAtSyncCompletion(t *testing.T) {
 	l := s.Log("replica-0")
 	var k Sync
 	then := &thenAt{clk: clk, k: &k}
-	clk.Enter()
 	clk.Sleep(10 * time.Microsecond)
 	l.AppendThen(Record{Kind: "est", Key: "a"}, &k, then)
 	if then.ran != 0 {
 		t.Fatal("the continuation ran before the sync tariff was paid")
 	}
 	clk.RunOut()
-	clk.Exit()
 	if then.ran != 1 || then.at != 60*time.Microsecond || then.torn {
 		t.Fatalf("continuation ran %d times at %v torn=%v, want once at 60µs, not torn", then.ran, then.at, then.torn)
 	}
@@ -326,7 +287,6 @@ func TestAppendThenCrashDuringSyncReportsTorn(t *testing.T) {
 	l.SetCompactor(lastPerKey)
 	var k Sync
 	then := &thenAt{clk: clk, k: &k}
-	clk.Enter()
 	for i := 0; i < 3; i++ {
 		l.Append(Record{Kind: "est", Key: "k", Aux: int32(i)}) // compacts as it goes
 	}
@@ -334,7 +294,6 @@ func TestAppendThenCrashDuringSyncReportsTorn(t *testing.T) {
 	l.AppendThen(Record{Kind: "est", Key: "k", Aux: 3}, &k, then)
 	clk.AfterRunner(50*time.Microsecond, runnerFunc(func() { s.Crash("replica-0") }))
 	clk.RunOut()
-	clk.Exit()
 	if then.ran != 1 || then.at != start+100*time.Microsecond || !then.torn {
 		t.Fatalf("continuation ran %d times at %v torn=%v, want once at %v, torn", then.ran, then.at, then.torn, start+100*time.Microsecond)
 	}
@@ -366,7 +325,6 @@ func TestAppendThenChainsSnapshotTariff(t *testing.T) {
 	l.SetCompactor(lastPerKey)
 	var k Sync
 	then := &thenAt{clk: clk, k: &k}
-	clk.Enter()
 	for i := 0; i < 3; i++ {
 		l.Append(Record{Kind: "est", Key: "k", Aux: int32(i)}) // t = 30µs
 	}
@@ -374,7 +332,6 @@ func TestAppendThenChainsSnapshotTariff(t *testing.T) {
 	// 40µs, and the 1-record snapshot costs (1+1)×100µs more.
 	l.AppendThen(Record{Kind: "est", Key: "k", Aux: 3}, &k, then)
 	clk.RunOut()
-	clk.Exit()
 	if then.ran != 1 || then.at != 240*time.Microsecond || then.torn {
 		t.Fatalf("continuation ran %d times at %v torn=%v, want once at 240µs, not torn", then.ran, then.at, then.torn)
 	}

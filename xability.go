@@ -418,20 +418,20 @@ func (s *ShardedService) Cluster() *shard.Cluster { return s.c }
 func (s *ShardedService) Close() { s.c.Stop() }
 
 // Apply schedules a fault plan against this service, relative to the
-// current virtual time. Call it while the schedule is held (Clock().Enter
-// before, Exit after the workload is submitted) so ops land at their
-// declared offsets:
+// current virtual time. Simulated time moves only while a call waits on
+// the service (Call, History, a Clock().Sleep), so ops applied before the
+// workload land at their declared offsets from its start:
 //
-//	clk := svc.Clock()
-//	clk.Enter()
 //	svc.Apply(xability.NewPlan().CrashAt(2*time.Millisecond, 0))
 //	reply := svc.Call(req)
-//	clk.Exit()
 func (s *Service) Apply(p *Plan) { p.Apply(s.cluster.Clock(), s.cluster) }
 
 // Clock returns the service's clock. Schedule fault injection on it
 // (Clock().Go with Clock().Sleep) so scenarios land at fixed points of
-// simulated time regardless of host speed.
+// simulated time regardless of host speed. The clock advances only inside
+// a wait: a service left idle between two calls stays at one virtual
+// instant however much wall time passes, and a Clock().Sleep(d) runs it
+// for exactly d. Calls on one service wait one at a time.
 func (s *Service) Clock() Clock { return s.cluster.Clock() }
 
 // Verify checks the service's run so far against R2–R4.

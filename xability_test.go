@@ -39,6 +39,48 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
+// TestFacadeIdleServiceStaysFrozen pins the facade's clock rule: the
+// world moves only while a call waits on it. A service with heartbeat
+// detectors left idle for wall time has sent nothing and stands at virtual
+// time zero when its first Call arrives, and the Call's latency and message
+// count are those of the request alone, the same on every run at any
+// GOMAXPROCS. (A clock that kept pumping after a call returned ran the
+// heartbeats in the background instead: seconds of virtual time and tens
+// of thousands of messages in 20ms of wall time, different on every run.)
+func TestFacadeIdleServiceStaysFrozen(t *testing.T) {
+	reg := xability.NewRegistry()
+	reg.MustRegister("greet", xability.Idempotent)
+	cfg := xability.ServiceConfig{
+		Replicas: 3,
+		Seed:     7,
+		Registry: reg,
+		Detector: xability.DetectorHeartbeat,
+		Setup: func(m *xability.Machine) {
+			if err := m.HandleIdempotent("greet", func(ctx *xability.Ctx) xability.Value {
+				return "hello, " + ctx.Req.Input
+			}); err != nil {
+				t.Error(err)
+			}
+		},
+	}
+	cfg.Net.MaxDelay = 200 * time.Microsecond
+	svc := xability.NewService(cfg)
+	defer svc.Close()
+
+	time.Sleep(20 * time.Millisecond) // idle in wall time
+	clk := svc.Clock()
+	if now, sent := clk.Now(), svc.Cluster().Net.TotalSent(); now != 0 || sent != 0 {
+		t.Fatalf("idle service moved: Now = %v, %d messages sent before the first Call", now, sent)
+	}
+	if reply := svc.Call(xability.NewRequest("greet", "world")); reply != "hello, world" {
+		t.Fatalf("reply = %q", reply)
+	}
+	const wantLat, wantSent = 186970 * time.Nanosecond, 9
+	if lat, sent := clk.Now(), svc.Cluster().Net.TotalSent(); lat != wantLat || sent != wantSent {
+		t.Errorf("Call took %v of virtual time and %d messages, want %v and %d", lat, sent, wantLat, wantSent)
+	}
+}
+
 func TestFacadeCheckerRoundTrip(t *testing.T) {
 	reg := xability.NewRegistry()
 	reg.MustRegister("ship", xability.Undoable)
@@ -104,11 +146,8 @@ func TestFacadeApplyPlan(t *testing.T) {
 
 	// Stretch the execution so the crash lands mid-run.
 	svc.Environment().SetFailures("charge", 1.0, 6, 0)
-	clk := svc.Clock()
-	clk.Enter()
 	svc.Apply(xability.NewPlan().CrashAt(2*time.Millisecond, 0))
 	reply := svc.Call(xability.NewRequest("charge", "card-1"))
-	clk.Exit()
 
 	if reply != "charged" {
 		t.Errorf("reply = %q", reply)
@@ -221,13 +260,10 @@ func TestFacadeShardedService(t *testing.T) {
 	for _, k := range []string{"k2", "k3", "k4", "k5", "k6", "k7"} {
 		batch = append(batch, xability.NewRequest("put", xability.Value(k)))
 	}
-	clk := svc.Clock()
-	clk.Enter()
 	// A correlated crash of every group's replica 2 mid-batch: the
 	// remaining majorities keep every shard serving.
 	svc.Apply(xability.NewPlan().CrashAt(time.Millisecond, 2))
 	replies, ok := svc.CallAll(batch)
-	clk.Exit()
 	if !ok {
 		t.Fatalf("CallAll left requests unanswered: %v", replies)
 	}
