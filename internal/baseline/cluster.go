@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"fmt"
 	"time"
 
 	"xability/internal/core"
@@ -72,7 +71,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 
 	ids := make([]simnet.ProcessID, cfg.Replicas)
 	for i := range ids {
-		ids[i] = simnet.ProcessID(fmt.Sprintf("replica-%d", i))
+		ids[i] = core.ReplicaID(i)
 	}
 	clientID := simnet.ProcessID("client")
 

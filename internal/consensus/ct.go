@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"xability/internal/fd"
+	"xability/internal/memo"
 	"xability/internal/obs"
 	"xability/internal/simnet"
 	"xability/internal/vclock"
@@ -64,8 +65,11 @@ type Node struct {
 }
 
 // ConsEndpoint returns the conventional process ID of p's consensus
-// endpoint.
-func ConsEndpoint(p simnet.ProcessID) simnet.ProcessID { return p + "/cons" }
+// endpoint. Each name is built once per program and shared by every later
+// run.
+func ConsEndpoint(p simnet.ProcessID) simnet.ProcessID { return consNames.Get(p) }
+
+var consNames = memo.New(func(p simnet.ProcessID) simnet.ProcessID { return p + "/cons" })
 
 // NewNode builds a consensus participant. ep must be registered as
 // ConsEndpoint(self); peers lists all replicas (including self) in an order

@@ -8,6 +8,7 @@ import (
 	"xability/internal/consensus"
 	"xability/internal/env"
 	"xability/internal/fd"
+	"xability/internal/memo"
 	"xability/internal/obs"
 	"xability/internal/simnet"
 	"xability/internal/sm"
@@ -48,10 +49,11 @@ type ClusterConfig struct {
 	Consensus ConsensusMode
 	Detector  DetectorMode
 	// Network, when non-nil, deploys onto an existing network instead of
-	// building one from Net — the sweep runner passes a Reset network here
-	// so consecutive seeds reuse the substrate (endpoints, interning,
-	// event pools) instead of allocating a fresh world. The network must
-	// have been Reset with the run's config; Net is ignored.
+	// building one from Net — the sweep runner passes a network Reset onto
+	// its rewound clock here, so consecutive seeds reuse the substrate
+	// (the clock's pools, endpoints and their conds, interning) instead of
+	// allocating a fresh world. The network must have been Reset with the
+	// run's config; Net is ignored.
 	Network *simnet.Network
 	// Registry is the service's action vocabulary.
 	Registry *action.Registry
@@ -151,7 +153,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 
 	ids := make([]simnet.ProcessID, cfg.Replicas)
 	for i := range ids {
-		ids[i] = simnet.ProcessID(fmt.Sprintf("replica-%d", i))
+		ids[i] = ReplicaID(i)
 	}
 	c.ids = ids
 	clientID := simnet.ProcessID("client")
@@ -324,7 +326,13 @@ func (c *Cluster) CrashServer(i int) {
 
 // consLogName names a replica's consensus-acceptor log in the WAL store,
 // kept distinct from the server log so the two layers replay independently.
-func consLogName(id simnet.ProcessID) string { return string(id) + "/cons" }
+func consLogName(id simnet.ProcessID) string { return string(consensus.ConsEndpoint(id)) }
+
+// ReplicaID names replica i of a cluster, "replica-i". Each name is built
+// once per program and shared by every later run.
+func ReplicaID(i int) simnet.ProcessID { return replicaIDs.Get(i) }
+
+var replicaIDs = memo.New(func(i int) simnet.ProcessID { return simnet.ProcessID(fmt.Sprintf("replica-%d", i)) })
 
 // RestartServer revives crashed replica i from stable storage: a fresh
 // incarnation (machine, consensus node, detector, server) is rebuilt on the

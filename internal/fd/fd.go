@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"xability/internal/memo"
 	"xability/internal/obs"
 	"xability/internal/simnet"
 	"xability/internal/vclock"
@@ -116,8 +117,11 @@ type HeartbeatConfig struct {
 // FDEndpoint returns the conventional process ID of p's failure-detector
 // endpoint. Each monitored process registers this extra endpoint so that
 // heartbeat traffic does not interleave with protocol messages, and crashes
-// it together with its main endpoint.
-func FDEndpoint(p simnet.ProcessID) simnet.ProcessID { return p + "/fd" }
+// it together with its main endpoint. Each name is built once per program
+// and shared by every later run.
+func FDEndpoint(p simnet.ProcessID) simnet.ProcessID { return fdNames.Get(p) }
+
+var fdNames = memo.New(func(p simnet.ProcessID) simnet.ProcessID { return p + "/fd" })
 
 // NewHeartbeat builds a heartbeat detector for self, monitoring peers
 // (protocol process IDs; heartbeats travel between their FDEndpoint

@@ -1,9 +1,9 @@
 package scenario
 
 import (
-	"fmt"
 	"time"
 
+	"xability/internal/core"
 	"xability/internal/simnet"
 	"xability/internal/xrand"
 )
@@ -190,7 +190,7 @@ func (p *Plan) Random(seed int64, opt RandomOptions) *Plan {
 				continue
 			}
 			claim(g, ri, start, start+width)
-			r := simnet.ProcessID(fmt.Sprintf("replica-%d", ri))
+			r := core.ReplicaID(ri)
 			sub.SuspectAt(start, r)
 			if rng.Intn(2) == 0 {
 				sub.ClientSuspectAt(start, r)
@@ -222,11 +222,11 @@ func (p *Plan) Random(seed int64, opt RandomOptions) *Plan {
 				continue
 			}
 			claim(g, r, start, start+width+opt.Horizon/20)
-			rid := simnet.ProcessID(fmt.Sprintf("replica-%d", r))
+			rid := core.ReplicaID(r)
 			var rest []simnet.ProcessID
 			for q := 0; q < opt.Replicas; q++ {
 				if q != r {
-					rest = append(rest, simnet.ProcessID(fmt.Sprintf("replica-%d", q)))
+					rest = append(rest, core.ReplicaID(q))
 				}
 			}
 			rest = append(rest, "client")

@@ -5,32 +5,64 @@ import (
 	"testing"
 
 	"xability/internal/simnet"
+	"xability/internal/vclock"
 )
 
 // TestReusedNetworkBitEqualOutcomes pins the reset-and-rerun contract: a
-// run on a recycled network (the sweep workers' per-worker scratch) must
-// produce an outcome bit-equal — SimTime included — to a fresh-world
-// Execute of the same (scenario, seed). The scenario list crosses the
-// deployment shapes reuse must survive: plain scripted runs, the CT
-// consensus substrate (extra /cons endpoints), heartbeat detectors (extra
-// /fd endpoints), link faults that mutate the partition plane, and
-// seed-drawn random fault schedules.
+// run on a recycled clock and network (the sweep workers' per-worker
+// scratch) must produce an outcome bit-equal — SimTime included — to a
+// fresh-world Execute of the same (scenario, seed). The scenario list
+// crosses the deployment shapes reuse must survive: plain scripted runs,
+// the CT consensus substrate (extra /cons endpoints), heartbeat detectors
+// (extra /fd endpoints), link faults that mutate the partition plane,
+// seed-drawn random fault schedules, the durable plane's crash-restart and
+// total-loss runs, and the batched closed and open loops.
 func TestReusedNetworkBitEqualOutcomes(t *testing.T) {
-	for _, name := range []string{
+	assertReuseBitEqual(t, []string{
 		"nice", "crash-failover", "delay-storm", "partition",
 		"delay-storm-hb", "random-faults", "pb-crash-failover",
-	} {
+		"partition-hb", "power-cycle", "restart-random-total",
+		"batch-crash-failover", "open-loop-batch",
+	})
+}
+
+// TestReusedShardedNetworksBitEqualOutcomes extends the reset-and-rerun
+// contract to the sharded runtime: a sweep worker recycles one network
+// per replica group, all reset onto the worker's one rewound clock, and a
+// run on the recycled group set must be bit-equal to a fresh-world
+// Execute. The list crosses the sharded shapes reuse must survive: the
+// failure-free router path, correlated crashes, the storm's link-fault
+// mutation, the batched open-loop composition, and durable groups through
+// a power cycle.
+func TestReusedShardedNetworksBitEqualOutcomes(t *testing.T) {
+	assertReuseBitEqual(t, []string{
+		"shard-nice", "shard-crash-failover", "shard-storm", "shard-open-loop",
+		"shard-power-cycle",
+	})
+}
+
+// assertReuseBitEqual runs seeds 1–5 of each scenario fresh and on one
+// scratch, and fails on any outcome that differs, or on a scratch that
+// built a second clock or network instead of recycling its first.
+func assertReuseBitEqual(t *testing.T, names []string) {
+	t.Helper()
+	for _, name := range names {
 		sc, ok := Get(name)
 		if !ok {
 			t.Fatalf("scenario %q not registered", name)
 		}
 		scratch := &runScratch{}
-		var first *simnet.Network // what seed 1 built and every later seed must recycle
+		// What seed 1 built and every later seed must recycle.
+		var clk *vclock.Virtual
+		var first *simnet.Network
 		for seed := int64(1); seed <= 5; seed++ {
 			fresh := Execute(sc, seed)
 			reused := execute(sc, seed, RunOptions{}, scratch)
 			if seed == 1 {
-				first = scratch.nets[0]
+				clk, first = scratch.clk, scratch.nets[0]
+			}
+			if scratch.clk != clk {
+				t.Errorf("%s seed %d: scratch built a new clock instead of rewinding its first", name, seed)
 			}
 			fresh.History, reused.History = nil, nil
 			if !reflect.DeepEqual(fresh, reused) {
@@ -44,63 +76,22 @@ func TestReusedNetworkBitEqualOutcomes(t *testing.T) {
 	}
 }
 
-// TestReusedShardedNetworksBitEqualOutcomes extends the reset-and-rerun
-// contract to the sharded runtime: a sweep worker recycles one network
-// per replica group (simnet.Reset onto a fresh shared clock), and a
-// run on the recycled group set must be bit-equal to a fresh-world
-// Execute. The list crosses the sharded shapes reuse must survive: the
-// failure-free router path, correlated crashes, the storm's link-fault
-// mutation, and the batched open-loop composition.
-func TestReusedShardedNetworksBitEqualOutcomes(t *testing.T) {
-	for _, name := range []string{
-		"shard-nice", "shard-crash-failover", "shard-storm", "shard-open-loop",
-	} {
-		sc, ok := Get(name)
-		if !ok {
-			t.Fatalf("scenario %q not registered", name)
-		}
-		scratch := &runScratch{}
-		var first *simnet.Network // what seed 1 built and every later seed must recycle
-		for seed := int64(1); seed <= 5; seed++ {
-			fresh := Execute(sc, seed)
-			reused := execute(sc, seed, RunOptions{}, scratch)
-			if seed == 1 {
-				first = scratch.nets[0]
-			}
-			fresh.History, reused.History = nil, nil
-			if !reflect.DeepEqual(fresh, reused) {
-				t.Errorf("%s seed %d: reused-network outcome differs from fresh run:\nfresh:  %+v\nreused: %+v",
-					name, seed, fresh, reused)
-			}
-		}
-		if scratch.nets[0] != first {
-			t.Errorf("%s: scratch abandoned its group networks (Reset failed); reuse never engaged", name)
-		}
-	}
-}
-
 // TestSweepMatchesSingleRuns pins the same contract at the Sweep level:
-// the distribution a parallel, network-reusing sweep folds must be exactly
-// the one per-seed fresh Executes produce.
+// the distribution a parallel sweep on recycled clocks and networks folds
+// must be exactly the one per-seed fresh Executes fold — every verdict
+// column: x-able and replied counts, effects and executions histograms,
+// attempts, messages, duplicate-replay runs, WAL totals and failing seeds.
 func TestSweepMatchesSingleRuns(t *testing.T) {
-	sc, _ := Get("crash-failover")
-	seeds := Seeds(300, 24)
-	d := Sweep(sc, seeds, 4)
-	if d.Runs != len(seeds) {
-		t.Fatalf("runs = %d, want %d", d.Runs, len(seeds))
-	}
-	xable, replied := 0, 0
-	for _, seed := range seeds {
-		o := Execute(sc, seed)
-		if o.XAble {
-			xable++
+	for _, name := range []string{"crash-failover", "power-cycle"} {
+		sc, _ := Get(name)
+		seeds := Seeds(300, 24)
+		got := Sweep(sc, seeds, 4)
+		fresh := make([]Outcome, len(seeds))
+		for i, seed := range seeds {
+			fresh[i] = Execute(sc, seed)
 		}
-		if o.Replied {
-			replied++
+		if want := fold(sc.Name, fresh); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: sweep folded\n%+v\nfresh runs fold\n%+v", name, got, want)
 		}
-	}
-	if d.XAble != xable || d.Replied != replied {
-		t.Errorf("sweep folded x-able %d replied %d; fresh runs give %d/%d",
-			d.XAble, d.Replied, xable, replied)
 	}
 }

@@ -355,22 +355,37 @@ func ExecuteObserved(sc Scenario, seed int64, run *obs.Run) Outcome {
 }
 
 // runScratch is a sweep worker's reusable substrate: the deployment's
-// networks — one per cluster, with their endpoints, interning tables, and
-// event pools — recycled across the worker's seeds via simnet.Reset, instead
-// of allocating a fresh world per run. The protocol actors (servers,
-// clients, machines, environment) are still rebuilt per seed: they are cheap
-// and hold all run state, so reuse stays invisible to outcomes — the sweep
-// determinism tests pin bit-equal results against fresh-world Execute runs.
+// clock, with its event and waiter pools, and its networks — one per
+// cluster, with their endpoints, interning tables, conds and event pools —
+// recycled across the worker's seeds (vclock.Virtual.Reset, then
+// simnet.Network.Reset onto the same clock) instead of allocating a fresh
+// world per run. The protocol actors (servers, clients, machines,
+// environment) are still rebuilt per seed: they hold all run state, so
+// reuse stays invisible to outcomes — the sweep determinism tests pin
+// bit-equal results against fresh-world Execute runs.
 type runScratch struct {
+	clk  *vclock.Virtual
 	nets []*simnet.Network
+}
+
+// clock returns the run's clock: a new one the first time, and after that
+// the same one rewound to time zero. The previous run's driver wound its
+// world down before it let go of the clock, so a refused Reset is a bug,
+// reported with the clock's leak audit as take reports a network's.
+func (s *runScratch) clock() *vclock.Virtual {
+	if s.clk == nil {
+		s.clk = vclock.NewVirtual()
+	} else if !s.clk.Reset() {
+		panic(fmt.Sprintf("scenario: the previous run left its clock running: %v", s.clk.Stop()))
+	}
+	return s.clk
 }
 
 // take returns n networks ready for a seeded run on base.Clock, network g
 // seeded seedFor(g): the recycled ones, Reset in cluster order, or fresh
 // ones that later seeds then recycle — the first time, or when n changed.
-// The previous run's driver wound its world down before it let go of the
-// clock, so a refused Reset is a bug, reported with the old clock's leak
-// audit.
+// base.Clock is the scratch's clock, which clock just rewound, so a refused
+// Reset is a bug, reported with the clock's leak audit.
 func (s *runScratch) take(base simnet.Config, n int, seedFor func(g int) int64) []*simnet.Network {
 	cfgFor := func(g int) simnet.Config {
 		cfg := base
@@ -461,19 +476,19 @@ func groupConfig(sc Scenario, seed int64, net simnet.Config, accounts int) core.
 	}
 }
 
-// deploy builds and starts the scenario's deployment on a clock it creates
-// here and on networks it takes from the scratch (a single run's scratch is
-// empty, so its world is fresh): every run's world and its clock begin in
-// this function. Building only schedules: the goroutines a cluster starts
-// are spawn events and its timers armed entries that wait for the driver's
-// first blocking call, so nothing — a heartbeat, a delivery, time itself —
-// runs ahead of the build, and every run begins at the same instant with
-// the same world.
+// deploy builds and starts the scenario's deployment on the clock and the
+// networks it takes from the scratch: a sweep worker's recycled ones, or
+// fresh ones for a single run, whose scratch is empty. Every run's world
+// and its clock begin in this function. Building only schedules: the
+// goroutines a cluster starts are spawn events and its timers armed
+// entries that wait for the driver's first blocking call, so nothing — a
+// heartbeat, a delivery, time itself — runs ahead of the build, and every
+// run begins at the same instant with the same world.
 func deploy(sc Scenario, seed int64, l load, scratch *runScratch) *deployment {
 	if scratch == nil {
 		scratch = &runScratch{}
 	}
-	d := &deployment{clk: vclock.NewVirtual()}
+	d := &deployment{clk: scratch.clock()}
 	net := sc.Net
 	net.Seed, net.Clock = seed, d.clk
 	sharded := sc.Protocol == XAbility && sc.Shards > 0

@@ -238,12 +238,12 @@ func SweepWithOptions(sc Scenario, seeds []int64, opts SweepOptions) VerdictDist
 		wg.Add(1)
 		go func() { //xvet:ok baregoroutine wall-side sweep worker: each seed's run builds (or recycles) its own virtual clock; the worker is outside them all
 			defer wg.Done()
-			// Each worker recycles one network across its seeds
-			// (reset-and-rerun): the substrate — endpoints, interned
-			// process tables, event pools — survives between runs, the
-			// protocol actors are rebuilt per seed, and outcomes stay
-			// bit-equal to fresh-world runs (pinned by the determinism
-			// regressions).
+			// Each worker recycles one clock and its networks across its
+			// seeds (reset-and-rerun): the substrate — the clock's event
+			// and waiter pools, endpoints and their conds, interned
+			// process tables — survives between runs, the protocol actors
+			// are rebuilt per seed, and outcomes stay bit-equal to
+			// fresh-world runs (pinned by the determinism regressions).
 			scratch := &runScratch{}
 			// One registry per worker, reset per seed: counters are read
 			// only through the per-run snapshot, so reuse is invisible.
@@ -270,33 +270,7 @@ func SweepWithOptions(sc Scenario, seeds []int64, opts SweepOptions) VerdictDist
 	close(idx)
 	wg.Wait() //xvet:ok detachedwait joins wall-side sweep workers; the sweeping goroutine is attached to no clock
 
-	d := VerdictDistribution{
-		Scenario:   sc.Name,
-		Runs:       len(seeds),
-		Effects:    make(map[int]int),
-		Executions: make(map[int]int),
-	}
-	for _, o := range outcomes {
-		if o.XAble {
-			d.XAble++
-		}
-		if o.Replied {
-			d.Replied++
-		}
-		d.Effects[o.EffectsInForce]++
-		d.Executions[o.Executions]++
-		d.Attempts += o.Attempts
-		d.Messages += o.Messages
-		if o.ReplayDuplicates > 0 {
-			d.ReplayDuplicates++
-		}
-		d.WALAppends += o.WALAppends
-		d.WALCompactions += o.WALCompactions
-		d.WALLiveRecords += o.WALLiveRecords
-		if !o.XAble || !o.Replied {
-			d.Failing = append(d.Failing, o.Seed)
-		}
-	}
+	d := fold(sc.Name, outcomes)
 	if opts.Metrics {
 		snaps := make([]*obs.Snapshot, len(outcomes))
 		for i := range outcomes {
@@ -327,6 +301,40 @@ func SweepWithOptions(sc Scenario, seeds []int64, opts SweepOptions) VerdictDist
 			if cx, ok := shrinkHook(sc, seed, opts.ShrinkBudget); ok {
 				d.Counterexamples[seed] = cx
 			}
+		}
+	}
+	return d
+}
+
+// fold folds outcomes, in order, into the verdict columns of a
+// distribution: everything but the optional rollup, traces and
+// counterexamples.
+func fold(name string, outcomes []Outcome) VerdictDistribution {
+	d := VerdictDistribution{
+		Scenario:   name,
+		Runs:       len(outcomes),
+		Effects:    make(map[int]int),
+		Executions: make(map[int]int),
+	}
+	for _, o := range outcomes {
+		if o.XAble {
+			d.XAble++
+		}
+		if o.Replied {
+			d.Replied++
+		}
+		d.Effects[o.EffectsInForce]++
+		d.Executions[o.Executions]++
+		d.Attempts += o.Attempts
+		d.Messages += o.Messages
+		if o.ReplayDuplicates > 0 {
+			d.ReplayDuplicates++
+		}
+		d.WALAppends += o.WALAppends
+		d.WALCompactions += o.WALCompactions
+		d.WALLiveRecords += o.WALLiveRecords
+		if !o.XAble || !o.Replied {
+			d.Failing = append(d.Failing, o.Seed)
 		}
 	}
 	return d

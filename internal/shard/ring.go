@@ -34,6 +34,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+
+	"xability/internal/memo"
 )
 
 // DefaultVNodes is the default number of virtual nodes per shard on the
@@ -42,7 +44,8 @@ import (
 const DefaultVNodes = 64
 
 // Ring is a consistent-hash partitioner over a fixed shard count. It is an
-// immutable value: build one with NewRing and share it freely.
+// immutable value: NewRing hands every caller asking for one shape the same
+// ring, and it may be shared freely.
 //
 // Each shard owns VNodes points on a 64-bit hash circle; a key belongs to
 // the shard owning the first point at or clockwise of the key's hash.
@@ -61,8 +64,11 @@ type ringPoint struct {
 	shard int
 }
 
-// NewRing builds a ring over the given shard count; vnodes of 0 selects
-// DefaultVNodes. Shard counts below 1 panic: an empty ring owns nothing.
+// NewRing returns the ring over the given shard count; vnodes of 0 selects
+// DefaultVNodes. Shard counts below 1 panic: an empty ring owns nothing. A
+// Ring is immutable, so each (shards, vnodes) ring is built once per
+// program and every later call — every seed of a sharded sweep — shares
+// it.
 func NewRing(shards, vnodes int) *Ring {
 	if shards < 1 {
 		panic(fmt.Sprintf("shard: ring needs at least 1 shard, got %d", shards))
@@ -70,6 +76,12 @@ func NewRing(shards, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
+	return rings.Get([2]int{shards, vnodes})
+}
+
+var rings = memo.New(func(k [2]int) *Ring { return buildRing(k[0], k[1]) })
+
+func buildRing(shards, vnodes int) *Ring {
 	r := &Ring{shards: shards, points: make([]ringPoint, 0, shards*vnodes)}
 	for s := 0; s < shards; s++ {
 		for v := 0; v < vnodes; v++ {

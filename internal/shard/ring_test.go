@@ -13,9 +13,11 @@ func keys(n int) []string {
 	return out
 }
 
+// TestRingDeterministicAndTotal compares the shared ring with one built
+// afresh: construction is a pure function of the shape.
 func TestRingDeterministicAndTotal(t *testing.T) {
 	a := NewRing(4, 0)
-	b := NewRing(4, 0)
+	b := buildRing(4, DefaultVNodes)
 	owned := make(map[int]int)
 	for _, k := range keys(1000) {
 		s := a.Owner(k)
@@ -83,4 +85,21 @@ func TestRingRejectsEmptyRing(t *testing.T) {
 		}
 	}()
 	NewRing(0, 0)
+}
+
+// TestNewRingSharedPerShape pins the ring memo: every sharded deploy asks
+// for its ring, and one shape is built once per program (256 hashed
+// vnode names for four shards), so a later call returns the same ring and
+// allocates nothing.
+func TestNewRingSharedPerShape(t *testing.T) {
+	r := NewRing(4, 0)
+	if NewRing(4, DefaultVNodes) != r {
+		t.Error("NewRing(4, 0) and NewRing(4, DefaultVNodes) are different rings")
+	}
+	if NewRing(5, 0) == r || NewRing(4, 8) == r {
+		t.Error("rings of different shapes are shared")
+	}
+	if avg := testing.AllocsPerRun(100, func() { NewRing(4, 0) }); avg != 0 {
+		t.Errorf("a repeated NewRing allocates %.0f objects, want 0", avg)
+	}
 }

@@ -3,6 +3,8 @@ package simnet
 import (
 	"testing"
 	"time"
+
+	"xability/internal/vclock"
 )
 
 // TestSendRecvAllocBudget pins the network's hot path: one Send plus the
@@ -66,12 +68,14 @@ func TestBroadcastAllocBudget(t *testing.T) {
 	}
 }
 
-// TestResetStreamsAllocFree pins the sweep path's per-seed stream cost:
-// Reset re-seeds the network's one delay stream in place (one store), so
-// what a Reset allocates — the new clock and one cond per endpoint — does
-// not depend on how many bases the network has. Four endpoints under one
-// base and four endpoints under four bases must cost the same; per-base
-// state built at Reset would make them differ.
+// TestResetStreamsAllocFree pins the per-seed stream cost of a Reset onto
+// a fresh clock: Reset re-seeds the network's one delay stream in place
+// (one store), so what it allocates — the new clock, the idle cond and one
+// cond per endpoint — does not depend on how many bases the network has.
+// Four endpoints under one base and four endpoints under four bases must
+// cost the same; per-base state built at Reset would make them differ.
+// The sweep path resets onto the clock it already runs on, which costs
+// nothing at all (TestResetSameClockAllocFree).
 func TestResetStreamsAllocFree(t *testing.T) {
 	resetAllocs := func(ids ...ProcessID) float64 {
 		cfg := Config{Seed: 1, MaxDelay: 10 * time.Microsecond}
@@ -92,5 +96,36 @@ func TestResetStreamsAllocFree(t *testing.T) {
 	four := resetAllocs("a", "b", "c", "d")
 	if four != one {
 		t.Fatalf("Reset allocates %.0f objects with four bases, %.0f with one: Reset builds per-base state", four, one)
+	}
+}
+
+// TestResetSameClockAllocFree pins the sweep path's Reset: a worker rewinds
+// its one clock (vclock.Virtual.Reset) and resets its networks onto it, so
+// the endpoint conds and the idle cond are kept — their waiter lists are
+// empty on a quiesced clock — and a Reset of a 4-endpoint network
+// allocates nothing.
+func TestResetSameClockAllocFree(t *testing.T) {
+	cfg := Config{Seed: 1, MaxDelay: 10 * time.Microsecond, Clock: vclock.NewVirtual()}
+	n := New(cfg)
+	for _, id := range []ProcessID{"a", "a/fd", "b", "b/fd"} {
+		n.Register(id)
+	}
+	n.Close()
+	cond := n.eps[0].cond
+	avg := testing.AllocsPerRun(100, func() {
+		if !cfg.Clock.Reset() {
+			t.Fatal("clock Reset refused a quiesced clock")
+		}
+		cfg.Seed++
+		if !n.Reset(cfg) {
+			t.Fatal("Reset refused a closed network on a quiesced clock")
+		}
+		n.Close()
+	})
+	if avg != 0 {
+		t.Fatalf("same-clock Reset allocates %.2f objects, want 0", avg)
+	}
+	if n.eps[0].cond != cond {
+		t.Error("same-clock Reset rebuilt the endpoint conds")
 	}
 }

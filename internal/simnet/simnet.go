@@ -183,12 +183,15 @@ func (n *Network) apply(cfg Config) {
 		clk = vclock.NewVirtual()
 	}
 	n.cfg = cfg
-	n.clk = clk
-	// The idle cond lives on the run's clock (it changes across Reset) so
-	// Quiesce waits inside the virtual schedule: a sync.Cond here would
-	// re-admit the waiter at an instant the schedule doesn't order — the
-	// detached-wait class behind PR 4's router bug.
-	n.idle = clk.NewCond(&n.mu)
+	if clk != n.clk {
+		// The idle cond lives on the run's clock so Quiesce waits inside
+		// the virtual schedule: a sync.Cond here would re-admit the waiter
+		// at an instant the schedule doesn't order — the detached-wait
+		// class behind PR 4's router bug. A Reset onto the same clock
+		// keeps it (see Reset).
+		n.clk = clk
+		n.idle = clk.NewCond(&n.mu)
+	}
 	n.delayScale = 1
 	n.record = cfg.Record
 	n.replay = schedule.NewCursor(cfg.Replay)
@@ -822,17 +825,21 @@ func (n *Network) Close() {
 
 // Reset recycles a closed network for a new run: the endpoint structures,
 // interning tables, dense fault/counter state, and event pools are kept;
-// the clock, seeds, and record/replay hooks are replaced per cfg. A nil
-// cfg.Clock gives the network a fresh clock; a deployment whose networks
-// share one clock (the sharded runtime) passes the *new* shared clock and
-// resets every group in shard order.
+// the seeds and record/replay hooks are replaced per cfg. A nil cfg.Clock
+// gives the network a fresh clock, and another clock gets new conds (one
+// per endpoint and the idle cond). A Reset onto the clock the network
+// already runs on keeps the conds too — their waiter lists are empty on a
+// quiesced clock — and allocates nothing: a sweep worker rewinds its one
+// clock (vclock.Virtual.Reset), then resets its networks onto it. A
+// deployment whose networks share one clock (the sharded runtime) resets
+// every group onto it in shard order.
 //
 // Reset refuses, and reports false without waiting, unless the old clock
-// is Quiesced: no clock goroutine left and no pending event. Until then the
-// old world is not inert — its goroutines and deliveries hold the
-// endpoints being recycled. A run's driver winds its world down before it
-// returns (stop, then vclock.Virtual.RunOut), so a refusal means a world
-// that was never wound down. The subsequent
+// is Quiesced: no clock goroutine left, no caller mid-wait and no pending
+// event. Until then the old world is not inert — its goroutines and
+// deliveries hold the endpoints being recycled. A run's driver winds its
+// world down before it returns (stop, then vclock.Virtual.RunOut), so a
+// refusal means a world that was never wound down. The subsequent
 // deployment must Register the same process IDs in the same order (the
 // sweep contract: one scenario shape per worker).
 func (n *Network) Reset(cfg Config) bool {
@@ -840,6 +847,10 @@ func (n *Network) Reset(cfg Config) bool {
 		return false
 	}
 	n.mu.Lock()
+	same := cfg.Clock == n.clk
+	if same && n.idle.Waiting() != 0 {
+		panic("simnet: Reset onto a quiesced clock found a waiter on the idle cond")
+	}
 	n.apply(cfg)
 	n.closed = false
 	n.inflight = 0
@@ -860,7 +871,11 @@ func (n *Network) Reset(cfg Config) bool {
 		ep.closed = false
 		ep.handler = nil
 		ep.clearLocked()
-		ep.cond = clk.NewCond(&ep.mu)
+		if !same {
+			ep.cond = clk.NewCond(&ep.mu)
+		} else if w := ep.cond.Waiting(); w != 0 {
+			panic(fmt.Sprintf("simnet: Reset onto a quiesced clock found %d waiter(s) on %q", w, ep.id))
+		}
 		ep.mu.Unlock()
 	}
 	return true

@@ -81,7 +81,9 @@ type waiter struct {
 // Virtual is the simulation's clock: a discrete-event scheduler. Time is a
 // counter that jumps to the next scheduled deadline whenever nothing on the
 // clock is running. Sleeping costs no wall time; a run is limited by CPU,
-// not by the durations it simulates. Create with NewVirtual.
+// not by the durations it simulates. Create with NewVirtual; a sweep
+// worker builds one and rewinds it with Reset for each later seed, the way
+// it recycles its networks.
 //
 // The schedule advances only while some caller waits on it. The clock
 // counts running units: a goroutine it started (Go, GoAfter) that is not
@@ -112,6 +114,10 @@ type Virtual struct {
 	busy   int // running units (see Virtual)
 	pq     []*vevent
 
+	// waiting counts the waiters handed out and not yet released: callers
+	// in a Sleep or a cond wait, and Runners armed on a Cond.
+	waiting int
+
 	// running counts the clock goroutines started and not yet returned,
 	// by spawn site, for Stop's audit and Quiesced; a site leaves the map
 	// when its count returns to zero.
@@ -126,6 +132,23 @@ type Virtual struct {
 // NewVirtual returns a virtual clock at time zero.
 func NewVirtual() *Virtual {
 	return &Virtual{running: make(map[uintptr]int)}
+}
+
+// Reset rewinds a Quiesced clock to time zero for the next run, the mirror
+// of simnet.Network.Reset: Now, Events, Spawns and Wakes return to zero,
+// and the event pool, the waiter pool (each waiter with its wake channel)
+// and the heap's backing array are kept. Nothing is pending, so a schedule
+// run after Reset fires in the (time, seq) order it fires on a fresh
+// clock, and Conds built before it stay usable. Reset refuses, and reports
+// false without changing anything, unless the clock is Quiesced.
+func (v *Virtual) Reset() bool {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if !v.quiescedLocked() {
+		return false
+	}
+	v.now, v.seq, v.spawns, v.wakes = 0, 0, 0, 0
+	return true
 }
 
 // Now returns the time elapsed since the clock started.
@@ -248,6 +271,7 @@ func (v *Virtual) pushBroadcastLocked(w *waiter) {
 
 // newWaiterLocked hands out a pooled waiter, armed (gen fixed) and clean.
 func (v *Virtual) newWaiterLocked() *waiter {
+	v.waiting++
 	if n := len(v.wfree); n > 0 {
 		w := v.wfree[n-1]
 		v.wfree[n-1] = nil
@@ -260,6 +284,7 @@ func (v *Virtual) newWaiterLocked() *waiter {
 // releaseWaiterLocked returns a consumed waiter to the pool. Bumping gen
 // invalidates any timer event still in the heap that references it.
 func (v *Virtual) releaseWaiterLocked(w *waiter) {
+	v.waiting--
 	w.gen++
 	w.fired = false
 	w.timedOut = false
@@ -601,15 +626,20 @@ func (v *Virtual) RunOut() {
 }
 
 // Quiesced reports whether the clock has fully wound down: nothing
-// running, no clock goroutine that has not returned, and no pending
-// events — superseded ones included, so a frozen world with live events is
-// not quiesced. A deployment that has been stopped and run out (RunOut) by
-// its driver is in this state; Network.Reset refuses to recycle a network
-// whose old clock is not.
+// running, no clock goroutine that has not returned, no caller mid-wait
+// and no pending events — superseded ones included, so a frozen world with
+// live events is not quiesced. A deployment that has been stopped and run
+// out (RunOut) by its driver is in this state; Reset and Network.Reset
+// refuse to recycle a clock or a network whose clock is not. Every Cond
+// on a quiesced clock has an empty waiter list.
 func (v *Virtual) Quiesced() bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.busy == 0 && len(v.pq) == 0 && len(v.running) == 0
+	return v.quiescedLocked()
+}
+
+func (v *Virtual) quiescedLocked() bool {
+	return v.busy == 0 && len(v.pq) == 0 && len(v.running) == 0 && v.waiting == 0
 }
 
 // NewCond returns a condition variable integrated with the clock: waiting
@@ -718,6 +748,14 @@ func (c *Cond) Broadcast() {
 	}
 	c.waiters = c.waiters[:0]
 	v.mu.Unlock()
+}
+
+// Waiting reports how many waiters are armed on c: goroutines in Wait or
+// WaitTimeout and Runners armed by WaitRunner, not yet woken.
+func (c *Cond) Waiting() int {
+	c.v.mu.Lock()
+	defer c.v.mu.Unlock()
+	return len(c.waiters)
 }
 
 // removeLocked drops a timed-out waiter from the list; callers hold v.mu.

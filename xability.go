@@ -358,8 +358,9 @@ type (
 	Ring = shard.Ring
 )
 
-// NewRing builds a consistent-hash ring over the given shard count;
-// vnodes of 0 selects the default virtual-node count.
+// NewRing returns the consistent-hash ring over the given shard count;
+// vnodes of 0 selects the default virtual-node count. Rings are immutable
+// and built once per shape.
 func NewRing(shards, vnodes int) *Ring { return shard.NewRing(shards, vnodes) }
 
 // ShardedService is a running sharded deployment with its routing client.
