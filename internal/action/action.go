@@ -164,21 +164,26 @@ func (r Request) Commit() Request {
 // EffectiveInput is the input value as it appears in events: the request ID
 // and round number, when set, are folded into the value so that event
 // identity — and therefore pattern matching and reduction — distinguishes
-// rounds of distinct requests. The encoding is built in one sized append
-// chain (equivalent to EncodeTuple(input, "x:"+ID+":"+round)): it runs once
-// per execution attempt, which makes it a protocol hot path.
+// rounds of distinct requests. The encoding equals EncodeTuple(input,
+// "x:"+ID+":"+round) and costs one allocation: the round is formatted on
+// the stack and the value built in a Builder grown once, with no copy from
+// bytes to string. It runs once per execution attempt, which makes it a
+// protocol hot path.
 func (r Request) EffectiveInput() Value {
 	if r.Round == 0 && r.ID == "" {
 		return r.Input
 	}
-	b := make([]byte, 0, len(r.Input)+len(r.ID)+8)
-	b = append(b, r.Input...)
-	b = append(b, tupleSep...)
-	b = append(b, "x:"...)
-	b = append(b, r.ID...)
-	b = append(b, ':')
-	b = strconv.AppendInt(b, int64(r.Round), 10)
-	return Value(b)
+	var digits [20]byte
+	round := strconv.AppendInt(digits[:0], int64(r.Round), 10)
+	var b strings.Builder
+	b.Grow(len(r.Input) + len(tupleSep) + len("x:") + len(r.ID) + 1 + len(round))
+	b.WriteString(string(r.Input))
+	b.WriteString(tupleSep)
+	b.WriteString("x:")
+	b.WriteString(r.ID)
+	b.WriteByte(':')
+	b.Write(round)
+	return Value(b.String())
 }
 
 // String renders the request in paper notation, e.g. "(debit, acct=7@r2)".

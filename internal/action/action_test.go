@@ -1,6 +1,7 @@
 package action
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -87,6 +88,33 @@ func TestEffectiveInputDistinguishesRounds(t *testing.T) {
 	r0 := NewRequest("a", "x")
 	if r0.EffectiveInput() != "x" {
 		t.Errorf("round-0 EffectiveInput = %q, want raw input", r0.EffectiveInput())
+	}
+}
+
+// TestEffectiveInputEncoding pins EffectiveInput's bytes to the tuple
+// encoding the checker's SplitTag parses, and its cost to one allocation.
+func TestEffectiveInputEncoding(t *testing.T) {
+	for _, r := range []Request{
+		NewRequest("a", "x=1").WithID("req-7").WithRound(3),
+		NewRequest("a", "").WithID("c-12").WithRound(64),
+		NewRequest("a", "acct=9").WithID("q").WithRound(0),
+		NewRequest("a", "y").WithID("").WithRound(-2),
+	} {
+		want := EncodeTuple(string(r.Input), "x:"+r.ID+":"+strconv.Itoa(r.Round))
+		got := r.EffectiveInput()
+		if got != want {
+			t.Errorf("%v: EffectiveInput = %q, want %q", r, got, want)
+		}
+		if r.ID == "" {
+			continue // SplitTag wants a request ID
+		}
+		if base, id, round := SplitTag(got); base != r.Input || id != r.ID || round != r.Round {
+			t.Errorf("%v: SplitTag = (%q, %q, %d)", r, base, id, round)
+		}
+	}
+	r := NewRequest("debit", "acct=7").WithID("client-0-41").WithRound(12)
+	if n := testing.AllocsPerRun(100, func() { _ = r.EffectiveInput() }); n != 1 {
+		t.Errorf("EffectiveInput allocates %.0f objects, want 1", n)
 	}
 }
 

@@ -46,7 +46,10 @@ import (
 )
 
 // BatchConfig tunes the batched/pipelined plane. The zero value disables
-// it entirely (the per-request protocol runs unchanged).
+// it entirely (the per-request protocol runs unchanged). Enabled, each
+// server gains the batcher and the follower — Runners on the clock's
+// pump, with no goroutine of their own — and one goroutine per slot it
+// claims (runSlot).
 type BatchConfig struct {
 	// Enabled switches the plane on.
 	Enabled bool
@@ -90,7 +93,8 @@ type slotOutcome struct {
 // namespace disjoint from client request IDs ("<client>-<seq>").
 func slotID(n int) string { return "slot#" + strconv.Itoa(n) }
 
-// slotState is a replica's view of the slot log.
+// slotState is a replica's view of the slot log, and the two Runners that
+// work it on the clock's pump.
 type slotState struct {
 	mu   sync.Mutex
 	cond *vclock.Cond
@@ -100,11 +104,14 @@ type slotState struct {
 	known    int             // lowest slot index not known decided elsewhere
 	execNext int             // first slot not yet applied locally
 	inflight int             // slots claimed here and not yet resolved
+
+	batcher  slotBatcher
+	follower slotFollower
 }
 
-func newSlotState(clk *vclock.Virtual) *slotState {
-	ss := &slotState{}
-	ss.cond = clk.NewCond(&ss.mu)
+func newSlotState(s *Server) *slotState {
+	ss := &slotState{batcher: slotBatcher{s: s}, follower: slotFollower{s: s}}
+	ss.cond = s.clk.NewCond(&ss.mu)
 	return ss
 }
 
@@ -136,76 +143,105 @@ func (s *Server) enqueue(p SubmitPayload) {
 	ss.cond.Broadcast()
 }
 
-// batcher forms slots: wait for a pending request, let the window fill the
-// batch, wait for a pipeline slot, claim the next log index, and launch the
-// slot's round 1 as prospective owner.
-func (s *Server) batcher() {
-	ss := s.slots
+// slotBatcher forms slots, a step machine on the clock's pump: wait for a
+// pending request, let the window fill the batch, wait for a pipeline
+// place, claim the next log index, and launch the slot's round 1 as
+// prospective owner (formSlot). Its three waits are a cond wait for a
+// pending request and one for a pipeline place, each timing out after
+// cleanInterval, and the window, a plain delay; after each cond wake, and
+// at the head of its loop, it checks for a stop.
+type slotBatcher struct {
+	s    *Server
+	wait batchWait // the wait the next run resumes from
+}
+
+type batchWait uint8
+
+const (
+	batchHead    batchWait = iota // the loop's head (the first run, and after a slot)
+	batchPending                  // woken while waiting for a pending request
+	batchWindow                   // the window elapsed
+	batchBound                    // woken while waiting for a pipeline place
+)
+
+// Run implements vclock.Runner.
+func (b *slotBatcher) Run() {
+	s, ss := b.s, b.s.slots
 	for {
-		if s.isStopped() {
+		if b.wait != batchWindow && s.isStopped() {
 			return
 		}
 		ss.mu.Lock()
-		for len(ss.pending) == 0 {
-			ss.cond.WaitTimeout(cleanInterval)
-			if s.isStopped() {
+		switch b.wait {
+		case batchHead, batchPending:
+			if len(ss.pending) == 0 {
+				b.wait = batchPending
+				ss.cond.WaitRunner(cleanInterval, b)
 				ss.mu.Unlock()
 				return
 			}
-		}
-		ss.mu.Unlock()
-
-		// Batching window: accumulate concurrent arrivals.
-		s.clk.Sleep(s.batch.Window)
-
-		ss.mu.Lock()
-		for ss.inflight >= s.batch.Pipeline {
-			ss.cond.WaitTimeout(cleanInterval)
-			if s.isStopped() {
-				ss.mu.Unlock()
-				return
-			}
-		}
-		// Drain up to MaxSize members, skipping ones an earlier slot
-		// already finished (their clients were answered at apply time).
-		batch := make([]SubmitPayload, 0, s.batch.MaxSize)
-		rest := ss.pending[:0]
-		for _, m := range ss.pending {
-			if len(batch) >= s.batch.MaxSize {
-				rest = append(rest, m)
-				continue
-			}
-			if s.finishedReq(m.Req.ID) {
-				continue
-			}
-			batch = append(batch, m)
-		}
-		ss.pending = rest
-		if len(batch) == 0 {
 			ss.mu.Unlock()
+			// Batching window: accumulate concurrent arrivals.
+			b.wait = batchWindow
+			s.clk.AfterRunner(s.batch.Window, b)
+			return
+		case batchWindow, batchBound:
+			if ss.inflight >= s.batch.Pipeline {
+				b.wait = batchBound
+				ss.cond.WaitRunner(cleanInterval, b)
+				ss.mu.Unlock()
+				return
+			}
+			b.wait = batchHead
+			s.formSlot()
+		}
+	}
+}
+
+// formSlot drains up to MaxSize pending members into the next slot and
+// spawns its round 1, which blocks in Propose and the execution gate.
+// Callers hold ss.mu; formSlot releases it.
+func (s *Server) formSlot() {
+	ss := s.slots
+	// Skip members an earlier slot already finished (their clients were
+	// answered at apply time).
+	batch := make([]SubmitPayload, 0, s.batch.MaxSize)
+	rest := ss.pending[:0]
+	for _, m := range ss.pending {
+		if len(batch) >= s.batch.MaxSize {
+			rest = append(rest, m)
 			continue
 		}
-		if ss.next < ss.known {
-			ss.next = ss.known
+		if s.finishedReq(m.Req.ID) {
+			continue
 		}
-		n := ss.next
-		ss.next++
-		ss.inflight++
-		depth := ss.inflight
-		ss.mu.Unlock()
-		s.m.Inc(obs.BatchSlots)
-		s.m.Add(obs.BatchReqs, int64(len(batch)))
-		s.m.SetMax(obs.GaugeBatchMax, int64(len(batch)))
-		s.m.SetMax(obs.GaugePipelineDepth, int64(depth))
-
-		s.clk.Go(func() {
-			s.runSlot(n, 1, batch)
-			ss.mu.Lock()
-			ss.inflight--
-			ss.mu.Unlock()
-			ss.cond.Broadcast()
-		})
+		batch = append(batch, m)
 	}
+	ss.pending = rest
+	if len(batch) == 0 {
+		ss.mu.Unlock()
+		return
+	}
+	if ss.next < ss.known {
+		ss.next = ss.known
+	}
+	n := ss.next
+	ss.next++
+	ss.inflight++
+	depth := ss.inflight
+	ss.mu.Unlock()
+	s.m.Inc(obs.BatchSlots)
+	s.m.Add(obs.BatchReqs, int64(len(batch)))
+	s.m.SetMax(obs.GaugeBatchMax, int64(len(batch)))
+	s.m.SetMax(obs.GaugePipelineDepth, int64(depth))
+
+	s.clk.Go(func() {
+		s.runSlot(n, 1, batch)
+		ss.mu.Lock()
+		ss.inflight--
+		ss.mu.Unlock()
+		ss.cond.Broadcast()
+	})
 }
 
 func (s *Server) finishedReq(id string) bool {
@@ -444,23 +480,26 @@ func (s *Server) applySlot(n int, batch []SubmitPayload, vals []action.Value, ow
 	ss.cond.Broadcast()
 }
 
-// follower advances the local slot log through slots decided elsewhere:
-// poll the consensus arrays for the first unapplied slot, and once some
-// round of it commits, apply it in order. Owners apply their own slots
-// directly; the follower is how the other replicas' re-reply state keeps
-// up, and how a stalled client's replica learns results it did not compute
-// (the batched plane has no per-request announce gossip).
-func (s *Server) follower() {
-	ss := s.slots
-	for {
-		if s.isStopped() {
-			return
-		}
-		advanced := s.advanceSlot()
-		if !advanced {
+// slotFollower advances the local slot log through slots decided
+// elsewhere, a Runner on the clock's pump: poll the consensus arrays for
+// the first unapplied slot, and once some round of it commits, apply it in
+// order; with nothing to apply, wait on the slot cond for an apply or a
+// claim, or cleanInterval. Owners apply their own slots directly; the
+// follower is how the other replicas' re-reply state keeps up, and how a
+// stalled client's replica learns results it did not compute (the batched
+// plane has no per-request announce gossip).
+type slotFollower struct{ s *Server }
+
+// Run implements vclock.Runner.
+func (f *slotFollower) Run() {
+	s := f.s
+	for !s.isStopped() {
+		if !s.advanceSlot() {
+			ss := s.slots
 			ss.mu.Lock()
-			ss.cond.WaitTimeout(cleanInterval)
+			ss.cond.WaitRunner(cleanInterval, f)
 			ss.mu.Unlock()
+			return
 		}
 	}
 }

@@ -146,7 +146,8 @@ type Server struct {
 	m     *obs.Metrics // nil-safe run metrics
 	tr    *obs.Trace   // nil-safe span recorder
 
-	clean *cleaner // Figure 6's cleaner thread, as a timer on the clock
+	recv  serverRecv // Figure 6's request loop, as a Runner on the clock
+	clean *cleaner   // Figure 6's cleaner thread, as a timer on the clock
 
 	mu      sync.Mutex
 	stopped bool
@@ -229,13 +230,14 @@ func NewServer(cfg ServerConfig) *Server {
 		rounds:   make(map[consensus.Key]bool),
 		inflight: make(map[consensus.Key]bool),
 	}
+	s.recv.s = s
 	s.clean = &cleaner{s: s}
 	s.clean.timer = s.clk.NewTimer(s.clean)
 	if s.costs.enabled() {
 		s.cpu = newVCPU(s.clk)
 	}
 	if s.batch.Enabled {
-		s.slots = newSlotState(s.clk)
+		s.slots = newSlotState(s)
 	}
 	if s.log != nil {
 		s.log.SetCompactor(serverCompact)
@@ -291,7 +293,8 @@ func serverCompact(prefix []wal.Record) []wal.Record {
 		case recFinish:
 			// Emitted beside its req above. A fin whose req record is
 			// missing is unreachable on replay (Recover ignores it) — and
-			// cannot occur, since persistRequest precedes every finish.
+			// cannot occur, since the request loop persists a request before
+			// anything else touches it.
 			_ = i
 		}
 	}
@@ -307,21 +310,25 @@ func (s *Server) propose(key consensus.Key, val any) any {
 	return s.cons.Object(key).Propose(val)
 }
 
-// Start launches the request loop and arms the cleaner (the cobegin of
-// Figure 6) on the network clock. With batching enabled the cobegin gains
-// the batcher (window-driven slot formation) and the follower (in-order
-// slot application; see batch.go). Spawning and arming only schedule, so
-// nothing of it runs before the caller's next wait.
+// Start arms the request loop and the cleaner (the cobegin of Figure 6)
+// on the network clock. With batching enabled the cobegin gains the
+// batcher (window-driven slot formation) and the follower (in-order slot
+// application; see batch.go). All four are Runners on the clock's pump,
+// not goroutines: the request loop's and the slot plane's first runs are
+// AfterRunner(0) events, the cleaner's a timer one period out. Arming only
+// schedules, so nothing of it runs before the caller's next wait.
 func (s *Server) Start() {
-	s.clk.Go(s.mainLoop)
+	s.clk.AfterRunner(0, &s.recv)
 	s.clean.timer.Reset(cleanInterval)
 	if s.batch.Enabled {
-		s.clk.Go(s.batcher)
-		s.clk.Go(s.follower)
+		s.clk.AfterRunner(0, &s.slots.batcher)
+		s.clk.AfterRunner(0, &s.slots.follower)
 	}
 }
 
-// Stop terminates the server's goroutines without simulating a crash.
+// Stop ends the server's activities without simulating a crash: the
+// cleaner, the slot plane and the rounds stop at their next step. The
+// request loop keeps handling messages until the endpoint closes.
 func (s *Server) Stop() {
 	s.mu.Lock()
 	s.stopped = true
@@ -339,15 +346,6 @@ func (s *Server) Crash() {
 
 // ID returns the replica's process ID.
 func (s *Server) ID() simnet.ProcessID { return s.id }
-
-// persistRequest forces a first-seen request to stable storage. Callers
-// must not hold s.mu: the sync wait is a clock event, and goroutines
-// blocked on a held mutex count as runnable to the clock.
-func (s *Server) persistRequest(req action.Request, client simnet.ProcessID) {
-	if s.log != nil {
-		s.log.Append(wal.Record{Kind: recRequest, Key: req.ID, Str: string(client), Val: req})
-	}
-}
 
 // persistRound forces a (request, round) attempt to stable storage —
 // write-ahead of the ownership proposal, so a restarted replica cannot
@@ -413,66 +411,125 @@ func (s *Server) isStopped() bool {
 	return s.stopped
 }
 
-func (s *Server) mainLoop() {
-	for {
-		msg, ok := s.ep.Recv()
-		if !ok {
-			return
+// serverRecv is Figure 6's request loop as a vclock.Runner on the clock's
+// pump. Each run drains the mailbox in arrival order and re-arms on the
+// endpoint (simnet.Endpoint.WaitRunner) until the endpoint closes; a stop
+// alone does not end it. A first-seen request is written ahead with
+// wal.Log.AppendThen, and across the sync tariff the drain suspends —
+// later deliveries only queue in the mailbox — until the continuation, a
+// run of the same Runner, finishes the request's message and drains on.
+// At zero tariff all of it runs inline.
+type serverRecv struct {
+	s    *Server
+	sync wal.Sync
+	// The message suspended in its persist: its request's state (nil while
+	// no message is suspended), its payload, and whether it was a submit.
+	st     *requestState
+	p      SubmitPayload
+	submit bool
+}
+
+// Run implements vclock.Runner.
+func (r *serverRecv) Run() {
+	s := r.s
+	if st := r.st; st != nil {
+		// Persisted — or torn off by a crash during its sync: the message
+		// is finished either way, as after the blocking Append, and a
+		// crashed endpoint is closed, so the drain ends below.
+		p, submit := r.p, r.submit
+		r.st, r.p = nil, SubmitPayload{}
+		if submit {
+			s.submitted(st, p, true)
 		}
-		switch msg.Type {
-		case MsgSubmit:
-			p, ok := msg.Payload.(SubmitPayload)
-			if !ok {
-				continue
-			}
-			if s.batch.Enabled {
-				// Batched plane: no per-request announce gossip (the batch
-				// content rides in the slot's ownership decision, which is
-				// where cleaners discover it) and no per-request ownership
-				// race — the request joins this replica's pending batch.
-				s.enqueue(p)
-				continue
-			}
-			st, first := s.noteRequest(p.Req, p.Client)
-			if first {
-				s.persistRequest(p.Req, p.Client)
-				s.ep.Broadcast(MsgAnnounce, p)
-			}
-			s.mu.Lock()
-			done, res := st.done, st.result
-			s.mu.Unlock()
-			if done {
-				// Re-submission of a completed request: replying with the
-				// fixed result keeps submit idempotent (R1) without
-				// re-executing anything.
-				s.ep.Send(p.Client, MsgResult, ResultPayload{ReqID: p.Req.ID, Value: res})
-				continue
-			}
-			// req.round := 1 (Figure 6).
-			s.clk.Go(func() {
-				if !s.processRequest(p.Req, 1, p.Client) {
-					// This replica accepted the submission but did not
-					// answer it — it lost the ownership race, or the
-					// round guard suppressed a re-attempt. The original
-					// owner's reply may be black-holed by the link plane,
-					// and the cleaner only re-replies while that owner is
-					// *suspected*; without a watcher the client can await
-					// an unsuspected, already-answered replica forever
-					// (found by the seeded random fault generator).
-					// Replies are idempotent, so forwarding the fixed
-					// result is always safe.
-					s.awaitFixed(p.Req, p.Client)
-				}
-			})
-		case MsgAnnounce:
-			if p, ok := msg.Payload.(SubmitPayload); ok {
-				if _, first := s.noteRequest(p.Req, p.Client); first {
-					s.tr.Instant(s.clk.Now(), string(s.id), "announce", p.Req.ID)
-					s.persistRequest(p.Req, p.Client)
-				}
+	}
+	for {
+		msg, ok := s.ep.TryRecv()
+		if !ok {
+			break
+		}
+		if r.handle(msg) {
+			return // suspended; the continuation runs Run again
+		}
+	}
+	if !s.ep.Closed() {
+		s.ep.WaitRunner(r)
+	}
+}
+
+// handle handles one message. It reports true when it suspended the drain
+// in a first-seen request's persist.
+func (r *serverRecv) handle(msg simnet.Message) bool {
+	s := r.s
+	p, ok := msg.Payload.(SubmitPayload)
+	if !ok {
+		return false
+	}
+	switch msg.Type {
+	case MsgSubmit:
+		if s.batch.Enabled {
+			// Batched plane: no per-request announce gossip (the batch
+			// content rides in the slot's ownership decision, which is
+			// where cleaners discover it) and no per-request ownership
+			// race — the request joins this replica's pending batch.
+			s.enqueue(p)
+			return false
+		}
+		st, first := s.noteRequest(p.Req, p.Client)
+		if first && s.log != nil {
+			r.persist(st, p, true)
+			return true
+		}
+		s.submitted(st, p, first)
+	case MsgAnnounce:
+		if st, first := s.noteRequest(p.Req, p.Client); first {
+			s.tr.Instant(s.clk.Now(), string(s.id), "announce", p.Req.ID)
+			if s.log != nil {
+				r.persist(st, p, false)
+				return true
 			}
 		}
 	}
+	return false
+}
+
+// persist forces a first-seen request to stable storage, suspending the
+// drain until it is durable; the continuation finishes the message.
+func (r *serverRecv) persist(st *requestState, p SubmitPayload, submit bool) {
+	r.st, r.p, r.submit = st, p, submit
+	r.s.log.AppendThen(wal.Record{Kind: recRequest, Key: p.Req.ID, Str: string(p.Client), Val: p.Req}, &r.sync, r)
+}
+
+// submitted finishes a submit once its request is known here and, on first
+// sight (first), persisted: it announces a new request to the other
+// replicas, answers a completed one with its fixed result — which keeps
+// submit idempotent (R1) without re-executing anything — and otherwise
+// starts round 1.
+func (s *Server) submitted(st *requestState, p SubmitPayload, first bool) {
+	if first {
+		s.ep.Broadcast(MsgAnnounce, p)
+	}
+	s.mu.Lock()
+	done, res := st.done, st.result
+	s.mu.Unlock()
+	if done {
+		s.ep.Send(p.Client, MsgResult, ResultPayload{ReqID: p.Req.ID, Value: res})
+		return
+	}
+	// req.round := 1 (Figure 6), on a goroutine of its own: the round
+	// blocks in Propose, the vCPU and the WAL.
+	s.clk.Go(func() {
+		if !s.processRequest(p.Req, 1, p.Client) {
+			// This replica accepted the submission but did not answer it
+			// — it lost the ownership race, or the round guard suppressed
+			// a re-attempt. The original owner's reply may be black-holed
+			// by the link plane, and the cleaner only re-replies while
+			// that owner is *suspected*; without a watcher the client can
+			// await an unsuspected, already-answered replica forever
+			// (found by the seeded random fault generator). Replies are
+			// idempotent, so forwarding the fixed result is always safe.
+			s.awaitFixed(p.Req, p.Client)
+		}
+	})
 }
 
 // noteRequest records a request for the cleaner; reports whether it was

@@ -13,12 +13,12 @@ import (
 
 // Station is the open-loop client multiplexer: it drives many concurrent
 // single-request sessions over one endpoint, where the closed-loop Client
-// of client.go drives exactly one session at a time. A background receiver
-// drains the endpoint and demultiplexes MsgResult by request ID to the
-// in-flight sessions, so thousands of them share one mailbox (and one
-// delay stream — the Station reuses the cluster's existing "client"
-// endpoint, keeping the network's seeded delay plan identical whether a
-// run is open- or closed-loop).
+// of client.go drives exactly one session at a time. A receiver on the
+// clock's pump drains the endpoint and demultiplexes MsgResult by request
+// ID to the in-flight sessions, so thousands of them share one mailbox
+// (and one delay stream — the Station reuses the cluster's existing
+// "client" endpoint, keeping the network's seeded delay plan identical
+// whether a run is open- or closed-loop).
 //
 // Each session follows Figure 5's submit discipline independently: send to
 // a replica, await a result or a suspicion, fail over on suspicion. A
@@ -34,6 +34,8 @@ type Station struct {
 	det      fd.Detector
 	m        *obs.Metrics // nil-safe run metrics
 	tr       *obs.Trace   // nil-safe span recorder
+
+	recv stationRecv // the demultiplexing receiver, on the clock's pump
 
 	mu      sync.Mutex
 	cond    *vclock.Cond            // Drive's join
@@ -78,7 +80,7 @@ type stationCall struct {
 }
 
 // stationDrive is one Drive's join count, guarded by Station.mu.
-type stationDrive struct{ completed, finished int }
+type stationDrive struct{ sessions, completed, finished int }
 
 // StationConfig assembles a station.
 type StationConfig struct {
@@ -91,8 +93,9 @@ type StationConfig struct {
 // stationResend is the per-session submit re-send period.
 const stationResend = 4 * time.Millisecond
 
-// NewStation builds a station and starts its demultiplexing receiver. The
-// endpoint must not be concurrently drained by a Client.
+// NewStation builds a station and arms its demultiplexing receiver, a
+// Runner on the clock's pump whose first run is an event at the current
+// instant. The endpoint must not be concurrently drained by a Client.
 func NewStation(cfg StationConfig) *Station {
 	st := &Station{
 		id:       cfg.ID,
@@ -105,25 +108,25 @@ func NewStation(cfg StationConfig) *Station {
 		waiting:  make(map[string]*stationCall),
 	}
 	st.cond = st.clk.NewCond(&st.mu)
-	st.clk.Go(st.receive)
+	st.recv.st = st
+	st.clk.AfterRunner(0, &st.recv)
 	return st
 }
 
-// receive drains the endpoint, waking the session each reply answers. It
-// exits when the endpoint closes (network shutdown), waking every in-flight
-// session in arrival order and then Drive's join.
-func (st *Station) receive() {
+// stationRecv is the station's receiver, a vclock.Runner: each run drains
+// the endpoint, waking the session each reply answers, and re-arms on it
+// (simnet.Endpoint.WaitRunner). When the drain finds the endpoint closed
+// (network shutdown) it stops the station instead: it wakes every
+// in-flight session in arrival order and then Drive's join.
+type stationRecv struct{ st *Station }
+
+// Run implements vclock.Runner.
+func (r *stationRecv) Run() {
+	st := r.st
 	for {
-		msg, ok := st.ep.Recv()
+		msg, ok := st.ep.TryRecv()
 		if !ok {
-			st.mu.Lock()
-			st.stopped = true
-			for c := st.first; c != nil; c = c.next {
-				c.wake()
-			}
-			st.mu.Unlock()
-			st.cond.Broadcast()
-			return
+			break
 		}
 		if msg.Type != MsgResult {
 			continue
@@ -140,6 +143,17 @@ func (st *Station) receive() {
 		}
 		st.mu.Unlock()
 	}
+	if !st.ep.Closed() {
+		st.ep.WaitRunner(r)
+		return
+	}
+	st.mu.Lock()
+	st.stopped = true
+	for c := st.first; c != nil; c = c.next {
+		c.wake()
+	}
+	st.mu.Unlock()
+	st.cond.Broadcast()
 }
 
 // wake runs a parked session now instead of at its poll; callers hold
@@ -265,18 +279,23 @@ func (c *stationCall) settle() bool {
 	return stopped
 }
 
-// finish retires the session, counts it in its Drive's join and wakes the
-// join.
+// finish retires the session and counts it in its Drive's join, which it
+// wakes once the Drive's every session has finished: a wake per session
+// would find the join still short and send it straight back to sleep.
 func (c *stationCall) finish(completed bool) {
 	st := c.st
 	st.retire(c)
 	st.mu.Lock()
-	c.drive.finished++
+	d := c.drive
+	d.finished++
 	if completed {
-		c.drive.completed++
+		d.completed++
 	}
+	all := d.finished == d.sessions
 	st.mu.Unlock()
-	st.cond.Broadcast()
+	if all {
+		st.cond.Broadcast()
+	}
 }
 
 // Drive schedules one session per (ats[i], reqs[i]) pair on the virtual
@@ -287,7 +306,7 @@ func (c *stationCall) finish(completed bool) {
 // the join waits on a virtual-time condition variable (the Router.CallAll
 // discipline), so the whole drive is deterministic.
 func (st *Station) Drive(ats []time.Duration, reqs []action.Request) int {
-	d := &stationDrive{}
+	d := &stationDrive{sessions: len(reqs)}
 	calls := make([]stationCall, len(reqs))
 	for i := range calls {
 		c := &calls[i]

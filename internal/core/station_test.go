@@ -163,15 +163,22 @@ var t11Costs = CostModel{Consensus: 20 * time.Microsecond, Exec: 5 * time.Micros
 // woke every in-flight session and every CPU release woke every queued
 // contender, these two runs cost 5653 and 2131 events per request; with
 // per-session wake-ups and the busy-until CPU they cost 251 and 50 (what
-// remains is each session's own 200µs suspicion poll). The unbatched 251
-// was 242 until vclock.Go started its goroutine as an event of its own:
-// the ≈9.2 spawns per request below are each one event more.
+// remains is each session's own 200µs suspicion poll), and 249 and 48
+// since Drive's join wakes once, not at every finished session. The
+// unbatched 251 was 242 until vclock.Go started its goroutine as an event
+// of its own: the ≈9.2 spawns per request below are each one event more.
 //
-// The same runs bound the goroutines the clock spawns per request. A
-// session runs on the pump, so what remains is the servers' own: in the
-// unbatched plane one per submit a replica accepts (≈9.2 at this load,
-// re-sends included), in the batched plane almost none. A goroutine per
-// session again adds one to both.
+// The same runs bound the goroutines the clock spawns and wakes per
+// request. A session runs on the pump, so what is spawned is the servers'
+// own: in the unbatched plane one per submit a replica accepts (≈9.2 at
+// this load, re-sends included), in the batched plane almost none. A
+// goroutine per session again adds one to both. What is woken is what
+// still blocks in a clock primitive: the rounds and slots in Propose, the
+// vCPU and the execution gate — 3.5 and 8.0 per request. While the
+// servers' receive loops, the station's receiver and the slot plane's
+// batcher and follower were goroutines, and every finished session woke
+// Drive's join, they were 18.6 and 13.7: a receive loop or a join woken
+// per message adds one or more per request again.
 func TestOpenLoopEventsPerRequest(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -179,26 +186,31 @@ func TestOpenLoopEventsPerRequest(t *testing.T) {
 		rate        float64
 		limit       uint64
 		spawnsLimit float64
+		wakesLimit  float64
 	}{
-		{"unbatched", BatchConfig{}, 80_000, 400, 9.5},
-		{"batched+pipelined", BatchConfig{Enabled: true, MaxSize: 16, Window: 100 * time.Microsecond, Pipeline: 8}, 160_000, 100, 0.5},
+		{"unbatched", BatchConfig{}, 80_000, 400, 9.5, 4.0},
+		{"batched+pipelined", BatchConfig{Enabled: true, MaxSize: 16, Window: 100 * time.Microsecond, Pipeline: 8}, 160_000, 100, 0.5, 8.5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := workload.OpenLoopSpec{Clients: 400, Rate: tc.rate, Duration: 16 * time.Millisecond, Accounts: 8}
 			r := newOpenLoopRun(t, ClusterConfig{Replicas: 3, Batch: tc.batch, Costs: t11Costs}, spec, 1)
 			clk := r.c.Clock()
-			before, spawnsBefore := clk.Events(), clk.Spawns()
+			before, spawnsBefore, wakesBefore := clk.Events(), clk.Spawns(), clk.Wakes()
 			if n := r.drive(); n != len(r.reqs) {
 				t.Fatalf("%d of %d sessions completed", n, len(r.reqs))
 			}
 			perReq := (clk.Events() - before) / uint64(len(r.reqs))
 			spawnsPerReq := float64(clk.Spawns()-spawnsBefore) / float64(len(r.reqs))
-			t.Logf("%d requests, %d clock events and %.3f goroutine spawns per request", len(r.reqs), perReq, spawnsPerReq)
+			wakesPerReq := float64(clk.Wakes()-wakesBefore) / float64(len(r.reqs))
+			t.Logf("%d requests, %d clock events, %.3f goroutine spawns and %.3f wakes per request", len(r.reqs), perReq, spawnsPerReq, wakesPerReq)
 			if perReq > tc.limit {
 				t.Errorf("%d clock events per request, want ≤ %d: something on the run path does work proportional to the sessions in flight", perReq, tc.limit)
 			}
 			if spawnsPerReq > tc.spawnsLimit {
 				t.Errorf("%.3f goroutine spawns per request, want ≤ %.1f: a session has a goroutine of its own again", spawnsPerReq, tc.spawnsLimit)
+			}
+			if wakesPerReq > tc.wakesLimit {
+				t.Errorf("%.3f goroutine wakes per request, want ≤ %.1f: a receive loop or a join is woken per message again", wakesPerReq, tc.wakesLimit)
 			}
 			if rep := r.check(); !rep.OK() {
 				t.Errorf("run failed verification: %+v", rep)
@@ -227,8 +239,12 @@ func TestOpenLoopContactedReplicaCrash(t *testing.T) {
 	// with 321 attempts and 110 failovers, until the network drew every
 	// delay from one stream and the cleaners stopped offsetting their first
 	// pass: each message's delay moved, and with them the log and the final
-	// reading. Every session still completes exactly once.
-	want := stationPin{completed: 211, log: 0x94cc0d212fe989e8, attempts: 320, events: 3906, now: 4204804 * time.Nanosecond}
+	// reading. It was 3 906 while every finished session woke Drive's join,
+	// which found the drive short and went back to sleep: the join's
+	// broadcast wakes and its re-armed poll timeouts were events, and the
+	// log, attempts and final reading stayed where they are. Every session
+	// still completes exactly once.
+	want := stationPin{completed: 211, log: 0x94cc0d212fe989e8, attempts: 320, events: 3507, now: 4204804 * time.Nanosecond}
 	if got != want {
 		t.Errorf("station run = %+v, want %+v", got, want)
 	}
@@ -255,8 +271,9 @@ func TestOpenLoopNetworkClosedInFlight(t *testing.T) {
 	}
 	// events was 1 663 until a Go spawn became an event, and 1 748 with 24
 	// completed until the delays came from one stream per network (see
-	// above): one session fewer finishes before the close.
-	want := stationPin{completed: 23, log: 0x3c0ce228b8537ddf, attempts: 92, events: 1736, now: 2 * time.Millisecond}
+	// above): one session fewer finishes before the close. It was 1 736
+	// while every finished session woke Drive's join (see above).
+	want := stationPin{completed: 23, log: 0x3c0ce228b8537ddf, attempts: 92, events: 1699, now: 2 * time.Millisecond}
 	if got != want {
 		t.Errorf("station run = %+v, want %+v", got, want)
 	}

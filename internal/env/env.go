@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 
 	"xability/internal/action"
@@ -383,18 +384,28 @@ func (e *Env) InForce(a action.Name, iv action.Value) int {
 // matches iv — the per-request exactly-once audit for round-tagged
 // undoable actions.
 func (e *Env) InForceTotal(a action.Name, iv action.Value) int {
+	total := 0
+	e.EachInForce(func(b action.Name, base action.Value, n int) {
+		if b == a && base == iv {
+			total += n
+		}
+	})
+	return total
+}
+
+// EachInForce calls fn once per entry of the committed table — the effects
+// in force under one tagged input — with the action, the raw input (the
+// round tag split off with action.SplitTag) and the count, in no
+// particular order: fn must fold the entries order-independently. An audit
+// over many (action, input) pairs folds each environment once through it
+// instead of scanning the table per pair. fn runs under the environment's
+// lock and must not call back into it.
+func (e *Env) EachInForce(fn func(a action.Name, base action.Value, n int)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	total := 0
-	prefix := string(a) + "\x00"
 	for k, c := range e.committed {
-		if len(k) < len(prefix) || k[:len(prefix)] != prefix {
-			continue
-		}
-		base, _, _ := action.SplitTag(action.Value(k[len(prefix):]))
-		if base == iv {
-			total += c
-		}
+		i := strings.IndexByte(k, 0)
+		base, _, _ := action.SplitTag(action.Value(k[i+1:]))
+		fn(action.Name(k[:i]), base, c)
 	}
-	return total
 }

@@ -70,6 +70,12 @@ var removedNames = []struct {
 		why:     "no caller holds the clock: Enter and Exit are no-ops kept for bench/'s probes until the next benchmark change",
 		except:  []string{"bench/"},
 	},
+	{
+		pattern: `mainLoop|clk\.Go\(s\.batcher\)|clk\.Go\(s\.follower\)|clk\.Go\(st\.receive\)`,
+		pr:      34,
+		why:     "the server's request loop, the station's receiver, the batcher and the follower are Runners on the pump, not goroutines that wait",
+		under:   "internal/core/",
+	},
 }
 
 // TestRemovedNamesStayGone fails when a removed name reappears in Go

@@ -610,13 +610,11 @@ func (d *deployment) drive(l load) bool {
 // the history are read.
 func (d *deployment) audit(l load) (effects, dups int) {
 	if d.base == nil {
-		return auditEffects(l.reqs, func(a action.Name, iv action.Value) int {
-			total := 0
-			for _, m := range d.members {
-				total += m.env.InForceTotal(a, iv)
-			}
-			return total
-		})
+		au := newEffectsAudit(l.reqs)
+		for _, m := range d.members {
+			m.env.EachInForce(au.add)
+		}
+		return au.result(l.reqs)
 	}
 	answered, _ := d.base.Client.Log()
 	inForce := func() int {
@@ -836,36 +834,61 @@ func settleRun(sc Scenario, d *deployment) {
 	}
 }
 
-// auditEffects is the environment audit over the workload's distinct raw
-// (action, input) pairs, both halves in one walk. effects sums the
-// applications still in force: inForce already sums over every round tag
-// of a pair, so a repeated request is counted once, not per submission.
-// dups counts the pairs in force more often than the workload submitted
-// them — each one a broken R2: some replica applied the effect again
-// without cancelling the first. This is the restart plane's sharpest
-// probe: a replica that replays its log wrongly (re-executing instead of
-// re-folding) duplicates effects that the client-visible reply path never
-// inspects. The bound is the pair's multiplicity, not 1: a workload that
-// debits one account twice leaves two effects in force by design.
-func auditEffects(reqs []action.Request, inForce func(action.Name, action.Value) int) (effects, dups int) {
-	type pair struct {
-		a  action.Name
-		iv action.Value
-	}
-	submitted := make(map[pair]int, len(reqs))
+// effectsAudit is the environment audit over the workload's distinct raw
+// (action, input) pairs: for each pair, how often the workload submitted
+// it and how many of its applications are in force. The in-force side is
+// folded in one pass over each member environment's committed table (add,
+// through env.Env.EachInForce), which sums every round tag of a pair, so a
+// repeated request is counted once, not per submission.
+type effectsAudit map[effectsPair]effectsCount
+
+type effectsPair struct {
+	a  action.Name
+	iv action.Value
+}
+
+type effectsCount struct{ submitted, inForce int }
+
+func newEffectsAudit(reqs []action.Request) effectsAudit {
+	au := make(effectsAudit, len(reqs))
 	for _, r := range reqs {
-		submitted[pair{r.Action, r.Input}]++
+		p := effectsPair{r.Action, r.Input}
+		c := au[p]
+		c.submitted++
+		au[p] = c
 	}
+	return au
+}
+
+// add folds n applications in force of (a, iv); pairs the workload never
+// submitted are not audited.
+func (au effectsAudit) add(a action.Name, iv action.Value, n int) {
+	p := effectsPair{a, iv}
+	if c, ok := au[p]; ok {
+		c.inForce += n
+		au[p] = c
+	}
+}
+
+// result reads both halves of the audit in one walk over the workload.
+// effects sums the applications in force. dups counts the pairs in force
+// more often than the workload submitted them — each one a broken R2: some
+// replica applied the effect again without cancelling the first. This is
+// the restart plane's sharpest probe: a replica that replays its log
+// wrongly (re-executing instead of re-folding) duplicates effects that the
+// client-visible reply path never inspects. The bound is the pair's
+// multiplicity, not 1: a workload that debits one account twice leaves two
+// effects in force by design.
+func (au effectsAudit) result(reqs []action.Request) (effects, dups int) {
 	for _, r := range reqs {
-		p := pair{r.Action, r.Input}
-		n := submitted[p]
-		if n == 0 {
+		p := effectsPair{r.Action, r.Input}
+		c := au[p]
+		if c.submitted == 0 {
 			continue // pair already audited
 		}
-		submitted[p] = 0
-		f := inForce(r.Action, r.Input)
-		effects += f
-		if f > n {
+		au[p] = effectsCount{}
+		effects += c.inForce
+		if c.inForce > c.submitted {
 			dups++
 		}
 	}

@@ -141,7 +141,12 @@ func TestAuditEffectsMultiplicity(t *testing.T) {
 		{map[action.Value]int{"a": 2, "b": 2}, 4, 1},
 		{map[action.Value]int{"a": 1, "b": 0}, 1, 0},
 	} {
-		effects, dups := auditEffects(reqs, func(_ action.Name, iv action.Value) int { return tc.inForce[iv] })
+		au := newEffectsAudit(reqs)
+		for iv, n := range tc.inForce {
+			au.add("debit", iv, n)
+		}
+		au.add("credit", "a", 5) // never submitted: not audited
+		effects, dups := au.result(reqs)
 		if effects != tc.effects || dups != tc.dups {
 			t.Errorf("in force %v: effects %d dups %d, want %d and %d", tc.inForce, effects, dups, tc.effects, tc.dups)
 		}

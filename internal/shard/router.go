@@ -95,7 +95,9 @@ func (r *Router) CallAll(reqs []action.Request) (replies []action.Value, ok bool
 	// WaitGroup: the schedule advances only while someone waits on the
 	// clock, so a WaitGroup wait would leave the streams' spawn events
 	// unfired forever. The Cond's wait is what runs them, and its wake is
-	// the final Broadcast's event, a pinned virtual instant.
+	// the last stream's Broadcast's event, a pinned virtual instant; an
+	// earlier stream's end wakes nobody, since the join would only find
+	// streams still running and wait again.
 	var mu sync.Mutex
 	cond := r.clk.NewCond(&mu)
 	pending := 0
@@ -111,8 +113,11 @@ func (r *Router) CallAll(reqs []action.Request) (replies []action.Value, ok bool
 			}
 			mu.Lock()
 			pending--
+			last := pending == 0
 			mu.Unlock()
-			cond.Broadcast()
+			if last {
+				cond.Broadcast()
+			}
 		})
 	}
 	mu.Lock()

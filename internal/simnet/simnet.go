@@ -48,12 +48,13 @@
 // goroutine; the delivery (link check, record verdict, coverage fold,
 // mailbox push or handler call) runs on the clock's pump at the delivery
 // instant; Recv returns on the receiver's goroutine once the pump wakes
-// it. An endpoint given a handler (Endpoint.Handle) has no receiver: the
-// delivery calls the handler, under the vclock.Runner contract — it must
-// not block in a clock primitive and may take only locks nobody holds
-// across one. Reset recycles a quiesced network (endpoints, interning
-// tables, pools) for the next seed of a sweep instead of rebuilding the
-// world.
+// it, and a receiver that is itself a Runner (Endpoint.WaitRunner) runs on
+// the pump where that wake would have been. An endpoint given a handler
+// (Endpoint.Handle) has no receiver: the delivery calls the handler, under
+// the vclock.Runner contract — it must not block in a clock primitive and
+// may take only locks nobody holds across one. Reset recycles a quiesced
+// network (endpoints, interning tables, pools) for the next seed of a
+// sweep instead of rebuilding the world.
 //
 // The network also keeps per-process send counters so experiments can
 // report message complexity.
@@ -758,6 +759,30 @@ func (e *Endpoint) Recv() (Message, bool) {
 		return Message{}, false
 	}
 	return e.pop(), true
+}
+
+// WaitRunner is Recv for a receiver that runs on the clock's pump (a
+// vclock.Runner, under its contract): it arms r on the endpoint's cond with
+// no timeout, so the next delivery, or a crash or close, runs r exactly
+// where a goroutine blocked in Recv would have been woken; r then takes the
+// mailbox with TryRecv and checks Closed. A mailbox that already holds a
+// message, or a closed endpoint, runs r at the current instant instead
+// (AfterRunner(0)). The messages stay in the endpoint's ring, so the
+// receiver owns no queue — where Handle suits a process whose reaction is
+// an inline state update, WaitRunner suits one whose handling may suspend.
+// r must not be armed twice at once; like Recv it panics on an endpoint
+// with a handler.
+func (e *Endpoint) WaitRunner(r vclock.Runner) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.handler != nil {
+		panic(fmt.Sprintf("simnet: WaitRunner on %q, which has a handler", e.id))
+	}
+	if e.count > 0 || e.closed {
+		e.net.clk.AfterRunner(0, r)
+		return
+	}
+	e.cond.WaitRunner(-1, r)
 }
 
 // TryRecv returns a queued message without blocking.

@@ -714,18 +714,19 @@ func (c *Cond) wait(d time.Duration) bool {
 // it exactly where a goroutine's wake would have been; the timeout takes
 // it off the waiter list, so a later Broadcast does not run it again, and
 // a timeout left behind by a Broadcast neither runs nor moves the clock.
-// Call it with l held, as a wait; like every scheduling call it runs
-// nothing. r must not be armed twice at once.
+// A negative d arms no timeout: only a Broadcast runs r, the way Wait
+// relates to WaitTimeout, and arming pushes no event. Call it with l held,
+// as a wait; like every scheduling call it runs nothing. r must not be
+// armed twice at once.
 func (c *Cond) WaitRunner(d time.Duration, r Runner) {
-	if d < 0 {
-		d = 0
-	}
 	v := c.v
 	v.mu.Lock()
 	w := v.newWaiterLocked()
 	w.cond, w.r = c, r
 	c.waiters = append(c.waiters, w)
-	v.pushLocked(v.now+d, w, nil, nil, 0)
+	if d >= 0 {
+		v.pushLocked(v.now+d, w, nil, nil, 0)
+	}
 	v.mu.Unlock()
 }
 

@@ -122,3 +122,45 @@ func TestWaitRunnerStaleTimeoutNeitherRunsNorMovesClock(t *testing.T) {
 		t.Errorf("Spawns = %d, want 0", sp)
 	}
 }
+
+// WaitRunner with a negative d is Wait's Runner form: arming pushes no
+// event, time can pass under the armed Runner without running it, and only
+// a Broadcast does. Until then the Runner is a waiter, so the clock is not
+// Quiesced: a world whose receiver is armed has not wound down.
+func TestWaitRunnerNoTimeoutRunsOnlyOnBroadcast(t *testing.T) {
+	v := NewVirtual()
+	var mu sync.Mutex
+	cond := v.NewCond(&mu)
+	var at []time.Duration
+	r := runnerFunc(func() { at = append(at, v.Now()) })
+	mu.Lock()
+	cond.WaitRunner(-1, r)
+	mu.Unlock()
+	if ev := v.Events(); ev != 0 {
+		t.Fatalf("arming pushed %d event(s), want 0", ev)
+	}
+	if v.Quiesced() {
+		t.Fatal("quiesced with a Runner armed on a cond")
+	}
+	v.Sleep(time.Hour) // nothing runs the Runner but a Broadcast
+	if len(at) != 0 {
+		t.Fatalf("Run ran at %v with no Broadcast", at)
+	}
+	if w := cond.Waiting(); w != 1 {
+		t.Fatalf("Waiting = %d after an hour, want 1: the wait timed out", w)
+	}
+	mu.Lock()
+	cond.Broadcast()
+	mu.Unlock()
+	// One event for the sleep, one for the broadcast wake.
+	if ev := v.Events(); ev != 2 {
+		t.Errorf("Events = %d, want 2", ev)
+	}
+	v.RunOut()
+	if len(at) != 1 || at[0] != time.Hour {
+		t.Fatalf("Run ran at %v, want once at the Broadcast (1h)", at)
+	}
+	if !v.Quiesced() {
+		t.Error("not quiesced after the Broadcast ran the Runner")
+	}
+}
