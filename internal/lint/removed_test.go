@@ -76,6 +76,12 @@ var removedNames = []struct {
 		why:     "the server's request loop, the station's receiver, the batcher and the follower are Runners on the pump, not goroutines that wait",
 		under:   "internal/core/",
 	},
+	{
+		pattern: `stepsRule18and20|stepsRule19`,
+		pr:      36,
+		why:     "rule instances are ⊨ matches plus side conditions: there is one transcription of Figure 4",
+		under:   "internal/reduce/",
+	},
 }
 
 // TestRemovedNamesStayGone fails when a removed name reappears in Go

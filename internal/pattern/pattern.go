@@ -23,6 +23,10 @@
 //
 // The output position of a simple pattern may be a wildcard (any ov): the
 // reduction rules of Figure 4 use ?[aᵘ, iv, ov] with ov free in rule 19.
+//
+// This is the matcher the checker's reference enumeration runs on:
+// reduce.Steps takes each rule instance of Figure 4 as a match from Each,
+// filtered by the rule's side conditions.
 package pattern
 
 import (
@@ -132,97 +136,85 @@ type Decomposition struct {
 // Compose matches h against the composite pattern sp1 ‖h sp2 and reports
 // whether any decomposition exists.
 func Compose(h event.History, sp1, sp2 Simple) bool {
-	return len(Decompose(h, sp1, sp2, 1)) > 0
+	found := false
+	Each(h, sp1, sp2, func(Match) bool { found = true; return false })
+	return found
 }
 
 // Decompose enumerates decompositions of h matching sp1 ‖junk sp2, up to
-// limit (limit ≤ 0 means all). The enumeration order is deterministic.
-//
-// Because simple patterns match at most two events, the search space per
-// history is O(len(h)²) candidate index pairs for each part.
+// limit (limit ≤ 0 means all), in Each's order.
 func Decompose(h event.History, sp1, sp2 Simple, limit int) []Decomposition {
-	n := len(h)
 	var out []Decomposition
-
-	// Enumerate candidate index sets for h1. The anchoring constraint: if
-	// h1 is non-empty its first event must be h[0].
-	type idxPair struct{ s, c int } // -1 means absent
-	var h1cands []idxPair
-	if sp1.Maybe {
-		h1cands = append(h1cands, idxPair{-1, -1}) // h1 = Λ
-	}
-	if n > 0 && sp1.matchesStart(h[0]) {
-		if sp1.Maybe {
-			h1cands = append(h1cands, idxPair{0, -1}) // start only
-		}
-		for c := 1; c < n; c++ {
-			if sp1.matchesCompletion(h[c]) {
-				h1cands = append(h1cands, idxPair{0, c})
-			}
-		}
-	}
-
-	// Candidate index sets for h2: its last event must be h[n-1].
-	var h2cands []idxPair
-	if sp2.Maybe {
-		h2cands = append(h2cands, idxPair{-1, -1})
-		if n > 0 && sp2.matchesStart(h[n-1]) {
-			h2cands = append(h2cands, idxPair{n - 1, -1})
-		}
-	}
-	if n > 0 && sp2.matchesCompletion(h[n-1]) {
-		for s := 0; s < n-1; s++ {
-			if sp2.matchesStart(h[s]) {
-				h2cands = append(h2cands, idxPair{s, n - 1})
-			}
-		}
-	}
-
-	for _, p1 := range h1cands {
-		for _, p2 := range h2cands {
-			// Parts must be disjoint.
-			if overlap(p1.s, p1.c, p2.s, p2.c) {
-				continue
-			}
-			d := buildDecomposition(h, p1.s, p1.c, p2.s, p2.c)
-			out = append(out, d)
-			if limit > 0 && len(out) >= limit {
-				return out
-			}
-		}
-	}
+	Each(h, sp1, sp2, func(m Match) bool {
+		out = append(out, buildDecomposition(h, m))
+		return limit <= 0 || len(out) < limit
+	})
 	return out
 }
 
-func overlap(a1, a2, b1, b2 int) bool {
-	for _, a := range []int{a1, a2} {
-		if a < 0 {
-			continue
-		}
-		if a == b1 || a == b2 {
-			return true
+// Match is one decomposition of a history against sp1 ‖h sp2, by index: S1
+// and C1 are the positions of h1's start and completion, S2 and C2 those of
+// h2's, −1 for an event the part does not have. Every other event is junk.
+type Match struct{ S1, C1, S2, C2 int }
+
+// Each calls fn with every match of h against sp1 ‖h sp2 until fn returns
+// false, allocating nothing. The order is deterministic: h1's candidates
+// outermost — Λ, the start h[0] alone, then h[0] with each completion in
+// turn — and for each, h2's (see tails).
+//
+// Because simple patterns match at most two events, a history has O(len(h)²)
+// candidate index pairs.
+func Each(h event.History, sp1, sp2 Simple, fn func(Match) bool) {
+	if sp1.Maybe && !sp2.tails(h, -1, -1, fn) {
+		return
+	}
+	if len(h) == 0 || !sp1.matchesStart(h[0]) {
+		return
+	}
+	if sp1.Maybe && !sp2.tails(h, 0, -1, fn) {
+		return
+	}
+	for c := 1; c < len(h); c++ {
+		if sp1.matchesCompletion(h[c]) && !sp2.tails(h, 0, c, fn) {
+			return
 		}
 	}
-	return false
 }
 
-func buildDecomposition(h event.History, s1, c1, s2, c2 int) Decomposition {
-	assign := make([]Part, len(h))
-	set := func(i int, p Part) {
-		if i >= 0 {
-			assign[i] = p
+// tails calls fn with h1's candidate (s1, c1) and each of h2's that shares
+// no event with it — Λ, the start h[n−1] alone, then each start with the
+// completion h[n−1] — and reports whether fn asked for more.
+func (sp Simple) tails(h event.History, s1, c1 int, fn func(Match) bool) bool {
+	last := len(h) - 1
+	yield := func(s2, c2 int) bool { return overlap(s1, c1, s2, c2) || fn(Match{s1, c1, s2, c2}) }
+	if sp.Maybe && (!yield(-1, -1) || last >= 0 && sp.matchesStart(h[last]) && !yield(last, -1)) {
+		return false
+	}
+	if last < 0 || !sp.matchesCompletion(h[last]) {
+		return true
+	}
+	for s := 0; s < last; s++ {
+		if sp.matchesStart(h[s]) && !yield(s, last) {
+			return false
 		}
 	}
-	set(s1, PartFirst)
-	set(c1, PartFirst)
-	set(s2, PartSecond)
-	set(c2, PartSecond)
-	d := Decomposition{Assign: assign}
+	return true
+}
+
+// overlap reports whether h1's events (s1, c1) and h2's (s2, c2) share one.
+func overlap(s1, c1, s2, c2 int) bool {
+	return s1 >= 0 && (s1 == s2 || s1 == c2) || c1 >= 0 && (c1 == s2 || c1 == c2)
+}
+
+func buildDecomposition(h event.History, m Match) Decomposition {
+	d := Decomposition{Assign: make([]Part, len(h))}
 	for i, e := range h {
-		switch assign[i] {
-		case PartFirst:
+		switch i {
+		case m.S1, m.C1:
+			d.Assign[i] = PartFirst
 			d.H1 = append(d.H1, e)
-		case PartSecond:
+		case m.S2, m.C2:
+			d.Assign[i] = PartSecond
 			d.H2 = append(d.H2, e)
 		default:
 			d.Junk = append(d.Junk, e)

@@ -314,3 +314,19 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+func TestEachAllocatesNothing(t *testing.T) {
+	sp1 := Maybe("a", "iv", "ov")
+	sp2 := Exact("a", "iv", "ov")
+	h := event.History{s1, jx, c1, s2, jy, c2}
+	matches := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		Each(h, sp1, sp2, func(Match) bool { matches++; return true })
+	})
+	if allocs != 0 {
+		t.Errorf("Each allocates %.1f objects per call, want 0", allocs)
+	}
+	if want := 101 * len(Decompose(h, sp1, sp2, 0)); matches != want || want == 0 {
+		t.Errorf("Each made %d matches in 101 calls, want %d", matches, want)
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"xability/internal/action"
 	"xability/internal/event"
+	"xability/internal/xrand"
 )
 
 // BenchmarkReduceIdempotentRetry measures greedy normalization of the
@@ -152,6 +153,26 @@ func BenchmarkSearchSmall(b *testing.B) {
 		if res := n.Search(hist, accept, 0); !res.Found {
 			b.Fatal("not found")
 		}
+	}
+}
+
+// BenchmarkSteps measures the reference enumeration the exhaustive search
+// runs on, one Steps call per op, over a fixed corpus of 2 000 damaged and
+// interleaved multi-request histories no longer than the search cutoff.
+func BenchmarkSteps(b *testing.B) {
+	reg := testRegistry(b)
+	rng := xrand.New(36)
+	var corpus []event.History
+	for len(corpus) < 2000 {
+		pc := randomProjectionCase(rng, 1+rng.Intn(4), rng.Intn(2) == 0, rng.Intn(3) == 0)
+		if len(pc.h) <= searchCutoff {
+			corpus = append(corpus, pc.h)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Steps(reg, corpus[i%len(corpus)])
 	}
 }
 

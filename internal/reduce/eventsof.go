@@ -15,16 +15,21 @@
 //   - Search (exhaustive.go): a complete breadth-first exploration of every
 //     rule application, memoized on history keys. It is exponential in the
 //     worst case and is used on small histories as the ground-truth oracle.
+//     Its steps come from Steps (step.go), which reads Figure 4 through the
+//     ⊨ of internal/pattern: a rule instance is a match of a window against
+//     the rule's composite pattern that the rule's side conditions admit.
 //
 // Rule-to-code map (Figure 4):
 //
 //	rule 17 (transitivity)  — iteration in Normalize / path in Search
-//	rule 18 (idempotent)    — stepsRule18; applies to registered idempotent
-//	                          actions and to cancellation actions ("commit
-//	                          and cancellation actions are idempotent")
-//	rule 19 (cancellation)  — stepsRule19
-//	rule 20 (commit)        — stepsRule20; like rule 18 for commit actions
-//	                          but with the (aᵘ,iv) ∉ h′ overlap constraint
+//	rule 18 (idempotent)    — absorb in Steps; applies to registered
+//	                          idempotent actions and to cancellation actions
+//	                          ("commit and cancellation actions are
+//	                          idempotent")
+//	rule 19 (cancellation)  — cancel in Steps
+//	rule 20 (commit)        — absorb in Steps; like rule 18 for commit
+//	                          actions but with the (aᵘ,iv) ∉ h′ overlap
+//	                          constraint
 //
 // Interpretive decisions (see DESIGN.md §2 for rationale):
 //

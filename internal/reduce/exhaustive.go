@@ -29,9 +29,10 @@ const DefaultMaxStates = 200_000
 // any reachable history satisfies accept. maxStates ≤ 0 uses
 // DefaultMaxStates.
 //
-// This is the ground-truth engine: it enumerates every legal application of
-// rules 18–20 at every step. Use it on small histories (≲ 16 events) to
-// validate the greedy Normalizer.
+// This is the ground-truth engine: it takes every legal application of
+// rules 18–20 at every step, as Steps enumerates them through pattern's ⊨.
+// XAbleTo falls back to it on histories of up to searchCutoff (14) events;
+// tests use it there to validate the greedy Normalizer.
 func (n *Normalizer) Search(h event.History, accept func(event.History) bool, maxStates int) SearchResult {
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates

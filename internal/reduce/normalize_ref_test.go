@@ -116,7 +116,7 @@ func (n refNormalizer) cancelOnce(h event.History) (event.History, bool) {
 		if !clean {
 			continue
 		}
-		out := splice(h, i, l, remove)
+		out := splice(nil, h, i, l, remove)
 		n.record(Rule19, fmt.Sprintf("cancel attempt of (%s, %s)", au, action.Display(iv)), h, out)
 		return out, true
 	}
@@ -163,7 +163,7 @@ func (n refNormalizer) cancelOnce(h event.History) (event.History, bool) {
 		if !clean {
 			continue
 		}
-		out := splice(h, m, l, remove)
+		out := splice(nil, h, m, l, remove)
 		n.record(Rule19, fmt.Sprintf("remove gratuitous cancel of (%s, %s)", au, action.Display(iv)), h, out)
 		return out, true
 	}
@@ -265,7 +265,7 @@ func (n refNormalizer) dedupOnce(h event.History) (event.History, bool) {
 						if !commitClean(i, l, remove) {
 							continue
 						}
-						out := spliceAbsorb(h, i, l, remove, a, iv, ov, h[l].Annotation)
+						out := splice(nil, h, i, l, remove, event.S(a, iv), h[l])
 						n.record(rule, fmt.Sprintf("absorb duplicate pair of (%s, %s)", a, action.Display(iv)), h, out)
 						return out, true
 					}
@@ -290,7 +290,7 @@ func (n refNormalizer) dedupOnce(h event.History) (event.History, bool) {
 					if !commitClean(i, l, remove) {
 						break
 					}
-					out := spliceAbsorb(h, i, l, remove, a, iv, h[l].Value, h[l].Annotation)
+					out := splice(nil, h, i, l, remove, event.S(a, iv), h[l])
 					n.record(rule, fmt.Sprintf("absorb dangling start of (%s, %s)", a, action.Display(iv)), h, out)
 					return out, true
 				}
@@ -332,7 +332,7 @@ func (n refNormalizer) compact(h event.History) event.History {
 			if k < 0 || k == l-1 {
 				continue // no pair, or already adjacent
 			}
-			iv, ov := h[k].Value, c.Value
+			iv := h[k].Value
 			if isCommit {
 				clean := true
 				for x := k + 1; x < l; x++ {
@@ -346,7 +346,7 @@ func (n refNormalizer) compact(h event.History) event.History {
 				}
 			}
 			remove := rm(k, l)
-			out := spliceAbsorb(h, k, l, remove, a, iv, ov, c.Annotation)
+			out := splice(nil, h, k, l, remove, event.S(a, iv), c)
 			rule := Rule18
 			if isCommit {
 				rule = Rule20
@@ -359,21 +359,4 @@ func (n refNormalizer) compact(h event.History) event.History {
 			return h
 		}
 	}
-}
-
-// splice removes the events marked in remove from the window [ws..we],
-// keeping everything else in place.
-func splice(h event.History, ws, we int, remove removeSet) event.History {
-	out := make(event.History, 0, len(h)-len(remove))
-	out = append(out, h[:ws]...)
-	ri := 0
-	for x := ws; x <= we; x++ {
-		if ri < len(remove) && remove[ri] == x {
-			ri++
-			continue
-		}
-		out = append(out, h[x])
-	}
-	out = append(out, h[we+1:]...)
-	return out
 }

@@ -215,9 +215,9 @@ func randomProjectionCase(rng *rand.Rand, requests int, ordered, clean bool) pro
 
 // searchWindow reports whether XAbleTo may fall back to the exhaustive
 // search on a projection of this length and pay for it: the fallback runs
-// on failing histories of up to 14 events, and from 9 events up a failing
-// one can cost seconds (200 000 states).
-func searchWindow(proj event.History) bool { return len(proj) > 8 && len(proj) <= 14 }
+// on failing histories of up to searchCutoff events, and from 9 events up a
+// failing one can cost seconds (200 000 states).
+func searchWindow(proj event.History) bool { return len(proj) > 8 && len(proj) <= searchCutoff }
 
 // TestProjectionAgreesWithReference is the differential of the single walk
 // against the per-request scan. On every randomized history the two must

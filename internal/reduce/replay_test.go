@@ -125,3 +125,36 @@ func TestReplayCrossTagPairDoesNotCollapse(t *testing.T) {
 		}
 	}
 }
+
+func TestReplayStepsBindByTag(t *testing.T) {
+	// The lifting admits a match only if its ?-part is not Λ and both of
+	// its completions bind to the start's tag. Each history below has a
+	// step that breaks exactly one of the three, and Steps must leave it
+	// out.
+	reg := testRegistry(t)
+	base := action.NewRequest("debit", "a").WithID("q")
+	r1, r2 := base.WithRound(1), base.WithRound(2)
+	s1, c1 := undoableEvents(r1, "v")
+	s2, c2 := undoableEvents(r2, "v")
+	c1, c2 = annotate(c1, r1), annotate(c2, r2)
+	for _, tc := range []struct {
+		name string
+		hist event.History
+		want []event.History
+	}{
+		// Λ ?-part: one tagged execution around a read is not compacted,
+		// which would move the debit's start past the read.
+		{"no compaction", h(s1, event.S("read", "k"), c1), nil},
+		// Attempt completion: round 1's dangling start absorbs into its
+		// replay, but not together with round 2's completion, which would
+		// strand round 2's start.
+		{"attempt binds", h(s1, s2, c2, s1, c1), []event.History{h(s2, c2, s1, c1)}},
+		// Success completion: round 1's two starts do not absorb into
+		// round 2's completion.
+		{"success binds", h(s1, s1, s2, c2), nil},
+	} {
+		if got, want := stepKeys(Steps(reg, tc.hist)), stepKeys(stepsTo(tc.want...)); got != want {
+			t.Errorf("%s: steps of %v\n%s\nwant\n%s", tc.name, tc.hist, got, want)
+		}
+	}
+}

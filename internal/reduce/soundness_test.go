@@ -1,6 +1,7 @@
 package reduce
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -159,19 +160,35 @@ func TestStepsEnumerationShapes(t *testing.T) {
 		t.Error("rule 19 step missing for a cancelled attempt")
 	}
 
-	// Commit overlap constraint: a commit whose junk contains the
-	// committed action's start must not collapse (rule 20 side condition).
+	// Commit overlap constraint (rule 20's (aᵘ,iv) ∉ h′): the second
+	// commit compacts over the read, but the first commit's junk holds
+	// S(debit) in every match, so no step absorbs it or moves its start
+	// past the debit's.
 	ms, mc := commitPair(base)
-	overlapped := h(ms, s1, mc, mc) // S(commit) S(debit) C(commit) C(commit)
-	for _, s := range Steps(reg, overlapped) {
-		if s.Rule != Rule20 {
-			continue
-		}
-		// Any rule-20 result must not have silently dropped S(debit).
-		if !s.Result.Contains(base.Action, base.EffectiveInput()) {
-			t.Errorf("rule 20 dropped the committed action's start: %v", s.Result)
-		}
+	jr := event.S("read", "k")
+	overlapped := h(ms, s1, mc, ms, jr, mc)
+	if got, want := stepKeys(Steps(reg, overlapped)), stepKeys(stepsTo(h(ms, s1, mc, jr, ms, mc))); got != want {
+		t.Errorf("commit over an overlapping start: steps\n%s\nwant\n%s", got, want)
 	}
+}
+
+// stepsTo returns steps with the given results.
+func stepsTo(results ...event.History) []Step {
+	steps := make([]Step, len(results))
+	for i, r := range results {
+		steps[i].Result = r
+	}
+	return steps
+}
+
+// stepKeys renders the results of steps, one per line, in order.
+func stepKeys(steps []Step) string {
+	var b strings.Builder
+	for _, s := range steps {
+		b.WriteString(s.Result.Key())
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // TestStepsEmptyAndTrivial covers enumeration edges.

@@ -2,9 +2,11 @@ package reduce
 
 import (
 	"fmt"
+	"slices"
 
 	"xability/internal/action"
 	"xability/internal/event"
+	"xability/internal/pattern"
 )
 
 // Rule identifies which inference rule of Figure 4 a reduction step used.
@@ -89,22 +91,166 @@ func replayBinds(c event.Event, iv action.Value) bool {
 }
 
 // Steps enumerates every single-step reduction of h under rules 18–20,
-// deduplicated by the formal content of the result. The enumeration is
-// deterministic. Intended for the exhaustive engine and for tests; the
-// greedy engine uses targeted finders instead.
+// deduplicated by the formal content of the result, rules 18 and 20 first,
+// then rule 19. It is Figure 4 said through pattern's ⊨: each step is a
+// match of a window h[ws..l], ending at a completion, against its rule's
+// composite pattern, kept when the rule's side conditions hold of the
+// match's junk. The enumeration is deterministic. Search runs on it, and the
+// greedy engine's rewrites are tested to be among its steps.
 func Steps(reg *action.Registry, h event.History) []Step {
-	var out []Step
-	seen := make(map[string]bool)
-	add := func(s Step) {
-		k := s.Result.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, s)
+	e := enumeration{reg: reg, h: h, seen: make(map[string]bool)}
+	for l, c := range h {
+		if c.Type == event.Complete {
+			e.absorb(l)
 		}
 	}
-	stepsRule18and20(reg, h, add)
-	stepsRule19(reg, h, add)
-	return out
+	for l, c := range h {
+		if c.Type == event.Complete && c.Value == action.Nil {
+			e.cancel(l)
+		}
+	}
+	return e.out
+}
+
+// enumeration is one Steps call: the history and the steps found so far.
+type enumeration struct {
+	reg  *action.Registry
+	h    event.History
+	seen map[string]bool
+	out  []Step
+	gone [4]int        // the events a match consumes
+	next event.History // the candidate result, built in place
+}
+
+// absorb adds the steps of rule 18 (idempotent actions and cancels) and
+// rule 20 (commits) whose success completes at l. The two rules share
+// their shape:
+//
+//	h ⊨ (?[a,iv,ov] ‖h′ [a,iv,ov])
+//	h1 • h • h2 ⇒ h1 • h′ • S(a,iv) C(a,ov) • h2
+//
+// Rule 20 adds (aᵘ,iv) ∉ h′: the commit must not overlap the action it
+// commits. Executions of undoable actions with round-tagged inputs take
+// part in rule 18 through the §5.2 replay lifting (replayApplies), which
+// admits a match only if its ?-part is not Λ and both completions bind to
+// the tag (replayBinds).
+func (e *enumeration) absorb(l int) {
+	h, c := e.h, e.h[l]
+	a, ov := c.Action, c.Value
+	base, kind := action.Base(a)
+	rule, replay := Rule18, false
+	switch {
+	case rule18Applies(e.reg, a):
+	case kind == action.KindCommit && e.reg.IsUndoable(base):
+		rule = Rule20
+	case e.reg.IsUndoable(a):
+		replay = true
+	default:
+		return
+	}
+	for k := 0; k < l; k++ {
+		if h[k].Type != event.Start || h[k].Action != a {
+			continue
+		}
+		iv := h[k].Value
+		if replay && (!replayApplies(e.reg, a, iv) || !replayBinds(c, iv)) {
+			continue
+		}
+		e.match(k, l, k, pattern.Maybe(a, iv, ov), pattern.Exact(a, iv, ov), func(ws int, m pattern.Match, gone removeSet) {
+			switch {
+			case replay && (m.S1 < 0 || m.C1 >= 0 && !replayBinds(h[m.C1], iv)):
+			case rule == Rule20 && e.junkHas(ws, l, gone, base, iv):
+			default:
+				e.add(rule, ws, l, m, gone, event.S(a, iv), c)
+			}
+		})
+	}
+}
+
+// cancel adds the steps of rule 19 whose cancel completes at l:
+//
+//	h ⊨ (?[aᵘ,iv,ov] ‖h′ [a⁻¹,iv,nil])   (aᵘ,iv) ∉ h1   (aᶜ,iv) ∉ h′
+//	h1 • h • h2 ⇒ h1 • h′ • h2
+//
+// with ov free. The attempt's events, if any, and the cancel pair vanish;
+// the junk h′ stays. The first side condition makes the attempt the
+// earliest (aᵘ,iv) in the history, so no window starts after it; the
+// second keeps a concurrent commit from being silently discarded.
+func (e *enumeration) cancel(l int) {
+	h, cancel := e.h, e.h[l].Action
+	au, kind := action.Base(cancel)
+	if kind != action.KindCancel || !e.reg.IsUndoable(au) {
+		return
+	}
+	for k := 0; k < l; k++ {
+		if h[k].Type != event.Start || h[k].Action != cancel {
+			continue
+		}
+		iv := h[k].Value
+		last := k
+		for x := 0; x < k; x++ {
+			if h[x].Equal(event.S(au, iv)) {
+				last = x
+				break
+			}
+		}
+		e.match(k, l, last, pattern.MaybeAny(au, iv), pattern.Exact(cancel, iv, action.Nil), func(ws int, m pattern.Match, gone removeSet) {
+			if !e.junkHas(ws, l, gone, action.Commit(au), iv) {
+				e.add(Rule19, ws, l, m, gone)
+			}
+		})
+	}
+}
+
+// match calls fn with every match of a window h[ws..l], ws ≤ last, against
+// sp1 ‖h′ sp2 whose second part starts at k: window starts ascending, each
+// window's matches in pattern.Each's order. fn gets the match as positions
+// in h and the events it consumes.
+func (e *enumeration) match(k, l, last int, sp1, sp2 pattern.Simple, fn func(ws int, m pattern.Match, gone removeSet)) {
+	for ws := 0; ws <= last; ws++ {
+		pattern.Each(e.h[ws:l+1], sp1, sp2, func(w pattern.Match) bool {
+			if w.S2 != k-ws {
+				return true
+			}
+			m, gone := pattern.Match{S1: -1, C1: -1, S2: k, C2: l}, append(e.gone[:0], k, l)
+			if w.S1 >= 0 {
+				m.S1 = w.S1 + ws
+				gone = append(gone, m.S1)
+			}
+			if w.C1 >= 0 {
+				m.C1 = w.C1 + ws
+				gone = append(gone, m.C1)
+			}
+			fn(ws, m, rm(gone...))
+			return true
+		})
+	}
+}
+
+// junkHas reports whether the junk of a match — the window h[ws..l] less
+// the events the match consumes — holds the start S(a,iv).
+func (e *enumeration) junkHas(ws, l int, gone removeSet, a action.Name, iv action.Value) bool {
+	for x := ws; x <= l; x++ {
+		if !gone.has(x) && e.h[x].Equal(event.S(a, iv)) {
+			return true
+		}
+	}
+	return false
+}
+
+// add keeps the step a match of the window h[ws..l] makes — the window
+// less the events gone, then pair — unless an earlier step reached the same
+// history. The candidate is built in scratch space; only a new result is
+// copied out and described.
+func (e *enumeration) add(rule Rule, ws, l int, m pattern.Match, gone removeSet, pair ...event.Event) {
+	e.next = splice(e.next[:0], e.h, ws, l, gone, pair...)
+	k := e.next.Key()
+	if e.seen[k] {
+		return
+	}
+	e.seen[k] = true
+	desc := fmt.Sprintf("%v: window %d..%d, h1 at %d,%d, h2 at %d,%d", rule, ws, l, m.S1, m.C1, m.S2, m.C2)
+	e.out = append(e.out, Step{Rule: rule, Desc: desc, Result: e.next.Clone()})
 }
 
 // removeSet is a small ascending set of history indices slated for removal
@@ -134,265 +280,25 @@ func (r removeSet) has(i int) bool {
 	return false
 }
 
-// spliceAbsorb builds the result of an absorption rewrite (rules 18/20):
-// the window h[ws:we+1] is replaced by junk • S(a,iv) C(a,ov), where junk is
-// the window minus the events at the removed and success indices. The
-// re-emitted completion keeps the surviving completion's attribution
-// annotation (ann): the replay lifting binds completions by tag, and
+// splice appends to dst the result of a rewrite: h with the window
+// h[ws:we+1] replaced by its events less those in remove — the junk, in
+// place — followed by pair. An absorption (rules 18 and 20) passes the
+// surviving execution S(a,iv) C(a,ov) as pair, a cancellation (rule 19)
+// nothing. The re-emitted completion keeps the surviving completion's
+// attribution annotation: the replay lifting binds completions by tag, and
 // stripping the stamp mid-normalization would let a later rewrite of a
 // sibling tag bind the survivor through the unannotated fallback.
-func spliceAbsorb(h event.History, ws, we int, remove removeSet, a action.Name, iv, ov action.Value, ann string) event.History {
-	out := make(event.History, 0, len(h)-len(remove)+2)
-	out = append(out, h[:ws]...)
+func splice(dst, h event.History, ws, we int, remove removeSet, pair ...event.Event) event.History {
+	dst = slices.Grow(dst, len(h)-len(remove)+len(pair))
+	dst = append(dst, h[:ws]...)
 	ri := 0
 	for i := ws; i <= we; i++ {
 		if ri < len(remove) && remove[ri] == i {
 			ri++
 			continue
 		}
-		out = append(out, h[i])
+		dst = append(dst, h[i])
 	}
-	out = append(out, event.S(a, iv), event.C(a, ov).WithAnnotation(ann))
-	out = append(out, h[we+1:]...)
-	return out
-}
-
-// stepsRule18and20 enumerates applications of rule 18 (idempotent actions
-// and cancels) and rule 20 (commits). The two rules share their shape:
-//
-//	h ⊨ (?[a,iv,ov] ‖h′ [a,iv,ov])
-//	h1 • h • h2 ⇒ h1 • h′ • S(a,iv) C(a,ov) • h2
-//
-// Rule 20 adds the constraint (aᵘ,iv) ∉ h′ — the commit must not overlap
-// the action it commits.
-//
-// Executions of undoable actions with round-tagged inputs participate in
-// rule 18 through the §5.2 idempotence lifting (see replayApplies), in the
-// absorption forms only.
-func stepsRule18and20(reg *action.Registry, h event.History, add func(Step)) {
-	n := len(h)
-	for l := 0; l < n; l++ {
-		c := h[l]
-		if c.Type != event.Complete {
-			continue
-		}
-		a, ov := c.Action, c.Value
-		base, kind := action.Base(a)
-		var rule Rule
-		replay := false
-		switch {
-		case rule18Applies(reg, a):
-			rule = Rule18
-		case kind == action.KindCommit && reg.IsUndoable(base):
-			rule = Rule20
-		case reg.IsUndoable(a):
-			// Candidate for the §5.2 replay lifting; the per-start tag
-			// check happens below once iv is known.
-			rule = Rule18
-			replay = true
-		default:
-			continue
-		}
-
-		// Success start positions k < l with a start event of a. The input
-		// value of the pattern is fixed by the start event itself.
-		for k := 0; k < l; k++ {
-			s := h[k]
-			if s.Type != event.Start || s.Action != a {
-				continue
-			}
-			iv := s.Value
-			if replay && (!replayApplies(reg, a, iv) || !replayBinds(c, iv)) {
-				continue
-			}
-
-			commitConflict := func(junkHas func(int) bool) bool {
-				if rule != Rule20 {
-					return false
-				}
-				// (aᵘ, iv) ∉ h′: no start of the committed action with this
-				// input among the junk.
-				for i := 0; i < n; i++ {
-					if junkHas(i) && h[i].Type == event.Start && h[i].Action == base && h[i].Value == iv {
-						return true
-					}
-				}
-				return false
-			}
-
-			// Case Λ: the ?-part matches the empty history. Window [ws..l]
-			// for any ws ≤ k; the rewrite reorders junk before the pair.
-			// The replay lifting excludes this form: it has no duplicate
-			// anchor and would move undoable events.
-			for ws := 0; !replay && ws <= k; ws++ {
-				remove := rm(k, l)
-				junkHas := func(i int) bool { return i >= ws && i <= l && !remove.has(i) }
-				if commitConflict(junkHas) {
-					continue
-				}
-				add(Step{
-					Rule:   rule,
-					Desc:   fmt.Sprintf("%v: compact [%s,%s,%s] at %d..%d", rule, a, action.Display(iv), action.Display(ov), ws, l),
-					Result: spliceAbsorb(h, ws, l, remove, a, iv, ov, c.Annotation),
-				})
-			}
-
-			// Case attempt present: the ?-part is a previous attempt whose
-			// start anchors the window. i = attempt start < k.
-			for i := 0; i < k; i++ {
-				if !h[i].Equal(event.S(a, iv)) {
-					continue
-				}
-				// Attempt start only.
-				remove := rm(i, k, l)
-				junkHas := func(x int) bool { return x >= i && x <= l && !remove.has(x) }
-				if !commitConflict(junkHas) {
-					add(Step{
-						Rule:   rule,
-						Desc:   fmt.Sprintf("%v: absorb attempt S@%d into success %d..%d", rule, i, k, l),
-						Result: spliceAbsorb(h, i, l, remove, a, iv, ov, c.Annotation),
-					})
-				}
-				// Attempt start and completion; the pattern shares ov
-				// between the ?-part and the success part, so the attempt's
-				// completion value must equal ov.
-				for j := i + 1; j < l; j++ {
-					if j == k || !h[j].Equal(event.C(a, ov)) {
-						continue
-					}
-					if replay && !replayBinds(h[j], iv) {
-						continue
-					}
-					remove := rm(i, j, k, l)
-					junkHas := func(x int) bool { return x >= i && x <= l && !remove.has(x) }
-					if commitConflict(junkHas) {
-						continue
-					}
-					add(Step{
-						Rule:   rule,
-						Desc:   fmt.Sprintf("%v: absorb attempt S@%d,C@%d into success %d..%d", rule, i, j, k, l),
-						Result: spliceAbsorb(h, i, l, remove, a, iv, ov, c.Annotation),
-					})
-				}
-			}
-		}
-	}
-}
-
-// stepsRule19 enumerates applications of rule 19:
-//
-//	h ⊨ (?[aᵘ,iv,ov] ‖h′ [a⁻¹,iv,nil])   (aᵘ,iv) ∉ h1   (aᶜ,iv) ∉ h′
-//	h1 • h • h2 ⇒ h1 • h′ • h2
-//
-// The window's attempt events (if any) and the cancel pair vanish; the
-// interleaved junk h′ remains. The first constraint forces the attempt to be
-// the earliest occurrence of (aᵘ,iv) in the whole history; the second keeps
-// a concurrent commit from being silently discarded.
-func stepsRule19(reg *action.Registry, h event.History, add func(Step)) {
-	n := len(h)
-	for l := 0; l < n; l++ {
-		cc := h[l]
-		if cc.Type != event.Complete || cc.Value != action.Nil {
-			continue
-		}
-		au, kind := action.Base(cc.Action)
-		if kind != action.KindCancel || !reg.IsUndoable(au) {
-			continue
-		}
-		cancelName := cc.Action
-		commitName := action.Commit(au)
-		for m := 0; m < l; m++ {
-			cs := h[m]
-			if cs.Type != event.Start || cs.Action != cancelName {
-				continue
-			}
-			iv := cs.Value
-
-			noPriorAttempt := func(before int) bool {
-				for x := 0; x < before; x++ {
-					if h[x].Type == event.Start && h[x].Action == au && h[x].Value == iv {
-						return false
-					}
-				}
-				return true
-			}
-			junkClean := func(ws int, remove removeSet) bool {
-				for x := ws; x <= l; x++ {
-					if remove.has(x) {
-						continue
-					}
-					if h[x].Type == event.Start && h[x].Action == commitName && h[x].Value == iv {
-						return false
-					}
-				}
-				return true
-			}
-			splice := func(ws int, remove removeSet) event.History {
-				out := make(event.History, 0, len(h)-len(remove))
-				out = append(out, h[:ws]...)
-				ri := 0
-				for x := ws; x <= l; x++ {
-					if ri < len(remove) && remove[ri] == x {
-						ri++
-						continue
-					}
-					out = append(out, h[x])
-				}
-				out = append(out, h[l+1:]...)
-				return out
-			}
-
-			// Case Λ: gratuitous cancel — no attempt inside the window.
-			// Window [ws..l] for any ws ≤ m with no prior (aᵘ,iv) before ws.
-			for ws := 0; ws <= m; ws++ {
-				if !noPriorAttempt(ws) {
-					continue
-				}
-				remove := rm(m, l)
-				if !junkClean(ws, remove) {
-					continue
-				}
-				add(Step{
-					Rule:   Rule19,
-					Desc:   fmt.Sprintf("rule 19: remove gratuitous cancel pair %d,%d (window from %d)", m, l, ws),
-					Result: splice(ws, remove),
-				})
-			}
-
-			// Case attempt present: attempt start i anchors the window.
-			for i := 0; i < m; i++ {
-				if !(h[i].Type == event.Start && h[i].Action == au && h[i].Value == iv) {
-					continue
-				}
-				if !noPriorAttempt(i) {
-					continue
-				}
-				// Attempt start only.
-				remove := rm(i, m, l)
-				if junkClean(i, remove) {
-					add(Step{
-						Rule:   Rule19,
-						Desc:   fmt.Sprintf("rule 19: cancel attempt S@%d via pair %d,%d", i, m, l),
-						Result: splice(i, remove),
-					})
-				}
-				// Attempt start and completion (any output value: ov is
-				// free in the ?-part of rule 19).
-				for j := i + 1; j < l; j++ {
-					if j == m || !(h[j].Type == event.Complete && h[j].Action == au) {
-						continue
-					}
-					remove := rm(i, j, m, l)
-					if !junkClean(i, remove) {
-						continue
-					}
-					add(Step{
-						Rule:   Rule19,
-						Desc:   fmt.Sprintf("rule 19: cancel attempt S@%d,C@%d via pair %d,%d", i, j, m, l),
-						Result: splice(i, remove),
-					})
-				}
-			}
-		}
-	}
+	dst = append(dst, pair...)
+	return append(dst, h[we+1:]...)
 }

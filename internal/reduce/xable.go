@@ -7,6 +7,11 @@ import (
 	"xability/internal/event"
 )
 
+// searchCutoff is the longest history XAbleTo hands to the exhaustive
+// Search when greedy normalization fails; a failing history of 9 events or
+// more can already cost seconds (DefaultMaxStates states).
+const searchCutoff = 14
+
 // XAbleTo implements the sequence form of the x-able predicate used by
 // requirement R3 (§4): it reports whether h reduces under ⇒ to a
 // failure-free history of the request sequence described by specs. On
@@ -28,7 +33,7 @@ func (n *Normalizer) XAbleTo(h event.History, specs []TargetSpec) (bool, []actio
 	}
 	// Greedy is incomplete in principle; fall back to the oracle on
 	// histories small enough to search.
-	if len(h) <= 14 {
+	if len(h) <= searchCutoff {
 		var outs []action.Value
 		res := n.Search(h, func(c event.History) bool {
 			o, ok := MatchTarget(c, specs)
