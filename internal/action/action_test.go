@@ -264,8 +264,14 @@ func TestRegistryNamesAndClone(t *testing.T) {
 	}
 }
 
+// TestRegistryConcurrentUse pins the read-only contract of a registry in
+// use: readers take no lock, and a frozen registry refuses Register without
+// writing, so both may run at once (go test -race checks the claim).
 func TestRegistryConcurrentUse(t *testing.T) {
 	r := NewRegistry()
+	r.MustRegister("read", KindIdempotent)
+	r.MustRegister("debit", KindUndoable)
+	r.Freeze()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -275,10 +281,42 @@ func TestRegistryConcurrentUse(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 1000; i++ {
-		_ = r.Register("read", KindIdempotent)
-		_ = r.Register("debit", KindUndoable)
+		if r.Register("read", KindIdempotent) == nil || r.Register("debit", KindUndoable) == nil {
+			t.Fatal("Register on a frozen registry succeeded")
+		}
+		if !r.IsUndoable("debit") || !r.IsIdempotent(Cancel("debit")) {
+			t.Fatal("frozen registry lost a classification")
+		}
 	}
 	<-done
+	if r.Clone().Register("z", KindIdempotent) != nil {
+		t.Error("a clone of a frozen registry must accept Register")
+	}
+}
+
+// TestRegistryLookupDerivesNamesOnce pins Lookup: a registered action and
+// both its derived names resolve to one entry that carries the derived
+// names and the action's registration index.
+func TestRegistryLookupDerivesNamesOnce(t *testing.T) {
+	r := NewRegistry()
+	r.MustRegister("read", KindIdempotent)
+	r.MustRegister("debit", KindUndoable)
+	if r.Len() != 2 {
+		t.Fatalf("Len() = %d, want 2", r.Len())
+	}
+	for _, c := range []struct {
+		name Name
+		kind Kind
+	}{{"debit", KindUndoable}, {Cancel("debit"), KindCancel}, {Commit("debit"), KindCommit}} {
+		e, ok := r.Lookup(c.name)
+		want := Entry{Kind: c.kind, Index: 1, Cancel: Cancel("debit"), Commit: Commit("debit")}
+		if !ok || e != want {
+			t.Errorf("Lookup(%s) = (%+v, %v), want (%+v, true)", c.name, e, ok, want)
+		}
+	}
+	if _, ok := r.Lookup(Cancel("ghost")); ok {
+		t.Error("Lookup of a derived name of an unregistered action succeeded")
+	}
 }
 
 func TestMustRegisterPanics(t *testing.T) {

@@ -104,13 +104,18 @@ type slotState struct {
 	known    int             // lowest slot index not known decided elsewhere
 	execNext int             // first slot not yet applied locally
 	inflight int             // slots claimed here and not yet resolved
+	// rounds holds, by slot index, the rounds of the slot this replica has
+	// attempted (bits as requestState.rounds), under the server's mu. Not
+	// durable: the batched plane is an in-memory baseline, restart is
+	// unsupported there.
+	rounds map[int]uint64
 
 	batcher  slotBatcher
 	follower slotFollower
 }
 
 func newSlotState(s *Server) *slotState {
-	ss := &slotState{batcher: slotBatcher{s: s}, follower: slotFollower{s: s}}
+	ss := &slotState{batcher: slotBatcher{s: s}, follower: slotFollower{s: s}, rounds: make(map[int]uint64)}
 	ss.cond = s.clk.NewCond(&ss.mu)
 	return ss
 }
@@ -259,15 +264,15 @@ func (s *Server) runSlot(n, round int, batch []SubmitPayload) {
 	if s.isStopped() || round > MaxRound {
 		return
 	}
-	id := slotID(n)
-	key := ownerKey(id, round)
+	bit := roundBit(round)
 	s.mu.Lock()
-	if s.rounds[key] {
+	if s.slots.rounds[n]&bit != 0 {
 		s.mu.Unlock()
 		return
 	}
-	s.rounds[key] = true //xvet:ok durablewrite batched plane is an in-memory baseline: restart is unsupported there, nothing to persist
+	s.slots.rounds[n] |= bit
 	s.mu.Unlock()
+	key := ownerKey(slotID(n), round)
 
 	decided := s.propose(key, ownerDecision{Owner: s.id, Batch: batch})
 	od, ok := decided.(ownerDecision)
@@ -411,7 +416,8 @@ func (s *Server) slotCoordination(n, round int, batch []SubmitPayload, fresh []b
 				// effect after this neutralization.
 				exec := s.taggedFor(m.Req, round)
 				s.mach.Env().FenceUndoable(exec.Action, exec.EffectiveInput())
-				s.executeUntilSuccess(exec.Cancel())
+				cancel, _ := s.mach.Cancel(exec)
+				s.executeUntilSuccess(cancel)
 			}
 		}
 		return out
@@ -430,7 +436,8 @@ func (s *Server) slotCoordination(n, round int, batch []SubmitPayload, fresh []b
 			}
 		}
 		if isFresh {
-			s.executeUntilSuccess(s.taggedFor(m.Req, round).Commit())
+			commit, _ := s.mach.Commit(s.taggedFor(m.Req, round))
+			s.executeUntilSuccess(commit)
 		}
 	}
 	return out

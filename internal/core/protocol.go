@@ -147,23 +147,12 @@ type Server struct {
 	tr    *obs.Trace   // nil-safe span recorder
 
 	recv  serverRecv // Figure 6's request loop, as a Runner on the clock
-	clean *cleaner   // Figure 6's cleaner thread, as a timer on the clock
+	clean cleaner    // Figure 6's cleaner thread, as a timer on the clock
 
 	mu      sync.Mutex
 	stopped bool
 	active  map[string]*requestState
 	order   []string // request IDs in arrival order, for the cleaner's pass
-	// rounds is durable state (xvet:durable): the (request, round) pairs
-	// this replica has processed. Writers must persist the pair first —
-	// the durablewrite analyzer flags any write in a function that never
-	// persists.
-	rounds map[consensus.Key]bool //xvet:durable
-	// inflight marks (request, round) pairs this incarnation is currently
-	// driving through execute/coordinate. Deliberately NOT durable: a
-	// restarted incarnation starts with it empty, which is exactly how the
-	// cleaner's resume path tells "the owner goroutine died with the crash"
-	// from "the owner goroutine is still working".
-	inflight map[consensus.Key]bool
 
 	// Batched plane (nil/zero unless batch.Enabled; see batch.go).
 	slots *slotState
@@ -174,8 +163,19 @@ type requestState struct {
 	client simnet.ProcessID
 	// done and result are durable (xvet:durable): a fixed result must
 	// survive restart so re-submissions stay idempotent (R1).
-	done     bool           //xvet:durable
-	result   action.Value   //xvet:durable
+	done   bool         //xvet:durable
+	result action.Value //xvet:durable
+	// rounds and inflight are sets of the request's rounds 1..MaxRound, bit
+	// r-1 for round r (roundBit). rounds is durable: the rounds this
+	// replica has attempted — writers persist the attempt first, and the
+	// durablewrite analyzer flags a write in a function that never
+	// persists. inflight marks the rounds this incarnation is driving
+	// through execute/coordinate; deliberately not durable, since a
+	// restarted incarnation starting with none is how the cleaner's resume
+	// path tells "the owner died with the crash" from "the owner is still
+	// working".
+	rounds   uint64 //xvet:durable
+	inflight uint64
 	watching bool           // an awaitFixed watcher is already running here
 	direct   bool           // this replica received the client's submit itself
 	queued   bool           // enqueued in this replica's pending batch or a known slot
@@ -214,25 +214,23 @@ type ServerConfig struct {
 // NewServer builds a replica.
 func NewServer(cfg ServerConfig) *Server {
 	s := &Server{
-		id:       cfg.ID,
-		ep:       cfg.Endpoint,
-		mach:     cfg.Machine,
-		det:      cfg.Detector,
-		cons:     cfg.Consensus,
-		net:      cfg.Network,
-		clk:      cfg.Network.Clock(),
-		costs:    cfg.Costs,
-		batch:    cfg.Batch.withDefaults(),
-		log:      cfg.Log,
-		m:        cfg.Network.Metrics(),
-		tr:       cfg.Network.Trace(),
-		active:   make(map[string]*requestState),
-		rounds:   make(map[consensus.Key]bool),
-		inflight: make(map[consensus.Key]bool),
+		id:     cfg.ID,
+		ep:     cfg.Endpoint,
+		mach:   cfg.Machine,
+		det:    cfg.Detector,
+		cons:   cfg.Consensus,
+		net:    cfg.Network,
+		clk:    cfg.Network.Clock(),
+		costs:  cfg.Costs,
+		batch:  cfg.Batch.withDefaults(),
+		log:    cfg.Log,
+		m:      cfg.Network.Metrics(),
+		tr:     cfg.Network.Trace(),
+		active: make(map[string]*requestState),
 	}
 	s.recv.s = s
-	s.clean = &cleaner{s: s}
-	s.clean.timer = s.clk.NewTimer(s.clean)
+	s.clean.s = s
+	s.clean.timer = s.clk.NewTimer(&s.clean)
 	if s.costs.enabled() {
 		s.cpu = newVCPU(s.clk)
 	}
@@ -367,10 +365,11 @@ func (s *Server) persistFinish(reqID string, res action.Value) {
 // Recover rebuilds the replica's durable state from its write-ahead log.
 // Call it on a fresh Server before Start, with the log of the crashed
 // incarnation. Replay is idempotent by construction: requests re-create
-// their entry only on first sight, round records re-arm the
-// (request, round) guard, and finish records overwrite with the same fixed
-// value. Nothing else needs rebuilding: a replica keeps no state of its
-// own beyond this log, every effect lives in the environment.
+// their entry only on first sight, round records re-arm their round's bit
+// in the request's guard (a round outside 1..MaxRound arms nothing), and
+// finish records overwrite with the same fixed value. Nothing else needs
+// rebuilding: a replica keeps no state of its own beyond this log, every
+// effect lives in the environment.
 func (s *Server) Recover() {
 	if s.log == nil {
 		return
@@ -394,7 +393,9 @@ func (s *Server) Recover() {
 				s.order = append(s.order, r.Key)
 			}
 		case recRound:
-			s.rounds[consensus.Key{Space: consensus.SpaceOwner, ID: r.Key, Round: r.Round}] = true //xvet:ok durablewrite recovery replays the log; re-persisting here would double every record
+			if st := s.active[r.Key]; st != nil && r.Round >= 1 && r.Round <= MaxRound {
+				st.rounds |= roundBit(int(r.Round)) //xvet:ok durablewrite recovery replays the log; re-persisting here would double every record
+			}
 		case recFinish:
 			if st := s.active[r.Key]; st != nil {
 				st.done = true                  //xvet:ok durablewrite recovery replays the log; re-persisting here would double every record
@@ -518,7 +519,7 @@ func (s *Server) submitted(st *requestState, p SubmitPayload, first bool) {
 	// req.round := 1 (Figure 6), on a goroutine of its own: the round
 	// blocks in Propose, the vCPU and the WAL.
 	s.clk.Go(func() {
-		if !s.processRequest(p.Req, 1, p.Client) {
+		if !s.processRequest(st, p.Req, 1, p.Client) {
 			// This replica accepted the submission but did not answer it
 			// — it lost the ownership race, or the round guard suppressed
 			// a re-attempt. The original owner's reply may be black-holed
@@ -557,11 +558,15 @@ func (s *Server) taggedFor(req action.Request, round int) action.Request {
 	return req.WithRound(0)
 }
 
-// processRequest is Figure 6's process-request: propose ownership of the
-// round; the winner executes, coordinates the result, and replies. It
-// reports whether it sent the client a result itself — callers on the
-// submit path fall back to awaitFixed when it did not.
-func (s *Server) processRequest(req action.Request, round int, client simnet.ProcessID) bool {
+// roundBit is round r's bit in a requestState's round sets, for r in
+// 1..MaxRound.
+func roundBit(r int) uint64 { return 1 << (r - 1) }
+
+// processRequest is Figure 6's process-request for st's request: propose
+// ownership of the round; the winner executes, coordinates the result, and
+// replies. It reports whether it sent the client a result itself — callers
+// on the submit path fall back to awaitFixed when it did not.
+func (s *Server) processRequest(st *requestState, req action.Request, round int, client simnet.ProcessID) bool {
 	if s.isStopped() || round > MaxRound {
 		return false
 	}
@@ -572,14 +577,15 @@ func (s *Server) processRequest(req action.Request, round int, client simnet.Pro
 	// the calculus cannot reduce away. (A storm-tossed heartbeat client
 	// wraps its failover cycle back to the owner and triggers exactly
 	// that; scripted-suspicion schedules never do.)
+	bit := roundBit(round)
 	s.mu.Lock()
-	key := ownerKey(req.ID, round)
-	if s.rounds[key] {
+	if st.rounds&bit != 0 {
 		s.mu.Unlock()
 		return false
 	}
-	s.rounds[key] = true
+	st.rounds |= bit
 	s.mu.Unlock()
+	key := ownerKey(req.ID, round)
 	// Write-ahead of the proposal: a replica that crashes between here and
 	// the decision must come back remembering the attempt, or it would
 	// re-propose, read back its own ownership, and execute the round twice.
@@ -593,12 +599,12 @@ func (s *Server) processRequest(req action.Request, round int, client simnet.Pro
 	// own but are no longer driving — the post-restart gap) leaves this
 	// live execution alone.
 	s.mu.Lock()
-	s.inflight[key] = true
+	st.inflight |= bit
 	s.mu.Unlock()
 	span := s.tr.Begin(s.clk.Now(), string(s.id), "own-round", req.ID)
 	defer func() {
 		s.mu.Lock()
-		delete(s.inflight, key)
+		st.inflight &^= bit
 		s.mu.Unlock()
 		s.tr.End(s.clk.Now(), string(s.id), "own-round", span)
 	}()
@@ -851,11 +857,12 @@ func (s *Server) cleanRequest(st *requestState) func() {
 	// force — the round's decision; the next cleaner pass then acts on it
 	// through the normal resume/takeover paths.
 	if lastRound < MaxRound {
-		key := ownerKey(reqID, lastRound+1)
+		bit := roundBit(lastRound + 1)
 		s.mu.Lock()
-		dangling := s.rounds[key] && !s.inflight[key]
+		dangling := st.rounds&bit != 0 && st.inflight&bit == 0
 		s.mu.Unlock()
 		if dangling {
+			key := ownerKey(reqID, lastRound+1)
 			return func() { s.propose(key, ownerDecision{Owner: s.id, Req: st.req, Client: st.client}) }
 		}
 	}
@@ -877,7 +884,7 @@ func (s *Server) cleanRequest(st *requestState) func() {
 	return func() {
 		s.m.Inc(obs.Takeovers)
 		s.tr.Instant(s.clk.Now(), string(s.id), "takeover", reqID)
-		s.cleanRound(od, lastRound)
+		s.cleanRound(st, od, lastRound)
 	}
 }
 
@@ -914,13 +921,13 @@ func (s *Server) lastOwner(id string) (round int, od ownerDecision) {
 // then, if none was fixed, drive the successor round as its owner, and
 // otherwise forward the fixed result — the owner may have crashed before
 // replying, and the client must terminate (R2).
-func (s *Server) cleanRound(od ownerDecision, round int) {
+func (s *Server) cleanRound(st *requestState, od ownerDecision, round int) {
 	res := s.resultCoordination(od.Req, round, EmptyResult)
 	if s.isStopped() {
 		return
 	}
 	if res == EmptyResult {
-		s.processRequest(od.Req, round+1, od.Client)
+		s.processRequest(st, od.Req, round+1, od.Client)
 		return
 	}
 	s.reply(od.Req.ID, od.Client, res)
@@ -938,20 +945,19 @@ func (s *Server) cleanRound(od ownerDecision, round int) {
 // decision: it returns nil while a live execution drives the round, and
 // otherwise marks the round and returns the resume as the step.
 func (s *Server) resumeOwnRound(st *requestState, od ownerDecision, round int) func() {
-	req := od.Req
-	key := ownerKey(req.ID, round)
+	req, bit := od.Req, roundBit(round)
 	s.mu.Lock()
-	if s.inflight[key] {
+	if st.inflight&bit != 0 {
 		s.mu.Unlock()
 		return nil // a live execution is driving this round
 	}
-	s.inflight[key] = true
+	st.inflight |= bit
 	s.mu.Unlock()
 	return func() {
 		s.tr.Instant(s.clk.Now(), string(s.id), "resume", req.ID)
 		defer func() {
 			s.mu.Lock()
-			delete(s.inflight, key)
+			st.inflight &^= bit
 			s.mu.Unlock()
 		}()
 		// The crash may have hit between the outcome decision and the
@@ -973,7 +979,7 @@ func (s *Server) resumeOwnRound(st *requestState, od ownerDecision, round int) f
 		// learns a fixed result if one exists — the reply then goes out —
 		// and otherwise aborts the round like any cleaner would, letting
 		// the successor round re-execute under a fresh tag.
-		s.cleanRound(od, round)
+		s.cleanRound(st, od, round)
 	}
 }
 
@@ -1012,11 +1018,13 @@ func (s *Server) resultCoordination(req action.Request, round int, val action.Va
 			// then crashes before reading the abort decision, that effect is
 			// orphaned in force next to the succeeding round's commit.
 			s.mach.Env().FenceUndoable(exec.Action, exec.EffectiveInput())
-			s.executeUntilSuccess(exec.Cancel())
+			cancel, _ := s.mach.Cancel(exec)
+			s.executeUntilSuccess(cancel)
 			return EmptyResult
 		}
 		s.tr.Instant(s.clk.Now(), string(s.id), "commit", req.ID)
-		s.executeUntilSuccess(exec.Commit())
+		commit, _ := s.mach.Commit(exec)
+		s.executeUntilSuccess(commit)
 		return dec.Value
 	}
 	return EmptyResult
@@ -1050,13 +1058,13 @@ func (s *Server) executeUntilSuccess(req action.Request) (action.Value, bool) {
 			// fenced attempt emitted a start event, and the checker can only
 			// erase a dangling start through a later cancel pair — then give
 			// up instead of spinning on the fence.
-			if s.mach.Registry().IsUndoable(req.Action) {
-				s.executeUntilSuccess(req.Cancel())
+			if cancel, ok := s.mach.Cancel(req); ok {
+				s.executeUntilSuccess(cancel)
 			}
 			return "", false
 		}
-		if s.mach.Registry().IsUndoable(req.Action) {
-			if _, ok := s.executeUntilSuccess(req.Cancel()); !ok {
+		if cancel, ok := s.mach.Cancel(req); ok {
+			if _, ok := s.executeUntilSuccess(cancel); !ok {
 				return "", false
 			}
 		}

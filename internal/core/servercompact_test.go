@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"xability/internal/action"
-	"xability/internal/consensus"
 	"xability/internal/vclock"
 	"xability/internal/wal"
 	"xability/internal/xrand"
@@ -29,21 +28,21 @@ type srvReqState struct {
 type srvState struct {
 	Order    []string
 	Requests map[string]srvReqState
-	Rounds   map[consensus.Key]bool
+	Rounds   map[string]uint64 // the round guard of each unfinished request
+}
+
+func recoveredServer(l *wal.Log) *Server {
+	s := &Server{active: make(map[string]*requestState), log: l}
+	s.Recover()
+	return s
 }
 
 func serverRecoveredState(l *wal.Log) srvState {
-	s := &Server{
-		active:   make(map[string]*requestState),
-		rounds:   make(map[consensus.Key]bool),
-		inflight: make(map[consensus.Key]bool),
-		log:      l,
-	}
-	s.Recover()
+	s := recoveredServer(l)
 	st := srvState{
 		Order:    append([]string(nil), s.order...),
 		Requests: make(map[string]srvReqState, len(s.active)),
-		Rounds:   make(map[consensus.Key]bool),
+		Rounds:   make(map[string]uint64),
 	}
 	for id, rs := range s.active {
 		st.Requests[id] = srvReqState{
@@ -52,14 +51,40 @@ func serverRecoveredState(l *wal.Log) srvState {
 			Done:   rs.done,
 			Result: rs.result,
 		}
-	}
-	for k := range s.rounds {
-		if rs := s.active[k.ID]; rs != nil && rs.done {
-			continue
+		if !rs.done && rs.rounds != 0 {
+			st.Rounds[id] = rs.rounds
 		}
-		st.Rounds[k] = true
 	}
 	return st
+}
+
+// TestRecoverRearmsRoundGuard pins the recovered round guard: the rounds a
+// crashed incarnation attempted come back from their recRound records as
+// bits of the request's guard, so the restarted replica refuses to attempt
+// them again, before proposing anything. A record whose round is outside
+// 1..MaxRound sets nothing.
+func TestRecoverRearmsRoundGuard(t *testing.T) {
+	l := wal.NewStore(vclock.NewVirtual(), wal.Config{}).Log("server")
+	req := action.Request{ID: "c-1", Action: "debit", Input: "acct-0"}
+	l.Append(wal.Record{Kind: recRequest, Key: req.ID, Str: "client", Val: req})
+	for _, r := range []int32{1, 3, 0, MaxRound + 1, MaxRound} {
+		l.Append(wal.Record{Kind: recRound, Key: req.ID, Round: r})
+	}
+	s := recoveredServer(l)
+	st := s.active[req.ID]
+	if want := roundBit(1) | roundBit(3) | roundBit(MaxRound); st == nil || st.rounds != want {
+		t.Fatalf("recovered guard = %+v, want rounds %#x", st, want)
+	}
+	if st.inflight != 0 {
+		t.Errorf("recovered in-flight marks = %#x, want none", st.inflight)
+	}
+	// With no consensus provider, an attempt that got past the guard would
+	// panic in its proposal.
+	for _, r := range []int{1, 3, MaxRound} {
+		if s.processRequest(st, req, r, "client") {
+			t.Errorf("round %d re-attempted after recovery", r)
+		}
+	}
 }
 
 // randomServerStream draws a plausible server record stream over a

@@ -41,7 +41,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 
 	"xability/internal/action"
@@ -104,13 +103,20 @@ type Env struct {
 	obs *trace.Observer
 	rng *rand.Rand
 
-	resolved map[string]action.Value // idempotent resolve-once results
-	txs      map[string]*tx          // undoable transactions by tagged input
+	resolved map[key]action.Value // idempotent resolve-once results
+	txs      map[key]*tx          // undoable transactions by tagged input
 
 	// audit counters
-	applied   map[string]int // effect applications (incl. rolled back)
-	committed map[string]int // effects currently in force
+	applied   map[key]int // effect applications (incl. rolled back)
+	committed map[key]int // effects currently in force
 	failures  map[action.Name]*failurePlan
+}
+
+// key names one effect: an action applied to an input (for an undoable
+// action, the round-tagged input that scopes its transaction).
+type key struct {
+	a  action.Name
+	iv action.Value
 }
 
 // New builds an environment reporting events to obs, with seeded
@@ -119,10 +125,10 @@ func New(obs *trace.Observer, seed int64) *Env {
 	return &Env{
 		obs:       obs,
 		rng:       xrand.New(seed),
-		resolved:  make(map[string]action.Value),
-		txs:       make(map[string]*tx),
-		applied:   make(map[string]int),
-		committed: make(map[string]int),
+		resolved:  make(map[key]action.Value),
+		txs:       make(map[key]*tx),
+		applied:   make(map[key]int),
+		committed: make(map[key]int),
 		failures:  make(map[action.Name]*failurePlan),
 	}
 }
@@ -150,14 +156,12 @@ func (e *Env) shouldFail(a action.Name) (fail, after bool) {
 	return true, e.rng.Float64() < p.afterProb
 }
 
-func key(a action.Name, iv action.Value) string { return string(a) + "\x00" + string(iv) }
-
 // ExecIdempotent executes an idempotent action: resolve-once result, effect
 // applied at most once, completion event atomic with resolution.
 func (e *Env) ExecIdempotent(a action.Name, iv action.Value, eff Effect) (action.Value, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	k := key(a, iv)
+	k := key{a, iv}
 	if v, done := e.resolved[k]; done {
 		// Already resolved: re-execution has no further side effect; it
 		// completes with the resolved value.
@@ -191,7 +195,7 @@ func (e *Env) ExecIdempotent(a action.Name, iv action.Value, eff Effect) (action
 func (e *Env) ExecUndoable(a action.Name, taggedIV action.Value, ep Epoch, eff Effect) (action.Value, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	k := key(a, taggedIV)
+	k := key{a, taggedIV}
 	t := e.txs[k]
 	if t == nil {
 		return "", fmt.Errorf("env: ExecUndoable without ReactivateUndoable for %s", a)
@@ -231,19 +235,23 @@ func (e *Env) ExecUndoable(a action.Name, taggedIV action.Value, ep Epoch, eff E
 	return v, nil
 }
 
-// CancelUndoable executes the cancellation action a⁻¹ for the transaction:
-// the effect (if any) is rolled back, the epoch advances so in-flight
-// invocations fail, and the cancel's completion event is emitted
-// atomically. Cancellation is idempotent. onRollback, if non-nil, runs
-// under the lock when an applied effect is actually rolled back.
-func (e *Env) CancelUndoable(a action.Name, taggedIV action.Value, onRollback func()) error {
+// CancelUndoable executes the cancellation action a⁻¹ (named cancel, as
+// action.Cancel derives it) for the transaction of a: the effect (if any)
+// is rolled back, the epoch advances so in-flight invocations fail, and the
+// cancel's completion event is emitted atomically. Cancellation is
+// idempotent. onRollback, if non-nil, runs under the lock when an applied
+// effect is actually rolled back.
+func (e *Env) CancelUndoable(cancel action.Name, taggedIV action.Value, onRollback func()) error {
+	a, kind := action.Base(cancel)
+	if kind != action.KindCancel {
+		return fmt.Errorf("env: %s is not a cancel action", cancel)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	cancelName := action.Cancel(a)
-	if fail, _ := e.shouldFail(cancelName); fail {
+	if fail, _ := e.shouldFail(cancel); fail {
 		return ErrInjected
 	}
-	k := key(a, taggedIV)
+	k := key{a, taggedIV}
 	t := e.txs[k]
 	if t == nil {
 		t = &tx{}
@@ -260,7 +268,7 @@ func (e *Env) CancelUndoable(a action.Name, taggedIV action.Value, onRollback fu
 	}
 	t.status = txCancelled
 	t.epoch++
-	e.obs.Observe(event.C(cancelName, action.Nil).WithAnnotation(string(taggedIV)))
+	e.obs.Observe(event.C(cancel, action.Nil).WithAnnotation(string(taggedIV)))
 	return nil
 }
 
@@ -274,10 +282,11 @@ func (e *Env) CancelUndoable(a action.Name, taggedIV action.Value, onRollback fu
 func (e *Env) ReactivateUndoable(a action.Name, taggedIV action.Value) Epoch {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	t := e.txs[key(a, taggedIV)]
+	k := key{a, taggedIV}
+	t := e.txs[k]
 	if t == nil {
 		t = &tx{}
-		e.txs[key(a, taggedIV)] = t
+		e.txs[k] = t
 	}
 	if t.status == txCancelled && !t.fenced {
 		t.status = txActive
@@ -297,31 +306,36 @@ func (e *Env) ReactivateUndoable(a action.Name, taggedIV action.Value) Epoch {
 func (e *Env) FenceUndoable(a action.Name, taggedIV action.Value) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	t := e.txs[key(a, taggedIV)]
+	k := key{a, taggedIV}
+	t := e.txs[k]
 	if t == nil {
 		t = &tx{}
-		e.txs[key(a, taggedIV)] = t
+		e.txs[k] = t
 	}
 	t.fenced = true
 }
 
-// CommitUndoable executes the commit action aᶜ: the transaction's effect
-// becomes permanent. Committing is idempotent; committing a cancelled
-// transaction is a protocol error.
-func (e *Env) CommitUndoable(a action.Name, taggedIV action.Value) error {
+// CommitUndoable executes the commit action aᶜ (named commit, as
+// action.Commit derives it): the transaction's effect becomes permanent.
+// Committing is idempotent; committing a cancelled transaction is a
+// protocol error.
+func (e *Env) CommitUndoable(commit action.Name, taggedIV action.Value) error {
+	a, kind := action.Base(commit)
+	if kind != action.KindCommit {
+		return fmt.Errorf("env: %s is not a commit action", commit)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	commitName := action.Commit(a)
-	if fail, _ := e.shouldFail(commitName); fail {
+	if fail, _ := e.shouldFail(commit); fail {
 		return ErrInjected
 	}
-	k := key(a, taggedIV)
+	k := key{a, taggedIV}
 	t := e.txs[k]
 	if t == nil || t.status == txCancelled || t.status == txActive {
 		return fmt.Errorf("env: commit of non-completed transaction (%s, %s)", a, taggedIV)
 	}
 	t.status = txCommitted
-	e.obs.Observe(event.C(commitName, action.Nil).WithAnnotation(string(taggedIV)))
+	e.obs.Observe(event.C(commit, action.Nil).WithAnnotation(string(taggedIV)))
 	return nil
 }
 
@@ -335,7 +349,7 @@ func (e *Env) ExecRaw(a action.Name, iv action.Value, eff Effect) (action.Value,
 		return "", ErrInjected
 	}
 	v := eff()
-	k := key(a, iv)
+	k := key{a, iv}
 	e.applied[k]++
 	e.committed[k]++
 	if fail {
@@ -369,7 +383,7 @@ func (e *Env) PendingOutcome() int {
 func (e *Env) Applied(a action.Name, iv action.Value) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.applied[key(a, iv)]
+	return e.applied[key{a, iv}]
 }
 
 // InForce reports how many applications of (a, iv) are currently in force
@@ -377,7 +391,7 @@ func (e *Env) Applied(a action.Name, iv action.Value) int {
 func (e *Env) InForce(a action.Name, iv action.Value) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.committed[key(a, iv)]
+	return e.committed[key{a, iv}]
 }
 
 // InForceTotal sums InForce across all tagged inputs whose raw input
@@ -404,8 +418,7 @@ func (e *Env) EachInForce(fn func(a action.Name, base action.Value, n int)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for k, c := range e.committed {
-		i := strings.IndexByte(k, 0)
-		base, _, _ := action.SplitTag(action.Value(k[i+1:]))
-		fn(action.Name(k[:i]), base, c)
+		base, _, _ := action.SplitTag(k.iv)
+		fn(k.a, base, c)
 	}
 }

@@ -58,14 +58,14 @@ func TestUndoableLifecycle(t *testing.T) {
 	if err != nil || v != "done" {
 		t.Fatalf("exec = (%q, %v)", v, err)
 	}
-	if err := e.CommitUndoable("debit", "iv"); err != nil {
+	if err := e.CommitUndoable(action.Commit("debit"), "iv"); err != nil {
 		t.Fatal(err)
 	}
 	if e.InForce("debit", "iv") != 1 {
 		t.Errorf("in force = %d", e.InForce("debit", "iv"))
 	}
 	// Commit is idempotent.
-	if err := e.CommitUndoable("debit", "iv"); err != nil {
+	if err := e.CommitUndoable(action.Commit("debit"), "iv"); err != nil {
 		t.Errorf("second commit: %v", err)
 	}
 	h := obs.History()
@@ -81,7 +81,7 @@ func TestUndoableCancelRollsBack(t *testing.T) {
 	if _, err := e.ExecUndoable("debit", "iv", ep, func() action.Value { return "x" }); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.CancelUndoable("debit", "iv", func() { rolledBack = true }); err != nil {
+	if err := e.CancelUndoable(action.Cancel("debit"), "iv", func() { rolledBack = true }); err != nil {
 		t.Fatal(err)
 	}
 	if !rolledBack {
@@ -92,7 +92,7 @@ func TestUndoableCancelRollsBack(t *testing.T) {
 	}
 	// Cancel is idempotent; the second cancel must not roll back again.
 	rolledBack = false
-	if err := e.CancelUndoable("debit", "iv", func() { rolledBack = true }); err != nil {
+	if err := e.CancelUndoable(action.Cancel("debit"), "iv", func() { rolledBack = true }); err != nil {
 		t.Fatal(err)
 	}
 	if rolledBack {
@@ -106,7 +106,7 @@ func TestUndoableEpochGuard(t *testing.T) {
 	// A cancellation lands between ReactivateUndoable and Exec: the stale
 	// invocation must fail without effect, otherwise its completion event
 	// would appear after the cancel pair — irreducible under Figure 4.
-	if err := e.CancelUndoable("debit", "iv", nil); err != nil {
+	if err := e.CancelUndoable(action.Cancel("debit"), "iv", nil); err != nil {
 		t.Fatal(err)
 	}
 	_, err := e.ExecUndoable("debit", "iv", ep, func() action.Value { return "x" })
@@ -130,21 +130,21 @@ func TestCancelAfterCommitIsError(t *testing.T) {
 	e, _ := newEnv()
 	ep := e.ReactivateUndoable("debit", "iv")
 	_, _ = e.ExecUndoable("debit", "iv", ep, func() action.Value { return "x" })
-	if err := e.CommitUndoable("debit", "iv"); err != nil {
+	if err := e.CommitUndoable(action.Commit("debit"), "iv"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.CancelUndoable("debit", "iv", nil); err == nil {
+	if err := e.CancelUndoable(action.Cancel("debit"), "iv", nil); err == nil {
 		t.Error("cancel after commit should error (protocol invariant)")
 	}
 }
 
 func TestCommitWithoutCompletionIsError(t *testing.T) {
 	e, _ := newEnv()
-	if err := e.CommitUndoable("debit", "iv"); err == nil {
+	if err := e.CommitUndoable(action.Commit("debit"), "iv"); err == nil {
 		t.Error("commit of unknown transaction should error")
 	}
 	e.ReactivateUndoable("debit", "iv2")
-	if err := e.CommitUndoable("debit", "iv2"); err == nil {
+	if err := e.CommitUndoable(action.Commit("debit"), "iv2"); err == nil {
 		t.Error("commit of active (uncompleted) transaction should error")
 	}
 }
@@ -205,10 +205,10 @@ func TestInForceTotalAcrossRounds(t *testing.T) {
 	r2 := action.NewRequest("debit", "acct").WithID("q").WithRound(2)
 	ep1 := e.ReactivateUndoable("debit", r1.EffectiveInput())
 	_, _ = e.ExecUndoable("debit", r1.EffectiveInput(), ep1, func() action.Value { return "a" })
-	_ = e.CancelUndoable("debit", r1.EffectiveInput(), nil)
+	_ = e.CancelUndoable(action.Cancel("debit"), r1.EffectiveInput(), nil)
 	ep2 := e.ReactivateUndoable("debit", r2.EffectiveInput())
 	_, _ = e.ExecUndoable("debit", r2.EffectiveInput(), ep2, func() action.Value { return "b" })
-	_ = e.CommitUndoable("debit", r2.EffectiveInput())
+	_ = e.CommitUndoable(action.Commit("debit"), r2.EffectiveInput())
 	if got := e.InForceTotal("debit", "acct"); got != 1 {
 		t.Errorf("InForceTotal = %d, want 1 (round 1 rolled back, round 2 committed)", got)
 	}
@@ -227,5 +227,40 @@ func TestUndoableReexecutionAfterCompletion(t *testing.T) {
 	}
 	if e.Applied("debit", "iv") != 1 {
 		t.Errorf("applied = %d, want 1", e.Applied("debit", "iv"))
+	}
+}
+
+// TestWarmPathsAllocFree pins the effect tables' keys as (action, input)
+// pairs and the derived names as the caller's: a re-execution of a resolved
+// idempotent action and a commit of a completed transaction allocate
+// nothing. Each run appends one event to the observer, whose history grows
+// by a factor: over a thousand runs its few growths round away in
+// AllocsPerRun's integer average, where an allocation per call would not.
+func TestWarmPathsAllocFree(t *testing.T) {
+	e, _ := newEnv()
+	eff := func() action.Value { return "v" }
+	if _, err := e.ExecIdempotent("read", "k", eff); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(1000, func() { _, _ = e.ExecIdempotent("read", "k", eff) }); avg != 0 {
+		t.Errorf("warm ExecIdempotent allocates %.0f objects, want 0", avg)
+	}
+	commit := action.Commit("debit")
+	ep := e.ReactivateUndoable("debit", "iv")
+	if _, err := e.ExecUndoable("debit", "iv", ep, eff); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(1000, func() { _ = e.CommitUndoable(commit, "iv") }); avg != 0 {
+		t.Errorf("CommitUndoable of a completed transaction allocates %.0f objects, want 0", avg)
+	}
+}
+
+func TestDerivedNamesChecked(t *testing.T) {
+	e, _ := newEnv()
+	if err := e.CancelUndoable("debit", "iv", nil); err == nil {
+		t.Error("CancelUndoable accepted a name that is not a cancel action")
+	}
+	if err := e.CommitUndoable(action.Cancel("debit"), "iv"); err == nil {
+		t.Error("CommitUndoable accepted a name that is not a commit action")
 	}
 }

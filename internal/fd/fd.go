@@ -49,7 +49,7 @@ type Scripted struct {
 // crashed processes are always suspected (strong completeness comes for
 // free in tests).
 func NewScripted(net *simnet.Network) *Scripted {
-	s := &Scripted{suspected: make(map[simnet.ProcessID]bool), net: net}
+	s := &Scripted{net: net}
 	if net != nil {
 		s.m = net.Metrics()
 	}
@@ -59,6 +59,9 @@ func NewScripted(net *simnet.Network) *Scripted {
 // SetSuspected marks p as suspected (true) or trusted (false).
 func (s *Scripted) SetSuspected(p simnet.ProcessID, v bool) {
 	s.mu.Lock()
+	if s.suspected == nil {
+		s.suspected = make(map[simnet.ProcessID]bool)
+	}
 	was := s.suspected[p]
 	s.suspected[p] = v
 	s.mu.Unlock()

@@ -82,6 +82,18 @@ var removedNames = []struct {
 		why:     "rule instances are ⊨ matches plus side conditions: there is one transcription of Figure 4",
 		under:   "internal/reduce/",
 	},
+	{
+		pattern: `(rounds|inflight)\s+map\[consensus\.Key\]`,
+		pr:      37,
+		why:     "a request's round guards are two bitsets on its record, the slot plane's are keyed by slot index",
+		under:   "internal/core/",
+	},
+	{
+		pattern: `"\\x00" \+`,
+		pr:      37,
+		why:     "effect tables are keyed by an (action, input) struct, not a concatenated string",
+		under:   "internal/env/",
+	},
 }
 
 // TestRemovedNamesStayGone fails when a removed name reappears in Go

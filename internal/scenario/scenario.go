@@ -767,11 +767,12 @@ func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outc
 	if len(l.reqs) > 0 {
 		// Executions and cancels of the first request's action.
 		a := l.reqs[0].Action
+		cancel := action.Cancel(a)
 		for _, e := range o.History {
 			if e.Type == event.Start && e.Action == a {
 				o.Executions++
 			}
-			if e.Type == event.Complete && e.Action == action.Cancel(a) {
+			if e.Type == event.Complete && e.Action == cancel {
 				o.Cancels++
 			}
 		}

@@ -17,7 +17,6 @@ package sm
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"xability/internal/action"
 	"xability/internal/env"
@@ -38,27 +37,30 @@ type Ctx struct {
 }
 
 // Body computes an action's side effect and output value. It runs under the
-// environment lock and must not block.
+// environment lock and must not block. The *Ctx is the machine's own,
+// refilled for every execution: a body must not keep it past its return.
 type Body func(ctx *Ctx) action.Value
 
-// Hook observes a transaction rollback. It runs under the environment lock.
+// Hook observes a transaction rollback. It runs under the environment lock,
+// and like a Body must not keep its *Ctx.
 type Hook func(ctx *Ctx)
 
-type undoSpec struct {
+// handler is one registered action's bodies.
+type handler struct {
 	exec       Body
 	onRollback Hook
 }
 
-// Machine is one replica's copy of the service's state machine.
+// Machine is one replica's copy of the service's state machine. Register
+// every body (HandleIdempotent, HandleUndoable) before it executes.
 type Machine struct {
-	replica string
-	reg     *action.Registry
-	env     *env.Env
-
-	mu   sync.Mutex
-	rng  *rand.Rand
-	idem map[action.Name]Body
-	undo map[action.Name]undoSpec
+	reg *action.Registry
+	env *env.Env
+	// handlers holds the bodies by the registry's action index.
+	handlers []handler
+	// ctx is the one context every body gets. Bodies run synchronously
+	// under the environment lock, which is also where Execute fills it.
+	ctx Ctx
 }
 
 // New builds a machine for a replica over a shared environment. Each
@@ -66,12 +68,10 @@ type Machine struct {
 // non-deterministic.
 func New(replica string, reg *action.Registry, e *env.Env, seed int64) *Machine {
 	return &Machine{
-		replica: replica,
-		reg:     reg,
-		env:     e,
-		rng:     xrand.New(seed),
-		idem:    make(map[action.Name]Body),
-		undo:    make(map[action.Name]undoSpec),
+		reg:      reg,
+		env:      e,
+		handlers: make([]handler, reg.Len()),
+		ctx:      Ctx{Rand: xrand.New(seed), Replica: replica},
 	}
 }
 
@@ -82,17 +82,16 @@ func (m *Machine) Registry() *action.Registry { return m.reg }
 func (m *Machine) Env() *env.Env { return m.env }
 
 // Replica returns the replica name.
-func (m *Machine) Replica() string { return m.replica }
+func (m *Machine) Replica() string { return m.ctx.Replica }
 
 // HandleIdempotent registers the body of an idempotent action. The action
 // must already be registered as idempotent in the registry.
 func (m *Machine) HandleIdempotent(a action.Name, body Body) error {
-	if !m.reg.IsIdempotent(a) {
+	e, ok := m.reg.Lookup(a)
+	if !ok || e.Kind != action.KindIdempotent || e.Index >= len(m.handlers) {
 		return fmt.Errorf("sm: %q is not a registered idempotent action", a)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.idem[a] = body
+	m.handlers[e.Index] = handler{exec: body}
 	return nil
 }
 
@@ -100,12 +99,11 @@ func (m *Machine) HandleIdempotent(a action.Name, body Body) error {
 // optional rollback hook invoked when a cancellation rolls back an applied
 // effect.
 func (m *Machine) HandleUndoable(a action.Name, body Body, onRollback Hook) error {
-	if !m.reg.IsUndoable(a) {
+	e, ok := m.reg.Lookup(a)
+	if !ok || e.Kind != action.KindUndoable || e.Index >= len(m.handlers) {
 		return fmt.Errorf("sm: %q is not a registered undoable action", a)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.undo[a] = undoSpec{exec: body, onRollback: onRollback}
+	m.handlers[e.Index] = handler{exec: body, onRollback: onRollback}
 	return nil
 }
 
@@ -116,68 +114,74 @@ func (m *Machine) IsIdempotent(req action.Request) bool { return m.reg.IsIdempot
 // IsUndoable reports whether the request's action is undoable.
 func (m *Machine) IsUndoable(req action.Request) bool { return m.reg.IsUndoable(req.Action) }
 
+// Cancel is the paper's cancel(r) (§5.4): req.Cancel() with the name the
+// registry derived once. It reports whether req's action is a registered
+// undoable action, the only kind that has one.
+func (m *Machine) Cancel(req action.Request) (action.Request, bool) {
+	e, ok := m.reg.Lookup(req.Action)
+	req.Action = e.Cancel
+	return req, ok && e.Kind == action.KindUndoable
+}
+
+// Commit is the paper's commit(r), as Cancel is cancel(r).
+func (m *Machine) Commit(req action.Request) (action.Request, bool) {
+	e, ok := m.reg.Lookup(req.Action)
+	req.Action = e.Commit
+	return req, ok && e.Kind == action.KindUndoable
+}
+
 // Execute dispatches a request (the paper's S.execute, §5.4): it emits the
 // start event, applies the action through the environment, and returns the
 // output value. A failure (injected, or an interleaved cancellation) leaves
 // the start event dangling and returns the error, exactly as §2.2
 // prescribes for failed executions.
 func (m *Machine) Execute(req action.Request) (action.Value, error) {
-	base, kind := action.Base(req.Action)
-	if kind == action.KindIdempotent { // plain name: classify via registry
-		k, ok := m.reg.Kind(req.Action)
-		if !ok {
-			return "", fmt.Errorf("sm: unknown action %q", req.Action)
-		}
-		kind = k
+	e, ok := m.reg.Lookup(req.Action)
+	if !ok {
+		return "", fmt.Errorf("sm: unknown action %q", req.Action)
 	}
-	ctx := &Ctx{Req: req, Rand: m.rng, Replica: m.replica}
+	var h handler
+	if e.Index < len(m.handlers) {
+		h = m.handlers[e.Index]
+	}
 	iv := req.EffectiveInput()
 	obs := m.env.Observer()
 
-	switch kind {
+	switch e.Kind {
 	case action.KindIdempotent:
-		m.mu.Lock()
-		body := m.idem[req.Action]
-		m.mu.Unlock()
-		if body == nil {
+		if h.exec == nil {
 			return "", fmt.Errorf("sm: no body for idempotent action %q", req.Action)
 		}
-		obs.Observe(event.S(req.Action, iv).WithAnnotation(m.replica))
-		return m.env.ExecIdempotent(req.Action, iv, func() action.Value { return body(ctx) })
+		obs.Observe(event.S(req.Action, iv).WithAnnotation(m.ctx.Replica))
+		return m.env.ExecIdempotent(req.Action, iv, func() action.Value { m.ctx.Req = req; return h.exec(&m.ctx) })
 
 	case action.KindUndoable:
-		m.mu.Lock()
-		spec, ok := m.undo[req.Action]
-		m.mu.Unlock()
-		if !ok {
+		if h.exec == nil {
 			return "", fmt.Errorf("sm: no body for undoable action %q", req.Action)
 		}
 		epoch := m.env.ReactivateUndoable(req.Action, iv)
-		obs.Observe(event.S(req.Action, iv).WithAnnotation(m.replica))
-		return m.env.ExecUndoable(req.Action, iv, epoch, func() action.Value { return spec.exec(ctx) })
+		obs.Observe(event.S(req.Action, iv).WithAnnotation(m.ctx.Replica))
+		return m.env.ExecUndoable(req.Action, iv, epoch, func() action.Value { m.ctx.Req = req; return h.exec(&m.ctx) })
 
 	case action.KindCancel:
-		m.mu.Lock()
-		spec := m.undo[base]
-		m.mu.Unlock()
-		obs.Observe(event.S(req.Action, iv).WithAnnotation(m.replica))
+		obs.Observe(event.S(req.Action, iv).WithAnnotation(m.ctx.Replica))
 		var hook func()
-		if spec.onRollback != nil {
-			hook = func() { spec.onRollback(ctx) }
+		if h.onRollback != nil {
+			hook = func() { m.ctx.Req = req; h.onRollback(&m.ctx) }
 		}
-		if err := m.env.CancelUndoable(base, iv, hook); err != nil {
+		if err := m.env.CancelUndoable(req.Action, iv, hook); err != nil {
 			return "", err
 		}
 		return action.Nil, nil
 
 	case action.KindCommit:
-		obs.Observe(event.S(req.Action, iv).WithAnnotation(m.replica))
-		if err := m.env.CommitUndoable(base, iv); err != nil {
+		obs.Observe(event.S(req.Action, iv).WithAnnotation(m.ctx.Replica))
+		if err := m.env.CommitUndoable(req.Action, iv); err != nil {
 			return "", err
 		}
 		return action.Nil, nil
 
 	default:
-		return "", fmt.Errorf("sm: cannot execute %q (kind %v)", req.Action, kind)
+		return "", fmt.Errorf("sm: cannot execute %q (kind %v)", req.Action, e.Kind)
 	}
 }

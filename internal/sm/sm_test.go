@@ -173,3 +173,36 @@ func TestNonDeterminismIsSeeded(t *testing.T) {
 		t.Error("same seed must reproduce the same non-determinism")
 	}
 }
+
+// TestWarmExecuteAllocBudget pins the dispatch's allocation bill: a warm
+// execution of a resolved idempotent action costs EffectiveInput's one
+// object and nothing else — no context, no key, no derived name. (The
+// observer's history growth rounds away over a thousand runs, see env's
+// TestWarmPathsAllocFree.)
+func TestWarmExecuteAllocBudget(t *testing.T) {
+	m, _ := machine(t)
+	req := action.NewRequest("read", "k").WithID("q")
+	if _, err := m.Execute(req); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(1000, func() { _, _ = m.Execute(req) }); avg != 1 {
+		t.Errorf("warm Execute allocates %.0f objects, want 1 (EffectiveInput)", avg)
+	}
+}
+
+// TestCancelCommitUseRegisteredNames pins the machine's cancel(r) and
+// commit(r): the request's derived actions under the names the registry
+// built, and no derived action for an idempotent one.
+func TestCancelCommitUseRegisteredNames(t *testing.T) {
+	m, _ := machine(t)
+	req := action.NewRequest("debit", "a").WithID("q").WithRound(2)
+	if c, ok := m.Cancel(req); !ok || c != req.Cancel() {
+		t.Errorf("Cancel = (%v, %v), want (%v, true)", c, ok, req.Cancel())
+	}
+	if c, ok := m.Commit(req); !ok || c != req.Commit() {
+		t.Errorf("Commit = (%v, %v), want (%v, true)", c, ok, req.Commit())
+	}
+	if _, ok := m.Cancel(action.NewRequest("read", "k")); ok {
+		t.Error("Cancel of an idempotent action reported a cancel action")
+	}
+}

@@ -45,29 +45,32 @@ func (b *Bank) Total() int {
 }
 
 // Setup returns the machine setup function registering the standard action
-// bodies over this bank.
+// bodies over this bank. The bodies are built here, once per bank; every
+// replica's machine shares them.
 func (b *Bank) Setup() func(m *sm.Machine) {
+	read := func(ctx *sm.Ctx) action.Value {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return action.Value(fmt.Sprintf("%d", b.balance[string(ctx.Req.Input)]))
+	}
+	token := func(ctx *sm.Ctx) action.Value {
+		return action.Value(fmt.Sprintf("tok-%x", ctx.Rand.Int63()))
+	}
+	debit := func(ctx *sm.Ctx) action.Value {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		b.balance[string(ctx.Req.Input)] -= 10
+		return "debited"
+	}
+	credit := func(ctx *sm.Ctx) {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		b.balance[string(ctx.Req.Input)] += 10
+	}
 	return func(m *sm.Machine) {
-		must(m.HandleIdempotent("read", func(ctx *sm.Ctx) action.Value {
-			b.mu.Lock()
-			defer b.mu.Unlock()
-			return action.Value(fmt.Sprintf("%d", b.balance[string(ctx.Req.Input)]))
-		}))
-		must(m.HandleIdempotent("token", func(ctx *sm.Ctx) action.Value {
-			return action.Value(fmt.Sprintf("tok-%x", ctx.Rand.Int63()))
-		}))
-		must(m.HandleUndoable("debit",
-			func(ctx *sm.Ctx) action.Value {
-				b.mu.Lock()
-				defer b.mu.Unlock()
-				b.balance[string(ctx.Req.Input)] -= 10
-				return "debited"
-			},
-			func(ctx *sm.Ctx) {
-				b.mu.Lock()
-				defer b.mu.Unlock()
-				b.balance[string(ctx.Req.Input)] += 10
-			}))
+		must(m.HandleIdempotent("read", read))
+		must(m.HandleIdempotent("token", token))
+		must(m.HandleUndoable("debit", debit, credit))
 	}
 }
 

@@ -69,11 +69,14 @@ func Generate(spec Spec, seed int64) []action.Request {
 }
 
 // Registry returns the standard benchmark vocabulary: idempotent read and
-// token, undoable debit.
-func Registry() *action.Registry {
+// token, undoable debit. It is one frozen registry, built at package init
+// and shared by every caller: Register on it fails.
+func Registry() *action.Registry { return vocabulary }
+
+var vocabulary = func() *action.Registry {
 	reg := action.NewRegistry()
 	reg.MustRegister("read", action.KindIdempotent)
 	reg.MustRegister("token", action.KindIdempotent)
 	reg.MustRegister("debit", action.KindUndoable)
-	return reg
-}
+	return reg.Freeze()
+}()

@@ -1,6 +1,10 @@
 package workload
 
-import "testing"
+import (
+	"testing"
+
+	"xability/internal/action"
+)
 
 func TestGenerateDeterministic(t *testing.T) {
 	spec := Spec{Requests: 50, Mix: DefaultMix, Accounts: 3}
@@ -76,5 +80,17 @@ func TestRegistryVocabulary(t *testing.T) {
 	}
 	if !reg.IsUndoable("debit") {
 		t.Error("debit must be undoable")
+	}
+}
+
+func TestRegistryIsOneFrozenVocabulary(t *testing.T) {
+	if Registry() != Registry() {
+		t.Error("Registry() built a second vocabulary")
+	}
+	if err := Registry().Register("credit", action.KindUndoable); err == nil {
+		t.Error("Register on the shared vocabulary succeeded")
+	}
+	if Registry().Len() != 3 {
+		t.Errorf("vocabulary has %d actions, want 3", Registry().Len())
 	}
 }
