@@ -19,12 +19,17 @@
 //     the same Object interface per instance key.
 //
 // Values flowing through consensus are ordinary Go values (the network is
-// in-memory); they must be treated as immutable once proposed.
+// in-memory); they must be treated as immutable once proposed. So must a
+// Protocol message once sent: it travels by pointer into its sender's
+// message slab, every receiver reads the one copy, and its slot is never
+// written again.
 package consensus
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -122,11 +127,16 @@ func (l *Local) Read() (any, bool) {
 	return l.value, l.decided
 }
 
+// chunkLen is how many objects one allocation carves out: Local objects
+// for a LocalProvider, message slots for a Node's slab.
+const chunkLen = 8
+
 // LocalProvider is a concurrency-safe registry of Local objects. The zero
 // value is ready to use.
 type LocalProvider struct {
 	mu      sync.Mutex
 	objects map[Key]*Local
+	chunk   []Local // the unused rest of the chunk new objects are carved from
 }
 
 // NewLocalProvider returns an empty provider.
@@ -141,7 +151,10 @@ func (p *LocalProvider) Object(key Key) Object {
 	}
 	o, ok := p.objects[key]
 	if !ok {
-		o = &Local{}
+		if len(p.chunk) == 0 {
+			p.chunk = new([chunkLen]Local)[:]
+		}
+		o, p.chunk = &p.chunk[0], p.chunk[1:]
 		p.objects[key] = o
 	}
 	return o
@@ -158,18 +171,18 @@ func (p *LocalProvider) Keys() []Key {
 	for k := range p.objects {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
+	slices.SortFunc(out, Key.compare)
 	return out
 }
 
-// less orders keys by (space, id, round) — a total order for deterministic
-// renders of key sets.
-func (k Key) less(o Key) bool {
-	if k.Space != o.Space {
-		return k.Space < o.Space
+// compare orders keys by (space, id, round) — a total order for
+// deterministic renders of key sets.
+func (k Key) compare(o Key) int {
+	if c := cmp.Compare(k.Space, o.Space); c != 0 {
+		return c
 	}
-	if k.ID != o.ID {
-		return k.ID < o.ID
+	if c := strings.Compare(k.ID, o.ID); c != 0 {
+		return c
 	}
-	return k.Round < o.Round
+	return cmp.Compare(k.Round, o.Round)
 }

@@ -211,10 +211,7 @@ func TestCTCrashedCoordinatorRotation(t *testing.T) {
 	// consensus endpoints, so completeness is injected explicitly (the
 	// full-protocol Crash in internal/core crashes the base process too,
 	// which the scripted detector picks up automatically).
-	h.net.Crash(ConsEndpoint(h.ids[1]))
-	h.nodes[1].Stop()
-	h.dets[0].SetSuspected(h.ids[1], true)
-	h.dets[2].SetSuspected(h.ids[1], true)
+	h.crash(1)
 
 	if v := h.nodes[0].Propose(At("k"), "v"); v != "v" {
 		t.Errorf("decision = %v", v)
@@ -359,4 +356,93 @@ func TestCatchUpAfterPartitionDesync(t *testing.T) {
 		t.Fatalf("post-heal decision = (%v, %v), want v0: round catch-up did not fire", v, ok)
 	}
 	h.net.Quiesce()
+}
+
+// agree starts a proposal of "v<i>" at each node i of who, waits for
+// them all and checks agreement and validity: one decision, and one of
+// them proposed it.
+func (h *ctHarness) agree(t *testing.T, key Key, who ...int) any {
+	t.Helper()
+	ps := make([]*proposal, len(who))
+	for j, i := range who {
+		ps[j] = h.propose(i, key, fmt.Sprintf("v%d", i))
+	}
+	d := ps[0].wait()
+	for j, p := range ps {
+		if v := p.wait(); v != d {
+			t.Fatalf("agreement violated: node %d decided %v, node %d %v", who[j], v, who[0], d)
+		}
+	}
+	for _, i := range who {
+		if d == fmt.Sprintf("v%d", i) {
+			return d
+		}
+	}
+	t.Fatalf("decided value %v was never proposed", d)
+	return nil
+}
+
+// crash takes node i down: its endpoint crashes and every survivor's
+// detector suspects it (the harness registers only consensus endpoints,
+// so completeness is injected).
+func (h *ctHarness) crash(i int) {
+	h.net.Crash(ConsEndpoint(h.ids[i]))
+	h.nodes[i].Stop()
+	for j, det := range h.dets {
+		if j != i {
+			det.SetSuspected(h.ids[i], true)
+		}
+	}
+}
+
+// TestCTFiveNodesTwoCrashedFalseSuspicion runs an instance on five nodes
+// with f = 2 crashed — round 1's and round 3's coordinators — and a false
+// suspicion of round 2's live coordinator, so a decision needs rounds to
+// rotate past all three. Five peers overflow an instance's inline scratch
+// (sized for three), so its inbox, gathered estimates and per-peer marks
+// spill.
+func TestCTFiveNodesTwoCrashedFalseSuspicion(t *testing.T) {
+	h := newCTHarness(t, 5, 9)
+	h.crash(1)
+	h.crash(3)
+	h.dets[4].SetSuspected(h.ids[2], true)
+	d := h.agree(t, At("k"), 0, 2, 4)
+	h.net.Quiesce()
+	for _, i := range []int{0, 2, 4} {
+		if v, ok := h.nodes[i].Read(At("k")); !ok || v != d {
+			t.Errorf("node %d state = (%v, %v), want %v", i, v, ok, d)
+		}
+	}
+}
+
+// TestCTSevenNodes runs independent instances on seven nodes with three
+// crashed, the most a majority quorum tolerates: every quorum is all four
+// survivors.
+func TestCTSevenNodes(t *testing.T) {
+	h := newCTHarness(t, 7, 10)
+	for _, i := range []int{1, 2, 3} {
+		h.crash(i)
+	}
+	for k := 0; k < 3; k++ {
+		h.agree(t, At(fmt.Sprintf("key-%d", k)), 0, 4, 5, 6)
+	}
+}
+
+// TestNewNodeRejectsTooManyPeers pins the bound a message's int8 sender
+// index sets: 127 peers at most.
+func TestNewNodeRejectsTooManyPeers(t *testing.T) {
+	net := simnet.New(simnet.Config{Seed: 1})
+	defer net.Close()
+	ids := make([]simnet.ProcessID, 128)
+	for i := range ids {
+		ids[i] = simnet.ProcessID(fmt.Sprintf("n%d", i))
+	}
+	ep := net.Register(ConsEndpoint(ids[0]))
+	NewNode(ids[0], ep, ids[:127], fd.NewScripted(net))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewNode accepted 128 peers")
+		}
+	}()
+	NewNode(ids[0], ep, ids, fd.NewScripted(net))
 }

@@ -2,8 +2,10 @@ package consensus
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xability/internal/fd"
@@ -47,21 +49,25 @@ import (
 // persisting through WAL continuations, so a message costs no goroutine
 // wake-up. Propose blocks its caller, as the Object interface requires.
 type Node struct {
-	self  simnet.ProcessID
-	peers []simnet.ProcessID
-	dests []simnet.ProcessID // ConsEndpoint of each peer, named once
-	ep    *simnet.Endpoint
-	det   fd.Detector
-	clk   *vclock.Virtual
-	log   *wal.Log     // nil: in-memory acceptor (no crash-recovery)
-	m     *obs.Metrics // nil-safe run metrics, pulled from the endpoint
+	self    simnet.ProcessID
+	peers   []simnet.ProcessID
+	dests   []simnet.ProcessID // ConsEndpoint of each peer, named once
+	ep      *simnet.Endpoint
+	det     fd.Detector
+	clk     *vclock.Virtual
+	log     *wal.Log     // nil: in-memory acceptor (no crash-recovery)
+	m       *obs.Metrics // nil-safe run metrics, pulled from the endpoint
+	stopped atomic.Bool
 
 	mu        sync.Mutex
 	instances map[Key]*ctInstance
-	stopped   bool
-	stop      chan struct{}
 
 	drain ctDrain // the receive side, on the pump (see onMessage)
+	// Scratch of the node's pump side, which runs one drain or round
+	// machine at a time: the unsent slots of the message slab (see msg),
+	// and what one phase check pulled from an inbox (see pull).
+	slab   []ctMsg
+	pulled []ctMsg
 }
 
 // ConsEndpoint returns the conventional process ID of p's consensus
@@ -73,18 +79,21 @@ var consNames = memo.New(func(p simnet.ProcessID) simnet.ProcessID { return p + 
 
 // NewNode builds a consensus participant. ep must be registered as
 // ConsEndpoint(self); peers lists all replicas (including self) in an order
-// common to every node.
+// common to every node, at most 127 of them (a message names its sender in
+// an int8). The node keeps peers: callers must not modify it.
 func NewNode(self simnet.ProcessID, ep *simnet.Endpoint, peers []simnet.ProcessID, det fd.Detector) *Node {
+	if len(peers) > math.MaxInt8 {
+		panic(fmt.Sprintf("consensus: %d peers, at most %d", len(peers), math.MaxInt8))
+	}
 	n := &Node{
 		self:      self,
-		peers:     append([]simnet.ProcessID(nil), peers...),
+		peers:     peers,
 		dests:     make([]simnet.ProcessID, len(peers)),
 		ep:        ep,
 		det:       det,
 		clk:       ep.Clock(),
 		m:         ep.Metrics(),
 		instances: make(map[Key]*ctInstance),
-		stop:      make(chan struct{}),
 	}
 	for i, p := range peers {
 		n.dests[i] = ConsEndpoint(p)
@@ -192,7 +201,7 @@ func (n *Node) Recover() {
 			// Replay, not new state: the pair was persisted before its ack
 			// went out, and later records overwrite earlier ones just as
 			// later adoptions did in the crashed incarnation.
-			inst.estimate, inst.hasEst, inst.ts = r.Val, true, int(r.Aux) //xvet:ok durablewrite recovery replays the log; re-persisting here would double every record
+			inst.estimate, inst.hasEst, inst.ts = r.Val, true, r.Aux //xvet:ok durablewrite recovery replays the log; re-persisting here would double every record
 		case recDecision:
 			inst.decided, inst.decision = true, r.Val //xvet:ok durablewrite recovery replays the log; re-persisting here would double every record
 		}
@@ -206,12 +215,12 @@ func (n *Node) Recover() {
 // tariff, otherwise on the pump once the sync completes (wal.AppendThen,
 // with k the caller's continuation). Callers run on the pump and must not
 // hold inst.mu: then may take it.
-func (n *Node) persistEstimate(key Key, v any, ts int, k *wal.Sync, then vclock.Runner) {
+func (n *Node) persistEstimate(key Key, v any, ts int32, k *wal.Sync, then vclock.Runner) {
 	if n.log == nil {
 		then.Run()
 		return
 	}
-	n.log.AppendThen(wal.Record{Kind: recEstimate, Key: key.ID, Space: uint8(key.Space), Round: key.Round, Aux: int32(ts), Val: v}, k, then)
+	n.log.AppendThen(wal.Record{Kind: recEstimate, Key: key.ID, Space: uint8(key.Space), Round: key.Round, Aux: ts, Val: v}, k, then)
 }
 
 // persistDecision forces a learned decision to the log before it is
@@ -228,13 +237,10 @@ func (n *Node) persistDecision(key Key, v any, k *wal.Sync, then vclock.Runner) 
 // in-flight Propose calls unblock with the zero value. The receive handler
 // keeps answering until the endpoint closes.
 func (n *Node) Stop() {
-	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
+	if n.stopped.Swap(true) {
 		return
 	}
-	n.stopped = true
-	close(n.stop)
+	n.mu.Lock()
 	insts := make([]*ctInstance, 0, len(n.instances))
 	for _, inst := range n.instances {
 		insts = append(insts, inst)
@@ -246,7 +252,7 @@ func (n *Node) Stop() {
 	// teardown, and map order would leak Go's per-run iteration
 	// randomization into the schedule. A broadcast only schedules wakes,
 	// so none runs a waiter that needs the lock held here.
-	sort.Slice(insts, func(i, j int) bool { return insts[i].key.less(insts[j].key) })
+	slices.SortFunc(insts, func(a, b *ctInstance) int { return a.key.compare(b.key) })
 	for _, inst := range insts {
 		inst.mu.Lock()
 		inst.cond.Broadcast()
@@ -255,16 +261,9 @@ func (n *Node) Stop() {
 }
 
 // stopping reports whether Stop has been called.
-func (n *Node) stopping() bool {
-	select {
-	case <-n.stop:
-		return true
-	default:
-		return false
-	}
-}
+func (n *Node) stopping() bool { return n.stopped.Load() }
 
-type ctKind int
+type ctKind uint8
 
 const (
 	ctEstimate ctKind = iota
@@ -274,37 +273,47 @@ const (
 	ctDecide
 )
 
+// ctMsg is one message, 64 bytes. It travels as a pointer to a slot of
+// its sender's slab (see Node.msg) and is copied on receipt.
 type ctMsg struct {
 	Key      Key
-	Round    int
+	Round    int32
 	Kind     ctKind
 	Value    any
-	TS       int
+	TS       int32
 	HasValue bool
-	From     int // the sender's peer index, set on receipt
+	From     int8 // the sender's peer index, set on receipt
 }
 
+// ctInline is how many peers an instance's scratch holds without a further
+// allocation: its inbox, a coordinator's gathered estimates and the
+// per-peer marks. Every registered deployment runs three replicas; larger
+// clusters spill by append.
+const ctInline = 3
+
+// ctInstance is one instance, its scratch included: one allocation.
 type ctInstance struct {
 	mu   sync.Mutex
-	cond *vclock.Cond
+	cond vclock.Cond // initialised in place (vclock.InitCond); never copied
 	key  Key
 	// The acceptor's durable state (xvet:durable): writes must be paired
 	// with a WAL persist — the durablewrite analyzer flags any assignment
 	// in a function that never persists.
-	estimate any  //xvet:durable
-	hasEst   bool //xvet:durable
-	ts       int  //xvet:durable
-	decided  bool //xvet:durable
-	decision any  //xvet:durable
+	estimate any   //xvet:durable
+	hasEst   bool  //xvet:durable
+	ts       int32 //xvet:durable
+	decided  bool  //xvet:durable
+	decision any   //xvet:durable
 	running  bool
 	// inbox buffers messages per (round, kind); the round machine consumes
 	// them as its phases come due.
 	inbox []ctMsg
-	// decideBox is the decision as a boxed decide message, built once (see
+	// decide is the decision as a sent decide message, taken once (see
 	// decideMsg) for the announcement, the relay and every late answer.
-	decideBox any
-	obj       ctObject // the instance's Object handle
-	round     ctRound  // the round loop, armed by ensureRunning
+	decide   *ctMsg
+	obj      ctObject // the instance's Object handle
+	round    ctRound  // the round loop, armed by ensureRunning
+	inboxArr [ctInline]ctMsg
 }
 
 func (n *Node) instance(key Key) *ctInstance {
@@ -313,21 +322,40 @@ func (n *Node) instance(key Key) *ctInstance {
 	inst, ok := n.instances[key]
 	if !ok {
 		inst = &ctInstance{key: key, ts: -1}
-		inst.cond = n.clk.NewCond(&inst.mu)
+		n.clk.InitCond(&inst.cond, &inst.mu)
+		inst.inbox = inst.inboxArr[:0]
 		inst.obj = ctObject{n: n, inst: inst}
-		inst.round = ctRound{n: n, inst: inst, round: 1}
+		m := &inst.round
+		m.n, m.inst, m.round = n, inst, 1
+		m.got = m.gotArr[:0]
+		m.seen = slices.Grow(m.seenArr[:0], len(n.peers))[:len(n.peers)]
 		n.instances[key] = inst
 	}
 	return inst
 }
 
-// decideMsg returns the instance's decision as a decide message, boxed
-// on first use; callers hold inst.mu and have seen inst.decided.
-func (inst *ctInstance) decideMsg() any {
-	if inst.decideBox == nil {
-		inst.decideBox = ctMsg{Key: inst.key, Kind: ctDecide, Value: inst.decision}
+// decideMsg returns the instance's decision as a decide message, taken
+// from the slab on first use; callers run on the pump, hold inst.mu and
+// have seen inst.decided.
+func (n *Node) decideMsg(inst *ctInstance) *ctMsg {
+	if inst.decide == nil {
+		inst.decide = n.msg(ctMsg{Key: inst.key, Kind: ctDecide, Value: inst.decision})
 	}
-	return inst.decideBox
+	return inst.decide
+}
+
+// msg takes the next slot of the node's message slab, fills it with m and
+// returns it for sending. Slots are carved from chunks of chunkLen and
+// never reused: a sent message is immutable, and the network, every
+// receiver and a cached decide message may all still hold it. Callers run
+// on the pump.
+func (n *Node) msg(m ctMsg) *ctMsg {
+	if len(n.slab) == 0 {
+		n.slab = new([chunkLen]ctMsg)[:]
+	}
+	p := &n.slab[0]
+	*p, n.slab = m, n.slab[1:]
+	return p
 }
 
 // Object returns a handle implementing the Object interface for one
@@ -403,8 +431,10 @@ func (n *Node) ensureRunning(inst *ctInstance) {
 // hand-off, one per wake of the node's receive side.
 func (n *Node) onMessage(msg simnet.Message) {
 	d := &n.drain
-	if cm, ok := msg.Payload.(ctMsg); ok {
-		if cm.From = n.peerIndex(msg.From); cm.From >= 0 {
+	if sent, ok := msg.Payload.(*ctMsg); ok {
+		if from := n.peerIndex(msg.From); from >= 0 {
+			cm := *sent
+			cm.From = int8(from)
 			d.q = append(d.q, cm)
 		}
 	}
@@ -445,9 +475,9 @@ func (d *ctDrain) Run() {
 		// Persisted; now reliable-broadcast: relay the decision once.
 		d.relay = nil
 		inst.mu.Lock()
-		box := inst.decideMsg()
+		dm := n.decideMsg(inst)
 		inst.mu.Unlock()
-		n.sendOthers(box)
+		n.sendOthers(dm)
 	}
 	for d.next < len(d.q) {
 		if n.ep.Closed() {
@@ -493,9 +523,9 @@ func (n *Node) receive(cm ctMsg) bool {
 		// a straggling ack) is answered with the decision, so a node that
 		// missed the decide relay recovers as soon as a link to any
 		// decided node comes back.
-		box := inst.decideMsg()
+		dm := n.decideMsg(inst)
 		inst.mu.Unlock()
-		n.ep.Send(n.dests[cm.From], "cons", box)
+		n.ep.Send(n.dests[cm.From], "cons", dm)
 		return false
 	}
 	inst.inbox = append(inst.inbox, cm)
@@ -514,7 +544,7 @@ func (n *Node) receive(cm ctMsg) bool {
 // window that eats one round's traffic wedges the instance forever even
 // after the heal (found by the seeded random fault generator; pinned by
 // TestCatchUpAfterPartitionDesync). Callers hold inst.mu.
-func (inst *ctInstance) catchUp(round int) bool {
+func (inst *ctInstance) catchUp(round int32) bool {
 	for _, m := range inst.inbox {
 		if m.Round > round {
 			return true
@@ -572,19 +602,21 @@ type ctRound struct {
 	n     *Node
 	inst  *ctInstance
 	step  ctStep
-	round int
+	round int32
 	ci    int // the round's coordinator, as a peer index
 	// The current phase wait's start, for the catch-up gate, and its last
 	// retransmission.
 	start, last time.Duration
 
-	// Phase scratch, reused round after round.
-	buf         []ctMsg // what one check pulled from the inbox
+	// Phase scratch, reused round after round; got and seen start in
+	// gotArr and seenArr.
 	got         []ctMsg // phase 2: one estimate per sender
 	seen        []int   // per peer: phase 2, its index in got; phase 4, ≥ 0 once it replied; else -1
 	acks, nacks int
 	value       any // phase 3: the adopted proposal; phase 4: the proposed value
 	sync        wal.Sync
+	gotArr      [ctInline]ctMsg
+	seenArr     [ctInline]int
 }
 
 // Run implements vclock.Runner: the arm, a wake from a phase wait, or a
@@ -606,9 +638,9 @@ func (m *ctRound) Run() {
 			more = true
 		case stAnnounce:
 			m.inst.mu.Lock()
-			box := m.inst.decideMsg()
+			dm := m.n.decideMsg(m.inst)
 			m.inst.mu.Unlock()
-			m.n.sendOthers(box)
+			m.n.sendOthers(dm)
 			m.step = stDone
 		}
 		if !more {
@@ -637,7 +669,7 @@ func (m *ctRound) startRound() bool {
 		m.step = stDone
 		return false
 	}
-	m.ci = m.round % len(n.peers)
+	m.ci = int(m.round) % len(n.peers)
 	n.m.Inc(obs.ConsRounds)
 	inst.mu.Lock()
 	if inst.decided {
@@ -648,9 +680,6 @@ func (m *ctRound) startRound() bool {
 	est := ctMsg{Key: inst.key, Round: m.round, Kind: ctEstimate, Value: inst.estimate, TS: inst.ts, HasValue: inst.hasEst}
 	inst.mu.Unlock()
 	n.sendAll(inst, est)
-	if m.seen == nil {
-		m.seen = make([]int, len(n.peers))
-	}
 	if m.coordinates() {
 		m.got = m.got[:0]
 		m.wait(stGather)
@@ -782,21 +811,22 @@ func (m *ctRound) ready() bool {
 }
 
 // pull moves the inbox's messages of this round and the given kind into
-// the machine's scratch, in arrival order; callers hold inst.mu.
+// the node's scratch, in arrival order; callers hold inst.mu and use the
+// result before the machine yields.
 func (m *ctRound) pull(kind ctKind) []ctMsg {
-	inst := m.inst
-	m.buf = m.buf[:0]
+	n, inst := m.n, m.inst
+	n.pulled = n.pulled[:0]
 	rest := inst.inbox[:0]
 	for _, x := range inst.inbox {
 		if x.Round == m.round && x.Kind == kind {
-			m.buf = append(m.buf, x)
+			n.pulled = append(n.pulled, x)
 		} else {
 			rest = append(rest, x)
 		}
 	}
 	clear(inst.inbox[len(rest):])
 	inst.inbox = rest
-	return m.buf
+	return n.pulled
 }
 
 // phaseDone moves on from a phase whose condition holds, and reports
@@ -924,7 +954,7 @@ func (m *ctRound) resendIfStalled() {
 
 // currentEstimate builds a round-r estimate message from the instance's
 // live state. Callers must not hold inst.mu.
-func (n *Node) currentEstimate(inst *ctInstance, round int) ctMsg {
+func (n *Node) currentEstimate(inst *ctInstance, round int32) ctMsg {
 	inst.mu.Lock()
 	defer inst.mu.Unlock()
 	return ctMsg{Key: inst.key, Round: round, Kind: ctEstimate, Value: inst.estimate, TS: inst.ts, HasValue: inst.hasEst}
@@ -936,31 +966,31 @@ func (n *Node) sendCons(inst *ctInstance, i int, m ctMsg) {
 		n.deliverLocal(inst, i, m)
 		return
 	}
-	n.ep.Send(n.dests[i], "cons", m)
+	n.ep.Send(n.dests[i], "cons", n.msg(m))
 }
 
-// sendAll sends m, a message of inst, to every peer in peer order, boxing
-// it once for the network.
+// sendAll sends m, a message of inst, to every peer in peer order, taking
+// one slab slot for all of them.
 func (n *Node) sendAll(inst *ctInstance, m ctMsg) {
-	var box any
+	var sent *ctMsg
 	for i, p := range n.peers {
 		if p == n.self {
 			n.deliverLocal(inst, i, m)
 			continue
 		}
-		if box == nil {
-			box = m
+		if sent == nil {
+			sent = n.msg(m)
 		}
-		n.ep.Send(n.dests[i], "cons", box)
+		n.ep.Send(n.dests[i], "cons", sent)
 	}
 }
 
-// sendOthers sends a boxed message to every peer but this node. (Nobody
+// sendOthers sends a sent message to every peer but this node. (Nobody
 // self-sends a decide: the announcement and the relay both skip self.)
-func (n *Node) sendOthers(box any) {
+func (n *Node) sendOthers(sent *ctMsg) {
 	for i, p := range n.peers {
 		if p != n.self {
-			n.ep.Send(n.dests[i], "cons", box)
+			n.ep.Send(n.dests[i], "cons", sent)
 		}
 	}
 }
@@ -968,7 +998,7 @@ func (n *Node) sendOthers(box any) {
 // deliverLocal enqueues m, from this node as peer i, on its own instance
 // without the network.
 func (n *Node) deliverLocal(inst *ctInstance, i int, m ctMsg) {
-	m.From = i
+	m.From = int8(i)
 	inst.mu.Lock()
 	inst.inbox = append(inst.inbox, m)
 	inst.cond.Broadcast()

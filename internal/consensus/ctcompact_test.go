@@ -27,7 +27,7 @@ type ctInstState struct {
 }
 
 func ctRecoveredState(l *wal.Log) map[Key]ctInstState {
-	n := &Node{instances: make(map[Key]*ctInstance), stop: make(chan struct{}), clk: vclock.NewVirtual()}
+	n := &Node{instances: make(map[Key]*ctInstance), clk: vclock.NewVirtual()}
 	n.log = l
 	n.Recover()
 	out := make(map[Key]ctInstState, len(n.instances))
@@ -35,7 +35,7 @@ func ctRecoveredState(l *wal.Log) map[Key]ctInstState {
 		st := ctInstState{
 			HasEst:   inst.hasEst,
 			Estimate: inst.estimate,
-			TS:       inst.ts,
+			TS:       int(inst.ts),
 			Decided:  inst.decided,
 			Decision: inst.decision,
 		}

@@ -94,6 +94,12 @@ var removedNames = []struct {
 		why:     "effect tables are keyed by an (action, input) struct, not a concatenated string",
 		under:   "internal/env/",
 	},
+	{
+		pattern: `Payload\.\(ctMsg\)|sort\.Slice`,
+		pr:      38,
+		why:     "CT messages travel as slots of the sender's slab, and key order is one Key compare",
+		under:   "internal/consensus/",
+	},
 }
 
 // TestRemovedNamesStayGone fails when a removed name reappears in Go

@@ -66,3 +66,30 @@ func TestCondWaitAllocBudget(t *testing.T) {
 		t.Fatalf("cond wait cycle allocates %.2f objects/op in steady state, budget 1.5", avg)
 	}
 }
+
+// TestCondFirstWaitRunnerAllocFree pins the Cond's inline waiter list: a
+// Cond's first waiters — an instance's round machine, an endpoint's
+// receive loop — arm without allocating a list. Each run initialises the
+// Cond afresh (InitCond), so every WaitRunner is a first one; the waiter
+// and its event come from the clock's pools.
+func TestCondFirstWaitRunnerAllocFree(t *testing.T) {
+	v := NewVirtual()
+	var mu sync.Mutex
+	var c Cond
+	r := runnerFunc(func() {})
+	run := func() {
+		v.InitCond(&c, &mu)
+		mu.Lock()
+		c.WaitRunner(time.Microsecond, r)
+		c.WaitRunner(-1, r)
+		mu.Unlock()
+		c.Broadcast()
+		v.Sleep(2 * time.Microsecond) // runs both wakes; the timeout is stale
+	}
+	for i := 0; i < 100; i++ {
+		run()
+	}
+	if avg := testing.AllocsPerRun(500, run); avg > 0 {
+		t.Fatalf("a Cond's first two WaitRunners allocate %.2f objects, budget 0", avg)
+	}
+}

@@ -646,18 +646,30 @@ func (v *Virtual) quiescedLocked() bool {
 // gives up the caller's running unit so virtual time can advance, and
 // timed waits use clock time.
 func (v *Virtual) NewCond(l sync.Locker) *Cond {
-	return &Cond{v: v, l: l}
+	c := new(Cond)
+	v.InitCond(c, l)
+	return c
+}
+
+// InitCond initialises c in place, as NewCond does, for a Cond embedded by
+// value in the struct that owns l, so the two are one allocation. c must
+// not be copied afterwards: its waiter list starts in its own inline array.
+func (v *Virtual) InitCond(c *Cond, l sync.Locker) {
+	*c = Cond{v: v, l: l}
+	c.waiters = c.inline[:0]
 }
 
 // Cond is a sync.Cond-shaped condition variable whose waits the clock
 // understands. Wait and WaitTimeout must be called with l held, as with
 // sync.Cond; like Sleep they are safe from any caller (see Virtual). The
 // waiter list is guarded by the clock mutex, which is always acquired after
-// the user lock l — never the reverse — so the pair cannot deadlock.
+// the user lock l — never the reverse — so the pair cannot deadlock. It
+// starts in inline, so a Cond's first two waiters allocate no list.
 type Cond struct {
 	v       *Virtual
 	l       sync.Locker
 	waiters []*waiter
+	inline  [2]*waiter
 }
 
 // Wait releases l, blocks until Broadcast, and re-acquires l.
