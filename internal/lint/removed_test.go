@@ -100,6 +100,24 @@ var removedNames = []struct {
 		why:     "CT messages travel as slots of the sender's slab, and key order is one Key compare",
 		under:   "internal/consensus/",
 	},
+	{
+		pattern: `verify\.Check\(`,
+		pr:      39,
+		why:     "execute checks every group on its sweep worker's reused verify.Checker",
+		under:   "internal/scenario/",
+	},
+	{
+		pattern: `verify\.Check\(`,
+		pr:      39,
+		why:     "a sharded report checks its groups on one verify.Checker",
+		under:   "internal/shard/",
+	},
+	{
+		pattern: `p\.events = append\(`,
+		pr:      39,
+		why:     "a projection is a range of one buffer, laid out by request after the walk",
+		under:   "internal/reduce/",
+	},
 }
 
 // TestRemovedNamesStayGone fails when a removed name reappears in Go

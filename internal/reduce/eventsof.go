@@ -43,9 +43,10 @@
 //     exactly once, in some round r, and was committed in that same round.
 //
 // A Normalizer carries scratch — the indexed copy of the history it is
-// normalizing, and the reduction target while XAbleTo runs — and reuses it
-// from one history to the next. It is not for concurrent use; build one
-// per goroutine (verify.Check builds one per run).
+// normalizing, its normal form, the reduction target while XAbleTo runs,
+// and the per-request projections — and reuses it from one history to the
+// next. It is not for concurrent use; build one per goroutine (a
+// verify.Checker keeps one, and a sweep worker keeps one Checker).
 package reduce
 
 import (
@@ -191,7 +192,11 @@ func (t TargetSpec) MatchPrefix(h event.History) (rest event.History, ov action.
 // segments, one per spec, in order). On success it returns the output
 // values of each segment.
 func MatchTarget(h event.History, specs []TargetSpec) ([]action.Value, bool) {
-	outs := make([]action.Value, 0, len(specs))
+	return matchTarget(make([]action.Value, 0, len(specs)), h, specs)
+}
+
+// matchTarget is MatchTarget appending the outputs to outs.
+func matchTarget(outs []action.Value, h event.History, specs []TargetSpec) ([]action.Value, bool) {
 	rest := h
 	for _, t := range specs {
 		var ov action.Value

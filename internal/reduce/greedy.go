@@ -18,9 +18,10 @@ type TraceStep struct {
 
 // Normalizer applies the reduction rules of Figure 4 with a deterministic
 // greedy strategy. The zero value is not usable; construct with New. A
-// Normalizer carries the scratch of the history it is working on (and the
-// reduction target while XAbleTo runs), kept from one history to the next:
-// it is not for concurrent use.
+// Normalizer carries the scratch of the history it is working on (its
+// normal form, the reduction target while XAbleTo runs, and the per-request
+// projections), kept from one history to the next: it is not for
+// concurrent use.
 type Normalizer struct {
 	reg *action.Registry
 
@@ -36,8 +37,11 @@ type Normalizer struct {
 	// toward is XAbleTo's own target, refilled per call so that checking a
 	// history allocates no map.
 	toward map[targetKey]int
+	// norm is the normal form xableTo matches against the target.
+	norm event.History
 
 	sweep
+	projector
 }
 
 // targetKey is an (action, input) pair of the reduction target.
@@ -128,6 +132,17 @@ func (n *Normalizer) Normalize(h event.History) event.History {
 	if len(h) == 0 {
 		return h.Clone()
 	}
+	n.normalize(h)
+	return n.snapshot()
+}
+
+// normalize is Normalize that leaves the normal form in the scratch, where
+// snapshot and appendTo read it.
+func (n *Normalizer) normalize(h event.History) {
+	if len(h) == 0 {
+		n.p, n.r, n.end = 0, 0, 0
+		return
+	}
 	n.load(h)
 	// The loop terminates: steps 1–2 strictly remove events; step 3
 	// strictly decreases the total pair spread and is itself a fixpoint
@@ -146,5 +161,4 @@ func (n *Normalizer) Normalize(h event.History) event.History {
 		}
 	}
 	n.last = nil
-	return n.snapshot()
 }

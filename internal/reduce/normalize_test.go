@@ -83,13 +83,14 @@ func specsOf(reg *action.Registry, reqs []action.Request) []TargetSpec {
 }
 
 // NormalizeAgreesOn is the fuzz target's body (exported for the external
-// test package, which owns the corpus): normalizeAgrees on the whole of h,
-// towards the requests and towards nothing, and on each request's
-// projection as XAbleTo meets it; and, when h is small enough for the
-// exhaustive search to be an oracle, the greedy verdict against the
-// search's.
-func NormalizeAgreesOn(reg *action.Registry, h event.History, reqs []action.Request) error {
-	n := New(reg)
+// test package, which owns the corpus and keeps one Normalizer across its
+// inputs): normalizeAgrees on the whole of h, towards the requests and
+// towards nothing, and on each request's projection as XAbleTo meets it;
+// and, when h is small enough for the exhaustive search to be an oracle,
+// the greedy verdict against the search's.
+func (n *Normalizer) NormalizeAgreesOn(h event.History, reqs []action.Request) error {
+	reg := n.reg
+	n.expected = nil
 	if _, err := normalizeAgrees(n, h); err != nil {
 		return fmt.Errorf("whole history, no target: %w", err)
 	}
@@ -97,8 +98,8 @@ func NormalizeAgreesOn(reg *action.Registry, h event.History, reqs []action.Requ
 	if _, err := normalizeAgrees(n.Toward(specs), h); err != nil {
 		return fmt.Errorf("whole history towards the requests: %w", err)
 	}
-	for r, p := range project(h, reqs) {
-		if _, err := normalizeAgrees(n.Toward(specsOf(reg, reqs[r:r+1])), p.events); err != nil {
+	for r, p := range n.project(h, reqs) {
+		if _, err := normalizeAgrees(n.Toward(specsOf(reg, reqs[r:r+1])), n.kept[p.lo:p.hi]); err != nil {
 			return fmt.Errorf("projection onto request %d %v: %w", r, reqs[r], err)
 		}
 	}

@@ -101,11 +101,13 @@ func addOpenLoopCorpus(f *testing.F) {
 
 // FuzzProjectionAgrees holds the single-walk projection to the per-request
 // scan on arbitrary histories: same projections, same first kept
-// completions — everything the verdict is computed from.
+// completions — everything the verdict is computed from. One Normalizer
+// projects every input, so scratch an input leaves behind shows in the next.
 func FuzzProjectionAgrees(f *testing.F) {
 	addOpenLoopCorpus(f)
+	n := reduce.New(workload.Registry())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := reduce.ProjectionsAgree(decodeProjectionInput(data)); err != nil {
+		if err := n.ProjectionsAgree(decodeProjectionInput(data)); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -115,13 +117,13 @@ func FuzzProjectionAgrees(f *testing.F) {
 // strategy on arbitrary histories — the whole decoded history and each
 // request's projection: same rewrites in the same order, same normal form —
 // and, on histories small enough for the exhaustive search to be an oracle,
-// the greedy verdict to the search's.
+// the greedy verdict to the search's. One Normalizer checks every input.
 func FuzzNormalizeAgrees(f *testing.F) {
 	addOpenLoopCorpus(f)
-	reg := workload.Registry()
+	n := reduce.New(workload.Registry())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, reqs := decodeProjectionInput(data)
-		if err := reduce.NormalizeAgreesOn(reg, h, reqs); err != nil {
+		if err := n.NormalizeAgreesOn(h, reqs); err != nil {
 			t.Fatal(err)
 		}
 	})

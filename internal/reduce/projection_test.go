@@ -11,12 +11,19 @@ import (
 	"xability/internal/xrand"
 )
 
+// refProjection is one request's projection as the reference computes it:
+// its own slice of events and its first kept completion.
+type refProjection struct {
+	events              event.History
+	firstKeptCompletion int
+}
+
 // projectRef is the projection of h onto one request as it was computed
 // before the single walk: a scan of the whole history that decides, event
 // by event, whether this request keeps it. It is the definition project is
 // tested against (O(|h|) per request, which is why it is not the
 // implementation).
-func projectRef(h event.History, req action.Request) projection {
+func projectRef(h event.History, req action.Request) refProjection {
 	names := map[action.Name]bool{
 		req.Action:                true,
 		action.Cancel(req.Action): true,
@@ -66,7 +73,7 @@ func projectRef(h event.History, req action.Request) projection {
 			proj = append(proj, e)
 		}
 	}
-	return projection{events: proj, firstKeptCompletion: firstKeptCompletion}
+	return refProjection{events: proj, firstKeptCompletion: firstKeptCompletion}
 }
 
 // xableProjectedRef is xableProjected over projectRef: one scan, one
@@ -95,14 +102,16 @@ func (n *Normalizer) xableProjectedRef(h event.History, reqs []action.Request, s
 	return true, outs
 }
 
-// ProjectionsAgree compares the walk with the scan, request by request. It
-// is exported for the fuzz target, which lives in the external test package
-// so that it can draw its seed corpus from scenario runs.
-func ProjectionsAgree(h event.History, reqs []action.Request) error {
-	projs := project(h, reqs)
-	for r, req := range reqs {
-		if want := projectRef(h, req); !reflect.DeepEqual(projs[r], want) {
-			return fmt.Errorf("request %d %v: the walk projects\n%+v, the scan\n%+v", r, req, projs[r], want)
+// ProjectionsAgree compares the walk on n's scratch with the scan, request
+// by request, copying each projection out of the scratch. It is exported
+// for the fuzz target, which lives in the external test package so that it
+// can draw its seed corpus from scenario runs, and keeps one Normalizer
+// across its inputs.
+func (n *Normalizer) ProjectionsAgree(h event.History, reqs []action.Request) error {
+	for r, p := range n.project(h, reqs) {
+		got := refProjection{append(event.History(nil), n.kept[p.lo:p.hi]...), p.firstKeptCompletion}
+		if want := projectRef(h, reqs[r]); !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("request %d %v: the walk projects\n%+v, the scan\n%+v", r, reqs[r], got, want)
 		}
 	}
 	return nil
@@ -227,7 +236,8 @@ func searchWindow(proj event.History) bool { return len(proj) > 8 && len(proj) <
 // window the verdicts and outputs are compared as well, 10 000 per
 // sequencing mode, of which a sizeable share must land on each side so
 // that neither "everything fails" nor "everything passes" can hide a
-// disagreement.
+// disagreement. One Normalizer projects and checks every case, so scratch
+// a case leaves behind shows in the next.
 func TestProjectionAgreesWithReference(t *testing.T) {
 	n := New(testRegistry(t))
 	for _, sequenced := range []bool{false, true} {
@@ -236,12 +246,12 @@ func TestProjectionAgreesWithReference(t *testing.T) {
 		cases, decided, xable := 0, 0, 0
 		for ; decided < verdicts; cases++ {
 			pc := randomProjectionCase(rng, 1+rng.Intn(6), sequenced && rng.Intn(4) > 0, rng.Intn(3) == 0)
-			if err := ProjectionsAgree(pc.h, pc.reqs); err != nil {
+			if err := n.ProjectionsAgree(pc.h, pc.reqs); err != nil {
 				t.Fatalf("case %d: %v\nrequests: %v\nhistory:\n%v", cases, err, pc.reqs, pc.h)
 			}
 			cheap := true
-			for _, p := range project(pc.h, pc.reqs) {
-				cheap = cheap && !searchWindow(p.events)
+			for _, p := range n.project(pc.h, pc.reqs) {
+				cheap = cheap && !searchWindow(n.kept[p.lo:p.hi])
 			}
 			if !cheap {
 				continue

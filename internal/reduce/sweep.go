@@ -206,7 +206,11 @@ func (n *Normalizer) grpID(act int32, val string) int32 {
 
 // snapshot copies the history out of the scratch.
 func (n *Normalizer) snapshot() event.History {
-	out := make(event.History, 0, n.size())
+	return n.appendTo(make(event.History, 0, n.size()))
+}
+
+// appendTo appends the history in the scratch to out.
+func (n *Normalizer) appendTo(out event.History) event.History {
 	for i := range n.cells[:n.p] {
 		out = append(out, n.cells[i].Event)
 	}

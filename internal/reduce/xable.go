@@ -1,6 +1,7 @@
 package reduce
 
 import (
+	"slices"
 	"sort"
 
 	"xability/internal/action"
@@ -23,27 +24,34 @@ const searchCutoff = 14
 // the history not x-able, so the combined answer is exact whenever the
 // search completes within budget.
 func (n *Normalizer) XAbleTo(h event.History, specs []TargetSpec) (bool, []action.Value) {
+	return n.xableTo(h, specs, make([]action.Value, 0, len(specs)))
+}
+
+// xableTo is XAbleTo appending the outputs to outs.
+func (n *Normalizer) xableTo(h event.History, specs []TargetSpec, outs []action.Value) (bool, []action.Value) {
 	saved := n.expected
 	n.toward = countTargets(n.toward, specs)
 	n.expected = n.toward
-	norm := n.Normalize(h)
+	n.normalize(h)
 	n.expected = saved
-	if outs, ok := MatchTarget(norm, specs); ok {
-		return true, outs
+	// Sized before it is filled: appendTo would grow it in steps.
+	n.norm = n.appendTo(slices.Grow(n.norm[:0], n.size()))
+	if o, ok := matchTarget(outs, n.norm, specs); ok {
+		return true, o
 	}
 	// Greedy is incomplete in principle; fall back to the oracle on
 	// histories small enough to search.
 	if len(h) <= searchCutoff {
-		var outs []action.Value
+		var found []action.Value
 		res := n.Search(h, func(c event.History) bool {
 			o, ok := MatchTarget(c, specs)
 			if ok {
-				outs = o
+				found = o
 			}
 			return ok
 		}, 0)
 		if res.Found {
-			return true, outs
+			return true, append(outs, found...)
 		}
 	}
 	return false, nil
@@ -124,22 +132,21 @@ func (n *Normalizer) XAbleConcurrent(h event.History, reqs []action.Request) (bo
 }
 
 func (n *Normalizer) xableProjected(h event.History, reqs []action.Request, sequenced bool) (bool, []action.Value) {
-	specs := make([]TargetSpec, len(reqs))
-	for r, req := range reqs {
+	n.specs = n.specs[:0]
+	for _, req := range reqs {
 		spec, err := SpecFor(n.reg, req)
 		if err != nil {
 			return false, nil
 		}
-		specs[r] = spec
+		n.specs = append(n.specs, spec)
 	}
 	outs := make([]action.Value, 0, len(reqs))
 	prevEnd := -1
-	for r, p := range project(h, reqs) {
-		ok, o := n.XAbleTo(p.events, specs[r:r+1])
-		if !ok {
+	for r, p := range n.project(h, reqs) {
+		var ok bool
+		if ok, outs = n.xableTo(n.kept[p.lo:p.hi], n.specs[r:r+1], outs); !ok {
 			return false, nil
 		}
-		outs = append(outs, o[0])
 		// Sequencing: this request's first completion must come after the
 		// previous request's first completion — the observable residue of
 		// R1's state being the execution context of R2 (§4). Concurrent
@@ -155,11 +162,49 @@ func (n *Normalizer) xableProjected(h event.History, reqs []action.Request, sequ
 }
 
 // projection is one request's share of a history: the events it keeps, in
-// history order, and the index in the history of the first completion of
-// its own action among them (-1: none).
+// history order, as the range kept[lo:hi] of the projection scratch, and
+// the index in the history of the first completion of its own action among
+// them (-1: none).
 type projection struct {
-	events              event.History
+	lo, hi              int
 	firstKeptCompletion int
+}
+
+// projector is the Normalizer's projection scratch, reused from one history
+// to the next: project overwrites all of it.
+type projector struct {
+	ix   keeperIndex
+	ones []int // the one-element keeper lists, carved
+	// pairs are the (request, event) pairs the walk finds, in history
+	// order; kept holds their events laid out by request.
+	pairs []keptPair
+	kept  event.History
+	// The unmatched starts of an action are a stack: tops holds each
+	// action's newest, below links every start to the next older one.
+	below  []int32
+	tops   []openTop
+	inline [8]openTop // tops' first backing array: action names are few
+	projs  []projection
+	specs  []TargetSpec
+}
+
+type keptPair struct{ req, at int32 }
+
+// openTop is the newest unmatched start of an action (-1: none).
+type openTop struct {
+	action action.Name
+	top    int32
+}
+
+// topOf returns where the newest unmatched start of action a is kept.
+func (p *projector) topOf(a action.Name) *int32 {
+	for i := range p.tops {
+		if p.tops[i].action == a {
+			return &p.tops[i].top
+		}
+	}
+	p.tops = append(p.tops, openTop{action: a, top: -1})
+	return &p.tops[len(p.tops)-1].top
 }
 
 // keeperIndex finds the requests that keep an event. A request keeps the
@@ -201,68 +246,91 @@ func (ix keeperIndex) of(name action.Name, v action.Value) (own, derived []int) 
 // synthetic histories — fall back to the nearest preceding unmatched start
 // of the same action, and are kept by whoever keeps that start. Which
 // start a completion matches depends on h alone, never on the request, so
-// the matching is done once and every event is appended to the projections
-// of exactly the requests that keep it: O(|h| + Σ|projection|), where a
-// scan per request costs O(requests × |h|).
-func project(h event.History, reqs []action.Request) []projection {
+// the matching is done once and every event goes to exactly the requests
+// that keep it: O(|h| + Σ|projection|), where a scan per request costs
+// O(requests × |h|). The projections are laid out by request in one
+// buffer, so on a warm scratch only a key that several requests share
+// allocates (its keeper list).
+func (n *Normalizer) project(h event.History, reqs []action.Request) []projection {
+	p := &n.projector
+	if p.ix == nil {
+		p.ix = make(keeperIndex, 2*len(reqs))
+		p.tops = p.inline[:0]
+	}
 	// Nearly every key has one request, so the one-element lists are
 	// carved out of a single array (capacity one: a second request under
 	// the same key appends into storage of its own).
-	ix := make(keeperIndex, 2*len(reqs))
-	ones := make([]int, 0, 2*len(reqs))
+	clear(p.ix)
+	p.ones = slices.Grow(p.ones[:0], 2*len(reqs))
 	for r, req := range reqs {
 		keys := []keeperKey{{action: req.Action, input: req.Input}, {action: req.Action, id: req.ID}}
 		if req.ID == "" {
 			keys = keys[:1]
 		}
 		for _, k := range keys {
-			if l, ok := ix[k]; ok {
-				ix[k] = append(l, r)
+			if l, ok := p.ix[k]; ok {
+				p.ix[k] = append(l, r)
 				continue
 			}
-			ones = append(ones, r)
-			ix[k] = ones[len(ones)-1 : len(ones) : len(ones)]
+			p.ones = append(p.ones, r)
+			p.ix[k] = p.ones[len(p.ones)-1 : len(p.ones) : len(p.ones)]
 		}
 	}
 
-	projs := make([]projection, len(reqs))
-	for r := range projs {
-		projs[r].firstKeptCompletion = -1
+	p.projs = slices.Grow(p.projs[:0], len(reqs))[:len(reqs)]
+	for r := range p.projs {
+		p.projs[r] = projection{firstKeptCompletion: -1}
 	}
-	openByAction := make(map[action.Name][]int) // unmatched start indexes
+	// Most events have one keeper.
+	p.pairs, p.tops = slices.Grow(p.pairs[:0], len(h)), p.tops[:0]
+	p.below = slices.Grow(p.below[:0], len(h))[:len(h)]
 	for i, e := range h {
 		var own, derived []int
 		switch e.Type {
 		case event.Start:
-			own, derived = ix.of(e.Action, e.Value)
-			openByAction[e.Action] = append(openByAction[e.Action], i)
+			own, derived = p.ix.of(e.Action, e.Value)
+			top := p.topOf(e.Action)
+			p.below[i], *top = *top, int32(i)
 		case event.Complete:
-			open := openByAction[e.Action]
+			top := p.topOf(e.Action)
 			if e.Annotation != "" {
-				own, derived = ix.of(e.Action, action.Value(e.Annotation))
-				// Unwind the matching start so heuristic attribution
-				// of any unannotated completions stays coherent.
-				for j := len(open) - 1; j >= 0; j-- {
-					if h[open[j]].Value == action.Value(e.Annotation) {
-						openByAction[e.Action] = append(open[:j], open[j+1:]...)
+				own, derived = p.ix.of(e.Action, action.Value(e.Annotation))
+				// Unlink the matching start so heuristic attribution of
+				// any unannotated completions stays coherent.
+				for at := top; *at >= 0; at = &p.below[*at] {
+					if h[*at].Value == action.Value(e.Annotation) {
+						*at = p.below[*at]
 						break
 					}
 				}
-			} else if len(open) > 0 {
-				s := open[len(open)-1]
-				openByAction[e.Action] = open[:len(open)-1]
-				own, derived = ix.of(e.Action, h[s].Value)
+			} else if s := *top; s >= 0 {
+				*top = p.below[s]
+				own, derived = p.ix.of(e.Action, h[s].Value)
 			}
 		}
 		for _, keepers := range [...][]int{own, derived} {
 			for _, r := range keepers {
-				p := &projs[r]
-				p.events = append(p.events, e)
-				if e.Type == event.Complete && e.Action == reqs[r].Action && p.firstKeptCompletion < 0 {
-					p.firstKeptCompletion = i
+				p.pairs = append(p.pairs, keptPair{int32(r), int32(i)})
+				q := &p.projs[r]
+				q.hi++ // counts the request's events until the layout below
+				if e.Type == event.Complete && e.Action == reqs[r].Action && q.firstKeptCompletion < 0 {
+					q.firstKeptCompletion = i
 				}
 			}
 		}
 	}
-	return projs
+
+	// Request r's events go to kept[lo:hi], in history order.
+	lo := 0
+	for r := range p.projs {
+		q := &p.projs[r]
+		q.lo, q.hi, lo = lo, lo, lo+q.hi
+	}
+	p.kept = slices.Grow(p.kept[:0], len(p.pairs))[:len(p.pairs)]
+	for _, k := range p.pairs {
+		q := &p.projs[k.req]
+		p.kept[q.hi] = h[k.at]
+		q.hi++
+	}
+	return p.projs
 }

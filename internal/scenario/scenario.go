@@ -359,13 +359,16 @@ func ExecuteObserved(sc Scenario, seed int64, run *obs.Run) Outcome {
 // cluster, with their endpoints, interning tables, conds and event pools —
 // recycled across the worker's seeds (vclock.Virtual.Reset, then
 // simnet.Network.Reset onto the same clock) instead of allocating a fresh
-// world per run. The protocol actors (servers, clients, machines,
-// environment) are still rebuilt per seed: they hold all run state, so
-// reuse stays invisible to outcomes — the sweep determinism tests pin
-// bit-equal results against fresh-world Execute runs.
+// world per run, and the checker every group's verdict runs on. The
+// protocol actors (servers, clients, machines, environment) are still
+// rebuilt per seed: they hold all run state, so reuse stays invisible to
+// outcomes — the sweep determinism tests pin bit-equal results against
+// fresh-world Execute runs. The checker holds no run state either: each
+// check overwrites its scratch.
 type runScratch struct {
-	clk  *vclock.Virtual
-	nets []*simnet.Network
+	clk   *vclock.Virtual
+	nets  []*simnet.Network
+	check verify.Checker
 }
 
 // clock returns the run's clock: a new one the first time, and after that
@@ -485,9 +488,6 @@ func groupConfig(sc Scenario, seed int64, net simnet.Config, accounts int) core.
 // heartbeat, a delivery, time itself — runs ahead of the build, and every
 // run begins at the same instant with the same world.
 func deploy(sc Scenario, seed int64, l load, scratch *runScratch) *deployment {
-	if scratch == nil {
-		scratch = &runScratch{}
-	}
 	d := &deployment{clk: scratch.clock()}
 	net := sc.Net
 	net.Seed, net.Clock = seed, d.clk
@@ -635,13 +635,12 @@ func (d *deployment) audit(l load) (effects, dups int) {
 // completion log, which has no sequential form); behind the router the
 // merged verdict adds the global exactly-once-routing audit. The baselines
 // get the most charitable reading: each answered request checked as
-// idempotent against the raw trace.
-func (d *deployment) verdict(o *Outcome, l load) {
+// idempotent against the raw trace. Every group is checked on one Checker.
+func (d *deployment) verdict(o *Outcome, l load, check *verify.Checker) {
 	for _, m := range d.members {
-		logged, replies := m.session.Log()
-		attempts := m.session.Attempts()
-		o.Attempts += attempts
 		if d.base != nil {
+			logged, _ := m.session.Log()
+			o.Attempts += m.session.Attempts()
 			o.XAble = len(logged) > 0
 			for _, r := range logged {
 				if !rawXAble(m.history, r) {
@@ -650,14 +649,9 @@ func (d *deployment) verdict(o *Outcome, l load) {
 			}
 			return
 		}
-		rep := verify.Check(verify.Run{
-			Registry:       workload.Registry(),
-			Requests:       logged,
-			Replies:        replies,
-			History:        m.history,
-			SubmitAttempts: attempts,
-			Concurrent:     l.open,
-		})
+		run := m.run(l.open)
+		o.Attempts += run.SubmitAttempts
+		rep := check.Check(run)
 		if d.router == nil {
 			o.Report = rep
 			o.XAble = rep.R3Strict || rep.R3Projected
@@ -674,13 +668,38 @@ func (d *deployment) verdict(o *Outcome, l load) {
 	o.XAble = shard.Report{Shards: o.ShardReports, RoutingExact: o.RoutingExact}.XAble()
 }
 
+// run is what the checker verifies of a replica group: its completion log
+// against its snapshotted history.
+func (m *member) run(open bool) verify.Run {
+	logged, replies := m.session.Log()
+	return verify.Run{
+		Registry:       workload.Registry(),
+		Requests:       logged,
+		Replies:        replies,
+		History:        m.history,
+		SubmitAttempts: m.session.Attempts(),
+		Concurrent:     open,
+	}
+}
+
 // execute is the run driver: every run — either deployment kind, either
 // load, any armed plane — goes through this one sequence: build, arm the
 // watchdog, apply the plan, drive the load, settle, snapshot, stop, run
-// out, verdict. The world moves only inside the driver's waits, so exactly
-// one goroutine is runnable at a time throughout. scratch is a sweep
-// worker's recycled substrate (nil for single runs).
+// out (play), verdict. The world moves only inside the driver's waits, so
+// exactly one goroutine is runnable at a time throughout. scratch is a
+// sweep worker's recycled substrate (nil for single runs).
 func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outcome {
+	if scratch == nil {
+		scratch = &runScratch{}
+	}
+	o, d, l := play(sc, seed, opts, scratch)
+	d.verdict(&o, l, &scratch.check)
+	return o
+}
+
+// play is execute up to the verdict: it returns the outcome without its
+// checker fields, and the stopped deployment and its load to check.
+func play(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) (Outcome, *deployment, load) {
 	sc = sc.withDefaults().Materialize(seed)
 	sc.Net.Record, sc.Net.Replay = opts.Record, opts.Replay
 	if sc.Protocol == XAbility && sc.Shards > 0 {
@@ -777,8 +796,7 @@ func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outc
 			}
 		}
 	}
-	d.verdict(&o, l)
-	return o
+	return o, d, l
 }
 
 // watchdog arms the scenario's Deadline on a freshly started deployment:

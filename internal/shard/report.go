@@ -58,12 +58,13 @@ func (c *Cluster) Verify(reg *action.Registry) Report {
 
 // VerifyHistories is Verify against pre-fetched per-shard histories
 // (from Histories), letting callers that also need the merged trace
-// snapshot each group once.
+// snapshot each group once. The groups are checked on one Checker.
 func (c *Cluster) VerifyHistories(reg *action.Registry, hs []event.History) Report {
 	var rep Report
+	var check verify.Checker
 	for s, g := range c.groups {
 		reqs, replies := g.Client.Log()
-		rep.Shards = append(rep.Shards, verify.Check(verify.Run{
+		rep.Shards = append(rep.Shards, check.Check(verify.Run{
 			Registry:       reg,
 			Requests:       reqs,
 			Replies:        replies,

@@ -19,6 +19,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"xability/internal/action"
 	"xability/internal/event"
@@ -77,17 +78,35 @@ func (r Report) OK() bool {
 	return r.R2 && r.R3Projected && r.R4Possible && r.R4Consistent
 }
 
+// Check verifies a run: it is a zero Checker's Check.
+func Check(run Run) Report { return new(Checker).Check(run) }
+
+// Checker verifies runs on scratch it reuses from one run to the next: a
+// normalizer, rebuilt only when a run brings another registry, and the
+// target specs. It keeps no run state between calls — each check
+// overwrites all of its scratch — so a reused Checker's Report equals
+// Check's. The zero value is ready to use; a Checker is not for concurrent
+// use.
+type Checker struct {
+	reg   *action.Registry
+	n     *reduce.Normalizer
+	specs []reduce.TargetSpec
+}
+
 // Check verifies a run.
-func Check(run Run) Report {
+func (c *Checker) Check(run Run) Report {
 	var rep Report
 	rep.R2 = len(run.Replies) == len(run.Requests)
 	if !rep.R2 {
 		rep.Details = append(rep.Details, fmt.Sprintf("R2: %d requests but %d replies", len(run.Requests), len(run.Replies)))
 	}
 
-	n := reduce.New(run.Registry)
+	if c.n == nil || c.reg != run.Registry {
+		c.reg, c.n = run.Registry, reduce.New(run.Registry)
+	}
+	n := c.n
 
-	specs := make([]reduce.TargetSpec, 0, len(run.Requests))
+	c.specs = slices.Grow(c.specs[:0], len(run.Requests))
 	specsOK := true
 	for _, req := range run.Requests {
 		spec, err := reduce.SpecFor(run.Registry, req)
@@ -96,13 +115,13 @@ func Check(run Run) Report {
 			specsOK = false
 			break
 		}
-		specs = append(specs, spec)
+		c.specs = append(c.specs, spec)
 	}
 
 	if specsOK {
 		var strictOuts []action.Value
 		if !run.Concurrent {
-			rep.R3Strict, strictOuts = n.XAbleTo(run.History, specs)
+			rep.R3Strict, strictOuts = n.XAbleTo(run.History, c.specs)
 		}
 		var projOuts []action.Value
 		if run.Concurrent {

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"testing"
 
 	"xability/internal/action"
@@ -186,5 +187,69 @@ func TestCheckSequenceOutputs(t *testing.T) {
 	}
 	if len(rep.Outputs) != 2 || rep.Outputs[0] != "debited" || rep.Outputs[1] != "90" {
 		t.Errorf("outputs = %v", rep.Outputs)
+	}
+}
+
+// scenarioRun is a passing run shaped as a scenario run hands it over: every
+// request tagged with its client ID, an undoable one with its round, and
+// every completion annotated with the input it resolved.
+func scenarioRun(t *testing.T, r *action.Registry, reqs ...action.Request) Run {
+	t.Helper()
+	run := Run{Registry: r}
+	for i, req := range reqs {
+		req = req.WithID(fmt.Sprintf("client-%d", i+1))
+		round := req
+		if k, _ := r.Kind(req.Action); k == action.KindUndoable {
+			round = req.WithRound(1)
+		}
+		ov := action.Value(fmt.Sprintf("out-%d", i))
+		ff, err := reduce.EventsOf(r, round, ov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range ff {
+			if ff[j].Type == event.Complete {
+				ff[j] = ff[j].WithAnnotation(string(ff[j-1].Value))
+			}
+		}
+		run.Requests = append(run.Requests, req)
+		run.Replies = append(run.Replies, ov)
+		run.History = append(run.History, ff...)
+	}
+	return run
+}
+
+// TestCheckerReusedAllocBudget pins what checking a run costs on a reused
+// Checker — its Report, and nothing per request: the strict check's and
+// the projected check's output lists. The runs have the shapes of a nice
+// seed (one debit) and a sequence seed (six requests, reads, a token and
+// debits). Measured at 2 and 3 objects, the same under the race detector
+// (20 and 28 for a fresh Check, which builds the normalizer and its
+// scratch); the budgets are 5% above, rounded down.
+func TestCheckerReusedAllocBudget(t *testing.T) {
+	r := action.NewRegistry()
+	r.MustRegister("read", action.KindIdempotent)
+	r.MustRegister("token", action.KindIdempotent)
+	r.MustRegister("debit", action.KindUndoable)
+	for _, tc := range []struct {
+		name   string
+		run    Run
+		budget float64
+	}{
+		{"nice", scenarioRun(t, r, action.NewRequest("debit", "acct-0x")), 2},
+		{"sequence", scenarioRun(t, r,
+			action.NewRequest("read", "acct-0x"), action.NewRequest("token", "acct-1x"),
+			action.NewRequest("read", "acct-0x"), action.NewRequest("debit", "acct-0x"),
+			action.NewRequest("read", "acct-1x"), action.NewRequest("debit", "acct-1x")), 3},
+	} {
+		var c Checker
+		if rep := c.Check(tc.run); !rep.OK() || !rep.R3Strict {
+			t.Fatalf("%s: report = %+v", tc.name, rep)
+		}
+		avg := testing.AllocsPerRun(20, func() { c.Check(tc.run) })
+		t.Logf("%s: %.0f objects", tc.name, avg)
+		if avg > tc.budget {
+			t.Errorf("%s: a check on a reused Checker allocates %.0f objects, budget %.0f", tc.name, avg, tc.budget)
+		}
 	}
 }
