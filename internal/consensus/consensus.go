@@ -140,7 +140,19 @@ type LocalProvider struct {
 }
 
 // NewLocalProvider returns an empty provider.
-func NewLocalProvider() *LocalProvider { return &LocalProvider{} }
+func NewLocalProvider() *LocalProvider {
+	p := new(LocalProvider)
+	p.Reset()
+	return p
+}
+
+// Reset empties the provider, keeping the storage of its object table and
+// the unused rest of its chunk, whose objects were never handed out. Every
+// object it handed out before must be out of use.
+func (p *LocalProvider) Reset() {
+	clear(p.objects)
+	*p = LocalProvider{objects: p.objects, chunk: p.chunk}
+}
 
 // Object implements Provider.
 func (p *LocalProvider) Object(key Key) Object {

@@ -11,6 +11,7 @@ import (
 	"xability/internal/fd"
 	"xability/internal/memo"
 	"xability/internal/obs"
+	"xability/internal/recycle"
 	"xability/internal/simnet"
 	"xability/internal/vclock"
 	"xability/internal/wal"
@@ -55,8 +56,9 @@ type Node struct {
 	ep      *simnet.Endpoint
 	det     fd.Detector
 	clk     *vclock.Virtual
-	log     *wal.Log     // nil: in-memory acceptor (no crash-recovery)
-	m       *obs.Metrics // nil-safe run metrics, pulled from the endpoint
+	log     *wal.Log             // nil: in-memory acceptor (no crash-recovery)
+	m       *obs.Metrics         // nil-safe run metrics, pulled from the endpoint
+	recv    func(simnet.Message) // onMessage, bound once per Node
 	stopped atomic.Bool
 
 	mu        sync.Mutex
@@ -82,29 +84,44 @@ var consNames = memo.New(func(p simnet.ProcessID) simnet.ProcessID { return p + 
 // common to every node, at most 127 of them (a message names its sender in
 // an int8). The node keeps peers: callers must not modify it.
 func NewNode(self simnet.ProcessID, ep *simnet.Endpoint, peers []simnet.ProcessID, det fd.Detector) *Node {
+	n := new(Node)
+	n.Reset(self, ep, peers, det)
+	return n
+}
+
+// Reset makes n the node NewNode builds, keeping the storage of its
+// destination list, instance table, receive queue and pull buffer, and the
+// unsent rest of its message slab. Every instance of the previous run must
+// be out of use: its clock Quiesced.
+func (n *Node) Reset(self simnet.ProcessID, ep *simnet.Endpoint, peers []simnet.ProcessID, det fd.Detector) {
 	if len(peers) > math.MaxInt8 {
 		panic(fmt.Sprintf("consensus: %d peers, at most %d", len(peers), math.MaxInt8))
 	}
-	n := &Node{
+	*n = Node{
 		self:      self,
 		peers:     peers,
-		dests:     make([]simnet.ProcessID, len(peers)),
+		dests:     recycle.Len(n.dests, len(peers)),
 		ep:        ep,
 		det:       det,
 		clk:       ep.Clock(),
 		m:         ep.Metrics(),
-		instances: make(map[Key]*ctInstance),
+		recv:      n.recv,
+		instances: recycle.Map(n.instances, 0),
+		drain:     ctDrain{n: n, q: recycle.Slice(n.drain.q)},
+		slab:      n.slab,
+		pulled:    recycle.Slice(n.pulled),
+	}
+	if n.recv == nil {
+		n.recv = n.onMessage
 	}
 	for i, p := range peers {
 		n.dests[i] = ConsEndpoint(p)
 	}
-	n.drain.n = n
-	return n
 }
 
 // Start installs the node's receive handler on its endpoint (see
 // onMessage); from then on the node reacts to every delivery.
-func (n *Node) Start() { n.ep.Handle(n.onMessage) }
+func (n *Node) Start() { n.ep.Handle(n.recv) }
 
 // WAL record kinds (see DESIGN.md §9): an acceptor's promise is exactly
 // the (estimate, ts) pairs it acked and the decisions it learned.

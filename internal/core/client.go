@@ -9,6 +9,7 @@ import (
 	"xability/internal/action"
 	"xability/internal/fd"
 	"xability/internal/obs"
+	"xability/internal/recycle"
 	"xability/internal/simnet"
 	"xability/internal/vclock"
 )
@@ -72,16 +73,27 @@ type ClientConfig struct {
 
 // NewClient builds a client stub.
 func NewClient(cfg ClientConfig) *Client {
-	return &Client{
+	c := new(Client)
+	c.Reset(cfg)
+	return c
+}
+
+// Reset makes c the stub NewClient(cfg) builds, keeping the storage of its
+// replica list, its await tables and its run log (Log hands out copies).
+// No Submit may be in flight.
+func (c *Client) Reset(cfg ClientConfig) {
+	*c = Client{
 		id:       cfg.ID,
 		ep:       cfg.Endpoint,
 		clk:      cfg.Endpoint.Clock(),
-		replicas: append([]simnet.ProcessID(nil), cfg.Replicas...),
+		replicas: append(recycle.Slice(c.replicas), cfg.Replicas...),
 		det:      cfg.Detector,
 		m:        cfg.Endpoint.Metrics(),
 		tr:       cfg.Endpoint.Trace(),
-		awaiting: make(map[string]bool),
-		stash:    make(map[string]action.Value),
+		awaiting: recycle.Map(c.awaiting, 0),
+		stash:    recycle.Map(c.stash, 0),
+		requests: recycle.Slice(c.requests),
+		replies:  recycle.Slice(c.replies),
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"xability/internal/fd"
 	"xability/internal/memo"
 	"xability/internal/obs"
+	"xability/internal/recycle"
 	"xability/internal/simnet"
 	"xability/internal/sm"
 	"xability/internal/trace"
@@ -92,10 +93,10 @@ type Cluster struct {
 	Servers  []*Server
 	Client   *Client
 
-	scripted  map[simnet.ProcessID]*fd.Scripted
-	clientDet *fd.Scripted
+	scripted  []*fd.Scripted // replica i's scripted detector (scripted mode only)
+	clientDet *fd.Scripted   // scripted mode only
 	nodes     []*consensus.Node
-	hbs       []*fd.Heartbeat
+	hbs       []*fd.Heartbeat // replica i's, then the client's (heartbeat mode only)
 
 	// Rebuild state for RestartServer: the pieces a revived replica is
 	// reassembled from. The WAL store is the deployment's disk — it, the
@@ -103,12 +104,12 @@ type Cluster struct {
 	cfg       ClusterConfig
 	ids       []simnet.ProcessID
 	serverEPs []*simnet.Endpoint
-	fdEPs     []*simnet.Endpoint // heartbeat mode only
-	consEPs   []*simnet.Endpoint // CT mode only
-	detFor    map[simnet.ProcessID]fd.Detector
-	localCons consensus.Provider // shared provider in ConsensusLocal mode
-	walStore  *wal.Store         // nil unless cfg.Durable
-	crashAt   []time.Duration    // virtual crash instant per replica; -1 when live
+	fdEPs     []*simnet.Endpoint       // heartbeat mode only
+	consEPs   []*simnet.Endpoint       // CT mode only
+	detFor    []fd.Detector            // replica i's detector
+	localCons *consensus.LocalProvider // shared provider in ConsensusLocal mode
+	walStore  *wal.Store               // nil unless cfg.Durable
+	crashAt   []time.Duration          // virtual crash instant per replica; -1 when live
 }
 
 // NewCluster assembles and starts a service. Building only schedules: the
@@ -116,7 +117,50 @@ type Cluster struct {
 // and none of them runs — nor does time move — until the caller's first
 // wait on the clock (a Submit, a Sleep), by when the whole service stands.
 // Between the caller's waits the service stays frozen at one instant.
+// NewCluster is a new Cluster through Reset's build: a sweep keeps one
+// cluster per worker and resets it for each seed instead.
 func NewCluster(cfg ClusterConfig) *Cluster {
+	c := new(Cluster)
+	c.build(cfg)
+	return c
+}
+
+// Reset rebuilds c in place as the service NewCluster(cfg) builds — on
+// cfg.Network, which a sweep has just Reset onto the rewound clock — and
+// reports true. Every layer is reset on the storage of the one it
+// replaces (the servers at each index, their machines, the client, the
+// detectors, the consensus layer, the environment, the observer, the
+// stable storage), so a recycled group allocates little but what its run
+// does. It refuses, reporting false and changing nothing, unless c's clock
+// is Quiesced: only then has nothing of the previous run a hold on them.
+// A cluster is the one-group list of ResetGroups.
+func (c *Cluster) Reset(cfg ClusterConfig) bool {
+	return ResetGroups([]*Cluster{c}, func(int) ClusterConfig { return cfg })
+}
+
+// ResetGroups is Reset for clusters that share one clock, a sharded
+// deployment's groups: with that clock Quiesced it resets groups[i] from
+// cfg(i) in index order — building it new where groups[i] is nil — and
+// reports true; otherwise it reports false and changes nothing. The groups
+// cannot each check the clock in their own Reset: the first one rebuilt
+// schedules its start on it.
+func ResetGroups(groups []*Cluster, cfg func(i int) ClusterConfig) bool {
+	for _, g := range groups {
+		if g != nil && !g.Clock().Quiesced() {
+			return false
+		}
+	}
+	for i := range groups {
+		groups[i] = recycle.Ptr(groups[i])
+		groups[i].build(cfg(i))
+	}
+	return true
+}
+
+// build is NewCluster's and Reset's one construction path: it assigns c
+// whole, layer by layer, each on the storage of c's previous layer where
+// there is one — none on a new Cluster.
+func (c *Cluster) build(cfg ClusterConfig) {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 3
 	}
@@ -127,130 +171,141 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if net == nil {
 		net = simnet.New(cfg.Net)
 	}
-	observer := trace.New()
-	world := env.New(observer, cfg.Seed)
+	n := cfg.Replicas
+	old := *c
+	observer := recycle.Ptr(old.Observer)
+	observer.Reset()
+	world := recycle.Ptr(old.Env)
+	world.Reset(observer, cfg.Seed)
 
-	c := &Cluster{
-		Net:      net,
-		Observer: observer,
-		Env:      world,
-		scripted: make(map[simnet.ProcessID]*fd.Scripted),
-		detFor:   make(map[simnet.ProcessID]fd.Detector),
-		cfg:      cfg,
+	*c = Cluster{
+		Net:       net,
+		Observer:  observer,
+		Env:       world,
+		Servers:   recycle.Len(old.Servers, n),
+		cfg:       cfg,
+		ids:       recycle.Len(old.ids, n),
+		serverEPs: recycle.Len(old.serverEPs, n),
+		detFor:    recycle.Len(old.detFor, n),
+		crashAt:   recycle.Len(old.crashAt, n),
 	}
 	if cfg.Durable {
-		c.walStore = wal.NewStore(net.Clock(), wal.Config{
+		c.walStore = recycle.Ptr(old.walStore)
+		c.walStore.Reset(net.Clock(), wal.Config{
 			SyncLatency:      cfg.WALSync,
 			SnapshotSync:     cfg.WALSnapshotSync,
 			CompactThreshold: cfg.WALCompact,
 			Metrics:          net.Metrics(),
 		})
 	}
-	c.crashAt = make([]time.Duration, cfg.Replicas)
-	for i := range c.crashAt {
-		c.crashAt[i] = -1
+	for i := range c.ids {
+		c.ids[i], c.crashAt[i] = ReplicaID(i), -1
 	}
-
-	ids := make([]simnet.ProcessID, cfg.Replicas)
-	for i := range ids {
-		ids[i] = ReplicaID(i)
-	}
-	c.ids = ids
+	ids := c.ids
 	clientID := simnet.ProcessID("client")
 
 	// Endpoints.
-	serverEPs := make([]*simnet.Endpoint, cfg.Replicas)
 	for i, id := range ids {
-		serverEPs[i] = net.Register(id)
+		c.serverEPs[i] = net.Register(id)
 	}
-	c.serverEPs = serverEPs
 	clientEP := net.Register(clientID)
 
 	// Failure detectors.
 	var clientDet fd.Detector
 	switch cfg.Detector {
 	case DetectorHeartbeat:
+		c.fdEPs = recycle.Len(old.fdEPs, n)
+		c.hbs = recycle.Len(old.hbs, n+1)
 		for i, id := range ids {
-			c.fdEPs = append(c.fdEPs, net.Register(fd.FDEndpoint(id)))
-			hb := c.newHeartbeat(i)
+			c.fdEPs[i] = net.Register(fd.FDEndpoint(id))
+			hb := c.newHeartbeat(i, recycle.Ptr(c.hbs[i]))
 			hb.Start()
-			c.hbs = append(c.hbs, hb)
-			c.detFor[id] = hb
+			c.hbs[i] = hb
+			c.detFor[i] = hb
 		}
 		cep := net.Register(fd.FDEndpoint(clientID))
-		chb := fd.NewHeartbeat(clientID, cep, ids, fd.HeartbeatConfig{Interval: cfg.HeartbeatInterval})
+		chb := recycle.Ptr(c.hbs[n])
+		chb.Reset(clientID, cep, ids, fd.HeartbeatConfig{Interval: cfg.HeartbeatInterval})
 		chb.Start()
-		c.hbs = append(c.hbs, chb)
+		c.hbs[n] = chb
 		clientDet = chb
 	default:
-		for _, id := range ids {
-			d := fd.NewScripted(net)
-			c.scripted[id] = d
-			c.detFor[id] = d
+		c.scripted = recycle.Len(old.scripted, n)
+		for i := range ids {
+			d := recycle.Ptr(c.scripted[i])
+			d.Reset(net)
+			c.scripted[i] = d
+			c.detFor[i] = d
 		}
-		cd := fd.NewScripted(net)
-		c.clientDet = cd
-		clientDet = cd
+		c.clientDet = recycle.Ptr(old.clientDet)
+		c.clientDet.Reset(net)
+		clientDet = c.clientDet
 	}
 
 	// Consensus.
 	switch cfg.Consensus {
 	case ConsensusCT:
+		c.consEPs = recycle.Len(old.consEPs, n)
+		c.nodes = recycle.Len(old.nodes, n)
 		for i, id := range ids {
-			c.consEPs = append(c.consEPs, net.Register(consensus.ConsEndpoint(id)))
-			node := c.newNode(i)
+			c.consEPs[i] = net.Register(consensus.ConsEndpoint(id))
+			node := c.newNode(i, recycle.Ptr(c.nodes[i]))
 			node.Start()
-			c.nodes = append(c.nodes, node)
+			c.nodes[i] = node
 		}
 	default:
-		c.localCons = consensus.NewLocalProvider()
+		c.localCons = recycle.Ptr(old.localCons)
+		c.localCons.Reset()
 	}
 
 	// Servers.
 	for i := range ids {
-		srv := c.newServer(i)
+		srv := c.newServer(i, recycle.Ptr(c.Servers[i]))
 		srv.Start()
-		c.Servers = append(c.Servers, srv)
+		c.Servers[i] = srv
 	}
 
-	c.Client = NewClient(ClientConfig{
+	c.Client = recycle.Ptr(old.Client)
+	c.Client.Reset(ClientConfig{
 		ID:       clientID,
 		Endpoint: clientEP,
 		Replicas: ids,
 		Detector: clientDet,
 	})
-	return c
 }
 
 // newHeartbeat, newNode and newServer assemble one layer of replica i from
-// the cluster's endpoints, detectors and stable storage — for a first
-// incarnation and a restarted one alike. None is started: RestartServer
-// recovers a node and a server from the log first. They stay one per layer,
-// not one per replica: NewCluster registers and starts a whole layer before
-// the next, and that order is part of every seed's schedule.
-func (c *Cluster) newHeartbeat(i int) *fd.Heartbeat {
-	return fd.NewHeartbeat(c.ids[i], c.fdEPs[i], c.ids, fd.HeartbeatConfig{Interval: c.cfg.HeartbeatInterval})
+// the cluster's endpoints, detectors and stable storage, into the storage
+// given — a new object for a restarted incarnation, the previous run's at
+// index i for a recycled group. None is started: RestartServer recovers a
+// node and a server from the log first. They stay one per layer, not one
+// per replica: build registers and starts a whole layer before the next,
+// and that order is part of every seed's schedule.
+func (c *Cluster) newHeartbeat(i int, hb *fd.Heartbeat) *fd.Heartbeat {
+	hb.Reset(c.ids[i], c.fdEPs[i], c.ids, fd.HeartbeatConfig{Interval: c.cfg.HeartbeatInterval})
+	return hb
 }
 
-func (c *Cluster) newNode(i int) *consensus.Node {
+func (c *Cluster) newNode(i int, node *consensus.Node) *consensus.Node {
 	id := c.ids[i]
-	node := consensus.NewNode(id, c.consEPs[i], c.ids, c.detFor[id])
+	node.Reset(id, c.consEPs[i], c.ids, c.detFor[i])
 	if c.walStore != nil {
 		node.SetLog(c.walStore.Log(consLogName(id)))
 	}
 	return node
 }
 
-func (c *Cluster) newServer(i int) *Server {
+func (c *Cluster) newServer(i int, srv *Server) *Server {
 	id := c.ids[i]
 	// The machine seed depends on the replica only, never the incarnation:
 	// recovery must not re-roll the replica's nondeterminism, or replayed
 	// folds diverge.
-	mach := sm.New(string(id), c.cfg.Registry, c.Env, c.cfg.Seed+int64(i)*7919+1)
+	mach := recycle.Ptr(srv.mach)
+	mach.Reset(string(id), c.cfg.Registry, c.Env, c.cfg.Seed+int64(i)*7919+1)
 	if c.cfg.Setup != nil {
 		c.cfg.Setup(mach)
 	}
-	prov := c.localCons
+	var prov consensus.Provider = c.localCons
 	if c.nodes != nil {
 		prov = c.nodes[i]
 	}
@@ -258,17 +313,18 @@ func (c *Cluster) newServer(i int) *Server {
 	if c.walStore != nil {
 		slog = c.walStore.Log(string(id))
 	}
-	return NewServer(ServerConfig{
+	srv.Reset(ServerConfig{
 		ID:        id,
 		Endpoint:  c.serverEPs[i],
 		Machine:   mach,
-		Detector:  c.detFor[id],
+		Detector:  c.detFor[i],
 		Consensus: prov,
 		Network:   c.Net,
 		Batch:     c.cfg.Batch,
 		Costs:     c.cfg.Costs,
 		Log:       slog,
 	})
+	return srv
 }
 
 // Clock returns the cluster's clock (a fresh one, unless
@@ -285,18 +341,20 @@ func (c *Cluster) Network() *simnet.Network { return c.Net }
 // Suspect injects (or clears) a suspicion at one replica's scripted
 // detector. It panics in heartbeat mode.
 func (c *Cluster) Suspect(observer, target simnet.ProcessID, v bool) {
-	d, ok := c.scripted[observer]
-	if !ok {
-		panic(fmt.Sprintf("core: no scripted detector for %s", observer))
+	for i, id := range c.ids {
+		if id == observer && c.scripted != nil {
+			c.scripted[i].SetSuspected(target, v)
+			return
+		}
 	}
-	d.SetSuspected(target, v)
+	panic(fmt.Sprintf("core: no scripted detector for %s", observer))
 }
 
 // SuspectEverywhere injects a suspicion of target at every replica's
 // scripted detector (not the client's).
 func (c *Cluster) SuspectEverywhere(target simnet.ProcessID, v bool) {
-	for id, d := range c.scripted {
-		if id != target {
+	for i, d := range c.scripted {
+		if c.ids[i] != target {
 			d.SetSuspected(target, v)
 		}
 	}
@@ -373,18 +431,18 @@ func (c *Cluster) RestartServer(i int) bool {
 	c.Net.Trace().Instant(c.Clock().Now(), string(id), "restart", "")
 
 	if len(c.hbs) > i {
-		hb := c.newHeartbeat(i)
+		hb := c.newHeartbeat(i, new(fd.Heartbeat))
 		hb.Start()
 		c.hbs[i] = hb
-		c.detFor[id] = hb
+		c.detFor[i] = hb
 	}
 	if c.nodes != nil {
-		node := c.newNode(i)
+		node := c.newNode(i, new(consensus.Node))
 		node.Recover()
 		node.Start()
 		c.nodes[i] = node
 	}
-	srv := c.newServer(i)
+	srv := c.newServer(i, new(Server))
 	srv.Recover()
 	srv.Start()
 	c.Servers[i] = srv

@@ -44,6 +44,7 @@ import (
 	"xability/internal/env"
 	"xability/internal/fd"
 	"xability/internal/obs"
+	"xability/internal/recycle"
 	"xability/internal/simnet"
 	"xability/internal/sm"
 	"xability/internal/vclock"
@@ -213,7 +214,17 @@ type ServerConfig struct {
 
 // NewServer builds a replica.
 func NewServer(cfg ServerConfig) *Server {
-	s := &Server{
+	s := new(Server)
+	s.Reset(cfg)
+	return s
+}
+
+// Reset makes s the replica NewServer(cfg) builds, keeping the storage of
+// its request table, its arrival order and the cleaner's snapshot. The
+// previous incarnation's work must be over — its clock Quiesced: the
+// cleaner's timer is re-initialised in place.
+func (s *Server) Reset(cfg ServerConfig) {
+	*s = Server{
 		id:     cfg.ID,
 		ep:     cfg.Endpoint,
 		mach:   cfg.Machine,
@@ -226,11 +237,12 @@ func NewServer(cfg ServerConfig) *Server {
 		log:    cfg.Log,
 		m:      cfg.Network.Metrics(),
 		tr:     cfg.Network.Trace(),
-		active: make(map[string]*requestState),
+		recv:   serverRecv{s: s},
+		clean:  cleaner{s: s, snap: recycle.Slice(s.clean.snap)},
+		active: recycle.Map(s.active, 0),
+		order:  recycle.Slice(s.order),
 	}
-	s.recv.s = s
-	s.clean.s = s
-	s.clean.timer = s.clk.NewTimer(&s.clean)
+	s.clk.InitTimer(&s.clean.timer, &s.clean)
 	if s.costs.enabled() {
 		s.cpu = newVCPU(s.clk)
 	}
@@ -240,7 +252,6 @@ func NewServer(cfg ServerConfig) *Server {
 	if s.log != nil {
 		s.log.SetCompactor(serverCompact)
 	}
-	return s
 }
 
 // serverCompact is the server's snapshot fold (wal.Compactor): the
@@ -764,7 +775,7 @@ func (s *Server) roundObjectsAt(st *requestState, r int, key func(string, int) c
 // start the next round as its owner.
 type cleaner struct {
 	s     *Server
-	timer *vclock.Timer
+	timer vclock.Timer
 	snap  []*requestState // the pass's requests, reused across ticks
 	next  int             // index into snap of the next decision
 }

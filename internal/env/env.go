@@ -45,6 +45,7 @@ import (
 
 	"xability/internal/action"
 	"xability/internal/event"
+	"xability/internal/recycle"
 	"xability/internal/trace"
 	"xability/internal/xrand"
 )
@@ -122,14 +123,22 @@ type key struct {
 // New builds an environment reporting events to obs, with seeded
 // non-determinism for failure injection.
 func New(obs *trace.Observer, seed int64) *Env {
-	return &Env{
+	e := new(Env)
+	e.Reset(obs, seed)
+	return e
+}
+
+// Reset makes e the environment New(obs, seed) builds, keeping the storage
+// of its tables and its random stream. Nothing may use e meanwhile.
+func (e *Env) Reset(obs *trace.Observer, seed int64) {
+	*e = Env{
 		obs:       obs,
-		rng:       xrand.New(seed),
-		resolved:  make(map[key]action.Value),
-		txs:       make(map[key]*tx),
-		applied:   make(map[key]int),
-		committed: make(map[key]int),
-		failures:  make(map[action.Name]*failurePlan),
+		rng:       xrand.Renew(e.rng, seed),
+		resolved:  recycle.Map(e.resolved, 0),
+		txs:       recycle.Map(e.txs, 0),
+		applied:   recycle.Map(e.applied, 0),
+		committed: recycle.Map(e.committed, 0),
+		failures:  recycle.Map(e.failures, 0),
 	}
 }
 

@@ -2,6 +2,7 @@ package env
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"xability/internal/action"
@@ -262,5 +263,40 @@ func TestDerivedNamesChecked(t *testing.T) {
 	}
 	if err := e.CommitUndoable(action.Cancel("debit"), "iv"); err == nil {
 		t.Error("CommitUndoable accepted a name that is not a commit action")
+	}
+}
+
+// TestResetIsNew pins Env.Reset: every table a run filled — resolved
+// results, transactions, the application and in-force audits, failure
+// plans — is empty afterwards, and the failure stream is rewound, so the
+// reset environment behaves as New's from its first call.
+func TestResetIsNew(t *testing.T) {
+	fill := func(e *Env) []bool {
+		e.SetFailures("tok", 0.5, 100, 0)
+		var failed []bool
+		for i := 0; i < 8; i++ {
+			_, err := e.ExecIdempotent("tok", action.Value(rune('a'+i)), func() action.Value { return "v" })
+			failed = append(failed, err != nil)
+		}
+		ep := e.ReactivateUndoable("debit", "x:1")
+		if _, err := e.ExecUndoable("debit", "x:1", ep, func() action.Value { return "d" }); err != nil {
+			t.Fatal(err)
+		}
+		return failed
+	}
+	e, _ := newEnv()
+	first := fill(e)
+	e.Reset(trace.New(), 1)
+	if e.Applied("tok", "a") != 0 || e.InForce("debit", "x:1") != 0 || e.Applied("debit", "x:1") != 0 {
+		t.Error("Reset kept the audit of the previous run")
+	}
+	e.EachInForce(func(a action.Name, _ action.Value, n int) { t.Errorf("Reset kept %s in force %d times", a, n) })
+	calls := 0
+	if _, err := e.ExecIdempotent("tok", "a", func() action.Value { calls++; return "w" }); err != nil || calls != 1 {
+		t.Errorf("after Reset: err %v, effect ran %d times; want a fresh resolution and no failure plan", err, calls)
+	}
+	e.Reset(trace.New(), 1)
+	if again := fill(e); !reflect.DeepEqual(again, first) {
+		t.Errorf("failures after Reset %v, want New's %v: the stream was not rewound", again, first)
 	}
 }

@@ -22,10 +22,12 @@ package fd
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xability/internal/memo"
 	"xability/internal/obs"
+	"xability/internal/recycle"
 	"xability/internal/simnet"
 	"xability/internal/vclock"
 )
@@ -49,11 +51,20 @@ type Scripted struct {
 // crashed processes are always suspected (strong completeness comes for
 // free in tests).
 func NewScripted(net *simnet.Network) *Scripted {
-	s := &Scripted{net: net}
-	if net != nil {
-		s.m = net.Metrics()
-	}
+	s := new(Scripted)
+	s.Reset(net)
 	return s
+}
+
+// Reset makes s the detector NewScripted(net) builds, keeping the storage
+// of its suspicion table.
+func (s *Scripted) Reset(net *simnet.Network) {
+	var m *obs.Metrics
+	if net != nil {
+		m = net.Metrics()
+	}
+	clear(s.suspected)
+	*s = Scripted{suspected: s.suspected, net: net, m: m}
 }
 
 // SetSuspected marks p as suspected (true) or trusted (false).
@@ -89,16 +100,17 @@ func (s *Scripted) Suspect(p simnet.ProcessID) bool {
 // the clock's pump (Run), the receiver an endpoint handler.
 type Heartbeat struct {
 	dests    []simnet.ProcessID // FDEndpoint of each peer, named once
-	beat     any                // the heartbeat payload (self), boxed once
+	beat     any                // the heartbeat payload (self), boxed once per program
 	ep       *simnet.Endpoint
 	clk      *vclock.Virtual
 	interval time.Duration
-	timer    *vclock.Timer
+	timer    vclock.Timer
+	recv     func(simnet.Message) // onMessage, bound once per Heartbeat
+	stopped  atomic.Bool
 
-	mu       sync.Mutex
-	state    map[simnet.ProcessID]*peerState // one entry per peer, fixed at construction
-	stop     chan struct{}
-	stopOnce sync.Once
+	mu    sync.Mutex
+	state map[simnet.ProcessID]*peerState // one entry per peer, fixed at construction
+	peers []peerState                     // what state points into
 
 	m *obs.Metrics
 }
@@ -126,32 +138,49 @@ func FDEndpoint(p simnet.ProcessID) simnet.ProcessID { return fdNames.Get(p) }
 
 var fdNames = memo.New(func(p simnet.ProcessID) simnet.ProcessID { return p + "/fd" })
 
+// beats holds each process's heartbeat payload, its ID boxed once per
+// program.
+var beats = memo.New(func(p simnet.ProcessID) any { return p })
+
 // NewHeartbeat builds a heartbeat detector for self, monitoring peers
 // (protocol process IDs; heartbeats travel between their FDEndpoint
 // endpoints). ep must be the endpoint registered as FDEndpoint(self).
 func NewHeartbeat(self simnet.ProcessID, ep *simnet.Endpoint, peers []simnet.ProcessID, cfg HeartbeatConfig) *Heartbeat {
+	h := new(Heartbeat)
+	h.Reset(self, ep, peers, cfg)
+	return h
+}
+
+// Reset makes h the detector NewHeartbeat builds, keeping the storage of
+// its destination list and its peer table and its bound handler. The
+// sender's timer is re-initialised in place, so a used h's clock must be
+// Quiesced.
+func (h *Heartbeat) Reset(self simnet.ProcessID, ep *simnet.Endpoint, peers []simnet.ProcessID, cfg HeartbeatConfig) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 2 * time.Millisecond
 	}
-	h := &Heartbeat{
-		dests:    make([]simnet.ProcessID, len(peers)),
-		beat:     self,
+	clk := ep.Clock()
+	*h = Heartbeat{
+		dests:    recycle.Len(h.dests, len(peers)),
+		beat:     beats.Get(self),
 		ep:       ep,
-		clk:      ep.Clock(),
+		clk:      clk,
 		interval: cfg.Interval,
-		state:    make(map[simnet.ProcessID]*peerState, len(peers)),
-		stop:     make(chan struct{}),
+		recv:     h.recv,
+		state:    recycle.Map(h.state, len(peers)),
+		peers:    recycle.Len(h.peers, len(peers)),
 		m:        ep.Metrics(),
 	}
-	h.timer = h.clk.NewTimer(h)
-	now := h.clk.Now()
-	states := make([]peerState, len(peers))
+	if h.recv == nil {
+		h.recv = h.onMessage
+	}
+	clk.InitTimer(&h.timer, h)
+	now := clk.Now()
 	for i, p := range peers {
 		h.dests[i] = FDEndpoint(p)
-		states[i] = peerState{lastSeen: now, timeout: 3 * cfg.Interval}
-		h.state[p] = &states[i]
+		h.peers[i] = peerState{lastSeen: now, timeout: 3 * cfg.Interval}
+		h.state[p] = &h.peers[i]
 	}
-	return h
 }
 
 // Start arms the heartbeat sender on the network clock — the first beat
@@ -161,31 +190,20 @@ func NewHeartbeat(self simnet.ProcessID, ep *simnet.Endpoint, peers []simnet.Pro
 // the first beat waits for someone's wait on the clock.
 func (h *Heartbeat) Start() {
 	h.timer.Reset(h.interval)
-	h.ep.Handle(h.onMessage)
+	h.ep.Handle(h.recv)
 }
 
 // Stop terminates the sender: the next tick sends nothing and does not
 // re-arm. The handler stays on the endpoint until the process crashes or
 // the network is recycled; a heartbeat that still arrives only refreshes
 // state nobody reads.
-func (h *Heartbeat) Stop() {
-	h.stopOnce.Do(func() { close(h.stop) })
-}
-
-func (h *Heartbeat) stopped() bool {
-	select {
-	case <-h.stop:
-		return true
-	default:
-		return false
-	}
-}
+func (h *Heartbeat) Stop() { h.stopped.Store(true) }
 
 // Run is one tick of the sender (vclock.Runner: it runs on the clock's
 // pump and only sends): a beat to every peer, then the next tick one
 // interval on.
 func (h *Heartbeat) Run() {
-	if h.stopped() {
+	if h.stopped.Load() {
 		return
 	}
 	for _, to := range h.dests {

@@ -1,9 +1,9 @@
 // Package memo keeps values that are pure functions of a small key for the
-// life of the program. A sweep rebuilds every deployment per seed, and
-// parts of a deployment depend on its shape alone: a replica's process
-// names, a shard ring. A Table builds each such value once and hands the
-// same one to every later run, so per-seed set-up allocates none of it.
-// Only immutable values belong in a Table: every caller shares them.
+// life of the program. Parts of a deployment depend on its shape alone: a
+// replica's process names, a heartbeat's boxed payload, an account's name,
+// a shard ring. A Table builds each such value once and hands the same one
+// to every later run, fresh or recycled, so per-seed set-up allocates none
+// of it. Only immutable values belong in a Table: every caller shares them.
 package memo
 
 import "sync"

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"xability/internal/core"
 	"xability/internal/simnet"
 	"xability/internal/vclock"
 )
@@ -43,7 +44,11 @@ func TestReusedShardedNetworksBitEqualOutcomes(t *testing.T) {
 
 // assertReuseBitEqual runs seeds 1–5 of each scenario fresh and on one
 // scratch, and fails on any outcome that differs, or on a scratch that
-// built a second clock or network instead of recycling its first.
+// built a second clock, network or replica group instead of recycling its
+// first: every later seed must reset the same *core.Cluster, and the same
+// *core.Server at every index whose replica the seed's plan never
+// restarts (a restart builds a fresh incarnation mid-run, which the next
+// seed then resets in its place).
 func assertReuseBitEqual(t *testing.T, names []string) {
 	t.Helper()
 	for _, name := range names {
@@ -55,6 +60,8 @@ func assertReuseBitEqual(t *testing.T, names []string) {
 		// What seed 1 built and every later seed must recycle.
 		var clk *vclock.Virtual
 		var first *simnet.Network
+		var groups []*core.Cluster
+		var servers [][]*core.Server
 		for seed := int64(1); seed <= 5; seed++ {
 			fresh := Execute(sc, seed)
 			reused := execute(sc, seed, RunOptions{}, scratch)
@@ -63,6 +70,26 @@ func assertReuseBitEqual(t *testing.T, names []string) {
 			}
 			if scratch.clk != clk {
 				t.Errorf("%s seed %d: scratch built a new clock instead of rewinding its first", name, seed)
+			}
+			now := recycledGroups(scratch)
+			restarted := restartedBy(sc, seed)
+			for g, grp := range now {
+				if seed == 1 {
+					break
+				}
+				if g >= len(groups) || grp != groups[g] {
+					t.Errorf("%s seed %d: group %d is a new cluster, not the recycled one", name, seed, g)
+					continue
+				}
+				for i, srv := range grp.Servers {
+					if srv != servers[g][i] && !restarted[[2]int{g, i}] {
+						t.Errorf("%s seed %d: group %d replica %d never restarted, yet its server is not the recycled one", name, seed, g, i)
+					}
+				}
+			}
+			groups, servers = now, servers[:0]
+			for _, grp := range now {
+				servers = append(servers, append([]*core.Server(nil), grp.Servers...))
 			}
 			fresh.History, reused.History = nil, nil
 			if !reflect.DeepEqual(fresh, reused) {
@@ -73,7 +100,43 @@ func assertReuseBitEqual(t *testing.T, names []string) {
 		if scratch.nets[0] != first {
 			t.Errorf("%s: scratch abandoned its network (Reset failed); reuse never engaged", name)
 		}
+		if sc.Protocol == XAbility && len(groups) == 0 {
+			t.Errorf("%s: scratch kept no replica group to recycle", name)
+		}
 	}
+}
+
+// recycledGroups lists the replica groups a scratch keeps, in shard order
+// (none for a baseline).
+func recycledGroups(s *runScratch) []*core.Cluster {
+	if s.shards != nil {
+		groups := make([]*core.Cluster, s.shards.Shards())
+		for g := range groups {
+			groups[g] = s.shards.Group(g)
+		}
+		return groups
+	}
+	if s.group != nil {
+		return []*core.Cluster{s.group}
+	}
+	return nil
+}
+
+// restartedBy returns the (group, replica) pairs the seed's plan restarts.
+func restartedBy(sc Scenario, seed int64) map[[2]int]bool {
+	sc = sc.withDefaults().Materialize(seed)
+	out := make(map[[2]int]bool)
+	for _, op := range sc.Plan.Ops() {
+		if op.Kind != OpRestart {
+			continue
+		}
+		for g := 0; g < max(sc.Shards, 1); g++ {
+			if op.Shard == AllShards || op.Shard == g {
+				out[[2]int{g, op.Replica}] = true
+			}
+		}
+	}
+	return out
 }
 
 // TestSweepMatchesSingleRuns pins the same contract at the Sweep level:

@@ -12,6 +12,7 @@ import (
 	"xability/internal/env"
 	"xability/internal/event"
 	"xability/internal/obs"
+	"xability/internal/recycle"
 	"xability/internal/reduce"
 	"xability/internal/schedule"
 	"xability/internal/shard"
@@ -354,21 +355,26 @@ func ExecuteObserved(sc Scenario, seed int64, run *obs.Run) Outcome {
 	return Run(sc, seed, RunOptions{Obs: run})
 }
 
-// runScratch is a sweep worker's reusable substrate: the deployment's
-// clock, with its event and waiter pools, and its networks — one per
-// cluster, with their endpoints, interning tables, conds and event pools —
-// recycled across the worker's seeds (vclock.Virtual.Reset, then
-// simnet.Network.Reset onto the same clock) instead of allocating a fresh
-// world per run, and the checker every group's verdict runs on. The
-// protocol actors (servers, clients, machines, environment) are still
-// rebuilt per seed: they hold all run state, so reuse stays invisible to
-// outcomes — the sweep determinism tests pin bit-equal results against
-// fresh-world Execute runs. The checker holds no run state either: each
-// check overwrites its scratch.
+// runScratch is a sweep worker's reusable world: the deployment's clock,
+// with its event and waiter pools; its networks — one per cluster, with
+// their endpoints, interning tables, conds and event pools; its replica
+// groups — servers, machines, client, detectors, consensus, environment,
+// observer and stable storage — and their banks; and the checker every
+// group's verdict runs on. Each later seed rewinds the clock
+// (vclock.Virtual.Reset), resets the networks onto it
+// (simnet.Network.Reset) and the groups onto those (core.Cluster.Reset,
+// shard.Cluster.Reset) instead of allocating a fresh world per run. A
+// layer's Reset is its constructor's own path on recycled storage, so the
+// sweep determinism tests pin outcomes bit-equal to fresh-world Execute
+// runs. The checker holds no run state: each check overwrites its scratch.
+// A single run's scratch is empty, so it builds everything fresh.
 type runScratch struct {
-	clk   *vclock.Virtual
-	nets  []*simnet.Network
-	check verify.Checker
+	clk    *vclock.Virtual
+	nets   []*simnet.Network
+	group  *core.Cluster  // the single-group deployment
+	shards *shard.Cluster // the sharded one
+	banks  []*workload.Bank
+	check  verify.Checker
 }
 
 // clock returns the run's clock: a new one the first time, and after that
@@ -408,6 +414,41 @@ func (s *runScratch) take(base simnet.Config, n int, seedFor func(g int) int64) 
 		}
 	}
 	return s.nets
+}
+
+// replicaGroup returns the single-group deployment for cfg: the scratch's
+// group reset in place, or a new one the first time. Its clock is the one
+// clock just rewound, so a refused Reset is a bug, reported with the
+// clock's leak audit as take reports a network's.
+func (s *runScratch) replicaGroup(cfg core.ClusterConfig) *core.Cluster {
+	if s.group == nil {
+		s.group = core.NewCluster(cfg)
+	} else if !s.group.Reset(cfg) {
+		panic(fmt.Sprintf("scenario: the previous run left its clock running: %v", s.group.Clock().Stop()))
+	}
+	return s.group
+}
+
+// shardedGroups is replicaGroup for the sharded deployment.
+func (s *runScratch) shardedGroups(cfg shard.Config) *shard.Cluster {
+	if s.shards == nil {
+		s.shards = shard.New(cfg)
+	} else if !s.shards.Reset(cfg) {
+		panic(fmt.Sprintf("scenario: the previous run left its clock running: %v", s.shards.Clock().Stop()))
+	}
+	return s.shards
+}
+
+// bank returns group g's bank, reset to accounts at opening: the scratch's,
+// or a new one the first time.
+func (s *runScratch) bank(g, accounts, opening int) *workload.Bank {
+	s.banks = recycle.Len(s.banks, max(len(s.banks), g+1))
+	if s.banks[g] == nil {
+		s.banks[g] = workload.NewBank(accounts, opening)
+	} else {
+		s.banks[g].Reset(accounts, opening)
+	}
+	return s.banks[g]
 }
 
 // deployment is what one run stands up: a clock and the clusters on it.
@@ -459,8 +500,8 @@ type load struct {
 // groupConfig is the one place a scenario becomes a replica group's
 // configuration, for the single cluster and for the template the sharded
 // runtime builds every group from alike. Network stays unset: deploy hands
-// each cluster its own.
-func groupConfig(sc Scenario, seed int64, net simnet.Config, accounts int) core.ClusterConfig {
+// each cluster its own. setup registers the bodies over the group's bank.
+func groupConfig(sc Scenario, seed int64, net simnet.Config, setup func(*sm.Machine)) core.ClusterConfig {
 	return core.ClusterConfig{
 		Replicas:          sc.Replicas,
 		Seed:              seed,
@@ -469,7 +510,7 @@ func groupConfig(sc Scenario, seed int64, net simnet.Config, accounts int) core.
 		Detector:          sc.Detector,
 		HeartbeatInterval: sc.HeartbeatInterval,
 		Registry:          workload.Registry(),
-		Setup:             workload.NewBank(accounts, sc.Opening).Setup(),
+		Setup:             setup,
 		Batch:             sc.Batch,
 		Costs:             sc.Costs,
 		Durable:           sc.Durable,
@@ -479,14 +520,14 @@ func groupConfig(sc Scenario, seed int64, net simnet.Config, accounts int) core.
 	}
 }
 
-// deploy builds and starts the scenario's deployment on the clock and the
-// networks it takes from the scratch: a sweep worker's recycled ones, or
-// fresh ones for a single run, whose scratch is empty. Every run's world
-// and its clock begin in this function. Building only schedules: the
-// goroutines a cluster starts are spawn events and its timers armed
-// entries that wait for the driver's first blocking call, so nothing — a
-// heartbeat, a delivery, time itself — runs ahead of the build, and every
-// run begins at the same instant with the same world.
+// deploy builds and starts the scenario's deployment on the clock, the
+// networks and the replica groups it takes from the scratch: a sweep
+// worker's recycled ones, or fresh ones for a single run, whose scratch is
+// empty. Every run's world and its clock begin in this function. Building
+// only schedules: the goroutines a cluster starts are spawn events and its
+// timers armed entries that wait for the driver's first blocking call, so
+// nothing — a heartbeat, a delivery, time itself — runs ahead of the
+// build, and every run begins at the same instant with the same world.
 func deploy(sc Scenario, seed int64, l load, scratch *runScratch) *deployment {
 	d := &deployment{clk: scratch.clock()}
 	net := sc.Net
@@ -517,10 +558,10 @@ func deploy(sc Scenario, seed int64, l load, scratch *runScratch) *deployment {
 	case sharded:
 		// Every group owns its slice of the application state: its own bank.
 		accounts, opening := l.accounts, sc.Opening
-		d.router = shard.New(shard.Config{
+		d.router = scratch.shardedGroups(shard.Config{
 			Shards:   sc.Shards,
-			Group:    groupConfig(sc, seed, net, accounts),
-			Setup:    func(int) func(*sm.Machine) { return workload.NewBank(accounts, opening).Setup() },
+			Group:    groupConfig(sc, seed, net, nil),
+			Setup:    func(g int) func(*sm.Machine) { return scratch.bank(g, accounts, opening).Setup() },
 			Networks: nets,
 		})
 		d.members = make([]member, sc.Shards)
@@ -528,9 +569,9 @@ func deploy(sc Scenario, seed int64, l load, scratch *runScratch) *deployment {
 			d.members[s].group = d.router.Group(s)
 		}
 	default:
-		cfg := groupConfig(sc, seed, net, l.accounts)
+		cfg := groupConfig(sc, seed, net, scratch.bank(0, l.accounts, sc.Opening).Setup())
 		cfg.Network = nets[0]
-		d.members = []member{{group: core.NewCluster(cfg)}}
+		d.members = []member{{group: scratch.replicaGroup(cfg)}}
 	}
 	for i := range d.members {
 		m := &d.members[i]

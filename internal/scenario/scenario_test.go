@@ -9,6 +9,7 @@ import (
 	"xability/internal/action"
 	"xability/internal/core"
 	"xability/internal/simnet"
+	"xability/internal/workload"
 )
 
 func TestPlanBuilderAndString(t *testing.T) {
@@ -183,7 +184,7 @@ func TestGroupConfigCarriesEveryField(t *testing.T) {
 		WALCompact:        8,
 		Opening:           100,
 	}
-	cfg := reflect.ValueOf(groupConfig(sc, 7, simnet.Config{MaxDelay: time.Millisecond}, 4))
+	cfg := reflect.ValueOf(groupConfig(sc, 7, simnet.Config{MaxDelay: time.Millisecond}, workload.NewBank(4, sc.Opening).Setup()))
 	for i := 0; i < cfg.NumField(); i++ {
 		name := cfg.Type().Field(i).Name
 		_, elsewhere := filledElsewhere[name]

@@ -238,12 +238,13 @@ func SweepWithOptions(sc Scenario, seeds []int64, opts SweepOptions) VerdictDist
 		wg.Add(1)
 		go func() { //xvet:ok baregoroutine wall-side sweep worker: each seed's run builds (or recycles) its own virtual clock; the worker is outside them all
 			defer wg.Done()
-			// Each worker recycles one clock and its networks across its
-			// seeds (reset-and-rerun): the substrate — the clock's event
-			// and waiter pools, endpoints and their conds, interned
-			// process tables — survives between runs, the protocol actors
-			// are rebuilt per seed, and outcomes stay bit-equal to
-			// fresh-world runs (pinned by the determinism regressions).
+			// Each worker recycles one world across its seeds
+			// (reset-and-rerun): the clock with its event and waiter
+			// pools, the networks with their endpoints, conds and
+			// interned process tables, and the replica groups, each layer
+			// reset by its constructor's own path on the storage it kept.
+			// Outcomes stay bit-equal to fresh-world runs (pinned by the
+			// determinism regressions).
 			scratch := &runScratch{}
 			// One registry per worker, reset per seed: counters are read
 			// only through the per-run snapshot, so reuse is invisible.

@@ -3,6 +3,7 @@ package shard
 import (
 	"xability/internal/core"
 	"xability/internal/event"
+	"xability/internal/recycle"
 	"xability/internal/simnet"
 	"xability/internal/sm"
 	"xability/internal/vclock"
@@ -62,6 +63,17 @@ func GroupSeed(seed int64, s int64) int64 {
 // setup; nothing else. Like core.NewCluster it only schedules, so no group
 // runs ahead of the ones built after it.
 func New(cfg Config) *Cluster {
+	c := new(Cluster)
+	c.Reset(cfg)
+	return c
+}
+
+// Reset rebuilds c in place as the deployment New(cfg) builds, group s on
+// the one at index s (core.ResetGroups), and reports true. It refuses,
+// reporting false and changing nothing, unless the groups' clock is
+// Quiesced. The router is built afresh: it is two objects and the routing
+// log.
+func (c *Cluster) Reset(cfg Config) bool {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
@@ -69,8 +81,8 @@ func New(cfg Config) *Cluster {
 	if clk == nil {
 		clk = vclock.NewVirtual()
 	}
-	c := &Cluster{clk: clk, ring: NewRing(cfg.Shards, DefaultVNodes)}
-	for s := 0; s < cfg.Shards; s++ {
+	groups := recycle.Len(c.groups, cfg.Shards)
+	reset := core.ResetGroups(groups, func(s int) core.ClusterConfig {
 		g := cfg.Group
 		g.Seed = GroupSeed(cfg.Group.Seed, int64(s))
 		g.Net.Seed = g.Seed
@@ -82,10 +94,14 @@ func New(cfg Config) *Cluster {
 		if cfg.Setup != nil {
 			g.Setup = cfg.Setup(s)
 		}
-		c.groups = append(c.groups, core.NewCluster(g))
+		return g
+	})
+	if !reset {
+		return false
 	}
+	*c = Cluster{clk: clk, ring: NewRing(cfg.Shards, DefaultVNodes), groups: groups}
 	c.Router = newRouter(c.ring, c.groups, clk)
-	return c
+	return true
 }
 
 // Clock returns the deployment's shared clock.

@@ -21,6 +21,7 @@ import (
 	"xability/internal/action"
 	"xability/internal/env"
 	"xability/internal/event"
+	"xability/internal/recycle"
 	"xability/internal/xrand"
 )
 
@@ -67,11 +68,19 @@ type Machine struct {
 // replica's machine gets its own seed so replicas are independently
 // non-deterministic.
 func New(replica string, reg *action.Registry, e *env.Env, seed int64) *Machine {
-	return &Machine{
+	m := new(Machine)
+	m.Reset(replica, reg, e, seed)
+	return m
+}
+
+// Reset makes m the machine New builds, with no bodies registered, keeping
+// the storage of its handler table and its random stream.
+func (m *Machine) Reset(replica string, reg *action.Registry, e *env.Env, seed int64) {
+	*m = Machine{
 		reg:      reg,
 		env:      e,
-		handlers: make([]handler, reg.Len()),
-		ctx:      Ctx{Rand: xrand.New(seed), Replica: replica},
+		handlers: recycle.Len(recycle.Slice(m.handlers), reg.Len()),
+		ctx:      Ctx{Rand: xrand.Renew(m.ctx.Rand, seed), Replica: replica},
 	}
 }
 

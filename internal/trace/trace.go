@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"xability/internal/event"
+	"xability/internal/recycle"
 )
 
 // Observer collects events in observation order. It is safe for concurrent
@@ -22,7 +23,11 @@ type Observer struct {
 }
 
 // New returns an empty observer.
-func New() *Observer { return &Observer{} }
+func New() *Observer {
+	o := new(Observer)
+	o.Reset()
+	return o
+}
 
 // Observe appends e to the history.
 func (o *Observer) Observe(e event.Event) {
@@ -59,9 +64,10 @@ func (o *Observer) Len() int {
 	return len(o.events)
 }
 
-// Reset clears the history.
+// Reset clears the history and keeps its storage for the next one. History
+// hands out clones, so no snapshot shares the storage.
 func (o *Observer) Reset() {
 	o.mu.Lock()
-	o.events = nil
+	o.events = recycle.Slice(o.events)
 	o.mu.Unlock()
 }

@@ -74,8 +74,14 @@ func TestConcurrentObserversTotalOrder(t *testing.T) {
 func TestReset(t *testing.T) {
 	o := New()
 	o.Observe(event.S("a", "1"))
+	before := o.History()
 	o.Reset()
 	if o.Len() != 0 {
 		t.Error("reset did not clear")
+	}
+	// The storage is reused; a snapshot taken before the Reset is not.
+	o.Observe(event.S("b", "2"))
+	if len(before) != 1 || before[0].Action != "a" {
+		t.Errorf("a history taken before Reset changed to %v", before)
 	}
 }

@@ -489,8 +489,16 @@ type Timer struct {
 
 // NewTimer returns an unarmed Timer for r on the clock.
 func (v *Virtual) NewTimer(r Runner) *Timer {
-	return &Timer{v: v, r: r}
+	t := new(Timer)
+	v.InitTimer(t, r)
+	return t
 }
+
+// InitTimer initialises t in place as an unarmed Timer for r, as NewTimer
+// does, for a Timer embedded by value in the struct that owns r. Pending
+// expiries hold t's address, so t must not be copied or initialised again
+// while one may be left: a recycled owner does it on a Quiesced clock.
+func (v *Virtual) InitTimer(t *Timer, r Runner) { *t = Timer{v: v, r: r} }
 
 // Reset schedules r.Run after d, superseding any pending expiry. It may be
 // called from inside Run.

@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"xability/internal/obs"
+	"xability/internal/recycle"
 	"xability/internal/vclock"
 )
 
@@ -185,9 +186,12 @@ type Store struct {
 	clk *vclock.Virtual
 	cfg Config
 
-	mu             sync.Mutex
-	logs           map[string]*Log
-	names          []string // insertion-ordered log names, for deterministic iteration
+	mu   sync.Mutex
+	logs map[string]*Log
+	// order holds the logs in creation order, for deterministic iteration.
+	// Past its length it keeps the logs of the run before the last Reset,
+	// which Log reuses.
+	order          []*Log
 	appends        int
 	synced         time.Duration
 	compactions    int
@@ -199,7 +203,16 @@ type Store struct {
 
 // NewStore builds the deployment's stable storage on the given clock.
 func NewStore(clk *vclock.Virtual, cfg Config) *Store {
-	return &Store{clk: clk, cfg: cfg, logs: make(map[string]*Log)}
+	s := new(Store)
+	s.Reset(clk, cfg)
+	return s
+}
+
+// Reset makes s the empty store NewStore(clk, cfg) builds, keeping the
+// storage of its log table and its logs: Log hands them out again, emptied.
+// Nothing may use s or its logs meanwhile — their clock Quiesced.
+func (s *Store) Reset(clk *vclock.Virtual, cfg Config) {
+	*s = Store{clk: clk, cfg: cfg, logs: recycle.Map(s.logs, 0), order: s.order[:0]}
 }
 
 // Log returns the named process's log, creating it empty on first use.
@@ -210,9 +223,13 @@ func (s *Store) Log(proc string) *Log {
 	defer s.mu.Unlock()
 	l, ok := s.logs[proc]
 	if !ok {
-		l = &Log{store: s, proc: proc}
+		if n := len(s.order); n < cap(s.order) {
+			l = s.order[:n+1][n]
+		}
+		l = recycle.Ptr(l)
+		*l = Log{store: s, proc: proc, recs: recycle.Slice(l.recs)}
 		s.logs[proc] = l
-		s.names = append(s.names, proc)
+		s.order = append(s.order, l)
 	}
 	return l
 }
@@ -272,10 +289,9 @@ func (s *Store) Stats() Stats {
 		CompactedBytes:   s.compactedBytes,
 		TornRecords:      s.torn,
 	}
-	names := append([]string(nil), s.names...)
+	logs := append([]*Log(nil), s.order...)
 	s.mu.Unlock()
-	for _, name := range names {
-		l := s.Log(name)
+	for _, l := range logs {
 		l.mu.Lock()
 		st.LiveRecords += len(l.recs)
 		st.LiveBytes += recordsBytes(l.recs)

@@ -5,6 +5,8 @@ import (
 	"sync"
 
 	"xability/internal/action"
+	"xability/internal/memo"
+	"xability/internal/recycle"
 	"xability/internal/sm"
 )
 
@@ -14,16 +16,28 @@ import (
 type Bank struct {
 	mu      sync.Mutex
 	balance map[string]int
+	setup   func(m *sm.Machine) // Setup's result, built on its first call
 }
 
 // NewBank creates a bank whose accounts all start at the given balance.
 func NewBank(accounts, opening int) *Bank {
-	b := &Bank{balance: make(map[string]int, accounts)}
-	for i := 0; i < accounts; i++ {
-		b.balance[fmt.Sprintf("acct-%d", i)] = opening
-	}
+	b := new(Bank)
+	b.Reset(accounts, opening)
 	return b
 }
+
+// Reset makes b the bank NewBank builds, keeping the storage of its balance
+// table and the bodies Setup built: they are bound to b, not to its
+// balances. No body may run meanwhile.
+func (b *Bank) Reset(accounts, opening int) {
+	*b = Bank{balance: recycle.Map(b.balance, accounts), setup: b.setup}
+	for i := 0; i < accounts; i++ {
+		b.balance[accountNames.Get(i)] = opening
+	}
+}
+
+// accountNames holds account i's name, "acct-i", built once per program.
+var accountNames = memo.New(func(i int) string { return fmt.Sprintf("acct-%d", i) })
 
 // Balance reads an account.
 func (b *Bank) Balance(acct string) int {
@@ -45,9 +59,19 @@ func (b *Bank) Total() int {
 }
 
 // Setup returns the machine setup function registering the standard action
-// bodies over this bank. The bodies are built here, once per bank; every
-// replica's machine shares them.
+// bodies over this bank. The bodies are built on the first call, once per
+// bank; every replica's machine shares them, and so does every later call.
 func (b *Bank) Setup() func(m *sm.Machine) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.setup == nil {
+		b.setup = b.bodies()
+	}
+	return b.setup
+}
+
+// bodies builds the setup function Setup returns.
+func (b *Bank) bodies() func(m *sm.Machine) {
 	read := func(ctx *sm.Ctx) action.Value {
 		b.mu.Lock()
 		defer b.mu.Unlock()

@@ -73,6 +73,28 @@ func TestBankInvariants(t *testing.T) {
 	}
 }
 
+// TestBankResetIsNewBank pins Bank.Reset: the bank it leaves holds exactly
+// the accounts NewBank would open — none of the previous run's balances,
+// and no account a body created for an input outside the range — while the
+// bodies Setup built stay, bound to the same bank.
+func TestBankResetIsNewBank(t *testing.T) {
+	b := NewBank(4, 100)
+	b.Setup()
+	b.balance["acct-1"] -= 10
+	b.balance["acct"] = 5
+	b.Reset(2, 50)
+	if b.Total() != 100 || b.Balance("acct-0") != 50 || b.Balance("acct-1") != 50 {
+		t.Errorf("reset bank holds total %d, acct-0 %d, acct-1 %d; want 100, 50, 50",
+			b.Total(), b.Balance("acct-0"), b.Balance("acct-1"))
+	}
+	if b.Balance("acct-3") != 0 || b.Balance("acct") != 0 {
+		t.Error("reset bank kept an account of the previous run")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { b.Setup() }); allocs != 0 {
+		t.Errorf("Setup after Reset allocates %.0f objects: the bodies were dropped and built again", allocs)
+	}
+}
+
 func TestRegistryVocabulary(t *testing.T) {
 	reg := Registry()
 	if !reg.IsIdempotent("read") || !reg.IsIdempotent("token") {

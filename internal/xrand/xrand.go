@@ -47,9 +47,19 @@ func (s *source) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // New returns a stream seeded with seed. Equal seeds yield equal streams,
 // and Seed(s) on a used stream rewinds it to New(s) — what simnet.Reset
-// relies on when it re-seeds a network's delay stream for a sweep's next
+// and Renew rely on when they re-seed a recycled stream for a sweep's next
 // seed.
 func New(seed int64) *rand.Rand {
 	s := source(seed)
 	return rand.New(&s)
+}
+
+// Renew returns r rewound to New(seed), or New(seed) when r is nil: a
+// recycled stream is re-seeded in place, without allocating.
+func Renew(r *rand.Rand, seed int64) *rand.Rand {
+	if r == nil {
+		return New(seed)
+	}
+	r.Seed(seed)
+	return r
 }
