@@ -181,16 +181,16 @@ type requestState struct {
 	direct   bool           // this replica received the client's submit itself
 	queued   bool           // enqueued in this replica's pending batch or a known slot
 	doneSlot int            // slot that finished it (batched plane; -1 otherwise)
-	objs     []roundObjects // agreement objects of the rounds resultFixed has reached
+	objs     []roundObjects // agreement objects of the rounds a scan has reached
 	// objs' first backing array: a scan rarely reaches past round 3 (a
 	// takeover, then the undecided round after it), so the cache usually
 	// costs no allocation of its own.
 	objsBuf [3]roundObjects
 }
 
-// roundObjects is one round of a request's agreement arrays as resultFixed
-// reads them: the owner-agreement object and, once a scan has found the
-// owner decided, the result- or outcome-agreement object.
+// roundObjects is one round of a request's agreement arrays as the cleaner
+// and the watcher read them: the owner-agreement object and, once the
+// watcher has asked for it, the result- or outcome-agreement object.
 type roundObjects struct{ owner, result consensus.Object }
 
 // ServerConfig assembles a server's dependencies.
@@ -709,39 +709,28 @@ func (w *watcher) Run() {
 	s.clk.Go(func() { s.reply(id, client, res) })
 }
 
-// resultFixed scans the request's rounds, read-only, for a committed
-// result: the fixed value of an idempotent round, or the committed
-// outcome of an undoable one. Aborted rounds are skipped. Every path that
-// learns a result without driving a round reads it here — the submit
-// path's watcher and a restarted owner's resume. The agreement objects
-// come from st's cache
+// resultFixed reads the request's latest decided round, read-only, for a
+// committed result: the fixed value of an idempotent round, or the committed
+// outcome of an undoable one. Only the latest round can hold one: a round is
+// succeeded only after it fixes EmptyResult or abort. The submit path's
+// watcher is its one reader; every other reply of a decided round comes out
+// of resultCoordination. The agreement objects come from st's cache
 // (roundObjectsAt), so a request in flight costs the provider one lookup
-// per object however often it is scanned.
+// per object however often it is read.
 func (s *Server) resultFixed(st *requestState) (action.Value, bool) {
-	req := st.req
-	for r := 1; r <= MaxRound; r++ {
-		o := s.roundObjectsAt(st, r, nil)
-		if _, decided := o.owner.Read(); !decided {
-			return EmptyResult, false // no further rounds exist yet
+	r, _ := s.lastRequestOwner(st)
+	if r == 0 {
+		return EmptyResult, false
+	}
+	if s.mach.IsIdempotent(st.req) {
+		v, _ := s.roundObjectsAt(st, r, resultKey).result.Read()
+		if val, ok := v.(action.Value); ok && val != EmptyResult {
+			return val, true
 		}
-		if s.mach.IsIdempotent(req) {
-			if o.result == nil {
-				o = s.roundObjectsAt(st, r, resultKey)
-			}
-			if v, ok := o.result.Read(); ok {
-				if val, good := v.(action.Value); good && val != EmptyResult {
-					return val, true
-				}
-			}
-		} else if s.mach.IsUndoable(req) {
-			if o.result == nil {
-				o = s.roundObjectsAt(st, r, outcomeKey)
-			}
-			if v, ok := o.result.Read(); ok {
-				if dec, good := v.(outcomeDecision); good && dec.Outcome == "commit" {
-					return dec.Value, true
-				}
-			}
+	} else if s.mach.IsUndoable(st.req) {
+		v, _ := s.roundObjectsAt(st, r, outcomeKey).result.Read()
+		if dec, ok := v.(outcomeDecision); ok && dec.Outcome == "commit" {
+			return dec.Value, true
 		}
 	}
 	return EmptyResult, false
@@ -880,21 +869,38 @@ func (s *Server) cleanRequest(st *requestState) func() {
 	if lastRound == 0 {
 		return nil // nobody owns round 1 yet; the client's retry handles it
 	}
-	if od.Owner == s.id {
-		// A round we own but are not driving is a round our previous
-		// incarnation was driving when it crashed: the goroutine died, the
-		// WAL replay recovered the attempt record, and no other cleaner
-		// will ever touch it — correct detectors do not suspect a live,
-		// restarted replica. Resume it; a still-live execution is guarded
-		// by the in-flight mark.
-		return s.resumeOwnRound(st, od, lastRound)
+	if od.Owner != s.id {
+		if !s.det.Suspect(od.Owner) {
+			return nil
+		}
+		return func() {
+			s.m.Inc(obs.Takeovers)
+			s.tr.Instant(s.clk.Now(), string(s.id), "takeover", reqID)
+			s.cleanRound(st, od, lastRound)
+		}
 	}
-	if !s.det.Suspect(od.Owner) {
+	// A round we own but are not driving is a round our previous
+	// incarnation was driving when it crashed: the goroutine died, the WAL
+	// replay recovered the attempt record, and no other cleaner will ever
+	// touch it — correct detectors do not suspect a live, restarted
+	// replica. Resume it as its own cleaner would take it over; a
+	// still-live execution is guarded by the in-flight mark, which the
+	// resume claims until it is done.
+	bit := roundBit(lastRound)
+	s.mu.Lock()
+	driving := st.inflight&bit != 0
+	st.inflight |= bit
+	s.mu.Unlock()
+	if driving {
 		return nil
 	}
 	return func() {
-		s.m.Inc(obs.Takeovers)
-		s.tr.Instant(s.clk.Now(), string(s.id), "takeover", reqID)
+		s.tr.Instant(s.clk.Now(), string(s.id), "resume", reqID)
+		defer func() {
+			s.mu.Lock()
+			st.inflight &^= bit
+			s.mu.Unlock()
+		}()
 		s.cleanRound(st, od, lastRound)
 	}
 }
@@ -904,20 +910,19 @@ func (s *Server) cleanRequest(st *requestState) func() {
 // objects (roundObjectsAt): the latest decided round and its ownership
 // decision; round 0 when nobody owns round 1 yet.
 func (s *Server) lastRequestOwner(st *requestState) (round int, od ownerDecision) {
-	for r := 1; r <= MaxRound; r++ {
-		v, decided := s.roundObjectsAt(st, r, nil).owner.Read()
-		if !decided {
-			break
-		}
-		round, od = r, v.(ownerDecision)
-	}
-	return round, od
+	return lastDecided(func(r int) consensus.Object { return s.roundObjectsAt(st, r, nil).owner })
 }
 
 // lastOwner is lastRequestOwner for a slot ID, looked up in the provider.
 func (s *Server) lastOwner(id string) (round int, od ownerDecision) {
+	return lastDecided(func(r int) consensus.Object { return s.cons.Object(ownerKey(id, r)) })
+}
+
+// lastDecided scans owner-agreement objects from round 1 up to the first
+// undecided one and returns the last decided round and its decision.
+func lastDecided(owner func(r int) consensus.Object) (round int, od ownerDecision) {
 	for r := 1; r <= MaxRound; r++ {
-		v, decided := s.cons.Object(ownerKey(id, r)).Read()
+		v, decided := owner(r).Read()
 		if !decided {
 			break
 		}
@@ -931,7 +936,9 @@ func (s *Server) lastOwner(id string) (round int, od ownerDecision) {
 // EmptyResult, which prevents the round's owner from enforcing a result;
 // then, if none was fixed, drive the successor round as its owner, and
 // otherwise forward the fixed result — the owner may have crashed before
-// replying, and the client must terminate (R2).
+// replying, and the client must terminate (R2). Coordination runs a
+// decided commit before the result goes out, so a resume never re-executes
+// its round and never replies for a commit that did not run.
 func (s *Server) cleanRound(st *requestState, od ownerDecision, round int) {
 	res := s.resultCoordination(od.Req, round, EmptyResult)
 	if s.isStopped() {
@@ -942,56 +949,6 @@ func (s *Server) cleanRound(st *requestState, od ownerDecision, round int) {
 		return
 	}
 	s.reply(od.Req.ID, od.Client, res)
-}
-
-// resumeOwnRound settles a round this replica owns but has no live
-// goroutine for — the crash-recovery gap the write-ahead log alone cannot
-// close. Recovery restores the round-attempt record, but the executing
-// goroutine died with the old incarnation, and cleanRequest's takeover
-// path requires suspicion of the owner, which a live restarted replica
-// never draws. The resume acts as this round's own cleaner: forward a
-// result the quorum already fixed, or abort the round and drive a
-// successor — never re-execute the round itself (see the comment at the
-// coordination call below). The in-flight check is the cleaner's
-// decision: it returns nil while a live execution drives the round, and
-// otherwise marks the round and returns the resume as the step.
-func (s *Server) resumeOwnRound(st *requestState, od ownerDecision, round int) func() {
-	req, bit := od.Req, roundBit(round)
-	s.mu.Lock()
-	if st.inflight&bit != 0 {
-		s.mu.Unlock()
-		return nil // a live execution is driving this round
-	}
-	st.inflight |= bit
-	s.mu.Unlock()
-	return func() {
-		s.tr.Instant(s.clk.Now(), string(s.id), "resume", req.ID)
-		defer func() {
-			s.mu.Lock()
-			st.inflight &^= bit
-			s.mu.Unlock()
-		}()
-		// The crash may have hit between the outcome decision and the
-		// reply: forward a fixed result rather than re-driving the round.
-		if v, ok := s.resultFixed(st); ok {
-			s.reply(req.ID, od.Client, v)
-			return
-		}
-		// The crash may have hit anywhere between execution and the reply,
-		// and the local consensus state cannot tell: the old incarnation
-		// may have executed, proposed commit, and died in the narrow window
-		// before learning the decision — which the quorum then fixed and
-		// applied while this replica was down. Re-executing on local
-		// evidence would put a second completed execution of an
-		// already-committed round into the history, a duplicate the
-		// calculus cannot reduce (found by the restart-random-majority
-		// sweep, seed 114; pinned by the power-cycle sweeps). So resume
-		// cleans its own round instead: coordination in cleaning mode
-		// learns a fixed result if one exists — the reply then goes out —
-		// and otherwise aborts the round like any cleaner would, letting
-		// the successor round re-execute under a fresh tag.
-		s.cleanRound(st, od, round)
-	}
 }
 
 // resultCoordination is Figure 7's result-coordination: agreement on the

@@ -118,6 +118,11 @@ var removedNames = []struct {
 		why:     "a projection is a range of one buffer, laid out by request after the walk",
 		under:   "internal/reduce/",
 	},
+	{
+		pattern: `resumeOwnRound`,
+		pr:      41,
+		why:     "a decided round reaches the client only through cleanRound",
+	},
 }
 
 // TestRemovedNamesStayGone fails when a removed name reappears in Go
