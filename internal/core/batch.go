@@ -451,8 +451,9 @@ func (s *Server) slotCoordination(n, round int, batch []SubmitPayload, fresh []b
 // Replies: the committing owner answers every member's client; a
 // non-owner answers only members whose submit it received directly —
 // that is exactly the replica a client may be awaiting, which closes the
-// black-holed-reply liveness hole without per-request watcher goroutines
-// (the batched plane's analogue of awaitFixed).
+// black-holed-reply liveness hole where the slot is applied, with no
+// per-request look in the cleaner's pass (the batched plane's analogue of
+// Server.owe).
 func (s *Server) applySlot(n int, batch []SubmitPayload, vals []action.Value, owner bool) {
 	for i, m := range batch {
 		if firstIndex(batch, i) >= 0 {

@@ -23,10 +23,12 @@
 //     owner-agreement array; here servers broadcast an announce message on
 //     first sight of a request so every cleaner knows which instances to
 //     read.
-//   - Cleaner re-reply: when the cleaner finds a suspected owner whose
-//     round already fixed a result, it forwards that result to the client —
-//     without this, an owner crashing between deciding and replying would
-//     leave the client waiting forever and R2 would not hold.
+//   - Cleaner re-reply: the cleaner forwards a fixed result to the client
+//     after taking over a suspected owner's round, and from a live owner's
+//     round when this replica accepted the client's submit but could not
+//     answer it — without this, an owner crashing between deciding and
+//     replying, or a reply black-holed by the link plane, would leave the
+//     client waiting forever and R2 would not hold.
 //   - Round tagging: undoable executions and their cancel/commit actions
 //     carry (request ID, round) in their event values, so a cancellation
 //     for round n cannot cancel round n+1 (§5.4); idempotent executions
@@ -177,7 +179,7 @@ type requestState struct {
 	// working".
 	rounds   uint64 //xvet:durable
 	inflight uint64
-	watching bool           // an awaitFixed watcher is already running here
+	owed     bool           // this replica accepted the client's submit and did not answer it
 	direct   bool           // this replica received the client's submit itself
 	queued   bool           // enqueued in this replica's pending batch or a known slot
 	doneSlot int            // slot that finished it (batched plane; -1 otherwise)
@@ -189,8 +191,8 @@ type requestState struct {
 }
 
 // roundObjects is one round of a request's agreement arrays as the cleaner
-// and the watcher read them: the owner-agreement object and, once the
-// watcher has asked for it, the result- or outcome-agreement object.
+// reads them: the owner-agreement object and, once an owed client's answer
+// has asked for it, the result- or outcome-agreement object.
 type roundObjects struct{ owner, result consensus.Object }
 
 // ServerConfig assembles a server's dependencies.
@@ -531,15 +533,7 @@ func (s *Server) submitted(st *requestState, p SubmitPayload, first bool) {
 	// blocks in Propose, the vCPU and the WAL.
 	s.clk.Go(func() {
 		if !s.processRequest(st, p.Req, 1, p.Client) {
-			// This replica accepted the submission but did not answer it
-			// — it lost the ownership race, or the round guard suppressed
-			// a re-attempt. The original owner's reply may be black-holed
-			// by the link plane, and the cleaner only re-replies while
-			// that owner is *suspected*; without a watcher the client can
-			// await an unsuspected, already-answered replica forever
-			// (found by the seeded random fault generator). Replies are
-			// idempotent, so forwarding the fixed result is always safe.
-			s.awaitFixed(p.Req, p.Client)
+			s.owe(st)
 		}
 	})
 }
@@ -575,8 +569,8 @@ func roundBit(r int) uint64 { return 1 << (r - 1) }
 
 // processRequest is Figure 6's process-request for st's request: propose
 // ownership of the round; the winner executes, coordinates the result, and
-// replies. It reports whether it sent the client a result itself — callers
-// on the submit path fall back to awaitFixed when it did not.
+// replies. It reports whether it sent the client a result itself — on the
+// submit path this replica owes the client a reply when it did not (owe).
 func (s *Server) processRequest(st *requestState, req action.Request, round int, client simnet.ProcessID) bool {
 	if s.isStopped() || round > MaxRound {
 		return false
@@ -637,103 +631,75 @@ func (s *Server) processRequest(st *requestState, req action.Request, round int,
 	return false
 }
 
-// awaitFixed watches a request this replica accepted but could not answer
-// (lost ownership race, or the round guard suppressed a duplicate
-// attempt) and forwards the result once some round fixes one. Without it
-// there is a liveness hole: the owning replica's reply can be black-holed
-// by the link plane, and once suspicion of that owner has recovered the
-// cleaner's re-reply path never fires again — the client then awaits an
-// unsuspected replica that will never speak. The first look runs here, on
-// the caller's goroutine; later looks are ticks of a timer at the
-// cleaner's period (watcher). Under the model's assumptions some round
-// eventually fixes a result (owners execute until success; aborted rounds
-// are always succeeded by the aborting cleaner), so the watch terminates.
-func (s *Server) awaitFixed(req action.Request, client simnet.ProcessID) {
+// owe records that this replica owes st's client a reply: it accepted the
+// submit but did not answer it — it lost the ownership race, the round
+// guard suppressed a re-attempt, or its round was cut off. The owner's
+// reply may be black-holed by the link plane, and a takeover fires only
+// while that owner is suspected; unanswered, the client can await an
+// unsuspected, already-answered replica forever (found by the seeded random
+// fault generator). The first look runs here, on the submit goroutine;
+// every later one is a decision of the cleaner's pass (cleanRequest).
+func (s *Server) owe(st *requestState) {
 	s.mu.Lock()
-	st := s.active[req.ID]
-	if st == nil || st.watching {
-		s.mu.Unlock()
-		return
-	}
-	st.watching = true
+	st.owed = true
 	s.mu.Unlock()
-	w := &watcher{s: s, st: st, client: client}
-	w.timer = s.clk.NewTimer(w)
-	if res, ok := w.look(); ok {
-		s.reply(req.ID, client, res)
+	if r, od := s.lastRequestOwner(st); r > 0 && s.ownerLive(st, r, od) {
+		if step := s.answer(st, r); step != nil {
+			step()
+		}
 	}
 }
 
-// watcher is awaitFixed's watch over one request after its first look: a
-// vclock.Timer whose ticks, one cleanInterval apart, run on the clock's
-// pump.
-type watcher struct {
-	s      *Server
-	st     *requestState
-	client simnet.ProcessID
-	timer  *vclock.Timer
-}
-
-// look is one look at the request: the result, once some round fixed one;
-// otherwise it arms the next look. A stopped server looks no more.
-func (w *watcher) look() (action.Value, bool) {
-	s, st := w.s, w.st
-	if s.isStopped() {
-		return EmptyResult, false
+// ownerLive reports whether round r's owner, decided in od, is live as this
+// replica sees it: another replica it does not suspect, or its own
+// execution, still in flight. Only a live owner's round is answered from
+// the agreement arrays; every other decided round goes through cleanRound,
+// which runs a decided commit before it replies.
+func (s *Server) ownerLive(st *requestState, r int, od ownerDecision) bool {
+	if od.Owner != s.id {
+		return !s.det.Suspect(od.Owner)
 	}
 	s.mu.Lock()
-	done, res := st.done, st.result
+	defer s.mu.Unlock()
+	return st.inflight&roundBit(r) != 0
+}
+
+// answer forwards to a client this replica owes the result fixed by round
+// r, the request's latest decided round, whose owner is live: the fixed
+// value of an idempotent round, or the committed outcome of an undoable
+// one. Only the latest round can hold one: a round is succeeded only after
+// it fixes EmptyResult or abort. The live owner runs its own commit. A
+// request nobody owes costs one look at its flag. Without a log the reply
+// goes out inline; with one, finish persists it first and may sleep the
+// sync tariff, so answer returns the reply as a step. The agreement objects
+// come from st's cache (roundObjectsAt), so a request in flight costs the
+// provider one lookup per object however often it is read.
+func (s *Server) answer(st *requestState, r int) func() {
+	s.mu.Lock()
+	owed := st.owed && !st.done && !s.stopped
 	s.mu.Unlock()
-	if !done {
-		res, done = s.resultFixed(st)
+	if !owed {
+		return nil
 	}
-	if !done {
-		w.timer.Reset(cleanInterval)
-	}
-	return res, done
-}
-
-// Run is a later look (vclock.Runner). A found result is replied inline
-// when the reply cannot block; with a log, finish persists it first and
-// may sleep the sync tariff, so the reply gets a goroutine of its own.
-func (w *watcher) Run() {
-	res, ok := w.look()
-	if !ok {
-		return
-	}
-	s, id, client := w.s, w.st.req.ID, w.client
-	if s.log == nil {
-		s.reply(id, client, res)
-		return
-	}
-	s.clk.Go(func() { s.reply(id, client, res) })
-}
-
-// resultFixed reads the request's latest decided round, read-only, for a
-// committed result: the fixed value of an idempotent round, or the committed
-// outcome of an undoable one. Only the latest round can hold one: a round is
-// succeeded only after it fixes EmptyResult or abort. The submit path's
-// watcher is its one reader; every other reply of a decided round comes out
-// of resultCoordination. The agreement objects come from st's cache
-// (roundObjectsAt), so a request in flight costs the provider one lookup
-// per object however often it is read.
-func (s *Server) resultFixed(st *requestState) (action.Value, bool) {
-	r, _ := s.lastRequestOwner(st)
-	if r == 0 {
-		return EmptyResult, false
-	}
+	var res action.Value
+	fixed := false
 	if s.mach.IsIdempotent(st.req) {
 		v, _ := s.roundObjectsAt(st, r, resultKey).result.Read()
-		if val, ok := v.(action.Value); ok && val != EmptyResult {
-			return val, true
-		}
+		res, fixed = v.(action.Value)
+		fixed = fixed && res != EmptyResult
 	} else if s.mach.IsUndoable(st.req) {
 		v, _ := s.roundObjectsAt(st, r, outcomeKey).result.Read()
-		if dec, ok := v.(outcomeDecision); ok && dec.Outcome == "commit" {
-			return dec.Value, true
-		}
+		dec, ok := v.(outcomeDecision)
+		res, fixed = dec.Value, ok && dec.Outcome == "commit"
 	}
-	return EmptyResult, false
+	if !fixed {
+		return nil
+	}
+	if s.log == nil {
+		s.reply(st.req.ID, st.client, res)
+		return nil
+	}
+	return func() { s.reply(st.req.ID, st.client, res) }
 }
 
 // roundObjectsAt returns st's round-r agreement objects, looking each up in
@@ -761,7 +727,8 @@ func (s *Server) roundObjectsAt(st *requestState, r int, key func(string, int) c
 // this replica knows (or, batched, over the first unapplied slot): when
 // the owner of a request's latest round is suspected, neutralize that
 // round (cleaning-mode result coordination) and, if no result was fixed,
-// start the next round as its owner.
+// start the next round as its owner; when the owner is live, answer a
+// client this replica owes from the round's fixed result.
 type cleaner struct {
 	s     *Server
 	timer vclock.Timer
@@ -770,12 +737,13 @@ type cleaner struct {
 }
 
 // Run is one tick, on the clock's pump. The pass's decisions read
-// agreement arrays and ask the detector — nothing that blocks — so they
-// run inline. At the first step that may block (a propose, a resume, a
-// takeover) the tick spawns one goroutine, which takes the step, finishes
-// the pass and re-arms; a pass with nothing to do re-arms here. The pump
-// has one runnable unit throughout either way, so both paths push the
-// same events in the same order.
+// agreement arrays, ask the detector and send in-memory replies — nothing
+// that blocks — so they run inline. At the first step that may block (a
+// propose, a resume, a takeover, a reply persisted first) the tick spawns
+// one goroutine, which takes the step, finishes the pass and re-arms; a
+// pass with nothing to do re-arms here. The pump has one runnable unit
+// throughout either way, so both paths push the same events in the same
+// order.
 func (c *cleaner) Run() {
 	s := c.s
 	if s.isStopped() {
@@ -869,10 +837,10 @@ func (s *Server) cleanRequest(st *requestState) func() {
 	if lastRound == 0 {
 		return nil // nobody owns round 1 yet; the client's retry handles it
 	}
+	if s.ownerLive(st, lastRound, od) {
+		return s.answer(st, lastRound)
+	}
 	if od.Owner != s.id {
-		if !s.det.Suspect(od.Owner) {
-			return nil
-		}
 		return func() {
 			s.m.Inc(obs.Takeovers)
 			s.tr.Instant(s.clk.Now(), string(s.id), "takeover", reqID)
@@ -883,9 +851,9 @@ func (s *Server) cleanRequest(st *requestState) func() {
 	// incarnation was driving when it crashed: the goroutine died, the WAL
 	// replay recovered the attempt record, and no other cleaner will ever
 	// touch it — correct detectors do not suspect a live, restarted
-	// replica. Resume it as its own cleaner would take it over; a
-	// still-live execution is guarded by the in-flight mark, which the
-	// resume claims until it is done.
+	// replica. Resume it as its own cleaner would take it over, claiming
+	// the in-flight mark until it is done; an execution that took the mark
+	// since ownerLive looked keeps the round.
 	bit := roundBit(lastRound)
 	s.mu.Lock()
 	driving := st.inflight&bit != 0

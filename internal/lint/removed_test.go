@@ -123,6 +123,11 @@ var removedNames = []struct {
 		pr:      41,
 		why:     "a decided round reaches the client only through cleanRound",
 	},
+	{
+		pattern: `awaitFixed|type watcher\b|\*watcher\b|watcher\{`,
+		pr:      43,
+		why:     "an owed client is answered from the cleaner's pass, only from a live owner's round",
+	},
 }
 
 // TestRemovedNamesStayGone fails when a removed name reappears in Go

@@ -7,16 +7,16 @@ import (
 	"xability/internal/simnet"
 )
 
-// TestLostReplyResubmissionAnswered pins the submit-path watcher
-// (core.Server.awaitFixed) against the liveness hole the seeded random
+// TestLostReplyResubmissionAnswered pins the answer a replica owes a
+// client (core.Server.owe) against the liveness hole the seeded random
 // fault generator found: the round owner's reply to the client is
 // black-holed by the link plane, a transient client-side suspicion makes
 // the client fail over and resubmit to a non-owner — which loses the
 // round-1 ownership race — and by the time the owner's result is fixed,
-// nobody suspects the owner, so the cleaner's re-reply path never fires.
-// The resubmitted-to replica must watch the request's consensus state and
-// forward the fixed result itself; without that the client awaits an
-// unsuspected, silent replica forever.
+// nobody suspects the owner, so no takeover ever fires. The
+// resubmitted-to replica owes the client a reply: its cleaner's pass must
+// read the live owner's round and forward the fixed result itself;
+// without that the client awaits an unsuspected, silent replica forever.
 func TestLostReplyResubmissionAnswered(t *testing.T) {
 	r0 := simnet.ProcessID("replica-0")
 	sc := Scenario{
@@ -30,7 +30,7 @@ func TestLostReplyResubmissionAnswered(t *testing.T) {
 			UnsuspectAt(2*time.Millisecond, r0).
 			HealAt(8 * time.Millisecond),
 		Settle: 20 * time.Millisecond,
-		// Fail fast instead of hanging the test if the watcher regresses.
+		// Fail fast instead of hanging the test if the owed answer regresses.
 		Deadline: 200 * time.Millisecond,
 	}
 	for seed := int64(1); seed <= 10; seed++ {

@@ -6,15 +6,20 @@ import (
 	"testing"
 )
 
-// TestCommittedArtifactsReplayXAble replays the two committed shrink
-// artifacts of the durable plane's resume defect: in each, a restarted
-// owner replied for a round decided commit whose commit never ran. The
-// minimal schedules still drive the owner through that window, and the
-// resume now runs the commit in result coordination before replying.
+// TestCommittedArtifactsReplayXAble replays the committed shrink
+// artifacts of a reply for a round decided commit whose commit never ran.
+// In the two durable ones (seeds 451 and 751) a restarted owner resumed
+// its round and replied; the resume now runs the commit in result
+// coordination before replying. In random-faults seed 2364 (13 fault ops
+// cut to 8 within the default step budget, not verified 1-minimal) the
+// owner of the committed round crashes and both other replicas, which owe
+// the client a reply, forwarded the result while suspecting it; they now
+// leave that round to the takeover, whose result coordination commits.
 func TestCommittedArtifactsReplayXAble(t *testing.T) {
 	for _, name := range []string{
 		"restart_random_seed451.shrink.json",
 		"restart_random_total_seed751.shrink.json",
+		"random_faults_seed2364.shrink.json",
 	} {
 		f, err := os.Open(filepath.Join("testdata", name))
 		if err != nil {
