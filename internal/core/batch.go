@@ -27,6 +27,12 @@
 // is unchanged — per member. Idempotent members carry round 0 and collapse
 // across rounds under rule 18.
 //
+// Slots apply in order at every replica. The owner applies its round after
+// running its commits; every other apply is a decision of the cleaner's
+// pass (cleanSlot), under the request plane's live-owner rule: a live
+// owner's committed round is applied as read, and any other decided round
+// is cleaned first, so its commit runs before any reply goes out.
+//
 // Exactly-once across slots: a member can be batched twice (a client retry
 // landing at a second replica while the first replica's slot is still in
 // flight). Slots execute in order, so when slot n executes, the requests
@@ -47,9 +53,9 @@ import (
 
 // BatchConfig tunes the batched/pipelined plane. The zero value disables
 // it entirely (the per-request protocol runs unchanged). Enabled, each
-// server gains the batcher and the follower — Runners on the clock's
-// pump, with no goroutine of their own — and one goroutine per slot it
-// claims (runSlot).
+// server gains the batcher — a Runner on the clock's pump, with no
+// goroutine of its own — and one goroutine per slot it claims (runSlot);
+// its cleaner's pass walks the slot log instead of the request table.
 type BatchConfig struct {
 	// Enabled switches the plane on.
 	Enabled bool
@@ -93,8 +99,8 @@ type slotOutcome struct {
 // namespace disjoint from client request IDs ("<client>-<seq>").
 func slotID(n int) string { return "slot#" + strconv.Itoa(n) }
 
-// slotState is a replica's view of the slot log, and the two Runners that
-// work it on the clock's pump.
+// slotState is a replica's view of the slot log, and the batcher that
+// extends it on the clock's pump.
 type slotState struct {
 	mu   sync.Mutex
 	cond *vclock.Cond
@@ -104,18 +110,21 @@ type slotState struct {
 	known    int             // lowest slot index not known decided elsewhere
 	execNext int             // first slot not yet applied locally
 	inflight int             // slots claimed here and not yet resolved
-	// rounds holds, by slot index, the rounds of the slot this replica has
-	// attempted (bits as requestState.rounds), under the server's mu. Not
-	// durable: the batched plane is an in-memory baseline, restart is
-	// unsupported there.
-	rounds map[int]uint64
+	// rounds holds, by slot index, the slot's round guards, under the
+	// server's mu. Not durable: the batched plane is an in-memory
+	// baseline, restart is unsupported there.
+	rounds map[int]slotRounds
 
-	batcher  slotBatcher
-	follower slotFollower
+	batcher slotBatcher
 }
 
+// slotRounds is one slot's round guards, bits as requestState's: the
+// rounds this replica has attempted, and those it is driving — a runSlot
+// that owns the round, or the cleaner's resume that claimed it.
+type slotRounds struct{ attempted, driving uint64 }
+
 func newSlotState(s *Server) *slotState {
-	ss := &slotState{batcher: slotBatcher{s: s}, follower: slotFollower{s: s}, rounds: make(map[int]uint64)}
+	ss := &slotState{batcher: slotBatcher{s: s}, rounds: make(map[int]slotRounds)}
 	ss.cond = s.clk.NewCond(&ss.mu)
 	return ss
 }
@@ -266,11 +275,13 @@ func (s *Server) runSlot(n, round int, batch []SubmitPayload) {
 	}
 	bit := roundBit(round)
 	s.mu.Lock()
-	if s.slots.rounds[n]&bit != 0 {
+	sr := s.slots.rounds[n]
+	if sr.attempted&bit != 0 {
 		s.mu.Unlock()
 		return
 	}
-	s.slots.rounds[n] |= bit
+	sr.attempted |= bit
+	s.slots.rounds[n] = sr
 	s.mu.Unlock()
 	key := ownerKey(slotID(n), round)
 
@@ -282,11 +293,14 @@ func (s *Server) runSlot(n, round int, batch []SubmitPayload) {
 	if od.Owner != s.id {
 		// Lost the log-index race. Members of our proposal absent from the
 		// winning batch go back to pending for the next slot; the winner's
-		// slot is watched by the follower and the cleaner.
+		// slot is the cleaner's to apply or clean.
 		s.noteKnown(n + 1)
 		s.requeueMissing(batch, od.Batch)
 		return
 	}
+	// Mark the round driven, so the cleaner's walk leaves it to us.
+	s.claimSlotRound(n, bit)
+	defer s.releaseSlotRound(n, bit)
 
 	// In-order execution gate: effects commit in slot order, so we execute
 	// only once every earlier slot has been applied locally.
@@ -295,7 +309,6 @@ func (s *Server) runSlot(n, round int, batch []SubmitPayload) {
 	}
 
 	vals := make([]action.Value, len(od.Batch))
-	fresh := make([]bool, len(od.Batch))
 	for i, m := range od.Batch {
 		if j := firstIndex(od.Batch, i); j >= 0 {
 			vals[i] = vals[j] // duplicate within the batch
@@ -310,10 +323,9 @@ func (s *Server) runSlot(n, round int, batch []SubmitPayload) {
 			return // crashed mid-execution
 		}
 		vals[i] = res
-		fresh[i] = true
 	}
 
-	out := s.slotCoordination(n, round, od.Batch, fresh, slotOutcome{Outcome: "commit", Values: vals})
+	out := s.slotCoordination(n, round, od.Batch, slotOutcome{Outcome: "commit", Values: vals})
 	if out.Outcome == "commit" && !s.isStopped() {
 		s.applySlot(n, od.Batch, out.Values, true)
 	}
@@ -397,11 +409,12 @@ func (s *Server) waitExec(n int) bool {
 // decided abort every undoable member this round may have executed is
 // cancelled under the round's tag — at the losing owner and at the
 // aborting cleaner alike, mirroring the per-request plane. On a decided
-// commit the undoable members executed this round get their commit action;
-// fresh tells which those are (nil means "assume all non-duplicate
-// members", the cleaner's conservative view — safe because a commit
-// decision proves the owner executed every fresh member this round).
-func (s *Server) slotCoordination(n, round int, batch []SubmitPayload, fresh []bool, proposal slotOutcome) slotOutcome {
+// commit the undoable members executed this round get their commit
+// action: each first occurrence not finished by a slot before n, the
+// members the owner executed — a commit decision proves it executed them
+// all. Callers have applied every slot before n, so the set is the same
+// at the owner and at a cleaner.
+func (s *Server) slotCoordination(n, round int, batch []SubmitPayload, proposal slotOutcome) slotOutcome {
 	decided := s.propose(outcomeKey(slotID(n), round), proposal)
 	out, ok := decided.(slotOutcome)
 	if !ok {
@@ -423,22 +436,14 @@ func (s *Server) slotCoordination(n, round int, batch []SubmitPayload, fresh []b
 		return out
 	}
 	for i, m := range batch {
-		if !s.mach.IsUndoable(m.Req) {
+		if !s.mach.IsUndoable(m.Req) || firstIndex(batch, i) >= 0 {
 			continue
 		}
-		isFresh := fresh == nil && firstIndex(batch, i) < 0
-		if fresh != nil {
-			isFresh = fresh[i]
+		if _, done := s.finishedBefore(m.Req.ID, n); done {
+			continue
 		}
-		if fresh == nil {
-			if _, done := s.finishedBefore(m.Req.ID, n); done {
-				isFresh = false
-			}
-		}
-		if isFresh {
-			commit, _ := s.mach.Commit(s.taggedFor(m.Req, round))
-			s.executeUntilSuccess(commit)
-		}
+		commit, _ := s.mach.Commit(s.taggedFor(m.Req, round))
+		s.executeUntilSuccess(commit)
 	}
 	return out
 }
@@ -446,18 +451,21 @@ func (s *Server) slotCoordination(n, round int, batch []SubmitPayload, fresh []b
 // applySlot folds a committed slot into the local replica in slot order:
 // record the result of each first-occurrence member not finished by an
 // earlier slot for re-submissions, reply, and open the gate for the next
-// slot.
+// slot. Only a round whose commit has run here or at a live owner is
+// applied: by runSlot after its commits, by the cleaner after it ran a
+// decided commit itself, or by the cleaner's walk from a live owner's
+// committed round.
 //
-// Replies: the committing owner answers every member's client; a
-// non-owner answers only members whose submit it received directly —
-// that is exactly the replica a client may be awaiting, which closes the
-// black-holed-reply liveness hole where the slot is applied, with no
-// per-request look in the cleaner's pass (the batched plane's analogue of
-// Server.owe).
-func (s *Server) applySlot(n int, batch []SubmitPayload, vals []action.Value, owner bool) {
+// Replies: with all set — the owner, or a cleaner that ran the commit —
+// every member's client is answered; otherwise only members whose submit
+// this replica received directly. That is exactly the replica a client
+// may be awaiting, so a reply the owner's link black-holed still arrives,
+// from a live owner's round only, as Server.owe delivers one on the
+// request plane.
+func (s *Server) applySlot(n int, batch []SubmitPayload, vals []action.Value, all bool) {
 	for i, m := range batch {
 		if firstIndex(batch, i) >= 0 {
-			if owner {
+			if all {
 				s.ep.Send(m.Client, MsgResult, ResultPayload{ReqID: m.Req.ID, Value: vals[i]})
 			}
 			continue
@@ -472,7 +480,7 @@ func (s *Server) applySlot(n int, batch []SubmitPayload, vals []action.Value, ow
 		}
 		direct := st.direct
 		s.mu.Unlock()
-		if owner || direct {
+		if all || direct {
 			s.ep.Send(m.Client, MsgResult, ResultPayload{ReqID: m.Req.ID, Value: vals[i]})
 		}
 	}
@@ -488,105 +496,87 @@ func (s *Server) applySlot(n int, batch []SubmitPayload, vals []action.Value, ow
 	ss.cond.Broadcast()
 }
 
-// slotFollower advances the local slot log through slots decided
-// elsewhere, a Runner on the clock's pump: poll the consensus arrays for
-// the first unapplied slot, and once some round of it commits, apply it in
-// order; with nothing to apply, wait on the slot cond for an apply or a
-// claim, or cleanInterval. Owners apply their own slots directly; the
-// follower is how the other replicas' re-reply state keeps up, and how a
-// stalled client's replica learns results it did not compute (the batched
-// plane has no per-request announce gossip).
-type slotFollower struct{ s *Server }
-
-// Run implements vclock.Runner.
-func (f *slotFollower) Run() {
-	s := f.s
-	for !s.isStopped() {
-		if !s.advanceSlot() {
-			ss := s.slots
-			ss.mu.Lock()
-			ss.cond.WaitRunner(cleanInterval, f)
-			ss.mu.Unlock()
-			return
-		}
-	}
-}
-
-// advanceSlot tries to apply the first unapplied slot; reports whether it
-// advanced the gate.
-func (s *Server) advanceSlot() bool {
-	ss := s.slots
-	ss.mu.Lock()
-	n := ss.execNext
-	ss.mu.Unlock()
-
-	id := slotID(n)
-	for r := 1; r <= MaxRound; r++ {
-		ov, decided := s.cons.Object(ownerKey(id, r)).Read()
-		if !decided {
-			return false // slot n has no round r (yet)
-		}
-		out, ok := s.cons.Object(outcomeKey(id, r)).Read()
-		if !ok {
-			return false // round r unresolved; commit/abort pending
-		}
-		so, good := out.(slotOutcome)
-		if !good {
-			return false
-		}
-		if so.Outcome != "commit" {
-			continue // aborted round; a later round re-runs the batch
-		}
-		od, good := ov.(ownerDecision)
-		if !good {
-			return false
-		}
-		ss.mu.Lock()
-		stale := ss.execNext != n
-		ss.mu.Unlock()
-		if !stale {
-			s.applySlot(n, od.Batch, so.Values, false)
-		}
-		return true
-	}
-	return false
-}
-
-// cleanSlot is the cleaner's batched-plane decision: watch the first
-// unapplied slot only — in-order execution means only it gates progress —
-// and when the latest round's owner is suspected, return the takeover:
-// neutralize that round (cleaning-mode abort) and run the next round of
-// the same batch as owner. Nil means there is nothing to do.
+// cleanSlot is the cleaner's batched-plane decision, a walk of the slot
+// log from the first unapplied slot — in-order execution means only it
+// gates progress — reading each slot's latest decided round as
+// cleanRequest reads a request's:
+//   - another replica's round that this one does not suspect is its
+//     live owner's: once it commits the slot is applied here and the walk
+//     moves on, until then the walk stops;
+//   - a round this replica owns and runSlot is still driving is left to
+//     runSlot, which applies after its commits;
+//   - any other decided round — a suspected owner's, or one of this
+//     replica's own that nothing drives any more — is the step returned:
+//     cleaning-mode coordination, which runs a decided commit before the
+//     apply answers every member's client, or else the next round of the
+//     same batch. An own round is claimed through its driving bit first.
+//
+// Nil means there is nothing to do.
 func (s *Server) cleanSlot() func() {
 	ss := s.slots
-	ss.mu.Lock()
-	n := ss.execNext
-	ss.mu.Unlock()
-
-	id := slotID(n)
-	lastRound, od := s.lastOwner(id)
-	if lastRound == 0 {
-		return nil // no such slot yet; nothing to clean
-	}
-	if out, ok := s.cons.Object(outcomeKey(id, lastRound)).Read(); ok {
-		if so, good := out.(slotOutcome); good && so.Outcome == "commit" {
-			return nil // resolved; the follower applies and re-replies
+	for {
+		ss.mu.Lock()
+		n := ss.execNext
+		ss.mu.Unlock()
+		id := slotID(n)
+		lastRound, od := s.lastOwner(id)
+		if lastRound == 0 {
+			return nil // no such slot yet; nothing to clean
 		}
-	}
-	if od.Owner == s.id || !s.det.Suspect(od.Owner) {
-		return nil
-	}
-	return func() {
-		// Cleaning mode: prevent the suspected owner from enforcing a commit.
-		s.m.Inc(obs.Takeovers)
-		s.tr.Instant(s.clk.Now(), string(s.id), "takeover", id)
-		out := s.slotCoordination(n, lastRound, od.Batch, nil, slotOutcome{Outcome: "abort"})
-		if s.isStopped() {
-			return
+		if od.Owner != s.id && !s.det.Suspect(od.Owner) {
+			out, _ := s.cons.Object(outcomeKey(id, lastRound)).Read()
+			so, ok := out.(slotOutcome)
+			if !ok || so.Outcome != "commit" {
+				return nil // the live owner is still working on it
+			}
+			s.applySlot(n, od.Batch, so.Values, false)
+			continue
 		}
-		if out.Outcome == "abort" {
+		bit := roundBit(lastRound)
+		own := od.Owner == s.id
+		if own && !s.claimSlotRound(n, bit) {
+			return nil // runSlot is driving it
+		}
+		return func() {
+			if own {
+				s.tr.Instant(s.clk.Now(), string(s.id), "resume", id)
+				defer s.releaseSlotRound(n, bit)
+			} else {
+				s.m.Inc(obs.Takeovers)
+				s.tr.Instant(s.clk.Now(), string(s.id), "takeover", id)
+			}
+			out := s.slotCoordination(n, lastRound, od.Batch, slotOutcome{Outcome: "abort"})
+			if s.isStopped() {
+				return
+			}
+			if out.Outcome == "commit" {
+				s.applySlot(n, od.Batch, out.Values, true)
+				return
+			}
 			s.runSlot(n, lastRound+1, od.Batch)
 		}
-		// On commit the follower path applies the slot and answers clients.
 	}
+}
+
+// claimSlotRound sets slot n's driving bit for a round; it reports false
+// if the round was driven already.
+func (s *Server) claimSlotRound(n int, bit uint64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sr := s.slots.rounds[n]
+	if sr.driving&bit != 0 {
+		return false
+	}
+	sr.driving |= bit
+	s.slots.rounds[n] = sr
+	return true
+}
+
+// releaseSlotRound clears slot n's driving bit for a round.
+func (s *Server) releaseSlotRound(n int, bit uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sr := s.slots.rounds[n]
+	sr.driving &^= bit
+	s.slots.rounds[n] = sr
 }

@@ -323,17 +323,16 @@ func (s *Server) propose(key consensus.Key, val any) any {
 
 // Start arms the request loop and the cleaner (the cobegin of Figure 6)
 // on the network clock. With batching enabled the cobegin gains the
-// batcher (window-driven slot formation) and the follower (in-order slot
-// application; see batch.go). All four are Runners on the clock's pump,
-// not goroutines: the request loop's and the slot plane's first runs are
-// AfterRunner(0) events, the cleaner's a timer one period out. Arming only
-// schedules, so nothing of it runs before the caller's next wait.
+// batcher (window-driven slot formation; see batch.go), and the cleaner's
+// pass applies and cleans slots. All three are Runners on the clock's
+// pump, not goroutines: the request loop's and the batcher's first runs
+// are AfterRunner(0) events, the cleaner's a timer one period out. Arming
+// only schedules, so nothing of it runs before the caller's next wait.
 func (s *Server) Start() {
 	s.clk.AfterRunner(0, &s.recv)
 	s.clean.timer.Reset(cleanInterval)
 	if s.batch.Enabled {
 		s.clk.AfterRunner(0, &s.slots.batcher)
-		s.clk.AfterRunner(0, &s.slots.follower)
 	}
 }
 
@@ -724,7 +723,7 @@ func (s *Server) roundObjectsAt(st *requestState, r int, key func(string, int) c
 
 // cleaner is Figure 6's cleaner thread as a vclock.Timer: each tick, one
 // cleanInterval after the last pass ended, is one pass over the requests
-// this replica knows (or, batched, over the first unapplied slot): when
+// this replica knows (or, batched, a walk of the slot log): when
 // the owner of a request's latest round is suspected, neutralize that
 // round (cleaning-mode result coordination) and, if no result was fixed,
 // start the next round as its owner; when the owner is live, answer a
@@ -772,7 +771,7 @@ func (c *cleaner) finish(step func()) {
 
 // nextStep makes the pass's decisions from where the last one left off
 // and returns the first step to take, or nil at the end of the pass. The
-// batched pass watches one slot: it is a single decision.
+// batched pass is one walk of the slot log, which ends at its first step.
 func (c *cleaner) nextStep() func() {
 	s := c.s
 	if s.batch.Enabled {

@@ -128,6 +128,11 @@ var removedNames = []struct {
 		pr:      43,
 		why:     "an owed client is answered from the cleaner's pass, only from a live owner's round",
 	},
+	{
+		pattern: `slotFollower|advanceSlot`,
+		pr:      44,
+		why:     "a committed slot is applied from the cleaner's pass, only from a live owner's round",
+	},
 }
 
 // TestRemovedNamesStayGone fails when a removed name reappears in Go
