@@ -10,8 +10,11 @@
 // environment reaches the same state it would executing the batch members
 // one at a time.
 //
-// Fault tolerance reuses the per-request round machinery at slot
-// granularity, so the cleaner story of DESIGN.md §2 carries over verbatim:
+// Fault tolerance is the per-request round machinery at slot granularity:
+// each slot has a roundLog (roundlog.go), carved from chunks, and goes
+// through the same ownership race, owner scan, live-owner rule, cleaning
+// claim and settle as a request, so the cleaner story of DESIGN.md §2
+// carries over verbatim:
 //
 //	owner-agreement[slot][round]   — who owns a round of a slot, and the
 //	                                 slot's member batch (ownerDecision.Batch)
@@ -29,9 +32,9 @@
 //
 // Slots apply in order at every replica. The owner applies its round after
 // running its commits; every other apply is a decision of the cleaner's
-// pass (cleanSlot), under the request plane's live-owner rule: a live
-// owner's committed round is applied as read, and any other decided round
-// is cleaned first, so its commit runs before any reply goes out.
+// pass (cleanSlot), under the live-owner rule (ownerLive): a live owner's
+// committed round is applied as read, and any other decided round is
+// cleaned first, so its commit runs before any reply goes out.
 //
 // Exactly-once across slots: a member can be batched twice (a client retry
 // landing at a second replica while the first replica's slot is still in
@@ -110,23 +113,39 @@ type slotState struct {
 	known    int             // lowest slot index not known decided elsewhere
 	execNext int             // first slot not yet applied locally
 	inflight int             // slots claimed here and not yet resolved
-	// rounds holds, by slot index, the slot's round guards, under the
-	// server's mu. Not durable: the batched plane is an in-memory
-	// baseline, restart is unsupported there.
-	rounds map[int]slotRounds
+	// logs holds the slots' round logs by index, logChunk to an
+	// allocation, under the server's mu (slotLog). Not durable: the
+	// batched plane is an in-memory baseline, restart is unsupported there.
+	logs []*[logChunk]roundLog
 
 	batcher slotBatcher
 }
 
-// slotRounds is one slot's round guards, bits as requestState's: the
-// rounds this replica has attempted, and those it is driving — a runSlot
-// that owns the round, or the cleaner's resume that claimed it.
-type slotRounds struct{ attempted, driving uint64 }
+// logChunk is how many slot round logs one allocation carves out, as
+// consensus.LocalProvider carves its objects: a slot costs no allocation
+// of its own.
+const logChunk = 8
 
 func newSlotState(s *Server) *slotState {
-	ss := &slotState{batcher: slotBatcher{s: s}, rounds: make(map[int]slotRounds)}
+	ss := &slotState{batcher: slotBatcher{s: s}}
 	ss.cond = s.clk.NewCond(&ss.mu)
 	return ss
+}
+
+// slotLog returns slot n's round log, carving a chunk the first time an
+// index past the carved ones is asked for.
+func (s *Server) slotLog(n int) *roundLog {
+	ss := s.slots
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(ss.logs) <= n/logChunk {
+		ss.logs = append(ss.logs, new([logChunk]roundLog))
+	}
+	rl := &ss.logs[n/logChunk][n%logChunk]
+	if rl.id == "" {
+		rl.id = slotID(n)
+	}
+	return rl
 }
 
 // enqueue admits a submitted request to this replica's batched plane:
@@ -265,42 +284,26 @@ func (s *Server) finishedReq(id string) bool {
 	return st != nil && st.done
 }
 
-// runSlot is process-request at slot granularity: propose ownership of the
-// round (carrying the batch), and if we win, wait for the in-order
+// runSlot is process-request at slot granularity: race for ownership of
+// the round (carrying the batch), and if we win, wait for the in-order
 // execution gate, execute members in batch order, coordinate the slot's
 // outcome, and apply/reply.
 func (s *Server) runSlot(n, round int, batch []SubmitPayload) {
-	if s.isStopped() || round > MaxRound {
+	rl := s.slotLog(n)
+	od, won := s.race(rl, round, ownerDecision{Owner: s.id, Batch: batch})
+	if !won {
+		if od.Owner != "" {
+			// Lost the log-index race. Members of our proposal absent from
+			// the winning batch go back to pending for the next slot; the
+			// winner's slot is the cleaner's to apply or clean.
+			s.noteKnown(n + 1)
+			s.requeueMissing(batch, od.Batch)
+		}
 		return
 	}
-	bit := roundBit(round)
-	s.mu.Lock()
-	sr := s.slots.rounds[n]
-	if sr.attempted&bit != 0 {
-		s.mu.Unlock()
-		return
-	}
-	sr.attempted |= bit
-	s.slots.rounds[n] = sr
-	s.mu.Unlock()
-	key := ownerKey(slotID(n), round)
-
-	decided := s.propose(key, ownerDecision{Owner: s.id, Batch: batch})
-	od, ok := decided.(ownerDecision)
-	if !ok {
-		return
-	}
-	if od.Owner != s.id {
-		// Lost the log-index race. Members of our proposal absent from the
-		// winning batch go back to pending for the next slot; the winner's
-		// slot is the cleaner's to apply or clean.
-		s.noteKnown(n + 1)
-		s.requeueMissing(batch, od.Batch)
-		return
-	}
-	// Mark the round driven, so the cleaner's walk leaves it to us.
-	s.claimSlotRound(n, bit)
-	defer s.releaseSlotRound(n, bit)
+	// The round is driven until this returns, so the cleaner's walk leaves
+	// it to us.
+	defer s.release(rl, round)
 
 	// In-order execution gate: effects commit in slot order, so we execute
 	// only once every earlier slot has been applied locally.
@@ -325,7 +328,7 @@ func (s *Server) runSlot(n, round int, batch []SubmitPayload) {
 		vals[i] = res
 	}
 
-	out := s.slotCoordination(n, round, od.Batch, slotOutcome{Outcome: "commit", Values: vals})
+	out := s.slotCoordination(n, rl, round, od.Batch, slotOutcome{Outcome: "commit", Values: vals})
 	if out.Outcome == "commit" && !s.isStopped() {
 		s.applySlot(n, od.Batch, out.Values, true)
 	}
@@ -414,8 +417,8 @@ func (s *Server) waitExec(n int) bool {
 // members the owner executed — a commit decision proves it executed them
 // all. Callers have applied every slot before n, so the set is the same
 // at the owner and at a cleaner.
-func (s *Server) slotCoordination(n, round int, batch []SubmitPayload, proposal slotOutcome) slotOutcome {
-	decided := s.propose(outcomeKey(slotID(n), round), proposal)
+func (s *Server) slotCoordination(n int, rl *roundLog, round int, batch []SubmitPayload, proposal slotOutcome) slotOutcome {
+	decided := s.propose(outcomeKey(rl.id, round), proposal)
 	out, ok := decided.(slotOutcome)
 	if !ok {
 		return slotOutcome{Outcome: "abort"}
@@ -423,14 +426,7 @@ func (s *Server) slotCoordination(n, round int, batch []SubmitPayload, proposal 
 	if out.Outcome == "abort" {
 		for _, m := range batch {
 			if s.mach.IsUndoable(m.Req) {
-				// Fence before cancelling (testcancel, §5.3), exactly as on
-				// the per-request plane: without it a losing owner's retry
-				// loop can reactivate the cancelled member and re-apply its
-				// effect after this neutralization.
-				exec := s.taggedFor(m.Req, round)
-				s.mach.Env().FenceUndoable(exec.Action, exec.EffectiveInput())
-				cancel, _ := s.mach.Cancel(exec)
-				s.executeUntilSuccess(cancel)
+				s.settle(s.taggedFor(m.Req, round), false)
 			}
 		}
 		return out
@@ -442,8 +438,7 @@ func (s *Server) slotCoordination(n, round int, batch []SubmitPayload, proposal 
 		if _, done := s.finishedBefore(m.Req.ID, n); done {
 			continue
 		}
-		commit, _ := s.mach.Commit(s.taggedFor(m.Req, round))
-		s.executeUntilSuccess(commit)
+		s.settle(s.taggedFor(m.Req, round), true)
 	}
 	return out
 }
@@ -499,17 +494,17 @@ func (s *Server) applySlot(n int, batch []SubmitPayload, vals []action.Value, al
 // cleanSlot is the cleaner's batched-plane decision, a walk of the slot
 // log from the first unapplied slot — in-order execution means only it
 // gates progress — reading each slot's latest decided round as
-// cleanRequest reads a request's:
-//   - another replica's round that this one does not suspect is its
-//     live owner's: once it commits the slot is applied here and the walk
-//     moves on, until then the walk stops;
-//   - a round this replica owns and runSlot is still driving is left to
-//     runSlot, which applies after its commits;
+// cleanRequest reads a request's, under the same live-owner rule
+// (ownerLive):
+//   - a live owner's round is read as it stands: another replica's is
+//     applied here once it commits and the walk moves on, until then the
+//     walk stops; one this replica's runSlot drives is left to it, which
+//     applies after its commits;
 //   - any other decided round — a suspected owner's, or one of this
-//     replica's own that nothing drives any more — is the step returned:
-//     cleaning-mode coordination, which runs a decided commit before the
-//     apply answers every member's client, or else the next round of the
-//     same batch. An own round is claimed through its driving bit first.
+//     replica's own that nothing drives any more — is the step returned
+//     (cleaning): cleaning-mode coordination, which runs a decided commit
+//     before the apply answers every member's client, or else the next
+//     round of the same batch.
 //
 // Nil means there is nothing to do.
 func (s *Server) cleanSlot() func() {
@@ -518,65 +513,39 @@ func (s *Server) cleanSlot() func() {
 		ss.mu.Lock()
 		n := ss.execNext
 		ss.mu.Unlock()
-		id := slotID(n)
-		lastRound, od := s.lastOwner(id)
+		rl := s.slotLog(n)
+		lastRound, od := s.lastOwner(rl)
 		if lastRound == 0 {
 			return nil // no such slot yet; nothing to clean
 		}
-		if od.Owner != s.id && !s.det.Suspect(od.Owner) {
-			out, _ := s.cons.Object(outcomeKey(id, lastRound)).Read()
-			so, ok := out.(slotOutcome)
-			if !ok || so.Outcome != "commit" {
-				return nil // the live owner is still working on it
-			}
-			s.applySlot(n, od.Batch, so.Values, false)
-			continue
+		if !s.ownerLive(rl, lastRound, od) {
+			return s.cleaning(rl, lastRound, od, nil, n)
 		}
-		bit := roundBit(lastRound)
-		own := od.Owner == s.id
-		if own && !s.claimSlotRound(n, bit) {
+		if od.Owner == s.id {
 			return nil // runSlot is driving it
 		}
-		return func() {
-			if own {
-				s.tr.Instant(s.clk.Now(), string(s.id), "resume", id)
-				defer s.releaseSlotRound(n, bit)
-			} else {
-				s.m.Inc(obs.Takeovers)
-				s.tr.Instant(s.clk.Now(), string(s.id), "takeover", id)
-			}
-			out := s.slotCoordination(n, lastRound, od.Batch, slotOutcome{Outcome: "abort"})
-			if s.isStopped() {
-				return
-			}
-			if out.Outcome == "commit" {
-				s.applySlot(n, od.Batch, out.Values, true)
-				return
-			}
-			s.runSlot(n, lastRound+1, od.Batch)
+		out, _ := s.objectsAt(rl, lastRound, outcomeKey).result.Read()
+		so, ok := out.(slotOutcome)
+		if !ok || so.Outcome != "commit" {
+			return nil // the live owner is still working on it
 		}
+		s.applySlot(n, od.Batch, so.Values, false)
 	}
 }
 
-// claimSlotRound sets slot n's driving bit for a round; it reports false
-// if the round was driven already.
-func (s *Server) claimSlotRound(n int, bit uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sr := s.slots.rounds[n]
-	if sr.driving&bit != 0 {
-		return false
+// cleanSlotRound is cleaning mode on the slot plane (cleaning): propose
+// abort for the round, which keeps its owner from committing; a commit
+// decided first has had its commits run here (settle) and is applied,
+// answering every member's client; otherwise this replica races for the
+// slot's next round with the same batch.
+func (s *Server) cleanSlotRound(n int, rl *roundLog, round int, od ownerDecision) {
+	out := s.slotCoordination(n, rl, round, od.Batch, slotOutcome{Outcome: "abort"})
+	if s.isStopped() {
+		return
 	}
-	sr.driving |= bit
-	s.slots.rounds[n] = sr
-	return true
-}
-
-// releaseSlotRound clears slot n's driving bit for a round.
-func (s *Server) releaseSlotRound(n int, bit uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sr := s.slots.rounds[n]
-	sr.driving &^= bit
-	s.slots.rounds[n] = sr
+	if out.Outcome == "commit" {
+		s.applySlot(n, od.Batch, out.Values, true)
+		return
+	}
+	s.runSlot(n, round+1, od.Batch)
 }

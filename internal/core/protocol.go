@@ -14,6 +14,11 @@
 //	result-agreement[request] — result of idempotent action (key "result/…")
 //	outcome-agreement[request]— commit/abort of undoable    (key "outcome/…")
 //
+// A request's rounds live in a roundLog (roundlog.go): its round guards,
+// the ownership race, the owner scan, the live-owner rule, the cleaning
+// claim and the settling of an undoable execution's outcome. The batched
+// plane (batch.go) keeps one per slot and runs the same functions.
+//
 // Differences from the paper's pseudo-code, each forced by a gap the
 // figures elide (see DESIGN.md §2):
 //
@@ -162,38 +167,23 @@ type Server struct {
 }
 
 type requestState struct {
-	req    action.Request // untagged except ID
-	client simnet.ProcessID
+	roundLog                // the request's rounds, keyed by its ID
+	req      action.Request // untagged except ID
+	client   simnet.ProcessID
 	// done and result are durable (xvet:durable): a fixed result must
 	// survive restart so re-submissions stay idempotent (R1).
-	done   bool         //xvet:durable
-	result action.Value //xvet:durable
-	// rounds and inflight are sets of the request's rounds 1..MaxRound, bit
-	// r-1 for round r (roundBit). rounds is durable: the rounds this
-	// replica has attempted — writers persist the attempt first, and the
-	// durablewrite analyzer flags a write in a function that never
-	// persists. inflight marks the rounds this incarnation is driving
-	// through execute/coordinate; deliberately not durable, since a
-	// restarted incarnation starting with none is how the cleaner's resume
-	// path tells "the owner died with the crash" from "the owner is still
-	// working".
-	rounds   uint64 //xvet:durable
-	inflight uint64
-	owed     bool           // this replica accepted the client's submit and did not answer it
-	direct   bool           // this replica received the client's submit itself
-	queued   bool           // enqueued in this replica's pending batch or a known slot
-	doneSlot int            // slot that finished it (batched plane; -1 otherwise)
-	objs     []roundObjects // agreement objects of the rounds a scan has reached
-	// objs' first backing array: a scan rarely reaches past round 3 (a
-	// takeover, then the undecided round after it), so the cache usually
-	// costs no allocation of its own.
-	objsBuf [3]roundObjects
+	done     bool         //xvet:durable
+	result   action.Value //xvet:durable
+	owed     bool         // this replica accepted the client's submit and did not answer it
+	direct   bool         // this replica received the client's submit itself
+	queued   bool         // enqueued in this replica's pending batch or a known slot
+	doneSlot int          // slot that finished it (batched plane; -1 otherwise)
 }
 
-// roundObjects is one round of a request's agreement arrays as the cleaner
-// reads them: the owner-agreement object and, once an owed client's answer
-// has asked for it, the result- or outcome-agreement object.
-type roundObjects struct{ owner, result consensus.Object }
+// newRequestState is the state of a request first seen here.
+func newRequestState(req action.Request, client simnet.ProcessID) *requestState {
+	return &requestState{roundLog: roundLog{id: req.ID}, req: req, client: client, doneSlot: -1}
+}
 
 // ServerConfig assembles a server's dependencies.
 type ServerConfig struct {
@@ -401,12 +391,12 @@ func (s *Server) Recover() {
 				return
 			}
 			if _, seen := s.active[r.Key]; !seen {
-				s.active[r.Key] = &requestState{req: req, client: simnet.ProcessID(r.Str), doneSlot: -1}
+				s.active[r.Key] = newRequestState(req, simnet.ProcessID(r.Str))
 				s.order = append(s.order, r.Key)
 			}
 		case recRound:
 			if st := s.active[r.Key]; st != nil && r.Round >= 1 && r.Round <= MaxRound {
-				st.rounds |= roundBit(int(r.Round)) //xvet:ok durablewrite recovery replays the log; re-persisting here would double every record
+				st.attempted |= roundBit(int(r.Round)) //xvet:ok durablewrite recovery replays the log; re-persisting here would double every record
 			}
 		case recFinish:
 			if st := s.active[r.Key]; st != nil {
@@ -544,7 +534,7 @@ func (s *Server) noteRequest(req action.Request, client simnet.ProcessID) (*requ
 	defer s.mu.Unlock()
 	st, ok := s.active[req.ID]
 	if !ok {
-		st = &requestState{req: req, client: client, doneSlot: -1}
+		st = newRequestState(req, client)
 		s.active[req.ID] = st
 		s.order = append(s.order, req.ID)
 	}
@@ -562,54 +552,22 @@ func (s *Server) taggedFor(req action.Request, round int) action.Request {
 	return req.WithRound(0)
 }
 
-// roundBit is round r's bit in a requestState's round sets, for r in
-// 1..MaxRound.
-func roundBit(r int) uint64 { return 1 << (r - 1) }
-
-// processRequest is Figure 6's process-request for st's request: propose
-// ownership of the round; the winner executes, coordinates the result, and
+// processRequest is Figure 6's process-request for st's request: race for
+// ownership of the round (a storm-tossed heartbeat client wraps its
+// failover cycle back to the owner, which the round guard stops from
+// executing twice); the winner executes, coordinates the result, and
 // replies. It reports whether it sent the client a result itself — on the
 // submit path this replica owes the client a reply when it did not (owe).
 func (s *Server) processRequest(st *requestState, req action.Request, round int, client simnet.ProcessID) bool {
-	if s.isStopped() || round > MaxRound {
-		return false
-	}
-	// Each replica attempts a (request, round) pair at most once. Without
-	// this, a re-submission of an in-progress request to the replica that
-	// owns its round would read back its own ownership decision and
-	// execute the round a second time — a duplicate committed execution
-	// the calculus cannot reduce away. (A storm-tossed heartbeat client
-	// wraps its failover cycle back to the owner and triggers exactly
-	// that; scripted-suspicion schedules never do.)
-	bit := roundBit(round)
-	s.mu.Lock()
-	if st.rounds&bit != 0 {
-		s.mu.Unlock()
-		return false
-	}
-	st.rounds |= bit
-	s.mu.Unlock()
-	key := ownerKey(req.ID, round)
-	// Write-ahead of the proposal: a replica that crashes between here and
-	// the decision must come back remembering the attempt, or it would
-	// re-propose, read back its own ownership, and execute the round twice.
-	s.persistRound(key)
-	decided := s.propose(key, ownerDecision{Owner: s.id, Req: req, Client: client})
-	od, ok := decided.(ownerDecision)
-	if !ok || od.Owner != s.id {
+	if _, won := s.race(&st.roundLog, round, ownerDecision{Owner: s.id, Req: req, Client: client}); !won {
 		return false // another replica owns this round; the cleaner watches it
 	}
-	// Mark the round in flight so the cleaner's resume path (for rounds we
-	// own but are no longer driving — the post-restart gap) leaves this
-	// live execution alone.
-	s.mu.Lock()
-	st.inflight |= bit
-	s.mu.Unlock()
+	// The round is driven until this returns, so the cleaner's resume path
+	// (for rounds we own but are no longer driving — the post-restart gap)
+	// leaves this live execution alone.
 	span := s.tr.Begin(s.clk.Now(), string(s.id), "own-round", req.ID)
 	defer func() {
-		s.mu.Lock()
-		st.inflight &^= bit
-		s.mu.Unlock()
+		s.release(&st.roundLog, round)
 		s.tr.End(s.clk.Now(), string(s.id), "own-round", span)
 	}()
 	exec := s.taggedFor(req, round)
@@ -642,25 +600,11 @@ func (s *Server) owe(st *requestState) {
 	s.mu.Lock()
 	st.owed = true
 	s.mu.Unlock()
-	if r, od := s.lastRequestOwner(st); r > 0 && s.ownerLive(st, r, od) {
+	if r, od := s.lastOwner(&st.roundLog); r > 0 && s.ownerLive(&st.roundLog, r, od) {
 		if step := s.answer(st, r); step != nil {
 			step()
 		}
 	}
-}
-
-// ownerLive reports whether round r's owner, decided in od, is live as this
-// replica sees it: another replica it does not suspect, or its own
-// execution, still in flight. Only a live owner's round is answered from
-// the agreement arrays; every other decided round goes through cleanRound,
-// which runs a decided commit before it replies.
-func (s *Server) ownerLive(st *requestState, r int, od ownerDecision) bool {
-	if od.Owner != s.id {
-		return !s.det.Suspect(od.Owner)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return st.inflight&roundBit(r) != 0
 }
 
 // answer forwards to a client this replica owes the result fixed by round
@@ -671,7 +615,7 @@ func (s *Server) ownerLive(st *requestState, r int, od ownerDecision) bool {
 // request nobody owes costs one look at its flag. Without a log the reply
 // goes out inline; with one, finish persists it first and may sleep the
 // sync tariff, so answer returns the reply as a step. The agreement objects
-// come from st's cache (roundObjectsAt), so a request in flight costs the
+// come from st's cache (objectsAt), so a request in flight costs the
 // provider one lookup per object however often it is read.
 func (s *Server) answer(st *requestState, r int) func() {
 	s.mu.Lock()
@@ -683,11 +627,11 @@ func (s *Server) answer(st *requestState, r int) func() {
 	var res action.Value
 	fixed := false
 	if s.mach.IsIdempotent(st.req) {
-		v, _ := s.roundObjectsAt(st, r, resultKey).result.Read()
+		v, _ := s.objectsAt(&st.roundLog, r, resultKey).result.Read()
 		res, fixed = v.(action.Value)
 		fixed = fixed && res != EmptyResult
 	} else if s.mach.IsUndoable(st.req) {
-		v, _ := s.roundObjectsAt(st, r, outcomeKey).result.Read()
+		v, _ := s.objectsAt(&st.roundLog, r, outcomeKey).result.Read()
 		dec, ok := v.(outcomeDecision)
 		res, fixed = dec.Value, ok && dec.Outcome == "commit"
 	}
@@ -699,26 +643,6 @@ func (s *Server) answer(st *requestState, r int) func() {
 		return nil
 	}
 	return func() { s.reply(st.req.ID, st.client, res) }
-}
-
-// roundObjectsAt returns st's round-r agreement objects, looking each up in
-// the provider once per request: the owner object when a scan first reaches
-// the round, the result or outcome object (key) when one first asks for it.
-// Scans go up from round 1, so round r-1 is cached by then.
-func (s *Server) roundObjectsAt(st *requestState, r int, key func(string, int) consensus.Key) roundObjects {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st.objs == nil {
-		st.objs = st.objsBuf[:0]
-	}
-	if len(st.objs) < r {
-		st.objs = append(st.objs, roundObjects{owner: s.cons.Object(ownerKey(st.req.ID, r))})
-	}
-	o := &st.objs[r-1]
-	if key != nil && o.result == nil {
-		o.result = s.cons.Object(key(st.req.ID, r))
-	}
-	return *o
 }
 
 // cleaner is Figure 6's cleaner thread as a vclock.Timer: each tick, one
@@ -806,10 +730,12 @@ func (s *Server) snapshotActive(buf []*requestState) []*requestState {
 
 // cleanRequest is the cleaner's decision about one request. It reads the
 // request's owner-agreement array and asks the detector, and returns the
-// step to take — which may block — or nil when there is nothing to do.
+// step to take — which may block — or nil when there is nothing to do: a
+// live owner's round is answered to a client this replica owes (answer),
+// any other decided round cleaned (cleaning).
 func (s *Server) cleanRequest(st *requestState) func() {
-	reqID := st.req.ID
-	lastRound, od := s.lastRequestOwner(st)
+	rl := &st.roundLog
+	lastRound, od := s.lastOwner(rl)
 	// An attempt record for the round after last-round is an ownership
 	// proposal some incarnation of this replica wrote ahead and then never
 	// learned the decision of — it crashed inside the propose. The quorum
@@ -823,83 +749,22 @@ func (s *Server) cleanRequest(st *requestState) func() {
 	// attempt makes this node learn — or, if the quorum never formed,
 	// force — the round's decision; the next cleaner pass then acts on it
 	// through the normal resume/takeover paths.
-	if lastRound < MaxRound {
-		bit := roundBit(lastRound + 1)
-		s.mu.Lock()
-		dangling := st.rounds&bit != 0 && st.inflight&bit == 0
-		s.mu.Unlock()
-		if dangling {
-			key := ownerKey(reqID, lastRound+1)
-			return func() { s.propose(key, ownerDecision{Owner: s.id, Req: st.req, Client: st.client}) }
-		}
+	if lastRound < MaxRound && s.dangling(rl, lastRound+1) {
+		key := ownerKey(rl.id, lastRound+1)
+		return func() { s.propose(key, ownerDecision{Owner: s.id, Req: st.req, Client: st.client}) }
 	}
 	if lastRound == 0 {
 		return nil // nobody owns round 1 yet; the client's retry handles it
 	}
-	if s.ownerLive(st, lastRound, od) {
+	if s.ownerLive(rl, lastRound, od) {
 		return s.answer(st, lastRound)
 	}
-	if od.Owner != s.id {
-		return func() {
-			s.m.Inc(obs.Takeovers)
-			s.tr.Instant(s.clk.Now(), string(s.id), "takeover", reqID)
-			s.cleanRound(st, od, lastRound)
-		}
-	}
-	// A round we own but are not driving is a round our previous
-	// incarnation was driving when it crashed: the goroutine died, the WAL
-	// replay recovered the attempt record, and no other cleaner will ever
-	// touch it — correct detectors do not suspect a live, restarted
-	// replica. Resume it as its own cleaner would take it over, claiming
-	// the in-flight mark until it is done; an execution that took the mark
-	// since ownerLive looked keeps the round.
-	bit := roundBit(lastRound)
-	s.mu.Lock()
-	driving := st.inflight&bit != 0
-	st.inflight |= bit
-	s.mu.Unlock()
-	if driving {
-		return nil
-	}
-	return func() {
-		s.tr.Instant(s.clk.Now(), string(s.id), "resume", reqID)
-		defer func() {
-			s.mu.Lock()
-			st.inflight &^= bit
-			s.mu.Unlock()
-		}()
-		s.cleanRound(st, od, lastRound)
-	}
+	return s.cleaning(rl, lastRound, od, st, 0)
 }
 
-// lastRequestOwner is the cleaner's "let last-round be the largest defined
-// index in owner-agreement" for a request, read through st's cached round
-// objects (roundObjectsAt): the latest decided round and its ownership
-// decision; round 0 when nobody owns round 1 yet.
-func (s *Server) lastRequestOwner(st *requestState) (round int, od ownerDecision) {
-	return lastDecided(func(r int) consensus.Object { return s.roundObjectsAt(st, r, nil).owner })
-}
-
-// lastOwner is lastRequestOwner for a slot ID, looked up in the provider.
-func (s *Server) lastOwner(id string) (round int, od ownerDecision) {
-	return lastDecided(func(r int) consensus.Object { return s.cons.Object(ownerKey(id, r)) })
-}
-
-// lastDecided scans owner-agreement objects from round 1 up to the first
-// undecided one and returns the last decided round and its decision.
-func lastDecided(owner func(r int) consensus.Object) (round int, od ownerDecision) {
-	for r := 1; r <= MaxRound; r++ {
-		v, decided := owner(r).Read()
-		if !decided {
-			break
-		}
-		round, od = r, v.(ownerDecision)
-	}
-	return round, od
-}
-
-// cleanRound is cleaning mode, for a suspected owner's round and for a
-// round this replica's previous incarnation owned alike: coordinate with
+// cleanRound is cleaning mode on the request plane, for a suspected
+// owner's round and for a round this replica's previous incarnation owned
+// alike (cleaning): coordinate with
 // EmptyResult, which prevents the round's owner from enforcing a result;
 // then, if none was fixed, drive the successor round as its owner, and
 // otherwise forward the fixed result — the owner may have crashed before
@@ -945,21 +810,11 @@ func (s *Server) resultCoordination(req action.Request, round int, val action.Va
 		exec := s.taggedFor(req, round)
 		if dec.Outcome == "abort" {
 			s.tr.Instant(s.clk.Now(), string(s.id), "cancel", req.ID)
-			// Fence before cancelling (testcancel, §5.3): the abort decision
-			// means this round's effect must never be in force. The cancel
-			// alone only rolls back — without the fence, an owner still
-			// inside execute-until-success reactivates the cancelled
-			// transaction on its next retry and re-applies the effect; if it
-			// then crashes before reading the abort decision, that effect is
-			// orphaned in force next to the succeeding round's commit.
-			s.mach.Env().FenceUndoable(exec.Action, exec.EffectiveInput())
-			cancel, _ := s.mach.Cancel(exec)
-			s.executeUntilSuccess(cancel)
+			s.settle(exec, false)
 			return EmptyResult
 		}
 		s.tr.Instant(s.clk.Now(), string(s.id), "commit", req.ID)
-		commit, _ := s.mach.Commit(exec)
-		s.executeUntilSuccess(commit)
+		s.settle(exec, true)
 		return dec.Value
 	}
 	return EmptyResult

@@ -51,8 +51,8 @@ func serverRecoveredState(l *wal.Log) srvState {
 			Done:   rs.done,
 			Result: rs.result,
 		}
-		if !rs.done && rs.rounds != 0 {
-			st.Rounds[id] = rs.rounds
+		if !rs.done && rs.attempted != 0 {
+			st.Rounds[id] = rs.attempted
 		}
 	}
 	return st
@@ -72,11 +72,11 @@ func TestRecoverRearmsRoundGuard(t *testing.T) {
 	}
 	s := recoveredServer(l)
 	st := s.active[req.ID]
-	if want := roundBit(1) | roundBit(3) | roundBit(MaxRound); st == nil || st.rounds != want {
-		t.Fatalf("recovered guard = %+v, want rounds %#x", st, want)
+	if want := roundBit(1) | roundBit(3) | roundBit(MaxRound); st == nil || st.attempted != want {
+		t.Fatalf("recovered guard = %+v, want attempted %#x", st, want)
 	}
-	if st.inflight != 0 {
-		t.Errorf("recovered in-flight marks = %#x, want none", st.inflight)
+	if st.driving != 0 {
+		t.Errorf("recovered driving marks = %#x, want none", st.driving)
 	}
 	// With no consensus provider, an attempt that got past the guard would
 	// panic in its proposal.

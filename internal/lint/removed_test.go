@@ -133,6 +133,12 @@ var removedNames = []struct {
 		pr:      44,
 		why:     "a committed slot is applied from the cleaner's pass, only from a live owner's round",
 	},
+	{
+		pattern: `lastRequestOwner|lastDecided|roundObjectsAt|slotRounds|claimSlotRound|releaseSlotRound`,
+		pr:      45,
+		why:     "requests and slots share one round log: one guard, one ownership race, one owner scan, one cleaning claim",
+		under:   "internal/core/",
+	},
 }
 
 // TestRemovedNamesStayGone fails when a removed name reappears in Go
