@@ -139,6 +139,11 @@ var removedNames = []struct {
 		why:     "requests and slots share one round log: one guard, one ownership race, one owner scan, one cleaning claim",
 		under:   "internal/core/",
 	},
+	{
+		pattern: `ErrSharded|EntryRef|outside the record/replay plane`,
+		pr:      46,
+		why:     "schedule entries carry their group, so a sharded run records, replays and shrinks on the one path, in schedule.Entry's one JSON form",
+	},
 }
 
 // TestRemovedNamesStayGone fails when a removed name reappears in Go

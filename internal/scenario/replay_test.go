@@ -12,9 +12,11 @@ import (
 // run replayed verbatim from its own log is byte-identical to the recorded
 // run — same history, same effects, same reply log, same verdict, and the
 // re-recorded schedule is the log itself. This is what makes a (scenario,
-// seed, log) triple a complete, portable reproduction of a run.
+// seed, log) triple a complete, portable reproduction of a run, on one
+// cluster or on several groups whose networks share one log (the sharded
+// rows; a group's network replays only its own entries).
 func TestRecordedReplayByteIdentical(t *testing.T) {
-	for _, name := range []string{"crash-failover", "partition", "pb-crash-failover"} {
+	for _, name := range []string{"crash-failover", "partition", "pb-crash-failover", "shard-crash-failover", "shard-restart-random"} {
 		sc, ok := Get(name)
 		if !ok {
 			t.Fatalf("scenario %q missing", name)

@@ -74,9 +74,7 @@ type Scenario struct {
 	// virtual clock, the workload routed by account key with per-shard
 	// streams running concurrently. Zero keeps the single-cluster runtime
 	// (1 is the one-group router deployment, the honest baseline for
-	// shard-scaling comparisons). Baseline protocols ignore it. Sharded
-	// runs sit outside the record/replay plane: the groups' private
-	// networks would interleave one log nondeterministically.
+	// shard-scaling comparisons). Baseline protocols ignore it.
 	Shards int
 	// Consensus selects the x-ability protocol's consensus substrate.
 	Consensus core.ConsensusMode
@@ -315,7 +313,8 @@ type Outcome struct {
 	// only (baselines are judged by XAble and the audit).
 	Report verify.Report
 	// Schedule is the recorded delivery log (runs with RunOptions.Record
-	// only; nil otherwise, and nil on a sharded run, which records nothing).
+	// only; nil otherwise). A sharded run's groups record into it in clock
+	// order, each entry stamped with its group.
 	Schedule *schedule.Log
 	// Counterexample is the rendered minimal failing trace; the shrinker
 	// (internal/shrink) fills it on the outcome of a minimized run.
@@ -391,14 +390,15 @@ func (s *runScratch) clock() *vclock.Virtual {
 }
 
 // take returns n networks ready for a seeded run on base.Clock, network g
-// seeded seedFor(g): the recycled ones, Reset in cluster order, or fresh
-// ones that later seeds then recycle — the first time, or when n changed.
-// base.Clock is the scratch's clock, which clock just rewound, so a refused
-// Reset is a bug, reported with the clock's leak audit.
+// seeded seedFor(g) and carrying group g's entries of the run's schedule:
+// the recycled ones, Reset in cluster order, or fresh ones that later
+// seeds then recycle — the first time, or when n changed. base.Clock is
+// the scratch's clock, which clock just rewound, so a refused Reset is a
+// bug, reported with the clock's leak audit.
 func (s *runScratch) take(base simnet.Config, n int, seedFor func(g int) int64) []*simnet.Network {
 	cfgFor := func(g int) simnet.Config {
 		cfg := base
-		cfg.Seed = seedFor(g)
+		cfg.Seed, cfg.Group = seedFor(g), g
 		return cfg
 	}
 	if len(s.nets) != n {
@@ -743,14 +743,6 @@ func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outc
 func play(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) (Outcome, *deployment, load) {
 	sc = sc.withDefaults().Materialize(seed)
 	sc.Net.Record, sc.Net.Replay = opts.Record, opts.Replay
-	if sc.Protocol == XAbility && sc.Shards > 0 {
-		// The sharded runtime is outside the record/replay plane (see
-		// Scenario.Shards): drop the hooks rather than hand one log to
-		// several racing networks. It keeps the observability plane: its
-		// groups share one clock, so one registry folds their deliveries
-		// deterministically.
-		sc.Net.Record, sc.Net.Replay = nil, nil
-	}
 	if opts.Obs != nil {
 		sc.Net.Metrics, sc.Net.Trace = opts.Obs.Metrics, opts.Obs.Trace
 	}
@@ -789,7 +781,7 @@ func play(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) (Outcom
 		Requests: len(l.reqs),
 		SimTime:  simTime,
 		Obs:      sc.Net.Metrics.Snapshot(), // nil-safe; nil when unobserved
-		Schedule: sc.Net.Record,             // nil on a sharded run: nothing was recorded
+		Schedule: sc.Net.Record,
 	}
 	for _, m := range d.members {
 		o.Messages += m.net.TotalSent()

@@ -35,19 +35,28 @@ func TestShardedSweepDeterministic(t *testing.T) {
 // TestShardedOutcomeDeterministic re-executes single sharded runs —
 // including SimTime, which is where a scheduling leak would show first
 // (the virtual span of concurrent streams) — and requires bit-equal
-// outcomes. The second execution asks for a recording: a sharded run sits
-// outside the record/replay plane, so the request changes nothing and the
-// outcome carries no Schedule (not the caller's empty log).
+// outcomes. The second execution records: the groups' networks stamp
+// their entries into the one log, so the recorded run equals the plain
+// one apart from Schedule, and Schedule holds more than one group's sends.
 func TestShardedOutcomeDeterministic(t *testing.T) {
 	for _, name := range []string{"shard-nice", "shard-crash-failover", "shard-storm", "shard-random"} {
 		sc, _ := Get(name)
 		for seed := int64(1); seed <= 4; seed++ {
 			a := Execute(sc, seed)
-			b := Run(sc, seed, RunOptions{Record: schedule.NewLog()})
-			if b.Schedule != nil {
-				t.Errorf("%s seed %d: sharded run returned a Schedule of %d entries, want nil", name, seed, b.Schedule.Len())
+			log := schedule.NewLog()
+			b := Run(sc, seed, RunOptions{Record: log})
+			if b.Schedule != log {
+				t.Fatalf("%s seed %d: the outcome does not carry the recording", name, seed)
+			}
+			groups := map[int]bool{}
+			for _, e := range log.Entries() {
+				groups[e.Group] = true
+			}
+			if len(groups) < 2 {
+				t.Errorf("%s seed %d: the recording holds sends of %d group(s), want several", name, seed, len(groups))
 			}
 			a.History, b.History = nil, nil
+			b.Schedule = nil
 			if !reflect.DeepEqual(a, b) {
 				t.Errorf("%s seed %d: two executions differ:\n%+v\nvs\n%+v", name, seed, a, b)
 			}

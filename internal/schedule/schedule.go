@@ -64,26 +64,38 @@ func (v Verdict) String() string {
 	return fmt.Sprintf("verdict(%d)", int(v))
 }
 
-// Entry is one delivery decision: the Index-th send of the run. From, To,
-// and Type identify the message stream; SendAt and Deadline are virtual
+// Entry is one delivery decision: the Index-th send of the run. Group,
+// From, To and Type identify the message stream — Group is the index of
+// the replica group whose network sent it (0 for a single cluster), since
+// every group names its processes alike; SendAt and Deadline are virtual
 // times (the deadline is the delivery instant the scheduler fixed at send
-// time).
+// time). The JSON form is the one shrink artifacts and recorded test
+// schedules share: durations in nanoseconds, Index implied by the order,
+// Group omitted when 0.
 type Entry struct {
-	Index    int
-	From, To string
-	Type     string
-	SendAt   time.Duration
-	Deadline time.Duration
-	Verdict  Verdict
+	Index    int           `json:"-"`
+	From     string        `json:"from"`
+	To       string        `json:"to"`
+	Type     string        `json:"type"`
+	SendAt   time.Duration `json:"send_at_ns"`
+	Deadline time.Duration `json:"deadline_ns"`
+	Verdict  Verdict       `json:"verdict"`
+	Group    int           `json:"group,omitempty"`
 }
 
 // Delay is the entry's scheduled delivery delay.
 func (e Entry) Delay() time.Duration { return e.Deadline - e.SendAt }
 
-// String renders the entry as one trace line.
+// String renders the entry as one trace line. An entry of any group but
+// the first is prefixed as a fault op on that group is ("shard 1: "), so
+// a single cluster's lines name no group.
 func (e Entry) String() string {
-	return fmt.Sprintf("#%-4d %10v → %-10v  %s → %s  %s  %s",
-		e.Index, e.SendAt, e.Deadline, e.From, e.To, e.Type, e.Verdict)
+	group := ""
+	if e.Group > 0 {
+		group = fmt.Sprintf("shard %d: ", e.Group)
+	}
+	return fmt.Sprintf("#%-4d %10v → %-10v  %s%s → %s  %s  %s",
+		e.Index, e.SendAt, e.Deadline, group, e.From, e.To, e.Type, e.Verdict)
 }
 
 // Log is the ordered schedule of one run. The network appends one entry per
@@ -201,10 +213,11 @@ type Replay struct {
 // other stream.
 type streamKey struct{ from, to, typ string }
 
-// Cursor is the per-run consumption state of a Replay: each matched send
-// consumes the next entry of its stream. Sends beyond the log (the
-// replayed run diverged and produced traffic the recording never saw) fall
-// back to the seeded draw, which keeps divergent runs deterministic too.
+// Cursor is the per-run consumption state of a Replay for one group's
+// network: each matched send consumes the next entry of its stream among
+// that group's entries. Sends beyond the log (the replayed run diverged
+// and produced traffic the recording never saw) fall back to the seeded
+// draw, which keeps divergent runs deterministic too.
 type Cursor struct {
 	mu      sync.Mutex
 	streams map[streamKey][]decided
@@ -217,9 +230,10 @@ type decided struct {
 	decision Decision
 }
 
-// NewCursor builds the per-run cursor for a replay spec. Returns nil for a
-// nil spec or nil log.
-func NewCursor(r *Replay) *Cursor {
+// NewCursor builds the per-run cursor for a replay spec on group's
+// network: the other groups' entries are skipped. Returns nil for a nil
+// spec or nil log.
+func NewCursor(r *Replay, group int) *Cursor {
 	if r == nil || r.Log == nil {
 		return nil
 	}
@@ -228,6 +242,9 @@ func NewCursor(r *Replay) *Cursor {
 		pos:     make(map[streamKey]int),
 	}
 	for _, e := range r.Log.Entries() {
+		if e.Group != group {
+			continue
+		}
 		// The verbatim decision honors the recorded verdict: an entry a
 		// previous replay suppressed stays suppressed, so a log
 		// round-trips through replay without an edit.

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -42,7 +43,7 @@ func TestCursorStreamMatching(t *testing.T) {
 	l.Append(entry("a", "b", "x", 0, 1*time.Millisecond))
 	l.Append(entry("a", "c", "x", 0, 2*time.Millisecond))
 	l.Append(entry("a", "b", "x", 0, 3*time.Millisecond))
-	c := NewCursor(&Replay{Log: l})
+	c := NewCursor(&Replay{Log: l}, 0)
 
 	if d, ok := c.Next("a", "b", "x"); !ok || d.Delay != 1*time.Millisecond {
 		t.Errorf("a→b #1: %v %v", d, ok)
@@ -64,14 +65,14 @@ func TestCursorStreamMatching(t *testing.T) {
 }
 
 func TestNilCursorAndNilSpec(t *testing.T) {
-	if c := NewCursor(nil); c != nil {
-		t.Error("NewCursor(nil) != nil")
+	if c := NewCursor(nil, 0); c != nil {
+		t.Error("NewCursor(nil, 0) != nil")
 	}
 	var c *Cursor
 	if _, ok := c.Next("a", "b", "x"); ok {
 		t.Error("nil cursor matched")
 	}
-	if c := NewCursor(&Replay{}); c != nil {
+	if c := NewCursor(&Replay{}, 0); c != nil {
 		t.Error("NewCursor with nil log != nil")
 	}
 }
@@ -85,7 +86,7 @@ func TestVerbatimHonorsRecordedSuppressions(t *testing.T) {
 	l.Append(entry("a", "b", "x", 0, 1*time.Millisecond))
 	i := l.Append(entry("a", "b", "x", 0, 2*time.Millisecond))
 	l.Resolve(i, Suppressed)
-	c := NewCursor(&Replay{Log: l})
+	c := NewCursor(&Replay{Log: l}, 0)
 	if d, _ := c.Next("a", "b", "x"); d.Suppress {
 		t.Error("delivered entry suppressed under verbatim replay")
 	}
@@ -103,7 +104,7 @@ func TestSuppressSet(t *testing.T) {
 	l.Append(entry("a", "b", "x", 0, 2*time.Millisecond))      // newly dropped
 	i := l.Append(entry("a", "b", "x", 0, 3*time.Millisecond)) // prior round
 	l.Resolve(i, Suppressed)                                   //
-	c := NewCursor(&Replay{Log: l, Edit: SuppressSet(map[int]bool{1: true})})
+	c := NewCursor(&Replay{Log: l, Edit: SuppressSet(map[int]bool{1: true})}, 0)
 
 	if d, _ := c.Next("a", "b", "x"); d.Suppress {
 		t.Error("entry 0 suppressed")
@@ -113,5 +114,73 @@ func TestSuppressSet(t *testing.T) {
 	}
 	if d, _ := c.Next("a", "b", "x"); !d.Suppress {
 		t.Error("prior-round suppression not preserved")
+	}
+}
+
+// TestCursorReadsOnlyItsGroup pins the per-group streams of a sharded log:
+// every group names its processes alike, so group 1's cursor must skip
+// group 0's entries of the same (from, to, type) stream, and each group's
+// entries render with the group they belong to (the first one's unnamed).
+func TestCursorReadsOnlyItsGroup(t *testing.T) {
+	l := NewLog()
+	l.Append(entry("a", "b", "x", 0, 1*time.Millisecond))
+	g1 := entry("a", "b", "x", 0, 2*time.Millisecond)
+	g1.Group = 1
+	l.Append(g1)
+	l.Append(entry("a", "b", "x", 0, 3*time.Millisecond))
+	for _, tc := range []struct {
+		group int
+		want  []time.Duration
+	}{
+		{0, []time.Duration{1 * time.Millisecond, 3 * time.Millisecond}},
+		{1, []time.Duration{2 * time.Millisecond}},
+		{2, nil},
+	} {
+		c := NewCursor(&Replay{Log: l}, tc.group)
+		for i, want := range tc.want {
+			if d, ok := c.Next("a", "b", "x"); !ok || d.Delay != want {
+				t.Errorf("group %d send %d: %v %v, want delay %v", tc.group, i, d, ok, want)
+			}
+		}
+		if _, ok := c.Next("a", "b", "x"); ok {
+			t.Errorf("group %d: stream not exhausted after its own %d entries", tc.group, len(tc.want))
+		}
+	}
+	es := l.Entries()
+	if s := es[1].String(); !strings.Contains(s, "shard 1: a → b") {
+		t.Errorf("group 1 entry renders without its group: %s", s)
+	}
+	if s := es[0].String(); strings.Contains(s, "shard") {
+		t.Errorf("group 0 entry names a group: %s", s)
+	}
+}
+
+// TestEntryJSON pins the one JSON form of an entry: the index is implied
+// by the order, durations are nanoseconds, and the group appears only
+// when it is not 0, so single-cluster schedules encode as they always did.
+func TestEntryJSON(t *testing.T) {
+	e := Entry{Index: 7, From: "a", To: "b", Type: "x", SendAt: 5, Deadline: 9, Verdict: Delivered}
+	for _, tc := range []struct {
+		group int
+		want  string
+	}{
+		{0, `{"from":"a","to":"b","type":"x","send_at_ns":5,"deadline_ns":9,"verdict":1}`},
+		{2, `{"from":"a","to":"b","type":"x","send_at_ns":5,"deadline_ns":9,"verdict":1,"group":2}`},
+	} {
+		e.Group = tc.group
+		b, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != tc.want {
+			t.Errorf("group %d: %s, want %s", tc.group, b, tc.want)
+		}
+		var back Entry
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		if want := (Entry{From: "a", To: "b", Type: "x", SendAt: 5, Deadline: 9, Verdict: Delivered, Group: tc.group}); back != want {
+			t.Errorf("group %d: decoded %+v, want %+v", tc.group, back, want)
+		}
 	}
 }

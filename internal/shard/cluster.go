@@ -32,9 +32,9 @@ type Config struct {
 	// Networks, when non-nil (one per shard), deploys each group onto an
 	// existing recycled network instead of building fresh ones — the
 	// sharded analogue of core.ClusterConfig.Network. Each must already
-	// have been Reset with the group's seed and the deployment's shared
-	// clock — a sweep worker's rewound one — which the caller then also
-	// passes as Group.Net.Clock.
+	// have been Reset with the group's seed, its index as the network's
+	// Group and the deployment's shared clock — a sweep worker's rewound
+	// one — which the caller then also passes as Group.Net.Clock.
 	Networks []*simnet.Network
 }
 

@@ -50,14 +50,6 @@ type Options struct {
 // locally minimal; the returned MinTrace is the best trace found.
 var ErrBudget = errors.New("shrink: step budget exhausted before convergence")
 
-// ErrSharded reports that the scenario deploys the sharded runtime, which
-// is outside the record/replay plane (the groups' private networks would
-// interleave one schedule log nondeterministically): the shrinker's
-// delivery edits would be silent no-ops, producing a misleading
-// "minimal" trace. Refusing is the honest answer until sharded runs get
-// per-group logs.
-var ErrSharded = errors.New("shrink: sharded scenarios are outside the record/replay plane (no delivery schedule to minimize)")
-
 // ErrNotFailing reports that the scenario does not fail on the given seed,
 // so there is nothing to shrink.
 var ErrNotFailing = errors.New("shrink: scenario does not fail on this seed")
@@ -160,9 +152,6 @@ func (m MinTrace) Render() string {
 // pass re-tests every surviving delivery and op individually, so the
 // returned trace is 1-minimal, not just ddmin-converged.
 func Shrink(sc scenario.Scenario, seed int64, opt Options) (MinTrace, error) {
-	if sc.Shards > 0 {
-		return MinTrace{Scenario: sc.Name, Seed: seed}, ErrSharded
-	}
 	// Resolve seed-derived faults into the plan first: the shrinker edits
 	// sc.Plan op by op, which only converges when the plan it edits is the
 	// whole schedule (a RandomFaults scenario would otherwise re-draw its

@@ -1,6 +1,7 @@
 package shrink
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"xability/internal/core"
 	"xability/internal/scenario"
+	"xability/internal/schedule"
 	"xability/internal/workload"
 )
 
@@ -322,5 +324,59 @@ func TestPairSet(t *testing.T) {
 				t.Errorf("pairSet(%d) = %v, want %v", i, set, idxs)
 			}
 		}
+	}
+}
+
+// TestShrinkSharded pins the one record/replay path on the sharded
+// runtime: its groups record into one log, each entry stamped with its
+// group, so the shrinker edits a sharded run as it does a single cluster.
+// The registered sharded scenarios pass, so the failure is a predicate
+// only a test sets: the cleaners' cancellations the crash of every
+// group's round-1 owner causes on shard-crash-failover seed 1. The trace
+// must shrink, keep deliveries of several groups, and its artifact must
+// name the groups and replay, through WriteJSON, LoadShrinkLog and Run, to
+// the minimal outcome.
+func TestShrinkSharded(t *testing.T) {
+	sc, _ := scenario.Get("shard-crash-failover")
+	base := scenario.Execute(sc, 1)
+	if base.Cancels == 0 {
+		t.Fatal("no cancellation to preserve: the crash of the owners no longer leaves cleanup work")
+	}
+	mt, err := Shrink(sc, 1, Options{Failing: func(o scenario.Outcome) bool { return o.Cancels >= base.Cancels }})
+	if err != nil {
+		t.Fatalf("Shrink: %v (steps=%d)", err, mt.Steps)
+	}
+	if mt.Deliveries >= mt.BaseDeliveries {
+		t.Errorf("no deliveries removed: %d of %d", mt.Deliveries, mt.BaseDeliveries)
+	}
+	groups := map[int]bool{}
+	for _, e := range mt.Log.Entries() {
+		if e.Verdict == schedule.Delivered {
+			groups[e.Group] = true
+		}
+	}
+	if len(groups) < 2 {
+		t.Errorf("the kept deliveries belong to %d group(s), want several:\n%s", len(groups), mt.Render())
+	}
+
+	var buf bytes.Buffer
+	if err := mt.WriteJSON(&buf); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"group": `)) {
+		t.Error("the artifact names no group")
+	}
+	loaded, err := LoadShrinkLog(&buf)
+	if err != nil {
+		t.Fatalf("LoadShrinkLog: %v", err)
+	}
+	o, err := loaded.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want := mt.Outcome
+	want.Schedule, want.Counterexample = nil, ""
+	if !reflect.DeepEqual(o, want) {
+		t.Errorf("the artifact's replay differs from the minimal run:\nreplayed: %+v\nminimal:  %+v", o, want)
 	}
 }

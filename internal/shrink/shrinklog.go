@@ -33,8 +33,8 @@ type ShrinkLog struct {
 	BaseOps int     `json:"base_ops"`
 	// Entries is the effective minimal schedule, verbatim — kept
 	// deliveries plus the suppressed/dropped placeholders stream
-	// alignment needs.
-	Entries []EntryRef `json:"entries"`
+	// alignment needs — in send order, each in schedule.Entry's JSON form.
+	Entries []schedule.Entry `json:"entries"`
 	// Steps and Minimal echo the shrink's cost and certification.
 	Steps   int  `json:"steps"`
 	Minimal bool `json:"minimal"`
@@ -48,16 +48,6 @@ type OpRef struct {
 	Name string `json:"name"`
 }
 
-// EntryRef mirrors schedule.Entry with stable JSON field names.
-type EntryRef struct {
-	From       string `json:"from"`
-	To         string `json:"to"`
-	Type       string `json:"type"`
-	SendAtNS   int64  `json:"send_at_ns"`
-	DeadlineNS int64  `json:"deadline_ns"`
-	Verdict    int    `json:"verdict"`
-}
-
 // Artifact converts the minimized trace into its serializable form.
 func (m MinTrace) Artifact() ShrinkLog {
 	s := ShrinkLog{
@@ -65,18 +55,12 @@ func (m MinTrace) Artifact() ShrinkLog {
 		Seed:       m.Seed,
 		DeadlineNS: int64(m.Deadline),
 		BaseOps:    m.BaseOps,
+		Entries:    m.Log.Entries(),
 		Steps:      m.Steps,
 		Minimal:    m.Minimal,
 	}
 	for _, op := range m.Plan.Ops() {
 		s.Ops = append(s.Ops, OpRef{AtNS: int64(op.At), Name: op.Name})
-	}
-	for _, e := range m.Log.Entries() {
-		s.Entries = append(s.Entries, EntryRef{
-			From: e.From, To: e.To, Type: e.Type,
-			SendAtNS: int64(e.SendAt), DeadlineNS: int64(e.Deadline),
-			Verdict: int(e.Verdict),
-		})
 	}
 	return s
 }
@@ -136,12 +120,7 @@ func (s *ShrinkLog) Rebuild() (scenario.Scenario, *schedule.Replay, error) {
 	}
 	log := schedule.NewLog()
 	for _, e := range s.Entries {
-		log.Append(schedule.Entry{
-			From: e.From, To: e.To, Type: e.Type,
-			SendAt:   time.Duration(e.SendAtNS),
-			Deadline: time.Duration(e.DeadlineNS),
-			Verdict:  schedule.Verdict(e.Verdict),
-		})
+		log.Append(e)
 	}
 	return sc, &schedule.Replay{Log: log}, nil
 }

@@ -112,6 +112,12 @@ type Config struct {
 	// back to the seeded generator. Record and Replay compose: recording a
 	// replayed run yields the effective schedule of the edited run.
 	Replay *schedule.Replay
+	// Group is the index of the replica group the network carries in its
+	// deployment (0 for a single cluster). Every group names its processes
+	// alike, so the network stamps Group on each entry it records and
+	// replays only the entries stamped with it: one log serves every
+	// network of a deployment. The deployer sets it, never a caller.
+	Group int
 	// Metrics, when non-nil, receives per-message counters (type counts,
 	// drops) and the delivery-order coverage fingerprint. Components built
 	// on the network pull the registry via Network.Metrics so one Config
@@ -195,7 +201,7 @@ func (n *Network) apply(cfg Config) {
 	}
 	n.delayScale = 1
 	n.record = cfg.Record
-	n.replay = schedule.NewCursor(cfg.Replay)
+	n.replay = schedule.NewCursor(cfg.Replay, cfg.Group)
 	n.metrics = cfg.Metrics
 	n.trace = cfg.Trace
 	// Mixed, not the bare seed: the workload, the environment and the
@@ -671,6 +677,7 @@ func (e *Endpoint) Send(to ProcessID, typ string, payload any) {
 		entry = n.record.Append(schedule.Entry{
 			From: string(e.id), To: string(to), Type: typ,
 			SendAt: now, Deadline: now + delay, Verdict: verdict,
+			Group: n.cfg.Group,
 		})
 	}
 	if suppressed || blocked {
