@@ -76,7 +76,7 @@ type ClusterConfig struct {
 	// Durable is set (zero: appends are free and schedule-invisible).
 	WALSync time.Duration
 	// WALSnapshotSync is the per-record tariff for compaction snapshot
-	// writes (zero derives WALSync/4; negative is explicitly free).
+	// writes (zero: snapshots are free).
 	WALSnapshotSync time.Duration
 	// WALCompact triggers log compaction once a log has grown this many
 	// synced records past its last snapshot (zero: logs grow unboundedly,

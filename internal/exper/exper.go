@@ -678,13 +678,14 @@ type T12Row struct {
 func TableT12(seed int64, seeds, workers int) []T12Row {
 	var rows []T12Row
 	for _, ops := range []int{2, 4, 8} {
-		for _, restarts := range []bool{false, true} {
+		for _, outage := range []scenario.Outage{scenario.CrashStop, scenario.RestartMinority} {
+			restarts := outage == scenario.RestartMinority
 			sc := scenario.Scenario{
 				Name:         fmt.Sprintf("t12/ops%d/restarts=%v", ops, restarts),
 				Consensus:    core.ConsensusCT,
 				Durable:      true,
 				Failures:     []scenario.Failure{{Action: "debit", Prob: 1, Budget: 6}},
-				RandomFaults: &scenario.RandomOptions{Ops: ops, Restarts: restarts},
+				RandomFaults: &scenario.RandomOptions{Ops: ops, Outage: outage},
 				Settle:       20 * time.Millisecond,
 			}
 			d := scenario.Sweep(sc, scenario.Seeds(seed, seeds), workers)
@@ -933,9 +934,9 @@ func TableT14(seed int64, seeds, workers int) []T14Row {
 		name string
 		opts scenario.RandomOptions
 	}{
-		{"minority", scenario.RandomOptions{Restarts: true}},
-		{"majority", scenario.RandomOptions{MajorityCrashes: true}},
-		{"total", scenario.RandomOptions{TotalLoss: true}},
+		{"minority", scenario.RandomOptions{Outage: scenario.RestartMinority}},
+		{"majority", scenario.RandomOptions{Outage: scenario.RestartMajority}},
+		{"total", scenario.RandomOptions{Outage: scenario.RestartAll}},
 	}
 	var rows []T14Row
 	for _, reg := range regimes {

@@ -10,12 +10,14 @@ import (
 )
 
 // TestNoDeadConfigFields keeps knobs from growing back: every exported
-// field of an exported *Config, *Options or *Spec struct must be given a
-// value by at least one non-test file of the module. Copying the field of
-// the same name from another struct (`F: x.F`, `y.F = x.F`) is not a value
-// but a pass-through: it counts only if x's F is itself given one
-// somewhere. A knob that is only ever passed along has no caller, and a
-// field nobody sets is a constant: name it as one.
+// field of an exported *Config, *Options or *Spec struct, and of
+// scenario.Scenario, must be given a value by at least one non-test file
+// of the module. Two kinds of assignment are not values. Copying the field
+// of the same name from another struct (`F: x.F`, `y.F = x.F`) is a
+// pass-through: it counts only if x's F is itself given one somewhere. And
+// a type's own withDefaults filling in its zero fields is the default, not
+// a caller. A knob that is only ever passed along or defaulted has no
+// caller, and a field nobody sets is a constant: name it as one.
 func TestNoDeadConfigFields(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -28,7 +30,7 @@ func TestNoDeadConfigFields(t *testing.T) {
 		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() || !tn.Exported() || !isKnobStruct(name) {
+			if !ok || tn.IsAlias() || !tn.Exported() || !isKnobStruct(pkg.Types.Name(), name) {
 				continue
 			}
 			st, ok := tn.Type().Underlying().(*types.Struct)
@@ -59,7 +61,11 @@ func TestNoDeadConfigFields(t *testing.T) {
 			}
 			return nil
 		}
+		var defaults *types.Struct // the receiver's, inside a withDefaults method
 		give := func(dst *types.Var, value ast.Expr) {
+			if hasField(defaults, dst) {
+				return
+			}
 			if src := field(value); src != nil && src.Name() == dst.Name() && inModule[src.Pkg()] {
 				from[dst] = append(from[dst], src)
 				return
@@ -69,6 +75,11 @@ func TestNoDeadConfigFields(t *testing.T) {
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.FuncDecl:
+					defaults = nil
+					if n.Recv != nil && n.Name.Name == "withDefaults" {
+						defaults = structOf(pkg.Info.TypeOf(n.Recv.List[0].Type))
+					}
 				case *ast.CompositeLit:
 					st := structOf(pkg.Info.TypeOf(n))
 					if st == nil {
@@ -87,6 +98,7 @@ func TestNoDeadConfigFields(t *testing.T) {
 						case dst == nil:
 						case len(n.Rhs) == len(n.Lhs):
 							give(dst, n.Rhs[i])
+						case hasField(defaults, dst):
 						default: // a, b.F = f()
 							live[dst] = true
 						}
@@ -141,8 +153,19 @@ var unsetOutsideTests = map[string]string{
 	"shrink.Options.Failing": "the failure predicate: shrink's tests substitute one, every caller keeps the baseline run's failure class",
 }
 
-func isKnobStruct(name string) bool {
-	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Spec")
+func isKnobStruct(pkg, name string) bool {
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Spec") ||
+		pkg == "scenario" && name == "Scenario"
+}
+
+// hasField reports whether f is one of st's own fields.
+func hasField(st *types.Struct, f *types.Var) bool {
+	for i := 0; st != nil && i < st.NumFields(); i++ {
+		if st.Field(i) == f {
+			return true
+		}
+	}
+	return false
 }
 
 // structOf returns the struct a composite literal builds (T{…}, or *T for

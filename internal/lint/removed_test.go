@@ -144,6 +144,11 @@ var removedNames = []struct {
 		pr:      46,
 		why:     "schedule entries carry their group, so a sharded run records, replays and shrinks on the one path, in schedule.Entry's one JSON form",
 	},
+	{
+		pattern: `MaxStormFactor|MajorityCrashes|\bTotalLoss\b|\bsc\.Net\b|Scenario\.Net\b`,
+		pr:      47,
+		why:     "a scenario holds only what a run depends on: one Outage level, a constant storm bound and delay bound, and RunOptions arms the networks",
+	},
 }
 
 // TestRemovedNamesStayGone fails when a removed name reappears in Go

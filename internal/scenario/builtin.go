@@ -225,7 +225,7 @@ func init() {
 		Consensus:    core.ConsensusCT,
 		Durable:      true,
 		Failures:     []Failure{{Action: "debit", Prob: 1, Budget: 6}},
-		RandomFaults: &RandomOptions{Ops: 4, Restarts: true},
+		RandomFaults: &RandomOptions{Ops: 4, Outage: RestartMinority},
 		Settle:       20 * time.Millisecond,
 	})
 
@@ -281,7 +281,7 @@ func init() {
 		Consensus:    core.ConsensusCT,
 		Durable:      true,
 		Failures:     []Failure{{Action: "debit", Prob: 1, Budget: 6}},
-		RandomFaults: &RandomOptions{Ops: 5, MajorityCrashes: true},
+		RandomFaults: &RandomOptions{Ops: 5, Outage: RestartMajority},
 		Settle:       25 * time.Millisecond,
 	})
 
@@ -293,7 +293,7 @@ func init() {
 		Consensus:    core.ConsensusCT,
 		Durable:      true,
 		Failures:     []Failure{{Action: "debit", Prob: 1, Budget: 6}},
-		RandomFaults: &RandomOptions{Ops: 6, TotalLoss: true},
+		RandomFaults: &RandomOptions{Ops: 6, Outage: RestartAll},
 		Settle:       25 * time.Millisecond,
 	})
 
@@ -374,7 +374,7 @@ func init() {
 		Durable:      true,
 		Workload:     shardWL,
 		Failures:     shardFailures,
-		RandomFaults: &RandomOptions{Ops: 6, TotalLoss: true},
+		RandomFaults: &RandomOptions{Ops: 6, Outage: RestartAll},
 		Settle:       25 * time.Millisecond,
 	})
 

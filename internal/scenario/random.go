@@ -13,102 +13,90 @@ type RandomOptions struct {
 	// Ops is the number of fault operations to draw (default 4). A pulse,
 	// storm, or partition counts as one op (its repair rides along).
 	Ops int
-	// Horizon bounds the schedule: every op fires, and every disruptive
-	// op is repaired, strictly before it (default 6ms). Runs should settle
-	// past it; settleFor does so automatically via Plan.Horizon.
-	Horizon time.Duration
-	// Replicas is the replication degree the plan is drawn for (default
-	// 3). The generator never crashes more than a minority of a group, so
-	// the protocol's quorum assumption survives any drawn schedule.
-	Replicas int
-	// Shards, when above 1, draws group-scoped ops addressed to random
-	// groups of a sharded deployment (the plan becomes shard-bound).
-	Shards int
-	// MaxStormFactor bounds delay-storm multipliers (default 16).
-	MaxStormFactor float64
-	// Restarts pairs every drawn crash with a later restart inside the
-	// horizon — the crash→restart schedule class. Meaningful only when the
-	// scenario deploys stable storage (Scenario.Durable): on an in-memory
-	// deployment RestartAt is a no-op and the crash stays permanent. A
-	// restarted replica still counts against the crash budget, so the
-	// minority guard stays conservative even before its restart fires.
-	Restarts bool
-	// MajorityCrashes lifts the minority guard to Replicas-1: a drawn
-	// schedule may take down a majority of a group, as long as one
-	// replica survives to bridge the outage. The liveness guard shifts
-	// from "never crash a majority" to "every crash is paired with a
-	// restart strictly inside the horizon" — so MajorityCrashes implies
-	// Restarts, and it only makes sense on a durable deployment (without
-	// stable storage a majority crash is a permanent quorum loss and no
+	// Outage is how deep the drawn crashes may cut into a group, and
+	// whether the crashed replicas come back (default CrashStop).
+	Outage Outage
+}
+
+// Outage is a level of the generator's crash ladder. Every level above
+// CrashStop pairs each drawn crash with a restart strictly inside the
+// horizon — the crash→restart schedule class — and is meaningful only when
+// the scenario deploys stable storage (Scenario.Durable): on an in-memory
+// deployment RestartAt is a no-op and the crash stays permanent. A
+// restarted replica still counts against the crash budget, so the guard
+// stays conservative even before its restart fires.
+type Outage int
+
+const (
+	// CrashStop crashes at most a minority of a group, for good: the
+	// protocol's quorum assumption survives any drawn schedule.
+	CrashStop Outage = iota
+	// RestartMinority keeps the minority guard and restarts every crash.
+	RestartMinority
+	// RestartMajority lifts the guard to all but one replica: a schedule
+	// may take down a majority, as long as one replica survives to bridge
+	// the outage. The liveness guard shifts from "never crash a majority"
+	// to "every crash is paired with a restart inside the horizon" (without
+	// stable storage a majority crash is a permanent quorum loss, and no
 	// schedule could be required to stay x-able).
-	MajorityCrashes bool
-	// TotalLoss lifts the guard entirely: every replica of a group may be
-	// crashed, simultaneously — a full power cycle. Decisions must come
-	// back from the logs alone. Implies MajorityCrashes and Restarts.
-	TotalLoss bool
-}
+	RestartMajority
+	// RestartAll lifts the guard entirely: every replica of a group may be
+	// down at once — a full power cycle. Decisions must come back from the
+	// logs alone.
+	RestartAll
+)
 
-func (o RandomOptions) withDefaults() RandomOptions {
-	if o.Ops <= 0 {
-		o.Ops = 4
-	}
-	if o.Horizon <= 0 {
-		o.Horizon = 6 * time.Millisecond
-	}
-	if o.Replicas <= 0 {
-		o.Replicas = 3
-	}
-	if o.Shards < 1 {
-		o.Shards = 1
-	}
-	if o.MaxStormFactor < 2 {
-		o.MaxStormFactor = 16
-	}
-	if o.TotalLoss {
-		o.MajorityCrashes = true
-	}
-	if o.MajorityCrashes {
-		o.Restarts = true
-	}
-	return o
-}
-
-// crashBudget is the per-group cap on distinct crashed replicas: a strict
-// minority by default, all-but-one under MajorityCrashes (the paired
-// restarts are the liveness guard), everyone under TotalLoss.
-func (o RandomOptions) crashBudget() int {
-	switch {
-	case o.TotalLoss:
-		return o.Replicas
-	case o.MajorityCrashes:
-		return o.Replicas - 1
+// crashBudget is the per-group cap on distinct crashed replicas in a group
+// of n: a strict minority, all but one under RestartMajority (the paired
+// restarts are the liveness guard), everyone under RestartAll.
+func (o Outage) crashBudget(n int) int {
+	switch o {
+	case RestartAll:
+		return n
+	case RestartMajority:
+		return n - 1
 	default:
-		return (o.Replicas - 1) / 2
+		return (n - 1) / 2
 	}
 }
+
+const (
+	// randomHorizon bounds a drawn schedule: every op fires, and every
+	// disruptive op is repaired, strictly before it. Runs settle past it
+	// through Plan.Horizon.
+	randomHorizon = 6 * time.Millisecond
+	// maxStormFactor bounds delay-storm multipliers.
+	maxStormFactor = 16
+)
 
 // Random appends a seeded random fault schedule: Ops operations drawn
 // from the full adversarial vocabulary — crashes, false-suspicion pulses,
 // owner-isolating partitions, delay storms — at random virtual times
-// within the horizon, addressed to random groups when Shards is set.
-// Equal (seed, options) pairs generate identical plans, so a scenario
-// whose faults derive from the run seed stays a replayable value; see
-// Scenario.RandomFaults for exactly that wiring.
+// within the horizon, for a deployment of shards groups (one when shards
+// is below 2; above, every op is addressed to a random group) of replicas
+// each. Equal (seed, replicas, shards, options) inputs generate identical
+// plans, so a scenario whose faults derive from the run seed stays a
+// replayable value; see Scenario.RandomFaults for exactly that wiring.
 //
 // Drawn schedules respect the protocol's liveness assumptions, so
 // x-ability is still *required* of every generated schedule (a failing
-// seed is a bug, not an over-harsh plan): at most a minority of each
-// group crashes, every partition heals, every storm calms, and every
-// false suspicion is recovered — all strictly inside the horizon. The
+// seed is a bug, not an over-harsh plan): no more of a group crashes than
+// the Outage level allows, every partition heals, every storm calms, and
+// every false suspicion is recovered — all strictly inside the horizon. The
 // assumptions must also survive op *composition*: ops that own a
 // replica's detector state (crashes, pulses, cuts) claim disjoint
 // per-replica windows, so one op's recovery can never un-suspect a
 // replica another op still severs.
-func (p *Plan) Random(seed int64, opt RandomOptions) *Plan {
-	opt = opt.withDefaults()
+func (p *Plan) Random(seed int64, replicas, shards int, opt RandomOptions) *Plan {
+	ops := opt.Ops
+	if ops <= 0 {
+		ops = 4
+	}
+	shards = max(shards, 1)
+	restarts := opt.Outage != CrashStop
 	rng := xrand.New(seed)
 	crashed := make(map[int]map[int]bool) // group → crashed replicas
-	maxCrash := opt.crashBudget()
+	maxCrash := opt.Outage.crashBudget(replicas)
 
 	// claimed tracks, per (group, replica), the windows in which one drawn
 	// op owns that replica's detector state. Each op keeps the liveness
@@ -137,13 +125,13 @@ func (p *Plan) Random(seed int64, opt RandomOptions) *Plan {
 
 	// at draws a firing instant in [5%, frac·95%] of the horizon.
 	at := func(frac float64) time.Duration {
-		span := float64(opt.Horizon) * 0.95 * frac
-		lo := float64(opt.Horizon) * 0.05
+		span := float64(randomHorizon) * 0.95 * frac
+		lo := float64(randomHorizon) * 0.05
 		return time.Duration(lo + rng.Float64()*(span-lo))
 	}
 
-	for i := 0; i < opt.Ops; i++ {
-		g := rng.Intn(opt.Shards)
+	for i := 0; i < ops; i++ {
+		g := rng.Intn(shards)
 		if crashed[g] == nil {
 			crashed[g] = make(map[int]bool)
 		}
@@ -154,20 +142,20 @@ func (p *Plan) Random(seed int64, opt RandomOptions) *Plan {
 			// crash→restart (crash→horizon when permanent): a restart
 			// auto-trusts the replica, which must not land inside another
 			// op's cut.
-			r := rng.Intn(opt.Replicas)
+			r := rng.Intn(replicas)
 			for crashed[g][r] {
-				r = (r + 1) % opt.Replicas
+				r = (r + 1) % replicas
 			}
 			ct := at(0.8)
-			end := opt.Horizon
+			end := randomHorizon
 			var rt time.Duration
-			if opt.Restarts {
+			if restarts {
 				// Revive strictly inside the horizon: at least a quarter of
 				// the remaining window after the crash, at most three
 				// quarters, so the replica is verifiably down for a while
 				// and verifiably back before settle. The replica stays in
-				// the crash budget (see Restarts), so the guard holds.
-				gap := opt.Horizon - ct
+				// the crash budget (see Outage), so the guard holds.
+				gap := randomHorizon - ct
 				rt = ct + gap/4 + time.Duration(rng.Int63n(int64(gap/2)+1))
 				end = rt
 			}
@@ -177,15 +165,15 @@ func (p *Plan) Random(seed int64, opt RandomOptions) *Plan {
 			claim(g, r, ct, end)
 			crashed[g][r] = true
 			sub.CrashAt(ct, r)
-			if opt.Restarts {
+			if restarts {
 				sub.RestartAt(rt, r)
 			}
 		case kind == 1:
 			// False-suspicion pulse: replicas (and sometimes the client)
 			// wrongly suspect a peer for a window, then recover.
-			ri := rng.Intn(opt.Replicas)
+			ri := rng.Intn(replicas)
 			start := at(0.6)
-			width := opt.Horizon/20 + time.Duration(rng.Int63n(int64(opt.Horizon)/4))
+			width := randomHorizon/20 + time.Duration(rng.Int63n(int64(randomHorizon)/4))
 			if !free(g, ri, start, start+width) {
 				continue
 			}
@@ -199,8 +187,8 @@ func (p *Plan) Random(seed int64, opt RandomOptions) *Plan {
 		case kind == 2:
 			// Delay storm window.
 			start := at(0.6)
-			width := opt.Horizon/20 + time.Duration(rng.Int63n(int64(opt.Horizon)/4))
-			factor := 2 + rng.Float64()*(opt.MaxStormFactor-2)
+			width := randomHorizon/20 + time.Duration(rng.Int63n(int64(randomHorizon)/4))
+			factor := 2 + rng.Float64()*(maxStormFactor-2)
 			sub.DelayStormAt(start, width, factor)
 		default:
 			// Isolate one replica behind a cut for a window, then heal.
@@ -213,18 +201,18 @@ func (p *Plan) Random(seed int64, opt RandomOptions) *Plan {
 			// model's eventual-accuracy assumption, not test the
 			// protocol). Recovery lands strictly after the heal so the
 			// client never re-awaits a still-severed replica.
-			r := rng.Intn(opt.Replicas)
+			r := rng.Intn(replicas)
 			start := at(0.6)
-			width := opt.Horizon/20 + time.Duration(rng.Int63n(int64(opt.Horizon)/4))
+			width := randomHorizon/20 + time.Duration(rng.Int63n(int64(randomHorizon)/4))
 			// The claim runs through the post-heal recovery: the replica's
 			// detector state is this op's until the final unsuspect.
-			if !free(g, r, start, start+width+opt.Horizon/20) {
+			if !free(g, r, start, start+width+randomHorizon/20) {
 				continue
 			}
-			claim(g, r, start, start+width+opt.Horizon/20)
+			claim(g, r, start, start+width+randomHorizon/20)
 			rid := core.ReplicaID(r)
 			var rest []simnet.ProcessID
-			for q := 0; q < opt.Replicas; q++ {
+			for q := 0; q < replicas; q++ {
 				if q != r {
 					rest = append(rest, core.ReplicaID(q))
 				}
@@ -234,9 +222,9 @@ func (p *Plan) Random(seed int64, opt RandomOptions) *Plan {
 			sub.SuspectAt(start, rid)
 			sub.ClientSuspectAt(start, rid)
 			sub.HealAt(start + width)
-			sub.UnsuspectAt(start+width+opt.Horizon/20, rid)
+			sub.UnsuspectAt(start+width+randomHorizon/20, rid)
 		}
-		if opt.Shards > 1 {
+		if shards > 1 {
 			p.OnShard(g, sub)
 		} else {
 			// Append the ops verbatim (not through add) so crash/restart

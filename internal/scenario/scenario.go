@@ -50,10 +50,12 @@ type Failure struct {
 }
 
 // Scenario is one complete adversarial experiment, declaratively: which
-// protocol to deploy, on what network, with which injected environment
-// failures, driven by which fault plan, submitting which requests. A
+// protocol to deploy, with which injected environment failures, driven by
+// which fault plan, submitting which requests. Every network of a run
+// draws its delays from the run's seed, uniformly below netMaxDelay. A
 // Scenario is a value — register it once, then Execute it on any seed or
-// Sweep it across thousands.
+// Sweep it across thousands; what a run records or observes is
+// RunOptions', not the scenario's.
 type Scenario struct {
 	// Name identifies the scenario in the registry and on CLI flags.
 	Name string
@@ -80,9 +82,6 @@ type Scenario struct {
 	Consensus core.ConsensusMode
 	// Detector selects the x-ability protocol's failure detectors.
 	Detector core.DetectorMode
-	// Net tunes the simulated network. The seed is supplied per run; a
-	// zero MaxDelay defaults to 200µs.
-	Net simnet.Config
 	// SyncDelay widens primary-backup's duplication window.
 	SyncDelay time.Duration
 
@@ -114,10 +113,9 @@ type Scenario struct {
 	// and shifts the whole schedule (T12's cost curve).
 	WALSync time.Duration
 	// WALSnapshotSync is the per-record sync tariff charged while writing
-	// a compaction snapshot (zero derives WALSync/4; negative is
-	// explicitly free). Snapshots write many records back-to-back, so
-	// pricing them separately lets T14's cost curve distinguish
-	// steady-state appends from compaction stalls.
+	// a compaction snapshot (zero: snapshots are free). Snapshots write many
+	// records back-to-back, so pricing them separately lets T14's cost
+	// curve distinguish steady-state appends from compaction stalls.
 	WALSnapshotSync time.Duration
 	// WALCompact, when positive, compacts each replica's log whenever its
 	// dead-record count reaches the threshold (see wal.Store). Zero never
@@ -137,8 +135,8 @@ type Scenario struct {
 	// RandomFaults, when set, draws a seeded random fault schedule from
 	// the run's seed (Plan.Random) and merges it with Plan, so every seed
 	// of a sweep fights a different schedule while each run stays a
-	// replayable (scenario, seed) value. Zero-valued options default to
-	// the scenario's replication degree and shard count.
+	// replayable (scenario, seed) value. The schedule is drawn for the
+	// scenario's replication degree and shard count.
 	RandomFaults *RandomOptions
 
 	// Requests is the submitted workload (default: one debit of acct-0).
@@ -193,9 +191,6 @@ func (sc Scenario) withDefaults() Scenario {
 	if sc.Replicas <= 0 {
 		sc.Replicas = 3
 	}
-	if sc.Net.MaxDelay == 0 {
-		sc.Net.MaxDelay = 200 * time.Microsecond
-	}
 	if sc.Accounts <= 0 {
 		sc.Accounts = 1
 	}
@@ -219,14 +214,7 @@ func (sc Scenario) Materialize(seed int64) Scenario {
 		return sc
 	}
 	sc = sc.withDefaults()
-	opt := *sc.RandomFaults
-	if opt.Replicas <= 0 {
-		opt.Replicas = sc.Replicas
-	}
-	if opt.Shards < 1 {
-		opt.Shards = sc.Shards
-	}
-	sc.Plan = sc.Plan.Concat(NewPlan().Random(seed, opt))
+	sc.Plan = sc.Plan.Concat(NewPlan().Random(seed, sc.Replicas, sc.Shards, *sc.RandomFaults))
 	sc.RandomFaults = nil
 	return sc
 }
@@ -520,6 +508,9 @@ func groupConfig(sc Scenario, seed int64, net simnet.Config, setup func(*sm.Mach
 	}
 }
 
+// netMaxDelay bounds every scenario network's per-message delay.
+const netMaxDelay = 200 * time.Microsecond
+
 // deploy builds and starts the scenario's deployment on the clock, the
 // networks and the replica groups it takes from the scratch: a sweep
 // worker's recycled ones, or fresh ones for a single run, whose scratch is
@@ -528,10 +519,13 @@ func groupConfig(sc Scenario, seed int64, net simnet.Config, setup func(*sm.Mach
 // timers armed entries that wait for the driver's first blocking call, so
 // nothing — a heartbeat, a delivery, time itself — runs ahead of the
 // build, and every run begins at the same instant with the same world.
-func deploy(sc Scenario, seed int64, l load, scratch *runScratch) *deployment {
+// The networks carry the planes opts arms.
+func deploy(sc Scenario, seed int64, l load, opts RunOptions, scratch *runScratch) *deployment {
 	d := &deployment{clk: scratch.clock()}
-	net := sc.Net
-	net.Seed, net.Clock = seed, d.clk
+	net := simnet.Config{Seed: seed, MaxDelay: netMaxDelay, Clock: d.clk, Record: opts.Record, Replay: opts.Replay}
+	if opts.Obs != nil {
+		net.Metrics, net.Trace = opts.Obs.Metrics, opts.Obs.Trace
+	}
 	sharded := sc.Protocol == XAbility && sc.Shards > 0
 	n, seedFor := 1, func(int) int64 { return seed }
 	if sharded {
@@ -742,10 +736,6 @@ func execute(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) Outc
 // checker fields, and the stopped deployment and its load to check.
 func play(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) (Outcome, *deployment, load) {
 	sc = sc.withDefaults().Materialize(seed)
-	sc.Net.Record, sc.Net.Replay = opts.Record, opts.Replay
-	if opts.Obs != nil {
-		sc.Net.Metrics, sc.Net.Trace = opts.Obs.Metrics, opts.Obs.Trace
-	}
 	l := load{reqs: sc.Requests, accounts: sc.Accounts}
 	switch {
 	case sc.Protocol == XAbility && sc.OpenLoop != nil:
@@ -753,7 +743,7 @@ func play(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) (Outcom
 	case sc.Workload != nil:
 		l.reqs = workload.Generate(*sc.Workload, seed)
 	}
-	d := deploy(sc, seed, l, scratch) // returns with nothing run yet
+	d := deploy(sc, seed, l, opts, scratch) // returns with nothing run yet
 	defer d.stop()
 
 	clk := d.clk
@@ -780,8 +770,10 @@ func play(sc Scenario, seed int64, opts RunOptions, scratch *runScratch) (Outcom
 		Replied:  replied,
 		Requests: len(l.reqs),
 		SimTime:  simTime,
-		Obs:      sc.Net.Metrics.Snapshot(), // nil-safe; nil when unobserved
-		Schedule: sc.Net.Record,
+		Schedule: opts.Record,
+	}
+	if opts.Obs != nil {
+		o.Obs = opts.Obs.Metrics.Snapshot() // nil-safe
 	}
 	for _, m := range d.members {
 		o.Messages += m.net.TotalSent()

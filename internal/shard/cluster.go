@@ -23,7 +23,9 @@ type Config struct {
 	// its own seed from it (GroupSeed), so equal Configs reproduce equal
 	// runs — and Group.Net.Clock, when set, is the deployment's shared
 	// clock (nil selects a fresh one). Every group gets its own network
-	// (its own delay stream, link fault plane and counters) on that clock.
+	// (its own delay stream, link fault plane and counters) on that clock,
+	// with its index as the network's Group, so one Group.Net.Record log
+	// tells the groups' entries apart.
 	Group core.ClusterConfig
 	// Setup, when non-nil, returns the machine-setup function for one
 	// group in place of Group.Setup, so each shard can own its slice of the
@@ -87,6 +89,7 @@ func (c *Cluster) Reset(cfg Config) bool {
 		g.Seed = GroupSeed(cfg.Group.Seed, int64(s))
 		g.Net.Seed = g.Seed
 		g.Net.Clock = clk
+		g.Net.Group = s
 		g.Network = nil // never the template's: groups do not share a network
 		if cfg.Networks != nil {
 			g.Network = cfg.Networks[s]

@@ -7,6 +7,7 @@ import (
 
 	"xability/internal/action"
 	"xability/internal/core"
+	"xability/internal/schedule"
 	"xability/internal/simnet"
 	"xability/internal/sm"
 	"xability/internal/workload"
@@ -185,6 +186,45 @@ func TestGroupSeedsDiffer(t *testing.T) {
 				t.Errorf("GroupSeed collision: %s and %s both derive %d", prev, at, g)
 			}
 			seen[g] = at
+		}
+	}
+}
+
+// TestRecordingTellsGroupsApart records a deployment that builds its own
+// networks (Config.Networks nil, as the ShardedService facade does) into
+// one log: every group's network stamps its own index on its entries, so
+// a replay's per-group cursors read only their own group's streams.
+func TestRecordingTellsGroupsApart(t *testing.T) {
+	log := schedule.NewLog()
+	banks := make([]*workload.Bank, 4)
+	for s := range banks {
+		banks[s] = workload.NewBank(16, 100)
+	}
+	c := New(Config{
+		Shards: 4,
+		Group: core.ClusterConfig{
+			Replicas: 3,
+			Seed:     1,
+			Net:      simnet.Config{MaxDelay: 200 * time.Microsecond, Record: log},
+			Registry: workload.Registry(),
+		},
+		Setup: func(s int) func(m *sm.Machine) { return banks[s].Setup() },
+	})
+	t.Cleanup(c.Stop)
+	if _, ok := c.Router.CallAll(debits(16, 16)); !ok {
+		t.Fatal("not every request was answered")
+	}
+	quiesce(c)
+	perGroup := make([]int, c.Shards())
+	for _, e := range log.Entries() {
+		if e.Group < 0 || e.Group >= len(perGroup) {
+			t.Fatalf("entry %v names group %d of %d", e, e.Group, len(perGroup))
+		}
+		perGroup[e.Group]++
+	}
+	for s, n := range perGroup {
+		if n == 0 {
+			t.Errorf("group %d recorded no entries (per group: %v)", s, perGroup)
 		}
 	}
 }

@@ -116,7 +116,8 @@ type Config struct {
 	// deployment (0 for a single cluster). Every group names its processes
 	// alike, so the network stamps Group on each entry it records and
 	// replays only the entries stamped with it: one log serves every
-	// network of a deployment. The deployer sets it, never a caller.
+	// network of a deployment. The deployer sets it (the scenario driver,
+	// or the sharded runtime for networks it builds), never a caller.
 	Group int
 	// Metrics, when non-nil, receives per-message counters (type counts,
 	// drops) and the delivery-order coverage fingerprint. Components built

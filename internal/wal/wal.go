@@ -102,10 +102,9 @@ type Config struct {
 	// without an idle WAL stay byte-identical.
 	SyncLatency time.Duration
 	// SnapshotSync is the per-record tariff for writing a compaction
-	// snapshot. Snapshots are bulk sequential writes, so zero (the
-	// default) derives SyncLatency/4; a negative value makes snapshots
-	// explicitly free. The whole snapshot charges (records+1) times this
-	// tariff (the +1 is the marker) in one sleep.
+	// snapshot (zero, the default: snapshots are free). The whole snapshot
+	// charges (records+1) times this tariff (the +1 is the marker) in one
+	// sleep.
 	SnapshotSync time.Duration
 	// CompactThreshold triggers compaction: a log whose synced record
 	// count has grown by at least this much since its last compaction
@@ -236,18 +235,6 @@ func (s *Store) Log(proc string) *Log {
 
 // SyncLatency reports the configured per-append tariff.
 func (s *Store) SyncLatency() time.Duration { return s.cfg.SyncLatency }
-
-// snapshotSync resolves the per-record snapshot tariff.
-func (s *Store) snapshotSync() time.Duration {
-	d := s.cfg.SnapshotSync
-	if d == 0 {
-		return s.cfg.SyncLatency / 4
-	}
-	if d < 0 {
-		return 0
-	}
-	return d
-}
 
 // Crash records a process crash at the current virtual instant: every
 // named log's unsynced suffix is torn off, and in-flight snapshot
@@ -518,7 +505,7 @@ func (k *Sync) fold() time.Duration {
 		k.prefix, k.snap = nil, nil
 		return 0
 	}
-	if d := s.snapshotSync() * time.Duration(len(k.snap)+1); d > 0 {
+	if d := s.cfg.SnapshotSync * time.Duration(len(k.snap)+1); d > 0 {
 		// The install is a stable-storage write like any other: its
 		// virtual-time price lands in SyncTime so the cost curves see the
 		// whole durability bill, not just the append tariff.

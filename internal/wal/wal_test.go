@@ -282,7 +282,7 @@ func TestAppendThenRunsAtSyncCompletion(t *testing.T) {
 func TestAppendThenCrashDuringSyncReportsTorn(t *testing.T) {
 	clk := vclock.NewVirtual()
 	defer clk.Stop()
-	s := NewStore(clk, Config{SyncLatency: 100 * time.Microsecond, CompactThreshold: 1})
+	s := NewStore(clk, Config{SyncLatency: 100 * time.Microsecond, SnapshotSync: 25 * time.Microsecond, CompactThreshold: 1})
 	l := s.Log("replica-0")
 	l.SetCompactor(lastPerKey)
 	var k Sync

@@ -38,8 +38,6 @@ type OpenLoopSpec struct {
 	Duration time.Duration
 	// Arrival selects the interarrival process.
 	Arrival ArrivalKind
-	// Mix is the action mix (default DefaultMix).
-	Mix Mix
 	// Accounts is the key space size (default 4).
 	Accounts int
 	// ZipfS, when > 1, skews key popularity with a Zipf(s) distribution —
@@ -71,15 +69,12 @@ func (s OpenLoopSpec) withDefaults() OpenLoopSpec {
 	if s.Accounts <= 0 {
 		s.Accounts = 4
 	}
-	if s.Mix.Reads+s.Mix.Tokens+s.Mix.Debits == 0 {
-		s.Mix = DefaultMix
-	}
 	return s
 }
 
 // GenerateOpenLoop produces the deterministic arrival schedule for a spec:
 // arrival instants from the interarrival process, keys from the uniform or
-// Zipf popularity law, actions from the mix, in nondecreasing time order.
+// Zipf popularity law, actions from DefaultMix, in nondecreasing time order.
 func GenerateOpenLoop(spec OpenLoopSpec, seed int64) []Arrival {
 	spec = spec.withDefaults()
 	rng := xrand.New(seed)
@@ -88,7 +83,8 @@ func GenerateOpenLoop(spec OpenLoopSpec, seed int64) []Arrival {
 		zipf = rand.NewZipf(rng, spec.ZipfS, 1, uint64(spec.Accounts-1))
 	}
 	mean := float64(time.Second) / spec.Rate // ns between arrivals
-	total := spec.Mix.Reads + spec.Mix.Tokens + spec.Mix.Debits
+	mix := DefaultMix
+	total := mix.Reads + mix.Tokens + mix.Debits
 
 	var out []Arrival
 	t := 0.0
@@ -114,9 +110,9 @@ func GenerateOpenLoop(spec OpenLoopSpec, seed int64) []Arrival {
 		var req action.Request
 		pick := rng.Intn(total)
 		switch {
-		case pick < spec.Mix.Reads:
+		case pick < mix.Reads:
 			req = action.NewRequest("read", input)
-		case pick < spec.Mix.Reads+spec.Mix.Tokens:
+		case pick < mix.Reads+mix.Tokens:
 			req = action.NewRequest("token", input)
 		default:
 			req = action.NewRequest("debit", input)
