@@ -46,6 +46,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -234,11 +235,9 @@ type sweepObs struct {
 
 func runSweep(sc scenario.Scenario, seed int64, n, workers int, shrinkFailing bool, budget int, ob sweepObs) {
 	opts := scenario.SweepOptions{
-		Workers:       workers,
-		ShrinkFailing: shrinkFailing,
-		ShrinkBudget:  budget,
-		Metrics:       ob.metrics,
-		TraceFailing:  ob.traceOut != "",
+		Workers:      workers,
+		Metrics:      ob.metrics,
+		TraceFailing: ob.traceOut != "",
 	}
 	if ob.progress {
 		opts.Progress = progressPrinter(n)
@@ -250,7 +249,14 @@ func runSweep(sc scenario.Scenario, seed int64, n, workers int, shrinkFailing bo
 		fmt.Fprintf(os.Stderr, "sweep: %d seeds in %v (%.1f seeds/s)\n",
 			n, elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds())
 	}
-	fmt.Println(d)
+	fmt.Print(d)
+	if shrinkFailing {
+		for _, mt := range shrink.Seeds(sc, d.Failing, shrink.Options{MaxSteps: budget}) {
+			fmt.Printf("\n  minimal counterexample, seed %d:\n    %s", mt.Seed,
+				strings.ReplaceAll(strings.TrimRight(mt.Render(), "\n"), "\n", "\n    "))
+		}
+	}
+	fmt.Println()
 	// Failing-seed traces land next to the requested prefix, one file per
 	// re-run seed, in seed order.
 	traced := make([]int64, 0, len(d.Traces))

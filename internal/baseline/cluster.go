@@ -30,9 +30,6 @@ type ClusterConfig struct {
 	Handler  Handler
 	// SyncDelay widens primary-backup's duplication window (tests).
 	SyncDelay time.Duration
-	// Network, when non-nil, deploys onto an existing (Reset) network
-	// instead of building one from Net — see core.ClusterConfig.Network.
-	Network *simnet.Network
 }
 
 // Cluster is an assembled baseline service with the same observable
@@ -55,19 +52,31 @@ type Cluster struct {
 // NewCluster assembles and starts a baseline service; like core.NewCluster
 // it only schedules, and nothing runs until the caller's first wait.
 func NewCluster(cfg ClusterConfig) *Cluster {
+	c := new(Cluster)
+	c.Reset(cfg)
+	return c
+}
+
+// Reset rebuilds c in place as the service NewCluster(cfg) builds and
+// reports true. It keeps c's network (simnet.Renew) where cfg registers as
+// many replicas as c's previous config did, and, when cfg.Net names no
+// clock, c's own clock rewound to time zero; the servers, detectors,
+// client, environment and observer are new. It refuses, reporting false
+// and changing nothing, unless c's clock is Quiesced.
+func (c *Cluster) Reset(cfg ClusterConfig) bool {
+	if c.Net != nil && !c.Clock().Quiesced() {
+		return false
+	}
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 3
 	}
 	if cfg.Net.Seed == 0 {
 		cfg.Net.Seed = cfg.Seed
 	}
-	net := cfg.Network
-	if net == nil {
-		net = simnet.New(cfg.Net)
-	}
+	net := simnet.Renew(c.Net, cfg.Net, len(c.pbs)+len(c.acts) == cfg.Replicas)
 	observer := trace.New()
 	world := env.New(observer, cfg.Seed)
-	c := &Cluster{Net: net, Observer: observer, Env: world, dets: make(map[simnet.ProcessID]*fd.Scripted)}
+	*c = Cluster{Net: net, Observer: observer, Env: world, dets: make(map[simnet.ProcessID]*fd.Scripted)}
 
 	ids := make([]simnet.ProcessID, cfg.Replicas)
 	for i := range ids {
@@ -104,7 +113,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		Replicas: ids,
 		Detector: c.cdet,
 	})
-	return c
+	return true
 }
 
 // Clock returns the cluster's clock. Scenario drivers schedule fault

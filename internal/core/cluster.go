@@ -49,13 +49,6 @@ type ClusterConfig struct {
 	Net       simnet.Config
 	Consensus ConsensusMode
 	Detector  DetectorMode
-	// Network, when non-nil, deploys onto an existing network instead of
-	// building one from Net — the sweep runner passes a network Reset onto
-	// its rewound clock here, so consecutive seeds reuse the substrate
-	// (the clock's pools, endpoints and their conds, interning) instead of
-	// allocating a fresh world. The network must have been Reset with the
-	// run's config; Net is ignored.
-	Network *simnet.Network
 	// Registry is the service's action vocabulary.
 	Registry *action.Registry
 	// Setup registers action bodies on each replica's machine.
@@ -121,19 +114,20 @@ type Cluster struct {
 // cluster per worker and resets it for each seed instead.
 func NewCluster(cfg ClusterConfig) *Cluster {
 	c := new(Cluster)
-	c.build(cfg)
+	c.renew(cfg)
+	c.build()
 	return c
 }
 
-// Reset rebuilds c in place as the service NewCluster(cfg) builds — on
-// cfg.Network, which a sweep has just Reset onto the rewound clock — and
+// Reset rebuilds c in place as the service NewCluster(cfg) builds and
 // reports true. Every layer is reset on the storage of the one it
-// replaces (the servers at each index, their machines, the client, the
-// detectors, the consensus layer, the environment, the observer, the
-// stable storage), so a recycled group allocates little but what its run
-// does. It refuses, reporting false and changing nothing, unless c's clock
-// is Quiesced: only then has nothing of the previous run a hold on them.
-// A cluster is the one-group list of ResetGroups.
+// replaces (the network, the servers at each index, their machines, the
+// client, the detectors, the consensus layer, the environment, the
+// observer, the stable storage), so a recycled group allocates little but
+// what its run does. When cfg.Net names no clock, c keeps its own, rewound
+// to time zero. It refuses, reporting false and changing nothing, unless
+// c's clock is Quiesced: only then has nothing of the previous run a hold
+// on them. A cluster is the one-group list of ResetGroups.
 func (c *Cluster) Reset(cfg ClusterConfig) bool {
 	return ResetGroups([]*Cluster{c}, func(int) ClusterConfig { return cfg })
 }
@@ -142,8 +136,10 @@ func (c *Cluster) Reset(cfg ClusterConfig) bool {
 // deployment's groups: with that clock Quiesced it resets groups[i] from
 // cfg(i) in index order — building it new where groups[i] is nil — and
 // reports true; otherwise it reports false and changes nothing. The groups
-// cannot each check the clock in their own Reset: the first one rebuilt
-// schedules its start on it.
+// cannot each check the clock in their own Reset, and every network is
+// renewed before the first group is built: the first group built schedules
+// its start on the clock, and a network's Reset refuses a clock with
+// anything pending.
 func ResetGroups(groups []*Cluster, cfg func(i int) ClusterConfig) bool {
 	for _, g := range groups {
 		if g != nil && !g.Clock().Quiesced() {
@@ -152,25 +148,35 @@ func ResetGroups(groups []*Cluster, cfg func(i int) ClusterConfig) bool {
 	}
 	for i := range groups {
 		groups[i] = recycle.Ptr(groups[i])
-		groups[i].build(cfg(i))
+		groups[i].renew(cfg(i))
+	}
+	for _, g := range groups {
+		g.build()
 	}
 	return true
 }
 
-// build is NewCluster's and Reset's one construction path: it assigns c
-// whole, layer by layer, each on the storage of c's previous layer where
-// there is one — none on a new Cluster.
-func (c *Cluster) build(cfg ClusterConfig) {
+// renew makes cfg, its defaults resolved, c's config, and gives c the
+// network cfg's run needs: c's own, renewed onto cfg.Net (simnet.Renew),
+// kept where cfg registers the endpoints c's previous config did — the
+// same Replicas, Detector and Consensus — and a new one otherwise.
+func (c *Cluster) renew(cfg ClusterConfig) {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 3
 	}
 	if cfg.Net.Seed == 0 {
 		cfg.Net.Seed = cfg.Seed
 	}
-	net := cfg.Network
-	if net == nil {
-		net = simnet.New(cfg.Net)
-	}
+	same := cfg.Replicas == c.cfg.Replicas && cfg.Detector == c.cfg.Detector && cfg.Consensus == c.cfg.Consensus
+	c.Net, c.cfg = simnet.Renew(c.Net, cfg.Net, same), cfg
+}
+
+// build is NewCluster's and Reset's one construction path: it assigns c
+// whole, layer by layer on the network and from the config renew gave it,
+// each on the storage of c's previous layer where there is one — none on a
+// new Cluster.
+func (c *Cluster) build() {
+	cfg, net := c.cfg, c.Net
 	n := cfg.Replicas
 	old := *c
 	observer := recycle.Ptr(old.Observer)
@@ -327,11 +333,12 @@ func (c *Cluster) newServer(i int, srv *Server) *Server {
 	return srv
 }
 
-// Clock returns the cluster's clock (a fresh one, unless
-// ClusterConfig.Net.Clock supplies the deployment's shared clock). Scenario
-// drivers schedule fault injection on it — Clock().Go with a Clock().Sleep
-// — so injections land at fixed points of simulated time regardless of how
-// fast the host executes the run.
+// Clock returns the cluster's clock: the deployment's shared one that
+// ClusterConfig.Net.Clock names, or else the cluster's own — new at
+// NewCluster, rewound by each Reset. Scenario drivers schedule fault
+// injection on it — Clock().Go with a Clock().Sleep — so injections land
+// at fixed points of simulated time regardless of how fast the host
+// executes the run.
 func (c *Cluster) Clock() *vclock.Virtual { return c.Net.Clock() }
 
 // Network returns the cluster's simulated network. Scenario drivers reach

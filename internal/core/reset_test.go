@@ -116,6 +116,54 @@ func TestClusterResetIsNewCluster(t *testing.T) {
 	}
 }
 
+// TestClusterResetKeepsNetworkAndClock pins what a cluster that owns its
+// clock recycles: a Reset to the same shape — the endpoints its previous
+// config registered, in the same order — keeps its network and its clock,
+// rewound to time zero, and the run on them is a new cluster's, down to
+// the clock's counts. A Reset to another shape keeps the clock and builds
+// the network new on it.
+func TestClusterResetKeepsNetworkAndClock(t *testing.T) {
+	for _, cfg := range []ClusterConfig{
+		{Replicas: 3, Seed: 41},
+		{Replicas: 3, Seed: 42, Detector: DetectorHeartbeat, HeartbeatInterval: time.Millisecond, Consensus: ConsensusCT, Durable: true},
+	} {
+		c := NewCluster(bankConfig(cfg))
+		driveReset(c)
+		net, clk := c.Net, c.Clock()
+		for seed := cfg.Seed; seed < cfg.Seed+3; seed++ {
+			next := cfg
+			next.Seed = seed
+			if !c.Reset(bankConfig(next)) {
+				t.Fatalf("seed %d: Reset refused a cluster whose run was wound down", seed)
+			}
+			if c.Net != net || c.Clock() != clk {
+				t.Fatalf("seed %d: a same-shape Reset built a new network or clock", seed)
+			}
+			if now, events := clk.Now(), clk.Events(); now != 0 || events == 0 {
+				t.Errorf("seed %d: the kept clock reads %v and %d events after the build, want time zero and the build's events", seed, now, events)
+			}
+			got := driveReset(c)
+			want := driveReset(NewCluster(bankConfig(next)))
+			if !got.history.Equal(want.history) {
+				t.Errorf("seed %d: history on the kept network differs from a new cluster's:\nreset: %v\nnew:   %v", seed, got.history, want.history)
+			}
+			got.history, want.history = nil, nil
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d: run on the kept network differs from a new cluster's:\nreset: %+v\nnew:   %+v", seed, got, want)
+			}
+		}
+	}
+	c := NewCluster(bankConfig(ClusterConfig{Replicas: 3, Seed: 43}))
+	driveReset(c)
+	net, clk := c.Net, c.Clock()
+	if !c.Reset(bankConfig(ClusterConfig{Replicas: 5, Seed: 43})) {
+		t.Fatal("Reset refused a cluster whose run was wound down")
+	}
+	if c.Net == net || c.Clock() != clk {
+		t.Error("a Reset to five replicas kept the three-replica network, or dropped the clock")
+	}
+}
+
 // TestClusterResetRefusesPendingWork pins the refusal: with an event still
 // pending on its clock — a new cluster's first runs and cleaner ticks — a
 // Reset reports false and leaves the cluster as it was, down to the run it

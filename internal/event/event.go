@@ -241,30 +241,12 @@ func (h History) Filter(keep func(Event) bool) History {
 	return out
 }
 
-// Project returns the subsequence of events whose action name satisfies
-// keep; a common filter when examining one action's incarnations.
-func (h History) Project(keep func(action.Name) bool) History {
-	return h.Filter(func(e Event) bool { return keep(e.Action) })
-}
-
 // Starts returns the number of start events for (a, iv) in h: the number of
 // incarnations of the action visible in the history.
 func (h History) Starts(a action.Name, iv action.Value) int {
 	n := 0
 	for _, e := range h {
 		if e.Type == Start && e.Action == a && e.Value == iv {
-			n++
-		}
-	}
-	return n
-}
-
-// Completions returns the number of completion events for action a
-// (regardless of output value) in h.
-func (h History) Completions(a action.Name) int {
-	n := 0
-	for _, e := range h {
-		if e.Type == Complete && e.Action == a {
 			n++
 		}
 	}

@@ -140,15 +140,8 @@ func TestStringRendering(t *testing.T) {
 
 func TestFilterProjectCounts(t *testing.T) {
 	h := History{S("a", "1"), C("a", "2"), S("b", "1"), S("a", "1"), C("b", "9")}
-	onlyA := h.Project(func(n action.Name) bool { return n == "a" })
-	if len(onlyA) != 3 {
-		t.Errorf("Project(a) has %d events, want 3", len(onlyA))
-	}
 	if got := h.Starts("a", "1"); got != 2 {
 		t.Errorf("Starts(a,1) = %d, want 2", got)
-	}
-	if got := h.Completions("b"); got != 1 {
-		t.Errorf("Completions(b) = %d, want 1", got)
 	}
 	starts := h.Filter(func(e Event) bool { return e.Type == Start })
 	if len(starts) != 3 {

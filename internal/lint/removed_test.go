@@ -149,6 +149,16 @@ var removedNames = []struct {
 		pr:      47,
 		why:     "a scenario holds only what a run depends on: one Outage level, a constant storm bound and delay bound, and RunOptions arms the networks",
 	},
+	{
+		pattern: `runScratch\.take|runScratch\) take\(|scratch\.clock\(|\bNetworks:|cfg\.Network( =|$)|cfg\.Networks\b`,
+		pr:      49,
+		why:     "a deployment owns its clock and networks: its Reset rewinds the one and resets the others, and only shard.Cluster.Reset derives a group's network",
+	},
+	{
+		pattern: `\bRegisterShrinker\b|\bShrinkFailing\b|\bShrinkBudget\b|\bCounterexamples?\b`,
+		pr:      49,
+		why:     "scenario names no shrinker: shrink.Seeds shrinks a sweep's failing seeds, and a trace renders from its MinTrace",
+	},
 }
 
 // TestRemovedNamesStayGone fails when a removed name reappears in Go

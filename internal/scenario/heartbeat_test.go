@@ -151,7 +151,7 @@ func TestDeliveriesSpawnNoGoroutines(t *testing.T) {
 		seed := int64(i + 1)
 		scratch := &runScratch{}
 		o := execute(sc, seed, RunOptions{}, scratch)
-		clk := scratch.nets[0].Clock()
+		clk := firstNetwork(scratch).Clock()
 		if !clk.Quiesced() {
 			t.Fatalf("seed %d: the clock is still running when execute returns: %v", seed, clk.Stop())
 		}
@@ -212,7 +212,7 @@ func TestCTHandOffsOnThePump(t *testing.T) {
 			seed := int64(i + 1)
 			scratch := &runScratch{}
 			o := execute(sc, seed, RunOptions{}, scratch)
-			clk := scratch.nets[0].Clock()
+			clk := firstNetwork(scratch).Clock()
 			if !clk.Quiesced() {
 				t.Fatalf("%s seed %d: the clock is still running when execute returns: %v", c.name, seed, clk.Stop())
 			}

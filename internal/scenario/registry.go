@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -19,16 +20,7 @@ func Register(sc Scenario) error {
 	if sc.Name == "" {
 		return fmt.Errorf("scenario: empty name")
 	}
-	sc = sc.withDefaults()
-	sc.Plan = sc.Plan.Clone() // detach from the caller's builder handle
-	if sc.RandomFaults != nil {
-		opt := *sc.RandomFaults
-		sc.RandomFaults = &opt
-	}
-	if sc.Workload != nil {
-		spec := *sc.Workload
-		sc.Workload = &spec
-	}
+	sc = sc.withDefaults().detached() // from the caller's builder handles
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := scenarios[sc.Name]; dup {
@@ -47,22 +39,36 @@ func MustRegister(sc Scenario) {
 }
 
 // Get looks a scenario up by name. The returned scenario owns its fault
-// plan: builder calls on it do not mutate the registered scenario and
-// cannot race with sweeps executing it.
+// plan and its specs: builder calls and writes on it do not mutate the
+// registered scenario and cannot race with sweeps executing it.
 func Get(name string) (Scenario, bool) {
 	regMu.RLock()
 	defer regMu.RUnlock()
 	sc, ok := scenarios[name]
+	return sc.detached(), ok
+}
+
+// detached returns sc with its own copy of everything it points to — the
+// fault plan, the injected failures, the requests, the random-fault
+// options, the workload and open-loop specs — so that writing through one
+// copy of a scenario reaches no other.
+func (sc Scenario) detached() Scenario {
 	sc.Plan = sc.Plan.Clone()
-	if sc.RandomFaults != nil {
-		opt := *sc.RandomFaults
-		sc.RandomFaults = &opt
+	sc.Failures = slices.Clone(sc.Failures)
+	sc.Requests = slices.Clone(sc.Requests)
+	sc.RandomFaults = clone(sc.RandomFaults)
+	sc.Workload = clone(sc.Workload)
+	sc.OpenLoop = clone(sc.OpenLoop)
+	return sc
+}
+
+// clone returns a pointer to a copy of *p, or nil for nil.
+func clone[T any](p *T) *T {
+	if p == nil {
+		return nil
 	}
-	if sc.Workload != nil {
-		spec := *sc.Workload
-		sc.Workload = &spec
-	}
-	return sc, ok
+	v := *p
+	return &v
 }
 
 // Names returns every registered scenario name, sorted.

@@ -174,7 +174,7 @@ func TestRestartOutcomesByteDeterministic(t *testing.T) {
 			fresh := Execute(sc, seed)
 			reused := execute(sc, seed, RunOptions{}, scratch)
 			if seed == 1 {
-				first = scratch.nets[0]
+				first = firstNetwork(scratch)
 			}
 			fresh.History, reused.History = nil, nil
 			if !reflect.DeepEqual(fresh, reused) {
@@ -182,7 +182,7 @@ func TestRestartOutcomesByteDeterministic(t *testing.T) {
 					name, seed, fresh, reused)
 			}
 		}
-		if scratch.nets[0] != first {
+		if firstNetwork(scratch) != first {
 			t.Errorf("%s: scratch abandoned its network (Reset failed); reuse never engaged", name)
 		}
 	}

@@ -66,9 +66,10 @@ func assertReuseBitEqual(t *testing.T, names []string) {
 			fresh := Execute(sc, seed)
 			reused := execute(sc, seed, RunOptions{}, scratch)
 			if seed == 1 {
-				clk, first = scratch.clk, scratch.nets[0]
+				first = firstNetwork(scratch)
+				clk = first.Clock()
 			}
-			if scratch.clk != clk {
+			if firstNetwork(scratch).Clock() != clk {
 				t.Errorf("%s seed %d: scratch built a new clock instead of rewinding its first", name, seed)
 			}
 			now := recycledGroups(scratch)
@@ -97,13 +98,27 @@ func assertReuseBitEqual(t *testing.T, names []string) {
 					name, seed, fresh, reused)
 			}
 		}
-		if scratch.nets[0] != first {
+		if firstNetwork(scratch) != first {
 			t.Errorf("%s: scratch abandoned its network (Reset failed); reuse never engaged", name)
 		}
 		if sc.Protocol == XAbility && len(groups) == 0 {
 			t.Errorf("%s: scratch kept no replica group to recycle", name)
 		}
 	}
+}
+
+// firstNetwork returns the first network of the scratch's deployment, the
+// one its first group or its baseline cluster runs on (nil before a run).
+func firstNetwork(s *runScratch) *simnet.Network {
+	switch {
+	case s.shards != nil:
+		return s.shards.Group(0).Net
+	case s.group != nil:
+		return s.group.Net
+	case s.base != nil:
+		return s.base.Net
+	}
+	return nil
 }
 
 // recycledGroups lists the replica groups a scratch keeps, in shard order

@@ -304,9 +304,6 @@ type Outcome struct {
 	// only; nil otherwise). A sharded run's groups record into it in clock
 	// order, each entry stamped with its group.
 	Schedule *schedule.Log
-	// Counterexample is the rendered minimal failing trace; the shrinker
-	// (internal/shrink) fills it on the outcome of a minimized run.
-	Counterexample string
 }
 
 // RunOptions arms the optional planes of one run. The zero value is a
@@ -342,89 +339,41 @@ func ExecuteObserved(sc Scenario, seed int64, run *obs.Run) Outcome {
 	return Run(sc, seed, RunOptions{Obs: run})
 }
 
-// runScratch is a sweep worker's reusable world: the deployment's clock,
-// with its event and waiter pools; its networks — one per cluster, with
-// their endpoints, interning tables, conds and event pools; its replica
-// groups — servers, machines, client, detectors, consensus, environment,
-// observer and stable storage — and their banks; and the checker every
-// group's verdict runs on. Each later seed rewinds the clock
-// (vclock.Virtual.Reset), resets the networks onto it
-// (simnet.Network.Reset) and the groups onto those (core.Cluster.Reset,
-// shard.Cluster.Reset) instead of allocating a fresh world per run. A
-// layer's Reset is its constructor's own path on recycled storage, so the
-// sweep determinism tests pin outcomes bit-equal to fresh-world Execute
-// runs. The checker holds no run state: each check overwrites its scratch.
-// A single run's scratch is empty, so it builds everything fresh.
+// runScratch is a sweep worker's reusable world: its deployment — the
+// single replica group, the sharded groups or the baseline cluster, each
+// with its clock, its networks and every layer built on them — the groups'
+// banks, and the checker every group's verdict runs on. Each later seed
+// resets the deployment in place (core.Cluster.Reset, shard.Cluster.Reset,
+// baseline.Cluster.Reset), which rewinds its own clock and resets its own
+// networks onto it, instead of allocating a fresh world per run. A layer's
+// Reset is its constructor's own path on recycled storage, so the sweep
+// determinism tests pin outcomes bit-equal to fresh-world Execute runs. The
+// checker holds no run state: each check overwrites its scratch. A single
+// run's scratch is empty, so it builds everything fresh.
 type runScratch struct {
-	clk    *vclock.Virtual
-	nets   []*simnet.Network
-	group  *core.Cluster  // the single-group deployment
-	shards *shard.Cluster // the sharded one
+	group  *core.Cluster     // the single-group deployment
+	shards *shard.Cluster    // the sharded one
+	base   *baseline.Cluster // the baseline one
 	banks  []*workload.Bank
 	check  verify.Checker
 }
 
-// clock returns the run's clock: a new one the first time, and after that
-// the same one rewound to time zero. The previous run's driver wound its
-// world down before it let go of the clock, so a refused Reset is a bug,
-// reported with the clock's leak audit as take reports a network's.
-func (s *runScratch) clock() *vclock.Virtual {
-	if s.clk == nil {
-		s.clk = vclock.NewVirtual()
-	} else if !s.clk.Reset() {
-		panic(fmt.Sprintf("scenario: the previous run left its clock running: %v", s.clk.Stop()))
+// recycled returns *kept reset for cfg, or, the first time, the new one
+// fresh builds, which later seeds then recycle. The previous run's driver
+// wound its world down before it returned, so a refused Reset is a bug,
+// reported with the clock's leak audit.
+func recycled[C any, D interface {
+	comparable
+	Reset(C) bool
+	Clock() *vclock.Virtual
+}](kept *D, cfg C, fresh func(C) D) D {
+	var none D
+	if *kept == none {
+		*kept = fresh(cfg)
+	} else if !(*kept).Reset(cfg) {
+		panic(fmt.Sprintf("scenario: the previous run left its clock running: %v", (*kept).Clock().Stop()))
 	}
-	return s.clk
-}
-
-// take returns n networks ready for a seeded run on base.Clock, network g
-// seeded seedFor(g) and carrying group g's entries of the run's schedule:
-// the recycled ones, Reset in cluster order, or fresh ones that later
-// seeds then recycle — the first time, or when n changed. base.Clock is
-// the scratch's clock, which clock just rewound, so a refused Reset is a
-// bug, reported with the clock's leak audit.
-func (s *runScratch) take(base simnet.Config, n int, seedFor func(g int) int64) []*simnet.Network {
-	cfgFor := func(g int) simnet.Config {
-		cfg := base
-		cfg.Seed, cfg.Group = seedFor(g), g
-		return cfg
-	}
-	if len(s.nets) != n {
-		s.nets = make([]*simnet.Network, n)
-		for g := range s.nets {
-			s.nets[g] = simnet.New(cfgFor(g))
-		}
-		return s.nets
-	}
-	for g, net := range s.nets {
-		if !net.Reset(cfgFor(g)) {
-			panic(fmt.Sprintf("scenario: the previous run left its clock running: %v", net.Clock().Stop()))
-		}
-	}
-	return s.nets
-}
-
-// replicaGroup returns the single-group deployment for cfg: the scratch's
-// group reset in place, or a new one the first time. Its clock is the one
-// clock just rewound, so a refused Reset is a bug, reported with the
-// clock's leak audit as take reports a network's.
-func (s *runScratch) replicaGroup(cfg core.ClusterConfig) *core.Cluster {
-	if s.group == nil {
-		s.group = core.NewCluster(cfg)
-	} else if !s.group.Reset(cfg) {
-		panic(fmt.Sprintf("scenario: the previous run left its clock running: %v", s.group.Clock().Stop()))
-	}
-	return s.group
-}
-
-// shardedGroups is replicaGroup for the sharded deployment.
-func (s *runScratch) shardedGroups(cfg shard.Config) *shard.Cluster {
-	if s.shards == nil {
-		s.shards = shard.New(cfg)
-	} else if !s.shards.Reset(cfg) {
-		panic(fmt.Sprintf("scenario: the previous run left its clock running: %v", s.shards.Clock().Stop()))
-	}
-	return s.shards
+	return *kept
 }
 
 // bank returns group g's bank, reset to accounts at opening: the scratch's,
@@ -487,8 +436,8 @@ type load struct {
 
 // groupConfig is the one place a scenario becomes a replica group's
 // configuration, for the single cluster and for the template the sharded
-// runtime builds every group from alike. Network stays unset: deploy hands
-// each cluster its own. setup registers the bodies over the group's bank.
+// runtime builds every group from alike. setup registers the bodies over
+// the group's bank.
 func groupConfig(sc Scenario, seed int64, net simnet.Config, setup func(*sm.Machine)) core.ClusterConfig {
 	return core.ClusterConfig{
 		Replicas:          sc.Replicas,
@@ -511,61 +460,54 @@ func groupConfig(sc Scenario, seed int64, net simnet.Config, setup func(*sm.Mach
 // netMaxDelay bounds every scenario network's per-message delay.
 const netMaxDelay = 200 * time.Microsecond
 
-// deploy builds and starts the scenario's deployment on the clock, the
-// networks and the replica groups it takes from the scratch: a sweep
-// worker's recycled ones, or fresh ones for a single run, whose scratch is
-// empty. Every run's world and its clock begin in this function. Building
-// only schedules: the goroutines a cluster starts are spawn events and its
-// timers armed entries that wait for the driver's first blocking call, so
-// nothing — a heartbeat, a delivery, time itself — runs ahead of the
-// build, and every run begins at the same instant with the same world.
-// The networks carry the planes opts arms.
+// deploy builds and starts the scenario's deployment: the scratch's, reset
+// for this run, or a fresh one for a single run, whose scratch is empty.
+// The deployment brings its own clock and networks, and the run's clock is
+// the deployment's. Building only schedules: the goroutines a cluster
+// starts are spawn events and its timers armed entries that wait for the
+// driver's first blocking call, so nothing — a heartbeat, a delivery, time
+// itself — runs ahead of the build, and every run begins at the same
+// instant with the same world. The networks carry the planes opts arms.
 func deploy(sc Scenario, seed int64, l load, opts RunOptions, scratch *runScratch) *deployment {
-	d := &deployment{clk: scratch.clock()}
-	net := simnet.Config{Seed: seed, MaxDelay: netMaxDelay, Clock: d.clk, Record: opts.Record, Replay: opts.Replay}
+	d := new(deployment)
+	net := simnet.Config{Seed: seed, MaxDelay: netMaxDelay, Record: opts.Record, Replay: opts.Replay}
 	if opts.Obs != nil {
 		net.Metrics, net.Trace = opts.Obs.Metrics, opts.Obs.Trace
 	}
-	sharded := sc.Protocol == XAbility && sc.Shards > 0
-	n, seedFor := 1, func(int) int64 { return seed }
-	if sharded {
-		n, seedFor = sc.Shards, func(g int) int64 { return shard.GroupSeed(seed, int64(g)) }
-	}
-	nets := scratch.take(net, n, seedFor)
 	switch {
 	case sc.Protocol != XAbility:
 		scheme := baseline.PrimaryBackup
 		if sc.Protocol == Active {
 			scheme = baseline.Active
 		}
-		c := baseline.NewCluster(baseline.ClusterConfig{
+		c := recycled(&scratch.base, baseline.ClusterConfig{
 			Scheme:    scheme,
 			Replicas:  sc.Replicas,
 			Seed:      seed,
 			Net:       net,
-			Network:   nets[0],
 			Handler:   DivergingHandler(),
 			SyncDelay: sc.SyncDelay,
-		})
-		d.base = c
+		}, baseline.NewCluster)
+		d.clk, d.base = c.Clock(), c
 		d.members = []member{{target: c, net: c.Net, env: c.Env, observer: c.Observer, client: c.Client}}
-	case sharded:
+	case sc.Shards > 0:
 		// Every group owns its slice of the application state: its own bank.
 		accounts, opening := l.accounts, sc.Opening
-		d.router = scratch.shardedGroups(shard.Config{
-			Shards:   sc.Shards,
-			Group:    groupConfig(sc, seed, net, nil),
-			Setup:    func(g int) func(*sm.Machine) { return scratch.bank(g, accounts, opening).Setup() },
-			Networks: nets,
-		})
+		d.router = recycled(&scratch.shards, shard.Config{
+			Shards: sc.Shards,
+			Group:  groupConfig(sc, seed, net, nil),
+			Setup:  func(g int) func(*sm.Machine) { return scratch.bank(g, accounts, opening).Setup() },
+		}, shard.New)
+		d.clk = d.router.Clock()
 		d.members = make([]member, sc.Shards)
 		for s := range d.members {
 			d.members[s].group = d.router.Group(s)
 		}
 	default:
 		cfg := groupConfig(sc, seed, net, scratch.bank(0, l.accounts, sc.Opening).Setup())
-		cfg.Network = nets[0]
-		d.members = []member{{group: scratch.replicaGroup(cfg)}}
+		g := recycled(&scratch.group, cfg, core.NewCluster)
+		d.clk = g.Clock()
+		d.members = []member{{group: g}}
 	}
 	for i := range d.members {
 		m := &d.members[i]

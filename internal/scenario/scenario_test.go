@@ -68,6 +68,40 @@ func TestRegistryBuiltins(t *testing.T) {
 	}
 }
 
+// TestGetDetachesSpecs pins that a scenario Get returns shares nothing it
+// can write through with the registry: open-loop-nice and open-loop-batch
+// are registered from one open-loop spec, and a caller that tunes the rate
+// on its copy of one must leave both registered entries as they were; a
+// write to a copy's workload spec, injected failures or requests must leave
+// the registered scenario as it was too.
+func TestGetDetachesSpecs(t *testing.T) {
+	nice, _ := Get("open-loop-nice")
+	want := nice.OpenLoop.Rate
+	nice.OpenLoop.Rate = 1
+	for _, name := range []string{"open-loop-nice", "open-loop-batch"} {
+		sc, _ := Get(name)
+		if sc.OpenLoop == nil || sc.OpenLoop.Rate != want {
+			t.Errorf("%s: open-loop spec %+v after a caller's write, want rate %v", name, sc.OpenLoop, want)
+		}
+	}
+	seq, _ := Get("sequence")
+	if seq.Workload == nil {
+		t.Fatal("sequence has no workload spec")
+	}
+	n := seq.Workload.Requests
+	seq.Workload.Requests = n + 7
+	if again, _ := Get("sequence"); again.Workload.Requests != n {
+		t.Errorf("sequence: workload requests %d after a caller's write, want %d", again.Workload.Requests, n)
+	}
+	fail, _ := Get("failures")
+	prob, req := fail.Failures[0].Prob, fail.Requests[0]
+	fail.Failures[0].Prob = prob / 2
+	fail.Requests[0].Input = "elsewhere"
+	if again, _ := Get("failures"); again.Failures[0].Prob != prob || again.Requests[0] != req {
+		t.Errorf("failures: failure %+v and request %+v after a caller's write, want prob %v and %+v", again.Failures[0], again.Requests[0], prob, req)
+	}
+}
+
 // TestAdversarialScenariosStayExactlyOnce pins the tentpole claim for the
 // new T1 rows: under a partition and under a delay storm the protocol
 // still answers the client with exactly one effect in force, and the

@@ -52,13 +52,9 @@ type VerdictDistribution struct {
 	WALCompactions int
 	WALLiveRecords int
 	// Failing lists the seeds whose run was not x-able or went
-	// unanswered — the inputs a schedule-shrinking pass starts from.
+	// unanswered, in seed order — the inputs a schedule-shrinking pass
+	// (internal/shrink) starts from.
 	Failing []int64
-	// Counterexamples maps failing seeds to their rendered minimal
-	// counterexample traces. Filled only when sweeping with
-	// SweepOptions.ShrinkFailing (and the shrinker is linked; see
-	// RegisterShrinker).
-	Counterexamples map[int64]string
 	// Rollup folds the per-run metrics snapshots (p50/p99/max/mean per
 	// counter, distinct interleaving-class coverage). Filled only when
 	// sweeping with SweepOptions.Metrics.
@@ -112,13 +108,6 @@ func (d VerdictDistribution) String() string {
 		}
 		fmt.Fprintf(&b, "\n  failing seeds (%d): %v", n, show)
 	}
-	// Counterexamples render in seed order (the map is keyed by seed, but
-	// Failing preserves fold order).
-	for _, seed := range d.Failing {
-		if cx, ok := d.Counterexamples[seed]; ok {
-			fmt.Fprintf(&b, "\n  minimal counterexample, seed %d:\n%s", seed, indent(cx, "    "))
-		}
-	}
 	return b.String()
 }
 
@@ -156,26 +145,15 @@ func Seeds(base int64, n int) []int64 {
 	return out
 }
 
-// maxCounterexamples bounds how many failing seeds of a sweep are shrunk or
-// re-run under tracing. Both are sequential and cost many re-executions per
-// seed; a sweep with hundreds of failing seeds wants a bound.
+// maxCounterexamples bounds how many failing seeds of a sweep are re-run
+// under tracing. The re-runs are sequential; a sweep with hundreds of
+// failing seeds wants a bound.
 const maxCounterexamples = 3
 
 // SweepOptions tunes a sweep beyond its seed population.
 type SweepOptions struct {
 	// Workers is the parallel worker count (0 selects GOMAXPROCS).
 	Workers int
-	// ShrinkFailing turns failing seeds into minimal counterexample
-	// traces: after the fold, up to maxCounterexamples failing seeds are
-	// delta-debugged (record → ddmin-edited replays) and the rendered
-	// minimal traces land in VerdictDistribution.Counterexamples. The
-	// shrinker lives in internal/shrink and registers itself via
-	// RegisterShrinker when linked (the root xability package and
-	// cmd/xsim always link it); without it the knob is a no-op.
-	ShrinkFailing bool
-	// ShrinkBudget caps each shrink's Execute invocations (0 selects the
-	// shrinker default).
-	ShrinkBudget int
 	// Metrics arms the observability plane for every run: each worker
 	// keeps one obs.Metrics registry, reset per seed, and the per-run
 	// snapshots fold (in seed order, so deterministically) into
@@ -194,19 +172,6 @@ type SweepOptions struct {
 	Progress func(done, total int)
 }
 
-// shrinkHook is the registered shrinker (see RegisterShrinker). It returns
-// the rendered minimal counterexample for (sc, seed) and whether shrinking
-// succeeded.
-var shrinkHook func(sc Scenario, seed int64, budget int) (string, bool)
-
-// RegisterShrinker installs the schedule shrinker Sweep uses for
-// SweepOptions.ShrinkFailing. internal/shrink calls it from its init; the
-// indirection exists because the shrinker re-runs scenarios (it imports
-// this package) and so cannot be imported from here.
-func RegisterShrinker(fn func(sc Scenario, seed int64, budget int) (string, bool)) {
-	shrinkHook = fn
-}
-
 // Sweep executes the scenario once per seed across parallel workers and
 // folds the outcomes into a VerdictDistribution. Each run is an
 // independent cluster on its own virtual clock, so runs are CPU-bound and
@@ -219,9 +184,11 @@ func Sweep(sc Scenario, seeds []int64, workers int) VerdictDistribution {
 }
 
 // SweepWithOptions is Sweep with the full option set (worker count,
-// shrink-failing-seeds). The distribution stays deterministic for a given
-// (scenario, seeds, options) input regardless of worker count: runs fold
-// in seed order and shrinking is a sequential post-pass over that order.
+// metrics rollup, failing-seed traces, progress). The distribution stays
+// deterministic for a given (scenario, seeds, options) input regardless of
+// worker count: runs fold in seed order and tracing is a sequential
+// post-pass over that order. Shrinking failing seeds is internal/shrink's
+// (shrink.Seeds over VerdictDistribution.Failing).
 func SweepWithOptions(sc Scenario, seeds []int64, opts SweepOptions) VerdictDistribution {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -239,10 +206,11 @@ func SweepWithOptions(sc Scenario, seeds []int64, opts SweepOptions) VerdictDist
 		go func() { //xvet:ok baregoroutine wall-side sweep worker: each seed's run builds (or recycles) its own virtual clock; the worker is outside them all
 			defer wg.Done()
 			// Each worker recycles one world across its seeds
-			// (reset-and-rerun): the clock with its event and waiter
-			// pools, the networks with their endpoints, conds and
-			// interned process tables, and the replica groups, each layer
-			// reset by its constructor's own path on the storage it kept.
+			// (reset-and-rerun): its deployment, which rewinds its own
+			// clock with the event and waiter pools and resets its own
+			// networks with their endpoints, conds and interned process
+			// tables, each layer reset by its constructor's own path on
+			// the storage it kept.
 			// Outcomes stay bit-equal to fresh-world runs (pinned by the
 			// determinism regressions).
 			scratch := &runScratch{}
@@ -293,23 +261,11 @@ func SweepWithOptions(sc Scenario, seeds []int64, opts SweepOptions) VerdictDist
 			}
 		}
 	}
-	if opts.ShrinkFailing && shrinkHook != nil && len(d.Failing) > 0 {
-		d.Counterexamples = make(map[int64]string)
-		for _, seed := range d.Failing {
-			if len(d.Counterexamples) >= maxCounterexamples {
-				break
-			}
-			if cx, ok := shrinkHook(sc, seed, opts.ShrinkBudget); ok {
-				d.Counterexamples[seed] = cx
-			}
-		}
-	}
 	return d
 }
 
 // fold folds outcomes, in order, into the verdict columns of a
-// distribution: everything but the optional rollup, traces and
-// counterexamples.
+// distribution: everything but the optional rollup and traces.
 func fold(name string, outcomes []Outcome) VerdictDistribution {
 	d := VerdictDistribution{
 		Scenario:   name,

@@ -4,7 +4,6 @@ import (
 	"xability/internal/core"
 	"xability/internal/event"
 	"xability/internal/recycle"
-	"xability/internal/simnet"
 	"xability/internal/sm"
 	"xability/internal/vclock"
 )
@@ -22,22 +21,16 @@ type Config struct {
 	// logs). Group.Seed drives the whole deployment — each group derives
 	// its own seed from it (GroupSeed), so equal Configs reproduce equal
 	// runs — and Group.Net.Clock, when set, is the deployment's shared
-	// clock (nil selects a fresh one). Every group gets its own network
-	// (its own delay stream, link fault plane and counters) on that clock,
-	// with its index as the network's Group, so one Group.Net.Record log
-	// tells the groups' entries apart.
+	// clock (nil: the deployment's own, new at New and rewound by each
+	// Reset). Every group gets its own network (its own delay stream, link
+	// fault plane and counters) on that clock, with its index as the
+	// network's Group, so one Group.Net.Record log tells the groups'
+	// entries apart.
 	Group core.ClusterConfig
 	// Setup, when non-nil, returns the machine-setup function for one
 	// group in place of Group.Setup, so each shard can own its slice of the
 	// application state (its own bank).
 	Setup func(shard int) func(m *sm.Machine)
-	// Networks, when non-nil (one per shard), deploys each group onto an
-	// existing recycled network instead of building fresh ones — the
-	// sharded analogue of core.ClusterConfig.Network. Each must already
-	// have been Reset with the group's seed, its index as the network's
-	// Group and the deployment's shared clock — a sweep worker's rewound
-	// one — which the caller then also passes as Group.Net.Clock.
-	Networks []*simnet.Network
 }
 
 // Cluster is the cluster-of-clusters runtime: the groups, the ring, and
@@ -61,7 +54,7 @@ func GroupSeed(seed int64, s int64) int64 {
 }
 
 // New assembles and starts a sharded deployment. A group differs from the
-// template in its seeds, the shared clock, its recycled network and its
+// template in its seeds, the shared clock, its network's Group and its
 // setup; nothing else. Like core.NewCluster it only schedules, so no group
 // runs ahead of the ones built after it.
 func New(cfg Config) *Cluster {
@@ -71,17 +64,23 @@ func New(cfg Config) *Cluster {
 }
 
 // Reset rebuilds c in place as the deployment New(cfg) builds, group s on
-// the one at index s (core.ResetGroups), and reports true. It refuses,
-// reporting false and changing nothing, unless the groups' clock is
-// Quiesced. The router is built afresh: it is two objects and the routing
-// log.
+// the one at index s, on its network (core.ResetGroups), and reports true.
+// This is the one place a group's seed and its network's Group are
+// derived. When cfg names no clock, c keeps its own, rewound to time zero.
+// It refuses, reporting false and changing nothing, unless the groups'
+// clock is Quiesced. The router is built afresh: it is two objects and the
+// routing log.
 func (c *Cluster) Reset(cfg Config) bool {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
 	clk := cfg.Group.Net.Clock
 	if clk == nil {
-		clk = vclock.NewVirtual()
+		if c.clk == nil {
+			clk = vclock.NewVirtual()
+		} else if clk = c.clk; !clk.Reset() {
+			return false
+		}
 	}
 	groups := recycle.Len(c.groups, cfg.Shards)
 	reset := core.ResetGroups(groups, func(s int) core.ClusterConfig {
@@ -90,10 +89,6 @@ func (c *Cluster) Reset(cfg Config) bool {
 		g.Net.Seed = g.Seed
 		g.Net.Clock = clk
 		g.Net.Group = s
-		g.Network = nil // never the template's: groups do not share a network
-		if cfg.Networks != nil {
-			g.Network = cfg.Networks[s]
-		}
 		if cfg.Setup != nil {
 			g.Setup = cfg.Setup(s)
 		}

@@ -190,10 +190,10 @@ func TestGroupSeedsDiffer(t *testing.T) {
 	}
 }
 
-// TestRecordingTellsGroupsApart records a deployment that builds its own
-// networks (Config.Networks nil, as the ShardedService facade does) into
-// one log: every group's network stamps its own index on its entries, so
-// a replay's per-group cursors read only their own group's streams.
+// TestRecordingTellsGroupsApart records a deployment into one log: every
+// group's network, which the deployment builds itself, stamps its own index
+// on its entries, so a replay's per-group cursors read only their own
+// group's streams.
 func TestRecordingTellsGroupsApart(t *testing.T) {
 	log := schedule.NewLog()
 	banks := make([]*workload.Bank, 4)

@@ -90,8 +90,7 @@ type MinTrace struct {
 	// span event, virtual-time ordered). Filled only by Options.Annotate.
 	Spans []string
 
-	// Outcome is the minimal run's outcome, with Counterexample set to
-	// the rendered trace.
+	// Outcome is the minimal run's outcome.
 	Outcome scenario.Outcome
 }
 
@@ -142,6 +141,30 @@ func (m MinTrace) Render() string {
 		b.WriteString("note: step budget exhausted; trace still fails but is not verified 1-minimal\n")
 	}
 	return b.String()
+}
+
+// maxSeeds bounds how many of a sweep's failing seeds Seeds shrinks: each
+// shrink re-executes the scenario up to Options.MaxSteps times, one after
+// another, and a sweep with hundreds of failing seeds wants a bound.
+const maxSeeds = 3
+
+// Seeds shrinks a sweep's failing seeds (scenario.VerdictDistribution's
+// Failing), in their order, and returns the minimal traces of the first
+// maxSeeds that yield one. A budget-cut shrink that has a log still yields
+// its best-so-far trace (Render marks it unverified); a seed that does not
+// fail, or whose shrink fails otherwise, yields nothing.
+func Seeds(sc scenario.Scenario, seeds []int64, opt Options) []MinTrace {
+	var out []MinTrace
+	for _, seed := range seeds {
+		if len(out) >= maxSeeds {
+			break
+		}
+		mt, err := Shrink(sc, seed, opt)
+		if err == nil || (errors.Is(err, ErrBudget) && mt.Log != nil) {
+			out = append(out, mt)
+		}
+	}
+	return out
 }
 
 // Shrink minimizes the failing run of sc on seed. It alternates two
@@ -322,7 +345,6 @@ func Shrink(sc scenario.Scenario, seed int64, opt Options) (MinTrace, error) {
 		scenario.Run(s, seed, scenario.RunOptions{Replay: mt.Replay(), Obs: &obs.Run{Trace: tr}})
 		mt.Spans = tr.RenderText()
 	}
-	mt.Outcome.Counterexample = mt.Render()
 	if !verified {
 		return mt, ErrBudget
 	}

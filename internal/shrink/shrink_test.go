@@ -3,6 +3,7 @@ package shrink
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -55,9 +56,6 @@ func TestShrinkPBCrashFailover(t *testing.T) {
 	// that the duplication is the reported failure.
 	if mt.Outcome.EffectsInForce < 2 {
 		t.Errorf("minimal outcome lost the duplication: %+v", mt.Outcome)
-	}
-	if mt.Outcome.Counterexample == "" {
-		t.Error("outcome carries no rendered counterexample")
 	}
 }
 
@@ -130,35 +128,42 @@ func TestShrinkBudget(t *testing.T) {
 	}
 }
 
-// TestSweepShrinkFailing pins the end-to-end knob: a sweep over a failing
-// scenario with ShrinkFailing set attaches rendered counterexamples to the
-// distribution (this package's init registers the shrinker hook).
+// TestSweepShrinkFailing pins the sweep's shrink pass: Seeds over a
+// failing sweep's seeds shrinks the first three, in seed order, into
+// rendered counterexamples; a budget-cut shrink still counts.
 func TestSweepShrinkFailing(t *testing.T) {
 	sc, _ := scenario.Get("pb-crash-failover")
-	d := scenario.SweepWithOptions(sc, scenario.Seeds(1, 8), scenario.SweepOptions{ShrinkFailing: true})
+	d := scenario.Sweep(sc, scenario.Seeds(1, 8), 0)
 	if len(d.Failing) != 8 {
 		t.Fatalf("failing = %v, want all 8", d.Failing)
 	}
-	if len(d.Counterexamples) != 3 {
-		t.Fatalf("counterexamples = %d, want 3 (bounded)", len(d.Counterexamples))
+	render := func(opt Options) []string {
+		var out []string
+		for _, mt := range Seeds(sc, d.Failing, opt) {
+			out = append(out, mt.Render())
+		}
+		return out
 	}
-	for seed, cx := range d.Counterexamples {
-		if cx == "" {
-			t.Errorf("seed %d: empty counterexample", seed)
+	got := render(Options{})
+	if len(got) != 3 {
+		t.Fatalf("counterexamples = %d, want 3 (bounded)", len(got))
+	}
+	for i, cx := range got {
+		if want := fmt.Sprintf("seed %d\n", d.Failing[i]); !strings.Contains(cx, want) {
+			t.Errorf("counterexample %d is not seed %d's, in seed order:\n%s", i, d.Failing[i], cx)
 		}
 	}
-	// The rendered distribution carries the traces.
-	if s := d.String(); !strings.Contains(s, "minimal counterexample") {
-		t.Errorf("distribution render misses counterexamples:\n%s", s)
+	// The traces are deterministic: equal inputs shrink to equal traces.
+	if again := render(Options{}); !reflect.DeepEqual(got, again) {
+		t.Errorf("counterexamples differ run to run:\n%v\nvs\n%v", got, again)
 	}
-
-	// Acceptance criterion (c): the traces are deterministic across worker
-	// counts — shrinking is a sequential post-pass over the seed-ordered
-	// fold, so parallelism must not be observable.
-	serial := scenario.SweepWithOptions(sc, scenario.Seeds(1, 8), scenario.SweepOptions{Workers: 1, ShrinkFailing: true})
-	if !reflect.DeepEqual(d.Counterexamples, serial.Counterexamples) {
-		t.Errorf("counterexamples differ across worker counts:\n%v\nvs\n%v",
-			d.Counterexamples, serial.Counterexamples)
+	// A shrink cut by its budget still yields its best-so-far trace.
+	if cut := render(Options{MaxSteps: 2}); len(cut) != 3 || !strings.Contains(cut[0], "budget exhausted") {
+		t.Errorf("budget-cut shrinks yield %d traces, want 3 marked unverified:\n%v", len(cut), cut)
+	}
+	// A sweep with no failing seed shrinks nothing.
+	if got := Seeds(sc, nil, Options{}); len(got) != 0 {
+		t.Errorf("no seeds shrink into %d traces", len(got))
 	}
 }
 
@@ -190,9 +195,6 @@ func TestShrinkBatchedDeadline(t *testing.T) {
 	}
 	if !mt.Minimal {
 		t.Error("trace not verified 1-minimal")
-	}
-	if mt.Outcome.Counterexample == "" {
-		t.Error("outcome carries no rendered counterexample")
 	}
 	o := scenario.Run(sc, 2, scenario.RunOptions{Replay: mt.Replay()})
 	if o.Replied || !o.TimedOut {
@@ -375,7 +377,7 @@ func TestShrinkSharded(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	want := mt.Outcome
-	want.Schedule, want.Counterexample = nil, ""
+	want.Schedule = nil
 	if !reflect.DeepEqual(o, want) {
 		t.Errorf("the artifact's replay differs from the minimal run:\nreplayed: %+v\nminimal:  %+v", o, want)
 	}

@@ -116,8 +116,8 @@ type Config struct {
 	// deployment (0 for a single cluster). Every group names its processes
 	// alike, so the network stamps Group on each entry it records and
 	// replays only the entries stamped with it: one log serves every
-	// network of a deployment. The deployer sets it (the scenario driver,
-	// or the sharded runtime for networks it builds), never a caller.
+	// network of a deployment. The sharded runtime sets it for each group
+	// it deploys (shard.Cluster.Reset), never a caller.
 	Group int
 	// Metrics, when non-nil, receives per-message counters (type counts,
 	// drops) and the delivery-order coverage fingerprint. Components built
@@ -498,14 +498,6 @@ func (n *Network) Crashed(id ProcessID) bool {
 	return n.crashedNames[id]
 }
 
-// Processes returns the registered process IDs in registration order. The
-// fixed order keeps broadcasts deterministic across runs.
-func (n *Network) Processes() []ProcessID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]ProcessID(nil), n.order...)
-}
-
 // SentBy reports how many messages a process has sent.
 func (n *Network) SentBy(id ProcessID) int {
 	n.mu.Lock()
@@ -862,10 +854,10 @@ func (n *Network) Close() {
 // gives the network a fresh clock, and another clock gets new conds (one
 // per endpoint and the idle cond). A Reset onto the clock the network
 // already runs on keeps the conds too — their waiter lists are empty on a
-// quiesced clock — and allocates nothing: a sweep worker rewinds its one
-// clock (vclock.Virtual.Reset), then resets its networks onto it. A
-// deployment whose networks share one clock (the sharded runtime) resets
-// every group onto it in shard order.
+// quiesced clock — and allocates nothing: a recycled deployment rewinds its
+// one clock (vclock.Virtual.Reset), then resets its networks onto it
+// (Renew). A deployment whose networks share one clock (the sharded
+// runtime) resets every group onto it in shard order.
 //
 // Reset refuses, and reports false without waiting, unless the old clock
 // is Quiesced: no clock goroutine left, no caller mid-wait and no pending
@@ -912,4 +904,30 @@ func (n *Network) Reset(cfg Config) bool {
 		ep.mu.Unlock()
 	}
 	return true
+}
+
+// Renew returns the network a redeployed cluster runs on: n itself, Reset
+// onto cfg, when the cluster registers the same process IDs in the same
+// order again (same), and otherwise, or when n is nil, New(cfg). A cfg that
+// names no clock keeps n's own, rewound to time zero (vclock.Virtual.Reset),
+// so a cluster that owns its clock recycles it with its network. n's clock
+// must be Quiesced, which the cluster checks before it touches anything:
+// Renew panics, with the clock's leak audit, where Reset would refuse.
+func Renew(n *Network, cfg Config, same bool) *Network {
+	if n == nil {
+		return New(cfg)
+	}
+	if cfg.Clock == nil {
+		cfg.Clock = n.clk
+		if !cfg.Clock.Reset() {
+			panic(fmt.Sprintf("simnet: Renew on a running clock: %v", cfg.Clock.Stop()))
+		}
+	}
+	if !same {
+		return New(cfg)
+	}
+	if !n.Reset(cfg) {
+		panic(fmt.Sprintf("simnet: Renew on a running clock: %v", n.clk.Stop()))
+	}
+	return n
 }

@@ -376,16 +376,6 @@ func TestConcurrentSenders(t *testing.T) {
 	}
 }
 
-func TestProcessesListing(t *testing.T) {
-	n := New(Config{})
-	defer n.Close()
-	n.Register("a")
-	n.Register("b")
-	if got := len(n.Processes()); got != 2 {
-		t.Errorf("Processes = %d", got)
-	}
-}
-
 func TestCloseUnblocksAll(t *testing.T) {
 	n := New(Config{})
 	a := n.Register("a")

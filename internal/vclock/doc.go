@@ -2,9 +2,9 @@
 // discrete-event clock, Virtual. There is no wall-clock implementation —
 // the same (scenario, seed) must yield the same bytes, and no run on real
 // durations can promise that. A run builds its clock with NewVirtual; a
-// sweep worker keeps one and rewinds it between seeds with Reset, which
-// keeps the pools and starts the next schedule exactly where a fresh clock
-// would.
+// recycled deployment keeps its own and rewinds it between seeds with
+// Reset, which keeps the pools and starts the next schedule exactly where a
+// fresh clock would.
 //
 // # Virtual vs real time
 //

@@ -282,14 +282,13 @@ func Sweep(sc Scenario, seeds []int64, workers int) VerdictDistribution {
 	return scenario.Sweep(sc, seeds, workers)
 }
 
-// SweepOptions tunes SweepWithOptions: worker count, and the
-// ShrinkFailing knob that delta-debugs failing seeds into minimal
-// counterexample traces attached to the distribution.
+// SweepOptions tunes SweepWithOptions: worker count, the metrics rollup,
+// failing-seed traces and a progress callback.
 type SweepOptions = scenario.SweepOptions
 
-// SweepWithOptions is Sweep with the full option set. With
-// SweepOptions.ShrinkFailing, failing seeds come back as rendered minimal
-// counterexample traces in VerdictDistribution.Counterexamples.
+// SweepWithOptions is Sweep with the full option set. Its failing seeds
+// (VerdictDistribution.Failing) shrink into minimal counterexample traces
+// through ShrinkSeeds.
 func SweepWithOptions(sc Scenario, seeds []int64, opts SweepOptions) VerdictDistribution {
 	return scenario.SweepWithOptions(sc, seeds, opts)
 }
@@ -339,6 +338,13 @@ func RunScenarioTraced(sc Scenario, seed int64, record *ScheduleLog, replay *Rep
 // and is deterministic across runs and hosts.
 func Shrink(sc Scenario, seed int64, opt ShrinkOptions) (MinTrace, error) {
 	return shrink.Shrink(sc, seed, opt)
+}
+
+// ShrinkSeeds shrinks a sweep's failing seeds, in order, and returns the
+// minimal traces of the first three that yield one; a shrink cut by the
+// step budget still yields its best-so-far trace.
+func ShrinkSeeds(sc Scenario, seeds []int64, opt ShrinkOptions) []MinTrace {
+	return shrink.Seeds(sc, seeds, opt)
 }
 
 // The sharding plane (internal/shard): a keyspace partitioned across many

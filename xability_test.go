@@ -215,15 +215,14 @@ func TestFacadeRecordReplayShrink(t *testing.T) {
 	if o := xability.RunScenarioTraced(sc, 1, nil, mt.Replay()); o.XAble {
 		t.Errorf("minimal trace no longer fails: %+v", o)
 	}
-	if !strings.Contains(mt.Outcome.Counterexample, "minimal counterexample") {
-		t.Errorf("missing rendering:\n%s", mt.Outcome.Counterexample)
+	if r := mt.Render(); !strings.Contains(r, "minimal counterexample") {
+		t.Errorf("missing rendering:\n%s", r)
 	}
 
-	// The sweep knob attaches counterexamples (the root package links the
-	// shrinker).
-	d := xability.SweepWithOptions(sc, xability.SweepSeeds(1, 4), xability.SweepOptions{ShrinkFailing: true})
-	if len(d.Counterexamples) != 3 {
-		t.Errorf("sweep counterexamples = %d, want 3 (the bound) of 4 failing seeds", len(d.Counterexamples))
+	// A sweep's failing seeds shrink into counterexamples.
+	d := xability.Sweep(sc, xability.SweepSeeds(1, 4), 0)
+	if n := len(xability.ShrinkSeeds(sc, d.Failing, xability.ShrinkOptions{})); n != 3 {
+		t.Errorf("sweep counterexamples = %d, want 3 (the bound) of 4 failing seeds", n)
 	}
 }
 
