@@ -159,6 +159,12 @@ var removedNames = []struct {
 		pr:      49,
 		why:     "scenario names no shrinker: shrink.Seeds shrinks a sweep's failing seeds, and a trace renders from its MinTrace",
 	},
+	{
+		pattern: `\bcountTargets\b|\btargetKey\b|\bexpectedCount\b|\.(toward|expected|norm)\b`,
+		pr:      50,
+		why:     "the checker's target lives on its groups (load counts each group's want from the specs), and xableTo matches the normal form in place",
+		under:   "internal/reduce/",
+	},
 }
 
 // TestRemovedNamesStayGone fails when a removed name reappears in Go

@@ -31,12 +31,9 @@ func BenchmarkAblationGreedyVsSearch(b *testing.B) {
 	b.Run("greedy", func(b *testing.B) {
 		n := New(reg)
 		for i := 0; i < b.N; i++ {
-			saved := n.expected
-			n.Toward(specs)
-			if _, ok := MatchTarget(n.Normalize(hist), specs); !ok {
+			if _, ok := MatchTarget(n.Toward(specs).Normalize(hist), specs); !ok {
 				b.Fatal("greedy failed")
 			}
-			n.expected = saved
 		}
 	})
 	b.Run("search", func(b *testing.B) {

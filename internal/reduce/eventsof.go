@@ -192,23 +192,26 @@ func (t TargetSpec) MatchPrefix(h event.History) (rest event.History, ov action.
 // segments, one per spec, in order). On success it returns the output
 // values of each segment.
 func MatchTarget(h event.History, specs []TargetSpec) ([]action.Value, bool) {
-	return matchTarget(make([]action.Value, 0, len(specs)), h, specs)
+	return matchTarget(make([]action.Value, 0, len(specs)), specs, len(h), func(i int) event.Event { return h[i] })
 }
 
-// matchTarget is MatchTarget appending the outputs to outs.
-func matchTarget(outs []action.Value, h event.History, specs []TargetSpec) ([]action.Value, bool) {
-	rest := h
+// matchTarget is MatchTarget on the history of size events that at reads,
+// appending the outputs to outs: each spec is matched against a window of
+// the next events, as many as its segment has, so the history is never
+// copied.
+func matchTarget(outs []action.Value, specs []TargetSpec, size int, at func(int) event.Event) ([]action.Value, bool) {
+	var w [4]event.Event
+	x := 0
 	for _, t := range specs {
-		var ov action.Value
-		var ok bool
-		rest, ov, ok = t.MatchPrefix(rest)
+		m := min(t.len(), size-x)
+		for i := range m {
+			w[i] = at(x + i)
+		}
+		_, ov, ok := t.MatchPrefix(w[:m])
 		if !ok {
 			return nil, false
 		}
-		outs = append(outs, ov)
+		outs, x = append(outs, ov), x+m
 	}
-	if len(rest) != 0 {
-		return nil, false
-	}
-	return outs, true
+	return outs, x == size
 }

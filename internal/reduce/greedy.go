@@ -19,35 +19,25 @@ type TraceStep struct {
 // Normalizer applies the reduction rules of Figure 4 with a deterministic
 // greedy strategy. The zero value is not usable; construct with New. A
 // Normalizer carries the scratch of the history it is working on (its
-// normal form, the reduction target while XAbleTo runs, and the per-request
-// projections), kept from one history to the next: it is not for
-// concurrent use.
+// indexed normal form and the per-request projections), kept from one
+// history to the next but holding no reference to a caller's history once
+// a call returns: it is not for concurrent use.
 type Normalizer struct {
 	reg *action.Registry
 
 	// Trace, when non-nil, accumulates the rewrites performed.
 	Trace *[]TraceStep
 
-	// expected maps an (action, input) pair to the number of executions of
-	// it the reduction target contains. The duplicate sweep stops absorbing
-	// at this count, so that a request sequence that legitimately invokes
-	// the same idempotent action on the same input twice is not
-	// over-reduced. Pairs default to 1.
-	expected map[targetKey]int
-	// toward is XAbleTo's own target, refilled per call so that checking a
-	// history allocates no map.
-	toward map[targetKey]int
-	// norm is the normal form xableTo matches against the target.
-	norm event.History
+	// target is the reduction target Toward declared, a copy. The duplicate
+	// sweep stops absorbing an (action, input) pair at as many executions
+	// as the target holds of it (load counts them onto the groups), so that
+	// a request sequence that legitimately invokes the same idempotent
+	// action on the same input twice is not over-reduced. Pairs default to
+	// 1.
+	target []TargetSpec
 
 	sweep
 	projector
-}
-
-// targetKey is an (action, input) pair of the reduction target.
-type targetKey struct {
-	action action.Name
-	input  action.Value
 }
 
 // New returns a Normalizer over the given action vocabulary.
@@ -55,35 +45,13 @@ func New(reg *action.Registry) *Normalizer {
 	return &Normalizer{reg: reg}
 }
 
-// Toward declares the reduction target: duplicate absorption preserves as
-// many executions of each (action, input) pair as specs contain.
+// Toward declares the reduction target of Normalize: duplicate absorption
+// preserves as many executions of each (action, input) pair as specs
+// contain. The Normalizer keeps a copy, so a later write to specs does not
+// move the target.
 func (n *Normalizer) Toward(specs []TargetSpec) *Normalizer {
-	n.expected = countTargets(nil, specs)
+	n.target = append(n.target[:0], specs...)
 	return n
-}
-
-// countTargets fills m (emptied first; allocated when it is nil and there
-// is something to count) with the number of executions of each (action,
-// input) pair in specs.
-func countTargets(m map[targetKey]int, specs []TargetSpec) map[targetKey]int {
-	clear(m)
-	for _, t := range specs {
-		if t.Undoable {
-			continue // tagged per request/round, never collides
-		}
-		if m == nil {
-			m = make(map[targetKey]int)
-		}
-		m[targetKey{t.Action, t.Input}]++
-	}
-	return m
-}
-
-func (n *Normalizer) expectedCount(a action.Name, iv action.Value) int {
-	if c, ok := n.expected[targetKey{a, iv}]; ok {
-		return c
-	}
-	return 1
 }
 
 // record appends one rewrite to the trace. The history is as the rewrite
@@ -132,18 +100,15 @@ func (n *Normalizer) Normalize(h event.History) event.History {
 	if len(h) == 0 {
 		return h.Clone()
 	}
-	n.normalize(h)
+	n.normalize(h, n.target)
+	defer n.release()
 	return n.snapshot()
 }
 
-// normalize is Normalize that leaves the normal form in the scratch, where
-// snapshot and appendTo read it.
-func (n *Normalizer) normalize(h event.History) {
-	if len(h) == 0 {
-		n.p, n.r, n.end = 0, 0, 0
-		return
-	}
-	n.load(h)
+// normalize is Normalize towards specs that leaves the normal form in the
+// scratch, where snapshot and matchTarget read it until release.
+func (n *Normalizer) normalize(h event.History, specs []TargetSpec) {
+	n.load(h, specs)
 	// The loop terminates: steps 1–2 strictly remove events; step 3
 	// strictly decreases the total pair spread and is itself a fixpoint
 	// computation; an outer bound guards against pathological interaction.
@@ -160,5 +125,8 @@ func (n *Normalizer) normalize(h event.History) {
 			break
 		}
 	}
-	n.last = nil
 }
+
+// release lets go of the caller's history: a Normalizer kept across calls
+// (a verify.Checker's, in a sweep worker) must not pin the last one.
+func (n *Normalizer) release() { n.src, n.last = nil, nil }

@@ -24,6 +24,19 @@ func (n refNormalizer) record(rule Rule, desc string, before, after event.Histor
 	}
 }
 
+// executions is how many executions of (a, iv) the target Toward declared
+// holds; a pair it does not name defaults to 1. Undoable requests are
+// tagged per request and round, so they never collide and are not counted.
+func (n refNormalizer) executions(a action.Name, iv action.Value) int {
+	c := 0
+	for _, t := range n.target {
+		if !t.Undoable && t.Action == a && t.Input == iv {
+			c++
+		}
+	}
+	return max(c, 1)
+}
+
 // normalizeRef is Normalize by the reference strategy, towards the same
 // target; the rewrites go to trace when it is non-nil.
 func (n *Normalizer) normalizeRef(h event.History, trace *[]TraceStep) event.History {
@@ -210,7 +223,7 @@ func (n refNormalizer) dedupOnce(h event.History) (event.History, bool) {
 			continue // only the group's first start anchors absorption
 		}
 		starts := h.Starts(a, iv)
-		if starts <= n.expectedCount(a, iv) {
+		if starts <= n.executions(a, iv) {
 			continue
 		}
 		// Completions of the group. Tagged undoable executions (the §5.2

@@ -90,7 +90,7 @@ func specsOf(reg *action.Registry, reqs []action.Request) []TargetSpec {
 // the greedy verdict against the search's.
 func (n *Normalizer) NormalizeAgreesOn(h event.History, reqs []action.Request) error {
 	reg := n.reg
-	n.expected = nil
+	n.Toward(nil)
 	if _, err := normalizeAgrees(n, h); err != nil {
 		return fmt.Errorf("whole history, no target: %w", err)
 	}
@@ -145,7 +145,7 @@ func TestNormalizeAgreesWithReference(t *testing.T) {
 			pc := randomProjectionCase(rng, 1+rng.Intn(10), rng.Intn(2) == 0, rng.Intn(3) == 0)
 			hist, specs = pc.h, specsOf(reg, pc.reqs)
 		}
-		n.expected = nil
+		n.Toward(nil)
 		if rng.Intn(2) == 0 {
 			n.Toward(specs)
 		}
@@ -162,5 +162,57 @@ func TestNormalizeAgreesWithReference(t *testing.T) {
 	t.Logf("%d histories, %d rewrites; %d went back to zero after a stuck group", cases, rewrites, restarted)
 	if restarted == 0 {
 		t.Error("no case took the restart-on-stuck path; the generator no longer reaches it")
+	}
+}
+
+// TestNormalizerReleasesHistory holds every entry point to letting go of
+// the caller's history: a Normalizer kept across calls (a verify.Checker's,
+// through a sweep) must not pin the history it checked last, traced or
+// not.
+func TestNormalizerReleasesHistory(t *testing.T) {
+	reg := testRegistry(t)
+	reqs := []action.Request{action.NewRequest("read", "k").WithID("q1"), action.NewRequest("debit", "a").WithID("q2")}
+	hist := h(
+		event.S("read", reqs[0].EffectiveInput()), event.S("read", reqs[0].EffectiveInput()), event.C("read", "v"),
+		event.S("debit", reqs[1].EffectiveInput()), event.C("debit", "ok"),
+		event.S(action.Commit("debit"), reqs[1].Commit().EffectiveInput()), event.C(action.Commit("debit"), action.Nil),
+	)
+	specs := specsOf(reg, reqs)
+	var trace []TraceStep
+	n := New(reg)
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"Normalize", func() { n.Toward(specs).Normalize(hist) }},
+		{"traced Normalize", func() { n.Trace = &trace; n.Normalize(hist); n.Trace = nil }},
+		{"XAbleTo", func() { n.XAbleTo(hist, specs) }},
+		{"XAbleProjected", func() { n.XAbleProjected(hist, reqs) }},
+		{"XAbleConcurrent", func() { n.XAbleConcurrent(hist, reqs) }},
+	} {
+		c.call()
+		if n.src != nil || n.last != nil {
+			t.Errorf("after %s the Normalizer still holds a history (source %v, last %v)", c.name, n.src != nil, n.last != nil)
+		}
+	}
+	if len(trace) == 0 {
+		t.Error("the traced run recorded no rewrite: the trace path went untested")
+	}
+}
+
+// TestTowardKeepsItsOwnTarget holds Toward to a snapshot of its argument:
+// a later write to the caller's slice must not move the target.
+func TestTowardKeepsItsOwnTarget(t *testing.T) {
+	reg := testRegistry(t)
+	sp, _ := SpecFor(reg, action.NewRequest("read", "k"))
+	specs := []TargetSpec{sp, sp} // two executions of (read, k) are wanted
+	hist := h(
+		event.S("read", "k"), event.C("read", "v"),
+		event.S("read", "k"), event.C("read", "v"),
+	)
+	n := New(reg).Toward(specs)
+	specs[1].Input = "other"
+	if got := n.Normalize(hist); len(got) != 4 {
+		t.Errorf("after a write to the caller's specs the normal form is %v; the target declared two executions of (read, k)", got)
 	}
 }

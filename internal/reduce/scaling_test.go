@@ -2,6 +2,7 @@ package reduce_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -85,14 +86,14 @@ func TestNormalizeScalesLinearly(t *testing.T) {
 }
 
 // TestXAbleToAllocBudget pins what a check allocates on a warm Normalizer:
-// the normal form and the outputs, whatever the length of the history and
-// whichever rules rewrite it. An allocation per rewrite (a history copy, a
-// remove set, a trace description) or per spec (a target key) coming back
-// scales with the request count and fails it.
+// the outputs, whatever the length of the history and whichever rules
+// rewrite it (the normal form is matched in place). An allocation per
+// rewrite (a history copy, a remove set, a trace description) or per spec
+// (a target key) coming back scales with the request count and fails it.
 func TestXAbleToAllocBudget(t *testing.T) {
 	reg := workload.Registry()
 	n := reduce.New(reg)
-	const budget = 2
+	const budget = 1
 	for _, shape := range checkerShapes {
 		for _, events := range []int{400, 4000} {
 			h, specs := shape.build(reg, events)
@@ -105,6 +106,45 @@ func TestXAbleToAllocBudget(t *testing.T) {
 			if allocs > budget {
 				t.Errorf("%s: XAbleTo over %d events allocates %.0f times, budget %d", shape.name, len(h), allocs, budget)
 			}
+		}
+	}
+}
+
+// TestColdCheckAllocBudget pins what a check costs on a fresh Normalizer,
+// as xcheck and the check workload run it: bytes per event and allocations
+// per history of reduce.New(reg).XAbleTo. The scratch is interned once and
+// pointer-free, its group index sized from the history: a map that grows
+// in steps, a cell that embeds an event or a second copy of the history
+// (the normal form) coming back moves the bytes well past the bound.
+func TestColdCheckAllocBudget(t *testing.T) {
+	reg := workload.Registry()
+	for _, c := range []struct {
+		requests, dup int
+		bytesPerEvent float64 // budget
+		allocs        float64 // budget
+	}{
+		{3200, 1, 68, 18},
+		{320, 3, 81, 14},
+	} {
+		h, specs := exper.SyntheticHistory(reg, c.requests, c.dup)
+		check := func() {
+			if ok, _ := reduce.New(reg).XAbleTo(h, specs); !ok {
+				t.Fatal("not x-able")
+			}
+		}
+		check()
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			check()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(len(h))
+		allocs := testing.AllocsPerRun(runs, check)
+		t.Logf("(%d, %d), %d events: %.1f B/event, %.0f allocs per check", c.requests, c.dup, len(h), bytes, allocs)
+		if bytes > c.bytesPerEvent || allocs > c.allocs {
+			t.Errorf("(%d, %d): a fresh check allocates %.1f B/event in %.0f objects, budget %.0f B/event in %.0f", c.requests, c.dup, bytes, allocs, c.bytesPerEvent, c.allocs)
 		}
 	}
 }

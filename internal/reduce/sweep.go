@@ -1,6 +1,8 @@
 package reduce
 
 import (
+	"slices"
+
 	"xability/internal/action"
 	"xability/internal/event"
 )
@@ -11,11 +13,18 @@ import (
 // order at the cost of the window each rewrite touches rather than of the
 // history:
 //
-//   - every event carries the dense id of its action and of its group, and
-//     what the rules ask of the whole history — (a,iv) ∈ h1, how many starts,
-//     how many completions, is there a cancel pair ahead — is read off
-//     counts kept per id. The scans that remain look for an event the counts
-//     say exists and stop at it;
+//   - the history is interned once, when it is loaded: a cell is 16
+//     pointer-free bytes — the index of its event in the source history,
+//     the dense id of its action and of its group, and marks (start or
+//     completion, output nil, re-emitted bare) — so a sweep that shifts
+//     cells copies no pointer, and a value it compares is read through the
+//     source. What the rules ask of the whole history — (a,iv) ∈ h1, how
+//     many starts, how many completions, how many executions the target
+//     holds, is there a cancel pair ahead — is read off counts kept per id.
+//     The groups of one value under an undoable action, its cancel and its
+//     commit are adjacent ids, so rules 19 and 20 step between them without
+//     hashing: nothing is hashed after load. The scans that remain look for
+//     an event the counts say exists and stop at it;
 //   - the history is prefix • gap • rest. The cursor is the first event of
 //     rest; an event it passes moves across the gap; a rewrite packs its
 //     window's survivors against the window's end, so nothing after the
@@ -26,15 +35,31 @@ import (
 
 // cell is one event of the history being normalized.
 type cell struct {
-	event.Event
+	at  int32 // index of the event in sweep.src
 	act int32 // index into sweep.acts
 	// grp identifies (action, value) for a start and (action, annotation)
 	// for an annotated completion, in one id space: a completion binds to
 	// a tagged start under the replay lifting exactly when the ids agree
 	// (replayBinds). -1 for an unannotated completion.
-	grp int32
+	grp  int32
+	mark mark
 }
 
+// mark is what a cell's event is, so far as the sweeps ask.
+type mark uint8
+
+const (
+	opens      mark = 1 << iota // a start
+	closes                      // a completion
+	outputsNil                  // a completion with output nil
+	// bare: a start an absorption re-emitted, unannotated as event.S
+	// builds it.
+	bare
+)
+
+// grpKey is where grpIDs files a group: under its action and value, or,
+// for the cancel or commit of an undoable action, under the action's
+// (family).
 type grpKey struct {
 	act int32
 	val string
@@ -70,17 +95,29 @@ const (
 )
 
 // actInfo is one interned action name. A derived name interns the name it
-// derives from as well, so the links are complete without ever building a
-// derived name: -1 means no event of the history carries it.
+// derives from as well, as base (-1 for a name that derives from none).
 type actInfo struct {
-	class                actClass
-	base, cancel, commit int32
+	class actClass
+	base  int32
 	// Completions of the action: all, unannotated, with output nil.
 	comps, unann, nils [2]int32
 }
 
-// grpInfo counts a group's starts and the completions annotated with it.
-type grpInfo struct{ starts, ann [2]int32 }
+// grpInfo counts a group's starts and the completions annotated with it,
+// and want, how many executions of it the reduction target holds (read as
+// 1 when 0).
+type grpInfo struct {
+	starts, ann [2]int32
+	want        int32
+}
+
+// The groups of one value under an undoable action, its cancel and its
+// commit are three ids in a row: the cancel's and the commit's are the
+// attempt's plus these.
+const (
+	toCancel = 1
+	toCommit = 2
+)
 
 // sweep is the Normalizer's scratch: the history being normalized and its
 // indexes. Everything is reused from one history to the next.
@@ -90,8 +127,10 @@ type sweep struct {
 	acts   []actInfo
 	grps   []grpInfo
 
-	// cells[:p] is the prefix, cells[r:end] the rest, cells[p:r] the gap.
-	// Between sweeps the whole history is prefix.
+	// src is the history being normalized, which cells index, while a call
+	// runs; cells[:p] is the prefix, cells[r:end] the rest, cells[p:r] the
+	// gap. Between sweeps the whole history is prefix.
+	src       event.History
 	cells     []cell
 	p, r, end int
 
@@ -106,10 +145,10 @@ type sweep struct {
 // count adds d to the counts event c is part of, over the history or over
 // the prefix.
 func (n *Normalizer) count(where int, c *cell, d int32) {
-	switch c.Type {
-	case event.Start:
+	switch {
+	case c.mark&opens != 0:
 		n.grps[c.grp].starts[where] += d
-	case event.Complete:
+	case c.mark&closes != 0:
 		a := &n.acts[c.act]
 		a.comps[where] += d
 		if c.grp < 0 {
@@ -117,7 +156,7 @@ func (n *Normalizer) count(where int, c *cell, d int32) {
 		} else {
 			n.grps[c.grp].ann[where] += d
 		}
-		if c.Value == action.Nil {
+		if c.mark&outputsNil != 0 {
 			a.nils[where] += d
 		}
 	}
@@ -126,31 +165,59 @@ func (n *Normalizer) count(where int, c *cell, d int32) {
 // size is the length of the history: prefix and rest.
 func (n *Normalizer) size() int { return n.p + n.end - n.r }
 
-// load interns h into the scratch.
-func (n *Normalizer) load(h event.History) {
+// load interns h into the scratch, and the target specs into its groups'
+// wants.
+func (n *Normalizer) load(h event.History, specs []TargetSpec) {
 	if n.actIDs == nil {
+		// Sized for the first history: it has no more groups than events
+		// that name one (an undoable value's three ids may grow grps).
+		groups := 0
+		for i := range h {
+			if h[i].Type == event.Start || h[i].Annotation != "" {
+				groups++
+			}
+		}
 		n.actIDs = make(map[action.Name]int32)
-		n.grpIDs = make(map[grpKey]int32)
+		n.grpIDs = make(map[grpKey]int32, groups)
 		n.acts = make([]actInfo, 0, 8) // action names are few
+		n.grps = make([]grpInfo, 0, groups)
 	}
 	clear(n.actIDs)
 	clear(n.grpIDs)
 	if cap(n.cells) < len(h) {
-		// No more groups than events.
 		n.cells = make([]cell, len(h))
-		n.grps = make([]grpInfo, 0, len(h))
 	}
-	n.cells, n.grps, n.acts = n.cells[:len(h)], n.grps[:0], n.acts[:0]
+	n.src, n.cells, n.grps, n.acts = h, n.cells[:len(h)], n.grps[:0], n.acts[:0]
 	for i, e := range h {
 		c := &n.cells[i]
-		*c = cell{Event: e, act: n.actID(e.Action), grp: -1}
-		switch {
-		case e.Type == event.Start:
+		*c = cell{at: int32(i), act: n.actID(e.Action), grp: -1}
+		switch e.Type {
+		case event.Start:
+			c.mark = opens
 			c.grp = n.grpID(c.act, string(e.Value))
-		case e.Type == event.Complete && e.Annotation != "":
-			c.grp = n.grpID(c.act, e.Annotation)
+		case event.Complete:
+			c.mark = closes
+			if e.Value == action.Nil {
+				c.mark |= outputsNil
+			}
+			if e.Annotation != "" {
+				c.grp = n.grpID(c.act, e.Annotation)
+			}
 		}
 		n.count(inHistory, c, 1)
+	}
+	// Only a group with more than one start asks what the target wants. An
+	// undoable request is tagged per request/round: its group never
+	// collides.
+	if slices.ContainsFunc(n.grps, func(g grpInfo) bool { return g.starts[inHistory] > 1 }) {
+		for _, t := range specs {
+			if a, ok := n.actIDs[t.Action]; ok && !t.Undoable {
+				k, off, _ := n.family(a, string(t.Input))
+				if g, ok := n.grpIDs[k]; ok {
+					n.grps[g+off].want++
+				}
+			}
+		}
 	}
 	n.p, n.r, n.end = len(h), len(h), len(h)
 	if n.Trace != nil {
@@ -180,45 +247,64 @@ func (n *Normalizer) actID(name action.Name) int32 {
 	case n.reg.IsUndoable(name):
 		class |= undoable
 	}
-	n.acts = append(n.acts, actInfo{class: class, base: -1, cancel: -1, commit: -1})
+	n.acts = append(n.acts, actInfo{class: class, base: -1})
 	if base != name {
 		b := n.actID(base)
 		n.acts[id].base = b
-		if derived == action.KindCancel {
-			n.acts[b].cancel = id
-		} else {
-			n.acts[b].commit = id
-		}
 	}
 	return id
 }
 
+// grpID returns the id of group (act, val).
 func (n *Normalizer) grpID(act int32, val string) int32 {
-	k := grpKey{act, val}
+	k, off, width := n.family(act, val)
 	id, ok := n.grpIDs[k]
 	if !ok {
 		id = int32(len(n.grps))
 		n.grpIDs[k] = id
-		n.grps = append(n.grps, grpInfo{})
+		var fresh [3]grpInfo
+		n.grps = append(n.grps, fresh[:width]...)
 	}
-	return id
+	return id + off
 }
 
-// snapshot copies the history out of the scratch.
+// family returns the key of group (act, val) in grpIDs, the group's offset
+// from the key's, and how many groups a key holds: three for an undoable
+// action, its cancel and its commit, keyed by the undoable action.
+func (n *Normalizer) family(act int32, val string) (k grpKey, off int32, width int) {
+	switch a := &n.acts[act]; {
+	case a.class&undoable != 0:
+		return grpKey{act, val}, 0, 3
+	case a.class&cancelsUndoable != 0:
+		return grpKey{a.base, val}, toCancel, 3
+	case a.class&commits != 0:
+		return grpKey{a.base, val}, toCommit, 3
+	}
+	return grpKey{act, val}, 0, 1
+}
+
+// snapshot copies the history out of the scratch: prefix, then rest.
 func (n *Normalizer) snapshot() event.History {
-	return n.appendTo(make(event.History, 0, n.size()))
-}
-
-// appendTo appends the history in the scratch to out.
-func (n *Normalizer) appendTo(out event.History) event.History {
-	for i := range n.cells[:n.p] {
-		out = append(out, n.cells[i].Event)
-	}
-	for i := range n.cells[n.r:n.end] {
-		out = append(out, n.cells[n.r+i].Event)
+	out := make(event.History, 0, n.size())
+	for _, part := range [2][]cell{n.cells[:n.p], n.cells[n.r:n.end]} {
+		for i := range part {
+			out = append(out, n.event(&part[i]))
+		}
 	}
 	return out
 }
+
+// event rebuilds the event of cell c.
+func (n *Normalizer) event(c *cell) event.Event {
+	e := n.src[c.at]
+	if c.mark&bare != 0 {
+		e.Annotation = ""
+	}
+	return e
+}
+
+// value is the input or output value of cell c's event.
+func (n *Normalizer) value(c *cell) action.Value { return n.src[c.at].Value }
 
 // rewind starts a sweep: the history, all prefix after the last sweep,
 // becomes all rest, and nothing is behind the cursor.
@@ -228,8 +314,7 @@ func (n *Normalizer) rewind() {
 	}
 	n.p, n.r, n.end = 0, 0, n.p
 	for i := range n.grps {
-		g := &n.grps[i]
-		g.starts[inPrefix], g.ann[inPrefix] = 0, 0
+		n.grps[i].starts[inPrefix], n.grps[i].ann[inPrefix] = 0, 0
 	}
 	for i := range n.acts {
 		a := &n.acts[i]
@@ -286,7 +371,7 @@ func (n *Normalizer) shut(lo, hi int, gone removeSet) int {
 // window now begins.
 func (n *Normalizer) absorb(lo, l, k int, gone removeSet) int {
 	s := n.cells[k]
-	s.Annotation = ""
+	s.mark |= bare
 	z := gone[len(gone)-1]
 	copy(n.cells[z:l-1], n.cells[z+1:l])
 	n.cells[l-1] = s
@@ -296,30 +381,22 @@ func (n *Normalizer) absorb(lo, l, k int, gone removeSet) int {
 // completesNil reports whether c is C(act, nil), the completion of a
 // cancel or commit.
 func (c *cell) completesNil(act int32) bool {
-	return c.Type == event.Complete && c.act == act && c.Value == action.Nil
+	return c.mark&outputsNil != 0 && c.act == act
 }
+
+// starts reports whether c is a start of group g.
+func (c *cell) starts(g int32) bool { return c.mark&opens != 0 && c.grp == g }
 
 // nextStart finds the first start of group g at or after x; the counts say
 // there is one.
 func (n *Normalizer) nextStart(x int, g int32) int {
-	for n.cells[x].Type != event.Start || n.cells[x].grp != g {
-		x++
-	}
-	return x
+	return x + slices.IndexFunc(n.cells[x:], func(c cell) bool { return c.starts(g) })
 }
 
-// startIn reports whether cells[lo..hi] hold the start S(act, v); act < 0
-// is a name no event carries.
-func (n *Normalizer) startIn(lo, hi int, act int32, v action.Value) bool {
-	if act < 0 {
-		return false
-	}
-	for x := lo; x <= hi; x++ {
-		if c := &n.cells[x]; c.Type == event.Start && c.act == act && c.Value == v {
-			return true
-		}
-	}
-	return false
+// startIn reports whether cells[lo..hi] hold a start of group g; g < 0 is
+// a group no event names.
+func (n *Normalizer) startIn(lo, hi int, g int32) bool {
+	return g >= 0 && slices.ContainsFunc(n.cells[lo:hi+1], func(c cell) bool { return c.starts(g) })
 }
 
 // dedup applies rules 18 (idempotent and cancel actions) and 20 (commit
@@ -384,16 +461,16 @@ func (n *Normalizer) dedup() (changed bool) {
 func (n *Normalizer) dedupAt() (rewrote, over bool) {
 	i := n.r
 	c := &n.cells[i]
-	if c.Type != event.Start {
+	if c.mark&opens == 0 {
 		return false, false
 	}
 	info := &n.acts[c.act]
 	if info.class&(absorbs|undoable) == 0 || n.startsBehind(c.grp) > 0 {
 		return false, false // only the group's first start anchors absorption
 	}
-	g, a, iv := c.grp, c.Action, c.Value
-	starts := int(n.grps[g].starts[inHistory])
-	if starts <= 1 || starts <= n.expectedCount(a, iv) {
+	g, a, iv := c.grp, n.src[c.at].Action, n.value(c)
+	starts := n.grps[g].starts[inHistory]
+	if starts <= 1 || starts <= n.grps[g].want {
 		return false, false
 	}
 	// Completions of the group, in the history and ahead of the anchor
@@ -404,23 +481,23 @@ func (n *Normalizer) dedupAt() (rewrote, over bool) {
 	// completion neither inflates the dangler guard nor gets stolen as an
 	// absorption target.
 	replay := info.class&absorbs == 0
-	completions := int(info.comps[inHistory])
-	ahead := completions - int(info.comps[inPrefix])
+	completions := info.comps[inHistory]
+	ahead := completions - info.comps[inPrefix]
 	if replay {
 		if _, id, _ := action.SplitTag(iv); id == "" {
 			return false, false // untagged: no at-most-once guarantee
 		}
-		completions = int(info.unann[inHistory] + n.grps[g].ann[inHistory])
-		ahead = completions - int(info.unann[inPrefix]+n.grps[g].ann[inPrefix])
+		completions = info.unann[inHistory] + n.grps[g].ann[inHistory]
+		ahead = completions - (info.unann[inPrefix] + n.grps[g].ann[inPrefix])
 	}
 	// binds: a completion of the anchor's action that may complete the
 	// group's executions.
 	binds := func(x *cell) bool {
-		return x.Type == event.Complete && x.act == c.act && (!replay || x.grp < 0 || x.grp == g)
+		return x.mark&closes != 0 && x.act == c.act && (!replay || x.grp < 0 || x.grp == g)
 	}
 	rule, base := Rule18, int32(-1)
 	if info.class&commits != 0 {
-		rule, base = Rule20, info.base
+		rule, base = Rule20, g-toCommit
 	}
 
 	// Pair absorption: attempt (i, j) into the nearest pair (k, l).
@@ -429,16 +506,16 @@ func (n *Normalizer) dedupAt() (rewrote, over bool) {
 			if !binds(&n.cells[j]) {
 				continue
 			}
-			ov := n.cells[j].Value
+			ov := n.value(&n.cells[j])
 			for l := j + 1; l < n.end; l++ {
-				if !binds(&n.cells[l]) || n.cells[l].Value != ov {
+				if !binds(&n.cells[l]) || n.value(&n.cells[l]) != ov {
 					continue
 				}
 				for k := i + 1; k < l; k++ {
-					if s := &n.cells[k]; s.Type != event.Start || s.grp != g {
+					if !n.cells[k].starts(g) {
 						continue
 					}
-					if n.startIn(i, l, base, iv) {
+					if n.startIn(i, l, base) {
 						continue
 					}
 					n.count(inHistory, &n.cells[i], -1)
@@ -459,7 +536,7 @@ func (n *Normalizer) dedupAt() (rewrote, over bool) {
 			if !binds(&n.cells[l]) {
 				continue
 			}
-			if n.startIn(i, l, base, iv) {
+			if n.startIn(i, l, base) {
 				break
 			}
 			n.count(inHistory, &n.cells[i], -1)
@@ -506,26 +583,23 @@ func (n *Normalizer) each(at func() bool) (changed bool) {
 func (n *Normalizer) cancelAttemptAt() bool {
 	i := n.r
 	c := &n.cells[i]
-	if c.Type != event.Start {
+	if c.mark&opens == 0 || n.acts[c.act].class&undoable == 0 {
 		return false
 	}
-	info := &n.acts[c.act]
-	if info.class&undoable == 0 || info.cancel < 0 {
-		return false
-	}
-	if n.startsBehind(c.grp) > 0 {
-		return false // rule 19 requires (aᵘ,iv) ∉ h1: only the first attempt
-	}
-	iv := c.Value
-	gc, ok := n.grpIDs[grpKey{info.cancel, string(iv)}]
-	if !ok || n.startsAhead(gc) == 0 || n.nilsAhead(info.cancel) == 0 {
+	// Rule 19 requires (aᵘ,iv) ∉ h1: only the first attempt.
+	gc := c.grp + toCancel
+	if n.startsBehind(c.grp) > 0 || n.startsAhead(gc) == 0 {
 		return false
 	}
 	// The first cancel pair after the attempt: its start is ahead, its
 	// completion is unless every one left lies in front of that start.
 	m := n.nextStart(i+1, gc)
+	cancel := n.cells[m].act
+	if n.nilsAhead(cancel) == 0 {
+		return false
+	}
 	l := m + 1
-	for l < n.end && !n.cells[l].completesNil(info.cancel) {
+	for l < n.end && !n.cells[l].completesNil(cancel) {
 		l++
 	}
 	if l == n.end {
@@ -535,18 +609,18 @@ func (n *Normalizer) cancelAttemptAt() bool {
 	idx := [4]int{i, m, l}
 	gone := idx[:3]
 	for j := i + 1; j < l; j++ {
-		if x := &n.cells[j]; x.Type == event.Complete && x.act == c.act {
+		if x := &n.cells[j]; x.mark&closes != 0 && x.act == c.act {
 			gone = append(gone, j)
 			break
 		}
 	}
 	// (aᶜ,iv) ∉ h′: the junk must not contain the commit's start.
-	if n.startIn(i, l, info.commit, iv) {
+	if n.startIn(i, l, c.grp+toCommit) {
 		return false
 	}
-	a := c.Action
+	e := n.src[c.at]
 	n.remove(i, l, rm(gone...))
-	n.record(Rule19, "cancel attempt", a, iv)
+	n.record(Rule19, "cancel attempt", e.Action, e.Value)
 	return true
 }
 
@@ -557,19 +631,11 @@ func (n *Normalizer) cancelAttemptAt() bool {
 func (n *Normalizer) cancelGratuitousAt() bool {
 	m := n.r
 	c := &n.cells[m]
-	if c.Type != event.Start {
+	if c.mark&opens == 0 || n.acts[c.act].class&cancelsUndoable == 0 {
 		return false
 	}
-	info := &n.acts[c.act]
-	if info.class&cancelsUndoable == 0 {
-		return false
-	}
-	iv := c.Value
-	gu, attempted := n.grpIDs[grpKey{info.base, string(iv)}]
-	if attempted && n.startsBehind(gu) > 0 {
-		return false
-	}
-	if n.nilsAhead(c.act) == 0 {
+	gu := c.grp - toCancel // the attempts' group
+	if n.startsBehind(gu) > 0 || n.nilsAhead(c.act) == 0 {
 		return false
 	}
 	// The window may not contain an attempt either: with a minimal
@@ -578,16 +644,17 @@ func (n *Normalizer) cancelGratuitousAt() bool {
 	// is a reduction dead end, so the greedy strategy declines.
 	l := m + 1
 	for ; !n.cells[l].completesNil(c.act); l++ { // there is one ahead
-		if x := &n.cells[l]; attempted && x.Type == event.Start && x.grp == gu {
+		if n.cells[l].starts(gu) {
 			return false
 		}
 	}
-	if n.startIn(m, l, n.acts[info.base].commit, iv) {
+	if n.startIn(m, l, gu+toCommit) {
 		return false
 	}
-	au, _ := action.Base(c.Action)
+	e := n.src[c.at]
+	au, _ := action.Base(e.Action)
 	n.remove(m, l, rm(m, l))
-	n.record(Rule19, "remove gratuitous cancel", au, iv)
+	n.record(Rule19, "remove gratuitous cancel", au, e.Value)
 	return true
 }
 
@@ -613,22 +680,22 @@ func (n *Normalizer) compact() {
 		for l := 0; l < n.p; l++ {
 			c := &n.cells[l]
 			info := &n.acts[c.act]
-			if c.Type != event.Complete || info.class&absorbs == 0 {
+			if c.mark&closes == 0 || info.class&absorbs == 0 {
 				continue
 			}
 			// Nearest preceding start of a.
 			k := l - 1
-			for k >= 0 && (n.cells[k].Type != event.Start || n.cells[k].act != c.act) {
+			for k >= 0 && (n.cells[k].mark&opens == 0 || n.cells[k].act != c.act) {
 				k--
 			}
 			if k < 0 || k == l-1 {
 				continue // no pair, or already adjacent
 			}
-			a, iv := c.Action, n.cells[k].Value
+			a, iv := n.src[c.at].Action, n.value(&n.cells[k])
 			rule := Rule18
 			if info.class&commits != 0 {
 				rule = Rule20
-				if n.startIn(k+1, l-1, info.base, iv) {
+				if n.startIn(k+1, l-1, n.cells[k].grp-toCommit) {
 					continue
 				}
 			}

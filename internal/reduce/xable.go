@@ -29,14 +29,10 @@ func (n *Normalizer) XAbleTo(h event.History, specs []TargetSpec) (bool, []actio
 
 // xableTo is XAbleTo appending the outputs to outs.
 func (n *Normalizer) xableTo(h event.History, specs []TargetSpec, outs []action.Value) (bool, []action.Value) {
-	saved := n.expected
-	n.toward = countTargets(n.toward, specs)
-	n.expected = n.toward
-	n.normalize(h)
-	n.expected = saved
-	// Sized before it is filled: appendTo would grow it in steps.
-	n.norm = n.appendTo(slices.Grow(n.norm[:0], n.size()))
-	if o, ok := matchTarget(outs, n.norm, specs); ok {
+	n.normalize(h, specs)
+	o, ok := matchTarget(outs, specs, n.p, func(i int) event.Event { return n.event(&n.cells[i]) })
+	n.release()
+	if ok {
 		return true, o
 	}
 	// Greedy is incomplete in principle; fall back to the oracle on
