@@ -101,13 +101,15 @@ func main() {
 	if want["6"] {
 		rows := exper.TableT6()
 		fmt.Println("T6 — checker scalability (claim E10)")
-		fmt.Printf("  %-28s %-10s %-8s %-12s %-10s %-8s\n", "shape", "requests", "events", "normalize", "ns/event", "x-able")
-		var total time.Duration
+		fmt.Printf("  %-28s %-10s %-8s %-12s %-10s %-12s %-10s %-8s\n", "shape", "requests", "events", "normalize", "ns/event", "check", "ns/event", "x-able")
+		var total, checks time.Duration
 		for _, r := range rows {
-			fmt.Printf("  %-28s %-10d %-8d %-12v %-10d %-8v\n", r.Shape, r.Requests, r.Events, r.Normalize, r.Normalize.Nanoseconds()/int64(r.Events), r.XAble)
+			fmt.Printf("  %-28s %-10d %-8d %-12v %-10d %-12v %-10d %-8v\n", r.Shape, r.Requests, r.Events,
+				r.Normalize, r.Normalize.Nanoseconds()/int64(r.Events), r.Check, r.Check.Nanoseconds()/int64(r.Events), r.XAble)
 			total += r.Normalize
+			checks += r.Check
 		}
-		fmt.Printf("  normalize column sums to %v\n", total)
+		fmt.Printf("  normalize column sums to %v, check column to %v\n", total, checks)
 		fmt.Println()
 	}
 

@@ -26,6 +26,7 @@ import (
 	"xability/internal/reduce"
 	"xability/internal/scenario"
 	"xability/internal/simnet"
+	"xability/internal/verify"
 	"xability/internal/workload"
 )
 
@@ -367,16 +368,21 @@ type T6Row struct {
 	Requests  int
 	Events    int
 	Normalize time.Duration
-	XAble     bool
+	// Check is the verdict's cost on the same history as a sequential run:
+	// a fresh verify.Checker's Check, the strict check and then one
+	// projected check per request on the same Normalizer.
+	Check time.Duration
+	XAble bool
 }
 
 // TableT6 sweeps history length over synthetic protocol-shaped histories
 // and measures the strict check (greedy normalization of the whole history
-// plus the structural match). Two blocks, each to 3200 requests: idempotent
-// reads duplication-free and with every execution tripled (rules 18 and
-// the Λ form), then an undoable vocabulary with and without a cancelled
-// round and a replayed execution per request (rules 19 and 20, the §5.2
-// replay lifting). Time per event should not depend on the length.
+// plus the structural match), then the whole verdict, Checker.Check. Two
+// blocks, each to 3200 requests: idempotent reads duplication-free and
+// with every execution tripled (rules 18 and the Λ form), then an
+// undoable vocabulary with and without a cancelled round and a replayed
+// execution per request (rules 19 and 20, the §5.2 replay lifting). Time
+// per event should not depend on the length.
 func TableT6() []T6Row {
 	reg := workload.Registry()
 	sizes := []int{5, 20, 80, 320, 800, 3200}
@@ -384,13 +390,21 @@ func TableT6() []T6Row {
 	time6 := func(shape string, requests int, h event.History, specs []reduce.TargetSpec) {
 		n := reduce.New(reg)
 		start := time.Now() //xvet:ok walltime T6 measures the normalizer's real CPU cost; no clock is involved
-		ok, _ := n.XAbleTo(h, specs)
+		ok, outs := n.XAbleTo(h, specs)
+		normalize := time.Since(start) //xvet:ok walltime T6 reports real elapsed normalization time by design
+		run := verify.Run{Registry: reg, Requests: make([]action.Request, len(specs)), Replies: outs, History: h}
+		for i, s := range specs {
+			run.Requests[i] = action.NewRequest(s.Action, s.Input).WithID(s.ID)
+		}
+		start = time.Now() //xvet:ok walltime T6 measures the checker's real CPU cost; no clock is involved
+		rep := new(verify.Checker).Check(run)
 		rows = append(rows, T6Row{
 			Shape:     shape,
 			Requests:  requests,
 			Events:    len(h),
-			Normalize: time.Since(start), //xvet:ok walltime T6 reports real elapsed normalization time by design
-			XAble:     ok,
+			Normalize: normalize,
+			Check:     time.Since(start), //xvet:ok walltime T6 reports real elapsed checking time by design
+			XAble:     ok && rep.OK(),
 		})
 	}
 	for _, dup := range []int{1, 3} {

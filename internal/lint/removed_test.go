@@ -165,6 +165,12 @@ var removedNames = []struct {
 		why:     "the checker's target lives on its groups (load counts each group's want from the specs), and xableTo matches the normal form in place",
 		under:   "internal/reduce/",
 	},
+	{
+		pattern: `\bgrpIDs\b|\bgrpKey\b`,
+		pr:      52,
+		why:     "load files groups in a pointer-free open-addressed table sized to the history (sweep.slots), not a map it clears at the cost of its capacity",
+		under:   "internal/reduce/",
+	},
 }
 
 // TestRemovedNamesStayGone fails when a removed name reappears in Go

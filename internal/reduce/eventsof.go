@@ -150,41 +150,54 @@ func (t TargetSpec) len() int {
 // the remaining history and the output value the matched execution
 // produced.
 func (t TargetSpec) MatchPrefix(h event.History) (rest event.History, ov action.Value, ok bool) {
-	n := t.len()
-	if len(h) < n {
+	var w [4]*event.Event
+	m := min(t.len(), len(h))
+	for i := range m {
+		w[i] = &h[i]
+	}
+	if ov, ok = t.match(w[:m]); !ok {
 		return nil, "", false
 	}
-	s, c := h[0], h[1]
+	return h[m:], ov, true
+}
+
+// match is MatchPrefix on a window of events: it matches the spec against
+// the whole window, and reads no annotation.
+func (t TargetSpec) match(w []*event.Event) (ov action.Value, ok bool) {
+	if len(w) < t.len() {
+		return "", false
+	}
+	s, c := w[0], w[1]
 	if s.Type != event.Start || s.Action != t.Action {
-		return nil, "", false
+		return "", false
 	}
-	id, round, ok2 := t.matchInput(s.Value)
-	if !ok2 {
-		return nil, "", false
+	id, round, ok := t.matchInput(s.Value)
+	if !ok {
+		return "", false
 	}
 	if c.Type != event.Complete || c.Action != t.Action {
-		return nil, "", false
+		return "", false
 	}
 	if t.Output != nil && c.Value != *t.Output {
-		return nil, "", false
+		return "", false
 	}
 	if !t.Undoable {
-		return h[2:], c.Value, true
+		return c.Value, true
 	}
 	// Undoable: the commit pair must follow, with the same request/round tag.
-	cs, cc := h[2], h[3]
+	cs, cc := w[2], w[3]
 	com := action.Commit(t.Action)
 	if cs.Type != event.Start || cs.Action != com {
-		return nil, "", false
+		return "", false
 	}
 	csBase, csID, csRound := action.SplitTag(cs.Value)
 	if csBase != t.Input || csID != id || csRound != round {
-		return nil, "", false
+		return "", false
 	}
 	if cc.Type != event.Complete || cc.Action != com || cc.Value != action.Nil {
-		return nil, "", false
+		return "", false
 	}
-	return h[4:], c.Value, true
+	return c.Value, true
 }
 
 // MatchTarget reports whether h is exactly a failure-free history for the
@@ -192,22 +205,21 @@ func (t TargetSpec) MatchPrefix(h event.History) (rest event.History, ov action.
 // segments, one per spec, in order). On success it returns the output
 // values of each segment.
 func MatchTarget(h event.History, specs []TargetSpec) ([]action.Value, bool) {
-	return matchTarget(make([]action.Value, 0, len(specs)), specs, len(h), func(i int) event.Event { return h[i] })
+	return matchTarget(make([]action.Value, 0, len(specs)), specs, len(h), func(i int) *event.Event { return &h[i] })
 }
 
-// matchTarget is MatchTarget on the history of size events that at reads,
-// appending the outputs to outs: each spec is matched against a window of
-// the next events, as many as its segment has, so the history is never
-// copied.
-func matchTarget(outs []action.Value, specs []TargetSpec, size int, at func(int) event.Event) ([]action.Value, bool) {
-	var w [4]event.Event
+// matchTarget is MatchTarget on the history of size events that at points
+// to, appending the outputs to outs: each spec is matched against a window
+// of the next events, as many as its segment has, so no event is copied.
+func matchTarget(outs []action.Value, specs []TargetSpec, size int, at func(int) *event.Event) ([]action.Value, bool) {
+	var w [4]*event.Event
 	x := 0
 	for _, t := range specs {
 		m := min(t.len(), size-x)
 		for i := range m {
 			w[i] = at(x + i)
 		}
-		_, ov, ok := t.MatchPrefix(w[:m])
+		ov, ok := t.match(w[:m])
 		if !ok {
 			return nil, false
 		}

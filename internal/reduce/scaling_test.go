@@ -3,6 +3,7 @@ package reduce_test
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"xability/internal/event"
 	"xability/internal/exper"
 	"xability/internal/reduce"
+	"xability/internal/verify"
 	"xability/internal/workload"
 )
 
@@ -35,12 +37,16 @@ func overlappedPairs(reg *action.Registry, requests int) (event.History, []reduc
 	return h, specs
 }
 
-// checkerShapes are the history families each rule's sweep has to stay
-// linear on, as builders of a history of about the given number of events.
-var checkerShapes = []struct {
+// checkerShape is a history family, as a builder of a history of about the
+// given number of events and its target.
+type checkerShape struct {
 	name  string
 	build func(reg *action.Registry, events int) (event.History, []reduce.TargetSpec)
-}{
+}
+
+// checkerShapes are the history families each rule's sweep has to stay
+// linear on.
+var checkerShapes = []checkerShape{
 	{"reads dup=3", func(reg *action.Registry, events int) (event.History, []reduce.TargetSpec) {
 		return exper.SyntheticHistory(reg, events/6, 3)
 	}},
@@ -113,9 +119,11 @@ func TestXAbleToAllocBudget(t *testing.T) {
 // TestColdCheckAllocBudget pins what a check costs on a fresh Normalizer,
 // as xcheck and the check workload run it: bytes per event and allocations
 // per history of reduce.New(reg).XAbleTo. The scratch is interned once and
-// pointer-free, its group index sized from the history: a map that grows
-// in steps, a cell that embeds an event or a second copy of the history
-// (the normal form) coming back moves the bytes well past the bound.
+// pointer-free, its group table sized from the history: a map, a table
+// that grows in steps, a cell that embeds an event or a second copy of the
+// history (the normal form) coming back moves the bytes well past the
+// bound. Measured at 46.2 B/event in 7 objects and 39.3 in 7, the same
+// under the race detector.
 func TestColdCheckAllocBudget(t *testing.T) {
 	reg := workload.Registry()
 	for _, c := range []struct {
@@ -123,8 +131,8 @@ func TestColdCheckAllocBudget(t *testing.T) {
 		bytesPerEvent float64 // budget
 		allocs        float64 // budget
 	}{
-		{3200, 1, 68, 18},
-		{320, 3, 81, 14},
+		{3200, 1, 49, 8},
+		{320, 3, 42, 8},
 	} {
 		h, specs := exper.SyntheticHistory(reg, c.requests, c.dup)
 		check := func() {
@@ -145,6 +153,93 @@ func TestColdCheckAllocBudget(t *testing.T) {
 		t.Logf("(%d, %d), %d events: %.1f B/event, %.0f allocs per check", c.requests, c.dup, len(h), bytes, allocs)
 		if bytes > c.bytesPerEvent || allocs > c.allocs {
 			t.Errorf("(%d, %d): a fresh check allocates %.1f B/event in %.0f objects, budget %.0f B/event in %.0f", c.requests, c.dup, bytes, allocs, c.bytesPerEvent, c.allocs)
+		}
+	}
+}
+
+// checkerRun is the sequential run whose history is h and whose requests
+// are specs', replied with the outputs the strict check finds.
+func checkerRun(t testing.TB, reg *action.Registry, h event.History, specs []reduce.TargetSpec) verify.Run {
+	ok, outs := reduce.New(reg).XAbleTo(h, specs)
+	if !ok {
+		t.Fatalf("a %d-event history of the shape is not x-able", len(h))
+	}
+	reqs := make([]action.Request, len(specs))
+	for i, s := range specs {
+		reqs[i] = action.NewRequest(s.Action, s.Input).WithID(s.ID)
+	}
+	return verify.Run{Registry: reg, Requests: reqs, Replies: outs, History: h}
+}
+
+// TestCheckerScalesLinearly gates the verdict every run takes, where
+// TestNormalizeScalesLinearly gates the strict check alone: on each shape,
+// and on duplication-free reads, Checker.Check — the strict check, then one
+// projected check per request on the same Normalizer — may cost at most 3×
+// per event at 16 000 requests what it costs at 1 000 (best of 3 each). A
+// per-request projection that pays for the whole history's scratch (a
+// clear that costs the capacity the strict check grew) reads ×10 and more.
+//
+// Overlapped read pairs are not a run the checker passes: their
+// completions are unannotated and cross, so the projection gives each
+// completion to the newer start, the other request's, and stops at the
+// first request.
+func TestCheckerScalesLinearly(t *testing.T) {
+	reg := workload.Registry()
+	shapes := slices.DeleteFunc(slices.Clone(checkerShapes), func(s checkerShape) bool { return s.name == "overlapped read pairs" })
+	shapes = append(shapes, checkerShape{"reads dup=1", func(reg *action.Registry, events int) (event.History, []reduce.TargetSpec) {
+		return exper.SyntheticHistory(reg, events/2, 1)
+	}})
+	perEvent := func(run verify.Run) float64 {
+		var c verify.Checker
+		best := time.Duration(1<<63 - 1)
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			if rep := c.Check(run); !rep.OK() || !rep.R3Strict {
+				t.Fatalf("a %d-request run of the shape does not check: %v", len(run.Requests), rep.Details)
+			}
+			best = min(best, time.Since(start))
+		}
+		return float64(best.Nanoseconds()) / float64(len(run.History))
+	}
+	for _, shape := range shapes {
+		h, specs := shape.build(reg, 2_000)
+		perRequest := float64(len(h)) / float64(len(specs))
+		at := func(requests int) float64 {
+			h, specs := shape.build(reg, int(float64(requests)*perRequest))
+			return perEvent(checkerRun(t, reg, h, specs))
+		}
+		small, large := at(1_000), at(16_000)
+		t.Logf("%-38s %6.0f ns/event at 1 000 requests, %6.0f at 16 000: ×%.2f", shape.name, small, large, large/small)
+		if large > 3*small {
+			t.Errorf("%s: Checker.Check costs %.0f ns/event at 16 000 requests against %.0f at 1 000 — the verdict no longer scales linearly", shape.name, large, small)
+		}
+	}
+}
+
+// TestCheckerAllocBudget pins what a warm Checker allocates per run, as a
+// sweep worker keeps one: its Report's output lists and details, nothing
+// per request and nothing that grows with the history. One Checker checks
+// every case in turn — sequential and concurrent, 100 and 1 000 requests
+// of reads with every execution tripled — so scratch that a run of another
+// size makes regrow shows up here.
+func TestCheckerAllocBudget(t *testing.T) {
+	reg := workload.Registry()
+	const budget = 2
+	var c verify.Checker
+	for _, concurrent := range []bool{false, true} {
+		for _, requests := range []int{100, 1000} {
+			h, specs := exper.SyntheticHistory(reg, requests, 3)
+			run := checkerRun(t, reg, h, specs)
+			run.Concurrent = concurrent
+			allocs := testing.AllocsPerRun(10, func() {
+				if !c.Check(run).OK() {
+					t.Fatal("not x-able")
+				}
+			})
+			t.Logf("concurrent %v, %d requests: %.0f objects per Check", concurrent, requests, allocs)
+			if allocs > budget {
+				t.Errorf("concurrent %v, %d requests: a warm Check allocates %.0f objects, budget %d", concurrent, requests, allocs, budget)
+			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package reduce
 
 import (
+	"hash/maphash"
+	"math/bits"
 	"slices"
 
 	"xability/internal/action"
@@ -21,6 +23,10 @@ import (
 //     source. What the rules ask of the whole history — (a,iv) ∈ h1, how
 //     many starts, how many completions, how many executions the target
 //     holds, is there a cancel pair ahead — is read off counts kept per id.
+//     load hashes each value that names a group (a start's, an annotated
+//     completion's annotation) once, into a pointer-free open-addressed
+//     table sized to the history, whose keys are read through the source
+//     too; so a load costs its own history, however large the one before.
 //     The groups of one value under an undoable action, its cancel and its
 //     commit are adjacent ids, so rules 19 and 20 step between them without
 //     hashing: nothing is hashed after load. The scans that remain look for
@@ -57,12 +63,15 @@ const (
 	bare
 )
 
-// grpKey is where grpIDs files a group: under its action and value, or,
-// for the cancel or commit of an undoable action, under the action's
-// (family).
-type grpKey struct {
-	act int32
-	val string
+// slot is one entry of the group table, which files a family of groups —
+// one, or the three of a value under an undoable action, its cancel and
+// its commit — under a key: an action (the undoable one) and a value. The
+// slot holds the key's hash and the event the key was first read from, 1+at
+// for event at's value, -1-at for its annotation (0: empty); that event's
+// cell holds the action and the group.
+type slot struct {
+	hash uint32
+	from int32
 }
 
 // actClass is what the sweeps need to know of an action name, asked of the
@@ -123,9 +132,14 @@ const (
 // indexes. Everything is reused from one history to the next.
 type sweep struct {
 	actIDs map[action.Name]int32
-	grpIDs map[grpKey]int32
 	acts   []actInfo
 	grps   []grpInfo
+
+	// slots is the group table, open-addressed by the keys' hashes under
+	// seed: a power of two, more than twice the history's events that name
+	// a group, so more than twice its families.
+	slots []slot
+	seed  maphash.Seed
 
 	// src is the history being normalized, which cells index, while a call
 	// runs; cells[:p] is the prefix, cells[r:end] the rest, cells[p:r] the
@@ -169,39 +183,54 @@ func (n *Normalizer) size() int { return n.p + n.end - n.r }
 // wants.
 func (n *Normalizer) load(h event.History, specs []TargetSpec) {
 	if n.actIDs == nil {
-		// Sized for the first history: it has no more groups than events
-		// that name one (an undoable value's three ids may grow grps).
-		groups := 0
-		for i := range h {
-			if h[i].Type == event.Start || h[i].Annotation != "" {
-				groups++
-			}
-		}
 		n.actIDs = make(map[action.Name]int32)
-		n.grpIDs = make(map[grpKey]int32, groups)
 		n.acts = make([]actInfo, 0, 8) // action names are few
-		n.grps = make([]grpInfo, 0, groups)
+		n.seed = maphash.MakeSeed()
 	}
 	clear(n.actIDs)
-	clear(n.grpIDs)
+	// The history has no more families than events that name a group, nor
+	// more groups but for an undoable value's three ids. The scratch keeps
+	// the largest size it was grown to; the table is cleared to the size of
+	// this history.
+	named := 0
+	for i := range h {
+		if h[i].Type == event.Start || h[i].Annotation != "" {
+			named++
+		}
+	}
+	if size := 1 << bits.Len(uint(2*named)); cap(n.slots) < size {
+		n.slots = make([]slot, size)
+	} else {
+		n.slots = n.slots[:size]
+		clear(n.slots)
+	}
+	if cap(n.grps) < named {
+		n.grps = make([]grpInfo, 0, named)
+	}
 	if cap(n.cells) < len(h) {
 		n.cells = make([]cell, len(h))
 	}
 	n.src, n.cells, n.grps, n.acts = h, n.cells[:len(h)], n.grps[:0], n.acts[:0]
-	for i, e := range h {
+	var name action.Name
+	act := int32(-1)
+	for i := range h {
+		e := &h[i]
+		if act < 0 || e.Action != name { // runs of one action are common
+			name, act = e.Action, n.actID(e.Action)
+		}
 		c := &n.cells[i]
-		*c = cell{at: int32(i), act: n.actID(e.Action), grp: -1}
+		*c = cell{at: int32(i), act: act, grp: -1}
 		switch e.Type {
 		case event.Start:
 			c.mark = opens
-			c.grp = n.grpID(c.act, string(e.Value))
+			c.grp = n.grpID(act, int32(i), false)
 		case event.Complete:
 			c.mark = closes
 			if e.Value == action.Nil {
 				c.mark |= outputsNil
 			}
 			if e.Annotation != "" {
-				c.grp = n.grpID(c.act, e.Annotation)
+				c.grp = n.grpID(act, int32(i), true)
 			}
 		}
 		n.count(inHistory, c, 1)
@@ -212,8 +241,8 @@ func (n *Normalizer) load(h event.History, specs []TargetSpec) {
 	if slices.ContainsFunc(n.grps, func(g grpInfo) bool { return g.starts[inHistory] > 1 }) {
 		for _, t := range specs {
 			if a, ok := n.actIDs[t.Action]; ok && !t.Undoable {
-				k, off, _ := n.family(a, string(t.Input))
-				if g, ok := n.grpIDs[k]; ok {
+				ka, off, _ := n.family(a)
+				if g, _, _ := n.find(ka, string(t.Input)); g >= 0 {
 					n.grps[g+off].want++
 				}
 			}
@@ -255,32 +284,68 @@ func (n *Normalizer) actID(name action.Name) int32 {
 	return id
 }
 
-// grpID returns the id of group (act, val).
-func (n *Normalizer) grpID(act int32, val string) int32 {
-	k, off, width := n.family(act, val)
-	id, ok := n.grpIDs[k]
-	if !ok {
-		id = int32(len(n.grps))
-		n.grpIDs[k] = id
-		var fresh [3]grpInfo
-		n.grps = append(n.grps, fresh[:width]...)
+// grpID returns the id of the group of event at, an event of action act:
+// (act, its value), or (act, its annotation) when ann.
+func (n *Normalizer) grpID(act, at int32, ann bool) int32 {
+	ka, off, width := n.family(act)
+	from := 1 + at
+	if ann {
+		from = -from
 	}
-	return id + off
+	g, free, hash := n.find(ka, n.key(from))
+	if g < 0 {
+		g = int32(len(n.grps))
+		*free = slot{hash: hash, from: from}
+		for range width {
+			n.grps = append(n.grps, grpInfo{})
+		}
+	}
+	return g + off
 }
 
-// family returns the key of group (act, val) in grpIDs, the group's offset
-// from the key's, and how many groups a key holds: three for an undoable
-// action, its cancel and its commit, keyed by the undoable action.
-func (n *Normalizer) family(act int32, val string) (k grpKey, off int32, width int) {
+// family returns the action the groups of act are keyed under, a group's
+// offset from its family's first, and how many groups a family holds:
+// three for an undoable action, its cancel and its commit, keyed by the
+// undoable action.
+func (n *Normalizer) family(act int32) (ka, off int32, width int) {
 	switch a := &n.acts[act]; {
 	case a.class&undoable != 0:
-		return grpKey{act, val}, 0, 3
+		return act, 0, 3
 	case a.class&cancelsUndoable != 0:
-		return grpKey{a.base, val}, toCancel, 3
+		return a.base, toCancel, 3
 	case a.class&commits != 0:
-		return grpKey{a.base, val}, toCommit, 3
+		return a.base, toCommit, 3
 	}
-	return grpKey{act, val}, 0, 1
+	return act, 0, 1
+}
+
+// key is the value a slot's from names: an event's value or annotation.
+func (n *Normalizer) key(from int32) string {
+	if from < 0 {
+		return n.src[-from-1].Annotation
+	}
+	return string(n.src[from-1].Value)
+}
+
+// find looks up the family keyed (act, val): the id of its first group, or
+// -1 and the free slot where it goes, and the key's hash. The table is
+// never full. Only load calls it, while cell i is still event i's.
+func (n *Normalizer) find(act int32, val string) (g int32, free *slot, hash uint32) {
+	hash = uint32(maphash.String(n.seed, val)) ^ uint32(act)*0x9e3779b9
+	mask := uint32(len(n.slots) - 1)
+	for i := hash & mask; ; i = (i + 1) & mask {
+		s := &n.slots[i]
+		if s.from == 0 {
+			return -1, s, hash
+		}
+		if s.hash != hash {
+			continue
+		}
+		c := &n.cells[max(s.from, -s.from)-1] // the event the key was read from
+		if ka, off, _ := n.family(c.act); ka == act && n.key(s.from) == val {
+			return c.grp - off, s, hash
+		}
+	}
 }
 
 // snapshot copies the history out of the scratch: prefix, then rest.
@@ -559,6 +624,9 @@ func (n *Normalizer) dedupAt() (rewrote, over bool) {
 // grown). For the same reason the first sweep finds nothing new after the
 // second.
 func (n *Normalizer) cancel() (changed bool) {
+	if !slices.ContainsFunc(n.acts, func(a actInfo) bool { return a.class&(undoable|cancelsUndoable) != 0 }) {
+		return false // no attempt and no cancel of one: neither sweep can rewrite
+	}
 	attempts := n.each(n.cancelAttemptAt)
 	return n.each(n.cancelGratuitousAt) || attempts
 }

@@ -30,7 +30,9 @@ func (n *Normalizer) XAbleTo(h event.History, specs []TargetSpec) (bool, []actio
 // xableTo is XAbleTo appending the outputs to outs.
 func (n *Normalizer) xableTo(h event.History, specs []TargetSpec, outs []action.Value) (bool, []action.Value) {
 	n.normalize(h, specs)
-	o, ok := matchTarget(outs, specs, n.p, func(i int) event.Event { return n.event(&n.cells[i]) })
+	// In place: the match reads no annotation, so a re-emitted start's bare
+	// mark does not matter to it.
+	o, ok := matchTarget(outs, specs, n.p, func(i int) *event.Event { return &n.src[n.cells[i].at] })
 	n.release()
 	if ok {
 		return true, o
@@ -137,6 +139,7 @@ func (n *Normalizer) xableProjected(h event.History, reqs []action.Request, sequ
 		n.specs = append(n.specs, spec)
 	}
 	outs := make([]action.Value, 0, len(reqs))
+	defer n.dropKept()
 	prevEnd := -1
 	for r, p := range n.project(h, reqs) {
 		var ok bool
@@ -185,6 +188,11 @@ type projector struct {
 }
 
 type keptPair struct{ req, at int32 }
+
+// dropKept lets go of the projections' copies of the caller's events, as
+// release does of the history: a Normalizer kept across calls must not pin
+// the last one's values.
+func (p *projector) dropKept() { clear(p.kept) }
 
 // openTop is the newest unmatched start of an action (-1: none).
 type openTop struct {

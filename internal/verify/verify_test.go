@@ -2,7 +2,10 @@ package verify
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"xability/internal/action"
 	"xability/internal/event"
@@ -252,4 +255,97 @@ func TestCheckerReusedAllocBudget(t *testing.T) {
 			t.Errorf("%s: a check on a reused Checker allocates %.0f objects, budget %.0f", tc.name, avg, tc.budget)
 		}
 	}
+}
+
+// TestCheckerReleasesHistory holds a Checker kept across runs, as a sweep
+// worker keeps one, to letting go of each run's history: once Check
+// returns, no string the Checker reaches — through every field, map and
+// slice, up to each slice's capacity — shares storage with a value or an
+// annotation of the history's events. (Action names are the vocabulary's,
+// shared by every run.) Sequential and concurrent runs take different
+// paths through the projection.
+func TestCheckerReleasesHistory(t *testing.T) {
+	r := reg()
+	reqs := []action.Request{action.NewRequest("read", "k").WithID("q1"), action.NewRequest("debit", "a").WithID("q2")}
+	com := reqs[1].Commit()
+	var owned []string // the history's own strings
+	own := func(s string) string {
+		s = strings.Clone(s)
+		owned = append(owned, s)
+		return s
+	}
+	val := func(v action.Value) action.Value { return action.Value(own(string(v))) }
+	hist := event.History{
+		event.S("read", val(reqs[0].EffectiveInput())),
+		event.S("read", val(reqs[0].EffectiveInput())),
+		event.C("read", val("v")).WithAnnotation(own(string(reqs[0].EffectiveInput()))),
+		event.S("debit", val(reqs[1].EffectiveInput())),
+		event.C("debit", val("ok")).WithAnnotation(own(string(reqs[1].EffectiveInput()))),
+		event.S(com.Action, val(com.EffectiveInput())),
+		event.C(com.Action, action.Nil),
+	}
+	for _, concurrent := range []bool{false, true} {
+		var c Checker
+		run := Run{Registry: r, Requests: reqs, Replies: []action.Value{"v", "ok"}, History: hist, Concurrent: concurrent}
+		if rep := c.Check(run); !rep.OK() {
+			t.Fatalf("concurrent %v: report = %+v", concurrent, rep)
+		}
+		if at := reachesStrings(reflect.ValueOf(&c), owned, "c", map[uintptr]bool{}); at != "" {
+			t.Errorf("concurrent %v: after Check the Checker still holds a string of the history, at %s", concurrent, at)
+		}
+	}
+}
+
+// reachesStrings returns the path of a string reachable from v whose bytes
+// lie inside one of owned, or "" if there is none.
+func reachesStrings(v reflect.Value, owned []string, path string, seen map[uintptr]bool) string {
+	switch v.Kind() {
+	case reflect.String:
+		s := v.String()
+		if s == "" {
+			return ""
+		}
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		for _, o := range owned {
+			lo := uintptr(unsafe.Pointer(unsafe.StringData(o)))
+			if lo <= p && p < lo+uintptr(len(o)) {
+				return fmt.Sprintf("%s = %q", path, s)
+			}
+		}
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] {
+			return ""
+		}
+		seen[v.Pointer()] = true
+		return reachesStrings(v.Elem(), owned, path, seen)
+	case reflect.Interface:
+		if !v.IsNil() {
+			return reachesStrings(v.Elem(), owned, path, seen)
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if at := reachesStrings(v.Field(i), owned, path+"."+v.Type().Field(i).Name, seen); at != "" {
+				return at
+			}
+		}
+	case reflect.Slice:
+		v = v.Slice(0, v.Cap())
+		fallthrough
+	case reflect.Array:
+		for i := range v.Len() {
+			if at := reachesStrings(v.Index(i), owned, fmt.Sprintf("%s[%d]", path, i), seen); at != "" {
+				return at
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			if at := reachesStrings(it.Key(), owned, path+"[key]", seen); at != "" {
+				return at
+			}
+			if at := reachesStrings(it.Value(), owned, path+"[value]", seen); at != "" {
+				return at
+			}
+		}
+	}
+	return ""
 }
