@@ -19,7 +19,6 @@
 package baseline
 
 import (
-	"sync"
 	"time"
 
 	"xability/internal/action"
@@ -70,7 +69,6 @@ type PBServer struct {
 	clk      *vclock.Virtual
 	crashGap time.Duration // test hook: delay between execute and processed-notice
 
-	mu        sync.Mutex
 	stopped   bool
 	processed map[string]action.Value
 }
@@ -111,11 +109,7 @@ func NewPBServer(cfg PBConfig) *PBServer {
 func (s *PBServer) Start() { s.clk.Go(s.loop) }
 
 // Stop halts the server.
-func (s *PBServer) Stop() {
-	s.mu.Lock()
-	s.stopped = true
-	s.mu.Unlock()
-}
+func (s *PBServer) Stop() { s.stopped = true }
 
 // Crash crashes the replica.
 func (s *PBServer) Crash() {
@@ -140,13 +134,7 @@ func (s *PBServer) primary() bool {
 func (s *PBServer) loop() {
 	for {
 		msg, ok := s.ep.Recv()
-		if !ok {
-			return
-		}
-		s.mu.Lock()
-		stopped := s.stopped
-		s.mu.Unlock()
-		if stopped {
+		if !ok || s.stopped {
 			return
 		}
 		switch msg.Type {
@@ -158,19 +146,14 @@ func (s *PBServer) loop() {
 			s.handleSubmit(p)
 		case msgProcessed:
 			if p, ok := msg.Payload.(processedPayload); ok {
-				s.mu.Lock()
 				s.processed[p.ReqID] = p.Value
-				s.mu.Unlock()
 			}
 		}
 	}
 }
 
 func (s *PBServer) handleSubmit(p core.SubmitPayload) {
-	s.mu.Lock()
-	v, done := s.processed[p.Req.ID]
-	s.mu.Unlock()
-	if done {
+	if v, done := s.processed[p.Req.ID]; done {
 		s.ep.Send(p.Client, core.MsgResult, core.ResultPayload{ReqID: p.Req.ID, Value: v})
 		return
 	}
@@ -191,15 +174,10 @@ func (s *PBServer) handleSubmit(p core.SubmitPayload) {
 	if s.crashGap > 0 {
 		s.clk.Sleep(s.crashGap) // the duplication window, widened for tests
 	}
-	s.mu.Lock()
-	stopped := s.stopped
-	if !stopped {
-		s.processed[p.Req.ID] = res
-	}
-	s.mu.Unlock()
-	if stopped {
+	if s.stopped {
 		return // crashed before syncing or replying
 	}
+	s.processed[p.Req.ID] = res
 	for _, id := range s.order {
 		if id != s.id {
 			s.ep.Send(id, msgProcessed, processedPayload{ReqID: p.Req.ID, Value: res})
@@ -224,7 +202,6 @@ type ActiveServer struct {
 	isSeq     bool
 	replyOnly simnet.ProcessID // only the sequencer replies (clients dedup anyway)
 
-	mu      sync.Mutex
 	stopped bool
 	nextSeq int
 	buffer  map[int]sequencedPayload
@@ -261,11 +238,7 @@ func NewActiveServer(cfg ActiveConfig) *ActiveServer {
 func (s *ActiveServer) Start() { s.clk.Go(s.loop) }
 
 // Stop halts the server.
-func (s *ActiveServer) Stop() {
-	s.mu.Lock()
-	s.stopped = true
-	s.mu.Unlock()
-}
+func (s *ActiveServer) Stop() { s.stopped = true }
 
 // Crash crashes the replica.
 func (s *ActiveServer) Crash() {
@@ -276,13 +249,7 @@ func (s *ActiveServer) Crash() {
 func (s *ActiveServer) loop() {
 	for {
 		msg, ok := s.ep.Recv()
-		if !ok {
-			return
-		}
-		s.mu.Lock()
-		stopped := s.stopped
-		s.mu.Unlock()
-		if stopped {
+		if !ok || s.stopped {
 			return
 		}
 		switch msg.Type {
@@ -291,10 +258,8 @@ func (s *ActiveServer) loop() {
 			if !ok || !s.isSeq {
 				continue // only the sequencer orders requests
 			}
-			s.mu.Lock()
 			s.nextSeq++
 			sp := sequencedPayload{Seq: s.nextSeq, Req: p.Req, Client: p.Client}
-			s.mu.Unlock()
 			for _, id := range s.order {
 				if id == s.id {
 					s.deliver(sp)
@@ -312,21 +277,15 @@ func (s *ActiveServer) loop() {
 
 // deliver executes sequenced requests in order, buffering gaps.
 func (s *ActiveServer) deliver(sp sequencedPayload) {
-	s.mu.Lock()
 	s.buffer[sp.Seq] = sp
-	var ready []sequencedPayload
 	for {
 		next, ok := s.buffer[s.applied+1]
 		if !ok {
-			break
+			return
 		}
 		delete(s.buffer, s.applied+1)
 		s.applied++
-		ready = append(ready, next)
-	}
-	s.mu.Unlock()
-	for _, r := range ready {
-		s.execute(r)
+		s.execute(next)
 	}
 }
 

@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,7 +14,6 @@ import (
 // testHandler applies a transfer effect to a shared counter so duplication
 // is observable both through the env audit and through application state.
 type testHandler struct {
-	mu    sync.Mutex
 	total int
 	// unique makes the handler non-deterministic: each execution returns a
 	// distinct value, so duplicate executions produce diverging completion
@@ -25,8 +23,6 @@ type testHandler struct {
 }
 
 func (h *testHandler) handle(req action.Request) action.Value {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.total += 10
 	h.execs++
 	if h.unique {
@@ -35,11 +31,7 @@ func (h *testHandler) handle(req action.Request) action.Value {
 	return "ok"
 }
 
-func (h *testHandler) sum() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
+func (h *testHandler) sum() int { return h.total }
 
 func transferRegistry() *action.Registry {
 	reg := action.NewRegistry()

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"xability/internal/fd"
@@ -59,9 +57,8 @@ type Node struct {
 	log     *wal.Log             // nil: in-memory acceptor (no crash-recovery)
 	m       *obs.Metrics         // nil-safe run metrics, pulled from the endpoint
 	recv    func(simnet.Message) // onMessage, bound once per Node
-	stopped atomic.Bool
+	stopped bool                 // set by Stop; every round machine ends at its next step
 
-	mu        sync.Mutex
 	instances map[Key]*ctInstance
 
 	drain ctDrain // the receive side, on the pump (see onMessage)
@@ -212,7 +209,6 @@ func (n *Node) Recover() {
 		replayed++
 		key := Key{Space: Space(r.Space), ID: r.Key, Round: r.Round}
 		inst := n.instance(key)
-		inst.mu.Lock()
 		switch r.Kind {
 		case recEstimate:
 			// Replay, not new state: the pair was persisted before its ack
@@ -222,7 +218,6 @@ func (n *Node) Recover() {
 		case recDecision:
 			inst.decided, inst.decision = true, r.Val //xvet:ok durablewrite recovery replays the log; re-persisting here would double every record
 		}
-		inst.mu.Unlock()
 	})
 	n.m.Add(obs.WALReplayed, replayed)
 }
@@ -230,8 +225,7 @@ func (n *Node) Recover() {
 // persistEstimate forces an adopted (estimate, ts) pair to the log before
 // the caller acks it, then runs then: inline without a log or at zero
 // tariff, otherwise on the pump once the sync completes (wal.AppendThen,
-// with k the caller's continuation). Callers run on the pump and must not
-// hold inst.mu: then may take it.
+// with k the caller's continuation). Callers run on the pump.
 func (n *Node) persistEstimate(key Key, v any, ts int32, k *wal.Sync, then vclock.Runner) {
 	if n.log == nil {
 		then.Run()
@@ -254,31 +248,24 @@ func (n *Node) persistDecision(key Key, v any, k *wal.Sync, then vclock.Runner) 
 // in-flight Propose calls unblock with the zero value. The receive handler
 // keeps answering until the endpoint closes.
 func (n *Node) Stop() {
-	if n.stopped.Swap(true) {
+	if n.stopped {
 		return
 	}
-	n.mu.Lock()
+	n.stopped = true
 	insts := make([]*ctInstance, 0, len(n.instances))
 	for _, inst := range n.instances {
 		insts = append(insts, inst)
 	}
-	n.mu.Unlock()
 	// Waits on instance conditions are event-driven; wake them so blocked
 	// Propose calls and round machines observe the stop promptly. Wake in
 	// key order: broadcast order decides which waiters run first at
 	// teardown, and map order would leak Go's per-run iteration
-	// randomization into the schedule. A broadcast only schedules wakes,
-	// so none runs a waiter that needs the lock held here.
+	// randomization into the schedule.
 	slices.SortFunc(insts, func(a, b *ctInstance) int { return a.key.compare(b.key) })
 	for _, inst := range insts {
-		inst.mu.Lock()
 		inst.cond.Broadcast()
-		inst.mu.Unlock()
 	}
 }
-
-// stopping reports whether Stop has been called.
-func (n *Node) stopping() bool { return n.stopped.Load() }
 
 type ctKind uint8
 
@@ -310,7 +297,6 @@ const ctInline = 3
 
 // ctInstance is one instance, its scratch included: one allocation.
 type ctInstance struct {
-	mu   sync.Mutex
 	cond vclock.Cond // initialised in place (vclock.InitCond); never copied
 	key  Key
 	// The acceptor's durable state (xvet:durable): writes must be paired
@@ -334,12 +320,10 @@ type ctInstance struct {
 }
 
 func (n *Node) instance(key Key) *ctInstance {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	inst, ok := n.instances[key]
 	if !ok {
 		inst = &ctInstance{key: key, ts: -1}
-		n.clk.InitCond(&inst.cond, &inst.mu)
+		n.clk.InitCond(&inst.cond, nil)
 		inst.inbox = inst.inboxArr[:0]
 		inst.obj = ctObject{n: n, inst: inst}
 		m := &inst.round
@@ -352,8 +336,8 @@ func (n *Node) instance(key Key) *ctInstance {
 }
 
 // decideMsg returns the instance's decision as a decide message, taken
-// from the slab on first use; callers run on the pump, hold inst.mu and
-// have seen inst.decided.
+// from the slab on first use; callers run on the pump and have seen
+// inst.decided.
 func (n *Node) decideMsg(inst *ctInstance) *ctMsg {
 	if inst.decide == nil {
 		inst.decide = n.msg(ctMsg{Key: inst.key, Kind: ctDecide, Value: inst.decision})
@@ -397,11 +381,8 @@ func (o *ctObject) String() string    { return fmt.Sprintf("ct:%s@%s", o.inst.ke
 func (n *Node) Propose(key Key, v any) any { return n.propose(n.instance(key), v) }
 
 func (n *Node) propose(inst *ctInstance, v any) any {
-	inst.mu.Lock()
 	if inst.decided {
-		d := inst.decision
-		inst.mu.Unlock()
-		return d
+		return inst.decision
 	}
 	if !inst.hasEst {
 		// The proposer's own initial estimate (ts 0) constrains nothing —
@@ -411,28 +392,20 @@ func (n *Node) propose(inst *ctInstance, v any) any {
 	}
 	n.ensureRunning(inst)
 	for !inst.decided {
-		if n.stopping() {
-			inst.mu.Unlock()
+		if n.stopped {
 			return nil
 		}
 		inst.cond.Wait()
 	}
-	d := inst.decision
-	inst.mu.Unlock()
-	return d
+	return inst.decision
 }
 
 // Read returns the locally known decision.
 func (n *Node) Read(key Key) (any, bool) { return n.instance(key).read() }
 
-func (inst *ctInstance) read() (any, bool) {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	return inst.decision, inst.decided
-}
+func (inst *ctInstance) read() (any, bool) { return inst.decision, inst.decided }
 
-// ensureRunning arms the round machine once, at the current instant;
-// callers hold inst.mu.
+// ensureRunning arms the round machine once, at the current instant.
 func (n *Node) ensureRunning(inst *ctInstance) {
 	if inst.running {
 		return
@@ -491,10 +464,7 @@ func (d *ctDrain) Run() {
 	if inst := d.relay; inst != nil {
 		// Persisted; now reliable-broadcast: relay the decision once.
 		d.relay = nil
-		inst.mu.Lock()
-		dm := n.decideMsg(inst)
-		inst.mu.Unlock()
-		n.sendOthers(dm)
+		n.sendOthers(n.decideMsg(inst))
 	}
 	for d.next < len(d.q) {
 		if n.ep.Closed() {
@@ -517,17 +487,12 @@ func (d *ctDrain) Run() {
 // suspended the drain in a decision's persist.
 func (n *Node) receive(cm ctMsg) bool {
 	inst := n.instance(cm.Key)
-	inst.mu.Lock()
 	if cm.Kind == ctDecide {
-		first := !inst.decided
-		if first {
-			inst.decided, inst.decision = true, cm.Value
-			inst.cond.Broadcast()
-		}
-		inst.mu.Unlock()
-		if !first {
+		if inst.decided {
 			return false
 		}
+		inst.decided, inst.decision = true, cm.Value
+		inst.cond.Broadcast()
 		n.m.Inc(obs.ConsDecisions)
 		// Persist before relaying: a decision, once forwarded, must
 		// survive this node's crash.
@@ -540,15 +505,12 @@ func (n *Node) receive(cm ctMsg) bool {
 		// a straggling ack) is answered with the decision, so a node that
 		// missed the decide relay recovers as soon as a link to any
 		// decided node comes back.
-		dm := n.decideMsg(inst)
-		inst.mu.Unlock()
-		n.ep.Send(n.dests[cm.From], "cons", dm)
+		n.ep.Send(n.dests[cm.From], "cons", n.decideMsg(inst))
 		return false
 	}
 	inst.inbox = append(inst.inbox, cm)
 	n.ensureRunning(inst) // participate passively when contacted
 	inst.cond.Broadcast()
-	inst.mu.Unlock()
 	return false
 }
 
@@ -560,7 +522,7 @@ func (n *Node) receive(cm ctMsg) bool {
 // their current phase's messages: without a catch-up rule, a partition
 // window that eats one round's traffic wedges the instance forever even
 // after the heal (found by the seeded random fault generator; pinned by
-// TestCatchUpAfterPartitionDesync). Callers hold inst.mu.
+// TestCatchUpAfterPartitionDesync).
 func (inst *ctInstance) catchUp(round int32) bool {
 	for _, m := range inst.inbox {
 		if m.Round > round {
@@ -654,10 +616,7 @@ func (m *ctRound) Run() {
 			m.replied()
 			more = true
 		case stAnnounce:
-			m.inst.mu.Lock()
-			dm := m.n.decideMsg(m.inst)
-			m.inst.mu.Unlock()
-			m.n.sendOthers(dm)
+			m.n.sendOthers(m.n.decideMsg(m.inst))
 			m.step = stDone
 		}
 		if !more {
@@ -682,21 +641,17 @@ func (m *ctRound) majority() int { return len(m.n.peers)/2 + 1 }
 // assemble a majority.
 func (m *ctRound) startRound() bool {
 	n, inst := m.n, m.inst
-	if n.stopping() {
+	if n.stopped {
 		m.step = stDone
 		return false
 	}
 	m.ci = int(m.round) % len(n.peers)
 	n.m.Inc(obs.ConsRounds)
-	inst.mu.Lock()
 	if inst.decided {
-		inst.mu.Unlock()
 		m.step = stDone
 		return false
 	}
-	est := ctMsg{Key: inst.key, Round: m.round, Kind: ctEstimate, Value: inst.estimate, TS: inst.ts, HasValue: inst.hasEst}
-	inst.mu.Unlock()
-	n.sendAll(inst, est)
+	n.sendAll(inst, inst.estimateMsg(m.round))
 	if m.coordinates() {
 		m.got = m.got[:0]
 		m.wait(stGather)
@@ -728,19 +683,15 @@ func (m *ctRound) wait(step ctStep) {
 // re-checked. check reports whether the machine moved on.
 func (m *ctRound) check() bool {
 	n, inst := m.n, m.inst
-	inst.mu.Lock()
-	if n.stopping() || inst.decided {
-		inst.mu.Unlock()
+	if n.stopped || inst.decided {
 		m.step = stDone
 		return false
 	}
 	if m.ready() {
-		inst.mu.Unlock()
 		return m.phaseDone()
 	}
 	if n.clk.Now()-m.start >= ctCatchUpAfter && inst.catchUp(m.round) {
 		n.m.Inc(obs.ConsCatchUps)
-		inst.mu.Unlock()
 		if m.step == stAwait {
 			// Give up on this round's proposal like a nack would (the nack
 			// still goes out: the coordinator's reply quorum may need it).
@@ -752,23 +703,19 @@ func (m *ctRound) check() bool {
 	}
 	if m.step != stAwait {
 		inst.cond.WaitRunner(ctResendAfter, m)
-		inst.mu.Unlock()
 		return false
 	}
-	inst.mu.Unlock()
 	if n.det.Suspect(n.peers[m.ci]) {
 		n.sendCons(inst, m.ci, ctMsg{Key: inst.key, Round: m.round, Kind: ctNack})
 		m.replied()
 		return true
 	}
-	inst.mu.Lock()
 	inst.cond.WaitRunner(ctPoll, m)
-	inst.mu.Unlock()
 	return false
 }
 
 // ready consumes the phase's messages from the inbox and reports whether
-// the phase's condition holds; callers hold inst.mu.
+// the phase's condition holds.
 func (m *ctRound) ready() bool {
 	switch m.step {
 	case stGather:
@@ -828,8 +775,8 @@ func (m *ctRound) ready() bool {
 }
 
 // pull moves the inbox's messages of this round and the given kind into
-// the node's scratch, in arrival order; callers hold inst.mu and use the
-// result before the machine yields.
+// the node's scratch, in arrival order; callers use the result before the
+// machine yields.
 func (m *ctRound) pull(kind ctKind) []ctMsg {
 	n, inst := m.n, m.inst
 	n.pulled = n.pulled[:0]
@@ -883,9 +830,7 @@ func (m *ctRound) phaseDone() bool {
 // survives it.
 func (m *ctRound) adopt() bool {
 	inst := m.inst
-	inst.mu.Lock()
 	inst.estimate, inst.hasEst, inst.ts = m.value, true, m.round
-	inst.mu.Unlock()
 	m.step = stAck
 	m.n.persistEstimate(inst.key, m.value, m.round, &m.sync, m)
 	return false
@@ -901,18 +846,13 @@ func (m *ctRound) replied() {
 		return
 	}
 	m.acks, m.nacks = 0, 0
-	m.inst.mu.Lock()
 	m.value = m.inst.estimate
-	m.inst.mu.Unlock()
 	m.wait(stReplies)
 }
 
 // nextRound starts the next round unless the instance decided meanwhile.
 func (m *ctRound) nextRound() {
-	m.inst.mu.Lock()
-	done := m.inst.decided
-	m.inst.mu.Unlock()
-	if done {
+	if m.inst.decided {
 		m.step = stDone
 		return
 	}
@@ -925,17 +865,12 @@ func (m *ctRound) nextRound() {
 // forgot could coordinate a later round to a different value.
 func (m *ctRound) decide() bool {
 	n, inst, v := m.n, m.inst, m.value
-	inst.mu.Lock()
-	first := !inst.decided
-	if first {
-		inst.decided, inst.decision = true, v
-		inst.cond.Broadcast()
-	}
-	inst.mu.Unlock()
 	m.step = stAnnounce
-	if !first {
+	if inst.decided {
 		return true
 	}
+	inst.decided, inst.decision = true, v
+	inst.cond.Broadcast()
 	n.m.Inc(obs.ConsDecisions)
 	n.persistDecision(inst.key, v, &m.sync, m)
 	return false
@@ -961,19 +896,17 @@ func (m *ctRound) resendIfStalled() {
 	n.m.Inc(obs.ConsRetransmits)
 	switch m.step {
 	case stGather:
-		n.sendAll(inst, n.currentEstimate(inst, m.round))
+		n.sendAll(inst, inst.estimateMsg(m.round))
 	case stAwait:
-		n.sendCons(inst, m.ci, n.currentEstimate(inst, m.round))
+		n.sendCons(inst, m.ci, inst.estimateMsg(m.round))
 	default:
 		n.sendAll(inst, ctMsg{Key: inst.key, Round: m.round, Kind: ctProposal, Value: m.value})
 	}
 }
 
-// currentEstimate builds a round-r estimate message from the instance's
-// live state. Callers must not hold inst.mu.
-func (n *Node) currentEstimate(inst *ctInstance, round int32) ctMsg {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
+// estimateMsg builds a round-r estimate message from the instance's live
+// state.
+func (inst *ctInstance) estimateMsg(round int32) ctMsg {
 	return ctMsg{Key: inst.key, Round: round, Kind: ctEstimate, Value: inst.estimate, TS: inst.ts, HasValue: inst.hasEst}
 }
 
@@ -1016,8 +949,6 @@ func (n *Node) sendOthers(sent *ctMsg) {
 // without the network.
 func (n *Node) deliverLocal(inst *ctInstance, i int, m ctMsg) {
 	m.From = int8(i)
-	inst.mu.Lock()
 	inst.inbox = append(inst.inbox, m)
 	inst.cond.Broadcast()
-	inst.mu.Unlock()
 }

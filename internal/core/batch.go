@@ -46,7 +46,6 @@ package core
 
 import (
 	"strconv"
-	"sync"
 	"time"
 
 	"xability/internal/action"
@@ -105,7 +104,6 @@ func slotID(n int) string { return "slot#" + strconv.Itoa(n) }
 // slotState is a replica's view of the slot log, and the batcher that
 // extends it on the clock's pump.
 type slotState struct {
-	mu   sync.Mutex
 	cond *vclock.Cond
 
 	pending  []SubmitPayload // arrival-ordered candidates for the next batch
@@ -114,8 +112,8 @@ type slotState struct {
 	execNext int             // first slot not yet applied locally
 	inflight int             // slots claimed here and not yet resolved
 	// logs holds the slots' round logs by index, logChunk to an
-	// allocation, under the server's mu (slotLog). Not durable: the
-	// batched plane is an in-memory baseline, restart is unsupported there.
+	// allocation (slotLog). Not durable: the batched plane is an in-memory
+	// baseline, restart is unsupported there.
 	logs []*[logChunk]roundLog
 
 	batcher slotBatcher
@@ -127,17 +125,13 @@ type slotState struct {
 const logChunk = 8
 
 func newSlotState(s *Server) *slotState {
-	ss := &slotState{batcher: slotBatcher{s: s}}
-	ss.cond = s.clk.NewCond(&ss.mu)
-	return ss
+	return &slotState{cond: s.clk.NewCond(nil), batcher: slotBatcher{s: s}}
 }
 
 // slotLog returns slot n's round log, carving a chunk the first time an
 // index past the carved ones is asked for.
 func (s *Server) slotLog(n int) *roundLog {
 	ss := s.slots
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for len(ss.logs) <= n/logChunk {
 		ss.logs = append(ss.logs, new([logChunk]roundLog))
 	}
@@ -154,26 +148,17 @@ func (s *Server) slotLog(n int) *roundLog {
 // slot already holds it.
 func (s *Server) enqueue(p SubmitPayload) {
 	st, _ := s.noteRequest(p.Req, p.Client)
-	s.mu.Lock()
 	st.direct = true
 	if st.done {
-		res := st.result
-		s.mu.Unlock()
-		s.ep.Send(p.Client, MsgResult, ResultPayload{ReqID: p.Req.ID, Value: res})
+		s.ep.Send(p.Client, MsgResult, ResultPayload{ReqID: p.Req.ID, Value: st.result})
 		return
 	}
 	if st.queued {
-		s.mu.Unlock()
 		return // already pending here or riding in a known slot
 	}
 	st.queued = true
-	s.mu.Unlock()
-
-	ss := s.slots
-	ss.mu.Lock()
-	ss.pending = append(ss.pending, p)
-	ss.mu.Unlock()
-	ss.cond.Broadcast()
+	s.slots.pending = append(s.slots.pending, p)
+	s.slots.cond.Broadcast()
 }
 
 // slotBatcher forms slots, a step machine on the clock's pump: wait for a
@@ -201,19 +186,16 @@ const (
 func (b *slotBatcher) Run() {
 	s, ss := b.s, b.s.slots
 	for {
-		if b.wait != batchWindow && s.isStopped() {
+		if b.wait != batchWindow && s.stopped {
 			return
 		}
-		ss.mu.Lock()
 		switch b.wait {
 		case batchHead, batchPending:
 			if len(ss.pending) == 0 {
 				b.wait = batchPending
 				ss.cond.WaitRunner(cleanInterval, b)
-				ss.mu.Unlock()
 				return
 			}
-			ss.mu.Unlock()
 			// Batching window: accumulate concurrent arrivals.
 			b.wait = batchWindow
 			s.clk.AfterRunner(s.batch.Window, b)
@@ -222,7 +204,6 @@ func (b *slotBatcher) Run() {
 			if ss.inflight >= s.batch.Pipeline {
 				b.wait = batchBound
 				ss.cond.WaitRunner(cleanInterval, b)
-				ss.mu.Unlock()
 				return
 			}
 			b.wait = batchHead
@@ -233,7 +214,6 @@ func (b *slotBatcher) Run() {
 
 // formSlot drains up to MaxSize pending members into the next slot and
 // spawns its round 1, which blocks in Propose and the execution gate.
-// Callers hold ss.mu; formSlot releases it.
 func (s *Server) formSlot() {
 	ss := s.slots
 	// Skip members an earlier slot already finished (their clients were
@@ -252,7 +232,6 @@ func (s *Server) formSlot() {
 	}
 	ss.pending = rest
 	if len(batch) == 0 {
-		ss.mu.Unlock()
 		return
 	}
 	if ss.next < ss.known {
@@ -261,25 +240,19 @@ func (s *Server) formSlot() {
 	n := ss.next
 	ss.next++
 	ss.inflight++
-	depth := ss.inflight
-	ss.mu.Unlock()
 	s.m.Inc(obs.BatchSlots)
 	s.m.Add(obs.BatchReqs, int64(len(batch)))
 	s.m.SetMax(obs.GaugeBatchMax, int64(len(batch)))
-	s.m.SetMax(obs.GaugePipelineDepth, int64(depth))
+	s.m.SetMax(obs.GaugePipelineDepth, int64(ss.inflight))
 
 	s.clk.Go(func() {
 		s.runSlot(n, 1, batch)
-		ss.mu.Lock()
 		ss.inflight--
-		ss.mu.Unlock()
 		ss.cond.Broadcast()
 	})
 }
 
 func (s *Server) finishedReq(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := s.active[id]
 	return st != nil && st.done
 }
@@ -329,7 +302,7 @@ func (s *Server) runSlot(n, round int, batch []SubmitPayload) {
 	}
 
 	out := s.slotCoordination(n, rl, round, od.Batch, slotOutcome{Outcome: "commit", Values: vals})
-	if out.Outcome == "commit" && !s.isStopped() {
+	if out.Outcome == "commit" && !s.stopped {
 		s.applySlot(n, od.Batch, out.Values, true)
 	}
 }
@@ -349,8 +322,6 @@ func firstIndex(members []SubmitPayload, i int) int {
 // earlier than n. Slots apply in order, so this classification is the same
 // at every replica evaluating slot n.
 func (s *Server) finishedBefore(id string, n int) (action.Value, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := s.active[id]
 	if st != nil && st.done && st.doneSlot >= 0 && st.doneSlot < n {
 		return st.result, true
@@ -358,21 +329,13 @@ func (s *Server) finishedBefore(id string, n int) (action.Value, bool) {
 	return "", false
 }
 
-func (s *Server) noteKnown(n int) {
-	ss := s.slots
-	ss.mu.Lock()
-	if ss.known < n {
-		ss.known = n
-	}
-	ss.mu.Unlock()
-}
+func (s *Server) noteKnown(n int) { s.slots.known = max(s.slots.known, n) }
 
 // requeueMissing returns members of a losing batch proposal that the
 // winning batch does not carry to the pending queue.
 func (s *Server) requeueMissing(ours, winners []SubmitPayload) {
 	ss := s.slots
 	added := false
-	ss.mu.Lock()
 	for _, m := range ours {
 		carried := false
 		for _, w := range winners {
@@ -386,7 +349,6 @@ func (s *Server) requeueMissing(ours, winners []SubmitPayload) {
 			added = true
 		}
 	}
-	ss.mu.Unlock()
 	if added {
 		ss.cond.Broadcast()
 	}
@@ -396,10 +358,8 @@ func (s *Server) requeueMissing(ours, winners []SubmitPayload) {
 // Reports false if the server stopped while waiting.
 func (s *Server) waitExec(n int) bool {
 	ss := s.slots
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
 	for ss.execNext < n {
-		if s.isStopped() {
+		if s.stopped {
 			return false
 		}
 		ss.cond.WaitTimeout(cleanInterval)
@@ -466,28 +426,20 @@ func (s *Server) applySlot(n int, batch []SubmitPayload, vals []action.Value, al
 			continue
 		}
 		st, _ := s.noteRequest(m.Req, m.Client)
-		s.mu.Lock()
-		dupEarlier := st.done && st.doneSlot >= 0 && st.doneSlot < n
-		if !dupEarlier {
+		if dupEarlier := st.done && st.doneSlot >= 0 && st.doneSlot < n; !dupEarlier {
 			st.done = true      //xvet:ok durablewrite batched plane is an in-memory baseline: restart is unsupported there, nothing to persist
 			st.result = vals[i] //xvet:ok durablewrite batched plane is an in-memory baseline: restart is unsupported there, nothing to persist
 			st.doneSlot = n
 		}
-		direct := st.direct
-		s.mu.Unlock()
-		if all || direct {
+		if all || st.direct {
 			s.ep.Send(m.Client, MsgResult, ResultPayload{ReqID: m.Req.ID, Value: vals[i]})
 		}
 	}
 	ss := s.slots
-	ss.mu.Lock()
 	if ss.execNext == n {
 		ss.execNext = n + 1
 	}
-	if ss.known < n+1 {
-		ss.known = n + 1
-	}
-	ss.mu.Unlock()
+	ss.known = max(ss.known, n+1)
 	ss.cond.Broadcast()
 }
 
@@ -510,9 +462,7 @@ func (s *Server) applySlot(n int, batch []SubmitPayload, vals []action.Value, al
 func (s *Server) cleanSlot() func() {
 	ss := s.slots
 	for {
-		ss.mu.Lock()
 		n := ss.execNext
-		ss.mu.Unlock()
 		rl := s.slotLog(n)
 		lastRound, od := s.lastOwner(rl)
 		if lastRound == 0 {
@@ -540,7 +490,7 @@ func (s *Server) cleanSlot() func() {
 // slot's next round with the same batch.
 func (s *Server) cleanSlotRound(n int, rl *roundLog, round int, od ownerDecision) {
 	out := s.slotCoordination(n, rl, round, od.Batch, slotOutcome{Outcome: "abort"})
-	if s.isStopped() {
+	if s.stopped {
 		return
 	}
 	if out.Outcome == "commit" {

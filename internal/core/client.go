@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"strconv"
-	"sync"
 	"time"
 
 	"xability/internal/action"
@@ -32,10 +31,11 @@ const clientPoll = 200 * time.Microsecond
 
 // Client is the client-side stub of Figure 5. The paper's model is a
 // single client issuing one request at a time (§4), but concurrent Submits
-// are safe: a composed service (examples/threetier) shares one back-end
-// stub across every middle-tier replica, and active-replication drift
-// there means two handlers submit through it at once. Replies drained by
-// one Submit on behalf of another are stashed by request ID, not dropped.
+// from clock units of one world are safe: a composed service
+// (examples/threetier) shares one back-end stub across every middle-tier
+// replica, and active-replication drift there means two handlers submit
+// through it at once. Replies drained by one Submit on behalf of another
+// are stashed by request ID, not dropped.
 type Client struct {
 	id       simnet.ProcessID
 	ep       *simnet.Endpoint
@@ -45,7 +45,6 @@ type Client struct {
 	m        *obs.Metrics // nil-safe run metrics
 	tr       *obs.Trace   // nil-safe span recorder
 
-	mu       sync.Mutex
 	i        int // next replica to contact (Figure 5's i)
 	seq      int // request ID generator
 	attempts int
@@ -101,8 +100,6 @@ func (c *Client) Reset(cfg ClientConfig) {
 // retried submit join the same consensus instances instead of becoming a
 // new request.
 func (c *Client) nextID() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.seq++
 	return string(c.id) + "-" + strconv.Itoa(c.seq)
 }
@@ -115,16 +112,12 @@ func (c *Client) Submit(req action.Request) (action.Value, error) {
 	if req.ID == "" {
 		return "", errors.New("core: request must be tagged with an ID (use Tag)")
 	}
-	c.mu.Lock()
 	target := c.replicas[c.i]
 	c.attempts++
 	c.awaiting[req.ID] = true
-	c.mu.Unlock()
 	defer func() {
-		c.mu.Lock()
 		delete(c.awaiting, req.ID)
 		delete(c.stash, req.ID)
-		c.mu.Unlock()
 	}()
 
 	c.m.Inc(obs.ReqSubmitted)
@@ -133,10 +126,7 @@ func (c *Client) Submit(req action.Request) (action.Value, error) {
 		// A concurrent Submit may have drained this request's reply on our
 		// behalf (the mailbox is shared); check the stash before the
 		// mailbox so that reply is never lost.
-		c.mu.Lock()
-		v, stashed := c.stash[req.ID]
-		c.mu.Unlock()
-		if stashed {
+		if v, stashed := c.stash[req.ID]; stashed {
 			return v, nil
 		}
 		// Drain the mailbox: a result for this request from any replica —
@@ -158,13 +148,11 @@ func (c *Client) Submit(req action.Request) (action.Value, error) {
 				// Another in-flight Submit's reply: stash it for that
 				// Submit's next await iteration. Replies to requests no
 				// Submit is awaiting are stale duplicates and drop.
-				c.mu.Lock()
 				if c.awaiting[p.ReqID] {
 					if _, dup := c.stash[p.ReqID]; !dup {
 						c.stash[p.ReqID] = p.Value
 					}
 				}
-				c.mu.Unlock()
 				continue
 			}
 			return p.Value, nil
@@ -175,9 +163,7 @@ func (c *Client) Submit(req action.Request) (action.Value, error) {
 			return "", ErrClientClosed
 		}
 		if c.det.Suspect(target) {
-			c.mu.Lock()
 			c.i = (c.i + 1) % len(c.replicas)
-			c.mu.Unlock()
 			c.m.Inc(obs.ReqFailovers)
 			return "", ErrSubmitFailed
 		}
@@ -203,10 +189,8 @@ func (c *Client) SubmitUntilSuccess(req action.Request) action.Value {
 	for {
 		v, err := c.Submit(req)
 		if err == nil {
-			c.mu.Lock()
 			c.requests = append(c.requests, req)
 			c.replies = append(c.replies, v)
-			c.mu.Unlock()
 			now := c.clk.Now()
 			c.m.Observe(now - start)
 			c.m.Inc(obs.ReqReplied)
@@ -227,16 +211,10 @@ func (c *Client) SubmitUntilSuccess(req action.Request) action.Value {
 }
 
 // Attempts reports how many submit attempts the client has made.
-func (c *Client) Attempts() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.attempts
-}
+func (c *Client) Attempts() int { return c.attempts }
 
 // Log returns the successfully submitted requests and their replies, in
 // order — the inputs to requirement R3/R4 verification.
 func (c *Client) Log() ([]action.Request, []action.Value) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]action.Request(nil), c.requests...), append([]action.Value(nil), c.replies...)
 }

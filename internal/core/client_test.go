@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"xability/internal/action"
@@ -12,23 +11,18 @@ import (
 // current instant, and waits on the clock until every one has returned:
 // the wait is what runs them.
 func joinAll(clk *vclock.Virtual, fns ...func()) {
-	var mu sync.Mutex
-	joined := clk.NewCond(&mu)
+	joined := clk.NewCond(nil)
 	pending := len(fns)
 	for _, fn := range fns {
 		clk.Go(func() {
 			fn()
-			mu.Lock()
 			pending--
-			mu.Unlock()
 			joined.Broadcast()
 		})
 	}
-	mu.Lock()
 	for pending > 0 {
 		joined.Wait()
 	}
-	mu.Unlock()
 }
 
 // TestConcurrentSubmitsShareOneMailbox pins the client stub's reply-stash

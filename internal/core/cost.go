@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"xability/internal/vclock"
@@ -42,7 +41,6 @@ func (cm CostModel) enabled() bool { return cm.Consensus > 0 || cm.Exec > 0 }
 // queue's length.
 type vcpu struct {
 	clk    *vclock.Virtual
-	mu     sync.Mutex
 	freeAt time.Duration // virtual instant the CPU next falls idle
 }
 
@@ -56,13 +54,6 @@ func (c *vcpu) charge(d time.Duration) {
 		return
 	}
 	now := c.clk.Now()
-	c.mu.Lock()
-	start := c.freeAt
-	if start < now {
-		start = now
-	}
-	finish := start + d
-	c.freeAt = finish
-	c.mu.Unlock()
-	c.clk.Sleep(finish - now)
+	c.freeAt = max(c.freeAt, now) + d
+	c.clk.Sleep(c.freeAt - now)
 }

@@ -43,7 +43,6 @@ package core
 
 import (
 	"errors"
-	"sync"
 	"time"
 
 	"xability/internal/action"
@@ -157,7 +156,6 @@ type Server struct {
 	recv  serverRecv // Figure 6's request loop, as a Runner on the clock
 	clean cleaner    // Figure 6's cleaner thread, as a timer on the clock
 
-	mu      sync.Mutex
 	stopped bool
 	active  map[string]*requestState
 	order   []string // request IDs in arrival order, for the cleaner's pass
@@ -329,11 +327,7 @@ func (s *Server) Start() {
 // Stop ends the server's activities without simulating a crash: the
 // cleaner, the slot plane and the rounds stop at their next step. The
 // request loop keeps handling messages until the endpoint closes.
-func (s *Server) Stop() {
-	s.mu.Lock()
-	s.stopped = true
-	s.mu.Unlock()
-}
+func (s *Server) Stop() { s.stopped = true }
 
 // Crash simulates a crash (§5.2: crash-stop): the process's endpoints go
 // silent and all its activities cease at the next step boundary.
@@ -349,15 +343,14 @@ func (s *Server) ID() simnet.ProcessID { return s.id }
 
 // persistRound forces a (request, round) attempt to stable storage —
 // write-ahead of the ownership proposal, so a restarted replica cannot
-// re-attempt a round it already entered. Callers must not hold s.mu.
+// re-attempt a round it already entered.
 func (s *Server) persistRound(key consensus.Key) {
 	if s.log != nil {
 		s.log.Append(wal.Record{Kind: recRound, Key: key.ID, Round: key.Round})
 	}
 }
 
-// persistFinish forces a fixed result to stable storage. Callers must not
-// hold s.mu.
+// persistFinish forces a fixed result to stable storage.
 func (s *Server) persistFinish(reqID string, res action.Value) {
 	if s.log != nil {
 		s.log.Append(wal.Record{Kind: recFinish, Key: reqID, Str: string(res)})
@@ -382,8 +375,6 @@ func (s *Server) Recover() {
 			return // snapshot markers carry no server state
 		}
 		replayed++
-		s.mu.Lock()
-		defer s.mu.Unlock()
 		switch r.Kind {
 		case recRequest:
 			req, ok := r.Val.(action.Request)
@@ -406,12 +397,6 @@ func (s *Server) Recover() {
 		}
 	})
 	s.m.Add(obs.WALReplayed, replayed)
-}
-
-func (s *Server) isStopped() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stopped
 }
 
 // serverRecv is Figure 6's request loop as a vclock.Runner on the clock's
@@ -511,11 +496,8 @@ func (s *Server) submitted(st *requestState, p SubmitPayload, first bool) {
 	if first {
 		s.ep.Broadcast(MsgAnnounce, p)
 	}
-	s.mu.Lock()
-	done, res := st.done, st.result
-	s.mu.Unlock()
-	if done {
-		s.ep.Send(p.Client, MsgResult, ResultPayload{ReqID: p.Req.ID, Value: res})
+	if st.done {
+		s.ep.Send(p.Client, MsgResult, ResultPayload{ReqID: p.Req.ID, Value: st.result})
 		return
 	}
 	// req.round := 1 (Figure 6), on a goroutine of its own: the round
@@ -530,8 +512,6 @@ func (s *Server) submitted(st *requestState, p SubmitPayload, first bool) {
 // noteRequest records a request for the cleaner; reports whether it was
 // previously unknown to this replica.
 func (s *Server) noteRequest(req action.Request, client simnet.ProcessID) (*requestState, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st, ok := s.active[req.ID]
 	if !ok {
 		st = newRequestState(req, client)
@@ -581,7 +561,7 @@ func (s *Server) processRequest(st *requestState, req action.Request, round int,
 		return false
 	}
 	res = s.resultCoordination(req, round, res)
-	if res != EmptyResult && !s.isStopped() {
+	if res != EmptyResult && !s.stopped {
 		s.reply(req.ID, client, res)
 		return true
 	}
@@ -597,9 +577,7 @@ func (s *Server) processRequest(st *requestState, req action.Request, round int,
 // fault generator). The first look runs here, on the submit goroutine;
 // every later one is a decision of the cleaner's pass (cleanRequest).
 func (s *Server) owe(st *requestState) {
-	s.mu.Lock()
 	st.owed = true
-	s.mu.Unlock()
 	if r, od := s.lastOwner(&st.roundLog); r > 0 && s.ownerLive(&st.roundLog, r, od) {
 		if step := s.answer(st, r); step != nil {
 			step()
@@ -618,10 +596,7 @@ func (s *Server) owe(st *requestState) {
 // come from st's cache (objectsAt), so a request in flight costs the
 // provider one lookup per object however often it is read.
 func (s *Server) answer(st *requestState, r int) func() {
-	s.mu.Lock()
-	owed := st.owed && !st.done && !s.stopped
-	s.mu.Unlock()
-	if !owed {
+	if !st.owed || st.done || s.stopped {
 		return nil
 	}
 	var res action.Value
@@ -669,7 +644,7 @@ type cleaner struct {
 // order.
 func (c *cleaner) Run() {
 	s := c.s
-	if s.isStopped() {
+	if s.stopped {
 		return
 	}
 	c.next = 0
@@ -718,8 +693,6 @@ func (c *cleaner) nextStep() func() {
 // snapshotActive appends the requests not yet done, in arrival order, to
 // buf.
 func (s *Server) snapshotActive(buf []*requestState) []*requestState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, id := range s.order {
 		if st := s.active[id]; st != nil && !st.done {
 			buf = append(buf, st)
@@ -773,7 +746,7 @@ func (s *Server) cleanRequest(st *requestState) func() {
 // its round and never replies for a commit that did not run.
 func (s *Server) cleanRound(st *requestState, od ownerDecision, round int) {
 	res := s.resultCoordination(od.Req, round, EmptyResult)
-	if s.isStopped() {
+	if s.stopped {
 		return
 	}
 	if res == EmptyResult {
@@ -827,12 +800,12 @@ func (s *Server) resultCoordination(req action.Request, round int, val action.Va
 // in both cases the action will never succeed here.
 func (s *Server) executeUntilSuccess(req action.Request) (action.Value, bool) {
 	for attempt := 0; ; attempt++ {
-		if s.isStopped() {
+		if s.stopped {
 			return "", false
 		}
 		if attempt > 0 {
 			s.clk.Sleep(execRetryDelay)
-			if s.isStopped() {
+			if s.stopped {
 				return "", false
 			}
 		}
@@ -875,16 +848,11 @@ func (s *Server) reply(reqID string, client simnet.ProcessID, res action.Value) 
 // so before any reply built on it), keeping R1's fixed-result promise
 // across a crash directly after the reply.
 func (s *Server) finish(reqID string, res action.Value) {
-	s.mu.Lock()
 	st := s.active[reqID]
 	if st == nil || st.done {
-		s.mu.Unlock()
 		return
 	}
-	s.mu.Unlock()
 	s.persistFinish(reqID, res)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st.done = true
 	st.result = res
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,15 +14,10 @@ import (
 // idempotent read, a non-deterministic idempotent token generator, and an
 // undoable debit.
 type bankWorld struct {
-	mu      sync.Mutex
 	balance map[string]int
 }
 
-func (w *bankWorld) get(acct string) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.balance[acct]
-}
+func (w *bankWorld) get(acct string) int { return w.balance[acct] }
 
 func bankRegistry() *action.Registry {
 	reg := action.NewRegistry()
@@ -37,8 +31,6 @@ func bankRegistry() *action.Registry {
 func bankSetup(w *bankWorld) func(m *sm.Machine) {
 	return func(m *sm.Machine) {
 		mustNoErr(m.HandleIdempotent("read", func(ctx *sm.Ctx) action.Value {
-			w.mu.Lock()
-			defer w.mu.Unlock()
 			return action.Value(fmt.Sprintf("%d", w.balance[string(ctx.Req.Input)]))
 		}))
 		mustNoErr(m.HandleIdempotent("token", func(ctx *sm.Ctx) action.Value {
@@ -48,14 +40,10 @@ func bankSetup(w *bankWorld) func(m *sm.Machine) {
 		}))
 		mustNoErr(m.HandleUndoable("debit",
 			func(ctx *sm.Ctx) action.Value {
-				w.mu.Lock()
-				defer w.mu.Unlock()
 				w.balance[string(ctx.Req.Input)] -= 10
 				return "debited"
 			},
 			func(ctx *sm.Ctx) {
-				w.mu.Lock()
-				defer w.mu.Unlock()
 				w.balance[string(ctx.Req.Input)] += 10
 			}))
 	}

@@ -10,8 +10,7 @@ import (
 // one slot (batch.go), written once for both planes: the ID the agreement
 // instances are keyed by, the round guards, and the agreement objects the
 // cleaner's scans have reached. requestState embeds one; the slot plane
-// carves one per slot index from chunks (Server.slotLog). Everything but
-// id is under the server's mu.
+// carves one per slot index from chunks (Server.slotLog).
 type roundLog struct {
 	id string
 	// attempted and driving are sets of rounds 1..MaxRound, bit r-1 for
@@ -54,13 +53,10 @@ func roundBit(r int) uint64 { return 1 << (r - 1) }
 // in-memory baseline and persists nothing.
 func (s *Server) attempt(rl *roundLog, round int) bool {
 	bit := roundBit(round)
-	s.mu.Lock()
 	if rl.attempted&bit != 0 {
-		s.mu.Unlock()
 		return false
 	}
 	rl.attempted |= bit
-	s.mu.Unlock()
 	if !s.batch.Enabled {
 		s.persistRound(ownerKey(rl.id, round))
 	}
@@ -74,7 +70,7 @@ func (s *Server) attempt(rl *roundLog, round int) bool {
 // back — and whether this replica won it, in which case the round is
 // claimed as driven and the winner releases it when done.
 func (s *Server) race(rl *roundLog, round int, mine ownerDecision) (ownerDecision, bool) {
-	if s.isStopped() || round > MaxRound || !s.attempt(rl, round) {
+	if s.stopped || round > MaxRound || !s.attempt(rl, round) {
 		return ownerDecision{}, false
 	}
 	od, _ := s.propose(ownerKey(rl.id, round), mine).(ownerDecision)
@@ -89,8 +85,6 @@ func (s *Server) race(rl *roundLog, round int, mine ownerDecision) (ownerDecisio
 // driven already.
 func (s *Server) claim(rl *roundLog, r int) bool {
 	bit := roundBit(r)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if rl.driving&bit != 0 {
 		return false
 	}
@@ -99,17 +93,11 @@ func (s *Server) claim(rl *roundLog, r int) bool {
 }
 
 // release clears round r's driving mark.
-func (s *Server) release(rl *roundLog, r int) {
-	s.mu.Lock()
-	rl.driving &^= roundBit(r)
-	s.mu.Unlock()
-}
+func (s *Server) release(rl *roundLog, r int) { rl.driving &^= roundBit(r) }
 
 // dangling reports whether round r was attempted here and is not driven.
 func (s *Server) dangling(rl *roundLog, r int) bool {
 	bit := roundBit(r)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return rl.attempted&bit != 0 && rl.driving&bit == 0
 }
 
@@ -118,8 +106,6 @@ func (s *Server) dangling(rl *roundLog, r int) bool {
 // the round, the result or outcome object (key) when one first asks for
 // it. Scans go up from round 1, so round r-1 is cached by then.
 func (s *Server) objectsAt(rl *roundLog, r int, key func(string, int) consensus.Key) roundObjects {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if rl.objs == nil {
 		rl.objs = rl.objsBuf[:0]
 	}
@@ -158,8 +144,6 @@ func (s *Server) ownerLive(rl *roundLog, r int, od ownerDecision) bool {
 	if od.Owner != s.id {
 		return !s.det.Suspect(od.Owner)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return rl.driving&roundBit(r) != 0
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"xability/internal/action"
@@ -37,7 +36,6 @@ type Station struct {
 
 	recv stationRecv // the demultiplexing receiver, on the clock's pump
 
-	mu      sync.Mutex
 	cond    *vclock.Cond            // Drive's join
 	waiting map[string]*stationCall // in-flight sessions by request ID
 	// The same sessions in arrival order, so the stop path wakes them in
@@ -72,14 +70,14 @@ type stationCall struct {
 	target   simnet.ProcessID
 	deadline time.Duration // re-send due
 
-	// Guarded by Station.mu.
+	// Shared with the receiver and the stop path.
 	parked     bool // a poll is armed and no wake is pending
 	done       bool
 	val        action.Value
 	prev, next *stationCall // arrival-order list of in-flight sessions
 }
 
-// stationDrive is one Drive's join count, guarded by Station.mu.
+// stationDrive is one Drive's join count.
 type stationDrive struct{ sessions, completed, finished int }
 
 // StationConfig assembles a station.
@@ -107,7 +105,7 @@ func NewStation(cfg StationConfig) *Station {
 		tr:       cfg.Endpoint.Trace(),
 		waiting:  make(map[string]*stationCall),
 	}
-	st.cond = st.clk.NewCond(&st.mu)
+	st.cond = st.clk.NewCond(nil)
 	st.recv.st = st
 	st.clk.AfterRunner(0, &st.recv)
 	return st
@@ -135,29 +133,24 @@ func (r *stationRecv) Run() {
 		if !ok {
 			continue
 		}
-		st.mu.Lock()
 		if c := st.waiting[p.ReqID]; c != nil && !c.done {
 			c.done = true
 			c.val = p.Value
 			c.wake()
 		}
-		st.mu.Unlock()
 	}
 	if !st.ep.Closed() {
 		st.ep.WaitRunner(r)
 		return
 	}
-	st.mu.Lock()
 	st.stopped = true
 	for c := st.first; c != nil; c = c.next {
 		c.wake()
 	}
-	st.mu.Unlock()
 	st.cond.Broadcast()
 }
 
-// wake runs a parked session now instead of at its poll; callers hold
-// st.mu.
+// wake runs a parked session now instead of at its poll.
 func (c *stationCall) wake() {
 	if c.parked {
 		c.parked = false
@@ -168,7 +161,6 @@ func (c *stationCall) wake() {
 // enroll registers a new in-flight session at the tail of the arrival
 // list.
 func (st *Station) enroll(c *stationCall) {
-	st.mu.Lock()
 	st.waiting[c.req.ID] = c
 	c.prev = st.last
 	if st.last != nil {
@@ -177,12 +169,10 @@ func (st *Station) enroll(c *stationCall) {
 		st.first = c
 	}
 	st.last = c
-	st.mu.Unlock()
 }
 
 // retire removes a finished session from the in-flight structures.
 func (st *Station) retire(c *stationCall) {
-	st.mu.Lock()
 	delete(st.waiting, c.req.ID)
 	if c.prev != nil {
 		c.prev.next = c.next
@@ -194,7 +184,6 @@ func (st *Station) retire(c *stationCall) {
 	} else {
 		st.last = c.prev
 	}
-	st.mu.Unlock()
 }
 
 // Run is one step of the session, on the clock's pump: its arrival, the
@@ -202,8 +191,7 @@ func (st *Station) retire(c *stationCall) {
 // next wait — the poll, re-armed — or to its end. After a wait the checks
 // run in Figure 5's order: answered, then stopped, then suspicion of the
 // contacted replica (fail over) and re-send due (same replica; submit is
-// idempotent). The detector is the caller's code: it is asked without
-// st.mu.
+// idempotent).
 func (c *stationCall) Run() {
 	st := c.st
 	if !c.live {
@@ -219,17 +207,13 @@ func (c *stationCall) Run() {
 	for {
 		suspected := st.det.Suspect(c.target)
 		due := st.clk.Now() >= c.deadline
-		st.mu.Lock()
 		if !c.done && !st.stopped && !suspected && !due {
-			// Checked and parked under one hold of st.mu, the lock the
-			// receiver sets done under: no reply can be missed, so the poll
-			// only bounds the staleness of the two answers above.
+			// Checked and parked in one step, so no reply can be missed:
+			// the poll only bounds the staleness of the two answers above.
 			c.parked = true
 			c.timer.Reset(clientPoll)
-			st.mu.Unlock()
 			return
 		}
-		st.mu.Unlock()
 		if c.settle() {
 			return
 		}
@@ -246,9 +230,7 @@ func (c *stationCall) Run() {
 func (c *stationCall) send() {
 	st := c.st
 	c.target = st.replicas[c.i%len(st.replicas)]
-	st.mu.Lock()
 	st.attempts++
-	st.mu.Unlock()
 	st.ep.Send(c.target, MsgSubmit, SubmitPayload{Req: c.req, Client: st.id})
 	c.deadline = st.clk.Now() + stationResend
 }
@@ -257,26 +239,22 @@ func (c *stationCall) send() {
 // the station stopped under it, and reports whether it did.
 func (c *stationCall) settle() bool {
 	st := c.st
-	st.mu.Lock()
 	c.parked = false
 	if c.done {
 		now := st.clk.Now()
 		st.requests = append(st.requests, c.req)
 		st.replies = append(st.replies, c.val)
 		st.latencies = append(st.latencies, now-c.start)
-		st.mu.Unlock()
 		st.m.Observe(now - c.start)
 		st.m.Inc(obs.ReqReplied)
 		st.tr.End(now, string(st.id), "request", c.span)
 		c.finish(true)
 		return true
 	}
-	stopped := st.stopped
-	st.mu.Unlock()
-	if stopped {
+	if st.stopped {
 		c.finish(false)
 	}
-	return stopped
+	return st.stopped
 }
 
 // finish retires the session and counts it in its Drive's join, which it
@@ -285,15 +263,12 @@ func (c *stationCall) settle() bool {
 func (c *stationCall) finish(completed bool) {
 	st := c.st
 	st.retire(c)
-	st.mu.Lock()
 	d := c.drive
 	d.finished++
 	if completed {
 		d.completed++
 	}
-	all := d.finished == d.sessions
-	st.mu.Unlock()
-	if all {
+	if d.finished == d.sessions {
 		st.cond.Broadcast()
 	}
 }
@@ -314,33 +289,22 @@ func (st *Station) Drive(ats []time.Duration, reqs []action.Request) int {
 		c.timer = st.clk.NewTimer(c)
 		c.timer.Reset(ats[i])
 	}
-	st.mu.Lock()
 	for d.finished < len(reqs) && !st.stopped {
 		st.cond.WaitTimeout(clientPoll)
 	}
-	n := d.completed
-	st.mu.Unlock()
-	return n
+	return d.completed
 }
 
 // Attempts reports the total submit attempts.
-func (st *Station) Attempts() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.attempts
-}
+func (st *Station) Attempts() int { return st.attempts }
 
 // Log returns the completed requests and replies in completion order.
 func (st *Station) Log() ([]action.Request, []action.Value) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	return append([]action.Request(nil), st.requests...), append([]action.Value(nil), st.replies...)
 }
 
 // Latencies returns the per-session submit→reply virtual durations, in
 // completion order.
 func (st *Station) Latencies() []time.Duration {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	return append([]time.Duration(nil), st.latencies...)
 }

@@ -115,10 +115,8 @@ func TestSuspicionStormStaysExactlyOnce(t *testing.T) {
 func TestManyAccountsInterleaved(t *testing.T) {
 	tc := newBankCluster(t, ClusterConfig{Replicas: 3, Seed: 35})
 	accounts := []string{"acct", "acct2", "acct3"}
-	tc.world.mu.Lock()
 	tc.world.balance["acct2"] = 100
 	tc.world.balance["acct3"] = 100
-	tc.world.mu.Unlock()
 
 	for round := 0; round < 3; round++ {
 		for _, a := range accounts {

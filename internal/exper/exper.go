@@ -326,25 +326,20 @@ func TableT4(seed int64, instances int) []T4Row {
 			// The proposers join on a clock cond: its wait is what runs
 			// them, and it returns at the last decision's instant.
 			clk := net.Clock()
-			var mu sync.Mutex
-			joined := clk.NewCond(&mu)
+			joined := clk.NewCond(nil)
 			start := clk.Now()
 			for i := 0; i < instances; i++ {
 				pending := proposers
 				for q := 0; q < proposers; q++ {
 					clk.Go(func() {
 						nodes[q].Propose(consensus.At(fmt.Sprintf("k%d", i)), q)
-						mu.Lock()
 						pending--
-						mu.Unlock()
 						joined.Broadcast()
 					})
 				}
-				mu.Lock()
 				for pending > 0 {
 					joined.Wait()
 				}
-				mu.Unlock()
 			}
 			per := (clk.Now() - start) / time.Duration(instances)
 			for _, n := range nodes {

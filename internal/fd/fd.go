@@ -21,8 +21,6 @@
 package fd
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"xability/internal/memo"
@@ -38,10 +36,10 @@ type Detector interface {
 	Suspect(p simnet.ProcessID) bool
 }
 
-// Scripted is a detector whose suspicions are set explicitly. It is safe
-// for concurrent use. The zero value suspects nobody.
+// Scripted is a detector whose suspicions are set explicitly. Like every
+// object of a world it is touched only by the clock's running unit (see
+// vclock). The zero value suspects nobody.
 type Scripted struct {
-	mu        sync.RWMutex
 	suspected map[simnet.ProcessID]bool
 	net       *simnet.Network
 	m         *obs.Metrics
@@ -69,13 +67,11 @@ func (s *Scripted) Reset(net *simnet.Network) {
 
 // SetSuspected marks p as suspected (true) or trusted (false).
 func (s *Scripted) SetSuspected(p simnet.ProcessID, v bool) {
-	s.mu.Lock()
 	if s.suspected == nil {
 		s.suspected = make(map[simnet.ProcessID]bool)
 	}
 	was := s.suspected[p]
 	s.suspected[p] = v
-	s.mu.Unlock()
 	if v && !was {
 		s.m.Inc(obs.FDSuspicions)
 	} else if !v && was {
@@ -88,8 +84,6 @@ func (s *Scripted) Suspect(p simnet.ProcessID) bool {
 	if s.net != nil && s.net.Crashed(p) {
 		return true
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return s.suspected[p]
 }
 
@@ -106,9 +100,8 @@ type Heartbeat struct {
 	interval time.Duration
 	timer    vclock.Timer
 	recv     func(simnet.Message) // onMessage, bound once per Heartbeat
-	stopped  atomic.Bool
+	stopped  bool
 
-	mu    sync.Mutex
 	state map[simnet.ProcessID]*peerState // one entry per peer, fixed at construction
 	peers []peerState                     // what state points into
 
@@ -197,13 +190,13 @@ func (h *Heartbeat) Start() {
 // re-arm. The handler stays on the endpoint until the process crashes or
 // the network is recycled; a heartbeat that still arrives only refreshes
 // state nobody reads.
-func (h *Heartbeat) Stop() { h.stopped.Store(true) }
+func (h *Heartbeat) Stop() { h.stopped = true }
 
 // Run is one tick of the sender (vclock.Runner: it runs on the clock's
 // pump and only sends): a beat to every peer, then the next tick one
 // interval on.
 func (h *Heartbeat) Run() {
-	if h.stopped.Load() {
+	if h.stopped {
 		return
 	}
 	for _, to := range h.dests {
@@ -213,20 +206,18 @@ func (h *Heartbeat) Run() {
 }
 
 // onMessage is the endpoint handler (simnet.Endpoint.Handle): it runs on
-// the delivery, so it only updates state under h.mu and never blocks.
+// the delivery, so it only updates state and never blocks.
 // Heartbeats from processes this detector does not monitor are ignored.
 func (h *Heartbeat) onMessage(msg simnet.Message) {
 	if msg.Type != "heartbeat" {
 		return
 	}
 	from, _ := msg.Payload.(simnet.ProcessID)
-	now := h.clk.Now()
-	h.mu.Lock()
 	ps := h.state[from]
 	if ps == nil {
-		h.mu.Unlock()
 		return
 	}
+	now := h.clk.Now()
 	// A heartbeat from a previously suspected process proves the
 	// suspicion false: double its timeout (eventual strong accuracy).
 	unsuspected := false
@@ -236,7 +227,6 @@ func (h *Heartbeat) onMessage(msg simnet.Message) {
 	}
 	ps.lastSeen = now
 	ps.overdue = false
-	h.mu.Unlock()
 	if unsuspected {
 		h.m.Inc(obs.FDUnsuspicions)
 	}
@@ -246,19 +236,15 @@ func (h *Heartbeat) onMessage(msg simnet.Message) {
 // The trusted→suspected transition is counted once per episode (the
 // overdue flag resets when a heartbeat arrives), not per query.
 func (h *Heartbeat) Suspect(p simnet.ProcessID) bool {
-	now := h.clk.Now()
-	h.mu.Lock()
 	ps := h.state[p]
 	if ps == nil {
-		h.mu.Unlock()
 		return false
 	}
-	over := now-ps.lastSeen > ps.timeout
+	over := h.clk.Now()-ps.lastSeen > ps.timeout
 	fresh := over && !ps.overdue
 	if over {
 		ps.overdue = true
 	}
-	h.mu.Unlock()
 	if fresh {
 		h.m.Inc(obs.FDSuspicions)
 	}

@@ -102,8 +102,6 @@ func TestHeartbeatAdaptiveTimeout(t *testing.T) {
 		t.Fatal("expected suspicion after missing heartbeats")
 	}
 	timeout := func() (time.Duration, time.Duration) {
-		hbA.mu.Lock()
-		defer hbA.mu.Unlock()
 		return hbA.state["b"].timeout, hbA.state["b"].lastSeen
 	}
 	before, _ := timeout()
@@ -163,10 +161,7 @@ func TestHeartbeatHandlerRunsOnDelivery(t *testing.T) {
 	if hb.Suspect("b") {
 		t.Error("still suspected after its heartbeat was delivered")
 	}
-	hb.mu.Lock()
-	timeout := hb.state["b"].timeout
-	hb.mu.Unlock()
-	if timeout != 6*time.Millisecond {
+	if timeout := hb.state["b"].timeout; timeout != 6*time.Millisecond {
 		t.Errorf("timeout = %v, want 6ms (doubled by the late heartbeat)", timeout)
 	}
 	if sp := clk.Spawns(); sp != 0 {

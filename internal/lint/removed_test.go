@@ -171,7 +171,24 @@ var removedNames = []struct {
 		why:     "load files groups in a pointer-free open-addressed table sized to the history (sweep.slots), not a map it clears at the cost of its capacity",
 		under:   "internal/reduce/",
 	},
+	// A world has one runner: only the clock's running unit, or a caller
+	// attached between its waits, touches a world's objects, so they take
+	// no lock. consensus.Local keeps its own: raw goroutines may propose on
+	// the paper's shared-memory object.
+	{pattern: oneRunner, pr: 53, why: oneRunnerWhy, under: "internal/simnet/"},
+	{pattern: oneRunner, pr: 53, why: oneRunnerWhy, under: "internal/fd/"},
+	{pattern: oneRunner, pr: 53, why: oneRunnerWhy, under: "internal/consensus/",
+		except: []string{"internal/consensus/local.go", "internal/consensus/consensus_test.go"}},
+	{pattern: oneRunner, pr: 53, why: oneRunnerWhy, under: "internal/core/"},
+	{pattern: oneRunner, pr: 53, why: oneRunnerWhy, under: "internal/wal/"},
+	{pattern: oneRunner, pr: 53, why: oneRunnerWhy, under: "internal/shard/"},
+	{pattern: oneRunner, pr: 53, why: oneRunnerWhy, under: "internal/baseline/"},
 }
+
+const (
+	oneRunner    = `sync\.(RW)?Mutex|sync\.Locker`
+	oneRunnerWhy = "a world has one runner (vclock): its objects take no lock and their conds pass a nil locker"
+)
 
 // TestRemovedNamesStayGone fails when a removed name reappears in Go
 // source, naming the file, the line and the change that removed it.

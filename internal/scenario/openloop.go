@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"sync"
 	"time"
 
 	"xability/internal/action"
@@ -53,25 +52,19 @@ func (d *deployment) driveOpenLoop(l load) int {
 	// Join on the shared clock's condition (the Drive goroutines always
 	// hold pending timers, so the untimed wait cannot starve the virtual
 	// clock).
-	var mu sync.Mutex
-	cond := d.clk.NewCond(&mu)
+	cond := d.clk.NewCond(nil)
 	done, completed := 0, 0
 	for s := range d.members {
-		s := s
 		d.clk.Go(func() {
 			n := d.members[s].station.Drive(ats[s], reqs[s])
-			mu.Lock()
 			done++
 			completed += n
-			mu.Unlock()
 			cond.Broadcast()
 		})
 	}
-	mu.Lock()
 	for done < len(d.members) {
 		cond.Wait()
 	}
-	mu.Unlock()
 	return completed
 }
 

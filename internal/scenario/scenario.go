@@ -2,8 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"xability/internal/action"
@@ -776,17 +774,17 @@ func watchdog(sc Scenario, d *deployment) (fired func() bool, disarm func()) {
 	if sc.Deadline <= 0 {
 		return func() bool { return false }, func() {}
 	}
-	var hit, done atomic.Bool
+	hit, done := false, false
 	d.clk.GoAfter(sc.Deadline, func() {
-		if done.Load() {
+		if done {
 			return
 		}
-		hit.Store(true)
+		hit = true
 		for _, m := range d.members {
 			m.net.Close()
 		}
 	})
-	return hit.Load, func() { done.Store(true) }
+	return func() bool { return hit }, func() { done = true }
 }
 
 // settleRun keeps simulating past the last reply before verdicts are
@@ -903,13 +901,10 @@ func waitStable(clk *vclock.Virtual, d time.Duration, probe func() int) {
 // DivergingHandler returns the non-deterministic raw handler baselines
 // run: duplicated executions produce diverging outputs ("v1", "v2", …),
 // which is exactly what the x-ability checker catches. Each call returns
-// a handler with an independent counter.
+// a handler with an independent counter, for one world.
 func DivergingHandler() baseline.Handler {
-	var mu sync.Mutex
 	n := 0
 	return func(req action.Request) action.Value {
-		mu.Lock()
-		defer mu.Unlock()
 		n++
 		return action.Value(fmt.Sprintf("v%d", n))
 	}

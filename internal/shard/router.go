@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"sync"
-
 	"xability/internal/action"
 	"xability/internal/core"
 	"xability/internal/vclock"
@@ -46,7 +44,6 @@ type Router struct {
 	groups []*core.Cluster
 	clk    *vclock.Virtual
 
-	mu sync.Mutex
 	// routed holds each shard's routing log in submission order. Logs are
 	// per shard so concurrent streams never interleave their appends —
 	// the audit stays deterministic under any worker schedule.
@@ -69,9 +66,7 @@ func (r *Router) Call(req action.Request) action.Value {
 
 func (r *Router) callOn(s int, req action.Request) action.Value {
 	v := r.groups[s].Client.SubmitUntilSuccess(req)
-	r.mu.Lock()
 	r.routed[s] = append(r.routed[s], Route{Req: req, Key: InputKey(req), Shard: s, Reply: v, Replied: v != ""})
-	r.mu.Unlock()
 	return v
 }
 
@@ -98,8 +93,7 @@ func (r *Router) CallAll(reqs []action.Request) (replies []action.Value, ok bool
 	// the last stream's Broadcast's event, a pinned virtual instant; an
 	// earlier stream's end wakes nobody, since the join would only find
 	// streams still running and wait again.
-	var mu sync.Mutex
-	cond := r.clk.NewCond(&mu)
+	cond := r.clk.NewCond(nil)
 	pending := 0
 	for s, idxs := range perShard {
 		if len(idxs) == 0 {
@@ -111,20 +105,15 @@ func (r *Router) CallAll(reqs []action.Request) (replies []action.Value, ok bool
 			for _, i := range idxs {
 				replies[i] = r.callOn(s, reqs[i])
 			}
-			mu.Lock()
 			pending--
-			last := pending == 0
-			mu.Unlock()
-			if last {
+			if pending == 0 {
 				cond.Broadcast()
 			}
 		})
 	}
-	mu.Lock()
 	for pending > 0 {
 		cond.Wait()
 	}
-	mu.Unlock()
 	ok = true
 	for _, v := range replies {
 		if v == "" {
@@ -136,15 +125,11 @@ func (r *Router) CallAll(reqs []action.Request) (replies []action.Value, ok bool
 
 // Routes returns shard s's routing log in submission order.
 func (r *Router) Routes(s int) []Route {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return append([]Route(nil), r.routed[s]...)
 }
 
 // Routed counts routing decisions across all shards.
 func (r *Router) Routed() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	n := 0
 	for _, rs := range r.routed {
 		n += len(rs)

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
@@ -13,22 +12,11 @@ import (
 // the host schedules. Run under -race -count=5 in CI.
 
 // inbox collects what a handler saw, in call order.
-type inbox struct {
-	mu   sync.Mutex
-	msgs []int
-}
+type inbox struct{ msgs []int }
 
-func (b *inbox) handle(m Message) {
-	b.mu.Lock()
-	b.msgs = append(b.msgs, m.Payload.(int))
-	b.mu.Unlock()
-}
+func (b *inbox) handle(m Message) { b.msgs = append(b.msgs, m.Payload.(int)) }
 
-func (b *inbox) got() []int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]int(nil), b.msgs...)
-}
+func (b *inbox) got() []int { return append([]int(nil), b.msgs...) }
 
 func wantInts(t *testing.T, what string, got []int, want ...int) {
 	t.Helper()

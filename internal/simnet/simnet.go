@@ -51,10 +51,14 @@
 // it, and a receiver that is itself a Runner (Endpoint.WaitRunner) runs on
 // the pump where that wake would have been. An endpoint given a handler
 // (Endpoint.Handle) has no receiver: the delivery calls the handler, under
-// the vclock.Runner contract — it must not block in a clock primitive and
-// may take only locks nobody holds across one. Reset recycles a quiesced
-// network (endpoints, interning tables, pools) for the next seed of a
-// sweep instead of rebuilding the world.
+// the vclock.Runner contract — it must not block in a clock primitive.
+// Reset recycles a quiesced network (endpoints, interning tables, pools)
+// for the next seed of a sweep instead of rebuilding the world.
+//
+// A network, its endpoints and everything built on them are one world's
+// objects: only the clock's running unit, or a caller attached to the
+// clock between its waits, touches them (see vclock), so they take no
+// lock.
 //
 // The network also keeps per-process send counters so experiments can
 // report message complexity.
@@ -64,7 +68,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"xability/internal/obs"
@@ -135,7 +138,6 @@ type Network struct {
 	cfg Config
 	clk *vclock.Virtual
 
-	mu           sync.Mutex
 	idle         *vclock.Cond // signaled when inflight returns to zero
 	byName       map[ProcessID]*Endpoint
 	eps          []*Endpoint        // dense, by endpoint index (registration order)
@@ -184,7 +186,7 @@ func New(cfg Config) *Network {
 
 // apply installs a run configuration: clock, the delay stream's seed, and
 // the record/replay hooks. Shared by New and Reset (which re-seeds the
-// stream in place); callers guarantee no concurrent use.
+// stream in place).
 func (n *Network) apply(cfg Config) {
 	clk := cfg.Clock
 	if clk == nil {
@@ -198,7 +200,7 @@ func (n *Network) apply(cfg Config) {
 		// class behind PR 4's router bug. A Reset onto the same clock
 		// keeps it (see Reset).
 		n.clk = clk
-		n.idle = clk.NewCond(&n.mu)
+		n.idle = clk.NewCond(nil)
 	}
 	n.delayScale = 1
 	n.record = cfg.Record
@@ -221,8 +223,8 @@ func baseOf(id ProcessID) ProcessID {
 	return id
 }
 
-// ensureBaseLocked interns a base process name.
-func (n *Network) ensureBaseLocked(base ProcessID) int32 {
+// ensureBase interns a base process name.
+func (n *Network) ensureBase(base ProcessID) int32 {
 	if b, ok := n.baseIdx[base]; ok {
 		return b
 	}
@@ -242,18 +244,10 @@ func (n *Network) Clock() *vclock.Virtual { return n.clk }
 // off — every registry method is nil-safe, so components store the
 // result and call through unconditionally). Like Clock, one Config
 // choice instruments the whole deployment.
-func (n *Network) Metrics() *obs.Metrics {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.metrics
-}
+func (n *Network) Metrics() *obs.Metrics { return n.metrics }
 
 // Trace returns the run's span recorder (nil when tracing is off).
-func (n *Network) Trace() *obs.Trace {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.trace
-}
+func (n *Network) Trace() *obs.Trace { return n.trace }
 
 // Endpoint is one process's attachment to the network: an unbounded mailbox
 // with blocking receive, or — once Handle installs one — a handler the
@@ -265,7 +259,6 @@ type Endpoint struct {
 	idx  int32 // dense endpoint index
 	base int32 // dense base-process index
 
-	mu      sync.Mutex
 	cond    *vclock.Cond
 	q       []Message // ring buffer
 	head    int
@@ -274,7 +267,7 @@ type Endpoint struct {
 	handler func(Message) // set by Handle; deliveries call it instead of queueing
 }
 
-// push appends to the mailbox ring; callers hold e.mu.
+// push appends to the mailbox ring.
 func (e *Endpoint) push(m Message) {
 	if e.count == len(e.q) {
 		size := 2 * len(e.q)
@@ -291,7 +284,7 @@ func (e *Endpoint) push(m Message) {
 	e.count++
 }
 
-// pop removes the oldest message; callers hold e.mu and guarantee count>0.
+// pop removes the oldest message; callers guarantee count>0.
 func (e *Endpoint) pop() Message {
 	m := e.q[e.head]
 	e.q[e.head] = Message{} // release the payload reference
@@ -300,9 +293,8 @@ func (e *Endpoint) pop() Message {
 	return m
 }
 
-// clearLocked empties the ring, releasing payload references; callers hold
-// e.mu.
-func (e *Endpoint) clearLocked() {
+// clear empties the ring, releasing payload references.
+func (e *Endpoint) clear() {
 	for i := 0; i < e.count; i++ {
 		e.q[(e.head+i)%len(e.q)] = Message{}
 	}
@@ -314,8 +306,6 @@ func (e *Endpoint) clearLocked() {
 // Reset, Register revives the recycled endpoints instead — the deployment
 // must re-register the same IDs in the same order.
 func (n *Network) Register(id ProcessID) *Endpoint {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.reviveLeft > 0 {
 		i := len(n.eps) - n.reviveLeft
 		ep := n.eps[i]
@@ -328,8 +318,8 @@ func (n *Network) Register(id ProcessID) *Endpoint {
 	if _, dup := n.byName[id]; dup {
 		panic(fmt.Sprintf("simnet: duplicate process %q", id))
 	}
-	ep := &Endpoint{id: id, net: n, idx: int32(len(n.eps)), base: n.ensureBaseLocked(baseOf(id))}
-	ep.cond = n.clk.NewCond(&ep.mu)
+	ep := &Endpoint{id: id, net: n, idx: int32(len(n.eps)), base: n.ensureBase(baseOf(id))}
+	ep.cond = n.clk.NewCond(nil)
 	n.byName[id] = ep
 	n.eps = append(n.eps, ep)
 	n.order = append(n.order, id)
@@ -346,25 +336,19 @@ func (n *Network) Register(id ProcessID) *Endpoint {
 // Restart revives the process; without one it is permanent (§5.2's
 // no-recovery model is a plan that never restarts).
 func (n *Network) Crash(id ProcessID) {
-	n.mu.Lock()
 	ep := n.byName[id]
 	if ep == nil {
 		n.crashedNames[id] = true
-		n.mu.Unlock()
 		return
 	}
 	if n.crashed[ep.idx] {
-		n.mu.Unlock()
 		return
 	}
 	n.crashed[ep.idx] = true
-	n.mu.Unlock()
-	ep.mu.Lock()
 	ep.closed = true
 	ep.handler = nil // the handler belongs to the incarnation that just died
-	ep.clearLocked()
+	ep.clear()
 	ep.cond.Broadcast()
-	ep.mu.Unlock()
 }
 
 // Restart revives a crashed process: sends to it flow again and a fresh
@@ -378,29 +362,21 @@ func (n *Network) Crash(id ProcessID) {
 // the mirror of Crash's idempotence. Callers must ensure the dead incarnation's
 // goroutines have observed the crash (drain the clock) before restarting.
 func (n *Network) Restart(id ProcessID) bool {
-	n.mu.Lock()
 	ep := n.byName[id]
 	if ep == nil {
 		if !n.crashedNames[id] {
-			n.mu.Unlock()
 			return false
 		}
 		delete(n.crashedNames, id)
-		n.mu.Unlock()
 		return true
 	}
 	if !n.crashed[ep.idx] {
-		n.mu.Unlock()
 		return false
 	}
 	n.crashed[ep.idx] = false
-	clk := n.clk
-	n.mu.Unlock()
-	ep.mu.Lock()
 	ep.closed = false
-	ep.clearLocked()
-	ep.cond = clk.NewCond(&ep.mu)
-	ep.mu.Unlock()
+	ep.clear()
+	ep.cond = n.clk.NewCond(nil)
 	return true
 }
 
@@ -411,10 +387,9 @@ func (n *Network) Restart(id ProcessID) bool {
 // endpoints ("p/fd", "p/cons") follow their base process. Calling
 // Partition again replaces the previous grouping.
 func (n *Network) Partition(groups ...[]ProcessID) {
-	n.mu.Lock()
 	for _, members := range groups {
 		for _, id := range members {
-			n.ensureBaseLocked(baseOf(id))
+			n.ensureBase(baseOf(id))
 		}
 	}
 	nb := len(n.baseIdx)
@@ -432,17 +407,12 @@ func (n *Network) Partition(groups ...[]ProcessID) {
 			n.partition[n.baseIdx[baseOf(id)]] = int32(g)
 		}
 	}
-	n.mu.Unlock()
 }
 
 // Heal repairs the link fault plane: it clears the active partition.
 // Messages black-holed while it was in force stay lost; only future
 // traffic flows again.
-func (n *Network) Heal() {
-	n.mu.Lock()
-	n.partition = nil
-	n.mu.Unlock()
-}
+func (n *Network) Heal() { n.partition = nil }
 
 // SetDelayScale multiplies every subsequently drawn delay by f — the delay
 // storm primitive. f of 1 restores calm; values below 1 are clamped to 1 so
@@ -453,14 +423,12 @@ func (n *Network) SetDelayScale(f float64) {
 	if f < 1 {
 		f = 1
 	}
-	n.mu.Lock()
 	n.delayScale = f
-	n.mu.Unlock()
 }
 
-// blockedLocked reports whether the link fault plane severs the link
-// between two base indexes. Callers hold n.mu.
-func (n *Network) blockedLocked(from, to int32) bool {
+// blocked reports whether the link fault plane severs the link between
+// two base indexes.
+func (n *Network) blocked(from, to int32) bool {
 	if from == to {
 		return false // a process always reaches its own endpoints
 	}
@@ -473,11 +441,11 @@ func (n *Network) blockedLocked(from, to int32) bool {
 	return false
 }
 
-// drawDelayLocked draws one message delay uniformly over [0, MaxDelay)
-// from the network's stream and applies the current delay scale. Callers
-// hold n.mu. The stream advances once per send, so runs with equal seeds
-// and equal send sequences see equal delays.
-func (n *Network) drawDelayLocked() time.Duration {
+// drawDelay draws one message delay uniformly over [0, MaxDelay) from the
+// network's stream and applies the current delay scale. The stream
+// advances once per send, so runs with equal seeds and equal send
+// sequences see equal delays.
+func (n *Network) drawDelay() time.Duration {
 	var d time.Duration
 	if n.cfg.MaxDelay > 0 {
 		d = time.Duration(n.delays.Int63n(int64(n.cfg.MaxDelay)))
@@ -490,8 +458,6 @@ func (n *Network) drawDelayLocked() time.Duration {
 
 // Crashed reports whether a process has crashed.
 func (n *Network) Crashed(id ProcessID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if ep := n.byName[id]; ep != nil {
 		return n.crashed[ep.idx]
 	}
@@ -500,8 +466,6 @@ func (n *Network) Crashed(id ProcessID) bool {
 
 // SentBy reports how many messages a process has sent.
 func (n *Network) SentBy(id ProcessID) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if ep := n.byName[id]; ep != nil {
 		return n.sent[ep.idx]
 	}
@@ -510,8 +474,6 @@ func (n *Network) SentBy(id ProcessID) int {
 
 // TotalSent reports the number of messages sent on the network.
 func (n *Network) TotalSent() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	total := 0
 	for _, c := range n.sent {
 		total += c
@@ -526,21 +488,16 @@ func (n *Network) TotalSent() int {
 // rather than an OS scheduling race.
 func (n *Network) Quiesce() {
 	for {
-		n.mu.Lock()
 		for n.inflight > 0 {
 			n.idle.Wait()
 		}
-		n.mu.Unlock()
 		// Broadcast wakes are scheduled events now, not instant
 		// runnability: a receiver whose delivery just landed may still be
 		// waiting its turn in the heap. Drain the current instant so every
 		// woken receiver has processed its mailbox, then re-check — the
 		// processing may have put new messages in flight.
 		n.clk.Drain()
-		n.mu.Lock()
-		settled := n.inflight == 0
-		n.mu.Unlock()
-		if settled {
+		if n.inflight == 0 {
 			return
 		}
 	}
@@ -567,10 +524,9 @@ func (d *delivery) Run() {
 	n := d.n
 	dst, msg, fromBase, entry := d.dst, d.msg, d.fromBase, d.entry
 	class, flow := d.class, d.flow
-	n.mu.Lock()
 	d.dst, d.msg, d.class, d.flow = nil, Message{}, 0, 0
 	n.dfree = append(n.dfree, d)
-	dead := n.crashed[dst.idx] || n.closed || n.blockedLocked(fromBase, dst.base)
+	dead := n.crashed[dst.idx] || n.closed || n.blocked(fromBase, dst.base)
 	if n.record != nil && entry >= 0 {
 		if dead {
 			n.record.Resolve(int(entry), schedule.DroppedDeliver)
@@ -587,28 +543,19 @@ func (d *delivery) Run() {
 		// function of the seed.
 		n.metrics.Cover(fromBase, dst.base, class)
 		n.trace.FlowEnd(n.clk.Now(), string(dst.id), msg.Type, flow)
-	}
-	n.mu.Unlock()
-	if !dead {
-		dst.mu.Lock()
-		h := dst.handler
-		if dst.closed {
-			h = nil
-		} else if h == nil {
+		switch {
+		case dst.closed:
+		case dst.handler != nil:
+			dst.handler(msg)
+		default:
 			dst.push(msg)
 			dst.cond.Broadcast()
 		}
-		dst.mu.Unlock()
-		if h != nil {
-			h(msg)
-		}
 	}
-	n.mu.Lock()
 	n.inflight--
 	if n.inflight == 0 {
 		n.idle.Broadcast()
 	}
-	n.mu.Unlock()
 }
 
 // Send transmits a message. Sends from or to crashed processes are silently
@@ -621,14 +568,11 @@ func (d *delivery) Run() {
 // sends is a function of the seed.
 func (e *Endpoint) Send(to ProcessID, typ string, payload any) {
 	n := e.net
-	n.mu.Lock()
 	if n.closed || n.crashed[e.idx] {
-		n.mu.Unlock()
 		return
 	}
 	dst, ok := n.byName[to]
 	if !ok {
-		n.mu.Unlock()
 		panic(fmt.Sprintf("simnet: send to unknown process %q", to))
 	}
 	n.sent[e.idx]++
@@ -641,7 +585,7 @@ func (e *Endpoint) Send(to ProcessID, typ string, payload any) {
 		class, ctr = obs.ClassOf(typ)
 		n.metrics.Inc(ctr)
 	}
-	delay := n.drawDelayLocked()
+	delay := n.drawDelay()
 	// Replay plane: a send matched against the recorded log takes the
 	// log's (possibly edited) decision instead of the seeded draw. The
 	// draw above still happened, so unmatched sends of a diverged run see
@@ -656,7 +600,7 @@ func (e *Endpoint) Send(to ProcessID, typ string, payload any) {
 			}
 		}
 	}
-	blocked := n.blockedLocked(e.base, dst.base)
+	blocked := n.blocked(e.base, dst.base)
 	entry := -1
 	if n.record != nil {
 		verdict := schedule.Scheduled
@@ -678,7 +622,6 @@ func (e *Endpoint) Send(to ProcessID, typ string, payload any) {
 		// time, or by a replay edit (the shrinker suppressing one
 		// delivery).
 		n.metrics.Inc(obs.MsgDropped)
-		n.mu.Unlock()
 		return
 	}
 	// Trace a delivery edge for protocol traffic (submit/result/announce);
@@ -700,8 +643,6 @@ func (e *Endpoint) Send(to ProcessID, typ string, payload any) {
 	d.dst, d.fromBase, d.entry = dst, e.base, int32(entry)
 	d.class, d.flow = class, flow
 	d.msg = Message{From: e.id, To: to, Type: typ, Payload: payload}
-	n.mu.Unlock()
-
 	n.clk.AfterRunner(delay, d)
 }
 
@@ -709,11 +650,7 @@ func (e *Endpoint) Send(to ProcessID, typ string, payload any) {
 // sender. The registration-order snapshot is read without copying:
 // registrations only append, so an earlier slice header stays valid.
 func (e *Endpoint) Broadcast(typ string, payload any) {
-	n := e.net
-	n.mu.Lock()
-	ids := n.order
-	n.mu.Unlock()
-	for _, id := range ids {
+	for _, id := range e.net.order {
 		if id != e.id {
 			e.Send(id, typ, payload)
 		}
@@ -726,20 +663,15 @@ func (e *Endpoint) Broadcast(typ string, payload any) {
 // Messages already in the mailbox (a peer's send can land before the
 // process starts) go through fn first, in arrival order. fn runs on the
 // delivery — the clock's pump, so the vclock.Runner contract applies: it
-// must not block in a clock primitive and may take only locks nobody
-// holds across one; sending and scheduling are fine. The handler lasts for
+// must not block in a clock primitive; sending and scheduling are fine.
+// The handler lasts for
 // the incarnation: Crash removes it, and the process restarted on the
 // endpoint installs its own.
 func (e *Endpoint) Handle(fn func(Message)) {
-	e.mu.Lock()
 	for e.count > 0 && !e.closed {
-		m := e.pop()
-		e.mu.Unlock()
-		fn(m)
-		e.mu.Lock()
+		fn(e.pop())
 	}
 	e.handler = fn
-	e.mu.Unlock()
 }
 
 // Recv blocks until a message arrives and returns it. ok is false when the
@@ -747,8 +679,6 @@ func (e *Endpoint) Handle(fn func(Message)) {
 // further messages will ever arrive. Recv on an endpoint with a handler
 // panics: the handler consumes every message.
 func (e *Endpoint) Recv() (Message, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.handler != nil {
 		panic(fmt.Sprintf("simnet: Recv on %q, which has a handler", e.id))
 	}
@@ -773,8 +703,6 @@ func (e *Endpoint) Recv() (Message, bool) {
 // r must not be armed twice at once; like Recv it panics on an endpoint
 // with a handler.
 func (e *Endpoint) WaitRunner(r vclock.Runner) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.handler != nil {
 		panic(fmt.Sprintf("simnet: WaitRunner on %q, which has a handler", e.id))
 	}
@@ -787,8 +715,6 @@ func (e *Endpoint) WaitRunner(r vclock.Runner) {
 
 // TryRecv returns a queued message without blocking.
 func (e *Endpoint) TryRecv() (Message, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.closed || e.count == 0 {
 		return Message{}, false
 	}
@@ -800,21 +726,15 @@ func (e *Endpoint) TryRecv() (Message, bool) {
 // it to sleep event-driven between polls: a delivery wakes the waiter
 // immediately instead of costing a full poll period.
 func (e *Endpoint) Wait(d time.Duration) {
-	e.mu.Lock()
 	if e.count == 0 && !e.closed {
 		e.cond.WaitTimeout(d)
 	}
-	e.mu.Unlock()
 }
 
 // Closed reports whether the endpoint can no longer receive: its process
 // crashed or the network shut down. Await loops check it to avoid spinning
 // on a mailbox that will never fill again.
-func (e *Endpoint) Closed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closed
-}
+func (e *Endpoint) Closed() bool { return e.closed }
 
 // ID returns the endpoint's process ID.
 func (e *Endpoint) ID() ProcessID { return e.id }
@@ -824,27 +744,21 @@ func (e *Endpoint) Clock() *vclock.Virtual { return e.net.clk }
 
 // Metrics returns the run's metrics registry (nil when off); components
 // constructed around an endpoint pull their instrumentation from here.
-func (e *Endpoint) Metrics() *obs.Metrics { return e.net.Metrics() }
+func (e *Endpoint) Metrics() *obs.Metrics { return e.net.metrics }
 
 // Trace returns the run's span recorder (nil when off).
-func (e *Endpoint) Trace() *obs.Trace { return e.net.Trace() }
+func (e *Endpoint) Trace() *obs.Trace { return e.net.trace }
 
 // Close shuts the whole network down, unblocking all receivers. Intended
 // for the end of a run.
 func (n *Network) Close() {
-	n.mu.Lock()
 	if n.closed {
-		n.mu.Unlock()
 		return
 	}
 	n.closed = true
-	eps := n.eps
-	n.mu.Unlock()
-	for _, ep := range eps {
-		ep.mu.Lock()
+	for _, ep := range n.eps {
 		ep.closed = true
 		ep.cond.Broadcast()
-		ep.mu.Unlock()
 	}
 }
 
@@ -871,7 +785,6 @@ func (n *Network) Reset(cfg Config) bool {
 	if !n.clk.Quiesced() {
 		return false
 	}
-	n.mu.Lock()
 	same := cfg.Clock == n.clk
 	if same && n.idle.Waiting() != 0 {
 		panic("simnet: Reset onto a quiesced clock found a waiter on the idle cond")
@@ -888,20 +801,15 @@ func (n *Network) Reset(cfg Config) bool {
 	clear(n.crashedNames)
 	n.partition = nil
 	n.reviveLeft = len(n.eps)
-	eps := n.eps
-	clk := n.clk
-	n.mu.Unlock()
-	for _, ep := range eps {
-		ep.mu.Lock()
+	for _, ep := range n.eps {
 		ep.closed = false
 		ep.handler = nil
-		ep.clearLocked()
+		ep.clear()
 		if !same {
-			ep.cond = clk.NewCond(&ep.mu)
+			ep.cond = n.clk.NewCond(nil)
 		} else if w := ep.cond.Waiting(); w != 0 {
 			panic(fmt.Sprintf("simnet: Reset onto a quiesced clock found %d waiter(s) on %q", w, ep.id))
 		}
-		ep.mu.Unlock()
 	}
 	return true
 }

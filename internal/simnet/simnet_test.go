@@ -1,10 +1,29 @@
 package simnet
 
 import (
-	"sync"
 	"testing"
 	"time"
+
+	"xability/internal/vclock"
 )
+
+// joinAll runs fn(0) … fn(k-1) on clock goroutines of their own, all
+// spawned at the current instant, and waits on the clock until every one
+// has returned: the wait is what runs them, one at a time.
+func joinAll(clk *vclock.Virtual, k int, fn func(int)) {
+	joined := clk.NewCond(nil)
+	pending := k
+	for i := 0; i < k; i++ {
+		clk.Go(func() {
+			fn(i)
+			pending--
+			joined.Broadcast()
+		})
+	}
+	for pending > 0 {
+		joined.Wait()
+	}
+}
 
 func TestSendRecv(t *testing.T) {
 	n := New(Config{Seed: 1})
@@ -95,16 +114,9 @@ func TestCrashIdempotentAndUnknownSafe(t *testing.T) {
 		t.Error("crashed endpoint received a message")
 	}
 
-	// Concurrent double crash: must not race or panic.
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n.Crash("a")
-		}()
-	}
-	wg.Wait()
+	// Four clock units crashing one process at one instant: every crash
+	// after the first is a no-op.
+	joinAll(n.Clock(), 4, func(int) { n.Crash("a") })
 	if !n.Crashed("a") {
 		t.Error("a not crashed")
 	}
@@ -347,23 +359,22 @@ func TestSendToUnknownPanics(t *testing.T) {
 	a.Send("ghost", "m", nil)
 }
 
+// Eight senders on clock goroutines of their own, spawned at one instant:
+// every message arrives and is counted once.
 func TestConcurrentSenders(t *testing.T) {
 	n := New(Config{Seed: 7, MaxDelay: 100 * time.Microsecond})
 	defer n.Close()
 	dst := n.Register("dst")
-	var wg sync.WaitGroup
 	const senders, per = 8, 50
-	for s := 0; s < senders; s++ {
-		ep := n.Register(ProcessID(rune('a' + s)))
-		wg.Add(1)
-		go func(ep *Endpoint) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				ep.Send("dst", "m", i)
-			}
-		}(ep)
+	eps := make([]*Endpoint, senders)
+	for s := range eps {
+		eps[s] = n.Register(ProcessID(rune('a' + s)))
 	}
-	wg.Wait()
+	joinAll(n.Clock(), senders, func(s int) {
+		for i := 0; i < per; i++ {
+			eps[s].Send("dst", "m", i)
+		}
+	})
 	got := 0
 	for got < senders*per {
 		if _, ok := dst.Recv(); !ok {

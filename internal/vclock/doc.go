@@ -40,6 +40,19 @@
 // one goroutine runnable at a time throughout, and a service left idle
 // between two calls does not move.
 //
+// # One runner per world
+//
+// Hence the contract every layer built on the clock relies on: only the
+// clock's running unit touches a world's objects (its network, endpoints,
+// detectors, servers, logs), and an attached caller may touch them too
+// between its waits, because the world is frozen then. Those objects take
+// no lock; the handoff under Virtual's own mutex orders every step, for
+// the race detector as for the schedule. Their conds pass a nil user lock
+// to NewCond and InitCond. Only state shared across worlds, or touched off
+// the clock on purpose, keeps a lock: interners and registries, and
+// consensus.Local, the paper's shared-memory object, which raw goroutines
+// may propose on.
+//
 // # How seeds map to schedules
 //
 // Message delays are drawn from simnet's seeded generator in send order,

@@ -652,7 +652,10 @@ func (v *Virtual) quiescedLocked() bool {
 
 // NewCond returns a condition variable integrated with the clock: waiting
 // gives up the caller's running unit so virtual time can advance, and
-// timed waits use clock time.
+// timed waits use clock time. l is the user lock a wait releases and
+// re-acquires, as with sync.Cond; nil means no user lock, which is what a
+// world's objects pass, since only the clock's running unit touches them
+// (see the package doc).
 func (v *Virtual) NewCond(l sync.Locker) *Cond {
 	c := new(Cond)
 	v.InitCond(c, l)
@@ -660,7 +663,7 @@ func (v *Virtual) NewCond(l sync.Locker) *Cond {
 }
 
 // InitCond initialises c in place, as NewCond does, for a Cond embedded by
-// value in the struct that owns l, so the two are one allocation. c must
+// value in the struct that owns it, so the two are one allocation. c must
 // not be copied afterwards: its waiter list starts in its own inline array.
 func (v *Virtual) InitCond(c *Cond, l sync.Locker) {
 	*c = Cond{v: v, l: l}
@@ -668,11 +671,12 @@ func (v *Virtual) InitCond(c *Cond, l sync.Locker) {
 }
 
 // Cond is a sync.Cond-shaped condition variable whose waits the clock
-// understands. Wait and WaitTimeout must be called with l held, as with
-// sync.Cond; like Sleep they are safe from any caller (see Virtual). The
-// waiter list is guarded by the clock mutex, which is always acquired after
-// the user lock l — never the reverse — so the pair cannot deadlock. It
-// starts in inline, so a Cond's first two waiters allocate no list.
+// understands; like Sleep they are safe from any caller (see Virtual). With
+// a nil user lock a wait only gives up the running unit and takes it back;
+// with one, it is released after the waiter is registered and before the
+// unit is given up, and re-acquired after the wake, so a Runner on the pump
+// may take it. The waiter list is guarded by the clock mutex and starts in
+// inline, so a Cond's first two waiters allocate no list.
 type Cond struct {
 	v       *Virtual
 	l       sync.Locker
@@ -680,7 +684,8 @@ type Cond struct {
 	inline  [2]*waiter
 }
 
-// Wait releases l, blocks until Broadcast, and re-acquires l.
+// Wait blocks until Broadcast, releasing and re-acquiring the user lock
+// around the block when there is one.
 func (c *Cond) Wait() { c.wait(-1) }
 
 // WaitTimeout is Wait with a deadline d from now. It reports whether the
@@ -702,13 +707,14 @@ func (c *Cond) wait(d time.Duration) bool {
 	if d >= 0 {
 		v.pushLocked(v.now+d, w, nil, nil, 0)
 	}
-	v.mu.Unlock()
-	// Registered first (no broadcast can be missed), then l released, and
-	// only then the running unit given up: that last step may pump, and a
-	// Runner on the pump may need l — a delivery into the endpoint this
-	// goroutine is about to wait on takes the mailbox lock.
-	c.l.Unlock()
-	v.mu.Lock()
+	if c.l != nil {
+		// Registered first (no broadcast can be missed), then l released,
+		// and only then the running unit given up: that last step may
+		// pump, and a Runner on the pump may need l.
+		v.mu.Unlock()
+		c.l.Unlock()
+		v.mu.Lock()
+	}
 	v.yieldLocked()
 	v.mu.Unlock()
 	<-w.ch //xvet:ok detachedwait the clock's own cond wait: the running unit was given up above; the wake is a broadcast or scheduled timeout
@@ -723,7 +729,9 @@ func (c *Cond) wait(d time.Duration) bool {
 		v.busy--
 	}
 	v.mu.Unlock()
-	c.l.Lock()
+	if c.l != nil {
+		c.l.Lock()
+	}
 	return !timedOut
 }
 
@@ -735,9 +743,8 @@ func (c *Cond) wait(d time.Duration) bool {
 // it off the waiter list, so a later Broadcast does not run it again, and
 // a timeout left behind by a Broadcast neither runs nor moves the clock.
 // A negative d arms no timeout: only a Broadcast runs r, the way Wait
-// relates to WaitTimeout, and arming pushes no event. Call it with l held,
-// as a wait; like every scheduling call it runs nothing. r must not be
-// armed twice at once.
+// relates to WaitTimeout, and arming pushes no event. Like every
+// scheduling call it runs nothing. r must not be armed twice at once.
 func (c *Cond) WaitRunner(d time.Duration, r Runner) {
 	v := c.v
 	v.mu.Lock()
@@ -757,7 +764,7 @@ func (c *Cond) WaitRunner(d time.Duration, r Runner) {
 // the moment it pops. The wakes drain through the pump, so the waiters run
 // serialized in arm order; a broadcast can never make two goroutines
 // simultaneously runnable, and like every scheduling call it runs nothing
-// itself. The caller may hold l or not.
+// itself.
 func (c *Cond) Broadcast() {
 	v := c.v
 	v.mu.Lock()

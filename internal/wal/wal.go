@@ -44,7 +44,6 @@
 package wal
 
 import (
-	"sync"
 	"time"
 
 	"xability/internal/obs"
@@ -89,8 +88,8 @@ const KindSnapshot = "snap"
 // synced records that returns an equivalent, smaller sequence — the
 // writer's durable state re-expressed as records. The contract is
 // replay(Compactor(prefix) ++ suffix) ≡ replay(prefix ++ suffix) for any
-// suffix the writer may append later. It must not take locks or touch the
-// clock: it runs on the compacting goroutine with no log lock held, on a
+// suffix the writer may append later. It must not touch the clock: it
+// runs inside an append's post-sync work, possibly on the pump, on a
 // private copy of the prefix.
 type Compactor func(prefix []Record) []Record
 
@@ -185,7 +184,6 @@ type Store struct {
 	clk *vclock.Virtual
 	cfg Config
 
-	mu   sync.Mutex
 	logs map[string]*Log
 	// order holds the logs in creation order, for deterministic iteration.
 	// Past its length it keeps the logs of the run before the last Reset,
@@ -218,8 +216,6 @@ func (s *Store) Reset(clk *vclock.Virtual, cfg Config) {
 // Calling Log again with the same name — before or after a crash —
 // returns the same log: the disk outlives the process.
 func (s *Store) Log(proc string) *Log {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	l, ok := s.logs[proc]
 	if !ok {
 		if n := len(s.order); n < cap(s.order) {
@@ -245,18 +241,12 @@ func (s *Store) SyncLatency() time.Duration { return s.cfg.SyncLatency }
 func (s *Store) Crash(procs ...string) int {
 	total := 0
 	for _, p := range procs {
-		s.mu.Lock()
-		l := s.logs[p]
-		s.mu.Unlock()
-		if l == nil {
-			continue
+		if l := s.logs[p]; l != nil {
+			total += l.tear()
 		}
-		total += l.tear()
 	}
 	if total > 0 {
-		s.mu.Lock()
 		s.torn += total
-		s.mu.Unlock()
 		s.cfg.Metrics.Add(obs.WALTorn, int64(total))
 	}
 	return total
@@ -266,7 +256,6 @@ func (s *Store) Crash(procs ...string) int {
 // at call time over every log (order-independent sums, so the map walk
 // cannot leak schedule nondeterminism).
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
 	st := Stats{
 		Appends:          s.appends,
 		SyncTime:         s.synced,
@@ -276,13 +265,9 @@ func (s *Store) Stats() Stats {
 		CompactedBytes:   s.compactedBytes,
 		TornRecords:      s.torn,
 	}
-	logs := append([]*Log(nil), s.order...)
-	s.mu.Unlock()
-	for _, l := range logs {
-		l.mu.Lock()
+	for _, l := range s.order {
 		st.LiveRecords += len(l.recs)
 		st.LiveBytes += recordsBytes(l.recs)
-		l.mu.Unlock()
 	}
 	return st
 }
@@ -293,7 +278,6 @@ type Log struct {
 	proc    string
 	compact Compactor
 
-	mu          sync.Mutex
 	recs        []Record
 	synced      int    // recs[:synced] are durable; the rest are paying their sync
 	gen         uint64 // bumped by tear(): invalidates in-flight syncs and installs
@@ -305,20 +289,13 @@ type Log struct {
 // SetCompactor registers the writer's snapshot fold. Call it before the
 // log sees traffic (at process construction or recovery); the log never
 // compacts without one.
-func (l *Log) SetCompactor(fn Compactor) {
-	l.mu.Lock()
-	l.compact = fn
-	l.mu.Unlock()
-}
+func (l *Log) SetCompactor(fn Compactor) { l.compact = fn }
 
 // Append forces one record to stable storage, charging the store's sync
 // latency on the clock. The record is durable only once Append returns:
 // a crash during the sync wait tears it (and any later unsynced records)
-// off the log. The caller must not hold any lock that clock goroutines
-// block on: the sync wait is a scheduled event,
-// and a goroutine blocked on a caller-held mutex counts as runnable to the
-// clock, which would stall virtual time forever. Append itself takes only
-// the log's internal lock, and releases it before sleeping.
+// off the log. The sync wait is a Sleep on the clock, so Append is for a
+// clock goroutine or an attached caller; code on the pump uses AppendThen.
 func (l *Log) Append(r Record) {
 	var k Sync
 	for d := k.begin(l, r); d > 0; d = k.next() {
@@ -396,17 +373,13 @@ func (k *Sync) finish() {
 func (k *Sync) begin(l *Log, r Record) time.Duration {
 	s := l.store
 	d := s.cfg.SyncLatency
-	l.mu.Lock()
 	l.recs = append(l.recs, r)
 	k.l, k.gen, k.torn = l, l.gen, false
 	if d <= 0 {
 		l.synced++
 	}
-	l.mu.Unlock()
-	s.mu.Lock()
 	s.appends++
 	s.synced += d
-	s.mu.Unlock()
 	s.cfg.Metrics.Inc(obs.WALAppends)
 	s.cfg.Metrics.Add(obs.WALSyncNS, int64(d))
 	if d > 0 {
@@ -423,21 +396,17 @@ func (k *Sync) next() time.Duration {
 	l := k.l
 	switch k.step {
 	case syncPaid:
-		l.mu.Lock()
 		k.torn = l.gen != k.gen
-		if !k.torn {
-			// Sync waits complete in append order (equal tariffs, FIFO
-			// deadlines), so the durable watermark advances one commit at
-			// a time.
-			l.synced++
-		}
-		l.mu.Unlock()
 		if k.torn {
 			// The process died mid-sync; the record is gone and so is the
 			// process — nothing further to do on its behalf.
 			k.step = syncDone
 			return 0
 		}
+		// Sync waits complete in append order (equal tariffs, FIFO
+		// deadlines), so the durable watermark advances one commit at a
+		// time.
+		l.synced++
 		fallthrough
 	case syncCompact:
 		k.step = syncDone
@@ -455,8 +424,6 @@ func (k *Sync) next() time.Duration {
 // Compactor, none is running, and the synced prefix has grown th records
 // past the last attempt (th 0: whatever it has grown).
 func (l *Log) claimCompaction(th int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	run := l.compact != nil && !l.compacting && (th == 0 || l.synced >= l.compactedAt+th)
 	if run {
 		l.compacting = true
@@ -466,17 +433,18 @@ func (l *Log) claimCompaction(th int) bool {
 
 // Compact folds the synced prefix through the registered Compactor now,
 // regardless of threshold, and reports whether a snapshot was installed.
-// Safe from any caller that may wait on the clock (see vclock.Virtual).
+// Like Append it sleeps its tariff on the clock: call it from a clock
+// goroutine or an attached caller (see vclock), not from the pump.
 func (l *Log) Compact() bool {
 	if !l.claimCompaction(0) {
 		return false
 	}
-	before := l.Installs()
+	before := l.installs
 	k := Sync{l: l}
 	for d := k.fold(); d > 0; d = k.next() {
 		l.store.clk.Sleep(d)
 	}
-	return l.Installs() > before
+	return l.installs > before
 }
 
 // fold snapshots the synced prefix through the Compactor and returns the
@@ -485,23 +453,19 @@ func (l *Log) Compact() bool {
 // The caller has claimed the compaction.
 func (k *Sync) fold() time.Duration {
 	l, s := k.l, k.l.store
-	l.mu.Lock()
 	k.cut = l.synced
 	k.gen = l.gen
 	k.prefix = append([]Record(nil), l.recs[:k.cut]...)
-	l.mu.Unlock()
 
 	k.snap = l.compact(k.prefix)
 	if len(k.snap)+1 >= k.cut {
 		// The fold cannot shrink this prefix; skip the write and move the
 		// watermark so the next attempt waits for a full threshold of
 		// fresh records.
-		l.mu.Lock()
 		l.compacting = false
 		if l.gen == k.gen {
 			l.compactedAt = l.synced
 		}
-		l.mu.Unlock()
 		k.prefix, k.snap = nil, nil
 		return 0
 	}
@@ -509,9 +473,7 @@ func (k *Sync) fold() time.Duration {
 		// The install is a stable-storage write like any other: its
 		// virtual-time price lands in SyncTime so the cost curves see the
 		// whole durability bill, not just the append tariff.
-		s.mu.Lock()
 		s.synced += d
-		s.mu.Unlock()
 		s.cfg.Metrics.Add(obs.WALSyncNS, int64(d))
 		k.step = syncInstall
 		return d
@@ -527,12 +489,10 @@ func (k *Sync) install() {
 	l, s := k.l, k.l.store
 	cut, prefix, snap := k.cut, k.prefix, k.snap
 	k.prefix, k.snap = nil, nil
-	l.mu.Lock()
 	l.compacting = false
 	if l.gen != k.gen {
 		// Crashed while the snapshot was being written: the side file is
 		// torn, the old log stands.
-		l.mu.Unlock()
 		return
 	}
 	l.installs++
@@ -545,16 +505,13 @@ func (k *Sync) install() {
 	l.recs = nr
 	l.synced = 1 + len(snap) + (l.synced - cut)
 	l.compactedAt = l.synced
-	l.mu.Unlock()
 
 	prefixBytes := recordsBytes(prefix)
 	snapBytes := recordBytes(head) + recordsBytes(snap)
-	s.mu.Lock()
 	s.compactions++
 	s.snapRecs += len(snap)
 	s.compactedRecs += cut - len(snap) - 1
 	s.compactedBytes += prefixBytes - snapBytes
-	s.mu.Unlock()
 	s.cfg.Metrics.Inc(obs.WALCompactions)
 	s.cfg.Metrics.Add(obs.WALSnapshotBytes, int64(snapBytes))
 	s.cfg.Metrics.Add(obs.WALCompactedBytes, int64(prefixBytes-snapBytes))
@@ -563,8 +520,6 @@ func (k *Sync) install() {
 // tear drops the unsynced suffix at a crash and invalidates in-flight
 // syncs and snapshot installs.
 func (l *Log) tear() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	n := len(l.recs) - l.synced
 	if n > 0 {
 		l.recs = l.recs[:l.synced:l.synced]
@@ -577,27 +532,16 @@ func (l *Log) tear() int {
 }
 
 // Len reports the number of records in the log.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.recs)
-}
+func (l *Log) Len() int { return len(l.recs) }
 
 // Installs reports how many snapshots compaction has installed.
-func (l *Log) Installs() int32 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.installs
-}
+func (l *Log) Installs() int32 { return l.installs }
 
-// Replay calls fn for every record in append order. It snapshots under the
-// log lock and replays outside it, so fn may append (recovery code that
-// re-persists is safe, if unusual).
+// Replay calls fn for every record in append order, as the log stood at
+// the call: fn may append (recovery code that re-persists is safe, if
+// unusual), and what it appends is not replayed.
 func (l *Log) Replay(fn func(Record)) {
-	l.mu.Lock()
-	recs := append([]Record(nil), l.recs...)
-	l.mu.Unlock()
-	for _, r := range recs {
+	for _, r := range l.recs {
 		fn(r)
 	}
 }
